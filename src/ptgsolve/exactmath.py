@@ -7,6 +7,7 @@ appear only as the +inf/-inf sentinels; no rounding happens anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -198,20 +199,6 @@ class CostFunction:
     def point(x, v: Value) -> "CostFunction":
         return CostFunction((as_fraction(x),), (v if isinstance(v, float) else as_fraction(v),), ())
 
-    def piece_at(self, nu) -> int:
-        """Index of the piece whose closed span contains nu (leftmost)."""
-        nu = as_fraction(nu)
-        if nu < self.lo or nu > self.hi:
-            raise DomainError(f"{nu} outside domain [{self.lo}, {self.hi}]")
-        lo_idx, hi_idx = 0, len(self.pieces) - 1
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx) // 2
-            if nu <= self.xs[mid + 1]:
-                hi_idx = mid
-            else:
-                lo_idx = mid + 1
-        return lo_idx
-
     def restrict(self, lo, hi) -> "CostFunction":
         """The same function on the subdomain [lo, hi]."""
         lo, hi = as_fraction(lo), as_fraction(hi)
@@ -264,17 +251,11 @@ def evaluate(f: CostFunction, nu) -> Value:
     nu = as_fraction(nu)
     if nu < f.lo or nu > f.hi:
         raise DomainError(f"{nu} outside domain [{f.lo}, {f.hi}]")
+    i = bisect_left(f.xs, nu)
     # breakpoints carry their own value (matters next to infinite pieces)
-    idx = None
-    for i, x in enumerate(f.xs):
-        if x == nu:
-            return f.vals[i]
-        if x > nu:
-            idx = i - 1
-            break
-    if idx is None:
-        idx = len(f.pieces) - 1
-    piece = f.pieces[idx]
+    if f.xs[i] == nu:
+        return f.vals[i]
+    piece = f.pieces[i - 1]
     if isinstance(piece, Affine):
         return piece(nu)
     return piece

@@ -8,6 +8,10 @@ valuations.  Walking the candidate cutpoints downward, a chord-slope test
 per location decides how far the anchored picture stays truthful; where it
 breaks, the sweep restarts from the last confirmed point.  Each confirmed
 segment is exact, so the assembled functions are the values of the game.
+
+Values are assembled as breakpoint lists: a location's list gains a point
+only where its chord slope changes (a candidate on the same line replaces
+the last point), and each function is built once, after the sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .exactmath import (
     Affine,
     CostFunction,
     as_fraction,
-    concat,
     evaluate,
     format_value,
 )
@@ -193,10 +196,6 @@ def _slope_violations(g: Game, f_b: dict, x_a: dict, b, a) -> list:
     return out
 
 
-def slope_test(g: Game, f_b: dict, x_a: dict, b, a) -> bool:
-    return not _slope_violations(g, f_b, x_a, b, a)
-
-
 def default_max_steps(g: Game) -> int:
     return 4 * len(g.locations) * iteration_bound(make_urgent(g))
 
@@ -216,13 +215,17 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     end_vals, _, _ = end_ev.run(1)
     if any(isinstance(v, float) for v in end_vals):
         raise AssertionError("pruning must leave finite values only")
-    names = [l.name for l in core.locations]
-    fns = {n: CostFunction.point(1, v) for n, v in zip(names, end_vals)}
+    names = [l.name for l in core.locations if not l.is_final]
+    points = {
+        l.name: [(Fraction(1), v)]
+        for l, v in zip(core.locations, end_vals)
+        if not l.is_final
+    }
 
     trace = SweepTrace(boundaries=[Fraction(1)])
     r = Fraction(1)
     while r > 0:
-        anchor = {n: evaluate(fns[n], r) for n in names}
+        anchor = {n: points[n][-1][1] for n in names}
         wg = make_urgent(waiting(core, r, anchor))
         ev = InstantEvaluator(wg)
         grid = possible_cutpoints(wg, r)
@@ -260,8 +263,10 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
                 if moved:
                     win.slope_breaks.append((b, moved))
             for n in names:
-                seg = CostFunction.from_points([(a, x_a[n]), (b, f_b[n])])
-                fns[n] = concat(fns[n], seg)
+                if prev_chords is not None and chords[n] == prev_chords[n]:
+                    points[n][-1] = (a, x_a[n])
+                else:
+                    points[n].append((a, x_a[n]))
             prev_chords = chords
             b = a
             f_b = x_a
@@ -270,14 +275,18 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
             trace.boundaries.append(Fraction(0))
             r = Fraction(0)
 
-    values = {}
-    for l in g.locations:
-        if l.name in pr.infinite:
-            values[l.name] = CostFunction.constant(0, 1, pr.infinite[l.name])
-        elif l.is_final:
-            values[l.name] = CostFunction.from_affine(0, 1, l.final_cost)
-        else:
-            values[l.name] = fns[l.name]
+    fns = {
+        l.name: CostFunction.from_affine(0, 1, l.final_cost)
+        if l.is_final
+        else CostFunction.from_points(points[l.name][::-1])
+        for l in core.locations
+    }
+    values = {
+        l.name: CostFunction.constant(0, 1, pr.infinite[l.name])
+        if l.name in pr.infinite
+        else fns[l.name]
+        for l in g.locations
+    }
 
     max_fp, min_fp = _synthesize(core, fns, pr.transition_origin)
     sigma2 = {

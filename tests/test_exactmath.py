@@ -40,6 +40,35 @@ def test_evaluate_outside_domain():
         evaluate(f, 2)
 
 
+def test_evaluate_breakpoint_next_to_infinite_piece():
+    right_inf = CostFunction((0, F(1, 2), 1), (0, 1, INF), (Affine(2, 0), INF))
+    assert evaluate(right_inf, F(1, 2)) == 1
+    assert evaluate(right_inf, F(1, 4)) == F(1, 2)
+    assert evaluate(right_inf, F(3, 4)) == INF
+    assert evaluate(right_inf, 1) == INF
+    left_inf = CostFunction((0, F(1, 2), 1), (NEG_INF, 3, 3), (NEG_INF, Affine(0, 3)))
+    assert evaluate(left_inf, 0) == NEG_INF
+    assert evaluate(left_inf, F(1, 4)) == NEG_INF
+    assert evaluate(left_inf, F(1, 2)) == 3
+    for x in (-1, F(11, 10)):
+        with pytest.raises(DomainError):
+            evaluate(left_inf, x)
+
+
+def test_evaluate_every_breakpoint_and_midpoint():
+    # a convex parabola sampled at ninths: nine pieces, none collinear
+    pts = [(F(i, 9), F(i * i, 81) - F(i, 3)) for i in range(10)]
+    f = CostFunction.from_points(pts)
+    assert len(f.pieces) == 9
+    for x, v in pts:
+        assert evaluate(f, x) == v
+    for (x0, v0), (x1, v1) in zip(pts, pts[1:]):
+        assert evaluate(f, (x0 + x1) / 2) == (v0 + v1) / 2
+    for x in (F(-1, 9), F(10, 9)):
+        with pytest.raises(DomainError):
+            evaluate(f, x)
+
+
 def test_concat_two_segments():
     right = CostFunction.from_points([(F(1, 2), F(1, 2)), (1, 1)])
     left = CostFunction.from_points([(0, F(-1, 2)), (F(1, 2), F(1, 2))])

@@ -1,0 +1,69 @@
+"""Known answer and work count of the sweep on the tangent fan.
+
+The fan is an urgent Min location ``pick`` choosing among k finals; final i
+costs ``-i*x + i(i-1)/(2k)``, a tangent of a parabola, and neighbouring
+tangents cross at i/k.  So ``pick`` is worth their lower envelope, whose
+breakpoints are exactly {0, 1/k, ..., 1}.  Three waiting layers sit above
+it, each firing one layer down or straight to ``pick`` with opposite
+weights +-1, so the sweep has a real candidate grid to walk.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from ptgsolve.exactmath import Affine, CostFunction, evaluate
+from ptgsolve.model import Guard, Location, Transition, make_game
+from ptgsolve.solver import solve
+
+
+def fan_game(k: int, rates: tuple):
+    full = Guard.closed(0, 1)
+    locs = [Location("pick", "min", 0, True, None)]
+    trans = []
+    for i in range(1, k + 1):
+        locs.append(Location(f"f{i}", "final", 0, False, Affine(-i, F(i * (i - 1), 2 * k))))
+        trans.append(Transition("pick", full, False, f"f{i}", 0))
+    below = "pick"
+    for j, (owner, rate) in enumerate(zip(("max", "min", "max"), rates), start=1):
+        name = f"layer{j}"
+        w = 1 if j % 2 else -1
+        locs.append(Location(name, owner, rate, False, None))
+        trans.append(Transition(name, full, False, below, w))
+        trans.append(Transition(name, full, False, "pick", -w))
+        below = name
+    return make_game(tuple(locs), tuple(trans), 1)
+
+
+def envelope(k: int, x: F) -> F:
+    return min(-i * x + F(i * (i - 1), 2 * k) for i in range(1, k + 1))
+
+
+@pytest.mark.parametrize("rates", [(1, 2, 3), (-2, 1, -3)])
+def test_fan_pick_is_the_tangent_envelope(rates):
+    k = 12
+    pick = solve(fan_game(k, rates)).values["pick"]
+    assert pick.xs == tuple(F(i, k) for i in range(k + 1))
+    for x in pick.xs:
+        assert evaluate(pick, x) == envelope(k, x)
+    for x0, x1 in zip(pick.xs, pick.xs[1:]):
+        mid = (x0 + x1) / 2
+        assert evaluate(pick, mid) == envelope(k, mid)
+
+
+def test_fan_builds_each_value_function_once(monkeypatch):
+    # Machine-independent work count: rebuilding a location's function per
+    # accepted candidate costs thousands of builds here, one build each a
+    # couple of dozen.
+    g = fan_game(16, (1, -2, 3))
+    builds = 0
+    original = CostFunction.__post_init__
+
+    def counting(self):
+        nonlocal builds
+        builds += 1
+        original(self)
+
+    monkeypatch.setattr(CostFunction, "__post_init__", counting)
+    solve(g)
+    assert builds <= 2 * len(g.locations)
