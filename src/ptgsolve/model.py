@@ -348,14 +348,28 @@ def validate_game(g: Game) -> Game:
     return g
 
 
+def _flag(obj: dict, key: str, default: bool, where: str) -> bool:
+    """A JSON boolean field; strings and numbers are not coerced."""
+    v = obj.get(key, default)
+    if not isinstance(v, bool):
+        raise GameSyntaxError(f"{where}: {key} must be true or false, got {v!r}")
+    return v
+
+
+def _integer(v, what: str) -> None:
+    """Rejects anything but a JSON integer; true and false are not integers here."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise GameSyntaxError(f"{what} must be an integer, got {v!r}")
+
+
 def _parse_guard(obj) -> Guard:
     try:
         lo = parse_value(obj["lo"])
         hi = parse_value(obj["hi"])
-        lo_closed = bool(obj.get("lo_closed", True))
-        hi_closed = bool(obj.get("hi_closed", True))
     except (KeyError, TypeError, ValueError) as exc:
         raise GameSyntaxError(f"bad guard object: {obj!r}") from exc
+    lo_closed = _flag(obj, "lo_closed", True, "guard")
+    hi_closed = _flag(obj, "hi_closed", True, "guard")
     if isinstance(lo, float):
         raise GameSyntaxError("guard lo cannot be infinite")
     return Guard(lo, hi, lo_closed, hi_closed)
@@ -386,8 +400,7 @@ def parse_game(text: str) -> Game:
         raw_trans = doc["transitions"]
     except KeyError as exc:
         raise GameSyntaxError(f"missing top-level field {exc}") from exc
-    if not isinstance(bound, int):
-        raise GameSyntaxError("clock_bound must be an integer")
+    _integer(bound, "clock_bound")
     if not isinstance(raw_locs, list) or not isinstance(raw_trans, list):
         raise GameSyntaxError("locations and transitions must be arrays")
 
@@ -397,13 +410,12 @@ def parse_game(text: str) -> Game:
             name = obj["name"]
             owner = obj["owner"]
             rate = obj.get("rate", 0)
-            urgent = bool(obj.get("urgent", False))
         except (KeyError, TypeError) as exc:
             raise GameSyntaxError(f"bad location object: {obj!r}") from exc
         if not isinstance(name, str) or not name:
             raise GameSyntaxError(f"location name must be a non-empty string: {obj!r}")
-        if not isinstance(rate, int):
-            raise GameSyntaxError(f"{name}: rate must be an integer")
+        _integer(rate, f"{name}: rate")
+        urgent = _flag(obj, "urgent", False, name)
         final_cost = None
         if owner == FINAL:
             if "final_cost" not in obj:
@@ -419,12 +431,11 @@ def parse_game(text: str) -> Game:
             src = obj["from"]
             tgt = obj["to"]
             guard = _parse_guard(obj["guard"])
-            reset = bool(obj.get("reset", False))
             weight = obj["weight"]
         except (KeyError, TypeError) as exc:
             raise GameSyntaxError(f"bad transition object: {obj!r}") from exc
-        if not isinstance(weight, int):
-            raise GameSyntaxError(f"{src}->{tgt}: weight must be an integer")
+        reset = _flag(obj, "reset", False, f"{src}->{tgt}")
+        _integer(weight, f"{src}->{tgt}: weight")
         transitions.append(Transition(src, guard, reset, tgt, weight))
 
     return validate_game(Game(tuple(locations), tuple(transitions), Fraction(bound)))

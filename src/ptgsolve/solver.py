@@ -178,26 +178,10 @@ def prune_infinite(g: Game) -> PruneResult:
     return PruneResult(pruned, infinite, origin)
 
 
-def _slope_violations(g: Game, f_b: dict, x_a: dict, b, a) -> list:
-    """Locations whose chord between the anchored and the candidate values
-    is not achievable by waiting there (in file order)."""
-    out = []
-    for l in g.locations:
-        if l.is_final or l.urgent:
-            continue
-        chord = (f_b[l.name] - x_a[l.name]) / (b - a)
-        rate = as_fraction(l.rate)
-        if l.owner == MIN:
-            if chord < -rate:
-                out.append(l.name)
-        else:
-            if chord > -rate:
-                out.append(l.name)
-    return out
-
-
 def default_max_steps(g: Game) -> int:
-    return 4 * len(g.locations) * iteration_bound(make_urgent(g))
+    # the round bound reads locations, weights and final costs only, so it
+    # is the same for g and make_urgent(g)
+    return 4 * len(g.locations) * iteration_bound(g)
 
 
 def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
@@ -211,11 +195,20 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     budget = default_max_steps(core) if max_steps is None else max_steps
     spent = 0
 
-    end_ev = InstantEvaluator(make_urgent(core))
-    end_vals, _, _ = end_ev.run(1)
+    urgent_core = make_urgent(core)
+    end_ev = InstantEvaluator(urgent_core)
+    end_vals, end_ranks, _ = end_ev.run(1)
     if any(isinstance(v, float) for v in end_vals):
         raise AssertionError("pruning must leave finite values only")
+    end = (dict(zip(end_ev.names, end_vals)), dict(zip(end_ev.names, end_ranks)))
     names = [l.name for l in core.locations if not l.is_final]
+    # (name, owner is Min, -rate) of every location that may wait: the chord
+    # of a Min location may not fall below -rate, of a Max one not rise above
+    waits = [
+        (l.name, l.owner == MIN, -as_fraction(l.rate))
+        for l in core.locations
+        if not l.is_final and not l.urgent
+    ]
     points = {
         l.name: [(Fraction(1), v)]
         for l, v in zip(core.locations, end_vals)
@@ -244,7 +237,12 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
             x_a = dict(zip(ev.names, vals_a))
             if any(isinstance(x_a[n], float) for n in names):
                 raise AssertionError("window game produced an infinite value")
-            bad = _slope_violations(core, f_b, x_a, b, a)
+            chords = {n: (f_b[n] - x_a[n]) / (b - a) for n in names}
+            bad = [
+                n
+                for n, is_min, limit in waits
+                if (chords[n] < limit if is_min else chords[n] > limit)
+            ]
             if bad:
                 if b == r:
                     raise AssertionError(
@@ -257,7 +255,6 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
                 r = b
                 rejected = True
                 break
-            chords = {n: (f_b[n] - x_a[n]) / (b - a) for n in names}
             if prev_chords is not None:
                 moved = [n for n in names if chords[n] != prev_chords[n]]
                 if moved:
@@ -288,10 +285,10 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
         for l in g.locations
     }
 
-    max_fp, min_fp = _synthesize(core, fns, pr.transition_origin)
+    max_fp, min_fp = _synthesize(core, fns, end, pr.transition_origin)
     sigma2 = {
         n: pr.transition_origin[i]
-        for n, i in attractor_strategy(make_urgent(core)).items()
+        for n, i in attractor_strategy(urgent_core).items()
     }
     n_locs = len(core.locations)
     reach = (n_locs - 1) * core.max_transition_weight() + core.max_final_cost()
@@ -301,7 +298,7 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     return Solution(g, values, max_fp, minstrat, trace, pr.infinite)
 
 
-def _synthesize(core: Game, fns: dict, origin: tuple) -> tuple:
+def _synthesize(core: Game, fns: dict, end: tuple, origin: tuple) -> tuple:
     """Optimal finitely-positional strategies from the value functions.
 
     The clock interval is cut at every breakpoint of every value function
@@ -314,18 +311,15 @@ def _synthesize(core: Game, fns: dict, origin: tuple) -> tuple:
     move prescribed at the run end, which by the left-closed convention is
     the move of the cell starting there (or the no-time-left move at 1);
     every zero-delay step at a valuation therefore uses one cell's tight
-    edges, and those never cycle.
+    edges, and those never cycle.  end holds the values and ranks by name
+    of the urgent solve at 1, which give the no-time-left moves.
     """
     breaks = sorted({x for f in fns.values() for x in f.xs})
     cells = list(zip(breaks, breaks[1:]))
     names = [l.name for l in core.locations if not l.is_final]
     WAIT = "wait"
 
-    end_ev = InstantEvaluator(make_urgent(core))
-    end_vals, end_ranks, _ = end_ev.run(1)
-    end_moves = _tight_moves(
-        core, dict(zip(end_ev.names, end_vals)), dict(zip(end_ev.names, end_ranks))
-    )
+    end_moves = _tight_moves(core, *end)
 
     per_cell = []
     for lo, hi in cells:

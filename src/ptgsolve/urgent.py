@@ -6,6 +6,11 @@ the greatest fixpoint, which is the value; entries that sink below the finite
 range are snapped to -inf.  The full value function over [0, r] is then
 reconstructed by evaluating at every possible cutpoint, because between two
 candidate cutpoints no two lines of the relevant family can cross.
+
+Both the iteration and the cutpoint grid work on integers: the final costs
+of a game are put once on one integer scale L (the least common denominator
+of every slope, intercept and the -inf cutoff), so a final's cost at p/q is
+(S*p + C*q) / (L*q) with integers S and C.
 """
 
 from __future__ import annotations
@@ -47,19 +52,45 @@ class ValueVector:
 
 def iteration_bound(g: Game) -> int:
     """Hard cap on value-iteration rounds until the fixpoint."""
+    return _round_bound(g, g.max_final_cost())
+
+
+def _round_bound(g: Game, pf: Fraction) -> int:
+    """iteration_bound(g) given pf, the largest |final cost| at 0 and at the bound."""
     n = len(g.locations)
     nf = len(g.final_locations)
     pt = g.max_transition_weight()
-    pf = g.max_final_cost()
     return nf * n * ((2 * n - 1) * pt + math.ceil(2 * pf) + 1) + n
+
+
+def _final_scale(g: Game) -> tuple:
+    """The final costs of g on one integer scale: (L, lines, pf).
+
+    lines holds (S, C) per final location in file order, so that its cost at
+    p/q is (S*p + C*q) / (L*q).  pf is the largest |final cost| at 0 and at
+    the clock bound; L is also a multiple of its denominator, so the -inf
+    cutoff -(n-1)*pt - pf is an integer on the same scale.
+    """
+    costs = [l.final_cost for l in g.final_locations]
+    scale = math.lcm(
+        *(q for phi in costs for q in (phi.slope.denominator, phi.intercept.denominator))
+    )
+    lines = [(int(phi.slope * scale), int(phi.intercept * scale)) for phi in costs]
+    bn, bd = g.clock_bound.numerator, g.clock_bound.denominator
+    worst = max((abs(v) for s, c in lines for v in (c * bd, s * bn + c * bd)), default=0)
+    pf = Fraction(worst, scale * bd)
+    grow = pf.denominator // math.gcd(scale, pf.denominator)
+    return scale * grow, [(s * grow, c * grow) for s, c in lines], pf
 
 
 class InstantEvaluator:
     """Precompiled value iteration for one all-urgent game.
 
-    The hot loop runs on integers: final costs at nu are brought to a common
-    denominator and every arithmetic step stays exact.  Infinities are float
-    sentinels, which compare and add correctly against Python ints.
+    The hot loop runs on integers.  The constructor puts the final costs
+    and the -inf cutoff on one integer scale L and derives the round bound,
+    once; a run at nu = p/q then works on the scale L*q, where every final's
+    cost is the integer S*p + C*q and every step stays exact.  Infinities
+    are float sentinels, which compare and add correctly against Python ints.
     """
 
     def __init__(self, g: Game):
@@ -71,9 +102,10 @@ class InstantEvaluator:
         self.game = g
         self.names = [l.name for l in g.locations]
         self.index = {n: i for i, n in enumerate(self.names)}
-        self.final_phi = {
-            self.index[l.name]: l.final_cost for l in g.locations if l.is_final
-        }
+        self.scale, lines, pf = _final_scale(g)
+        self.finals = [
+            (self.index[l.name], s, c) for l, (s, c) in zip(g.final_locations, lines)
+        ]
         self.rows = []  # (loc_idx, is_max, [(weight, tgt_idx), ...])
         for l in g.locations:
             if l.is_final:
@@ -84,8 +116,9 @@ class InstantEvaluator:
             ]
             self.rows.append((self.index[l.name], l.owner == MAX, moves))
         n = len(g.locations)
-        self.cutoff = -(n - 1) * g.max_transition_weight() - g.max_final_cost()
-        self.bound = iteration_bound(g)
+        cutoff = -(n - 1) * g.max_transition_weight() - pf
+        self.cutoff = int(cutoff * self.scale)  # on the scale L
+        self.bound = _round_bound(g, pf)
 
     def run(self, nu, history: list | None = None) -> tuple:
         """Returns (values list, ranks list, rounds).
@@ -95,15 +128,12 @@ class InstantEvaluator:
         passed as history it receives the value vector after every round.
         """
         nu = as_fraction(nu)
-        phi_at = {i: phi(nu) for i, phi in self.final_phi.items()}
-        denom = math.lcm(
-            as_fraction(self.cutoff).denominator,
-            *(v.denominator for v in phi_at.values()),
-        )
-        cutoff = int(as_fraction(self.cutoff) * denom)
+        p, q = nu.numerator, nu.denominator
+        denom = self.scale * q
+        cutoff = self.cutoff * q
         x = [INF] * len(self.names)
-        for i, v in phi_at.items():
-            x[i] = int(v * denom)
+        for i, s, c in self.finals:
+            x[i] = s * p + c * q
         ranks = [0] * len(self.names)
         rounds = 0
         scaled_weights = [
@@ -176,26 +206,31 @@ def possible_cutpoints(g: Game, r) -> list:
     the pairs are walked directly.
     """
     r = as_fraction(r)
+    rn, rd = r.numerator, r.denominator
     n = len(g.locations)
     pt = g.max_transition_weight()
     width = (2 * n - 1) * pt
-    finals = [l.final_cost for l in g.final_locations]
-    found = {Fraction(0), r}
-    for i in range(len(finals)):
-        for j in range(i + 1, len(finals)):
-            ds = finals[i].slope - finals[j].slope
+    scale, lines, _ = _final_scale(g)
+    step = scale * rd
+    found = {(0, 1), (rn, rd)}  # reduced (numerator, positive denominator)
+    for i, (si, ci) in enumerate(lines):
+        for sj, cj in lines[i + 1 :]:
+            ds = si - sj
             if ds == 0:
                 continue
-            dc = finals[j].intercept - finals[i].intercept
-            # x = (dc + d)/ds must land in [0, r]
-            lo_d, hi_d = sorted((-dc, r * ds - dc))
-            lo_i = max(math.ceil(lo_d), -width)
-            hi_i = min(math.floor(hi_d), width)
+            dc = cj - ci
+            # x = (dc + d*L)/ds lies in [0, r] exactly for d*L*rd between
+            # -dc*rd and rn*ds - dc*rd
+            lo_d, hi_d = sorted((-dc * rd, rn * ds - dc * rd))
+            lo_i = max(-(-lo_d // step), -width)
+            hi_i = min(hi_d // step, width)
             for d in range(lo_i, hi_i + 1):
-                x = (dc + d) / ds
-                if 0 <= x <= r:
-                    found.add(x)
-    return sorted(found)
+                num = dc + d * scale
+                k = math.gcd(num, ds)
+                if ds < 0:
+                    k = -k
+                found.add((num // k, ds // k))
+    return sorted(Fraction(a, b) for a, b in found)
 
 
 def solve_all_urgent(g: Game, r) -> dict:

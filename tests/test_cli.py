@@ -106,6 +106,23 @@ def test_solve_rejects_deadlocked_game(tmp_path, capsys):
     assert "deadlock" in err
 
 
+def test_solve_rejects_non_boolean_flags_and_boolean_numbers(tmp_path, capsys):
+    # a game with every such field of the wrong JSON type once solved and
+    # exited 0; each field alone is covered in test_model
+    doc = json.loads((FIXTURES / "fig1.json").read_text())
+    doc["clock_bound"] = True
+    doc["locations"][0]["urgent"] = "false"
+    doc["transitions"][0]["reset"] = "no"
+    doc["transitions"][0]["weight"] = True
+    doc["transitions"][0]["guard"]["lo_closed"] = "no"
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "solve", str(path), "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "clock_bound must be an integer" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "no-such-file.json")
     assert code == 2

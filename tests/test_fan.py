@@ -13,8 +13,9 @@ from fractions import Fraction as F
 import pytest
 
 from ptgsolve.exactmath import Affine, CostFunction, evaluate
-from ptgsolve.model import Guard, Location, Transition, make_game
+from ptgsolve.model import Game, Guard, Location, Transition, make_game
 from ptgsolve.solver import solve
+from ptgsolve.urgent import InstantEvaluator
 
 
 def fan_game(k: int, rates: tuple):
@@ -67,3 +68,42 @@ def test_fan_builds_each_value_function_once(monkeypatch):
     monkeypatch.setattr(CostFunction, "__post_init__", counting)
     solve(g)
     assert builds <= 2 * len(g.locations)
+
+
+def test_fan_value_iteration_stays_on_its_integer_scale(monkeypatch):
+    # Each evaluator puts the final costs on one integer scale once: a run
+    # evaluates no Affine, and a solve bounds the final costs twice (the
+    # budget and the Min strategy's threshold).  Evaluating every final per
+    # run made one Affine call per final per run, and bounding them per
+    # evaluator made 46 max_final_cost calls here.
+    g = fan_game(16, (1, -2, 3))
+    counts = {"affine_in_run": 0, "runs": 0, "max_final_cost": 0}
+    inside_run = False
+    affine_call = Affine.__call__
+    run = InstantEvaluator.run
+    max_final_cost = Game.max_final_cost
+
+    def counting_affine(self, nu):
+        counts["affine_in_run"] += inside_run
+        return affine_call(self, nu)
+
+    def counting_run(self, *args, **kwargs):
+        nonlocal inside_run
+        counts["runs"] += 1
+        inside_run = True
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            inside_run = False
+
+    def counting_max_final_cost(self):
+        counts["max_final_cost"] += 1
+        return max_final_cost(self)
+
+    monkeypatch.setattr(Affine, "__call__", counting_affine)
+    monkeypatch.setattr(InstantEvaluator, "run", counting_run)
+    monkeypatch.setattr(Game, "max_final_cost", counting_max_final_cost)
+    solve(g)
+    assert counts["runs"] > 0
+    assert counts["affine_in_run"] == 0
+    assert counts["max_final_cost"] <= 4

@@ -136,6 +136,36 @@ def test_not_json_is_syntax_error():
         parse_game("not json at all")
 
 
+def _fig1_with(path, value) -> str:
+    """fig1's document with the field at path (keys and indices) set to value."""
+    doc = json.loads(load_fixture("fig1.json"))
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return json.dumps(doc)
+
+
+# Each of these once parsed: bool() made every non-empty string true, and
+# bool is a subclass of int.
+STRICT_TYPE_CASES = {
+    "urgent": (("locations", 0, "urgent"), "false", "urgent must be true or false"),
+    "reset": (("transitions", 0, "reset"), "no", "reset must be true or false"),
+    "lo_closed": (("transitions", 0, "guard", "lo_closed"), "no", "lo_closed must be true or false"),
+    "hi_closed": (("transitions", 0, "guard", "hi_closed"), 1, "hi_closed must be true or false"),
+    "clock_bound": (("clock_bound",), True, "clock_bound must be an integer"),
+    "rate": (("locations", 0, "rate"), True, "rate must be an integer"),
+    "weight": (("transitions", 0, "weight"), True, "weight must be an integer"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(STRICT_TYPE_CASES))
+def test_parse_rejects_wrong_json_types(field):
+    path, value, reason = STRICT_TYPE_CASES[field]
+    with pytest.raises(GameSyntaxError, match=reason):
+        parse_game(_fig1_with(path, value))
+
+
 def test_check_sptg():
     fig1 = parse_game(load_fixture("fig1.json"))
     fig3 = parse_game(load_fixture("fig3.json"))

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptgsolve.exactmath import INF, NEG_INF, Affine, evaluate, pairwise_intersections
-from ptgsolve.model import Guard, Location, Transition, make_game, parse_game
+from ptgsolve.model import MAX, Guard, Location, Transition, make_game, parse_game
 from ptgsolve.urgent import (
     InstantEvaluator,
     NotFinite,
@@ -168,6 +171,24 @@ def test_cutpoints_three_final_grid():
     assert possible_cutpoints(g, 1) == [0, F(1, 4), F(1, 2), F(3, 4), 1]
 
 
+def random_fractional_game(rng: random.Random):
+    """Urgent game whose final slopes and intercepts have unlike denominators."""
+    def frac():
+        return F(rng.randint(-12, 12), rng.randint(1, 9))
+
+    n = rng.randint(1, 3)
+    finals = {f"f{j}": Affine(frac(), frac()) for j in range(rng.randint(2, 4))}
+    targets = [f"a{i}" for i in range(n)] + list(finals)
+    moves = {
+        f"a{i}": (
+            rng.choice(("min", "max")),
+            [(rng.randint(-3, 3), rng.choice(targets)) for _ in range(rng.randint(1, 3))],
+        )
+        for i in range(n)
+    }
+    return tiny(moves, finals)
+
+
 def test_cutpoints_agree_with_line_family():
     games = [
         tiny(
@@ -176,13 +197,17 @@ def test_cutpoints_agree_with_line_family():
         ),
         parse_game(load_fixture("urgent_all.json")),
     ]
-    for g in games:
-        for r in (F(1), F(2, 3)):
-            lazy = possible_cutpoints(g, r)
-            literal = sorted(
-                set(pairwise_intersections(line_family(g), 0, r)) | {F(0), r}
-            )
-            assert lazy == literal
+    rng = random.Random(2015)
+    cases = [(g, r) for g in games for r in (F(1), F(2, 3))]
+    cases += [
+        (random_fractional_game(rng), F(rng.randint(1, 11), 11)) for _ in range(40)
+    ]
+    for g, r in cases:
+        lazy = possible_cutpoints(g, r)
+        literal = sorted(
+            set(pairwise_intersections(line_family(g), 0, r)) | {F(0), r}
+        )
+        assert lazy == literal
 
 
 def test_solve_all_urgent_tracks_final_cost():
@@ -277,3 +302,140 @@ def test_tight_choice_matches_value(fig1_urgent):
     for name, idx in {**s.max_choice, **s.sigma1}.items():
         t = fig1_urgent.transitions[idx]
         assert t.weight + vv[t.target] == vv[name]
+
+
+# ---------------------------------------------------------------------------
+# Kernel equivalence: InstantEvaluator.run against plain Fraction iteration
+
+
+def reference_run(g, nu, history=None):
+    """Value iteration in plain Fractions, each final priced phi(nu) afresh.
+
+    It scales nothing: a run of InstantEvaluator on its integer scale must
+    reproduce these values, ranks, rounds and history exactly.
+    """
+    names = [l.name for l in g.locations]
+    index = {n: i for i, n in enumerate(names)}
+    cutoff = -(len(names) - 1) * g.max_transition_weight() - g.max_final_cost()
+    x = [INF] * len(names)
+    for l in g.final_locations:
+        x[index[l.name]] = l.final_cost(nu)
+    ranks = [0] * len(names)
+    rounds = 0
+    while True:
+        rounds += 1
+        assert rounds <= iteration_bound(g)
+        prev = list(x)
+        changed = False
+        for l in g.nonfinal_locations:
+            i = index[l.name]
+            sums = [
+                g.transitions[t].weight + prev[index[g.transitions[t].target]]
+                for t in g.outgoing(l.name)
+            ]
+            if not sums:
+                best = INF
+            else:
+                best = max(sums) if l.owner == MAX else min(sums)
+            if not isinstance(best, float) and best < cutoff:
+                best = NEG_INF
+            if best != prev[i]:
+                x[i] = best
+                ranks[i] = rounds
+                changed = True
+        if history is not None:
+            history.append(list(x))
+        if not changed:
+            return x, ranks, rounds
+
+
+def unlike_fractions():
+    return st.builds(F, st.integers(-40, 40), st.integers(1, 30))
+
+
+@st.composite
+def scaled_urgent_games(draw):
+    """All-urgent games with rational final costs and clock bound.
+
+    Optional gadgets make sure of both infinities: a Min loop of weight -1
+    next to an exit sinks below the cutoff to -inf, and a location without
+    moves (with a Max parent that may enter it) stays +inf.
+    """
+    bound = draw(st.sampled_from((F(1), F(2), F(2, 3), F(7, 5))))
+    n_final = draw(st.integers(0, 3))
+    n_inner = draw(st.integers(1, 4))
+    finals = [f"f{j}" for j in range(n_final)]
+    inner = [f"u{i}" for i in range(n_inner)]
+    locs = [
+        Location(m, "final", 0, False, Affine(draw(unlike_fractions()), draw(unlike_fractions())))
+        for m in finals
+    ]
+    trans = []
+
+    def edge(src, tgt, w):
+        trans.append(Transition(src, Guard.closed(0, bound), False, tgt, w))
+
+    for m in inner:
+        locs.append(Location(m, draw(st.sampled_from(("min", "max"))), 0, True, None))
+        for _ in range(draw(st.integers(1, 3))):
+            edge(m, draw(st.sampled_from(inner + finals)), draw(st.integers(-4, 4)))
+    if finals and draw(st.booleans()):
+        locs.append(Location("sink", "min", 0, True, None))
+        edge("sink", "sink", -1)
+        edge("sink", finals[0], 0)
+        edge(inner[0], "sink", 0)
+    if draw(st.booleans()):
+        locs.append(Location("stuck", "max", 0, True, None))
+        locs.append(Location("toward", "max", 0, True, None))
+        edge("toward", "stuck", 0)
+        edge("toward", draw(st.sampled_from(inner + finals)), 1)
+    return make_game(tuple(locs), tuple(trans), bound)
+
+
+def valuations(bound):
+    """0, 1 and the bound; small denominators, where lines tie; huge ones."""
+    def share(q):
+        return st.builds(lambda p: bound * F(p, q), st.integers(0, q))
+
+    return st.one_of(
+        st.sampled_from((F(0), F(1), bound)),
+        st.integers(1, 12).flatmap(share),
+        st.integers(10**9, 10**15).flatmap(share),
+    )
+
+
+_SINK = tiny(
+    {"u0": ("min", [(2, "f0"), (0, "sink")]), "sink": ("min", [(-1, "sink"), (0, "f0")])},
+    {"f0": Affine(F(3, 7), F(-5, 4))},
+    bound=F(2, 3),
+)
+_STUCK = tiny(
+    {"u0": ("max", [(0, "stuck"), (1, "f0")]), "stuck": ("max", [])},
+    {"f0": Affine(F(-1, 6), F(9, 10)), "f1": Affine(F(5, 2), F(1, 3))},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_matches_plain_fraction_iteration(data):
+    g = data.draw(scaled_urgent_games())
+    nu = data.draw(valuations(g.clock_bound))
+    check_against_reference(g, nu)
+
+
+def check_against_reference(g, nu):
+    want_history, got_history = [], []
+    want = reference_run(g, nu, want_history)
+    got = InstantEvaluator(g).run(nu, got_history)
+    assert got == want
+    assert got_history == want_history
+    for v in got[0]:
+        assert isinstance(v, float) or type(v) is Fraction
+
+
+@pytest.mark.parametrize("g", [_SINK, _STUCK], ids=["neg-inf-cutoff", "stuck-plus-inf"])
+@pytest.mark.parametrize("nu", [F(0), F(1, 3), F(2, 3), F(10**12 + 1, 10**13)])
+def test_run_matches_plain_fraction_iteration_at_infinities(g, nu):
+    check_against_reference(g, nu)
+    vals = InstantEvaluator(g).run(nu)[0]
+    assert (NEG_INF if g is _SINK else INF) in vals
