@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -54,11 +55,11 @@ from .solver import (
     solve,
 )
 from .strategy import (
+    BellmanOracle,
     FPStrategy,
     IllegalMove,
     Move,
     SwitchingStrategy,
-    bellman_check,
     fp_to_json,
     play_out,
     region_bellman_check,
@@ -378,8 +379,8 @@ def _sample_points(g: Game, values: dict, grid: int, borders: set) -> list:
     for segs in values.values():
         for seg in segs:
             pts.update(seg.xs)
-    for a, b in zip(sorted(pts), sorted(pts)[1:]):
-        pts.add((a + b) / 2)
+    ordered = sorted(pts)
+    pts.update((a + b) / 2 for a, b in zip(ordered, ordered[1:]))
     bound = Fraction(g.clock_bound)
     for k in range(1, grid + 1):
         pts.add(k * bound / (grid + 1))
@@ -459,24 +460,19 @@ def cmd_verify(args) -> RunReport:
 
     pts = _sample_points(g, values, args.grid, borders)
     if mode == MODE_SPTG:
-        flat = {name: segs[0] for name, segs in values.items()}
-        for nu in pts:
-            bad = bellman_check(g, flat, nu)
-            if bad:
-                return _verify_fail(
-                    report, f"bellman: {bad[0]} not locally optimal at {format_value(nu)}"
-                )
+        check = BellmanOracle(g, {name: segs[0] for name, segs in values.items()}).check
     else:
         region_vals = {
             name: _region_values_from_segments(regions, segs)
             for name, segs in values.items()
         }
-        for nu in pts:
-            bad = region_bellman_check(g, list(regions), region_vals, nu)
-            if bad:
-                return _verify_fail(
-                    report, f"bellman: {bad[0]} not locally optimal at {format_value(nu)}"
-                )
+        check = partial(region_bellman_check, g, list(regions), region_vals)
+    for nu in pts:
+        bad = check(nu)
+        if bad:
+            return _verify_fail(
+                report, f"bellman: {bad[0]} not locally optimal at {format_value(nu)}"
+            )
     report.body.append(f"check: bellman ok ({len(pts)} points)")
     report.verdict = "pass"
     return report
@@ -718,6 +714,14 @@ def cmd_simulate(args) -> RunReport:
 # entry point
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of the count flags; a bad value exits 2 with a message."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ptg",
@@ -739,7 +743,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="auto picks sptg for unguarded unit-bound games, else the region pipeline",
     )
     sp.add_argument(
-        "--max-steps", type=int, default=None, help="cap on sweep candidate evaluations"
+        "--max-steps", type=non_negative_int, help="cap on sweep candidate evaluations"
     )
     sp.set_defaults(func=cmd_solve)
 
@@ -748,7 +752,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("values", help="solution file written by solve")
     vp.add_argument(
         "--grid",
-        type=int,
+        type=non_negative_int,
         default=16,
         help="number of extra evenly spaced sample points (default 16)",
     )
@@ -771,7 +775,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mp.add_argument(
         "--opponents",
-        type=int,
+        type=non_negative_int,
         default=3,
         help="number of random Max opponents (default 3)",
     )

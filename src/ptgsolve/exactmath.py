@@ -54,6 +54,10 @@ def format_value(v: Value) -> str:
 
 
 def parse_value(text: str) -> Value:
+    """A JSON string literal: "p/q", a decimal, "+inf" or "-inf"; JSON numbers
+    and booleans are not values (true would read as 1)."""
+    if not isinstance(text, str):
+        raise TypeError(f"a value must be a string literal, got {text!r}")
     if text == "+inf":
         return INF
     if text == "-inf":

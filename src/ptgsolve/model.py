@@ -367,7 +367,7 @@ def _parse_guard(obj) -> Guard:
         lo = parse_value(obj["lo"])
         hi = parse_value(obj["hi"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise GameSyntaxError(f"bad guard object: {obj!r}") from exc
+        raise GameSyntaxError(f"bad guard object {obj!r}: {exc}") from exc
     lo_closed = _flag(obj, "lo_closed", True, "guard")
     hi_closed = _flag(obj, "hi_closed", True, "guard")
     if isinstance(lo, float):
@@ -380,7 +380,7 @@ def _parse_affine(obj) -> Affine:
         slope = parse_value(obj["slope"])
         intercept = parse_value(obj["intercept"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise GameSyntaxError(f"bad affine object: {obj!r}") from exc
+        raise GameSyntaxError(f"bad affine object {obj!r}: {exc}") from exc
     if isinstance(slope, float) or isinstance(intercept, float):
         raise ValidationError("non-affine final cost", f"infinite coefficient in {obj!r}")
     return Affine(slope, intercept)

@@ -9,15 +9,19 @@ real one instead of a limit.
 
 The oracles at the bottom do not trust the solver.  They recompute what
 they check from the game alone: local optimality of a value function
-(bellman_check), absence of nonnegative zero-delay cycles under Min's
-choices (validate_nc), and the best cost Min can force against a fixed
-Max strategy (fake_value_upper_bound).
+(BellmanOracle: tables built once per value function, then one
+bisection per transition at each valuation; bellman_check asks it once),
+absence of nonnegative zero-delay cycles under Min's choices
+(validate_nc), and the best cost Min can force against a fixed Max
+strategy (fake_value_upper_bound).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .exactmath import INF, Value, as_fraction, evaluate, format_value
@@ -399,53 +403,73 @@ def fake_value_upper_bound(
 # local optimality of a claimed value function
 
 
+class BellmanOracle:
+    """Local optimality of claimed SPTG values: built once, asked per valuation.
+
+    A move at nu fires now or at a fire point p >= nu: the clock bound, a
+    breakpoint of the target's value or a finite guard endpoint.  Between
+    fire points the one-step cost is affine in the delay, so these carry
+    the optimum.  Firing at p costs h(p) - nu*rate, with
+    h(p) = p*rate + weight + target(arrival(p)), and the fire points >= nu
+    are a suffix of the sorted fire points in [0, bound] that the guard
+    contains.  So each transition keeps those points and the suffix optimum
+    of h, and a valuation reads one entry per transition by bisection: the
+    same candidates, in the same exact arithmetic, as scanning every fire
+    point at every valuation.
+    """
+
+    def __init__(self, g: Game, vals: dict):
+        bound = as_fraction(g.clock_bound)
+        self.rows = []
+        for l in g.nonfinal_locations:
+            pick = max if l.owner == MAX else min
+            moves = []
+            for i in g.outgoing(l.name):
+                t = g.transitions[i]
+                target = g.location(t.target)
+                if target.is_final:
+                    tgt_at = target.final_cost
+                    tgt_breaks = ()
+                else:
+                    tgt_fn = vals[t.target]
+                    tgt_at = lambda x, f=tgt_fn: evaluate(f, x)
+                    tgt_breaks = tgt_fn.xs
+                ks = [] if l.urgent else sorted(
+                    k for k in {bound, *tgt_breaks, t.guard.lo, t.guard.hi}
+                    if 0 <= k <= bound and t.guard.contains(k)
+                )
+                hs = [k * l.rate + t.weight + tgt_at(Fraction(0) if t.reset else k) for k in ks]
+                suffix = list(accumulate(reversed(hs), pick))[::-1]
+                moves.append((t, tgt_at, ks, suffix))
+            self.rows.append((l, vals[l.name], pick, moves))
+
+    def check(self, nu) -> list:
+        """Names of locations whose claimed value is not locally optimal at nu."""
+        nu = as_fraction(nu)
+        bad = []
+        for l, claimed, pick, moves in self.rows:
+            lhs = evaluate(claimed, nu)
+            cands = []
+            for t, tgt_at, ks, suffix in moves:
+                if t.guard.contains(nu):
+                    cands.append(t.weight + tgt_at(Fraction(0) if t.reset else nu))
+                j = bisect_left(ks, nu)
+                if j < len(ks):
+                    cands.append(suffix[j] - nu * l.rate)
+            if (pick(cands) if cands else INF) != lhs:
+                bad.append(l.name)
+        return bad
+
+
 def bellman_check(g: Game, vals: dict, nu) -> list:
     """Names of locations whose claimed value is not locally optimal at nu.
 
-    For each transition the candidate delays are 0, the delays landing on a
-    breakpoint of the target's value function, and the delay to the clock
-    bound; between those the one-step cost is affine in the delay, so they
-    carry the optimum.
+    Per transition it tries firing now and firing at each fire point >= nu
+    (the clock bound, the target's breakpoints, the finite guard
+    endpoints), the best of which BellmanOracle reads from a suffix table.
+    To check many valuations, build the oracle once and call its check.
     """
-    nu = as_fraction(nu)
-    bound = as_fraction(g.clock_bound)
-    bad = []
-    for l in g.nonfinal_locations:
-        lhs = evaluate(vals[l.name], nu)
-        cands = []
-        for i in g.outgoing(l.name):
-            t = g.transitions[i]
-            target = g.location(t.target)
-            if target.is_final:
-                tgt_at = target.final_cost
-                tgt_breaks = ()
-            else:
-                tgt_fn = vals[t.target]
-                tgt_at = lambda x, f=tgt_fn: evaluate(f, x)
-                tgt_breaks = tgt_fn.xs
-            if l.urgent:
-                delays = [Fraction(0)]
-            else:
-                delays = {Fraction(0), bound - nu}
-                for k in (*tgt_breaks, t.guard.lo, t.guard.hi):
-                    if nu <= k <= bound:
-                        delays.add(as_fraction(k) - nu)
-                delays = sorted(delays)
-            for d in delays:
-                fire = nu + d
-                if not t.guard.contains(fire):
-                    continue
-                arrived = Fraction(0) if t.reset else fire
-                cands.append(d * l.rate + t.weight + tgt_at(arrived))
-        if not cands:
-            rhs = INF
-        elif l.owner == MAX:
-            rhs = max(cands)
-        else:
-            rhs = min(cands)
-        if rhs != lhs:
-            bad.append(l.name)
-    return bad
+    return BellmanOracle(g, vals).check(nu)
 
 
 def region_bellman_check(

@@ -1,0 +1,268 @@
+"""The SPTG Bellman oracle against the per-valuation check it replaced.
+
+``reference_bellman_check`` is the earlier body of ``strategy.bellman_check``,
+kept verbatim: at each valuation it re-evaluates every transition's target
+at the clock bound, at each of the target's breakpoints and at each guard
+endpoint.  ``BellmanOracle`` answers from per-transition suffix optima built
+once, and must name the same locations at every valuation.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate
+from ptgsolve.model import MAX, MIN, Game, Guard, Location, Transition, make_game
+from ptgsolve.solver import EmptyGame, solve
+from ptgsolve.strategy import BellmanOracle, bellman_check
+
+F = Fraction
+
+
+def reference_bellman_check(g: Game, vals: dict, nu) -> list:
+    """Names of locations whose claimed value is not locally optimal at nu.
+
+    For each transition the candidate delays are 0, the delays landing on a
+    breakpoint of the target's value function, and the delay to the clock
+    bound; between those the one-step cost is affine in the delay, so they
+    carry the optimum.
+    """
+    nu = as_fraction(nu)
+    bound = as_fraction(g.clock_bound)
+    bad = []
+    for l in g.nonfinal_locations:
+        lhs = evaluate(vals[l.name], nu)
+        cands = []
+        for i in g.outgoing(l.name):
+            t = g.transitions[i]
+            target = g.location(t.target)
+            if target.is_final:
+                tgt_at = target.final_cost
+                tgt_breaks = ()
+            else:
+                tgt_fn = vals[t.target]
+                tgt_at = lambda x, f=tgt_fn: evaluate(f, x)
+                tgt_breaks = tgt_fn.xs
+            if l.urgent:
+                delays = [Fraction(0)]
+            else:
+                delays = {Fraction(0), bound - nu}
+                for k in (*tgt_breaks, t.guard.lo, t.guard.hi):
+                    if nu <= k <= bound:
+                        delays.add(as_fraction(k) - nu)
+                delays = sorted(delays)
+            for d in delays:
+                fire = nu + d
+                if not t.guard.contains(fire):
+                    continue
+                arrived = Fraction(0) if t.reset else fire
+                cands.append(d * l.rate + t.weight + tgt_at(arrived))
+        if not cands:
+            rhs = INF
+        elif l.owner == MAX:
+            rhs = max(cands)
+        else:
+            rhs = min(cands)
+        if rhs != lhs:
+            bad.append(l.name)
+    return bad
+
+
+# Small integer coefficients let even random claims meet the one-step
+# optimum now and then; layered_claims meets it by construction.
+SMALL = st.integers(-2, 2)
+
+
+def _points(g: Game, vals: dict) -> list:
+    """Every breakpoint, guard endpoint and clock bound, and the midpoints."""
+    bound = g.clock_bound
+    pts = {F(0), bound}
+    for f in vals.values():
+        pts.update(f.xs)
+    for t in g.transitions:
+        pts.update(k for k in (t.guard.lo, t.guard.hi) if 0 <= k <= bound)
+    pts = sorted(pts)
+    return pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+
+
+def _assert_same(g: Game, vals: dict) -> int:
+    """Checks both oracles at every point; returns how many locations failed."""
+    oracle = BellmanOracle(g, vals)
+    failed = 0
+    for nu in _points(g, vals):
+        want = reference_bellman_check(g, vals, nu)
+        assert oracle.check(nu) == want, f"at {nu}"
+        assert bellman_check(g, vals, nu) == want, f"at {nu}"
+        failed += len(want)
+    return failed
+
+
+@st.composite
+def _locations(draw, n_max: int, finals_max: int, rates):
+    names = [f"q{i}" for i in range(draw(st.integers(1, n_max)))]
+    finals = [f"f{i}" for i in range(draw(st.integers(1, finals_max)))]
+    locs = [
+        Location(q, draw(st.sampled_from((MIN, MAX))), draw(rates), draw(st.booleans()), None)
+        for q in names
+    ]
+    locs += [Location(f, "final", 0, False, Affine(draw(SMALL), draw(SMALL))) for f in finals]
+    return names, finals, locs
+
+
+@st.composite
+def _claim(draw, bound, finite=False):
+    """A claimed value function on [0, bound]: infinite, or a few affine pieces."""
+    kind = "finite" if finite else draw(st.sampled_from(("inf", "-inf", "finite", "finite")))
+    if kind != "finite":
+        return CostFunction.constant(0, bound, INF if kind == "inf" else NEG_INF)
+    inner = draw(st.sets(st.sampled_from([bound * i / 8 for i in range(1, 8)]), max_size=3))
+    xs = [F(0), *sorted(inner), bound]
+    return CostFunction.from_points([(x, draw(SMALL)) for x in xs])
+
+
+@st.composite
+def _guard(draw, bound):
+    """Endpoints on quarters of the bound, either end open, hi possibly +inf."""
+    ends = [bound * i / 4 for i in range(5)]
+    lo = draw(st.sampled_from(ends))
+    hi = draw(st.sampled_from([INF] + [x for x in ends if x >= lo]))
+    return Guard(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def guarded_claims(draw):
+    """Games with resets, open and unbounded guards, and arbitrary claims."""
+    bound = draw(st.sampled_from((F(1), F(2), F(3, 2))))
+    names, finals, locs = draw(_locations(4, 3, SMALL))
+    trans = [
+        Transition(q, draw(_guard(bound)), draw(st.booleans()), target, draw(SMALL))
+        for q in names
+        for target in draw(st.lists(st.sampled_from(names + finals), min_size=1, max_size=3))
+    ]
+    vals = {q: draw(_claim(bound)) for q in names}
+    return make_game(locs, trans, bound), vals
+
+
+class _Probe:
+    """A claimed value that records the one-step optimum it is compared with.
+
+    The reference compares it once, as `rhs != lhs`; `==` raises, so any
+    other use would show.
+    """
+
+    seen = None
+
+    def __ne__(self, other):
+        self.seen = other
+        return False
+
+    __eq__ = None
+
+
+def _one_step(g: Game, vals: dict, name: str, nu):
+    """The reference's right-hand side at (name, nu), read through a probe."""
+    probe = _Probe()
+    claim = SimpleNamespace(
+        lo=F(0), hi=g.clock_bound, xs=(F(0), g.clock_bound), vals=(probe, probe), pieces=(probe,)
+    )
+    reference_bellman_check(g, {**vals, name: claim}, nu)
+    return probe.seen
+
+
+@st.composite
+def layered_claims(draw):
+    """Claims that meet the one-step optimum at their breakpoints.
+
+    Transitions only lead down the list of locations, so a location's
+    one-step optimum depends on the claims below it alone: the lowest ones
+    claim random functions with kinks, and each one above claims the
+    reference's optimum at every breakpoint, guard endpoint and midpoint,
+    interpolated.  Waiting for a kink below then decides a verdict.
+    """
+    bound = draw(st.sampled_from((F(1), F(2), F(3, 2))))
+    names, finals, locs = draw(_locations(5, 3, st.integers(-1, 1)))
+    trans = []
+    for j, q in enumerate(names):
+        below = names[j + 1 :] + finals
+        full = Guard.closed(0, bound)
+        trans.append(Transition(q, full, draw(st.booleans()), draw(st.sampled_from(below)), 0))
+        for target in draw(st.lists(st.sampled_from(below), max_size=3)):
+            trans.append(Transition(q, draw(_guard(bound)), draw(st.booleans()), target, draw(SMALL)))
+    split = draw(st.integers(1, max(1, len(names) - 1)))
+    vals = {q: draw(_claim(bound, finite=True)) for q in names[split:]}
+    for j in range(split - 1, -1, -1):
+        sub = make_game(
+            [l for l in locs if l.name not in names[:j]],
+            [t for t in trans if t.source not in names[:j]],
+            bound,
+        )
+        pts = _points(sub, vals)
+        rhs = [_one_step(sub, vals, names[j], p) for p in pts]
+        if any(isinstance(v, float) for v in rhs):
+            vals[names[j]] = draw(_claim(bound))
+        else:
+            vals[names[j]] = CostFunction.from_points(sorted(zip(pts, rhs)))
+    return make_game(locs, trans, bound), vals
+
+
+@st.composite
+def solved_claims(draw):
+    """Simple games with their solved values, sometimes with one value moved."""
+    names, finals, locs = draw(_locations(4, 3, st.integers(-3, 3)))
+    trans = [
+        Transition(q, Guard.closed(0, 1), False, draw(st.sampled_from(names + finals)), w)
+        for q in names
+        for w in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    ]
+    g = make_game(locs, trans, 1)
+    try:
+        vals = dict(solve(g).values)
+    except EmptyGame as exc:
+        vals = {q: CostFunction.constant(0, 1, exc.infinite[q]) for q in names}
+    moved = draw(st.sampled_from(names))
+    f = vals[moved]
+    if draw(st.booleans()) and f.all_finite():
+        i = draw(st.integers(0, len(f.xs) - 1))
+        shift = draw(st.sampled_from((F(-1), F(-1, 8), F(1, 8), F(1))))
+        points = list(zip(f.xs, f.vals))
+        points[i] = (points[i][0], points[i][1] + shift)
+        vals[moved] = CostFunction.from_points(points)
+    return g, vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(guarded_claims())
+def test_oracle_matches_reference_on_guarded_games(claim):
+    _assert_same(*claim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layered_claims())
+def test_oracle_matches_reference_on_claims_that_meet_the_optimum(claim):
+    _assert_same(*claim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(solved_claims())
+def test_oracle_matches_reference_on_solved_and_moved_values(claim):
+    _assert_same(*claim)
+
+
+@pytest.mark.parametrize("claims", [guarded_claims, layered_claims, solved_claims])
+def test_draws_exercise_passes_and_failures(claims):
+    # Without both verdicts the equivalence above would say little.
+    seen = {"passed": 0, "failed": 0}
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(claims())
+    def collect(claim):
+        g, vals = claim
+        failed = _assert_same(g, vals)
+        seen["failed"] += failed
+        seen["passed"] += len(_points(g, vals)) * len(g.nonfinal_locations) - failed
+
+    collect()
+    assert seen["passed"] > 0 and seen["failed"] > 0

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
+from test_fan import fan_game
 
 from ptgsolve.cli import main
+from ptgsolve.model import serialize_game
 
 F = Fraction
 
@@ -121,6 +123,61 @@ def test_solve_rejects_non_boolean_flags_and_boolean_numbers(tmp_path, capsys):
     assert code == 2
     assert "clock_bound must be an integer" in err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("transitions", 0, "guard", "hi"), True),
+        (("transitions", 0, "guard", "lo"), 0.0),
+        (("locations", 7, "final_cost", "intercept"), False),
+    ],
+    ids=["hi", "lo", "intercept"],
+)
+def test_solve_rejects_json_numbers_as_rationals(tmp_path, capsys, path, value):
+    # each once read as the rational it stands for (true as 1) and exited 0
+    doc = json.loads((FIXTURES / "fig1.json").read_text())
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    game = tmp_path / "numbers.json"
+    game.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "solve", str(game), "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "must be a string literal" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (
+            "verify",
+            str(FIXTURES / "fig1.json"),
+            str(FIXTURES / "fig1.values.json"),
+            "--grid",
+            "-5",
+        ),
+        (
+            "simulate",
+            str(FIXTURES / "fig1.json"),
+            str(FIXTURES / "fig1.values.json"),
+            "--from",
+            "l1:0",
+            "--opponents",
+            "-3",
+        ),
+        ("solve", str(FIXTURES / "fig1.json"), "--out", "unused.json", "--max-steps", "-1"),
+    ],
+    ids=["grid", "opponents", "max-steps"],
+)
+def test_count_flags_reject_negative_values(capsys, argv):
+    # --grid -5 verified with 11 points, --opponents -3 played no opponent
+    # and --max-steps -1 ran into the budget (exit 4)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_solve_missing_file(capsys):
@@ -253,6 +310,51 @@ def test_verify_garbage_values_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(FIXTURES / "fig1.json"), str(bad))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "field, old, value",
+    [("x", "1", True), ("v", "0", False), ("from", "0", 0), ("to", "1", 1.0)],
+)
+def test_verify_rejects_json_numbers_in_documents(
+    fig1_solution, tmp_path, capsys, field, old, value
+):
+    # each stands for the literal it replaces and once verified as pass
+    doc = json.loads(fig1_solution.read_text())
+    seg = doc["values"]["l1"][0]
+    obj = seg if field in ("from", "to") else seg["points"][-1]
+    assert obj[field] == old
+    obj[field] = value
+    bad = tmp_path / "numbers.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(FIXTURES / "fig1.json"), str(bad))
+    assert code == 2
+    assert "must be a string literal" in err
+
+
+@pytest.mark.parametrize(
+    "name, x, witness",
+    [
+        # pick is raised at 1/8, so Max at layer1 gains by waiting there
+        ("pick", "1/8", "FAIL bellman: layer1 not locally optimal at 0"),
+        # layer1 is raised at the clock bound, where Min at layer2 may wait
+        ("layer1", "1", "FAIL bellman: layer2 not locally optimal at 0"),
+        ("pick", "3/8", "FAIL bellman: pick not locally optimal at 5/17"),
+    ],
+)
+def test_verify_corrupted_fan_names_the_first_failure(tmp_path, capsys, name, x, witness):
+    # the witnesses of the per-valuation check the oracle replaced
+    game = tmp_path / "fan.json"
+    game.write_text(serialize_game(fan_game(8, (1, -2, 3))))
+    values = tmp_path / "fan.values.json"
+    assert run_cli(capsys, "solve", str(game), "--out", str(values))[0] == 0
+    doc = json.loads(values.read_text())
+    (point,) = [p for p in doc["values"][name][0]["points"] if p["x"] == x]
+    point["v"] = str(F(point["v"]) + F(1, 100))
+    values.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(game), str(values))
+    assert code == 5
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [witness]
 
 
 def test_solve_then_verify_full_corpus(tmp_path, capsys):

@@ -8,12 +8,14 @@ it, each firing one layer down or straight to ``pick`` with opposite
 weights +-1, so the sweep has a real candidate grid to walk.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from ptgsolve.cli import main
 from ptgsolve.exactmath import Affine, CostFunction, evaluate
-from ptgsolve.model import Game, Guard, Location, Transition, make_game
+from ptgsolve.model import Game, Guard, Location, Transition, make_game, serialize_game
 from ptgsolve.solver import solve
 from ptgsolve.urgent import InstantEvaluator
 
@@ -107,3 +109,35 @@ def test_fan_value_iteration_stays_on_its_integer_scale(monkeypatch):
     assert counts["runs"] > 0
     assert counts["affine_in_run"] == 0
     assert counts["max_final_cost"] <= 4
+
+
+def test_fan_verify_builds_its_bellman_tables_once(tmp_path, capsys, monkeypatch):
+    # One verify checks 51 points against 22 transitions.  Re-evaluating
+    # every target at every fire point per valuation made 2,786 evaluate
+    # and 3,245 Guard.contains calls here; with tables built once per
+    # document each point costs about one evaluation per location and per
+    # transition into a non-final, and one guard test per transition.
+    game = tmp_path / "fan.json"
+    game.write_text(serialize_game(fan_game(16, (1, -2, 3))))
+    values = tmp_path / "fan.values.json"
+    assert main(["solve", str(game), "--out", str(values)]) == 0
+    counts = {"evaluate": 0, "contains": 0}
+
+    def counting_evaluate(f, nu):
+        counts["evaluate"] += 1
+        return evaluate(f, nu)
+
+    def counting_contains(self, nu):
+        counts["contains"] += 1
+        return contains(self, nu)
+
+    contains = Guard.contains
+    for module in [m for name, m in sys.modules.items() if name.startswith("ptgsolve")]:
+        if getattr(module, "evaluate", None) is evaluate:
+            monkeypatch.setattr(module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(Guard, "contains", counting_contains)
+    capsys.readouterr()
+    assert main(["verify", str(game), str(values), "--grid", "16"]) == 0
+    assert "check: bellman ok (51 points)" in capsys.readouterr().out
+    assert counts["evaluate"] <= 1000
+    assert counts["contains"] <= 1500

@@ -156,6 +156,11 @@ STRICT_TYPE_CASES = {
     "clock_bound": (("clock_bound",), True, "clock_bound must be an integer"),
     "rate": (("locations", 0, "rate"), True, "rate must be an integer"),
     "weight": (("transitions", 0, "weight"), True, "weight must be an integer"),
+    # rational fields once took JSON numbers and booleans: Fraction(True) is 1
+    "lo": (("transitions", 0, "guard", "lo"), 0.0, "must be a string literal"),
+    "hi": (("transitions", 0, "guard", "hi"), True, "must be a string literal"),
+    "slope": (("locations", 7, "final_cost", "slope"), 0, "must be a string literal"),
+    "intercept": (("locations", 7, "final_cost", "intercept"), False, "must be a string literal"),
 }
 
 
