@@ -25,7 +25,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -59,10 +58,10 @@ from .strategy import (
     FPStrategy,
     IllegalMove,
     Move,
+    RegionBellmanOracle,
     SwitchingStrategy,
     fp_to_json,
     play_out,
-    region_bellman_check,
     switching_to_json,
 )
 from .regions import ResetCycle, solve_reset_acyclic, solving_regions
@@ -466,7 +465,7 @@ def cmd_verify(args) -> RunReport:
             name: _region_values_from_segments(regions, segs)
             for name, segs in values.items()
         }
-        check = partial(region_bellman_check, g, list(regions), region_vals)
+        check = RegionBellmanOracle(g, regions, region_vals).check
     for nu in pts:
         bad = check(nu)
         if bad:

@@ -559,20 +559,28 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
 
 
 def _stitch(regs, per) -> tuple:
-    """Merge per-region values into maximal continuous segments."""
+    """Merge per-region values into maximal continuous segments.
+
+    A reader takes a point segment first at a shared endpoint and the later
+    segment otherwise, so a point whose value differs from where the next
+    region starts is kept as a point segment of its own.
+    """
+    pcfs = []
+    for reg, piece in zip(regs, per):
+        if not isinstance(piece, float):
+            pcfs.append(piece)
+        elif reg.is_point:
+            pcfs.append(CostFunction.point(reg.lo, piece))
+        else:
+            pcfs.append(CostFunction.constant(reg.lo, reg.hi, piece))
     segs = []
     cur = None
-    for reg, piece in zip(regs, per):
-        if isinstance(piece, float):
-            if reg.is_point:
-                pcf = CostFunction.point(reg.lo, piece)
-            else:
-                pcf = CostFunction.constant(reg.lo, reg.hi, piece)
-        else:
-            pcf = piece
+    for pcf, nxt in zip(pcfs, pcfs[1:] + [None]):
+        start = evaluate(pcf, pcf.lo)
+        alone = pcf.is_point and nxt is not None and evaluate(nxt, nxt.lo) != start
         if cur is None:
             cur = pcf
-        elif evaluate(cur, cur.hi) == evaluate(pcf, pcf.lo):
+        elif evaluate(cur, cur.hi) == start and not alone:
             cur = concat(pcf, cur)
         else:
             segs.append(cur)

@@ -9,8 +9,10 @@ real one instead of a limit.
 
 The oracles at the bottom do not trust the solver.  They recompute what
 they check from the game alone: local optimality of a value function
-(BellmanOracle: tables built once per value function, then one
-bisection per transition at each valuation; bellman_check asks it once),
+(BellmanOracle for SPTG values, RegionBellmanOracle for per-region values
+with jumps at region borders: both build per-transition suffix tables
+once per document, then take one bisection per transition at each
+valuation; bellman_check and region_bellman_check ask them once),
 absence of nonnegative zero-delay cycles under Min's choices
 (validate_nc), and the best cost Min can force against a fixed Max
 strategy (fake_value_upper_bound).
@@ -18,7 +20,7 @@ strategy (fake_value_upper_bound).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -415,48 +417,55 @@ class BellmanOracle:
     contains.  So each transition keeps those points and the suffix optimum
     of h, and a valuation reads one entry per transition by bisection: the
     same candidates, in the same exact arithmetic, as scanning every fire
-    point at every valuation.
+    point at every valuation.  Each location's value at nu, read for its
+    own check and for firing now into it, is evaluated once per valuation.
     """
 
     def __init__(self, g: Game, vals: dict):
         bound = as_fraction(g.clock_bound)
+        self.value = {
+            l.name: l.final_cost if l.is_final else (lambda x, f=vals[l.name]: evaluate(f, x))
+            for l in g.locations
+        }
         self.rows = []
         for l in g.nonfinal_locations:
             pick = max if l.owner == MAX else min
             moves = []
             for i in g.outgoing(l.name):
                 t = g.transitions[i]
-                target = g.location(t.target)
-                if target.is_final:
-                    tgt_at = target.final_cost
-                    tgt_breaks = ()
-                else:
-                    tgt_fn = vals[t.target]
-                    tgt_at = lambda x, f=tgt_fn: evaluate(f, x)
-                    tgt_breaks = tgt_fn.xs
+                tgt_at = self.value[t.target]
+                at_zero = tgt_at(Fraction(0)) if t.reset else None
+                tgt_breaks = () if g.location(t.target).is_final else vals[t.target].xs
                 ks = [] if l.urgent else sorted(
                     k for k in {bound, *tgt_breaks, t.guard.lo, t.guard.hi}
                     if 0 <= k <= bound and t.guard.contains(k)
                 )
-                hs = [k * l.rate + t.weight + tgt_at(Fraction(0) if t.reset else k) for k in ks]
+                hs = [k * l.rate + t.weight + (at_zero if t.reset else tgt_at(k)) for k in ks]
                 suffix = list(accumulate(reversed(hs), pick))[::-1]
-                moves.append((t, tgt_at, ks, suffix))
-            self.rows.append((l, vals[l.name], pick, moves))
+                moves.append((t, at_zero, ks, suffix))
+            self.rows.append((l, pick, moves))
 
     def check(self, nu) -> list:
         """Names of locations whose claimed value is not locally optimal at nu."""
         nu = as_fraction(nu)
+        now = {}
+
+        def at_nu(name):
+            v = now.get(name)
+            if v is None:
+                v = now[name] = self.value[name](nu)
+            return v
+
         bad = []
-        for l, claimed, pick, moves in self.rows:
-            lhs = evaluate(claimed, nu)
+        for l, pick, moves in self.rows:
             cands = []
-            for t, tgt_at, ks, suffix in moves:
+            for t, at_zero, ks, suffix in moves:
                 if t.guard.contains(nu):
-                    cands.append(t.weight + tgt_at(Fraction(0) if t.reset else nu))
+                    cands.append(t.weight + (at_zero if t.reset else at_nu(t.target)))
                 j = bisect_left(ks, nu)
                 if j < len(ks):
                     cands.append(suffix[j] - nu * l.rate)
-            if (pick(cands) if cands else INF) != lhs:
+            if (pick(cands) if cands else INF) != at_nu(l.name):
                 bad.append(l.name)
         return bad
 
@@ -472,87 +481,120 @@ def bellman_check(g: Game, vals: dict, nu) -> list:
     return BellmanOracle(g, vals).check(nu)
 
 
-def region_bellman_check(
-    g: Game,
-    regions: list,
-    region_vals: dict,
-    nu,
-) -> list:
-    """Bellman check against per-region value functions of a full game.
+class RegionBellmanOracle:
+    """Local optimality of per-region values: built once, asked per valuation.
 
     region_vals[name][i] covers the closure of regions[i]; entries may be a
-    CostFunction or a bare float infinity.  The one-step cost of a move is
-    piecewise affine in the firing time, broken only at region borders and
-    target breakpoints, so per transition the optimum over the guard window
-    sits at a critical point, either attained there or approached one-sidedly
-    (the window end may be excluded, and the target may jump at a border).
-    Candidates therefore include the value at each admissible critical point
-    and its one-sided limits from inside the window.
+    CostFunction or a bare float infinity.  Regions alternate between
+    border points and the open intervals between them, so border b_i is
+    region 2i and the open regions on its left and right are 2i-1 and 2i+1;
+    a bisection of the borders finds the region of any valuation.
+
+    The one-step cost of a move is piecewise affine in the firing time,
+    broken only at region borders and target breakpoints, so per transition
+    the optimum over the window [max(nu, lo), min(bound, hi)] of its guard
+    sits at a critical point: the window ends, the borders and the target's
+    breakpoints.  It is attained there or approached one-sidedly, since a
+    window end may be excluded and the target may jump at a border.  A
+    critical point p > nu contributes c(p) - nu*rate, where c(p) is the best
+    of p*rate + weight plus the target's value at p (if the guard contains
+    p), its left limit (if p > lo) and its right limit (if p < the window's
+    upper end).  None of that depends on nu, so each transition keeps the
+    suffix optimum of c over its sorted critical points.  At p = nu the
+    window starts at nu itself: the value and the right limit are read per
+    valuation, and the left limit is no candidate.  These are the
+    candidates of trying every critical point at every valuation, in the
+    same exact arithmetic.  An urgent location only fires now.
     """
-    nu = as_fraction(nu)
-    bound = as_fraction(g.clock_bound)
 
-    def region_index(x, side: int = 0) -> int:
-        # side -1 or +1 asks for the region touching x from below or above,
-        # preferring the adjacent open region when x is a border
-        for i, reg in enumerate(regions):
-            if reg.is_point:
-                if side == 0 and reg.lo == x:
-                    return i
-            else:
-                interior = reg.lo < x < reg.hi
-                if side == -1 and (reg.hi == x or interior):
-                    return i
-                if side == +1 and (reg.lo == x or interior):
-                    return i
-                if side == 0 and interior:
-                    return i
-        raise KeyError(f"no region for {format_value(x)} (side {side})")
-
-    def value_at(name: str, x, side: int = 0):
-        f = region_vals[name][region_index(x, side)]
-        if isinstance(f, float):
-            return f
-        return evaluate(f, x)
-
-    bad = []
-    borders = {reg.lo for reg in regions if reg.is_point}
-    for l in g.nonfinal_locations:
-        lhs = value_at(l.name, nu)
-        cands = []
-        for i in g.outgoing(l.name):
-            t = g.transitions[i]
-            lo = max(nu, as_fraction(t.guard.lo))
-            hi = bound if isinstance(t.guard.hi, float) else min(bound, as_fraction(t.guard.hi))
-            if lo > hi:
-                continue
-            crit = {lo, hi}
-            crit.update(b for b in borders if lo <= b <= hi)
-            for f in region_vals[t.target]:
-                if not isinstance(f, float):
-                    crit.update(x for x in f.xs if lo <= x <= hi)
-            for p in sorted(crit):
-                base = (p - nu) * l.rate + t.weight
-                if t.guard.contains(p) and (p == nu or not l.urgent):
-                    arrived = Fraction(0) if t.reset else p
-                    cands.append(base + value_at(t.target, arrived))
-                if l.urgent:
+    def __init__(self, g: Game, regions, region_vals: dict):
+        self.borders = [reg.lo for reg in regions if reg.is_point]
+        self.vals = region_vals
+        bound = as_fraction(g.clock_bound)
+        self.rows = []
+        for l in g.nonfinal_locations:
+            pick = max if l.owner == MAX else min
+            moves = []
+            for i in g.outgoing(l.name):
+                t = g.transitions[i]
+                lo = as_fraction(t.guard.lo)
+                hi = bound if isinstance(t.guard.hi, float) else min(bound, as_fraction(t.guard.hi))
+                if lo > hi:
                     continue
-                if p > lo:
-                    tv = value_at(t.target, 0) if t.reset else value_at(t.target, p, -1)
-                    cands.append(base + tv)
-                if p < hi:
-                    tv = value_at(t.target, 0) if t.reset else value_at(t.target, p, +1)
-                    cands.append(base + tv)
-        if not cands:
-            rhs = INF
-        elif l.owner == MAX:
-            rhs = max(cands)
-        else:
-            rhs = min(cands)
-        if rhs != lhs:
-            bad.append(l.name)
-    return bad
+                at_zero = self._value_at(t.target, Fraction(0)) if t.reset else None
+                ks, hs = [], []
+                for p in [] if l.urgent else self._critical(t.target, lo, hi):
+                    sides = [s for s, ok in ((0, t.guard.contains(p)), (-1, p > lo), (+1, p < hi)) if ok]
+                    if sides:
+                        ks.append(p)
+                        tvs = [at_zero if t.reset else self._value_at(t.target, p, s) for s in sides]
+                        hs.append(p * l.rate + t.weight + pick(tvs))
+                suffix = list(accumulate(reversed(hs), pick))[::-1]
+                moves.append((t, lo, hi, at_zero, ks, suffix))
+            self.rows.append((l, pick, moves))
+
+    def _critical(self, target: str, lo, hi) -> list:
+        crit = {lo, hi}
+        crit.update(b for b in self.borders if lo <= b <= hi)
+        for f in self.vals[target]:
+            if not isinstance(f, float):
+                crit.update(x for x in f.xs if lo <= x <= hi)
+        return sorted(crit)
+
+    def _region(self, x, side: int = 0) -> int:
+        """Index of the region holding x (side 0) or touching it from below
+        (side -1) or above (side +1); off a border the side does not matter."""
+        i = bisect_left(self.borders, x)
+        if i < len(self.borders) and self.borders[i] == x:
+            return 2 * i + side
+        return 2 * i - 1
+
+    def _value_at(self, name: str, x, side: int = 0):
+        return self._value(name, self._region(x, side), x)
+
+    def _value(self, name: str, index: int, x):
+        f = self.vals[name][index]
+        return f if isinstance(f, float) else evaluate(f, x)
+
+    def check(self, nu) -> list:
+        """Names of locations whose claimed value is not locally optimal at nu."""
+        nu = as_fraction(nu)
+        here, after = self._region(nu), self._region(nu, +1)
+        seen = {}
+
+        def at_nu(name, index):
+            v = seen.get((name, index))
+            if v is None:
+                v = seen[name, index] = self._value(name, index, nu)
+            return v
+
+        bad = []
+        for l, pick, moves in self.rows:
+            cands = []
+            for t, lo, hi, at_zero, ks, suffix in moves:
+                j = bisect_right(ks, nu)
+                if j < len(ks):
+                    cands.append(suffix[j] - nu * l.rate)
+                if not lo <= nu <= hi:
+                    continue
+                if t.guard.contains(nu):
+                    cands.append(t.weight + (at_zero if t.reset else at_nu(t.target, here)))
+                if nu < hi and not l.urgent:
+                    cands.append(t.weight + (at_zero if t.reset else at_nu(t.target, after)))
+            if (pick(cands) if cands else INF) != at_nu(l.name, here):
+                bad.append(l.name)
+        return bad
+
+
+def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:
+    """Names of locations whose per-region values are not locally optimal at nu.
+
+    Per transition it tries the value and the one-sided limits of the
+    target at every critical point of the guard window from nu on, the best
+    of which RegionBellmanOracle reads from a suffix table.  To check many
+    valuations, build the oracle once and call its check.
+    """
+    return RegionBellmanOracle(g, regions, region_vals).check(nu)
 
 
 # ---------------------------------------------------------------------------

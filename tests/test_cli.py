@@ -604,3 +604,33 @@ def test_region_values_survive_a_jump(tmp_path, capsys):
     # both one-sided values at the jump point show up
     assert "1,0,1.000000000000,0.000000000000" in rows
     assert "1,10,1.000000000000,10.000000000000" in rows
+
+
+def test_point_value_equal_to_its_left_limit_survives_the_document(tmp_path, capsys):
+    # Max fires to 0 on [0, 1] and to -10 on (1, 2]: at 1 it is worth its
+    # left limit, so the document keeps {1} as a point segment between the
+    # two pieces, and verify reads 0 there rather than the later -10.
+    f = {"name": "f", "owner": "final", "rate": 0, "urgent": False,
+         "final_cost": {"slope": "0", "intercept": "0"}}
+    e = dict(f, name="e", final_cost={"slope": "0", "intercept": "-10"})
+    doc = {
+        "clock_bound": 2,
+        "locations": [{"name": "m", "owner": "max", "rate": 0, "urgent": False}, f, e],
+        "transitions": [
+            {"from": "m", "to": "f", "reset": False, "weight": 0,
+             "guard": {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": True}},
+            {"from": "m", "to": "e", "reset": False, "weight": 0,
+             "guard": {"lo": "1", "hi": "2", "lo_closed": False, "hi_closed": True}},
+        ],
+    }
+    game = tmp_path / "left.json"
+    game.write_text(json.dumps(doc))
+    values = tmp_path / "left.values.json"
+    code, _, _ = run_cli(capsys, "solve", str(game), "--out", str(values))
+    assert code == 0
+    segs = json.loads(values.read_text())["values"]["m"]
+    assert [(s["from"], s["to"]) for s in segs] == [("0", "1"), ("1", "1"), ("1", "2")]
+    assert segs[1]["points"] == [{"x": "1", "v": "0"}]
+    code, out, _ = run_cli(capsys, "verify", str(game), str(values), "--grid", "8")
+    assert code == 0
+    assert "verdict: pass" in out

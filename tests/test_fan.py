@@ -8,6 +8,7 @@ it, each firing one layer down or straight to ``pick`` with opposite
 weights +-1, so the sweep has a real candidate grid to walk.
 """
 
+import dataclasses
 import sys
 from fractions import Fraction as F
 
@@ -114,11 +115,42 @@ def test_fan_value_iteration_stays_on_its_integer_scale(monkeypatch):
 def test_fan_verify_builds_its_bellman_tables_once(tmp_path, capsys, monkeypatch):
     # One verify checks 51 points against 22 transitions.  Re-evaluating
     # every target at every fire point per valuation made 2,786 evaluate
-    # and 3,245 Guard.contains calls here; with tables built once per
-    # document each point costs about one evaluation per location and per
-    # transition into a non-final, and one guard test per transition.
+    # and 3,245 Guard.contains calls here, and evaluating a location again
+    # for each transition firing into it 753 evaluate calls; with tables
+    # built once per document each point costs one evaluation per location
+    # and one guard test per transition.
+    counts, _ = _verify_counts(tmp_path, capsys, monkeypatch, fan_game(16, (1, -2, 3)))
+    assert counts["evaluate"] <= 500
+    assert counts["contains"] <= 1500
+
+
+def guarded_fan(k: int, rates: tuple):
+    """The fan over the clock range [0, 2]: each layer fires down on [0, 1]
+    and to ``pick`` on [0, 2], so the region pipeline solves it."""
+    g = fan_game(k, rates)
+    trans = []
+    for t in g.transitions:
+        down = t.source.startswith("layer") and t.target != "pick"
+        trans.append(dataclasses.replace(t, guard=Guard.closed(0, 1 if down else 2)))
+    return make_game(g.locations, trans, 2)
+
+
+def test_guarded_fan_verify_builds_its_region_tables_once(tmp_path, capsys, monkeypatch):
+    # Collecting every critical point of each transition's window and
+    # trying the target's value and both limits there, per valuation, made
+    # 7,284 evaluate calls here; with the suffix tables built once per
+    # document each point costs one evaluation per location and one right
+    # limit per target of a waiting location.
+    counts, out = _verify_counts(tmp_path, capsys, monkeypatch, guarded_fan(16, (1, -2, 3)))
+    assert "mode: reset-acyclic" in out
+    assert counts["evaluate"] <= 2000
+
+
+def _verify_counts(tmp_path, capsys, monkeypatch, g) -> tuple:
+    """evaluate and Guard.contains calls of one passing verify --grid 16,
+    and what it printed."""
     game = tmp_path / "fan.json"
-    game.write_text(serialize_game(fan_game(16, (1, -2, 3))))
+    game.write_text(serialize_game(g))
     values = tmp_path / "fan.values.json"
     assert main(["solve", str(game), "--out", str(values)]) == 0
     counts = {"evaluate": 0, "contains": 0}
@@ -138,6 +170,6 @@ def test_fan_verify_builds_its_bellman_tables_once(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(Guard, "contains", counting_contains)
     capsys.readouterr()
     assert main(["verify", str(game), str(values), "--grid", "16"]) == 0
-    assert "check: bellman ok (51 points)" in capsys.readouterr().out
-    assert counts["evaluate"] <= 1000
-    assert counts["contains"] <= 1500
+    out = capsys.readouterr().out
+    assert "check: bellman ok (51 points)" in out
+    return counts, out

@@ -107,17 +107,22 @@ def random_guarded(seed: int):
     return make_game(locs, trans, bound)
 
 
+def usable_guarded(seed: int):
+    """random_guarded(seed) if it is valid and reset-acyclic, else None."""
+    g = random_guarded(seed)
+    try:
+        validate_game(g)
+        check_reset_acyclic(build_region_game(g))
+    except (ValidationError, ResetCycle):
+        return None
+    return g
+
+
 def _usable_seeds(count: int, start: int = 0) -> list:
     seeds = []
     seed = start
     while len(seeds) < count:
-        g = random_guarded(seed)
-        try:
-            validate_game(g)
-            check_reset_acyclic(build_region_game(g))
-        except (ValidationError, ResetCycle):
-            pass
-        else:
+        if usable_guarded(seed) is not None:
             seeds.append(seed)
         seed += 1
     return seeds

@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
+from test_properties import usable_guarded
+from ptgsolve.cli import _region_values_from_segments
 from ptgsolve.exactmath import Affine, evaluate
 from ptgsolve.model import Guard, Location, Region, Transition, make_game, parse_game
 from ptgsolve.regions import (
@@ -163,6 +167,50 @@ def test_discontinuity_lands_on_the_later_segment():
     assert evaluate(sol.region_values["m"][1], F(1)) == 0
     for nu in (F(0), F(1, 3), F(1), F(3, 2), F(2)):
         assert region_bellman_check(g, sol.regions, sol.region_values, nu) == []
+
+
+def test_point_value_equal_to_its_left_limit_keeps_its_own_segment():
+    # Max fires to 0 on [0, 1] and to -10 on (1, 2]: at 1 it is worth its
+    # left limit 0, not its right limit -10.  Merged into the left segment,
+    # the point would read back from the later one as -10.
+    locs = (
+        Location("m", "max", 0, False, None),
+        Location("f", "final", 0, False, Affine(0, 0)),
+        Location("e", "final", 0, False, Affine(0, -10)),
+    )
+    trans = (
+        Transition("m", Guard.closed(0, 1), False, "f", 0),
+        Transition("m", Guard(F(1), F(2), False, True), False, "e", 0),
+    )
+    sol = solve_reset_acyclic(make_game(locs, trans, 2))
+    per = sol.region_values["m"]
+    assert [evaluate(per[1], F(1)), evaluate(per[2], F(1)), evaluate(per[3], F(1))] == [0, 0, -10]
+    segs = sol.values["m"]
+    assert [(s.lo, s.hi) for s in segs] == [(0, 1), (1, 1), (1, 2)]
+    back = _region_values_from_segments(sol.regions, segs)
+    assert evaluate(back[2], F(1)) == 0
+    read = {**sol.region_values, "m": back}
+    assert region_bellman_check(sol.game, sol.regions, read, F(1)) == []
+
+
+def _value(entry, x):
+    return entry if isinstance(entry, float) else evaluate(entry, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_stitched_segments_read_back_the_region_values(seed):
+    # Point regions: the attained value.  Open regions: both border limits
+    # and the value at every breakpoint in between.
+    g = usable_guarded(seed)
+    assume(g is not None)
+    sol = solve_reset_acyclic(g)
+    for l in g.locations:
+        back = _region_values_from_segments(sol.regions, sol.values[l.name])
+        for reg, want, got in zip(sol.regions, sol.region_values[l.name], back):
+            xs = {reg.lo, reg.hi} | set(() if isinstance(want, float) else want.xs)
+            for x in sorted(xs):
+                assert _value(got, x) == _value(want, x), (l.name, reg.describe(), x)
 
 
 def test_infinite_values_cover_whole_regions():
