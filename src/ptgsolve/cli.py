@@ -17,6 +17,7 @@ same draws on every platform.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -389,14 +390,27 @@ def _sample_points(g: Game, values: dict, grid: int, borders: set) -> list:
 def _region_values_from_segments(regions, segments: list) -> list:
     """Per-region closure values, rebuilt from stitched segments.
 
-    Open regions take the one segment that spans their closure; its values
-    at the borders are the one-sided limits because segments end exactly
-    where the function jumps.  Point regions take the attained value.
+    Open regions take the first segment that spans their closure; its
+    values at the borders are the one-sided limits because segments end
+    exactly where the function jumps.  Point regions take the attained
+    value: of the segments covering the point, the last point segment, or
+    else the last one.  Both lists are walked once, in ascending order, so
+    the segments must be contiguous, each starting where the previous one
+    ends, as `_check_coverage` ensures.
     """
     out = []
+    k, m = 0, len(segments)
     for reg in regions:
+        # segments ending below the region cover neither it nor any later one
+        end = reg.lo if reg.is_point else reg.hi
+        while k < m and segments[k].hi < end:
+            k += 1
         if reg.is_point:
-            cover = [s for s in segments if s.lo <= reg.lo <= s.hi]
+            # from k on, every segment starting at or below the point covers it
+            j = k
+            while j < m and segments[j].lo <= reg.lo:
+                j += 1
+            cover = segments[k:j]
             if not cover:
                 raise SolutionFormatError(f"no segment covers {format_value(reg.lo)}")
             points = [s for s in cover if s.is_point]
@@ -406,13 +420,13 @@ def _region_values_from_segments(regions, segments: list) -> list:
                 reg.lo, evaluate(seg, reg.lo)
             ))
             continue
-        cover = [s for s in segments if s.lo <= reg.lo and reg.hi <= s.hi]
-        if not cover:
+        seg = segments[k] if k < m else None
+        if seg is None or seg.lo > reg.lo:
             raise SolutionFormatError(
                 f"no segment spans ({format_value(reg.lo)}, {format_value(reg.hi)})"
             )
-        inf_v = _uniform_infinity(cover[0])
-        out.append(inf_v if inf_v is not None else cover[0])
+        inf_v = _uniform_infinity(seg)
+        out.append(inf_v if inf_v is not None else seg)
     return out
 
 
@@ -721,7 +735,12 @@ def non_negative_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    It holds no command functions: `main` looks them up by name per call.
+    """
     ap = argparse.ArgumentParser(
         prog="ptg",
         description="Exact solver for one-clock priced timed games.",
@@ -744,7 +763,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--max-steps", type=non_negative_int, help="cap on sweep candidate evaluations"
     )
-    sp.set_defaults(func=cmd_solve)
 
     vp = sub.add_parser("verify", help="re-check a solution against its game")
     vp.add_argument("game", help="game file")
@@ -755,12 +773,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=16,
         help="number of extra evenly spaced sample points (default 16)",
     )
-    vp.set_defaults(func=cmd_verify)
 
     pp = sub.add_parser("plot", help="export per-location CSV tables")
     pp.add_argument("values", help="solution file written by solve")
     pp.add_argument("--csv", required=True, help="output directory for CSV files")
-    pp.set_defaults(func=cmd_plot)
 
     mp = sub.add_parser("simulate", help="replay the stored strategies")
     mp.add_argument("game", help="game file")
@@ -779,8 +795,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of random Max opponents (default 3)",
     )
     mp.add_argument("--seed", type=int, default=0, help="opponent sampling seed")
-    mp.set_defaults(func=cmd_simulate)
     return ap
+
+
+def _command(name: str):
+    """The function of a subcommand, read from the module at call time."""
+    return {
+        "solve": cmd_solve,
+        "verify": cmd_verify,
+        "plot": cmd_plot,
+        "simulate": cmd_simulate,
+    }[name]
 
 
 def main(argv=None) -> int:
@@ -796,7 +821,7 @@ def main(argv=None) -> int:
             return EXIT_INPUT
     started = time.monotonic()
     try:
-        report = args.func(args)
+        report = _command(args.command)(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -92,9 +92,12 @@ def _restrict(gd: Guard, reg: Region) -> Optional[Guard]:
     """Guard of a copied edge within one region: closure of the overlap.
 
     A guard touching only the upper border of an open region collapses to
-    that border point; firing there stands for firing ever closer to it.
-    A guard touching only the lower border is dropped, those valuations
-    lie in the past once the region has been entered.
+    that border point.  Such an edge fires at the border itself, so
+    `build_region_game` sends it into the target's copy in the border's
+    point region, not back into the open region, where edges open at the
+    border would stay usable in the limit.  A guard touching only the
+    lower border is dropped, those valuations lie in the past once the
+    region has been entered.
     """
     if reg.is_point:
         return Guard.point(reg.lo) if gd.contains(reg.lo) else None
@@ -113,7 +116,8 @@ def build_region_game(g: Game, regions=None) -> RegionGame:
 
     Copied edges keep their weight and follow the guard restriction rule of
     `_restrict`; a resetting edge always targets its location's copy in the
-    {0} region.  Every non-final copy whose location may wait additionally
+    {0} region, and an edge collapsed onto an open region's upper border
+    the copy in that border's point region.  Every non-final copy whose location may wait additionally
     gets a zero-weight hop into the neighbouring region above, available
     exactly at the border, so letting time cross a border is an explicit
     move of the copy graph.  Urgent locations get no hops: crossing a
@@ -128,7 +132,12 @@ def build_region_game(g: Game, regions=None) -> RegionGame:
             gd = _restrict(t.guard, reg)
             if gd is None:
                 continue
-            target = (t.target, 0) if t.reset else (t.target, i)
+            if t.reset:
+                target = (t.target, 0)
+            elif not reg.is_point and gd.lo == reg.hi:  # collapsed to the border
+                target = (t.target, i + 1)
+            else:
+                target = (t.target, i)
             edges.append(RegionTransition((t.source, i), gd, t.reset, target, t.weight, ti))
     for l in g.locations:
         if l.is_final or l.urgent:

@@ -1,22 +1,35 @@
 """Exact solver for simple priced timed games over the unit clock interval.
 
 The value functions are computed by a right-to-left sweep.  Anchored at the
-right end of the remaining interval, every location gets a fresh final
-clone that prices "wait here until the anchor, then bank the known value";
-the resulting game is urgent everywhere and can be solved at single
-valuations.  Walking the candidate cutpoints downward, a chord-slope test
-per location decides how far the anchored picture stays truthful; where it
-breaks, the sweep restarts from the last confirmed point.  Each confirmed
-segment is exact, so the assembled functions are the values of the game.
+right end r of the remaining interval, every location gets a final clone
+that prices "wait here until r, then bank the known value"; the resulting
+game is urgent everywhere and can be solved at single valuations.  Walking
+the candidate cutpoints downward, a chord-slope test per location decides
+how far the anchored picture stays truthful; where it breaks, the sweep
+restarts from the last confirmed point.  Each confirmed segment is exact,
+so the assembled functions are the values of the game.
 
-Values are assembled as breakpoint lists: a location's list gains a point
-only where its chord slope changes (a candidate on the same line replaces
-the last point), and each function is built once, after the sweep.
+Every window, and every cell of the strategy synthesis after the sweep,
+plays the same urgent game; only the clones' final lines (-rate, r*rate + v)
+differ.  So one `WindowEvaluator` is built per solve, from the waiting game
+at r = 1, and re-anchored in place: the core finals' integer lines are
+fixed once, and a re-anchor recomputes the clone lines, the common scale,
+the -inf cutoff and the round bound.
+
+The sweep stays on the integer scale of value iteration.  Values at b and
+at the candidate a are integers over their run's denominators, so every
+chord of one step is an integer over one positive common denominator; the
+slope test and the test for an unchanged chord are integer
+cross-multiplications.  A location's breakpoint list gains a point only
+where its chord changes (a candidate on the same line replaces the last
+point), and Fractions are made once, for the points kept, when each
+function is built after the sweep.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -32,6 +45,8 @@ from .model import FINAL, MAX, MIN, Game, Guard, Location, Transition, check_spt
 from .strategy import FPStrategy, Move, SwitchingStrategy
 from .urgent import (
     InstantEvaluator,
+    _integer_lines,
+    _with_cutoff,
     attractor_strategy,
     iteration_bound,
     possible_cutpoints,
@@ -118,17 +133,13 @@ def waiting(g: Game, r, anchor: dict) -> Game:
         locs.append(l)
         if l.is_final or l.urgent:
             continue
-        if l.name not in anchor:
-            raise MissingTerminalValue(l.name)
-        v = anchor[l.name]
-        if isinstance(v, float):
-            raise InfiniteValue(f"{l.name}: anchor value must be finite, got {v}")
+        v = _anchor_value(anchor, l.name)
         clone = Location(
             l.name + WAIT_SUFFIX,
             FINAL,
             Fraction(0),
             False,
-            Affine(-as_fraction(l.rate), r * as_fraction(l.rate) + as_fraction(v)),
+            Affine(-as_fraction(l.rate), r * as_fraction(l.rate) + v),
         )
         locs.append(clone)
         clone_edges.append(
@@ -138,6 +149,63 @@ def waiting(g: Game, r, anchor: dict) -> Game:
         dataclasses.replace(t, guard=Guard.closed(0, r)) for t in g.transitions
     ]
     return make_game(tuple(locs), tuple(trans) + tuple(clone_edges), r)
+
+
+def _anchor_value(anchor: dict, name: str) -> Fraction:
+    if name not in anchor:
+        raise MissingTerminalValue(name)
+    v = anchor[name]
+    if isinstance(v, float):
+        raise InfiniteValue(f"{name}: anchor value must be finite, got {v}")
+    return as_fraction(v)
+
+
+class WindowEvaluator(InstantEvaluator):
+    """Value iteration for make_urgent(waiting(core, r, anchor)), re-anchored in place.
+
+    The waiting game is built once, at r = 1.  Its locations, rows and
+    moves depend on neither r nor the anchor, and neither do the core
+    finals' integer lines; only each clone's line (-rate, r*rate + v)
+    moves.  `reanchor` therefore computes just the clone lines, puts every
+    line on the new least common scale and re-derives pf, the -inf cutoff
+    and the round bound, so the evaluator then behaves exactly like a fresh
+    InstantEvaluator of the waiting game at (r, anchor).  Its finals are
+    held core finals first, clones after, which changes no run.
+    """
+
+    def __init__(self, core: Game, anchor: dict):
+        super().__init__(make_urgent(waiting(core, 1, anchor)))
+        # (name, rate) of every location that may wait, in clone order
+        self.waits = [
+            (l.name, as_fraction(l.rate))
+            for l in core.locations
+            if not l.is_final and not l.urgent
+        ]
+        finals = core.final_locations
+        self.final_index = [self.index[l.name] for l in finals] + [
+            self.index[n + WAIT_SUFFIX] for n, _ in self.waits
+        ]
+        scale, lines = _integer_lines([l.final_cost for l in finals])
+        self._base = math.lcm(scale, *(rate.denominator for _, rate in self.waits))
+        k = self._base // scale
+        self._core_lines = [(s * k, c * k) for s, c in lines]
+        self.reanchor(1, anchor)
+
+    def reanchor(self, r, anchor: dict) -> None:
+        """Moves the window to [0, r], each clone banking anchor[name] at r."""
+        r = as_fraction(r)
+        tops = [r * rate + _anchor_value(anchor, n) for n, rate in self.waits]
+        scale = math.lcm(self._base, *(c.denominator for c in tops))
+        k = scale // self._base
+        lines = [(s * k, c * k) for s, c in self._core_lines]
+        for (_, rate), c in zip(self.waits, tops):
+            lines.append(
+                (
+                    -rate.numerator * (scale // rate.denominator),
+                    c.numerator * (scale // c.denominator),
+                )
+            )
+        self._place(*_with_cutoff(scale, lines, r))
 
 
 def prune_infinite(g: Game) -> PruneResult:
@@ -197,35 +265,36 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
 
     urgent_core = make_urgent(core)
     end_ev = InstantEvaluator(urgent_core)
-    end_vals, end_ranks, _ = end_ev.run(1)
-    if any(isinstance(v, float) for v in end_vals):
+    end_x, end_ranks, _, end_denom = end_ev.run(1)
+    if any(isinstance(v, float) for v in end_x):
         raise AssertionError("pruning must leave finite values only")
-    end = (dict(zip(end_ev.names, end_vals)), dict(zip(end_ev.names, end_ranks)))
-    names = [l.name for l in core.locations if not l.is_final]
-    # (name, owner is Min, -rate) of every location that may wait: the chord
-    # of a Min location may not fall below -rate, of a Max one not rise above
-    waits = [
-        (l.name, l.owner == MIN, -as_fraction(l.rate))
-        for l in core.locations
-        if not l.is_final and not l.urgent
-    ]
-    points = {
-        l.name: [(Fraction(1), v)]
-        for l, v in zip(core.locations, end_vals)
-        if not l.is_final
-    }
+    end = (dict(zip(end_ev.names, end_x)), dict(zip(end_ev.names, end_ranks)), end_denom)
+    nonfinal = core.nonfinal_locations
+    names = [l.name for l in nonfinal]
+    # the sweep's values at b are f_b[j] / db for names[j]
+    b, db = Fraction(1), end_denom
+    f_b = [end[0][n] for n in names]
+    ev = WindowEvaluator(core, _anchor(names, f_b, db))
+    at = [ev.index[n] for n in names]
+    # The chord of a location that may wait may not fall below -rate = p/q
+    # if Min, nor rise above it if Max.  With chord nums[j]/den, den > 0,
+    # and s = 1 for Min, -1 for Max, that fails where nums[j]*s*q < s*p*den;
+    # waits holds (j, s*q, s*p) for every such location names[j].
+    waits = []
+    for j, l in enumerate(nonfinal):
+        if not l.urgent:
+            s = 1 if l.owner == MIN else -1
+            limit = -as_fraction(l.rate)
+            waits.append((j, s * limit.denominator, s * limit.numerator))
+    # breakpoints per location, newest last: (x, value numerator, denominator)
+    points = [[(b, v, db)] for v in f_b]
 
     trace = SweepTrace(boundaries=[Fraction(1)])
     r = Fraction(1)
     while r > 0:
-        anchor = {n: points[n][-1][1] for n in names}
-        wg = make_urgent(waiting(core, r, anchor))
-        ev = InstantEvaluator(wg)
-        grid = possible_cutpoints(wg, r)
+        grid = possible_cutpoints(ev, r)
         win = WindowTrace(start=r)
-        b = r
-        f_b = anchor
-        prev_chords = None
+        prev = None  # (numerators, denominator) of the last accepted chords
         rejected = False
         for a in reversed(grid[:-1]):
             spent += 1
@@ -233,16 +302,15 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
                 raise BudgetExceeded(
                     f"sweep exceeded {budget} candidate evaluations"
                 )
-            vals_a, _, _ = ev.run(a)
-            x_a = dict(zip(ev.names, vals_a))
-            if any(isinstance(x_a[n], float) for n in names):
+            x, _, _, da = ev.run(a)
+            x_a = [x[i] for i in at]
+            if any(isinstance(v, float) for v in x_a):
                 raise AssertionError("window game produced an infinite value")
-            chords = {n: (f_b[n] - x_a[n]) / (b - a) for n in names}
-            bad = [
-                n
-                for n, is_min, limit in waits
-                if (chords[n] < limit if is_min else chords[n] > limit)
-            ]
+            # chord j is (f_b[j]/db - x_a[j]/da) / (b - a) = nums[j] / den
+            w = b - a
+            nums = [(fb * da - xa * db) * w.denominator for fb, xa in zip(f_b, x_a)]
+            den = db * da * w.numerator
+            bad = [names[j] for j, sq, sp in waits if nums[j] * sq < sp * den]
             if bad:
                 if b == r:
                     raise AssertionError(
@@ -253,29 +321,36 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
                 trace.windows.append(win)
                 trace.boundaries.append(b)
                 r = b
+                ev.reanchor(r, _anchor(names, f_b, db))
                 rejected = True
                 break
-            if prev_chords is not None:
-                moved = [n for n in names if chords[n] != prev_chords[n]]
+            same = None
+            if prev is not None:
+                pnums, pden = prev
+                same = [n * pden == pn * den for n, pn in zip(nums, pnums)]
+                moved = [names[j] for j, kept in enumerate(same) if not kept]
                 if moved:
                     win.slope_breaks.append((b, moved))
-            for n in names:
-                if prev_chords is not None and chords[n] == prev_chords[n]:
-                    points[n][-1] = (a, x_a[n])
+            for j, pts in enumerate(points):
+                if same is not None and same[j]:
+                    pts[-1] = (a, x_a[j], da)
                 else:
-                    points[n].append((a, x_a[n]))
-            prev_chords = chords
-            b = a
-            f_b = x_a
+                    pts.append((a, x_a[j], da))
+            prev = (nums, den)
+            b, f_b, db = a, x_a, da
         if not rejected:
             trace.windows.append(win)
             trace.boundaries.append(Fraction(0))
             r = Fraction(0)
 
+    finite = {
+        n: CostFunction.from_points([(x, Fraction(v, d)) for x, v, d in reversed(pts)])
+        for n, pts in zip(names, points)
+    }
     fns = {
         l.name: CostFunction.from_affine(0, 1, l.final_cost)
         if l.is_final
-        else CostFunction.from_points(points[l.name][::-1])
+        else finite[l.name]
         for l in core.locations
     }
     values = {
@@ -285,7 +360,7 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
         for l in g.locations
     }
 
-    max_fp, min_fp = _synthesize(core, fns, end, pr.transition_origin)
+    max_fp, min_fp = _synthesize(ev, core, fns, end, pr.transition_origin)
     sigma2 = {
         n: pr.transition_origin[i]
         for n, i in attractor_strategy(urgent_core).items()
@@ -298,7 +373,12 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     return Solution(g, values, max_fp, minstrat, trace, pr.infinite)
 
 
-def _synthesize(core: Game, fns: dict, end: tuple, origin: tuple) -> tuple:
+def _anchor(names: list, vals: list, denom: int) -> dict:
+    """Anchor values by name from integers on a common denominator."""
+    return {n: Fraction(v, denom) for n, v in zip(names, vals)}
+
+
+def _synthesize(ev: WindowEvaluator, core: Game, fns: dict, end: tuple, origin: tuple) -> tuple:
     """Optimal finitely-positional strategies from the value functions.
 
     The clock interval is cut at every breakpoint of every value function
@@ -312,7 +392,9 @@ def _synthesize(core: Game, fns: dict, end: tuple, origin: tuple) -> tuple:
     the move of the cell starting there (or the no-time-left move at 1);
     every zero-delay step at a valuation therefore uses one cell's tight
     edges, and those never cycle.  end holds the values and ranks by name
-    of the urgent solve at 1, which give the no-time-left moves.
+    and the common denominator of the urgent solve at 1, which give the
+    no-time-left moves.  ev is the sweep's window evaluator, re-anchored
+    here once per cell; the checks compare on its integer scale.
     """
     breaks = sorted({x for f in fns.values() for x in f.xs})
     cells = list(zip(breaks, breaks[1:]))
@@ -323,15 +405,15 @@ def _synthesize(core: Game, fns: dict, end: tuple, origin: tuple) -> tuple:
 
     per_cell = []
     for lo, hi in cells:
-        anchor = {n: evaluate(fns[n], hi) for n in fns}
-        wg = make_urgent(waiting(core, hi, anchor))
-        ev = InstantEvaluator(wg)
+        ev.reanchor(hi, {n: evaluate(fns[n], hi) for n, _ in ev.waits})
         mid = (lo + hi) / 2
-        vals, ranks, _ = ev.run(mid)
-        by_name = dict(zip(ev.names, vals))
+        x, ranks, _, denom = ev.run(mid)
+        by_name = dict(zip(ev.names, x))
         rank_of = dict(zip(ev.names, ranks))
         for n in names:
-            if by_name[n] != evaluate(fns[n], mid):
+            v = evaluate(fns[n], mid)
+            # an infinite by_name[n] stays infinite and so disagrees too
+            if by_name[n] * v.denominator != v.numerator * denom:
                 raise AssertionError(
                     f"cell [{format_value(lo)}, {format_value(hi)}): anchored value "
                     f"of {n} disagrees with the computed value function"
@@ -345,7 +427,7 @@ def _synthesize(core: Game, fns: dict, end: tuple, origin: tuple) -> tuple:
                 if by_name[clone] == by_name[l.name]:
                     moves[l.name] = WAIT
                     continue
-            moves[l.name] = _tight_move_at(core, l, by_name, rank_of)
+            moves[l.name] = _tight_move_at(core, l, by_name, rank_of, denom)
         per_cell.append(moves)
 
     max_rows, max_end = {}, {}
@@ -389,12 +471,15 @@ def _synthesize(core: Game, fns: dict, end: tuple, origin: tuple) -> tuple:
     return FPStrategy(max_rows, max_end), FPStrategy(min_rows, min_end)
 
 
-def _tight_move_at(core: Game, l: Location, vals: dict, ranks: dict) -> int:
-    """Index (in core) of the transition to fire at a location right now."""
+def _tight_move_at(core: Game, l: Location, vals: dict, ranks: dict, denom: int) -> int:
+    """Index (in core) of the transition to fire at a location right now.
+
+    vals holds integers on the common denominator denom, or infinities.
+    """
     tight = [
         i
         for i in core.outgoing(l.name)
-        if core.transitions[i].weight + vals[core.transitions[i].target]
+        if core.transitions[i].weight * denom + vals[core.transitions[i].target]
         == vals[l.name]
     ]
     if l.owner == MAX:
@@ -409,9 +494,9 @@ def _tight_move_at(core: Game, l: Location, vals: dict, ranks: dict) -> int:
     return progressing[0]
 
 
-def _tight_moves(core: Game, vals: dict, ranks: dict) -> dict:
+def _tight_moves(core: Game, vals: dict, ranks: dict, denom: int) -> dict:
     return {
-        l.name: _tight_move_at(core, l, vals, ranks)
+        l.name: _tight_move_at(core, l, vals, ranks, denom)
         for l in core.locations
         if not l.is_final
     }

@@ -10,7 +10,15 @@ candidate cutpoints no two lines of the relevant family can cross.
 Both the iteration and the cutpoint grid work on integers: the final costs
 of a game are put once on one integer scale L (the least common denominator
 of every slope, intercept and the -inf cutoff), so a final's cost at p/q is
-(S*p + C*q) / (L*q) with integers S and C.
+(S*p + C*q) / (L*q) with integers S and C.  A run returns its values on
+that common denominator L*q; callers compare them as integers and make
+Fractions (`unscale`) only for values they keep.
+
+An evaluator's locations, rows and moves are fixed when it is built, but
+its final lines, scale, cutoff and round bound can be put in again
+(`InstantEvaluator._place`).  The sweep's window evaluator does that to
+re-anchor one waiting game per window and per strategy cell, and
+`possible_cutpoints` reads the grid straight off an evaluator's lines.
 """
 
 from __future__ import annotations
@@ -52,35 +60,53 @@ class ValueVector:
 
 def iteration_bound(g: Game) -> int:
     """Hard cap on value-iteration rounds until the fixpoint."""
-    return _round_bound(g, g.max_final_cost())
+    return _round_bound(
+        len(g.locations), len(g.final_locations), g.max_transition_weight(), g.max_final_cost()
+    )
 
 
-def _round_bound(g: Game, pf: Fraction) -> int:
-    """iteration_bound(g) given pf, the largest |final cost| at 0 and at the bound."""
-    n = len(g.locations)
-    nf = len(g.final_locations)
-    pt = g.max_transition_weight()
+def _round_bound(n: int, nf: int, pt: int, pf: Fraction) -> int:
+    """The round cap of a game with n locations, nf of them final, largest
+    |weight| pt and largest |final cost| pf at 0 and at the clock bound."""
     return nf * n * ((2 * n - 1) * pt + math.ceil(2 * pf) + 1) + n
+
+
+def _integer_lines(costs) -> tuple:
+    """(L, [(S, C), ...]): Affine costs on their least common integer scale L."""
+    scale = math.lcm(
+        *(q for phi in costs for q in (phi.slope.denominator, phi.intercept.denominator))
+    )
+    return scale, [(int(phi.slope * scale), int(phi.intercept * scale)) for phi in costs]
+
+
+def _with_cutoff(scale: int, lines: list, bound: Fraction) -> tuple:
+    """(L, lines, pf): integer lines grown until pf is on their scale too.
+
+    pf is the largest |final cost| at 0 and at the clock bound; the grown
+    L is the least multiple of scale that is also a multiple of its
+    denominator, so the -inf cutoff -(n-1)*pt - pf is an integer on it.
+    """
+    bn, bd = bound.numerator, bound.denominator
+    worst = max((abs(v) for s, c in lines for v in (c * bd, s * bn + c * bd)), default=0)
+    pf = Fraction(worst, scale * bd)
+    grow = pf.denominator // math.gcd(scale, pf.denominator)
+    return scale * grow, [(s * grow, c * grow) for s, c in lines], pf
 
 
 def _final_scale(g: Game) -> tuple:
     """The final costs of g on one integer scale: (L, lines, pf).
 
     lines holds (S, C) per final location in file order, so that its cost at
-    p/q is (S*p + C*q) / (L*q).  pf is the largest |final cost| at 0 and at
-    the clock bound; L is also a multiple of its denominator, so the -inf
-    cutoff -(n-1)*pt - pf is an integer on the same scale.
+    p/q is (S*p + C*q) / (L*q).  L is the least common denominator of every
+    slope, intercept and pf (see `_with_cutoff`).
     """
-    costs = [l.final_cost for l in g.final_locations]
-    scale = math.lcm(
-        *(q for phi in costs for q in (phi.slope.denominator, phi.intercept.denominator))
-    )
-    lines = [(int(phi.slope * scale), int(phi.intercept * scale)) for phi in costs]
-    bn, bd = g.clock_bound.numerator, g.clock_bound.denominator
-    worst = max((abs(v) for s, c in lines for v in (c * bd, s * bn + c * bd)), default=0)
-    pf = Fraction(worst, scale * bd)
-    grow = pf.denominator // math.gcd(scale, pf.denominator)
-    return scale * grow, [(s * grow, c * grow) for s, c in lines], pf
+    scale, lines = _integer_lines([l.final_cost for l in g.final_locations])
+    return _with_cutoff(scale, lines, g.clock_bound)
+
+
+def unscale(x: list, denom: int) -> list:
+    """The values of a run as Fractions; infinities stay float sentinels."""
+    return [v if isinstance(v, float) else Fraction(v, denom) for v in x]
 
 
 class InstantEvaluator:
@@ -91,6 +117,10 @@ class InstantEvaluator:
     once; a run at nu = p/q then works on the scale L*q, where every final's
     cost is the integer S*p + C*q and every step stays exact.  Infinities
     are float sentinels, which compare and add correctly against Python ints.
+
+    The locations, rows and moves are fixed at construction; `_place` can
+    later put new final lines and a new clock bound in, which is how a
+    window evaluator is re-anchored without rebuilding the game.
     """
 
     def __init__(self, g: Game):
@@ -99,13 +129,9 @@ class InstantEvaluator:
                 raise PreconditionError(
                     f"non-urgent non-final location {loc.name}; make the game urgent first"
                 )
-        self.game = g
         self.names = [l.name for l in g.locations]
         self.index = {n: i for i, n in enumerate(self.names)}
-        self.scale, lines, pf = _final_scale(g)
-        self.finals = [
-            (self.index[l.name], s, c) for l, (s, c) in zip(g.final_locations, lines)
-        ]
+        self.final_index = [self.index[l.name] for l in g.final_locations]
         self.rows = []  # (loc_idx, is_max, [(weight, tgt_idx), ...])
         for l in g.locations:
             if l.is_final:
@@ -115,17 +141,31 @@ class InstantEvaluator:
                 for i in g.outgoing(l.name)
             ]
             self.rows.append((self.index[l.name], l.owner == MAX, moves))
-        n = len(g.locations)
-        cutoff = -(n - 1) * g.max_transition_weight() - pf
-        self.cutoff = int(cutoff * self.scale)  # on the scale L
-        self.bound = _round_bound(g, pf)
+        self.max_weight = g.max_transition_weight()
+        self._place(*_final_scale(g))
+
+    def _place(self, scale: int, lines: list, pf: Fraction) -> None:
+        """Puts the final lines (S, C) on the scale L in, with their pf.
+
+        The cutoff and the round bound follow from pf; lines are in the
+        order of the game's final locations.
+        """
+        n = len(self.names)
+        self.scale = scale
+        self.finals = [(i, s, c) for i, (s, c) in zip(self.final_index, lines)]
+        cutoff = -(n - 1) * self.max_weight - pf
+        self.cutoff = int(cutoff * scale)  # on the scale L
+        self.bound = _round_bound(n, len(lines), self.max_weight, pf)
 
     def run(self, nu, history: list | None = None) -> tuple:
-        """Returns (values list, ranks list, rounds).
+        """Returns (values list, ranks list, rounds, denom).
 
-        ranks[i] is the round at which location i last changed (finals 0);
-        entries still +inf at the fixpoint keep rank 0.  When a list is
-        passed as history it receives the value vector after every round.
+        The values are integers on the common denominator denom = L*q of
+        nu = p/q (value v stands for v/denom), or the float infinities;
+        `unscale` turns them into Fractions.  ranks[i] is the round at
+        which location i last changed (finals 0); entries still +inf at the
+        fixpoint keep rank 0.  When a list is passed as history it receives
+        the value vector, as Fractions, after every round.
         """
         nu = as_fraction(nu)
         p, q = nu.numerator, nu.denominator
@@ -161,19 +201,14 @@ class InstantEvaluator:
                     ranks[idx] = rounds
                     changed = True
             if history is not None:
-                history.append(
-                    [v if isinstance(v, float) else Fraction(v, denom) for v in x]
-                )
+                history.append(unscale(x, denom))
             if not changed:
                 break
-        vals = [
-            v if isinstance(v, float) else Fraction(v, denom) for v in x
-        ]
-        return vals, ranks, rounds
+        return x, ranks, rounds, denom
 
     def value_vector(self, nu) -> ValueVector:
-        vals, _, _ = self.run(nu)
-        return ValueVector(as_fraction(nu), dict(zip(self.names, vals)))
+        x, _, _, denom = self.run(nu)
+        return ValueVector(as_fraction(nu), dict(zip(self.names, unscale(x, denom))))
 
 
 def solve_instant(g: Game, nu) -> ValueVector:
@@ -197,20 +232,20 @@ def line_family(g: Game) -> list:
     return out
 
 
-def possible_cutpoints(g: Game, r) -> list:
+def possible_cutpoints(ev: InstantEvaluator, r) -> list:
     """Candidate cutpoints in [0, r]: crossings of the line family, plus 0 and r.
 
-    Enumerating the full family is wasteful; for each pair of base final
-    functions only integer offsets d = k1 - k2 within the value window can
-    produce a crossing, and the crossing abscissa determines d uniquely, so
-    the pairs are walked directly.
+    The family is read off the evaluator's current final lines, so a
+    re-anchored evaluator needs no Game built.  Enumerating the full family
+    is wasteful; for each pair of base final functions only integer offsets
+    d = k1 - k2 within the value window can produce a crossing, and the
+    crossing abscissa determines d uniquely, so the pairs are walked
+    directly.
     """
     r = as_fraction(r)
     rn, rd = r.numerator, r.denominator
-    n = len(g.locations)
-    pt = g.max_transition_weight()
-    width = (2 * n - 1) * pt
-    scale, lines, _ = _final_scale(g)
+    scale, lines = ev.scale, [(s, c) for _, s, c in ev.finals]
+    width = (2 * len(ev.names) - 1) * ev.max_weight
     step = scale * rd
     found = {(0, 1), (rn, rd)}  # reduced (numerator, positive denominator)
     for i, (si, ci) in enumerate(lines):
@@ -237,10 +272,13 @@ def solve_all_urgent(g: Game, r) -> dict:
     """Value functions of an all-urgent game on [0, r]."""
     r = as_fraction(r)
     ev = InstantEvaluator(g)
-    pts = possible_cutpoints(g, r)
+    pts = possible_cutpoints(ev, r)
     if r == 0:
         pts = [Fraction(0)]
-    samples = [ev.run(p)[0] for p in pts]
+    samples = []
+    for p in pts:
+        x, _, _, denom = ev.run(p)
+        samples.append(unscale(x, denom))
     out = {}
     for i, name in enumerate(ev.names):
         column = [s[i] for s in samples]
@@ -313,7 +351,8 @@ class UntimedStrategies:
 
 def extract_untimed_strategies(g: Game, nu) -> UntimedStrategies:
     ev = InstantEvaluator(g)
-    vals, ranks, _ = ev.run(nu)
+    x, ranks, _, denom = ev.run(nu)
+    vals = unscale(x, denom)
     if any(isinstance(v, float) for v in vals):
         bad = [ev.names[i] for i, v in enumerate(vals) if isinstance(v, float)]
         raise NotFinite(f"infinite values at {format_value(as_fraction(nu))}: {bad}")

@@ -541,6 +541,38 @@ def test_ptg_threads_must_be_positive(fig1_solution, capsys, monkeypatch):
     assert code == 0
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # Rebuilding the argparse tree on every call cost about 0.8 ms per
+    # command.  The parser is built once per process, and commands are
+    # looked up by name per call, so rebinding one is still seen.
+    from ptgsolve import cli
+
+    fig1, out = str(FIXTURES / "fig1.json"), str(tmp_path / "fig1.values.json")
+    solved = []
+    cmd_solve = cli.cmd_solve
+
+    def counting_solve(args):
+        solved.append(args.input)
+        return cmd_solve(args)
+
+    monkeypatch.setattr(cli, "cmd_solve", counting_solve)
+    cli._build_parser.cache_clear()
+    codes = [
+        run_cli(capsys, "solve", fig1, "--out", out)[0],
+        run_cli(capsys, "verify", fig1, out)[0],
+        run_cli(capsys, "solve", "no-such-file.json")[0],
+        run_cli(capsys, "solve", fig1, "--out", str(tmp_path / "x.json"), "--max-steps", "1")[0],
+        run_cli(capsys, "plot", out, "--csv", str(tmp_path / "csv"))[0],
+        run_cli(capsys, "simulate", fig1, out, "--from", "l7:0")[0],
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", fig1, out, "--grid", "-5"])
+    assert codes == [0, 0, 2, 4, 0, 0]
+    assert exc.value.code == 2
+    assert solved == [fig1, "no-such-file.json", fig1]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_region_values_survive_a_jump(tmp_path, capsys):
     doc = {
         "clock_bound": 2,

@@ -17,7 +17,8 @@ import pytest
 from ptgsolve.cli import main
 from ptgsolve.exactmath import Affine, CostFunction, evaluate
 from ptgsolve.model import Game, Guard, Location, Transition, make_game, serialize_game
-from ptgsolve.solver import solve
+from ptgsolve import solver
+from ptgsolve.solver import BudgetExceeded, solve
 from ptgsolve.urgent import InstantEvaluator
 
 
@@ -110,6 +111,47 @@ def test_fan_value_iteration_stays_on_its_integer_scale(monkeypatch):
     assert counts["runs"] > 0
     assert counts["affine_in_run"] == 0
     assert counts["max_final_cost"] <= 4
+
+
+def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):
+    # Building the waiting game and its evaluator afresh for every window
+    # and every strategy cell made 19 waiting games and 21 evaluators
+    # here.  One evaluator is built and re-anchored instead; pruning and
+    # the end values take the other two.
+    g = fan_game(16, (1, -2, 3))
+    counts = {"waiting": 0, "evaluators": 0, "runs": 0}
+    waiting, init, run = solver.waiting, InstantEvaluator.__init__, InstantEvaluator.run
+
+    def counting_waiting(*args):
+        counts["waiting"] += 1
+        return waiting(*args)
+
+    def counting_init(self, game):
+        counts["evaluators"] += 1
+        init(self, game)
+
+    def counting_run(self, *args, **kwargs):
+        counts["runs"] += 1
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "waiting", counting_waiting)
+    monkeypatch.setattr(InstantEvaluator, "__init__", counting_init)
+    monkeypatch.setattr(InstantEvaluator, "run", counting_run)
+    pick = solve(g).values["pick"]
+    assert pick.xs == tuple(F(i, 16) for i in range(17))
+    assert counts["waiting"] == 1
+    assert counts["evaluators"] <= 3
+    # 592 candidates, the pruning and end-value solves, and 17 cells
+    assert counts["runs"] == 611
+
+
+def test_fan_budget_counts_candidate_evaluations():
+    # The sweep evaluates 592 candidates here: a budget of 592 suffices
+    # and one less stops the solve.
+    g = fan_game(16, (1, -2, 3))
+    solve(g, max_steps=592)
+    with pytest.raises(BudgetExceeded):
+        solve(g, max_steps=591)
 
 
 def test_fan_verify_builds_its_bellman_tables_once(tmp_path, capsys, monkeypatch):

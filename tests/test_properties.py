@@ -30,7 +30,7 @@ from ptgsolve.model import (
 from ptgsolve.regions import ResetCycle, build_region_game, check_reset_acyclic, solve_reset_acyclic
 from ptgsolve.solver import EmptyGame, make_urgent, prune_infinite, solve, waiting
 from ptgsolve.strategy import bellman_check, play_out, region_bellman_check
-from ptgsolve.urgent import InstantEvaluator, iteration_bound, line_family
+from ptgsolve.urgent import InstantEvaluator, iteration_bound, line_family, unscale
 
 F = Fraction
 
@@ -188,7 +188,7 @@ def run_simple_checks(seed: int) -> None:
     ev = InstantEvaluator(ug)
     for nu in (F(0), F(1, 3), F(1)):
         history = []
-        _, _, rounds = ev.run(nu, history)
+        _, _, rounds, _ = ev.run(nu, history)
         assert rounds <= iteration_bound(ug)
         for before, after in zip(history, history[1:]):
             assert all(y <= x for x, y in zip(before, after))
@@ -338,7 +338,8 @@ def urgent_games(draw):
 def test_instant_values_solve_their_own_equations(g, nu):
     ev = InstantEvaluator(g)
     history = []
-    vals, _, rounds = ev.run(nu, history)
+    raw, _, rounds, denom = ev.run(nu, history)
+    vals = unscale(raw, denom)
     assert rounds <= iteration_bound(g)
     for before, after in zip(history, history[1:]):
         assert all(y <= x for x, y in zip(before, after))

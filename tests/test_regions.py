@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture
 from test_properties import usable_guarded
-from ptgsolve.cli import _region_values_from_segments
-from ptgsolve.exactmath import Affine, evaluate
+from ptgsolve.cli import SolutionFormatError, _region_values_from_segments, _uniform_infinity
+from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
 from ptgsolve.model import Guard, Location, Region, Transition, make_game, parse_game
 from ptgsolve.regions import (
     RegionGame,
@@ -213,6 +213,126 @@ def test_stitched_segments_read_back_the_region_values(seed):
                 assert _value(got, x) == _value(want, x), (l.name, reg.describe(), x)
 
 
+def reference_region_values_from_segments(regions, segments: list) -> list:
+    """The regions x segments scan the document reader used to be."""
+    out = []
+    for reg in regions:
+        if reg.is_point:
+            cover = [s for s in segments if s.lo <= reg.lo <= s.hi]
+            if not cover:
+                raise SolutionFormatError(f"no segment covers {format_value(reg.lo)}")
+            points = [s for s in cover if s.is_point]
+            seg = points[-1] if points else cover[-1]
+            inf_v = _uniform_infinity(seg)
+            out.append(inf_v if inf_v is not None else CostFunction.point(
+                reg.lo, evaluate(seg, reg.lo)
+            ))
+            continue
+        cover = [s for s in segments if s.lo <= reg.lo and reg.hi <= s.hi]
+        if not cover:
+            raise SolutionFormatError(
+                f"no segment spans ({format_value(reg.lo)}, {format_value(reg.hi)})"
+            )
+        inf_v = _uniform_infinity(cover[0])
+        out.append(inf_v if inf_v is not None else cover[0])
+    return out
+
+
+@st.composite
+def segmented_documents(draw):
+    """(regions, contiguous segments): borders and segment cuts drawn apart,
+    with point segments, jumps, infinite pieces and early ends."""
+    borders = sorted(set(draw(st.lists(st.integers(1, 7), max_size=5))) | {0, 8})
+    regions = []
+    for a, b in zip(borders, borders[1:]):
+        regions += [Region(a, a), Region(a, b)]
+    regions.append(Region(8, 8))
+    cuts = sorted(set(draw(st.lists(st.sampled_from(borders + [F(1, 2), F(5, 2), 3]), max_size=6))) | {0})
+    end = draw(st.sampled_from([8, 8, 8, cuts[-1]]))
+    if end > cuts[-1]:
+        cuts.append(end)
+    values = st.one_of(st.integers(-5, 5), st.sampled_from([float("inf"), float("-inf")]))
+    segs = []
+
+    def piece(lo, hi):
+        v = draw(values)
+        if isinstance(v, float):
+            return CostFunction.point(lo, v) if lo == hi else CostFunction.constant(lo, hi, v)
+        if lo == hi:
+            return CostFunction.point(lo, F(v))
+        return CostFunction.from_points([(F(lo), F(v)), (F(hi), F(draw(st.integers(-5, 5))))])
+
+    for i, x in enumerate(cuts):
+        if draw(st.booleans()):
+            for _ in range(draw(st.integers(1, 2))):
+                segs.append(piece(x, x))
+        if i + 1 < len(cuts):
+            segs.append(piece(x, cuts[i + 1]))
+    assume(segs)
+    return tuple(regions), segs
+
+
+def _reader_outcome(read, regions, segs):
+    try:
+        return read(regions, segs)
+    except SolutionFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(segmented_documents())
+def test_document_reader_matches_the_regions_by_segments_scan(doc):
+    regions, segs = doc
+    want = _reader_outcome(reference_region_values_from_segments, regions, segs)
+    assert _reader_outcome(_region_values_from_segments, regions, segs) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_document_reader_matches_the_scan_on_solved_documents(seed):
+    g = usable_guarded(seed)
+    assume(g is not None)
+    sol = solve_reset_acyclic(g)
+    for l in g.locations:
+        segs = sol.values[l.name]
+        want = reference_region_values_from_segments(sol.regions, segs)
+        assert _region_values_from_segments(sol.regions, segs) == want
+
+
+class _CountingSegments(list):
+    """A segment list that counts every segment handed out."""
+
+    visits = 0
+
+    def __getitem__(self, i):
+        self.visits += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for s in super().__iter__():
+            self.visits += 1
+            yield s
+
+
+def test_document_reader_visits_each_segment_a_few_times():
+    # 400 borders, a point segment at every other one: scanning every
+    # segment for every region visited 480,600 segments here, one walk
+    # over both lists 3,600.
+    n = 400
+    regions = []
+    for a in range(n):
+        regions += [Region(a, a), Region(a, a + 1)]
+    regions.append(Region(n, n))
+    segs = _CountingSegments()
+    for a in range(n):
+        if a % 2:
+            segs.append(CostFunction.point(a, F(a)))
+        segs.append(CostFunction.from_points([(F(a), F(a)), (F(a + 1), F(-a))]))
+    want = reference_region_values_from_segments(regions, list(segs))
+    assert _region_values_from_segments(regions, segs) == want
+    assert segs.visits <= 3 * (len(regions) + len(segs))
+
+
 def test_infinite_values_cover_whole_regions():
     locs = (
         Location("trap", "max", 0, False, None),
@@ -263,3 +383,49 @@ def test_two_games_linked_by_a_reset():
     assert list(zip(fb.xs, fb.vals)) == [(F(0), F(0)), (F(1), F(1))]
     (fa,) = sol.values["a"]
     assert list(zip(fa.xs, fa.vals)) == [(F(0), F(5)), (F(1), F(5))]
+
+
+def _border_exit_core():
+    """The core of a generated game the region pipeline once got wrong.
+
+    g1 leaves for g5 on [1, 3) and loops on {3} at weight -4; g4 reaches
+    g1 only at the borders 1 and 3.  In the open region (1, 3) the loop's
+    guard collapses to its upper border; sent back into the open copy, the
+    loop met g1's exit there "in the limit", a negative cycle with an exit
+    that made g1 -inf on all of [0, 3).
+    """
+    locs = (
+        Location("g1", "min", 3, False, None),
+        Location("g4", "min", 3, False, None),
+        Location("g5", "final", 0, False, Affine(3, 3)),
+    )
+    trans = (
+        Transition("g1", Guard(F(1), F(3), True, False), False, "g5", 4),
+        Transition("g1", Guard.point(3), False, "g1", -4),
+        Transition("g4", Guard.point(3), False, "g1", 4),
+        Transition("g4", Guard.point(1), False, "g1", 1),
+    )
+    return make_game(locs, trans, 3)
+
+
+def test_edge_collapsed_to_the_upper_border_lands_in_the_border_point():
+    g = _border_exit_core()
+    rg = build_region_game(g)
+    assert [r.describe() for r in rg.regions] == ["{0}", "(0,1)", "{1}", "(1,3)", "{3}"]
+    loop = [(t.source[1], t.target[1]) for t in rg.transitions if t.origin == 1]
+    assert loop == [(3, 4), (4, 4)]
+    sol = solve_reset_acyclic(g)
+    g1 = sol.region_values["g1"]
+    for x in (F(0), F(1, 2), F(1)):
+        assert _value(g1[0 if x == 0 else 1 if x < 1 else 2], x) == 13 - 3 * x
+    for x in (F(1), F(2), F(5, 2), F(3)):
+        # the open region's closure carries the left limit at 3
+        assert _value(g1[3], x) == 3 * x + 7
+    assert g1[4] == float("inf")
+    g4 = sol.region_values["g4"]
+    assert [_value(g4[0], F(0)), _value(g4[1], F(1, 2)), _value(g4[2], F(1))] == [14, F(25, 2), 11]
+    assert g4[3] == g4[4] == float("inf")
+    assert all(
+        region_bellman_check(g, sol.regions, sol.region_values, x) == []
+        for x in (F(0), F(1, 2), F(1), F(2), F(3))
+    )

@@ -1,10 +1,14 @@
 """End-to-end checks for the sweep solver on the bundled fixtures."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
+from test_properties import random_sptg
 from ptgsolve.exactmath import Affine, evaluate
 from ptgsolve.model import Config, Guard, Location, Transition, make_game, parse_game
 from ptgsolve.solver import (
@@ -13,6 +17,7 @@ from ptgsolve.solver import (
     InfiniteValue,
     MissingTerminalValue,
     NonSPTG,
+    WindowEvaluator,
     default_max_steps,
     make_urgent,
     prune_infinite,
@@ -20,6 +25,7 @@ from ptgsolve.solver import (
     waiting,
 )
 from ptgsolve.strategy import fake_value_upper_bound, play_out, validate_nc
+from ptgsolve.urgent import InstantEvaluator, possible_cutpoints
 
 F = Fraction
 
@@ -234,3 +240,59 @@ def test_make_urgent_marks_everything(fig1):
 
 def test_default_budget_scales_with_game_size(fig1):
     assert default_max_steps(fig1) == 27392
+
+
+_RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def anchored_windows(draw):
+    """A simple game, some with rational rates and final costs, and a few
+    windows (r, anchor, nu) with finite anchors and nu in [0, r]."""
+    g = random_sptg(draw(st.integers(0, 10**6)))
+    locs = []
+    for l in g.locations:
+        if l.is_final and draw(st.booleans()):
+            l = dataclasses.replace(l, final_cost=Affine(draw(_RATIONAL), draw(_RATIONAL)))
+        elif not l.is_final and draw(st.booleans()):
+            l = dataclasses.replace(l, rate=draw(_RATIONAL))
+        locs.append(l)
+    g = make_game(tuple(locs), g.transitions, 1)
+    names = [l.name for l in g.locations if not l.is_final]
+    anchors = st.fixed_dictionaries(
+        {n: st.fractions(min_value=-20, max_value=20, max_denominator=30) for n in names}
+    )
+    windows = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12))
+        nu = r * draw(st.fractions(min_value=0, max_value=1, max_denominator=7))
+        windows.append((r, draw(anchors), nu))
+    return g, draw(anchors), windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(anchored_windows())
+def test_reanchored_evaluator_equals_a_fresh_one(case):
+    g, first, windows = case
+    ev = WindowEvaluator(g, first)
+    steps = [(F(1), first, F(1, 2))] + windows
+    for i, (r, anchor, nu) in enumerate(steps):
+        if i:
+            ev.reanchor(r, anchor)
+        wg = make_urgent(waiting(g, r, anchor))
+        fresh = InstantEvaluator(wg)
+        assert ev.names == fresh.names
+        assert (ev.scale, ev.cutoff, ev.bound) == (fresh.scale, fresh.cutoff, fresh.bound)
+        for x in (nu, F(0), r):
+            # values on the common denominator, ranks, rounds, the denominator
+            assert ev.run(x) == fresh.run(x)
+        assert possible_cutpoints(ev, r) == possible_cutpoints(fresh, r)
+
+
+def test_reanchor_requires_finite_anchor_values(fig1):
+    anchors = {l.name: Fraction(0) for l in fig1.locations}
+    ev = WindowEvaluator(fig1, anchors)
+    with pytest.raises(MissingTerminalValue):
+        ev.reanchor(F(1, 2), {})
+    with pytest.raises(InfiniteValue):
+        ev.reanchor(F(1, 2), {**anchors, "l1": float("inf")})

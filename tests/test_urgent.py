@@ -17,6 +17,7 @@ from ptgsolve.urgent import (
     possible_cutpoints,
     solve_all_urgent,
     solve_instant,
+    unscale,
 )
 
 from conftest import all_urgent, load_fixture
@@ -92,7 +93,8 @@ def test_iteration_bound_examples(fig1_urgent):
 def test_iterates_decrease_and_converge(fig1_urgent):
     ev = InstantEvaluator(fig1_urgent)
     hist = []
-    vals, _, rounds = ev.run(F(1, 3), history=hist)
+    raw, _, rounds, denom = ev.run(F(1, 3), history=hist)
+    vals = unscale(raw, denom)
     assert rounds <= iteration_bound(fig1_urgent)
     assert hist[-1] == vals
     for a, b in zip(hist, hist[1:]):
@@ -101,7 +103,7 @@ def test_iterates_decrease_and_converge(fig1_urgent):
 
 def test_ranks_settle_in_order(fig1_urgent):
     ev = InstantEvaluator(fig1_urgent)
-    vals, ranks, _ = ev.run(1)
+    _, ranks, _, _ = ev.run(1)
     by_name = dict(zip(ev.names, ranks))
     assert by_name["lf"] == 0
     assert all(by_name[l.name] >= 1 for l in fig1_urgent.nonfinal_locations)
@@ -151,13 +153,13 @@ def test_line_family_fig1(fig1_urgent):
 
 def test_cutpoints_constant_finals():
     g = tiny({"a": ("min", [(1, "f")])}, {"f": Affine(0, 0)})
-    assert possible_cutpoints(g, F(1)) == [0, 1]
-    assert possible_cutpoints(g, F(1, 2)) == [0, F(1, 2)]
+    assert possible_cutpoints(InstantEvaluator(g), F(1)) == [0, 1]
+    assert possible_cutpoints(InstantEvaluator(g), F(1, 2)) == [0, F(1, 2)]
 
 
 def test_cutpoints_urgent_all_fixture():
     g = parse_game(load_fixture("urgent_all.json"))
-    pts = possible_cutpoints(g, 1)
+    pts = possible_cutpoints(InstantEvaluator(g), 1)
     assert pts[0] == 0 and pts[-1] == 1
     assert F(6, 19) in pts
     assert all(p.denominator in (1, 19) for p in pts)
@@ -168,7 +170,7 @@ def test_cutpoints_three_final_grid():
         {"a": ("min", [(1, "f0"), (0, "fu"), (-1, "fd")])},
         {"f0": Affine(0, 0), "fu": Affine(2, -1), "fd": Affine(-2, 1)},
     )
-    assert possible_cutpoints(g, 1) == [0, F(1, 4), F(1, 2), F(3, 4), 1]
+    assert possible_cutpoints(InstantEvaluator(g), 1) == [0, F(1, 4), F(1, 2), F(3, 4), 1]
 
 
 def random_fractional_game(rng: random.Random):
@@ -203,7 +205,7 @@ def test_cutpoints_agree_with_line_family():
         (random_fractional_game(rng), F(rng.randint(1, 11), 11)) for _ in range(40)
     ]
     for g, r in cases:
-        lazy = possible_cutpoints(g, r)
+        lazy = possible_cutpoints(InstantEvaluator(g), r)
         literal = sorted(
             set(pairwise_intersections(line_family(g), 0, r)) | {F(0), r}
         )
@@ -426,7 +428,8 @@ def test_run_matches_plain_fraction_iteration(data):
 def check_against_reference(g, nu):
     want_history, got_history = [], []
     want = reference_run(g, nu, want_history)
-    got = InstantEvaluator(g).run(nu, got_history)
+    x, ranks, rounds, denom = InstantEvaluator(g).run(nu, got_history)
+    got = (unscale(x, denom), ranks, rounds)
     assert got == want
     assert got_history == want_history
     for v in got[0]:
@@ -437,5 +440,6 @@ def check_against_reference(g, nu):
 @pytest.mark.parametrize("nu", [F(0), F(1, 3), F(2, 3), F(10**12 + 1, 10**13)])
 def test_run_matches_plain_fraction_iteration_at_infinities(g, nu):
     check_against_reference(g, nu)
-    vals = InstantEvaluator(g).run(nu)[0]
+    x, _, _, denom = InstantEvaluator(g).run(nu)
+    vals = unscale(x, denom)
     assert (NEG_INF if g is _SINK else INF) in vals
