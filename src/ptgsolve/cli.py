@@ -43,6 +43,7 @@ from .model import (
     MAX,
     Game,
     GameSyntaxError,
+    Region,
     ValidationError,
     check_sptg,
     parse_game,
@@ -55,7 +56,6 @@ from .solver import (
     solve,
 )
 from .strategy import (
-    BellmanOracle,
     FPStrategy,
     IllegalMove,
     Move,
@@ -240,20 +240,6 @@ def _uniform_infinity(seg: CostFunction) -> Optional[float]:
     return v if isinstance(v, float) else None
 
 
-def _attained_value(segments: list, x: Fraction):
-    """Value of a segmented function at x.
-
-    At a shared endpoint the later segment wins, except that a point
-    segment wedged between two jumps carries the value actually attained
-    there and takes priority over both neighbours.
-    """
-    cover = [s for s in segments if s.lo <= x <= s.hi]
-    if not cover:
-        raise SolutionFormatError(f"no segment covers {format_value(x)}")
-    points = [s for s in cover if s.is_point]
-    return evaluate(points[-1] if points else cover[-1], x)
-
-
 # ---------------------------------------------------------------------------
 # solve
 
@@ -325,7 +311,10 @@ def _slope_cap(g: Game) -> Fraction:
     return cap
 
 
-def _check_coverage(g: Game, values: dict, borders: set) -> Optional[str]:
+def _check_coverage(g: Game, values: dict, borders: Optional[set]) -> Optional[str]:
+    """Witness that the document does not give each location of the game
+    contiguous segments over [0, bound], or that one jumps off the borders;
+    with borders None, jumps are not checked."""
     bound = g.clock_bound
     names = {l.name for l in g.locations}
     if set(values) != names:
@@ -342,7 +331,7 @@ def _check_coverage(g: Game, values: dict, borders: set) -> Optional[str]:
                     f"coverage: {name} has a gap at "
                     f"{format_value(a.hi)}..{format_value(b.lo)}"
                 )
-            if evaluate(a, a.hi) != evaluate(b, b.lo) and a.hi not in borders:
+            if borders is not None and a.hi not in borders and evaluate(a, a.hi) != evaluate(b, b.lo):
                 return f"continuity: {name} jumps inside a region at {format_value(a.hi)}"
     return None
 
@@ -444,12 +433,11 @@ def cmd_verify(args) -> RunReport:
     values = sol["values"]
     report.body.append(f"mode: {mode}")
 
+    regions = solving_regions(g)
     if mode == MODE_REGIONS:
-        regions = solving_regions(g)
         borders = {reg.lo for reg in regions if reg.is_point}
         report.body.append(f"regions: {len(regions)}")
     else:
-        regions = None
         borders = set()
         bad = sorted(n for n, segs in values.items() if len(segs) != 1)
         if bad:
@@ -472,14 +460,10 @@ def cmd_verify(args) -> RunReport:
     report.body.append(f"check: lipschitz ok (cap {format_value(cap)})")
 
     pts = _sample_points(g, values, args.grid, borders)
-    if mode == MODE_SPTG:
-        check = BellmanOracle(g, {name: segs[0] for name, segs in values.items()}).check
-    else:
-        region_vals = {
-            name: _region_values_from_segments(regions, segs)
-            for name, segs in values.items()
-        }
-        check = RegionBellmanOracle(g, regions, region_vals).check
+    region_vals = {
+        name: _region_values_from_segments(regions, segs) for name, segs in values.items()
+    }
+    check = RegionBellmanOracle(g, regions, region_vals).check
     for nu in pts:
         bad = check(nu)
         if bad:
@@ -675,7 +659,14 @@ def cmd_simulate(args) -> RunReport:
     except (KeyError, TypeError) as exc:
         raise SolutionFormatError(f"bad strategies object: {exc}") from exc
     start = _parse_start(args.start, g)
-    expected = _attained_value(sol["values"][start.location], start.valuation)
+    # the reader walks contiguous segments; judging jumps is verify's work
+    witness = _check_coverage(g, sol["values"], None)
+    if witness:
+        raise SolutionFormatError(witness)
+    x = start.valuation
+    (expected,) = _region_values_from_segments((Region(x, x),), sol["values"][start.location])
+    if not isinstance(expected, float):
+        expected = evaluate(expected, x)
     report.body.append(
         f"start: {start.location} x={format_value(start.valuation)}"
         f" value {format_value(expected)}"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import Affine, CostFunction, concat, evaluate, format_value
+from .exactmath import INF, NEG_INF, Affine, CostFunction, concat, evaluate, format_value
 from .model import (
     FINAL,
     MAX,
@@ -35,9 +35,6 @@ from .model import (
 )
 from .solver import EmptyGame, solve
 from .urgent import solve_instant
-
-INF = float("inf")
-NEG_INF = float("-inf")
 
 _FULL = Guard.closed(0, 1)
 

@@ -9,10 +9,11 @@ real one instead of a limit.
 
 The oracles at the bottom do not trust the solver.  They recompute what
 they check from the game alone: local optimality of a value function
-(BellmanOracle for SPTG values, RegionBellmanOracle for per-region values
-with jumps at region borders: both build per-transition suffix tables
-once per document, then take one bisection per transition at each
-valuation; bellman_check and region_bellman_check ask them once),
+(RegionBellmanOracle, one oracle for both pipelines: it reads values per
+clock region, jumps at region borders included, builds per-transition
+suffix tables once per document and then takes one bisection per
+transition at each valuation; bellman_check asks it once about
+continuous values, region_bellman_check about per-region ones),
 absence of nonnegative zero-delay cycles under Min's choices
 (validate_nc), and the best cost Min can force against a fixed Max
 strategy (fake_value_upper_bound).
@@ -26,8 +27,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .exactmath import INF, Value, as_fraction, evaluate, format_value
-from .model import MAX, MIN, Config, Game
+from .exactmath import INF, Affine, CostFunction, Value, as_fraction, evaluate, format_value
+from .model import MAX, MIN, Config, Game, regions_of
 
 NOW = "now"
 WAIT_UNTIL = "wait_until"
@@ -405,82 +406,6 @@ def fake_value_upper_bound(
 # local optimality of a claimed value function
 
 
-class BellmanOracle:
-    """Local optimality of claimed SPTG values: built once, asked per valuation.
-
-    A move at nu fires now or at a fire point p >= nu: the clock bound, a
-    breakpoint of the target's value or a finite guard endpoint.  Between
-    fire points the one-step cost is affine in the delay, so these carry
-    the optimum.  Firing at p costs h(p) - nu*rate, with
-    h(p) = p*rate + weight + target(arrival(p)), and the fire points >= nu
-    are a suffix of the sorted fire points in [0, bound] that the guard
-    contains.  So each transition keeps those points and the suffix optimum
-    of h, and a valuation reads one entry per transition by bisection: the
-    same candidates, in the same exact arithmetic, as scanning every fire
-    point at every valuation.  Each location's value at nu, read for its
-    own check and for firing now into it, is evaluated once per valuation.
-    """
-
-    def __init__(self, g: Game, vals: dict):
-        bound = as_fraction(g.clock_bound)
-        self.value = {
-            l.name: l.final_cost if l.is_final else (lambda x, f=vals[l.name]: evaluate(f, x))
-            for l in g.locations
-        }
-        self.rows = []
-        for l in g.nonfinal_locations:
-            pick = max if l.owner == MAX else min
-            moves = []
-            for i in g.outgoing(l.name):
-                t = g.transitions[i]
-                tgt_at = self.value[t.target]
-                at_zero = tgt_at(Fraction(0)) if t.reset else None
-                tgt_breaks = () if g.location(t.target).is_final else vals[t.target].xs
-                ks = [] if l.urgent else sorted(
-                    k for k in {bound, *tgt_breaks, t.guard.lo, t.guard.hi}
-                    if 0 <= k <= bound and t.guard.contains(k)
-                )
-                hs = [k * l.rate + t.weight + (at_zero if t.reset else tgt_at(k)) for k in ks]
-                suffix = list(accumulate(reversed(hs), pick))[::-1]
-                moves.append((t, at_zero, ks, suffix))
-            self.rows.append((l, pick, moves))
-
-    def check(self, nu) -> list:
-        """Names of locations whose claimed value is not locally optimal at nu."""
-        nu = as_fraction(nu)
-        now = {}
-
-        def at_nu(name):
-            v = now.get(name)
-            if v is None:
-                v = now[name] = self.value[name](nu)
-            return v
-
-        bad = []
-        for l, pick, moves in self.rows:
-            cands = []
-            for t, at_zero, ks, suffix in moves:
-                if t.guard.contains(nu):
-                    cands.append(t.weight + (at_zero if t.reset else at_nu(t.target)))
-                j = bisect_left(ks, nu)
-                if j < len(ks):
-                    cands.append(suffix[j] - nu * l.rate)
-            if (pick(cands) if cands else INF) != at_nu(l.name):
-                bad.append(l.name)
-        return bad
-
-
-def bellman_check(g: Game, vals: dict, nu) -> list:
-    """Names of locations whose claimed value is not locally optimal at nu.
-
-    Per transition it tries firing now and firing at each fire point >= nu
-    (the clock bound, the target's breakpoints, the finite guard
-    endpoints), the best of which BellmanOracle reads from a suffix table.
-    To check many valuations, build the oracle once and call its check.
-    """
-    return BellmanOracle(g, vals).check(nu)
-
-
 class RegionBellmanOracle:
     """Local optimality of per-region values: built once, asked per valuation.
 
@@ -490,21 +415,24 @@ class RegionBellmanOracle:
     region 2i and the open regions on its left and right are 2i-1 and 2i+1;
     a bisection of the borders finds the region of any valuation.
 
-    The one-step cost of a move is piecewise affine in the firing time,
-    broken only at region borders and target breakpoints, so per transition
-    the optimum over the window [max(nu, lo), min(bound, hi)] of its guard
-    sits at a critical point: the window ends, the borders and the target's
-    breakpoints.  It is attained there or approached one-sidedly, since a
-    window end may be excluded and the target may jump at a border.  A
-    critical point p > nu contributes c(p) - nu*rate, where c(p) is the best
-    of p*rate + weight plus the target's value at p (if the guard contains
-    p), its left limit (if p > lo) and its right limit (if p < the window's
-    upper end).  None of that depends on nu, so each transition keeps the
-    suffix optimum of c over its sorted critical points.  At p = nu the
-    window starts at nu itself: the value and the right limit are read per
-    valuation, and the left limit is no candidate.  These are the
-    candidates of trying every critical point at every valuation, in the
-    same exact arithmetic.  An urgent location only fires now.
+    The value of a location is an infimum or supremum over plays, so at an
+    open guard end or a jump of the target it is approached, not attained:
+    one-sided limits count as candidates.  The one-step cost of a move is
+    piecewise affine in the firing time, broken only at region borders and
+    target breakpoints, so per transition the optimum over the window
+    [max(nu, lo), min(bound, hi)] of its guard sits at a critical point:
+    the window ends, the borders and the target's breakpoints.  A critical
+    point p > nu contributes c(p) - nu*rate, where c(p) is the best of
+    p*rate + weight plus the target's value at p (if the guard contains p),
+    its left limit (if p > lo) and its right limit (if p < the window's
+    upper end), each read once per distinct region.  None of that depends
+    on nu, so each transition keeps the suffix optimum of c over its sorted
+    critical points.  At p = nu the window starts at nu itself: the value
+    is read per valuation, the right limit only where it can differ from
+    it (at a border, or where the guard is open at nu), and the left limit
+    is no candidate.  These are the candidates of trying every critical
+    point at every valuation, in the same exact arithmetic.  An urgent
+    location only fires now.
     """
 
     def __init__(self, g: Game, regions, region_vals: dict):
@@ -512,6 +440,8 @@ class RegionBellmanOracle:
         self.vals = region_vals
         bound = as_fraction(g.clock_bound)
         self.rows = []
+        zero = Fraction(0)
+        readings = {}
         for l in g.nonfinal_locations:
             pick = max if l.owner == MAX else min
             moves = []
@@ -521,17 +451,39 @@ class RegionBellmanOracle:
                 hi = bound if isinstance(t.guard.hi, float) else min(bound, as_fraction(t.guard.hi))
                 if lo > hi:
                     continue
-                at_zero = self._value_at(t.target, Fraction(0)) if t.reset else None
-                ks, hs = [], []
-                for p in [] if l.urgent else self._critical(t.target, lo, hi):
-                    sides = [s for s, ok in ((0, t.guard.contains(p)), (-1, p > lo), (+1, p < hi)) if ok]
-                    if sides:
-                        ks.append(p)
-                        tvs = [at_zero if t.reset else self._value_at(t.target, p, s) for s in sides]
-                        hs.append(p * l.rate + t.weight + pick(tvs))
+                at_zero = self._value(t.target, self._around(zero)[0], zero) if t.reset else None
+                ks, tvs = [], []
+                if not l.urgent:
+                    key = (t.target, t.guard, pick)
+                    if key not in readings:
+                        readings[key] = self._readings(t.target, t.guard, lo, hi, pick)
+                    ks, tvs = readings[key]
+                hs = [p * l.rate + t.weight + (at_zero if t.reset else tv) for p, tv in zip(ks, tvs)]
                 suffix = list(accumulate(reversed(hs), pick))[::-1]
-                moves.append((t, lo, hi, at_zero, ks, suffix))
+                # an interval holding both ends of the clock range holds all of it
+                always = t.guard.contains(zero) and t.guard.contains(bound)
+                moves.append((t, always, lo, hi, at_zero, ks, suffix))
             self.rows.append((l, pick, moves))
+
+    def _readings(self, target: str, guard, lo, hi, pick) -> tuple:
+        """The critical points p of the window [lo, hi] of a guard into
+        target, and the owner's best of the target's value at p (if the
+        guard contains p), its left limit (if p > lo) and its right limit
+        (if p < hi), each region read once.  Moves with the same target,
+        guard and owner share them."""
+        crit = self._critical(target, lo, hi)
+        last = len(crit) - 1
+        ks, tvs = [], []
+        for n, p in enumerate(crit):
+            here, below, above = self._around(p)
+            # crit runs from lo to hi: p > lo and p < hi read off n, and the
+            # guard holds every point strictly between them
+            inside = 0 < n < last or guard.contains(p)
+            sides = {k for k, ok in ((here, inside), (below, n > 0), (above, n < last)) if ok}
+            if sides:
+                ks.append(p)
+                tvs.append(pick(self._value(target, k, p) for k in sides))
+        return ks, tvs
 
     def _critical(self, target: str, lo, hi) -> list:
         crit = {lo, hi}
@@ -541,25 +493,28 @@ class RegionBellmanOracle:
                 crit.update(x for x in f.xs if lo <= x <= hi)
         return sorted(crit)
 
-    def _region(self, x, side: int = 0) -> int:
-        """Index of the region holding x (side 0) or touching it from below
-        (side -1) or above (side +1); off a border the side does not matter."""
+    def _around(self, x) -> tuple:
+        """Indices of the regions holding x, touching it from below and
+        touching it from above; off a border they are one region."""
         i = bisect_left(self.borders, x)
         if i < len(self.borders) and self.borders[i] == x:
-            return 2 * i + side
-        return 2 * i - 1
-
-    def _value_at(self, name: str, x, side: int = 0):
-        return self._value(name, self._region(x, side), x)
+            return 2 * i, 2 * i - 1, 2 * i + 1
+        return 2 * i - 1, 2 * i - 1, 2 * i - 1
 
     def _value(self, name: str, index: int, x):
         f = self.vals[name][index]
-        return f if isinstance(f, float) else evaluate(f, x)
+        if isinstance(f, float):
+            return f
+        if len(f.pieces) == 1 and isinstance(f.pieces[0], Affine):
+            # CostFunction checks on construction that the line meets both ends
+            return f.pieces[0](x)
+        return evaluate(f, x)
 
     def check(self, nu) -> list:
         """Names of locations whose claimed value is not locally optimal at nu."""
         nu = as_fraction(nu)
-        here, after = self._region(nu), self._region(nu, +1)
+        here, _, after = self._around(nu)
+        border = here != after
         seen = {}
 
         def at_nu(name, index):
@@ -570,20 +525,45 @@ class RegionBellmanOracle:
 
         bad = []
         for l, pick, moves in self.rows:
-            cands = []
-            for t, lo, hi, at_zero, ks, suffix in moves:
+            cands, later = [], []
+            for t, always, lo, hi, at_zero, ks, suffix in moves:
                 j = bisect_right(ks, nu)
                 if j < len(ks):
-                    cands.append(suffix[j] - nu * l.rate)
-                if not lo <= nu <= hi:
+                    later.append(suffix[j])
+                if always:
+                    attained = True
+                elif lo <= nu <= hi:
+                    attained = t.guard.contains(nu)
+                else:
                     continue
-                if t.guard.contains(nu):
+                if attained:
                     cands.append(t.weight + (at_zero if t.reset else at_nu(t.target, here)))
-                if nu < hi and not l.urgent:
+                if not l.urgent and (border or not attained) and nu < hi:
                     cands.append(t.weight + (at_zero if t.reset else at_nu(t.target, after)))
+            if later:
+                # every later fire point pays the same -nu*rate for the wait
+                cands.append(pick(later) - nu * l.rate)
             if (pick(cands) if cands else INF) != at_nu(l.name, here):
                 bad.append(l.name)
         return bad
+
+
+def bellman_check(g: Game, vals: dict, nu) -> list:
+    """Names of locations whose claimed continuous values are not locally
+    optimal at nu.
+
+    vals[name] is one CostFunction on [0, bound] per non-final location;
+    final locations are worth their final cost.  Each claim stands for
+    every region of the game, so this is RegionBellmanOracle on values
+    without jumps, and at an open guard end a one-sided limit counts.
+    """
+    regions = regions_of(g)
+    claims = {
+        l.name: CostFunction.from_affine(0, g.clock_bound, l.final_cost) if l.is_final else vals[l.name]
+        for l in g.locations
+    }
+    per_region = {name: (f,) * len(regions) for name, f in claims.items()}
+    return RegionBellmanOracle(g, regions, per_region).check(nu)
 
 
 def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:

@@ -1,9 +1,6 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
-
-from ptgsolve.model import Game, make_game
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -16,10 +13,3 @@ def fixtures_dir() -> Path:
 def load_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
-
-def all_urgent(g: Game) -> Game:
-    """Copy of g with every non-final location made urgent."""
-    locs = tuple(
-        l if l.is_final else dataclasses.replace(l, urgent=True) for l in g.locations
-    )
-    return make_game(locs, g.transitions, g.clock_bound)

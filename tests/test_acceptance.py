@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import FIXTURES, all_urgent, load_fixture
+from conftest import FIXTURES, load_fixture
 from test_properties import (
     GUARDED_SEEDS,
     run_equality_check,
@@ -22,7 +22,7 @@ from test_properties import (
 from ptgsolve.cli import main
 from ptgsolve.exactmath import Affine, evaluate
 from ptgsolve.model import MAX, MIN, Config, Guard, Location, Transition, make_game, parse_game
-from ptgsolve.solver import solve
+from ptgsolve.solver import make_urgent, solve
 from ptgsolve.strategy import FPStrategy, Move, SwitchingStrategy, play_out
 from ptgsolve.urgent import extract_untimed_strategies, solve_all_urgent, solve_instant
 
@@ -105,7 +105,7 @@ def memory_game(w: int):
         Transition("l2", full, False, "l1", 0),
         Transition("l2", full, False, "lf", 0),
     ]
-    return all_urgent(make_game(locs, trans, 1))
+    return make_urgent(make_game(locs, trans, 1))
 
 
 def _constant_fp(g, choice: dict) -> FPStrategy:

@@ -1,10 +1,18 @@
-"""The SPTG Bellman oracle against the per-valuation check it replaced.
+"""The Bellman check of continuous claims against the checks it replaced.
 
 ``reference_bellman_check`` is the earlier body of ``strategy.bellman_check``,
 kept verbatim: at each valuation it re-evaluates every transition's target
 at the clock bound, at each of the target's breakpoints and at each guard
-endpoint.  ``BellmanOracle`` answers from per-transition suffix optima built
-once, and must name the same locations at every valuation.
+endpoint, and counts only values that are attained.  ``bellman_check`` now
+reads the claims over the game's guard-endpoint regions through
+``RegionBellmanOracle``, where the one-sided limit at an open guard end
+counts too: the value is an infimum or supremum, approached there.  So it
+must name the same locations as the reference on games whose guards are
+closed at every end in [0, bound], and the same locations as
+``reference_region_bellman_check`` over the claims split by region on
+every game.  A continuous claim does not depend on how the clock range is
+split, so the oracle over the coarse partition {0}, (0, bound), {bound}
+must agree as well.
 """
 
 from fractions import Fraction
@@ -14,10 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_region_bellman_oracle import reference_region_bellman_check
+
 from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate
-from ptgsolve.model import MAX, MIN, Game, Guard, Location, Transition, make_game
+from ptgsolve.model import MAX, MIN, Game, Guard, Location, Region, Transition, make_game
+from ptgsolve.regions import solving_regions
 from ptgsolve.solver import EmptyGame, solve
-from ptgsolve.strategy import BellmanOracle, bellman_check
+from ptgsolve.strategy import RegionBellmanOracle, bellman_check
 
 F = Fraction
 
@@ -88,15 +99,46 @@ def _points(g: Game, vals: dict) -> list:
     return pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
 
 
+def _closed_in_range(g: Game) -> bool:
+    """Is every guard closed at each of its ends inside [0, bound]?"""
+    bound = g.clock_bound
+    return all(
+        (t.guard.lo_closed or t.guard.lo > bound)
+        and (t.guard.hi_closed or isinstance(t.guard.hi, float) or t.guard.hi > bound)
+        for t in g.transitions
+    )
+
+
+def _split(g: Game, regions, vals: dict) -> dict:
+    """The claims cut into one entry per region, finals from their final cost."""
+    return {
+        l.name: tuple(
+            CostFunction.from_affine(r.lo, r.hi, l.final_cost)
+            if l.is_final
+            else vals[l.name].restrict(r.lo, r.hi)
+            for r in regions
+        )
+        for l in g.locations
+    }
+
+
 def _assert_same(g: Game, vals: dict) -> int:
-    """Checks both oracles at every point; returns how many locations failed."""
-    oracle = BellmanOracle(g, vals)
+    """Checks bellman_check against the references at every point; returns
+    how many locations failed."""
+    regions = solving_regions(g)
+    split = _split(g, regions, vals)
+    bound = g.clock_bound
+    coarse = (Region(0, 0), Region(0, bound), Region(bound, bound))
+    whole = RegionBellmanOracle(g, coarse, _split(g, coarse, vals))
+    closed = _closed_in_range(g)
     failed = 0
     for nu in _points(g, vals):
-        want = reference_bellman_check(g, vals, nu)
-        assert oracle.check(nu) == want, f"at {nu}"
-        assert bellman_check(g, vals, nu) == want, f"at {nu}"
-        failed += len(want)
+        got = bellman_check(g, vals, nu)
+        assert got == reference_region_bellman_check(g, list(regions), split, nu), f"at {nu}"
+        assert whole.check(nu) == got, f"at {nu}"
+        if closed:
+            assert got == reference_bellman_check(g, vals, nu), f"at {nu}"
+        failed += len(got)
     return failed
 
 
@@ -124,26 +166,36 @@ def _claim(draw, bound, finite=False):
 
 
 @st.composite
-def _guard(draw, bound):
-    """Endpoints on quarters of the bound, either end open, hi possibly +inf."""
+def _guard(draw, bound, closed=False):
+    """Endpoints on quarters of the bound, hi possibly +inf, and unless
+    closed either end open."""
     ends = [bound * i / 4 for i in range(5)]
     lo = draw(st.sampled_from(ends))
     hi = draw(st.sampled_from([INF] + [x for x in ends if x >= lo]))
+    if closed:
+        return Guard(lo, hi)
     return Guard(lo, hi, draw(st.booleans()), draw(st.booleans()))
 
 
 @st.composite
-def guarded_claims(draw):
+def guarded_claims(draw, closed=False):
     """Games with resets, open and unbounded guards, and arbitrary claims."""
     bound = draw(st.sampled_from((F(1), F(2), F(3, 2))))
     names, finals, locs = draw(_locations(4, 3, SMALL))
     trans = [
-        Transition(q, draw(_guard(bound)), draw(st.booleans()), target, draw(SMALL))
+        Transition(q, draw(_guard(bound, closed)), draw(st.booleans()), target, draw(SMALL))
         for q in names
         for target in draw(st.lists(st.sampled_from(names + finals), min_size=1, max_size=3))
     ]
     vals = {q: draw(_claim(bound)) for q in names}
     return make_game(locs, trans, bound), vals
+
+
+def closed_guard_claims():
+    """guarded_claims with every guard closed: the draws on which the
+    attained-only reference still decides, as only about one in nine
+    guarded_claims draws has no open guard end."""
+    return guarded_claims(closed=True)
 
 
 class _Probe:
@@ -240,6 +292,14 @@ def test_oracle_matches_reference_on_guarded_games(claim):
 
 
 @settings(max_examples=200, deadline=None)
+@given(closed_guard_claims())
+def test_oracle_matches_reference_on_closed_guards(claim):
+    g, vals = claim
+    assert _closed_in_range(g)
+    _assert_same(g, vals)
+
+
+@settings(max_examples=200, deadline=None)
 @given(layered_claims())
 def test_oracle_matches_reference_on_claims_that_meet_the_optimum(claim):
     _assert_same(*claim)
@@ -251,7 +311,36 @@ def test_oracle_matches_reference_on_solved_and_moved_values(claim):
     _assert_same(*claim)
 
 
-@pytest.mark.parametrize("claims", [guarded_claims, layered_claims, solved_claims])
+def test_open_guard_end_counts_its_limit():
+    # Min may fire into f, worth -x, on [0, 1/2): from 1/4 the value is
+    # -1/2, approached by firing ever closer to 1/2 but never attained.
+    # The attained-only reference took -1/4, firing now, as the optimum.
+    locs = [Location("m", MIN, 0, False, None), Location("f", "final", 0, False, Affine(-1, 0))]
+    g = make_game(locs, [Transition("m", Guard(0, F(1, 2), True, False), False, "f", 0)], 1)
+    limit = {"m": CostFunction.constant(0, 1, F(-1, 2))}
+    attained = {"m": CostFunction.from_affine(0, 1, Affine(-1, 0))}
+    assert bellman_check(g, limit, F(1, 4)) == []
+    assert bellman_check(g, attained, F(1, 4)) == ["m"]
+    assert reference_bellman_check(g, limit, F(1, 4)) == ["m"]
+    assert reference_bellman_check(g, attained, F(1, 4)) == []
+
+
+def test_open_guard_end_off_a_border_counts_its_right_limit():
+    # Min may fire into f, worth x, on (1/4, 1]: at 1/4 the value is 1/4,
+    # approached by firing ever sooner.  Over {0}, (0, 1), {1} the guard
+    # end 1/4 is no border, so only its openness brings in the right limit.
+    locs = [Location("m", MIN, 0, False, None), Location("f", "final", 0, False, Affine(1, 0))]
+    g = make_game(locs, [Transition("m", Guard(F(1, 4), 1, False, True), False, "f", 0)], 1)
+    coarse = (Region(0, 0), Region(0, 1), Region(1, 1))
+    claim = {"m": CostFunction.constant(0, 1, F(1, 4))}
+    assert RegionBellmanOracle(g, coarse, _split(g, coarse, claim)).check(F(1, 4)) == []
+    assert bellman_check(g, claim, F(1, 4)) == []
+    assert reference_bellman_check(g, claim, F(1, 4)) == ["m"]
+
+
+@pytest.mark.parametrize(
+    "claims", [guarded_claims, closed_guard_claims, layered_claims, solved_claims]
+)
 def test_draws_exercise_passes_and_failures(claims):
     # Without both verdicts the equivalence above would say little.
     seen = {"passed": 0, "failed": 0}

@@ -382,6 +382,52 @@ def test_verify_region_solution_reports_regions(tmp_path, capsys):
     assert "regions: 5" in out
 
 
+def _cut_l1(doc: dict, middle: list) -> None:
+    """Cuts fig1's l1 at 1/2 into [0, 1/2] and [1/2, 1], middle between."""
+    points = doc["values"]["l1"][0]["points"]
+    assert points[2] == {"x": "1/2", "v": "-11/2"}
+    left = {"from": "0", "to": "1/2", "points": points[:3]}
+    right = {"from": "1/2", "to": "1", "points": points[2:]}
+    doc["values"]["l1"] = [left, *middle, right]
+
+
+def test_verify_rejects_a_split_location_in_sptg_mode(fig1_solution, tmp_path, capsys):
+    # the cut is continuous, so only the sptg rule of one segment per
+    # location rejects it
+    doc = json.loads(fig1_solution.read_text())
+    _cut_l1(doc, [])
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(FIXTURES / "fig1.json"), str(split))
+    assert code == 5
+    assert "FAIL coverage: l1 split into segments in sptg mode" in out.splitlines()
+    assert "verdict: fail" in out
+
+
+def test_simulate_starts_from_the_point_segment_value(fig1_solution, tmp_path, capsys):
+    # a point segment between two others carries the value at its point
+    doc = json.loads(fig1_solution.read_text())
+    _cut_l1(doc, [{"from": "1/2", "to": "1/2", "points": [{"x": "1/2", "v": "-7"}]}])
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(doc))
+    fig1 = str(FIXTURES / "fig1.json")
+    code, out, _ = run_cli(capsys, "simulate", fig1, str(point), "--from", "l1:1/2")
+    assert "start: l1 x=1/2 value -7" in out.splitlines()
+    # the stored strategies still realise the solved value -11/2
+    assert "FAIL optimal-vs-optimal cost -11/2 differs from value -7" in out.splitlines()
+    assert code == 5
+    # a document whose segments leave a gap is no input for the reader
+    doc["values"]["l1"] = [doc["values"]["l1"][0], doc["values"]["l1"][2]]
+    doc["values"]["l1"][0]["to"] = "1/4"
+    doc["values"]["l1"][0]["points"] = doc["values"]["l1"][0]["points"][:2]
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", fig1, str(gap), "--from", "l1:3/4")
+    assert code == 2
+    assert out == ""
+    assert "coverage: l1 has a gap at 1/4..1/2" in err
+
+
 def test_plot_fig1_tables(fig1_solution, tmp_path, capsys):
     outdir = tmp_path / "csv"
     code, out, _ = run_cli(capsys, "plot", str(fig1_solution), "--csv", str(outdir))

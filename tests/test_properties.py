@@ -13,8 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_urgent
-
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, slope_between
 from ptgsolve.model import (
     MAX,
@@ -184,7 +182,7 @@ def run_simple_checks(seed: int) -> None:
                 assert chord <= -l.rate
 
     # (d) value iteration descends monotonically and stops within its bound
-    ug = all_urgent(g)
+    ug = make_urgent(g)
     ev = InstantEvaluator(ug)
     for nu in (F(0), F(1, 3), F(1)):
         history = []

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ptgsolve.exactmath import INF, NEG_INF, Affine, evaluate, pairwise_intersections
 from ptgsolve.model import MAX, Guard, Location, Transition, make_game, parse_game
+from ptgsolve.solver import make_urgent
 from ptgsolve.urgent import (
     InstantEvaluator,
     NotFinite,
@@ -20,7 +21,7 @@ from ptgsolve.urgent import (
     unscale,
 )
 
-from conftest import all_urgent, load_fixture
+from conftest import load_fixture
 
 F = Fraction
 
@@ -44,12 +45,12 @@ def tiny(owner_weights, finals, *, bound=1):
 
 @pytest.fixture(scope="module")
 def fig1_urgent():
-    return all_urgent(parse_game(load_fixture("fig1.json")))
+    return make_urgent(parse_game(load_fixture("fig1.json")))
 
 
 @pytest.fixture(scope="module")
 def appc_urgent():
-    return all_urgent(parse_game(load_fixture("appc.json")))
+    return make_urgent(parse_game(load_fixture("appc.json")))
 
 
 def test_requires_urgency():
