@@ -37,7 +37,6 @@ from .model import (
 from .urgent import (
     InstantEvaluator,
     iteration_bound,
-    solve_all_urgent,
     solve_instant,
 )
 from .solver import (
@@ -54,9 +53,7 @@ from .strategy import (
     Move,
     Play,
     SwitchingStrategy,
-    bellman_check,
     play_out,
-    region_bellman_check,
 )
 from .regions import (
     RegionSolution,
@@ -93,7 +90,6 @@ __all__ = [
     "serialize_game",
     "InstantEvaluator",
     "iteration_bound",
-    "solve_all_urgent",
     "solve_instant",
     "BudgetExceeded",
     "EmptyGame",
@@ -106,9 +102,7 @@ __all__ = [
     "Move",
     "Play",
     "SwitchingStrategy",
-    "bellman_check",
     "play_out",
-    "region_bellman_check",
     "RegionSolution",
     "ResetCycle",
     "build_region_game",

@@ -117,7 +117,11 @@ def _sha256(path: str) -> str:
 
 
 def _read_game(path: str) -> Game:
-    return parse_game(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GameSyntaxError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_game(text)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,7 @@ def _segment_from_json(obj) -> CostFunction:
 def _load_solution(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # as in model.parse_game
         raise SolutionFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SolutionFormatError(f"{path}: top level must be an object")
@@ -498,6 +502,10 @@ def _decimal12(v: Fraction) -> str:
 def cmd_plot(args) -> RunReport:
     report = RunReport("plot", inputs=[("values", args.values, _sha256(args.values))])
     sol = _load_solution(args.values)
+    for name in sol["values"]:
+        # each name becomes a file in --csv, so it must not be a path
+        if name in (".", "..") or any(c in name for c in "/\\\0"):
+            raise SolutionFormatError(f"{args.values}: location {name!r} is not a plain file name")
     outdir = Path(args.csv)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in sorted(sol["values"]):
@@ -580,8 +588,8 @@ def _parse_start(text: str, g: Game) -> Config:
     if not sep:
         raise ValidationError("start position", f"expected LOC:NU, got {text!r}")
     try:
-        nu = Fraction(rest)
-    except (ValueError, ZeroDivisionError) as exc:
+        nu = parse_value(rest)
+    except ValueError as exc:
         raise ValidationError("start position", f"bad valuation {rest!r}") from exc
     try:
         g.location(name)

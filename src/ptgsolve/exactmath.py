@@ -7,16 +7,22 @@ appear only as the +inf/-inf sentinels; no rounding happens anywhere.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 INF = float("inf")
 NEG_INF = float("-inf")
 
 #: A value is an exact rational or one of the infinity sentinels.
 Value = Union[Fraction, float]
+
+#: The finite literals parse_value reads: an integer, "p/q" or a plain
+#: decimal, each with an optional sign.  Exponents are left out on purpose:
+#: Fraction("1e10000000") builds a ten-million-digit integer.
+_LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
 class DomainError(ValueError):
@@ -54,14 +60,17 @@ def format_value(v: Value) -> str:
 
 
 def parse_value(text: str) -> Value:
-    """A JSON string literal: "p/q", a decimal, "+inf" or "-inf"; JSON numbers
-    and booleans are not values (true would read as 1)."""
+    """A JSON string literal: an integer, "p/q", a plain decimal, "+inf" or
+    "-inf"; JSON numbers and booleans are not values (true would read as 1),
+    and neither are exponents, spaces or digit separators."""
     if not isinstance(text, str):
         raise TypeError(f"a value must be a string literal, got {text!r}")
     if text == "+inf":
         return INF
     if text == "-inf":
         return NEG_INF
+    if not _LITERAL.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -81,15 +90,6 @@ class Affine:
 
     def __call__(self, nu) -> Fraction:
         return self.slope * as_fraction(nu) + self.intercept
-
-    def intersect(self, other: "Affine") -> Fraction | None:
-        """Abscissa where two non-parallel lines meet, else None."""
-        if self.slope == other.slope:
-            return None
-        return (other.intercept - self.intercept) / (self.slope - other.slope)
-
-    def shift(self, dy) -> "Affine":
-        return Affine(self.slope, self.intercept + as_fraction(dy))
 
     @staticmethod
     def through(x1, v1, x2, v2) -> "Affine":
@@ -203,26 +203,6 @@ class CostFunction:
     def point(x, v: Value) -> "CostFunction":
         return CostFunction((as_fraction(x),), (v if isinstance(v, float) else as_fraction(v),), ())
 
-    def restrict(self, lo, hi) -> "CostFunction":
-        """The same function on the subdomain [lo, hi]."""
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        if lo < self.lo or hi > self.hi or lo > hi:
-            raise DomainError(f"[{lo}, {hi}] not inside [{self.lo}, {self.hi}]")
-        if lo == hi:
-            return CostFunction.point(lo, evaluate(self, lo))
-        xs = [lo]
-        vals = [evaluate(self, lo)]
-        pieces = []
-        for i, p in enumerate(self.pieces):
-            a, b = self.xs[i], self.xs[i + 1]
-            if b <= lo or a >= hi:
-                continue
-            cut_b = min(b, hi)
-            pieces.append(p)
-            xs.append(cut_b)
-            vals.append(p(cut_b) if isinstance(p, Affine) else self.vals[i + 1] if cut_b == b else p)
-        return CostFunction(tuple(xs), tuple(vals), tuple(pieces))
-
 
 def _canonical(xs, vals, pieces):
     """Merge collinear finite neighbours and same-sign infinite neighbours."""
@@ -299,15 +279,3 @@ def slope_between(f: CostFunction, nu1, nu2) -> Fraction:
         raise InfinitePiece(f"chord over ({nu1}, {nu2}) hits an infinite value")
     return (v2 - v1) / (nu2 - nu1)
 
-
-def pairwise_intersections(fs: Iterable[Affine], lo, hi) -> list:
-    """All abscissae in [lo, hi] where two distinct lines of fs meet, sorted."""
-    lo, hi = as_fraction(lo), as_fraction(hi)
-    lines = list(dict.fromkeys(fs))
-    found = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            x = lines[i].intersect(lines[j])
-            if x is not None and lo <= x <= hi:
-                found.add(x)
-    return sorted(found)

@@ -24,17 +24,15 @@ endpoints and skip file-level validation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exactmath import (
-    INF,
     Affine,
     Value,
     as_fraction,
     format_value,
-    is_finite,
     parse_value,
 )
 
@@ -94,9 +92,6 @@ class Guard:
         if self.lo < self.hi:
             return False
         return not (self.lo == self.hi and self.lo_closed and self.hi_closed)
-
-    def sup(self) -> Value:
-        return self.hi
 
     def meets_above(self, nu) -> bool:
         """Does the guard contain some point >= nu?"""
@@ -390,7 +385,9 @@ def parse_game(text: str) -> Game:
     """Parse and fully validate a game document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError: integers past Python's digit limit raise a
+        # plain ValueError, nesting past the recursion limit a RecursionError
         raise GameSyntaxError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GameSyntaxError("top level must be an object")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import INF, NEG_INF, Affine, CostFunction, concat, evaluate, format_value
+from .exactmath import INF, Affine, CostFunction, concat, evaluate, format_value
 from .model import (
     FINAL,
     MAX,

@@ -1,4 +1,4 @@
-"""Strategies, play simulation, and independent consistency oracles.
+"""Strategies, play simulation, and the local-optimality oracle.
 
 A strategy here is positional over finitely many clock intervals: at a
 location it either fires a transition immediately or waits to a target
@@ -7,16 +7,12 @@ falls back to a pure reachability strategy once the accumulated discrete
 cost drops below a threshold, which is what makes the value guarantee a
 real one instead of a limit.
 
-The oracles at the bottom do not trust the solver.  They recompute what
-they check from the game alone: local optimality of a value function
-(RegionBellmanOracle, one oracle for both pipelines: it reads values per
-clock region, jumps at region borders included, builds per-transition
-suffix tables once per document and then takes one bisection per
-transition at each valuation; bellman_check asks it once about
-continuous values, region_bellman_check about per-region ones),
-absence of nonnegative zero-delay cycles under Min's choices
-(validate_nc), and the best cost Min can force against a fixed Max
-strategy (fake_value_upper_bound).
+RegionBellmanOracle does not trust the solver: it recomputes local
+optimality of a claimed value function from the game alone.  It is one
+oracle for both pipelines: it reads values per clock region, jumps at
+region borders included, builds per-transition suffix tables once per
+document and then takes one bisection per transition at each valuation.
+`ptg verify` asks it about every document it checks.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .exactmath import INF, Affine, CostFunction, Value, as_fraction, evaluate, format_value
-from .model import MAX, MIN, Config, Game, regions_of
+from .exactmath import INF, Affine, Value, as_fraction, evaluate, format_value
+from .model import MAX, Config, Game
 
 NOW = "now"
 WAIT_UNTIL = "wait_until"
@@ -36,13 +32,6 @@ WAIT_UNTIL = "wait_until"
 
 class IllegalMove(ValueError):
     """A strategy proposed a move the game does not allow."""
-
-
-@dataclass(frozen=True)
-class Unresolved:
-    """Returned when an oracle runs out of budget before deciding."""
-
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -86,14 +75,6 @@ class FPStrategy:
 
     def decide(self, g: Game, cfg: Config, discrete_cost) -> Move:
         return self.move_at(cfg.location, cfg.valuation)
-
-    def boundaries(self) -> list:
-        pts = {Fraction(0)}
-        for rs in self.rows.values():
-            for lo, hi, _ in rs:
-                pts.add(lo)
-                pts.add(hi)
-        return sorted(pts)
 
 
 @dataclass
@@ -186,220 +167,6 @@ def play_out(
         total += step.cost_delta
         discrete += g.transitions[step.t_index].weight
     return Play(steps, False, None, None, discrete, INF)
-
-
-# ---------------------------------------------------------------------------
-# negative-cycle certificate for Min's positional strategy
-
-
-def _cycle_from_pred(pred: dict, start: str) -> list:
-    seen = {}
-    cur = start
-    order = []
-    while cur not in seen:
-        seen[cur] = len(order)
-        order.append(cur)
-        cur = pred[cur]
-    cycle = order[seen[cur]:]
-    cycle.reverse()
-    return cycle
-
-
-def _nonneg_cycle(nodes: list, edges: list) -> Optional[list]:
-    """Finds a cycle of total weight >= 0 in (nodes, weighted edges), if any.
-
-    Works on negated weights: a >=0 cycle becomes a <=0 one.  Bellman-Ford
-    catches the strictly negative ones; zero cycles survive as cycles made
-    entirely of tight edges of the resulting shortest-path tree.
-    """
-    neg = [(u, v, -w) for (u, v, w) in edges]
-    dist = {n: 0 for n in nodes}
-    pred = {}
-    for _ in range(len(nodes)):
-        changed = False
-        for u, v, w in neg:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                pred[v] = u
-                changed = True
-        if not changed:
-            break
-    for u, v, w in neg:
-        if dist[u] + w < dist[v]:
-            # walk back far enough to be inside the cycle
-            cur = u
-            for _ in range(len(nodes)):
-                cur = pred.get(cur, cur)
-            return _cycle_from_pred(pred, cur)
-    # zero cycles: restrict to tight edges, look for a cycle there
-    tight = {}
-    for u, v, w in neg:
-        if dist[u] + w == dist[v]:
-            tight.setdefault(u, []).append(v)
-    color = {}
-    stack_pred = {}
-
-    def dfs(root):
-        stack = [(root, iter(tight.get(root, ())))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt, 0) == 0:
-                    color[nxt] = 1
-                    stack_pred[nxt] = node
-                    stack.append((nxt, iter(tight.get(nxt, ()))))
-                    advanced = True
-                    break
-                if color.get(nxt) == 1:
-                    cyc = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = stack_pred[cur]
-                        cyc.append(cur)
-                    cyc = cyc[1:]
-                    cyc.reverse()
-                    return cyc
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-        return None
-
-    for n in nodes:
-        if color.get(n, 0) == 0:
-            found = dfs(n)
-            if found:
-                return found
-    return None
-
-
-def validate_nc(g: Game, min_fp: FPStrategy) -> list:
-    """Checks Min's strategy leaves no zero-delay cycle of weight >= 0.
-
-    Returns a list of violations (representative valuation, cycle), empty
-    when the certificate holds.  The zero-delay graph of a cell takes Min's
-    chosen transition where it fires immediately and every transition Max
-    could fire at that valuation.
-    """
-    pts = set(min_fp.boundaries()) | {Fraction(0), as_fraction(g.clock_bound)}
-    pts = sorted(pts)
-    reps = []
-    for lo, hi in zip(pts, pts[1:]):
-        reps.append(lo)
-        reps.append((lo + hi) / 2)
-    reps.append(pts[-1])
-    violations = []
-    nodes = [l.name for l in g.nonfinal_locations]
-    for rep in dict.fromkeys(reps):
-        edges = []
-        for l in g.nonfinal_locations:
-            if l.owner == MIN:
-                move = min_fp.move_at(l.name, rep)
-                if move.kind == NOW:
-                    t = g.transitions[move.t_index]
-                    if not g.location(t.target).is_final:
-                        edges.append((l.name, t.target, t.weight))
-            else:
-                for i in g.outgoing(l.name):
-                    t = g.transitions[i]
-                    if t.guard.contains(rep) and not g.location(t.target).is_final:
-                        edges.append((l.name, t.target, t.weight))
-        cyc = _nonneg_cycle(nodes, edges)
-        if cyc is not None:
-            violations.append((rep, cyc))
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# best response against a fixed Max strategy
-
-
-class _OutOfBudget(Exception):
-    pass
-
-
-def fake_value_upper_bound(
-    g: Game,
-    max_fp: FPStrategy,
-    start: Config,
-    budget: int = 100000,
-):
-    """Cheapest cost Min can force when Max is pinned to max_fp.
-
-    Explores the reachable (location, valuation) graph; Min may fire now or
-    wait to any strategy boundary or guard endpoint.  Configurations already
-    on the stack are skipped, so cyclic gains are not counted; when Min's
-    strategy passes validate_nc no such gain exists and the bound is the
-    exact best response.  Returns Unresolved when the budget runs out.
-    """
-    grid = {as_fraction(g.clock_bound)}
-    grid.update(max_fp.boundaries())
-    for t in g.transitions:
-        grid.add(as_fraction(t.guard.lo))
-        grid.add(as_fraction(t.guard.hi))
-    grid = sorted(grid)
-    memo = {}
-    on_stack = set()
-    spent = [0]
-
-    def best(name: str, nu: Fraction):
-        key = (name, nu)
-        if key in memo:
-            return memo[key]
-        if key in on_stack:
-            return None
-        spent[0] += 1
-        if spent[0] > budget:
-            raise _OutOfBudget
-        loc = g.location(name)
-        if loc.is_final:
-            memo[key] = loc.final_cost(nu)
-            return memo[key]
-        on_stack.add(key)
-        try:
-            if loc.owner == MAX:
-                move = max_fp.move_at(name, nu)
-                t = g.transitions[move.t_index]
-                if move.kind == WAIT_UNTIL:
-                    if loc.urgent or move.target_x < nu:
-                        raise IllegalMove(f"{name}: bad wait in the Max strategy")
-                    fire = move.target_x
-                else:
-                    fire = nu
-                if not t.guard.contains(fire):
-                    raise IllegalMove(
-                        f"{name}: Max strategy fires outside {t.guard.describe()}"
-                    )
-                sub = best(t.target, Fraction(0) if t.reset else fire)
-                if sub is None:
-                    result = INF
-                else:
-                    result = (fire - nu) * loc.rate + t.weight + sub
-            else:
-                targets = [nu] if loc.urgent else [nu] + [p for p in grid if p > nu]
-                result = INF
-                for p in targets:
-                    for i in g.outgoing(name):
-                        t = g.transitions[i]
-                        if not t.guard.contains(p):
-                            continue
-                        sub = best(t.target, Fraction(0) if t.reset else p)
-                        if sub is None:
-                            continue
-                        cand = (p - nu) * loc.rate + t.weight + sub
-                        if cand < result:
-                            result = cand
-        finally:
-            on_stack.discard(key)
-        memo[key] = result
-        return result
-
-    try:
-        out = best(start.location, as_fraction(start.valuation))
-    except _OutOfBudget:
-        return Unresolved(f"exceeded {budget} explored configurations")
-    return INF if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -546,35 +313,6 @@ class RegionBellmanOracle:
             if (pick(cands) if cands else INF) != at_nu(l.name, here):
                 bad.append(l.name)
         return bad
-
-
-def bellman_check(g: Game, vals: dict, nu) -> list:
-    """Names of locations whose claimed continuous values are not locally
-    optimal at nu.
-
-    vals[name] is one CostFunction on [0, bound] per non-final location;
-    final locations are worth their final cost.  Each claim stands for
-    every region of the game, so this is RegionBellmanOracle on values
-    without jumps, and at an open guard end a one-sided limit counts.
-    """
-    regions = regions_of(g)
-    claims = {
-        l.name: CostFunction.from_affine(0, g.clock_bound, l.final_cost) if l.is_final else vals[l.name]
-        for l in g.locations
-    }
-    per_region = {name: (f,) * len(regions) for name, f in claims.items()}
-    return RegionBellmanOracle(g, regions, per_region).check(nu)
-
-
-def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:
-    """Names of locations whose per-region values are not locally optimal at nu.
-
-    Per transition it tries the value and the one-sided limits of the
-    target at every critical point of the guard window from nu on, the best
-    of which RegionBellmanOracle reads from a suffix table.  To check many
-    valuations, build the oracle once and call its check.
-    """
-    return RegionBellmanOracle(g, regions, region_vals).check(nu)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 At a fixed valuation nu time cannot pass, so the game is a finite min/max
 reachability game over the locations.  Value iteration from +inf converges to
 the greatest fixpoint, which is the value; entries that sink below the finite
-range are snapped to -inf.  The full value function over [0, r] is then
-reconstructed by evaluating at every possible cutpoint, because between two
-candidate cutpoints no two lines of the relevant family can cross.
+range are snapped to -inf.  Between two consecutive possible cutpoints
+(`possible_cutpoints`: the crossings of the integer shifts of the final
+costs) no two lines of that family cross, so each value is affine there;
+the sweep reads its candidate breakpoints from them.  `attractor_strategy`
+gives the reachability choices Min falls back on.
 
 Both the iteration and the cutpoint grid work on integers: the final costs
 of a game are put once on one integer scale L (the least common denominator
@@ -27,23 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import (
-    INF,
-    NEG_INF,
-    CostFunction,
-    as_fraction,
-    format_value,
-    is_finite,
-)
+from .exactmath import INF, NEG_INF, as_fraction, is_finite
 from .model import MAX, MIN, Game
 
 
 class PreconditionError(ValueError):
     """The game is not in the shape this routine requires."""
-
-
-class NotFinite(ValueError):
-    """Strategy extraction needs finite values everywhere."""
 
 
 @dataclass(frozen=True)
@@ -216,22 +207,6 @@ def solve_instant(g: Game, nu) -> ValueVector:
     return InstantEvaluator(g).value_vector(nu)
 
 
-def line_family(g: Game) -> list:
-    """All integer shifts k + phi of final cost functions, k in the value window."""
-    n = len(g.locations)
-    pt = g.max_transition_weight()
-    lo, hi = -(n - 1) * pt, n * pt
-    out = []
-    seen = set()
-    for l in g.final_locations:
-        for k in range(lo, hi + 1):
-            line = l.final_cost.shift(k)
-            if line not in seen:
-                seen.add(line)
-                out.append(line)
-    return out
-
-
 def possible_cutpoints(ev: InstantEvaluator, r) -> list:
     """Candidate cutpoints in [0, r]: crossings of the line family, plus 0 and r.
 
@@ -266,34 +241,6 @@ def possible_cutpoints(ev: InstantEvaluator, r) -> list:
                     k = -k
                 found.add((num // k, ds // k))
     return sorted(Fraction(a, b) for a, b in found)
-
-
-def solve_all_urgent(g: Game, r) -> dict:
-    """Value functions of an all-urgent game on [0, r]."""
-    r = as_fraction(r)
-    ev = InstantEvaluator(g)
-    pts = possible_cutpoints(ev, r)
-    if r == 0:
-        pts = [Fraction(0)]
-    samples = []
-    for p in pts:
-        x, _, _, denom = ev.run(p)
-        samples.append(unscale(x, denom))
-    out = {}
-    for i, name in enumerate(ev.names):
-        column = [s[i] for s in samples]
-        if any(isinstance(v, float) for v in column):
-            uniform = column[0]
-            if not all(v == uniform for v in column):
-                raise AssertionError(
-                    f"{name}: infinite value must be uniform across the interval"
-                )
-            out[name] = CostFunction.constant(0, r, uniform)
-        elif len(pts) == 1:
-            out[name] = CostFunction.point(pts[0], column[0])
-        else:
-            out[name] = CostFunction.from_points(list(zip(pts, column)))
-    return out
 
 
 def attractor_strategy(g: Game) -> dict:
@@ -337,60 +284,3 @@ def attractor_strategy(g: Game) -> dict:
         choice[l.name] = best[1]
     return choice
 
-
-@dataclass(frozen=True)
-class UntimedStrategies:
-    """Positional choices at one valuation: transition indices per location."""
-
-    max_choice: dict
-    sigma1: dict
-    sigma2: dict
-    threshold: Fraction
-    values: ValueVector
-
-
-def extract_untimed_strategies(g: Game, nu) -> UntimedStrategies:
-    ev = InstantEvaluator(g)
-    x, ranks, _, denom = ev.run(nu)
-    vals = unscale(x, denom)
-    if any(isinstance(v, float) for v in vals):
-        bad = [ev.names[i] for i, v in enumerate(vals) if isinstance(v, float)]
-        raise NotFinite(f"infinite values at {format_value(as_fraction(nu))}: {bad}")
-    by_name = dict(zip(ev.names, vals))
-    rank_of = dict(zip(ev.names, ranks))
-
-    max_choice = {}
-    sigma1 = {}
-    for l in g.locations:
-        if l.is_final:
-            continue
-        tight = [
-            i
-            for i in g.outgoing(l.name)
-            if g.transitions[i].weight + by_name[g.transitions[i].target]
-            == by_name[l.name]
-        ]
-        if l.owner == MAX:
-            max_choice[l.name] = tight[0]
-        else:
-            progressing = [
-                i for i in tight if rank_of[g.transitions[i].target] < rank_of[l.name]
-            ]
-            # the round that settled this value used one such transition
-            sigma1[l.name] = progressing[0]
-
-    sigma2 = attractor_strategy(g)
-    missing = [l.name for l in g.locations if not l.is_final and l.name not in sigma2]
-    if missing:
-        raise NotFinite(f"attractor does not cover {missing}; values cannot be finite")
-
-    n = len(g.locations)
-    reach_cost = (n - 1) * g.max_transition_weight() + g.max_final_cost()
-    threshold = min(by_name.values()) - reach_cost
-    return UntimedStrategies(
-        max_choice,
-        sigma1,
-        sigma2,
-        as_fraction(threshold),
-        ValueVector(as_fraction(nu), by_name),
-    )

@@ -1,0 +1,467 @@
+"""Reference oracles and helpers that only the tests use.
+
+Each is a second implementation built from the paper's proofs, kept to
+check the package against, not part of it:
+
+- ``restrict`` and ``pairwise_intersections`` on cost functions and
+  lines;
+- ``line_family``, the shifted final-cost lines whose crossings bound the
+  cutpoints of an all-urgent game, and ``solve_all_urgent``, which solves
+  such a game by evaluating at every crossing;
+- ``extract_untimed_strategies``, the positional choices of both players
+  at one valuation of an all-urgent game;
+- ``validate_nc``, the certificate that Min's strategy leaves no
+  zero-delay cycle of weight >= 0;
+- ``fake_value_upper_bound``, the best cost Min can force against a fixed
+  Max strategy;
+- ``bellman_check`` and ``region_bellman_check``, one-shot wrappers
+  around ``strategy.RegionBellmanOracle``.
+
+Test modules import it like ``conftest``: ``from reference import ...``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional
+
+from ptgsolve.exactmath import (
+    INF,
+    Affine,
+    CostFunction,
+    DomainError,
+    as_fraction,
+    evaluate,
+    format_value,
+)
+from ptgsolve.model import MAX, MIN, Config, Game, regions_of
+from ptgsolve.strategy import (
+    NOW,
+    WAIT_UNTIL,
+    FPStrategy,
+    IllegalMove,
+    RegionBellmanOracle,
+)
+from ptgsolve.urgent import (
+    InstantEvaluator,
+    ValueVector,
+    attractor_strategy,
+    possible_cutpoints,
+    unscale,
+)
+
+
+# ---------------------------------------------------------------------------
+# cost functions and lines
+
+
+def restrict(f: CostFunction, lo, hi) -> CostFunction:
+    """The same function on the subdomain [lo, hi]."""
+    lo, hi = as_fraction(lo), as_fraction(hi)
+    if lo < f.lo or hi > f.hi or lo > hi:
+        raise DomainError(f"[{lo}, {hi}] not inside [{f.lo}, {f.hi}]")
+    if lo == hi:
+        return CostFunction.point(lo, evaluate(f, lo))
+    xs = [lo]
+    vals = [evaluate(f, lo)]
+    pieces = []
+    for i, p in enumerate(f.pieces):
+        a, b = f.xs[i], f.xs[i + 1]
+        if b <= lo or a >= hi:
+            continue
+        cut_b = min(b, hi)
+        pieces.append(p)
+        xs.append(cut_b)
+        vals.append(p(cut_b) if isinstance(p, Affine) else f.vals[i + 1] if cut_b == b else p)
+    return CostFunction(tuple(xs), tuple(vals), tuple(pieces))
+
+
+def pairwise_intersections(fs: Iterable[Affine], lo, hi) -> list:
+    """All abscissae in [lo, hi] where two distinct lines of fs meet, sorted."""
+    lo, hi = as_fraction(lo), as_fraction(hi)
+    lines = list(dict.fromkeys(fs))
+    found = set()
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            a, b = lines[i], lines[j]
+            if a.slope == b.slope:
+                continue
+            x = (b.intercept - a.intercept) / (a.slope - b.slope)
+            if lo <= x <= hi:
+                found.add(x)
+    return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# all-urgent games
+
+
+class NotFinite(ValueError):
+    """Strategy extraction needs finite values everywhere."""
+
+
+def line_family(g: Game) -> list:
+    """All integer shifts k + phi of final cost functions, k in the value window."""
+    n = len(g.locations)
+    pt = g.max_transition_weight()
+    lo, hi = -(n - 1) * pt, n * pt
+    out = []
+    seen = set()
+    for l in g.final_locations:
+        for k in range(lo, hi + 1):
+            line = Affine(l.final_cost.slope, l.final_cost.intercept + k)
+            if line not in seen:
+                seen.add(line)
+                out.append(line)
+    return out
+
+
+def solve_all_urgent(g: Game, r) -> dict:
+    """Value functions of an all-urgent game on [0, r]."""
+    r = as_fraction(r)
+    ev = InstantEvaluator(g)
+    pts = possible_cutpoints(ev, r)
+    if r == 0:
+        pts = [Fraction(0)]
+    samples = []
+    for p in pts:
+        x, _, _, denom = ev.run(p)
+        samples.append(unscale(x, denom))
+    out = {}
+    for i, name in enumerate(ev.names):
+        column = [s[i] for s in samples]
+        if any(isinstance(v, float) for v in column):
+            uniform = column[0]
+            if not all(v == uniform for v in column):
+                raise AssertionError(
+                    f"{name}: infinite value must be uniform across the interval"
+                )
+            out[name] = CostFunction.constant(0, r, uniform)
+        elif len(pts) == 1:
+            out[name] = CostFunction.point(pts[0], column[0])
+        else:
+            out[name] = CostFunction.from_points(list(zip(pts, column)))
+    return out
+
+
+@dataclass(frozen=True)
+class UntimedStrategies:
+    """Positional choices at one valuation: transition indices per location."""
+
+    max_choice: dict
+    sigma1: dict
+    sigma2: dict
+    threshold: Fraction
+    values: ValueVector
+
+
+def extract_untimed_strategies(g: Game, nu) -> UntimedStrategies:
+    ev = InstantEvaluator(g)
+    x, ranks, _, denom = ev.run(nu)
+    vals = unscale(x, denom)
+    if any(isinstance(v, float) for v in vals):
+        bad = [ev.names[i] for i, v in enumerate(vals) if isinstance(v, float)]
+        raise NotFinite(f"infinite values at {format_value(as_fraction(nu))}: {bad}")
+    by_name = dict(zip(ev.names, vals))
+    rank_of = dict(zip(ev.names, ranks))
+
+    max_choice = {}
+    sigma1 = {}
+    for l in g.locations:
+        if l.is_final:
+            continue
+        tight = [
+            i
+            for i in g.outgoing(l.name)
+            if g.transitions[i].weight + by_name[g.transitions[i].target]
+            == by_name[l.name]
+        ]
+        if l.owner == MAX:
+            max_choice[l.name] = tight[0]
+        else:
+            progressing = [
+                i for i in tight if rank_of[g.transitions[i].target] < rank_of[l.name]
+            ]
+            # the round that settled this value used one such transition
+            sigma1[l.name] = progressing[0]
+
+    sigma2 = attractor_strategy(g)
+    missing = [l.name for l in g.locations if not l.is_final and l.name not in sigma2]
+    if missing:
+        raise NotFinite(f"attractor does not cover {missing}; values cannot be finite")
+
+    n = len(g.locations)
+    reach_cost = (n - 1) * g.max_transition_weight() + g.max_final_cost()
+    threshold = min(by_name.values()) - reach_cost
+    return UntimedStrategies(
+        max_choice,
+        sigma1,
+        sigma2,
+        as_fraction(threshold),
+        ValueVector(as_fraction(nu), by_name),
+    )
+
+
+# ---------------------------------------------------------------------------
+# negative-cycle certificate for Min's positional strategy
+
+
+def boundaries(fp: FPStrategy) -> list:
+    """0 and every endpoint of the strategy's rows, sorted."""
+    pts = {Fraction(0)}
+    for rs in fp.rows.values():
+        for lo, hi, _ in rs:
+            pts.add(lo)
+            pts.add(hi)
+    return sorted(pts)
+
+
+def _cycle_from_pred(pred: dict, start: str) -> list:
+    seen = {}
+    cur = start
+    order = []
+    while cur not in seen:
+        seen[cur] = len(order)
+        order.append(cur)
+        cur = pred[cur]
+    cycle = order[seen[cur]:]
+    cycle.reverse()
+    return cycle
+
+
+def _nonneg_cycle(nodes: list, edges: list) -> Optional[list]:
+    """Finds a cycle of total weight >= 0 in (nodes, weighted edges), if any.
+
+    Works on negated weights: a >=0 cycle becomes a <=0 one.  Bellman-Ford
+    catches the strictly negative ones; zero cycles survive as cycles made
+    entirely of tight edges of the resulting shortest-path tree.
+    """
+    neg = [(u, v, -w) for (u, v, w) in edges]
+    dist = {n: 0 for n in nodes}
+    pred = {}
+    for _ in range(len(nodes)):
+        changed = False
+        for u, v, w in neg:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                pred[v] = u
+                changed = True
+        if not changed:
+            break
+    for u, v, w in neg:
+        if dist[u] + w < dist[v]:
+            # walk back far enough to be inside the cycle
+            cur = u
+            for _ in range(len(nodes)):
+                cur = pred.get(cur, cur)
+            return _cycle_from_pred(pred, cur)
+    # zero cycles: restrict to tight edges, look for a cycle there
+    tight = {}
+    for u, v, w in neg:
+        if dist[u] + w == dist[v]:
+            tight.setdefault(u, []).append(v)
+    color = {}
+    stack_pred = {}
+
+    def dfs(root):
+        stack = [(root, iter(tight.get(root, ())))]
+        color[root] = 1
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color.get(nxt, 0) == 0:
+                    color[nxt] = 1
+                    stack_pred[nxt] = node
+                    stack.append((nxt, iter(tight.get(nxt, ()))))
+                    advanced = True
+                    break
+                if color.get(nxt) == 1:
+                    cyc = [nxt, node]
+                    cur = node
+                    while cur != nxt:
+                        cur = stack_pred[cur]
+                        cyc.append(cur)
+                    cyc = cyc[1:]
+                    cyc.reverse()
+                    return cyc
+            if not advanced:
+                color[node] = 2
+                stack.pop()
+        return None
+
+    for n in nodes:
+        if color.get(n, 0) == 0:
+            found = dfs(n)
+            if found:
+                return found
+    return None
+
+
+def validate_nc(g: Game, min_fp: FPStrategy) -> list:
+    """Checks Min's strategy leaves no zero-delay cycle of weight >= 0.
+
+    Returns a list of violations (representative valuation, cycle), empty
+    when the certificate holds.  The zero-delay graph of a cell takes Min's
+    chosen transition where it fires immediately and every transition Max
+    could fire at that valuation.
+    """
+    pts = set(boundaries(min_fp)) | {Fraction(0), as_fraction(g.clock_bound)}
+    pts = sorted(pts)
+    reps = []
+    for lo, hi in zip(pts, pts[1:]):
+        reps.append(lo)
+        reps.append((lo + hi) / 2)
+    reps.append(pts[-1])
+    violations = []
+    nodes = [l.name for l in g.nonfinal_locations]
+    for rep in dict.fromkeys(reps):
+        edges = []
+        for l in g.nonfinal_locations:
+            if l.owner == MIN:
+                move = min_fp.move_at(l.name, rep)
+                if move.kind == NOW:
+                    t = g.transitions[move.t_index]
+                    if not g.location(t.target).is_final:
+                        edges.append((l.name, t.target, t.weight))
+            else:
+                for i in g.outgoing(l.name):
+                    t = g.transitions[i]
+                    if t.guard.contains(rep) and not g.location(t.target).is_final:
+                        edges.append((l.name, t.target, t.weight))
+        cyc = _nonneg_cycle(nodes, edges)
+        if cyc is not None:
+            violations.append((rep, cyc))
+    return violations
+
+
+# ---------------------------------------------------------------------------
+# best response against a fixed Max strategy
+
+
+@dataclass(frozen=True)
+class Unresolved:
+    """Returned when an oracle runs out of budget before deciding."""
+
+    reason: str
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def fake_value_upper_bound(
+    g: Game,
+    max_fp: FPStrategy,
+    start: Config,
+    budget: int = 100000,
+):
+    """Cheapest cost Min can force when Max is pinned to max_fp.
+
+    Explores the reachable (location, valuation) graph; Min may fire now or
+    wait to any strategy boundary or guard endpoint.  Configurations already
+    on the stack are skipped, so cyclic gains are not counted; when Min's
+    strategy passes validate_nc no such gain exists and the bound is the
+    exact best response.  Returns Unresolved when the budget runs out.
+    """
+    grid = {as_fraction(g.clock_bound)}
+    grid.update(boundaries(max_fp))
+    for t in g.transitions:
+        grid.add(as_fraction(t.guard.lo))
+        grid.add(as_fraction(t.guard.hi))
+    grid = sorted(grid)
+    memo = {}
+    on_stack = set()
+    spent = [0]
+
+    def best(name: str, nu: Fraction):
+        key = (name, nu)
+        if key in memo:
+            return memo[key]
+        if key in on_stack:
+            return None
+        spent[0] += 1
+        if spent[0] > budget:
+            raise _OutOfBudget
+        loc = g.location(name)
+        if loc.is_final:
+            memo[key] = loc.final_cost(nu)
+            return memo[key]
+        on_stack.add(key)
+        try:
+            if loc.owner == MAX:
+                move = max_fp.move_at(name, nu)
+                t = g.transitions[move.t_index]
+                if move.kind == WAIT_UNTIL:
+                    if loc.urgent or move.target_x < nu:
+                        raise IllegalMove(f"{name}: bad wait in the Max strategy")
+                    fire = move.target_x
+                else:
+                    fire = nu
+                if not t.guard.contains(fire):
+                    raise IllegalMove(
+                        f"{name}: Max strategy fires outside {t.guard.describe()}"
+                    )
+                sub = best(t.target, Fraction(0) if t.reset else fire)
+                if sub is None:
+                    result = INF
+                else:
+                    result = (fire - nu) * loc.rate + t.weight + sub
+            else:
+                targets = [nu] if loc.urgent else [nu] + [p for p in grid if p > nu]
+                result = INF
+                for p in targets:
+                    for i in g.outgoing(name):
+                        t = g.transitions[i]
+                        if not t.guard.contains(p):
+                            continue
+                        sub = best(t.target, Fraction(0) if t.reset else p)
+                        if sub is None:
+                            continue
+                        cand = (p - nu) * loc.rate + t.weight + sub
+                        if cand < result:
+                            result = cand
+        finally:
+            on_stack.discard(key)
+        memo[key] = result
+        return result
+
+    try:
+        out = best(start.location, as_fraction(start.valuation))
+    except _OutOfBudget:
+        return Unresolved(f"exceeded {budget} explored configurations")
+    return INF if out is None else out
+
+
+# ---------------------------------------------------------------------------
+# local optimality of a claimed value function, one valuation at a time
+
+
+def bellman_check(g: Game, vals: dict, nu) -> list:
+    """Names of locations whose claimed continuous values are not locally
+    optimal at nu.
+
+    vals[name] is one CostFunction on [0, bound] per non-final location;
+    final locations are worth their final cost.  Each claim stands for
+    every region of the game, so this is RegionBellmanOracle on values
+    without jumps, and at an open guard end a one-sided limit counts.
+    """
+    regions = regions_of(g)
+    claims = {
+        l.name: CostFunction.from_affine(0, g.clock_bound, l.final_cost) if l.is_final else vals[l.name]
+        for l in g.locations
+    }
+    per_region = {name: (f,) * len(regions) for name, f in claims.items()}
+    return RegionBellmanOracle(g, regions, per_region).check(nu)
+
+
+def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:
+    """Names of locations whose per-region values are not locally optimal at nu.
+
+    Per transition it tries the value and the one-sided limits of the
+    target at every critical point of the guard window from nu on, the best
+    of which RegionBellmanOracle reads from a suffix table.  To check many
+    valuations, build the oracle once and call its check.
+    """
+    return RegionBellmanOracle(g, regions, region_vals).check(nu)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +20,33 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_ptg(*argv):
+    """The CLI in a fresh interpreter, so an uncaught error reaches stderr
+    as a traceback the way it would reach a user."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptgsolve.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _fig1_with(path, raw: str) -> str:
+    """fig1.json as text with the field at path replaced by raw JSON text."""
+    doc = json.loads((FIXTURES / "fig1.json").read_text())
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = "@raw@"
+    return json.dumps(doc).replace('"@raw@"', raw)
 
 
 @pytest.fixture()
@@ -180,6 +210,40 @@ def test_count_flags_reject_negative_values(capsys, argv):
     assert "must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        _fig1_with(("transitions", 0, "weight"), "9" * 5000),
+        _fig1_with(("clock_bound",), "1" + "0" * 4999),
+        "[" * 100000,
+        b"\xff\xfe{}",
+    ],
+    ids=["huge-weight", "huge-clock-bound", "deep-nesting", "not-utf8"],
+)
+def test_solve_unreadable_game_exits_2_without_traceback(tmp_path, text):
+    # each once ended in a traceback: json.loads raised past the handler for
+    # JSONDecodeError, or the file did not decode as UTF-8
+    game = tmp_path / "game.json"
+    if isinstance(text, bytes):
+        game.write_bytes(text)
+    else:
+        game.write_text(text)
+    code, _, err = run_ptg("solve", str(game), "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_solve_rejects_exponent_literal(tmp_path, capsys):
+    # Fraction("1e10000000") alone takes seconds and grows without bound
+    game = tmp_path / "exp.json"
+    game.write_text(_fig1_with(("transitions", 0, "guard", "lo"), '"1e10000000"'))
+    code, _, err = run_cli(capsys, "solve", str(game), "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "not a rational literal: '1e10000000'" in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "no-such-file.json")
     assert code == 2
@@ -302,6 +366,23 @@ def test_verify_rejects_missing_location(fig1_solution, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(FIXTURES / "fig1.json"), str(bad))
     assert code == 5
     assert "FAIL coverage" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"mode": "sptg", "values": {}, "clock_bound": ' + "7" * 5000 + "}",
+        "[" * 100000,
+    ],
+    ids=["huge-clock-bound", "deep-nesting"],
+)
+def test_verify_unreadable_document_exits_2_without_traceback(tmp_path, text):
+    doc = tmp_path / "values.json"
+    doc.write_text(text)
+    code, _, err = run_ptg("verify", str(FIXTURES / "fig1.json"), str(doc))
+    assert code == 2
+    assert "not valid JSON" in err
+    assert "Traceback" not in err
 
 
 def test_verify_garbage_values_file(tmp_path, capsys):
@@ -467,6 +548,20 @@ def test_plot_infinite_markers(tmp_path, capsys):
     assert rows[2] == "1,inf,1.000000000000,inf"
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "nul\0", ".", ".."])
+def test_plot_rejects_location_names_that_are_not_file_names(tmp_path, capsys, name):
+    seg = [{"from": "0", "to": "1", "infinite": "inf"}]
+    # "a" sorts first, so a check made while writing would leave a.csv behind
+    doc = {"clock_bound": 1, "mode": "sptg", "values": {"a": seg, name: seg}}
+    values = tmp_path / "v.json"
+    values.write_text(json.dumps(doc))
+    outdir = tmp_path / "out" / "csv"
+    code, _, err = run_cli(capsys, "plot", str(values), "--csv", str(outdir))
+    assert code == 2
+    assert "not a plain file name" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["v.json"]
+
+
 def test_simulate_l7_reaches_minus_sixteen(fig1_solution, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -560,7 +655,7 @@ def test_simulate_without_strategies(tmp_path, capsys):
 
 
 def test_simulate_bad_start_strings(fig1_solution, capsys):
-    for start in ("l1", "nosuch:0", "l1:2", "l1:x"):
+    for start in ("l1", "nosuch:0", "l1:2", "l1:x", "l1:1e-3", "l1:+inf"):
         code, _, err = run_cli(
             capsys,
             "simulate",

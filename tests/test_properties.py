@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import bellman_check, line_family, region_bellman_check
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, slope_between
 from ptgsolve.model import (
     MAX,
@@ -27,8 +28,8 @@ from ptgsolve.model import (
 )
 from ptgsolve.regions import ResetCycle, build_region_game, check_reset_acyclic, solve_reset_acyclic
 from ptgsolve.solver import EmptyGame, make_urgent, prune_infinite, solve, waiting
-from ptgsolve.strategy import bellman_check, play_out, region_bellman_check
-from ptgsolve.urgent import InstantEvaluator, iteration_bound, line_family, unscale
+from ptgsolve.strategy import play_out
+from ptgsolve.urgent import InstantEvaluator, iteration_bound, unscale
 
 F = Fraction
 

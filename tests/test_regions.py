@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture
+from reference import region_bellman_check
 from test_properties import usable_guarded
 from ptgsolve.cli import SolutionFormatError, _region_values_from_segments, _uniform_infinity
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
@@ -19,7 +20,6 @@ from ptgsolve.regions import (
     solve_reset_acyclic,
 )
 from ptgsolve.solver import solve
-from ptgsolve.strategy import region_bellman_check
 
 F = Fraction
 

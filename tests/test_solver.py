@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture
+from reference import fake_value_upper_bound, validate_nc
 from test_properties import random_sptg
 from ptgsolve.exactmath import Affine, evaluate
 from ptgsolve.model import Config, Guard, Location, Transition, make_game, parse_game
@@ -24,7 +25,7 @@ from ptgsolve.solver import (
     solve,
     waiting,
 )
-from ptgsolve.strategy import fake_value_upper_bound, play_out, validate_nc
+from ptgsolve.strategy import play_out
 from ptgsolve.urgent import InstantEvaluator, possible_cutpoints
 
 F = Fraction

@@ -3,6 +3,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import load_fixture
+from reference import (
+    Unresolved,
+    bellman_check,
+    fake_value_upper_bound,
+    region_bellman_check,
+    validate_nc,
+)
 
 from ptgsolve.exactmath import INF, Affine, CostFunction
 from ptgsolve.model import Config, Guard, Location, Transition, make_game, parse_game, regions_of
@@ -11,13 +18,8 @@ from ptgsolve.strategy import (
     IllegalMove,
     Move,
     SwitchingStrategy,
-    Unresolved,
-    bellman_check,
-    fake_value_upper_bound,
     fp_to_json,
     play_out,
-    region_bellman_check,
-    validate_nc,
 )
 
 F = Fraction

@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptgsolve.exactmath import INF, NEG_INF, Affine, evaluate, pairwise_intersections
+from ptgsolve.exactmath import INF, NEG_INF, Affine, evaluate
 from ptgsolve.model import MAX, Guard, Location, Transition, make_game, parse_game
 from ptgsolve.solver import make_urgent
 from ptgsolve.urgent import (
     InstantEvaluator,
-    NotFinite,
     PreconditionError,
-    extract_untimed_strategies,
     iteration_bound,
-    line_family,
     possible_cutpoints,
-    solve_all_urgent,
     solve_instant,
     unscale,
 )
 
 from conftest import load_fixture
+from reference import (
+    NotFinite,
+    extract_untimed_strategies,
+    line_family,
+    pairwise_intersections,
+    solve_all_urgent,
+)
 
 F = Fraction
 
