@@ -539,7 +539,9 @@ def _move_from_json(obj, transition_count: int) -> Move:
         idx = obj["t_index"]
     except (KeyError, TypeError) as exc:
         raise SolutionFormatError(f"bad move {obj!r}") from exc
-    if not isinstance(idx, int) or not 0 <= idx < transition_count:
+    if isinstance(idx, bool) or not isinstance(idx, int):
+        raise SolutionFormatError(f"move {obj!r}: transition index must be an integer")
+    if not 0 <= idx < transition_count:
         raise SolutionFormatError(f"move {obj!r}: transition index out of range")
     if kind == "now":
         return Move.now(idx)

@@ -245,27 +245,27 @@ def evaluate(f: CostFunction, nu) -> Value:
     return piece
 
 
-def concat(f: CostFunction, f_left: CostFunction) -> CostFunction:
-    """Glue f (right part) onto f_left (left part); domains meet in one point.
+def concat(*parts: CostFunction) -> CostFunction:
+    """Glue cost functions left to right; each starts where the one before ends.
 
-    The argument order follows the sweep's usage: a freshly computed left
-    segment is prepended to the function accumulated so far.
+    Every seam must carry the same value on both sides.  Point parts add
+    nothing beyond their seam, and a single part comes back unchanged.
     """
-    if f.lo != f_left.hi:
-        raise DomainError(
-            f"domains must overlap in exactly one point, got [{f_left.lo},{f_left.hi}] then [{f.lo},{f.hi}]"
-        )
-    if evaluate(f, f.lo) != evaluate(f_left, f_left.hi):
-        raise SeamMismatch(
-            f"seam at {f.lo}: {format_value(evaluate(f_left, f_left.hi))} vs {format_value(evaluate(f, f.lo))}"
-        )
-    if f.is_point:
-        return f_left
-    if f_left.is_point:
-        return f
-    xs = f_left.xs + f.xs[1:]
-    vals = f_left.vals + f.vals[1:]
-    pieces = f_left.pieces + f.pieces
+    for left, right in zip(parts, parts[1:]):
+        if right.lo != left.hi:
+            raise DomainError(
+                f"domains must overlap in exactly one point, got [{left.lo},{left.hi}] then [{right.lo},{right.hi}]"
+            )
+        if right.vals[0] != left.vals[-1]:
+            raise SeamMismatch(
+                f"seam at {right.lo}: {format_value(left.vals[-1])} vs {format_value(right.vals[0])}"
+            )
+    spans = [p for p in parts if not p.is_point] or parts[:1]
+    if len(spans) == 1:
+        return spans[0]
+    xs = spans[0].xs + tuple(x for p in spans[1:] for x in p.xs[1:])
+    vals = spans[0].vals + tuple(v for p in spans[1:] for v in p.vals[1:])
+    pieces = tuple(piece for p in spans for piece in p.pieces)
     return CostFunction(xs, vals, pieces)
 
 

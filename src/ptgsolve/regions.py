@@ -12,8 +12,9 @@ The copies form a directed graph.  As long as no cycle of that graph fires
 a reset, its strongly connected components can be solved one at a time,
 dependencies first: point copies are single-valuation games with no time
 passage, interval copies become unit-interval closed-guard games after an
-affine change of clock variable, and values already computed downstream
-enter as terminal stubs.
+affine change of clock variable, anchored at their upper border by the same
+single-valuation game, and values already computed downstream enter as
+terminal stubs.
 """
 
 from dataclasses import dataclass
@@ -359,71 +360,28 @@ def _entry_value(nodeval: dict, rt: RegionTransition, x):
     return evaluate(tv, Fraction(0) if rt.reset else x)
 
 
-def _solve_point_component(rg, comp, out_edges, nodeval, reg):
-    m = reg.lo
-    base = rg.base
-    if len(comp) == 1 and base.location(comp[0][0]).is_final:
-        phi = base.location(comp[0][0]).final_cost
-        nodeval[comp[0]] = CostFunction.point(m, phi(m))
-        return
-    live = []
-    stuck = set()
-    for node in comp:
-        assert not base.location(node[0]).is_final
-        if out_edges[node]:
-            live.append(node)
-        else:
-            # time stands still inside a point region, so a copy without
-            # edges can never make progress again
-            stuck.add(node)
-            nodeval[node] = INF
-    if not live:
-        return
-    members = set(live)
-    sub = _SubGame()
-    for node in live:
-        loc = base.location(node[0])
-        sub.add(Location(node[0], loc.owner, 0, True, None))
-    for node in live:
-        for j in out_edges[node]:
-            rt = rg.transitions[j]
-            assert rt.guard.contains(m)
-            if rt.target in members:
-                tgt = rt.target[0]
-            elif rt.target in stuck:
-                tgt = sub.trap()
-            else:
-                tgt = sub.value_stub((rt.target, rt.reset), _entry_value(nodeval, rt, m))
-            sub.edge(node[0], tgt, rt.weight)
-    vec = solve_instant(sub.game(), 1)
-    for node in live:
-        v = vec[node[0]]
-        nodeval[node] = v if isinstance(v, float) else CostFunction.point(m, v)
+def _instant(rg, comp, out_edges, nodeval, x) -> dict:
+    """Values of comp's members at the one valuation x, where no time passes.
 
-
-def _border_values(rg, comp, out_edges, nodeval, b) -> dict:
-    """Instant game at an open region's upper border.
-
-    At the border no further time can pass inside the copy, so every
-    member plays urgently; candidates are the interval edges evaluated at
-    the border, the border-only edges, and, where the location may wait,
-    the hop into the region above.
+    Every member plays urgently.  Its moves are the edges whose guard holds
+    x, into another member or into a stub worth the target's value entered
+    at x; where the member may wait, that includes the hop into the region
+    above.  A member without moves is stuck, worth +inf.
     """
     base = rg.base
     members = set(comp)
     sub = _SubGame()
     for node in comp:
-        loc = base.location(node[0])
-        sub.add(Location(node[0], loc.owner, 0, True, None))
+        sub.add(Location(node[0], base.location(node[0]).owner, 0, True, None))
     for node in comp:
         for j in out_edges[node]:
             rt = rg.transitions[j]
-            if not rt.guard.contains(b):
+            if not rt.guard.contains(x):
                 continue
             if rt.target in members:
                 tgt = rt.target[0]
             else:
-                tgt = sub.value_stub((rt.target, rt.reset), _entry_value(nodeval, rt, b))
+                tgt = sub.value_stub((rt.target, rt.reset), _entry_value(nodeval, rt, x))
             sub.edge(node[0], tgt, rt.weight)
     vec = solve_instant(sub.game(), 1)
     return {node: vec[node[0]] for node in comp}
@@ -470,16 +428,12 @@ def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
                     tgt = rt.target[0]
                 else:
                     tgt = sub.gadget(dead[rt.target])
+            elif rt.reset or isinstance(nodeval[rt.target], float):
+                tgt = sub.value_stub((rt.target, rt.reset), _entry_value(nodeval, rt, c))
             else:
                 tv = nodeval[rt.target]
-                if rt.reset:
-                    v0 = tv if isinstance(tv, float) else evaluate(tv, 0)
-                    tgt = sub.value_stub((rt.target, True), v0)
-                elif isinstance(tv, float):
-                    tgt = sub.gadget(tv)
-                else:
-                    vc, vd = evaluate(tv, c), evaluate(tv, d)
-                    tgt = sub.affine_stub((rt.target, False), Affine(vd - vc, vc))
+                vc, vd = evaluate(tv, c), evaluate(tv, d)
+                tgt = sub.affine_stub((rt.target, False), Affine(vd - vc, vc))
             sub.edge(name, tgt, rt.weight)
         if clone is not None:
             if isinstance(clone, float):
@@ -518,23 +472,14 @@ def _combine(parts, reg):
     assert not any(isinstance(p, float) for p in parts), (
         "value switches between finite and infinite inside one region"
     )
-    fn = parts[0]
-    for p in parts[1:]:
-        fn = concat(fn, p)
-    return fn
+    return concat(*reversed(parts))
 
 
 def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
     a, b = reg.lo, reg.hi
-    base = rg.base
-    if len(comp) == 1 and base.location(comp[0][0]).is_final:
-        phi = base.location(comp[0][0]).final_cost
-        nodeval[comp[0]] = CostFunction.from_affine(a, b, phi)
-        return
     members = set(comp)
     interior = {}
     for node in comp:
-        assert not base.location(node[0]).is_final
         full = []
         for j in out_edges[node]:
             rt = rg.transitions[j]
@@ -542,7 +487,7 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
                 assert rt.guard.lo == a and rt.guard.hi == b
                 full.append(rt)
         interior[node] = full
-    anchor = _border_values(rg, comp, out_edges, nodeval, b)
+    anchor = _instant(rg, comp, out_edges, nodeval, b)
     cuts = {a, b}
     for node in comp:
         for rt in interior[node]:
@@ -569,7 +514,8 @@ def _stitch(regs, per) -> tuple:
 
     A reader takes a point segment first at a shared endpoint and the later
     segment otherwise, so a point whose value differs from where the next
-    region starts is kept as a point segment of its own.
+    region starts is kept as a point segment of its own.  Regions are
+    grouped into runs that agree at their seams; each run is one `concat`.
     """
     pcfs = []
     for reg, piece in zip(regs, per):
@@ -579,20 +525,14 @@ def _stitch(regs, per) -> tuple:
             pcfs.append(CostFunction.point(reg.lo, piece))
         else:
             pcfs.append(CostFunction.constant(reg.lo, reg.hi, piece))
-    segs = []
-    cur = None
+    runs = []
     for pcf, nxt in zip(pcfs, pcfs[1:] + [None]):
-        start = evaluate(pcf, pcf.lo)
-        alone = pcf.is_point and nxt is not None and evaluate(nxt, nxt.lo) != start
-        if cur is None:
-            cur = pcf
-        elif evaluate(cur, cur.hi) == start and not alone:
-            cur = concat(pcf, cur)
+        alone = pcf.is_point and nxt is not None and nxt.vals[0] != pcf.vals[0]
+        if runs and runs[-1][-1].vals[-1] == pcf.vals[0] and not alone:
+            runs[-1].append(pcf)
         else:
-            segs.append(cur)
-            cur = pcf
-    segs.append(cur)
-    return tuple(segs)
+            runs.append([pcf])
+    return tuple(concat(*run) for run in runs)
 
 
 def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
@@ -600,8 +540,9 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
 
     Builds the region copy graph, refuses it when a cycle fires a reset,
     then solves the strongly connected components in dependency order:
-    point copies as single-valuation games, interval copies as rescaled
-    unit-interval games whose outside references enter as terminal stubs.
+    final copies by their cost, point copies as single-valuation games
+    (`_instant`), interval copies as rescaled unit-interval games whose
+    outside references enter as terminal stubs.
     `max_steps` caps each inner sweep separately, as in `solve`.
     """
     regs = solving_regions(g)
@@ -613,8 +554,13 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
         ridx = {n[1] for n in comp}
         assert len(ridx) == 1, "a reset-free component never spans regions"
         reg = regs[ridx.pop()]
-        if reg.is_point:
-            _solve_point_component(rg, comp, out_edges, nodeval, reg)
+        loc = g.location(comp[0][0])
+        if loc.is_final:
+            assert len(comp) == 1, "a final location has no moves"
+            nodeval[comp[0]] = CostFunction.from_affine(reg.lo, reg.hi, loc.final_cost)
+        elif reg.is_point:
+            for node, v in _instant(rg, comp, out_edges, nodeval, reg.lo).items():
+                nodeval[node] = v if isinstance(v, float) else CostFunction.point(reg.lo, v)
         else:
             _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps)
     region_values = {}

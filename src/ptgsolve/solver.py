@@ -212,29 +212,14 @@ def prune_infinite(g: Game) -> PruneResult:
     """Splits off the locations whose value is +inf or -inf everywhere.
 
     Whether a location has infinite value does not depend on the clock, so
-    one urgent solve at the right end decides it.  The returned game keeps
+    one urgent solve at the right end decides it.  That solve also strands
+    nothing: a non-final location whose moves all lead to infinite locations,
+    or that has no moves, is itself infinite there.  The returned game keeps
     only the finite part; transition_origin maps its transition indices
     back to the input game.
     """
     vv = InstantEvaluator(make_urgent(g)).value_vector(g.clock_bound)
     infinite = {n: v for n, v in vv.values.items() if isinstance(v, float)}
-    while True:
-        keep = {l.name for l in g.locations if l.name not in infinite}
-        stranded = []
-        for l in g.locations:
-            if l.is_final or l.name in infinite:
-                continue
-            alive = [
-                i
-                for i in g.outgoing(l.name)
-                if g.transitions[i].target in keep
-            ]
-            if not alive:
-                stranded.append(l.name)
-        if not stranded:
-            break
-        for n in stranded:
-            infinite[n] = float("inf")
     locs = tuple(l for l in g.locations if l.name not in infinite)
     origin = tuple(
         i

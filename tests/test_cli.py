@@ -62,6 +62,17 @@ def test_solve_fig1_matches_committed_fixture(fig1_solution):
     assert fig1_solution.read_bytes() == committed
 
 
+def test_solve_guarded_jump_matches_committed_fixture(tmp_path, capsys):
+    # the region pipeline's document: g3 is +inf on [0, 1], keeps a point
+    # segment of its own at 1 and jumps to a finite value after it
+    out = tmp_path / "guarded_jump.values.json"
+    code, _, _ = run_cli(
+        capsys, "solve", str(FIXTURES / "guarded_jump.json"), "--out", str(out)
+    )
+    assert code == 0
+    assert out.read_bytes() == (FIXTURES / "guarded_jump.values.json").read_bytes()
+
+
 def test_solve_default_output_path(tmp_path, capsys):
     game = tmp_path / "copy.json"
     game.write_text((FIXTURES / "fig1.json").read_text())
@@ -652,6 +663,31 @@ def test_simulate_without_strategies(tmp_path, capsys):
     )
     assert code == 2
     assert "no strategies" in err
+
+
+def test_simulate_rejects_boolean_transition_indices(fig1_solution, tmp_path, capsys):
+    # false and true would otherwise stand for transitions 0 and 1
+    doc = json.loads(fig1_solution.read_text())
+
+    def booleans(obj):
+        if isinstance(obj, dict):
+            if obj.get("t_index") in (0, 1):
+                obj["t_index"] = bool(obj["t_index"])
+            for v in obj.values():
+                booleans(v)
+        elif isinstance(obj, list):
+            for v in obj:
+                booleans(v)
+
+    booleans(doc["strategies"])
+    bad = tmp_path / "booleans.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "simulate", str(FIXTURES / "fig1.json"), str(bad), "--from", "l1:1/4"
+    )
+    assert code == 2
+    assert "transition index must be an integer" in err
+    assert "verdict: pass" not in out
 
 
 def test_simulate_bad_start_strings(fig1_solution, capsys):

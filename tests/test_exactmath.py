@@ -73,23 +73,25 @@ def test_evaluate_every_breakpoint_and_midpoint():
 def test_concat_two_segments():
     right = CostFunction.from_points([(F(1, 2), F(1, 2)), (1, 1)])
     left = CostFunction.from_points([(0, F(-1, 2)), (F(1, 2), F(1, 2))])
-    glued = concat(right, left)
+    glued = concat(left, right)
     assert glued.xs == (F(0), F(1, 2), F(1))
     assert evaluate(glued, F(1, 2)) == F(1, 2)
     assert len(glued.pieces) == 2
+    seam = CostFunction.point(F(1, 2), F(1, 2))
+    assert concat(left, seam, right) == concat(concat(left, seam), right) == glued
 
 
 def test_concat_point_domain_is_identity():
     f = CostFunction.from_points([(F(1, 4), 2), (1, 5)])
     point = restrict(f, F(1, 4), F(1, 4))
-    assert concat(f, point) == f
+    assert concat(point, f) == f
 
 
 def test_concat_prepends_fig_segments():
     # the last two pieces of the first location's value function
     right = CostFunction.from_points([(F(9, 10), F(-1, 5)), (1, 0)])
     left = CostFunction.from_points([(F(3, 4), -2), (F(9, 10), F(-1, 5))])
-    glued = concat(right, left)
+    glued = concat(left, right)
     assert glued.xs == (F(3, 4), F(9, 10), F(1))
     assert evaluate(glued, F(9, 10)) == F(-1, 5)
 
@@ -98,20 +100,20 @@ def test_concat_seam_mismatch():
     right = CostFunction.constant(F(1, 2), 1, 3)
     left = CostFunction.constant(0, F(1, 2), 2)
     with pytest.raises(SeamMismatch):
-        concat(right, left)
+        concat(left, right)
 
 
 def test_concat_needs_single_point_overlap():
     right = CostFunction.constant(F(1, 4), 1, 0)
     left = CostFunction.constant(0, F(1, 2), 0)
     with pytest.raises(DomainError):
-        concat(right, left)
+        concat(left, right)
 
 
 def test_concat_agreement_invariant():
     right = CostFunction.from_points([(F(1, 2), 1), (1, 3)])
     left = CostFunction.from_points([(0, 0), (F(1, 2), 1)])
-    glued = concat(right, left)
+    glued = concat(left, right)
     for x in (0, F(1, 4), F(1, 2), F(3, 4), 1):
         want = evaluate(right, x) if x >= F(1, 2) else evaluate(left, x)
         assert evaluate(glued, x) == want

@@ -355,6 +355,30 @@ def test_infinite_values_cover_whole_regions():
     assert evaluate(fm, F(1, 2)) == 2
 
 
+def test_stuck_point_copies_are_worth_plus_infinity():
+    # s has no edges, so its copy in {1} is stuck: no hop leaves the last
+    # region.  m's only edge at 1 leads into that copy.  Validation would
+    # refuse the deadlock, so the game is built without it.
+    locs = (
+        Location("s", "min", 0, False, None),
+        Location("m", "min", 0, False, None),
+        Location("f", "final", 0, False, Affine(0, 0)),
+    )
+    trans = (
+        Transition("m", Guard(F(0), F(1), True, False), False, "f", 3),
+        Transition("m", Guard.point(1), False, "s", 0),
+    )
+    sol = solve_reset_acyclic(make_game(locs, trans, 1))
+    inf = float("inf")
+    assert sol.region_values["s"] == (inf, inf, inf)
+    assert sol.region_values["m"][2] == inf
+    (fs,) = sol.values["s"]
+    assert (fs.lo, fs.hi, fs.vals) == (0, 1, (inf, inf))
+    fm, stuck = sol.values["m"]
+    assert list(zip(fm.xs, fm.vals)) == [(F(0), F(3)), (F(1), F(3))]
+    assert list(zip(stuck.xs, stuck.vals)) == [(F(1), inf)]
+
+
 def test_reset_target_value_feeds_the_upstream_game(reset_chain):
     """The resetting edge pays its weight plus the target's value at zero."""
     sol = solve_reset_acyclic(reset_chain)
