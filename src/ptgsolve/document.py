@@ -1,0 +1,441 @@
+"""The solution document: the JSON `ptg solve` writes and the other
+subcommands read, both directions of it, and the checks of `ptg verify`.
+
+A document holds the clock bound, the mode, the values and, for a solved
+``sptg`` game, both strategies and the sweep's trace.  Values are lists of
+segments per location.  A segment is a maximal continuous piece of the
+value function; two consecutive segments share an endpoint and may
+disagree there, which is how one-sided limits at region borders are
+recorded.  Finite segments carry their breakpoints, an infinite segment
+carries only a sign marker.  Both modes are read per clock region by one
+rule (`region_values`) and checked by one oracle (`RegionBellmanOracle`).
+"""
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+from typing import Optional
+
+from .exactmath import (
+    INF,
+    NEG_INF,
+    CostFunction,
+    DomainError,
+    Value,
+    evaluate,
+    format_value,
+    parse_value,
+    slope_between,
+)
+from .model import Game, Region
+from .regions import solving_regions
+from .solver import Solution, SweepTrace
+from .strategy import WAIT_UNTIL, FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
+
+MODE_SPTG = "sptg"
+MODE_REGIONS = "reset-acyclic"
+
+
+class SolutionFormatError(ValueError):
+    """A values file does not follow the solution JSON shape."""
+
+
+@dataclass(frozen=True)
+class Document:
+    """A read document: its mode, segments per location, and the
+    strategies object as written (None when it carries none)."""
+
+    mode: str
+    values: dict
+    strategies: Optional[dict]
+
+
+def _segment_to_json(seg: CostFunction) -> dict:
+    head = {"from": format_value(seg.lo), "to": format_value(seg.hi)}
+    floats = [v for v in seg.vals if isinstance(v, float)]
+    if floats:
+        sign = floats[0]
+        if not (all(v == sign for v in seg.vals) and all(p == sign for p in seg.pieces)):
+            raise AssertionError("solver segments never mix finite and infinite values")
+        head["infinite"] = "inf" if sign > 0 else "-inf"
+        return head
+    head["points"] = [
+        {"x": format_value(x), "v": format_value(v)} for x, v in zip(seg.xs, seg.vals)
+    ]
+    return head
+
+
+def _values_to_json(values: dict) -> dict:
+    out = {}
+    for name in sorted(values):
+        v = values[name]
+        segs = (v,) if isinstance(v, CostFunction) else tuple(v)
+        out[name] = [_segment_to_json(s) for s in segs]
+    return out
+
+
+def _trace_to_json(trace: SweepTrace) -> dict:
+    windows = []
+    for w in trace.windows:
+        rej = None
+        if w.rejection is not None:
+            rej = {
+                "x": format_value(w.rejection[0]),
+                "locations": list(w.rejection[1]),
+            }
+        windows.append(
+            {
+                "start": format_value(w.start),
+                "slope_breaks": [
+                    {"x": format_value(x), "locations": list(names)}
+                    for x, names in w.slope_breaks
+                ],
+                "rejection": rej,
+            }
+        )
+    return {
+        "boundaries": [format_value(b) for b in trace.boundaries],
+        "windows": windows,
+    }
+
+
+def move_to_json(g: Game, m: Move) -> dict:
+    out = {
+        "type": m.kind,
+        "to": g.transitions[m.t_index].target,
+        "t_index": m.t_index,
+    }
+    if m.kind == WAIT_UNTIL:
+        out["target_x"] = format_value(m.target_x)
+    return out
+
+
+def fp_to_json(g: Game, fp: FPStrategy) -> dict:
+    out = {}
+    for name in sorted(fp.rows):
+        out[name] = {
+            "rows": [
+                {
+                    "interval": [format_value(lo), format_value(hi)],
+                    "move": move_to_json(g, mv),
+                }
+                for lo, hi, mv in fp.rows[name]
+            ],
+            "at_end": move_to_json(g, fp.at_end[name]),
+        }
+    return out
+
+
+def switching_to_json(g: Game, s: SwitchingStrategy) -> dict:
+    return {
+        "sigma1": fp_to_json(g, s.sigma1),
+        "sigma2": {
+            name: move_to_json(g, Move.now(i)) for name, i in sorted(s.sigma2.items())
+        },
+        "threshold": format_value(s.threshold),
+    }
+
+
+def dumps(g: Game, mode: str, values: dict, sol: Optional[Solution] = None) -> str:
+    """The document text of values solved in mode; sol, the `solve` result
+    of an sptg game, adds both strategies and the sweep's trace."""
+    doc = {
+        "clock_bound": int(g.clock_bound),
+        "mode": mode,
+        "values": _values_to_json(values),
+        "strategies": None if sol is None else {
+            "max": fp_to_json(g, sol.max_strategy),
+            "min": switching_to_json(g, sol.min_strategy),
+        },
+        "trace": None if sol is None else _trace_to_json(sol.trace),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _segment_from_json(obj) -> CostFunction:
+    try:
+        lo = parse_value(obj["from"])
+        hi = parse_value(obj["to"])
+        if "infinite" in obj:
+            marker = obj["infinite"]
+            if marker not in ("inf", "-inf"):
+                raise ValueError(f"bad infinity marker {marker!r}")
+            v = INF if marker == "inf" else NEG_INF
+            if lo == hi:
+                return CostFunction.point(lo, v)
+            return CostFunction.constant(lo, hi, v)
+        pts = [(parse_value(p["x"]), parse_value(p["v"])) for p in obj["points"]]
+        if any(isinstance(x, float) or isinstance(v, float) for x, v in pts):
+            raise ValueError("breakpoints of a finite segment must be rational")
+        if not pts or pts[0][0] != lo or pts[-1][0] != hi:
+            raise ValueError("points do not span the declared interval")
+        if len(pts) == 1:
+            return CostFunction.point(pts[0][0], pts[0][1])
+        return CostFunction.from_points(pts)
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
+        raise SolutionFormatError(f"bad value segment {obj!r}: {exc}") from exc
+
+
+def load(path: str) -> Document:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # as in model.parse_game
+        raise SolutionFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SolutionFormatError(f"{path}: top level must be an object")
+    try:
+        mode = doc["mode"]
+        raw_vals = doc["values"]
+    except KeyError as exc:
+        raise SolutionFormatError(f"{path}: missing field {exc}") from exc
+    if mode not in (MODE_SPTG, MODE_REGIONS):
+        raise SolutionFormatError(f"{path}: unknown mode {mode!r}")
+    if not isinstance(raw_vals, dict):
+        raise SolutionFormatError(f"{path}: values must be an object")
+    values = {}
+    for name, arr in raw_vals.items():
+        if not isinstance(arr, list) or not arr:
+            raise SolutionFormatError(f"{path}: {name}: expected a segment list")
+        values[name] = [_segment_from_json(o) for o in arr]
+    return Document(mode, values, doc.get("strategies"))
+
+
+def uniform_infinity(seg: CostFunction) -> Optional[float]:
+    v = seg.vals[0]
+    return v if isinstance(v, float) else None
+
+
+def region_values(regions, segments: list) -> list:
+    """Per-region closure values, rebuilt from stitched segments.
+
+    Open regions take the first segment that spans their closure; its
+    values at the borders are the one-sided limits because segments end
+    exactly where the function jumps.  Point regions take the attained
+    value: of the segments covering the point, the last point segment, or
+    else the last one.  Both lists are walked once, in ascending order, so
+    the segments must be contiguous, each starting where the previous one
+    ends, as `_check_coverage` ensures.
+    """
+    out = []
+    k, m = 0, len(segments)
+    for reg in regions:
+        # segments ending below the region cover neither it nor any later one
+        end = reg.lo if reg.is_point else reg.hi
+        while k < m and segments[k].hi < end:
+            k += 1
+        if reg.is_point:
+            # from k on, every segment starting at or below the point covers it
+            j = k
+            while j < m and segments[j].lo <= reg.lo:
+                j += 1
+            cover = segments[k:j]
+            if not cover:
+                raise SolutionFormatError(f"no segment covers {format_value(reg.lo)}")
+            points = [s for s in cover if s.is_point]
+            seg = points[-1] if points else cover[-1]
+            inf_v = uniform_infinity(seg)
+            out.append(inf_v if inf_v is not None else CostFunction.point(
+                reg.lo, evaluate(seg, reg.lo)
+            ))
+            continue
+        seg = segments[k] if k < m else None
+        if seg is None or seg.lo > reg.lo:
+            raise SolutionFormatError(
+                f"no segment spans ({format_value(reg.lo)}, {format_value(reg.hi)})"
+            )
+        inf_v = uniform_infinity(seg)
+        out.append(inf_v if inf_v is not None else seg)
+    return out
+
+
+def value_at(g: Game, doc: Document, name: str, x) -> Value:
+    """The value doc gives location name at clock x, read by `region_values`."""
+    # the reader walks contiguous segments; judging jumps is verify's work
+    witness = _check_coverage(g, doc.values, None)
+    if witness:
+        raise SolutionFormatError(witness)
+    (v,) = region_values((Region(x, x),), doc.values[name])
+    return v if isinstance(v, float) else evaluate(v, x)
+
+
+def _move_from_json(obj, transition_count: int) -> Move:
+    try:
+        kind = obj["type"]
+        idx = obj["t_index"]
+    except (KeyError, TypeError) as exc:
+        raise SolutionFormatError(f"bad move {obj!r}") from exc
+    if isinstance(idx, bool) or not isinstance(idx, int):
+        raise SolutionFormatError(f"move {obj!r}: transition index must be an integer")
+    if not 0 <= idx < transition_count:
+        raise SolutionFormatError(f"move {obj!r}: transition index out of range")
+    if kind == "now":
+        return Move.now(idx)
+    if kind == "wait_until":
+        target = parse_value(obj["target_x"])
+        return Move.wait_until(target, idx)
+    raise SolutionFormatError(f"move {obj!r}: unknown type")
+
+
+def _fp_from_json(doc, transition_count: int) -> FPStrategy:
+    rows = {}
+    at_end = {}
+    try:
+        for name, entry in doc.items():
+            rows[name] = [
+                (
+                    parse_value(r["interval"][0]),
+                    parse_value(r["interval"][1]),
+                    _move_from_json(r["move"], transition_count),
+                )
+                for r in entry["rows"]
+            ]
+            at_end[name] = _move_from_json(entry["at_end"], transition_count)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SolutionFormatError(f"bad positional strategy: {exc}") from exc
+    return FPStrategy(rows, at_end)
+
+
+def _switching_from_json(doc, transition_count: int) -> SwitchingStrategy:
+    try:
+        sigma1 = _fp_from_json(doc["sigma1"], transition_count)
+        sigma2 = {
+            name: _move_from_json(mv, transition_count).t_index
+            for name, mv in doc["sigma2"].items()
+        }
+        threshold = parse_value(doc["threshold"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SolutionFormatError(f"bad switching strategy: {exc}") from exc
+    if isinstance(threshold, float):
+        raise SolutionFormatError("switching threshold must be rational")
+    return SwitchingStrategy(sigma1, sigma2, threshold)
+
+
+def read_strategies(g: Game, doc: Document) -> tuple:
+    """Max's positional and Min's switching strategy, as written for g."""
+    if doc.strategies is None:
+        raise SolutionFormatError("solution carries no strategies to simulate")
+    n = len(g.transitions)
+    try:
+        return _fp_from_json(doc.strategies["max"], n), _switching_from_json(doc.strategies["min"], n)
+    except (KeyError, TypeError) as exc:
+        raise SolutionFormatError(f"bad strategies object: {exc}") from exc
+
+
+def _slope_cap(g: Game) -> Fraction:
+    cap = g.max_rate()
+    for l in g.final_locations:
+        cap = max(cap, abs(l.final_cost.slope))
+    return cap
+
+
+def _check_coverage(g: Game, values: dict, borders: Optional[set]) -> Optional[str]:
+    """Witness that the document does not give each location of the game
+    contiguous segments over [0, bound], or that one jumps off the borders;
+    with borders None, jumps are not checked."""
+    bound = g.clock_bound
+    names = {l.name for l in g.locations}
+    if set(values) != names:
+        extra = sorted(set(values) - names)
+        missing = sorted(names - set(values))
+        return f"coverage: location sets differ (extra {extra}, missing {missing})"
+    for name in sorted(values):
+        segs = values[name]
+        if segs[0].lo != 0 or segs[-1].hi != bound:
+            return f"coverage: {name} does not span [0, {format_value(bound)}]"
+        for a, b in zip(segs, segs[1:]):
+            if b.lo != a.hi:
+                return (
+                    f"coverage: {name} has a gap at "
+                    f"{format_value(a.hi)}..{format_value(b.lo)}"
+                )
+            if borders is not None and a.hi not in borders and evaluate(a, a.hi) != evaluate(b, b.lo):
+                return f"continuity: {name} jumps inside a region at {format_value(a.hi)}"
+    return None
+
+
+def _check_finals(g: Game, values: dict) -> Optional[str]:
+    for l in g.final_locations:
+        for seg in values[l.name]:
+            if uniform_infinity(seg) is not None:
+                return f"finals: {l.name} marked infinite"
+            for x in seg.xs:
+                if evaluate(seg, x) != l.final_cost(x):
+                    return f"finals: {l.name} differs from its final cost at {format_value(x)}"
+    return None
+
+
+def _check_lipschitz(values: dict, cap: Fraction) -> Optional[str]:
+    for name in sorted(values):
+        for seg in values[name]:
+            if uniform_infinity(seg) is not None or seg.is_point:
+                continue
+            for a, b in zip(seg.xs, seg.xs[1:]):
+                slope = slope_between(seg, a, b)
+                if abs(slope) > cap:
+                    return (
+                        f"lipschitz: {name} has slope {format_value(slope)} on "
+                        f"[{format_value(a)}, {format_value(b)}], cap {format_value(cap)}"
+                    )
+    return None
+
+
+def _sample_points(g: Game, values: dict, grid: int, borders: set) -> list:
+    pts = {Fraction(0), Fraction(g.clock_bound)}
+    pts.update(borders)
+    for segs in values.values():
+        for seg in segs:
+            pts.update(seg.xs)
+    ordered = sorted(pts)
+    pts.update((a + b) / 2 for a, b in zip(ordered, ordered[1:]))
+    bound = Fraction(g.clock_bound)
+    for k in range(1, grid + 1):
+        pts.add(k * bound / (grid + 1))
+    return sorted(pts)
+
+
+def _check_bellman(g: Game, regions, values: dict, pts: list) -> Optional[str]:
+    region_vals = {name: region_values(regions, segs) for name, segs in values.items()}
+    check = RegionBellmanOracle(g, regions, region_vals).check
+    for nu in pts:
+        bad = check(nu)
+        if bad:
+            return f"bellman: {bad[0]} not locally optimal at {format_value(nu)}"
+    return None
+
+
+def _checks(g: Game, doc: Document, grid: int, regions, borders: set):
+    """(witness or None, what passed) per check, each run only once the
+    ones before it have passed."""
+    yield _check_coverage(g, doc.values, borders), "coverage ok"
+    yield _check_finals(g, doc.values), "finals ok"
+    cap = _slope_cap(g)
+    yield _check_lipschitz(doc.values, cap), f"lipschitz ok (cap {format_value(cap)})"
+    pts = _sample_points(g, doc.values, grid, borders)
+    yield _check_bellman(g, regions, doc.values, pts), f"bellman ok ({len(pts)} points)"
+
+
+def verify(g: Game, doc: Document, grid: int) -> tuple:
+    """The report lines of checking doc against g, and the first failure's
+    witness (None when every check passes).
+
+    Both modes are read per region of `solving_regions`; an sptg document
+    must have one segment per location, a reset-acyclic one may jump at
+    region borders.  The Bellman check samples every border, breakpoint
+    and midpoint between them, plus grid evenly spaced points.
+    """
+    regions = solving_regions(g)
+    lines = []
+    if doc.mode == MODE_REGIONS:
+        borders = {reg.lo for reg in regions if reg.is_point}
+        lines.append(f"regions: {len(regions)}")
+    else:
+        borders = set()
+        bad = sorted(n for n, segs in doc.values.items() if len(segs) != 1)
+        if bad:
+            return lines, f"coverage: {bad[0]} split into segments in {MODE_SPTG} mode"
+    for witness, passed in _checks(g, doc, grid, regions, borders):
+        if witness:
+            return lines, witness
+        lines.append(f"check: {passed}")
+    return lines, None

@@ -122,7 +122,8 @@ def build_region_game(g: Game, regions=None) -> RegionGame:
     border needs time to pass.
     """
     regs = tuple(regions) if regions is not None else tuple(regions_of(g))
-    assert regs and regs[0] == Region(0, 0), "regions must start at the zero point"
+    if not regs or regs[0] != Region(0, 0):
+        raise AssertionError("regions must start at the zero point")
     nodes = tuple((l.name, i) for l in g.locations for i in range(len(regs)))
     edges = []
     for ti, t in enumerate(g.transitions):
@@ -264,7 +265,8 @@ def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
         if t.reset and comp_of[t.source] == comp_of[t.target]:
             raise ResetCycle(_witness(rg, comps[comp_of[t.source]], t))
     for t in rg.transitions:
-        assert comp_of[t.target] <= comp_of[t.source]
+        if comp_of[t.target] > comp_of[t.source]:
+            raise AssertionError(f"{t.source} -> {t.target}: components out of dependency order")
     resets = tuple(i for i, t in enumerate(rg.transitions) if t.reset)
     return ResetDAG(rg, tuple(comps), comp_of, resets)
 
@@ -465,13 +467,13 @@ def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
 def _combine(parts, reg):
     """Join the right-to-left window results of one region closure."""
     if all(isinstance(p, float) for p in parts):
-        assert len(set(parts)) == 1, (
-            f"infinite value must cover all of ({format_value(reg.lo)},{format_value(reg.hi)})"
-        )
+        if len(set(parts)) != 1:
+            raise AssertionError(
+                f"infinite value must cover all of ({format_value(reg.lo)},{format_value(reg.hi)})"
+            )
         return parts[0]
-    assert not any(isinstance(p, float) for p in parts), (
-        "value switches between finite and infinite inside one region"
-    )
+    if any(isinstance(p, float) for p in parts):
+        raise AssertionError("value switches between finite and infinite inside one region")
     return concat(*reversed(parts))
 
 
@@ -484,7 +486,8 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
         for j in out_edges[node]:
             rt = rg.transitions[j]
             if rt.guard.lo != rt.guard.hi:
-                assert rt.guard.lo == a and rt.guard.hi == b
+                if rt.guard.lo != a or rt.guard.hi != b:
+                    raise AssertionError(f"{rt.source}: interior guard must span the region")
                 full.append(rt)
         interior[node] = full
     anchor = _instant(rg, comp, out_edges, nodeval, b)
@@ -552,11 +555,13 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
     nodeval = {}
     for comp in dag.components:
         ridx = {n[1] for n in comp}
-        assert len(ridx) == 1, "a reset-free component never spans regions"
+        if len(ridx) != 1:
+            raise AssertionError("a reset-free component never spans regions")
         reg = regs[ridx.pop()]
         loc = g.location(comp[0][0])
         if loc.is_final:
-            assert len(comp) == 1, "a final location has no moves"
+            if len(comp) != 1:
+                raise AssertionError("a final location has no moves")
             nodeval[comp[0]] = CostFunction.from_affine(reg.lo, reg.hi, loc.final_cost)
         elif reg.is_point:
             for node, v in _instant(rg, comp, out_edges, nodeval, reg.lo).items():

@@ -72,11 +72,12 @@ class BudgetExceeded(RuntimeError):
 
 
 class EmptyGame(ValueError):
-    """Pruning removed every non-final location."""
+    """Pruning removed every non-final location; values are still given."""
 
-    def __init__(self, infinite: dict):
+    def __init__(self, infinite: dict, values: dict):
         super().__init__("every non-final location has infinite value")
         self.infinite = infinite
+        self.values = values
 
 
 @dataclass
@@ -244,7 +245,7 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     pr = prune_infinite(g)
     core = pr.game
     if not core.nonfinal_locations:
-        raise EmptyGame(pr.infinite)
+        raise EmptyGame(pr.infinite, _values(g, pr, {}))
     budget = default_max_steps(core) if max_steps is None else max_steps
     spent = 0
 
@@ -332,18 +333,8 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
         n: CostFunction.from_points([(x, Fraction(v, d)) for x, v, d in reversed(pts)])
         for n, pts in zip(names, points)
     }
-    fns = {
-        l.name: CostFunction.from_affine(0, 1, l.final_cost)
-        if l.is_final
-        else finite[l.name]
-        for l in core.locations
-    }
-    values = {
-        l.name: CostFunction.constant(0, 1, pr.infinite[l.name])
-        if l.name in pr.infinite
-        else fns[l.name]
-        for l in g.locations
-    }
+    values = _values(g, pr, finite)
+    fns = {l.name: values[l.name] for l in core.locations}
 
     max_fp, min_fp = _synthesize(ev, core, fns, end, pr.transition_origin)
     sigma2 = {
@@ -356,6 +347,17 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     threshold = lowest - reach - core.max_rate()
     minstrat = SwitchingStrategy(min_fp, sigma2, as_fraction(threshold))
     return Solution(g, values, max_fp, minstrat, trace, pr.infinite)
+
+
+def _values(g: Game, pr: PruneResult, finite: dict) -> dict:
+    """The value functions of g by name: the pruned locations' infinite
+    constants, the final lines, and the sweep's finite functions."""
+    return {
+        l.name: CostFunction.constant(0, 1, pr.infinite[l.name]) if l.name in pr.infinite
+        else CostFunction.from_affine(0, 1, l.final_cost) if l.is_final
+        else finite[l.name]
+        for l in g.locations
+    }
 
 
 def _anchor(names: list, vals: list, denom: int) -> dict:

@@ -314,43 +314,3 @@ class RegionBellmanOracle:
                 bad.append(l.name)
         return bad
 
-
-# ---------------------------------------------------------------------------
-# JSON shapes shared by the CLI and the tests
-
-
-def move_to_json(g: Game, m: Move) -> dict:
-    out = {
-        "type": m.kind,
-        "to": g.transitions[m.t_index].target,
-        "t_index": m.t_index,
-    }
-    if m.kind == WAIT_UNTIL:
-        out["target_x"] = format_value(m.target_x)
-    return out
-
-
-def fp_to_json(g: Game, fp: FPStrategy) -> dict:
-    out = {}
-    for name in sorted(fp.rows):
-        out[name] = {
-            "rows": [
-                {
-                    "interval": [format_value(lo), format_value(hi)],
-                    "move": move_to_json(g, mv),
-                }
-                for lo, hi, mv in fp.rows[name]
-            ],
-            "at_end": move_to_json(g, fp.at_end[name]),
-        }
-    return out
-
-
-def switching_to_json(g: Game, s: SwitchingStrategy) -> dict:
-    return {
-        "sigma1": fp_to_json(g, s.sigma1),
-        "sigma2": {
-            name: move_to_json(g, Move.now(i)) for name, i in sorted(s.sigma2.items())
-        },
-        "threshold": format_value(s.threshold),
-    }

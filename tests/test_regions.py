@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from conftest import load_fixture
 from reference import region_bellman_check
 from test_properties import usable_guarded
-from ptgsolve.cli import SolutionFormatError, _region_values_from_segments, _uniform_infinity
+from ptgsolve.document import SolutionFormatError, region_values, uniform_infinity
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
-from ptgsolve.model import Guard, Location, Region, Transition, make_game, parse_game
+from ptgsolve.model import MAX, MIN, Guard, Location, Region, Transition, make_game, parse_game
 from ptgsolve.regions import (
     RegionGame,
     ResetCycle,
@@ -19,7 +19,7 @@ from ptgsolve.regions import (
     check_reset_acyclic,
     solve_reset_acyclic,
 )
-from ptgsolve.solver import solve
+from ptgsolve.solver import EmptyGame, solve
 
 F = Fraction
 
@@ -187,7 +187,7 @@ def test_point_value_equal_to_its_left_limit_keeps_its_own_segment():
     assert [evaluate(per[1], F(1)), evaluate(per[2], F(1)), evaluate(per[3], F(1))] == [0, 0, -10]
     segs = sol.values["m"]
     assert [(s.lo, s.hi) for s in segs] == [(0, 1), (1, 1), (1, 2)]
-    back = _region_values_from_segments(sol.regions, segs)
+    back = region_values(sol.regions, segs)
     assert evaluate(back[2], F(1)) == 0
     read = {**sol.region_values, "m": back}
     assert region_bellman_check(sol.game, sol.regions, read, F(1)) == []
@@ -206,7 +206,7 @@ def test_stitched_segments_read_back_the_region_values(seed):
     assume(g is not None)
     sol = solve_reset_acyclic(g)
     for l in g.locations:
-        back = _region_values_from_segments(sol.regions, sol.values[l.name])
+        back = region_values(sol.regions, sol.values[l.name])
         for reg, want, got in zip(sol.regions, sol.region_values[l.name], back):
             xs = {reg.lo, reg.hi} | set(() if isinstance(want, float) else want.xs)
             for x in sorted(xs):
@@ -223,7 +223,7 @@ def reference_region_values_from_segments(regions, segments: list) -> list:
                 raise SolutionFormatError(f"no segment covers {format_value(reg.lo)}")
             points = [s for s in cover if s.is_point]
             seg = points[-1] if points else cover[-1]
-            inf_v = _uniform_infinity(seg)
+            inf_v = uniform_infinity(seg)
             out.append(inf_v if inf_v is not None else CostFunction.point(
                 reg.lo, evaluate(seg, reg.lo)
             ))
@@ -233,7 +233,7 @@ def reference_region_values_from_segments(regions, segments: list) -> list:
             raise SolutionFormatError(
                 f"no segment spans ({format_value(reg.lo)}, {format_value(reg.hi)})"
             )
-        inf_v = _uniform_infinity(cover[0])
+        inf_v = uniform_infinity(cover[0])
         out.append(inf_v if inf_v is not None else cover[0])
     return out
 
@@ -284,7 +284,7 @@ def _reader_outcome(read, regions, segs):
 def test_document_reader_matches_the_regions_by_segments_scan(doc):
     regions, segs = doc
     want = _reader_outcome(reference_region_values_from_segments, regions, segs)
-    assert _reader_outcome(_region_values_from_segments, regions, segs) == want
+    assert _reader_outcome(region_values, regions, segs) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,7 +296,7 @@ def test_document_reader_matches_the_scan_on_solved_documents(seed):
     for l in g.locations:
         segs = sol.values[l.name]
         want = reference_region_values_from_segments(sol.regions, segs)
-        assert _region_values_from_segments(sol.regions, segs) == want
+        assert region_values(sol.regions, segs) == want
 
 
 class _CountingSegments(list):
@@ -329,7 +329,7 @@ def test_document_reader_visits_each_segment_a_few_times():
             segs.append(CostFunction.point(a, F(a)))
         segs.append(CostFunction.from_points([(F(a), F(a)), (F(a + 1), F(-a))]))
     want = reference_region_values_from_segments(regions, list(segs))
-    assert _region_values_from_segments(regions, segs) == want
+    assert region_values(regions, segs) == want
     assert segs.visits <= 3 * (len(regions) + len(segs))
 
 
@@ -453,3 +453,57 @@ def test_edge_collapsed_to_the_upper_border_lands_in_the_border_point():
         region_bellman_check(g, sol.regions, sol.region_values, x) == []
         for x in (F(0), F(1, 2), F(1), F(2), F(3))
     )
+
+
+SCALE = 8
+
+
+@st.composite
+def scaled_split_twins(draw):
+    """A simple game with 4-8 locations, rates and weights in [-8, 8], and
+    its twin with time scaled by 8: clock bound 8, weights and final
+    intercepts times 8, rates and final slopes kept, and each guard, now
+    [0, 8], split at a drawn integer k into [0, k] and [k, 8]."""
+    n = draw(st.integers(4, 8))
+    names = [f"q{i}" for i in range(n)]
+    finals = sorted(draw(st.sets(st.sampled_from(names), min_size=1, max_size=max(1, n // 3))))
+    small = st.integers(-8, 8)
+    locs, twin_locs, trans, twin_trans = [], [], [], []
+    for m in names:
+        if m in finals:
+            slope, c = draw(small), draw(small)
+            locs.append(Location(m, "final", 0, False, Affine(slope, c)))
+            twin_locs.append(Location(m, "final", 0, False, Affine(slope, SCALE * c)))
+            continue
+        urgent = draw(st.integers(0, 3)) == 0
+        locs.append(Location(m, draw(st.sampled_from((MIN, MAX))), draw(small), urgent, None))
+        twin_locs.append(locs[-1])
+        for _ in range(draw(st.integers(1, 3))):
+            # finals are listed twice: a pull toward them keeps most games finite
+            target, w = draw(st.sampled_from(finals + names)), draw(small)
+            k = draw(st.integers(0, SCALE))
+            trans.append(Transition(m, Guard.closed(0, 1), False, target, w))
+            for lo, hi in ((0, k), (k, SCALE)):
+                twin_trans.append(Transition(m, Guard.closed(lo, hi), False, target, SCALE * w))
+    return make_game(locs, trans, 1), make_game(twin_locs, twin_trans, SCALE)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scaled_split_twins())
+def test_scaled_split_twin_has_scaled_values(pair):
+    """The value is a property of the game, not of its time unit or of how
+    its guards are split, so the region pipeline's values of the twin are 8
+    times the sweep's values of the original, read by the document reader's
+    rule at 25 points per location; an empty game's infinities included."""
+    g, twin = pair
+    try:
+        direct = solve(g).values
+    except EmptyGame as exc:
+        direct = exc.values
+    scaled = solve_reset_acyclic(twin).values
+    for name, f in direct.items():
+        for j in range(25):
+            x = F(j, 24)
+            (v,) = region_values((Region(SCALE * x, SCALE * x),), list(scaled[name]))
+            got = v if isinstance(v, float) else evaluate(v, SCALE * x)
+            assert got == SCALE * evaluate(f, x), (name, x)

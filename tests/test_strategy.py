@@ -11,6 +11,7 @@ from reference import (
     validate_nc,
 )
 
+from ptgsolve.document import fp_to_json
 from ptgsolve.exactmath import INF, Affine, CostFunction
 from ptgsolve.model import Config, Guard, Location, Transition, make_game, parse_game, regions_of
 from ptgsolve.strategy import (
@@ -18,7 +19,6 @@ from ptgsolve.strategy import (
     IllegalMove,
     Move,
     SwitchingStrategy,
-    fp_to_json,
     play_out,
 )
 
