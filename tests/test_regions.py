@@ -1,5 +1,6 @@
 """Region construction and the reset-acyclic solving pipeline."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,17 @@ from reference import region_bellman_check
 from test_properties import usable_guarded
 from ptgsolve.document import SolutionFormatError, region_values, uniform_infinity
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
-from ptgsolve.model import MAX, MIN, Guard, Location, Region, Transition, make_game, parse_game
+from ptgsolve.model import (
+    MAX,
+    MIN,
+    Guard,
+    Location,
+    Region,
+    Transition,
+    make_game,
+    parse_game,
+    regions_of,
+)
 from ptgsolve.regions import (
     RegionGame,
     ResetCycle,
@@ -507,3 +518,72 @@ def test_scaled_split_twin_has_scaled_values(pair):
             (v,) = region_values((Region(SCALE * x, SCALE * x),), list(scaled[name]))
             got = v if isinstance(v, float) else evaluate(v, SCALE * x)
             assert got == SCALE * evaluate(f, x), (name, x)
+
+
+# ---------------------------------------------------------------------------
+# Border-seeing metamorphic relations: rewritings that leave the game's
+# values as they are but move the region borders or the edges at them.
+
+
+def assert_same_values(g, twin):
+    """Both games' stitched values, read per region of the twin by the
+    document reader's rule, agree at every point region and at both ends
+    and the midpoint of every open region."""
+    regs = regions_of(twin)
+    want, got = solve_reset_acyclic(g).values, solve_reset_acyclic(twin).values
+    for name in want:
+        pairs = zip(regs, region_values(regs, list(want[name])), region_values(regs, list(got[name])))
+        for reg, u, v in pairs:
+            xs = [reg.lo] if reg.is_point else [reg.lo, (reg.lo + reg.hi) / 2, reg.hi]
+            for x in xs:
+                assert _value(v, x) == _value(u, x), (name, reg.describe(), x)
+
+
+@st.composite
+def split_guard_twins(draw):
+    """A usable guarded game and its twin with one guard [a, b] split at an
+    interior rational k into [a, k] and [k, b], or into [a, k) and [k, b]."""
+    g = usable_guarded(draw(st.integers(0, 10**6)))
+    assume(g is not None)
+    wide = [i for i, t in enumerate(g.transitions) if t.guard.lo < t.guard.hi]
+    assume(wide)
+    i = draw(st.sampled_from(wide))
+    t, gd = g.transitions[i], g.transitions[i].guard
+    den = draw(st.integers(2, 7))
+    k = gd.lo + (gd.hi - gd.lo) * F(draw(st.integers(1, den - 1)), den)
+    parts = (
+        dataclasses.replace(t, guard=dataclasses.replace(gd, hi=k, hi_closed=draw(st.booleans()))),
+        dataclasses.replace(t, guard=dataclasses.replace(gd, lo=k, lo_closed=True)),
+    )
+    trans = g.transitions[:i] + parts + g.transitions[i + 1 :]
+    return g, make_game(g.locations, trans, g.clock_bound)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(split_guard_twins())
+def test_splitting_a_guard_keeps_the_values(pair):
+    """The split edges fire at exactly the valuations the one edge did, so
+    the game and its values are unchanged; only the twin has a region
+    border at k, and values must agree on both sides of it and at it."""
+    assert_same_values(*pair)
+
+
+@st.composite
+def dominated_edge_twins(draw):
+    """A usable guarded game and its twin with one edge copied at a weight
+    its owner never prefers: larger for Min, smaller for Max."""
+    g = usable_guarded(draw(st.integers(0, 10**6)))
+    assume(g is not None)
+    t = draw(st.sampled_from(g.transitions))
+    d = draw(st.integers(1, 4))
+    w = t.weight - d if g.location(t.source).owner == MAX else t.weight + d
+    trans = g.transitions + (dataclasses.replace(t, weight=w),)
+    return g, make_game(g.locations, trans, g.clock_bound)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(dominated_edge_twins())
+def test_a_dominated_parallel_edge_keeps_the_values(pair):
+    """An edge whose owner always does at least as well on its twin with
+    the same guard, reset and target changes no value."""
+    assert_same_values(*pair)
