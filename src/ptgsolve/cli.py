@@ -414,10 +414,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report = _command(args.command)(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (GameSyntaxError, ValidationError, SolutionFormatError, NonSPTG) as exc:
+    except (OSError, GameSyntaxError, ValidationError, SolutionFormatError, NonSPTG) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResetCycle as exc:

@@ -14,7 +14,7 @@ dependencies first: point copies are single-valuation games with no time
 passage, interval copies become unit-interval closed-guard games after an
 affine change of clock variable, anchored at their upper border by the same
 single-valuation game, and values already computed downstream enter as
-terminal stubs.
+terminal stubs.  Each window runs `solver.sweep`, for its values only.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ from .model import (
     make_game,
     regions_of,
 )
-from .solver import EmptyGame, solve
+from .solver import sweep
 from .urgent import solve_instant
 
 _FULL = Guard.closed(0, 1)
@@ -316,10 +316,9 @@ class _SubGame:
         self.transitions.append(Transition(src, _FULL, False, tgt, weight))
 
     def trap(self) -> str:
-        """A location worth plus infinity: its self loop never reaches a final."""
+        """A location worth plus infinity: without a move it never reaches a final."""
         if not self._trap:
             self.add(Location("@trap", MAX, 0, True, None))
-            self.edge("@trap", "@trap", 0)
             self._trap = True
         return "@trap"
 
@@ -447,18 +446,13 @@ def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
     out = dict(dead)
     if not live:
         return out
-    try:
-        sol = solve(sub.game(), max_steps=max_steps)
-    except EmptyGame as e:
-        for node, _ in live:
-            out[node] = e.infinite[node[0]]
-        return out
+    sw = sweep(sub.game(), max_steps)
     for node, _ in live:
         name = node[0]
-        if name in sol.infinite:
-            out[node] = sol.infinite[name]
+        if name in sw.infinite:
+            out[node] = sw.infinite[name]
         else:
-            f = sol.values[name]
+            f = sw.finite[name]
             pts = [(c + x * length, v) for x, v in zip(f.xs, f.vals)]
             out[node] = CostFunction.from_points(pts)
     return out
@@ -545,8 +539,8 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
     then solves the strongly connected components in dependency order:
     final copies by their cost, point copies as single-valuation games
     (`_instant`), interval copies as rescaled unit-interval games whose
-    outside references enter as terminal stubs.
-    `max_steps` caps each inner sweep separately, as in `solve`.
+    outside references enter as terminal stubs.  Each window runs `sweep`,
+    which builds no strategies; `max_steps` caps each one separately.
     """
     regs = solving_regions(g)
     rg = build_region_game(g, regs)

@@ -9,6 +9,12 @@ how far the anchored picture stays truthful; where it breaks, the sweep
 restarts from the last confirmed point.  Each confirmed segment is exact,
 so the assembled functions are the values of the game.
 
+Two parts: `sweep` prunes the infinite locations and runs the windows, for
+the values and the trace; `solve` adds `_synthesize`, which reads both
+players' strategies off the values and checks them against each cell's
+anchored solve, and Min's switching strategy.  The region pipeline's
+windows need values only and call `sweep`.
+
 Every window, and every cell of the strategy synthesis after the sweep,
 plays the same urgent game; only the clones' final lines (-rate, r*rate + v)
 differ.  So one `WindowEvaluator` is built per solve, from the waiting game
@@ -101,6 +107,25 @@ class SweepTrace:
 
 
 @dataclass
+class Sweep:
+    """What `sweep` finds.  `infinite` and `finite` cover every non-final
+    location, by sign or by value function.  `solve` goes on from the window
+    `evaluator` and `end`, the values and ranks by name and the denominator
+    of the urgent solve at 1; both are None when no non-final location is
+    left after pruning."""
+
+    pruned: PruneResult
+    finite: dict
+    trace: SweepTrace
+    evaluator: Optional["WindowEvaluator"] = None
+    end: Optional[tuple] = None
+
+    @property
+    def infinite(self) -> dict:
+        return self.pruned.infinite
+
+
+@dataclass
 class Solution:
     game: Game
     values: dict
@@ -170,8 +195,8 @@ class WindowEvaluator(InstantEvaluator):
     moves.  `reanchor` therefore computes just the clone lines, puts every
     line on the new least common scale and re-derives pf, the -inf cutoff
     and the round bound, so the evaluator then behaves exactly like a fresh
-    InstantEvaluator of the waiting game at (r, anchor).  Its finals are
-    held core finals first, clones after, which changes no run.
+    InstantEvaluator of the waiting game at (r, anchor); built, it is one at
+    (1, anchor).  Re-anchors hold core finals first, which changes no run.
     """
 
     def __init__(self, core: Game, anchor: dict):
@@ -190,7 +215,6 @@ class WindowEvaluator(InstantEvaluator):
         self._base = math.lcm(scale, *(rate.denominator for _, rate in self.waits))
         k = self._base // scale
         self._core_lines = [(s * k, c * k) for s, c in lines]
-        self.reanchor(1, anchor)
 
     def reanchor(self, r, anchor: dict) -> None:
         """Moves the window to [0, r], each clone banking anchor[name] at r."""
@@ -238,19 +262,20 @@ def default_max_steps(g: Game) -> int:
     return 4 * len(g.locations) * iteration_bound(g)
 
 
-def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
-    """Values and optimal strategies of a simple game on [0, 1]."""
+def sweep(g: Game, max_steps: Optional[int] = None) -> Sweep:
+    """Values of a simple game on [0, 1], without strategies.  A game left
+    with no non-final location after pruning gives an empty `finite` map,
+    not EmptyGame; `max_steps` caps the candidate evaluations."""
     if g.clock_bound != 1 or not check_sptg(g, 1):
         raise NonSPTG("expected guards [0, 1] everywhere and no resets")
     pr = prune_infinite(g)
     core = pr.game
     if not core.nonfinal_locations:
-        raise EmptyGame(pr.infinite, _values(g, pr, {}))
+        return Sweep(pr, {}, SweepTrace())
     budget = default_max_steps(core) if max_steps is None else max_steps
     spent = 0
 
-    urgent_core = make_urgent(core)
-    end_ev = InstantEvaluator(urgent_core)
+    end_ev = InstantEvaluator(make_urgent(core))
     end_x, end_ranks, _, end_denom = end_ev.run(1)
     if any(isinstance(v, float) for v in end_x):
         raise AssertionError("pruning must leave finite values only")
@@ -333,20 +358,33 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
         n: CostFunction.from_points([(x, Fraction(v, d)) for x, v, d in reversed(pts)])
         for n, pts in zip(names, points)
     }
-    values = _values(g, pr, finite)
+    return Sweep(pr, finite, trace, ev, end)
+
+
+def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
+    """Values and optimal strategies of a simple game on [0, 1]: `sweep`,
+    then `_synthesize` and Min's switching strategy.  Raises EmptyGame,
+    carrying the values, when pruning leaves no non-final location."""
+    sw = sweep(g, max_steps)
+    pr = sw.pruned
+    core = pr.game
+    values = _values(g, pr, sw.finite)
+    if sw.evaluator is None:
+        raise EmptyGame(pr.infinite, values)
     fns = {l.name: values[l.name] for l in core.locations}
 
-    max_fp, min_fp = _synthesize(ev, core, fns, end, pr.transition_origin)
+    max_fp, min_fp = _synthesize(sw.evaluator, core, fns, sw.end, pr.transition_origin)
+    # urgency plays no part in the attractor, so the core gives the same one
     sigma2 = {
         n: pr.transition_origin[i]
-        for n, i in attractor_strategy(urgent_core).items()
+        for n, i in attractor_strategy(core).items()
     }
     n_locs = len(core.locations)
     reach = (n_locs - 1) * core.max_transition_weight() + core.max_final_cost()
     lowest = min(min(f.vals) for f in fns.values())
     threshold = lowest - reach - core.max_rate()
     minstrat = SwitchingStrategy(min_fp, sigma2, as_fraction(threshold))
-    return Solution(g, values, max_fp, minstrat, trace, pr.infinite)
+    return Solution(g, values, max_fp, minstrat, sw.trace, pr.infinite)
 
 
 def _values(g: Game, pr: PruneResult, finite: dict) -> dict:
@@ -388,7 +426,7 @@ def _synthesize(ev: WindowEvaluator, core: Game, fns: dict, end: tuple, origin: 
     names = [l.name for l in core.locations if not l.is_final]
     WAIT = "wait"
 
-    end_moves = _tight_moves(core, *end)
+    end_moves = {l.name: _tight_move_at(core, l, *end) for l in core.nonfinal_locations}
 
     per_cell = []
     for lo, hi in cells:
@@ -406,55 +444,34 @@ def _synthesize(ev: WindowEvaluator, core: Game, fns: dict, end: tuple, origin: 
                     f"of {n} disagrees with the computed value function"
                 )
         moves = {}
-        for l in core.locations:
-            if l.is_final:
-                continue
-            if not l.urgent:
-                clone = l.name + WAIT_SUFFIX
-                if by_name[clone] == by_name[l.name]:
-                    moves[l.name] = WAIT
-                    continue
-            moves[l.name] = _tight_move_at(core, l, by_name, rank_of, denom)
+        for l in core.nonfinal_locations:
+            if not l.urgent and by_name[l.name + WAIT_SUFFIX] == by_name[l.name]:
+                moves[l.name] = WAIT
+            else:
+                moves[l.name] = _tight_move_at(core, l, by_name, rank_of, denom)
         per_cell.append(moves)
 
     max_rows, max_end = {}, {}
     min_rows, min_end = {}, {}
-    for l in core.locations:
-        if l.is_final:
-            continue
+    for l in core.nonfinal_locations:
+        # right to left, so a waiting cell knows where its run stops and
+        # which move follows; equal moves of neighbouring cells merge
         rows = []
-        k = len(cells)
-        i = 0
-        while i < k:
-            move = per_cell[i][l.name]
+        after, stop = end_moves[l.name], cells[-1][1]
+        for (lo, hi), moves in zip(reversed(cells), reversed(per_cell)):
+            move = moves[l.name]
             if move == WAIT:
-                j = i
-                while j + 1 < k and per_cell[j + 1][l.name] == WAIT:
-                    j += 1
-                run_end = cells[j][1]
-                after = (
-                    end_moves[l.name]
-                    if j + 1 == k
-                    else per_cell[j + 1][l.name]
-                )
-                rows.append(
-                    (cells[i][0], run_end, Move.wait_until(run_end, origin[after]))
-                )
-                i = j + 1
+                mv = Move.wait_until(stop, origin[after])
             else:
-                rows.append((cells[i][0], cells[i][1], Move.now(origin[move])))
-                i += 1
-        merged = [rows[0]]
-        for lo, hi, mv in rows[1:]:
-            plo, phi, pmv = merged[-1]
-            if mv == pmv:
-                merged[-1] = (plo, hi, mv)
+                mv = Move.now(origin[move])
+                after, stop = move, lo
+            if rows and rows[-1][2] == mv:
+                rows[-1] = (lo, rows[-1][1], mv)
             else:
-                merged.append((lo, hi, mv))
-        target_rows = max_rows if l.owner == MAX else min_rows
-        target_end = max_end if l.owner == MAX else min_end
-        target_rows[l.name] = merged
-        target_end[l.name] = Move.now(origin[end_moves[l.name]])
+                rows.append((lo, hi, mv))
+        rows_of, end_of = (max_rows, max_end) if l.owner == MAX else (min_rows, min_end)
+        rows_of[l.name] = rows[::-1]
+        end_of[l.name] = Move.now(origin[end_moves[l.name]])
     return FPStrategy(max_rows, max_end), FPStrategy(min_rows, min_end)
 
 
@@ -479,11 +496,3 @@ def _tight_move_at(core: Game, l: Location, vals: dict, ranks: dict, denom: int)
     if not progressing:
         raise AssertionError(f"{l.name}: no progressing tight transition")
     return progressing[0]
-
-
-def _tight_moves(core: Game, vals: dict, ranks: dict, denom: int) -> dict:
-    return {
-        l.name: _tight_move_at(core, l, vals, ranks, denom)
-        for l in core.locations
-        if not l.is_final
-    }

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture
 from reference import region_bellman_check
-from test_properties import usable_guarded
+from test_properties import GUARDED_SEEDS, usable_guarded
+from ptgsolve import solver
 from ptgsolve.document import SolutionFormatError, region_values, uniform_infinity
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
 from ptgsolve.model import (
@@ -388,6 +389,21 @@ def test_stuck_point_copies_are_worth_plus_infinity():
     fm, stuck = sol.values["m"]
     assert list(zip(fm.xs, fm.vals)) == [(F(0), F(3)), (F(1), F(3))]
     assert list(zip(stuck.xs, stuck.vals)) == [(F(1), inf)]
+
+
+def test_region_pipeline_builds_no_strategies(monkeypatch, reset_chain):
+    """Each window of an open region is needed for its values only, so the
+    pipeline gives the same values with strategy synthesis refused."""
+    guarded_jump = parse_game(load_fixture("guarded_jump.json"))
+    games = [reset_chain, guarded_jump] + [usable_guarded(s) for s in GUARDED_SEEDS[:20]]
+    want = [solve_reset_acyclic(g).values for g in games]
+
+    def refuse(*args):
+        raise AssertionError("the region pipeline asked for a strategy")
+
+    monkeypatch.setattr(solver, "_synthesize", refuse)
+    monkeypatch.setattr(solver, "attractor_strategy", refuse)
+    assert [solve_reset_acyclic(g).values for g in games] == want
 
 
 def test_reset_target_value_feeds_the_upstream_game(reset_chain):

@@ -23,6 +23,7 @@ from ptgsolve.solver import (
     make_urgent,
     prune_infinite,
     solve,
+    sweep,
     waiting,
 )
 from ptgsolve.strategy import play_out
@@ -192,6 +193,23 @@ def test_empty_game_when_nothing_finite_remains():
     with pytest.raises(EmptyGame) as exc:
         solve(make_game(locs, trans, 1))
     assert exc.value.infinite == {"trap": float("inf")}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sweep_is_solve_without_the_strategies(seed):
+    """`sweep` reports the values and trace of `solve`, and where `solve`
+    raises EmptyGame it raises nothing and gives the same infinities."""
+    g = random_sptg(seed)
+    sw = sweep(g)
+    assert set(sw.finite) | set(sw.infinite) == {l.name for l in g.nonfinal_locations}
+    try:
+        sol = solve(g)
+    except EmptyGame as exc:
+        assert (sw.finite, sw.infinite, sw.evaluator) == ({}, exc.infinite, None)
+        return
+    assert sw.infinite == sol.infinite
+    assert sw.finite == {n: sol.values[n] for n in sw.finite}
+    assert sw.trace == sol.trace
 
 
 def test_budget_exhaustion_raises(fig1):
