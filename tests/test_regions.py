@@ -42,6 +42,11 @@ def fig3():
 
 
 @pytest.fixture(scope="module")
+def fig1():
+    return parse_game(load_fixture("fig1.json"))
+
+
+@pytest.fixture(scope="module")
 def reset_chain():
     return parse_game(load_fixture("reset_chain.json"))
 
@@ -515,6 +520,16 @@ def scaled_split_twins(draw):
     return make_game(locs, trans, 1), make_game(twin_locs, twin_trans, SCALE)
 
 
+def assert_scaled_values(direct, scaled, factor, xs):
+    """scaled, read by the document reader's rule at factor * x, is factor
+    times direct at x, for every location and every x in xs."""
+    for name, f in direct.items():
+        for x in xs:
+            (v,) = region_values((Region(factor * x, factor * x),), list(scaled[name]))
+            got = v if isinstance(v, float) else evaluate(v, factor * x)
+            assert got == factor * evaluate(f, x), (name, x)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(scaled_split_twins())
 def test_scaled_split_twin_has_scaled_values(pair):
@@ -528,12 +543,30 @@ def test_scaled_split_twin_has_scaled_values(pair):
     except EmptyGame as exc:
         direct = exc.values
     scaled = solve_reset_acyclic(twin).values
-    for name, f in direct.items():
-        for j in range(25):
-            x = F(j, 24)
-            (v,) = region_values((Region(SCALE * x, SCALE * x),), list(scaled[name]))
-            got = v if isinstance(v, float) else evaluate(v, SCALE * x)
-            assert got == SCALE * evaluate(f, x), (name, x)
+    assert_scaled_values(direct, scaled, SCALE, [F(j, 24) for j in range(25)])
+
+
+@pytest.mark.parametrize("factor, k", [(2, F(1, 3)), (5, F(7, 3))])
+def test_fig1_scaled_and_split_off_the_integers(fig1, factor, k):
+    """fig1's sweep rejects three windows.  With time scaled by factor and
+    every guard split at a k off the integers, the open regions have
+    rational lengths, so the region pipeline's windows wait at rational
+    rates and re-anchor after rejections; the values stay factor times
+    fig1's, read at every breakpoint, every midpoint and j/24."""
+    locs = [
+        dataclasses.replace(l, final_cost=Affine(l.final_cost.slope, factor * l.final_cost.intercept))
+        if l.is_final else l
+        for l in fig1.locations
+    ]
+    trans = [
+        dataclasses.replace(t, guard=Guard.closed(lo, hi), weight=factor * t.weight)
+        for t in fig1.transitions
+        for lo, hi in ((0, k), (k, factor))
+    ]
+    scaled = solve_reset_acyclic(make_game(locs, trans, factor)).values
+    direct = solve(fig1).values
+    xs = sorted({x for f in direct.values() for x in f.xs} | {F(j, 24) for j in range(25)})
+    assert_scaled_values(direct, scaled, factor, xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])])
 
 
 # ---------------------------------------------------------------------------
