@@ -117,7 +117,7 @@ class Sweep:
     pruned: PruneResult
     finite: dict
     trace: SweepTrace
-    evaluator: Optional["WindowEvaluator"] = None
+    evaluator: Optional[WindowEvaluator] = None
     end: Optional[tuple] = None
 
     @property

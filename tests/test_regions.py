@@ -146,6 +146,25 @@ def test_single_min_location_over_two_units():
     assert list(zip(fm.xs, fm.vals)) == [(F(0), F(-2)), (F(2), F(0))]
 
 
+def test_waiting_line_crosses_a_final_line_inside_an_open_region():
+    """Min at rate 3 either goes to a final worth 3 + 4x or, from 1 on,
+    to one worth 4x - 2 at weight 1.  On (0, 1) waiting until 1 costs
+    6 - 3x, which crosses 3 + 4x at 3/7.  Every edge of that window's
+    game weighs 0, so its cutpoint grid has the one offset 0 per pair of
+    final lines, and 3/7 is its only candidate between the ends."""
+    locs = (
+        Location("m", "min", 3, False, None),
+        Location("f", "final", 0, False, Affine(4, 3)),
+        Location("h", "final", 0, False, Affine(4, -2)),
+    )
+    trans = (
+        Transition("m", Guard.closed(0, 2), False, "f", 0),
+        Transition("m", Guard.closed(1, 2), False, "h", 1),
+    )
+    (fm,) = solve_reset_acyclic(make_game(locs, trans, 2)).values["m"]
+    assert list(zip(fm.xs, fm.vals)) == [(0, 3), (F(3, 7), F(33, 7)), (1, 3), (2, 7)]
+
+
 @pytest.mark.parametrize("fixture", ["fig1.json", "appc.json", "urgent_all.json"])
 def test_pipeline_agrees_with_direct_solve_on_closed_guards(fixture):
     """A game the unit-interval solver accepts must get identical values."""
