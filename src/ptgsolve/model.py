@@ -411,6 +411,8 @@ def parse_game(text: str) -> Game:
             raise GameSyntaxError(f"bad location object: {obj!r}") from exc
         if not isinstance(name, str) or not name:
             raise GameSyntaxError(f"location name must be a non-empty string: {obj!r}")
+        if "@" in name:
+            raise GameSyntaxError(f"location name {name!r} contains '@', reserved for the solver's locations")
         _integer(rate, f"{name}: rate")
         urgent = _flag(obj, "urgent", False, name)
         final_cost = None

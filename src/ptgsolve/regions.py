@@ -14,14 +14,16 @@ dependencies first: point copies are single-valuation games with no time
 passage, interval copies become unit-interval closed-guard games after an
 affine change of clock variable, anchored at their upper border by the same
 single-valuation game, and values already computed downstream enter as
-terminal stubs.  Each window runs `solver.sweep`, for its values only.
+terminal stubs.  Each window runs `solver.sweep`, for its values only,
+and leaves the infinities to the sweep's pruning: no member is decided by
+hand, and an infinite stub is a location the pruning sets aside.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import INF, Affine, CostFunction, concat, evaluate, format_value
+from .exactmath import INF, NEG_INF, Affine, CostFunction, concat, evaluate, format_value
 from .model import (
     FINAL,
     MAX,
@@ -299,15 +301,15 @@ def solving_regions(g: Game) -> tuple:
 
 
 class _SubGame:
-    """Accumulates locations and edges for one closed-guard solver input."""
+    """Accumulates locations and edges for one closed-guard solver input.
+
+    Every name it makes starts with "@", which game files may not use.
+    """
 
     def __init__(self):
         self.locations = []
         self.transitions = []
         self._stubs = {}
-        self._trap = False
-        self._drain = False
-        self._counter = 0
 
     def add(self, loc: Location) -> None:
         self.locations.append(loc)
@@ -315,39 +317,30 @@ class _SubGame:
     def edge(self, src: str, tgt: str, weight: int) -> None:
         self.transitions.append(Transition(src, _FULL, False, tgt, weight))
 
-    def trap(self) -> str:
-        """A location worth plus infinity: without a move it never reaches a final."""
-        if not self._trap:
-            self.add(Location("@trap", MAX, 0, True, None))
-            self._trap = True
-        return "@trap"
+    def stub(self, key, v0, v1) -> str:
+        """A location worth v0 at t = 0 and v1 at t = 1.
 
-    def drain(self) -> str:
-        """A location worth minus infinity: a free negative loop next to an exit."""
-        if not self._drain:
-            self.add(Location("@drain", MIN, 0, True, None))
-            self.add(Location("@drain.out", FINAL, 0, False, Affine(0, 0)))
-            self.edge("@drain", "@drain", -1)
-            self.edge("@drain", "@drain.out", 0)
-            self._drain = True
-        return "@drain"
-
-    def gadget(self, sign: float) -> str:
-        return self.trap() if sign == INF else self.drain()
-
-    def affine_stub(self, key, line: Affine) -> str:
+        A finite stub is the final line from v0 to v1, one per key.  An
+        infinite one (v0 and v1 then share the sign) is one location per sign:
+        +inf is a location without moves, which never reaches a final, and
+        -inf a free negative loop next to an exit.  `sweep`'s pruning sets
+        both aside, with every edge into them.
+        """
+        if isinstance(v0, float):
+            key = v0
         name = self._stubs.get(key)
         if name is None:
-            name = f"@s{self._counter}"
-            self._counter += 1
-            self.add(Location(name, FINAL, 0, False, line))
-            self._stubs[key] = name
+            name = self._stubs[key] = f"@s{len(self._stubs)}"
+            if v0 == INF:
+                self.add(Location(name, MAX, 0, True, None))
+            elif v0 == NEG_INF:
+                self.add(Location(name, MIN, 0, True, None))
+                self.add(Location(name + ".out", FINAL, 0, False, Affine(0, 0)))
+                self.edge(name, name, -1)
+                self.edge(name, name + ".out", 0)
+            else:
+                self.add(Location(name, FINAL, 0, False, Affine(v1 - v0, v0)))
         return name
-
-    def value_stub(self, key, value) -> str:
-        if isinstance(value, float):
-            return self.gadget(value)
-        return self.affine_stub(key, Affine(0, value))
 
     def game(self) -> Game:
         return make_game(self.locations, self.transitions, 1)
@@ -382,7 +375,8 @@ def _instant(rg, comp, out_edges, nodeval, x) -> dict:
             if rt.target in members:
                 tgt = rt.target[0]
             else:
-                tgt = sub.value_stub((rt.target, rt.reset), _entry_value(nodeval, rt, x))
+                v = _entry_value(nodeval, rt, x)
+                tgt = sub.stub((rt.target, rt.reset), v, v)
             sub.edge(node[0], tgt, rt.weight)
     vec = solve_instant(sub.game(), 1)
     return {node: vec[node[0]] for node in comp}
@@ -396,63 +390,36 @@ def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
     costs.  Waiting past d is priced by a per-member terminal clone whose
     cost line starts at the member's already-known value at d and grows
     leftwards at the member's own rate, exactly what waiting would cost.
+    Every member enters the game, and infinities are left to `sweep`'s
+    pruning: an infinite anchor or target becomes a stub of its sign, and
+    a member with no move is stuck, worth +inf.
     """
     base = rg.base
     members = set(comp)
     length = d - c
     sub = _SubGame()
-    dead = {}
-    live = []
     for node in comp:
         loc = base.location(node[0])
-        clone = None
-        if not loc.urgent:
-            av = anchor[node]
-            if not isinstance(av, float):
-                clone = av
-            elif (av == INF) == (loc.owner == MAX):
-                # the border favours this owner, who may simply wait it out
-                clone = av
-        if not interior[node] and clone is None:
-            dead[node] = anchor[node] if not loc.urgent else INF
-            continue
-        live.append((node, clone))
-    for node, _ in live:
-        loc = base.location(node[0])
         sub.add(Location(node[0], loc.owner, loc.rate * length, loc.urgent, None))
-    livenames = {node[0] for node, _ in live}
-    for node, clone in live:
-        name = node[0]
+    for node in comp:
+        loc = base.location(node[0])
         for rt in interior[node]:
             if rt.target in members:
-                if rt.target[0] in livenames:
-                    tgt = rt.target[0]
-                else:
-                    tgt = sub.gadget(dead[rt.target])
-            elif rt.reset or isinstance(nodeval[rt.target], float):
-                tgt = sub.value_stub((rt.target, rt.reset), _entry_value(nodeval, rt, c))
+                tgt = rt.target[0]
             else:
-                tv = nodeval[rt.target]
-                vc, vd = evaluate(tv, c), evaluate(tv, d)
-                tgt = sub.affine_stub((rt.target, False), Affine(vd - vc, vc))
-            sub.edge(name, tgt, rt.weight)
-        if clone is not None:
-            if isinstance(clone, float):
-                sub.edge(name, sub.gadget(clone), 0)
-            else:
-                rate = base.location(name).rate * length
-                stub = sub.affine_stub((node, "wait"), Affine(-rate, rate + clone))
-                sub.edge(name, stub, 0)
-    out = dict(dead)
-    if not live:
-        return out
+                vc, vd = _entry_value(nodeval, rt, c), _entry_value(nodeval, rt, d)
+                tgt = sub.stub((rt.target, rt.reset), vc, vd)
+            sub.edge(loc.name, tgt, rt.weight)
+        if not loc.urgent:
+            rate = loc.rate * length
+            sub.edge(loc.name, sub.stub((node, "wait"), rate + anchor[node], anchor[node]), 0)
     sw = sweep(sub.game(), max_steps)
-    for node, _ in live:
-        name = node[0]
-        if name in sw.infinite:
-            out[node] = sw.infinite[name]
+    out = {}
+    for node in comp:
+        if node[0] in sw.infinite:
+            out[node] = sw.infinite[node[0]]
         else:
-            f = sw.finite[name]
+            f = sw.finite[node[0]]
             pts = [(c + x * length, v) for x, v in zip(f.xs, f.vals)]
             out[node] = CostFunction.from_points(pts)
     return out

@@ -91,6 +91,8 @@ class PruneResult:
     game: Game
     infinite: dict
     transition_origin: tuple
+    values: dict  # the run's integers by name, on denom, or float infinities
+    denom: int
 
 
 @dataclass
@@ -110,15 +112,13 @@ class SweepTrace:
 class Sweep:
     """What `sweep` finds.  `infinite` and `finite` cover every non-final
     location, by sign or by value function.  `solve` goes on from the window
-    `evaluator` and `end`, the values and ranks by name and the denominator
-    of the urgent solve at 1; both are None when no non-final location is
-    left after pruning."""
+    `evaluator`, which is None when no non-final location is left after
+    pruning."""
 
     pruned: PruneResult
     finite: dict
     trace: SweepTrace
     evaluator: Optional[WindowEvaluator] = None
-    end: Optional[tuple] = None
 
     @property
     def infinite(self) -> dict:
@@ -241,10 +241,13 @@ def prune_infinite(g: Game) -> PruneResult:
     nothing: a non-final location whose moves all lead to infinite locations,
     or that has no moves, is itself infinite there.  The returned game keeps
     only the finite part; transition_origin maps its transition indices
-    back to the input game.
+    back to the input game.  The same solve gives the finite locations'
+    values at the right end, where `sweep` starts.
     """
-    vv = InstantEvaluator(make_urgent(g)).value_vector(g.clock_bound)
-    infinite = {n: v for n, v in vv.values.items() if isinstance(v, float)}
+    ev = InstantEvaluator(make_urgent(g))
+    x, _, _, denom = ev.run(g.clock_bound)
+    values = dict(zip(ev.names, x))
+    infinite = {n: v for n, v in values.items() if isinstance(v, float)}
     locs = tuple(l for l in g.locations if l.name not in infinite)
     origin = tuple(
         i
@@ -253,7 +256,7 @@ def prune_infinite(g: Game) -> PruneResult:
     )
     trans = tuple(g.transitions[i] for i in origin)
     pruned = make_game(locs, trans, g.clock_bound)
-    return PruneResult(pruned, infinite, origin)
+    return PruneResult(pruned, infinite, origin, values, denom)
 
 
 def default_max_steps(g: Game) -> int:
@@ -275,16 +278,11 @@ def sweep(g: Game, max_steps: Optional[int] = None) -> Sweep:
     budget = default_max_steps(core) if max_steps is None else max_steps
     spent = 0
 
-    end_ev = InstantEvaluator(make_urgent(core))
-    end_x, end_ranks, _, end_denom = end_ev.run(1)
-    if any(isinstance(v, float) for v in end_x):
-        raise AssertionError("pruning must leave finite values only")
-    end = (dict(zip(end_ev.names, end_x)), dict(zip(end_ev.names, end_ranks)), end_denom)
     nonfinal = core.nonfinal_locations
     names = [l.name for l in nonfinal]
-    # the sweep's values at b are f_b[j] / db for names[j]
-    b, db = Fraction(1), end_denom
-    f_b = [end[0][n] for n in names]
+    # the sweep's values at b are f_b[j] / db for names[j], pruning's at 1
+    b, db = Fraction(1), pr.denom
+    f_b = [pr.values[n] for n in names]
     ev = WindowEvaluator(core, _anchor(names, f_b, db))
     at = [ev.index[n] for n in names]
     # The chord of a location that may wait may not fall below -rate = p/q
@@ -358,7 +356,7 @@ def sweep(g: Game, max_steps: Optional[int] = None) -> Sweep:
         n: CostFunction.from_points([(x, Fraction(v, d)) for x, v, d in reversed(pts)])
         for n, pts in zip(names, points)
     }
-    return Sweep(pr, finite, trace, ev, end)
+    return Sweep(pr, finite, trace, ev)
 
 
 def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
@@ -373,7 +371,12 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
         raise EmptyGame(pr.infinite, values)
     fns = {l.name: values[l.name] for l in core.locations}
 
-    max_fp, min_fp = _synthesize(sw.evaluator, core, fns, sw.end, pr.transition_origin)
+    # the no-time-left moves need the core's own ranks at 1: pruning's
+    # differ where a Max location has an edge into a pruned -inf location
+    end_ev = InstantEvaluator(make_urgent(core))
+    x, ranks, _, denom = end_ev.run(1)
+    end = (dict(zip(end_ev.names, x)), dict(zip(end_ev.names, ranks)), denom)
+    max_fp, min_fp = _synthesize(sw.evaluator, core, fns, end, pr.transition_origin)
     # urgency plays no part in the attractor, so the core gives the same one
     sigma2 = {
         n: pr.transition_origin[i]

@@ -286,13 +286,13 @@ def solved_claims(draw):
     return g, vals
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(guarded_claims())
 def test_oracle_matches_reference_on_guarded_games(claim):
     _assert_same(*claim)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(closed_guard_claims())
 def test_oracle_matches_reference_on_closed_guards(claim):
     g, vals = claim
@@ -300,13 +300,13 @@ def test_oracle_matches_reference_on_closed_guards(claim):
     _assert_same(g, vals)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(layered_claims())
 def test_oracle_matches_reference_on_claims_that_meet_the_optimum(claim):
     _assert_same(*claim)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(solved_claims())
 def test_oracle_matches_reference_on_solved_and_moved_values(claim):
     _assert_same(*claim)

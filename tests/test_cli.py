@@ -255,6 +255,40 @@ def test_solve_rejects_exponent_literal(tmp_path, capsys):
     assert "not a rational literal: '1e10000000'" in err
 
 
+def _exit_game(owners: dict, edges: list) -> str:
+    """A game file: the named locations at rate 1, a final f worth 0, and
+    (source, guard, weight) edges into f."""
+    locs = [{"name": n, "owner": o, "rate": 1, "urgent": False} for n, o in owners.items()]
+    locs.append({"name": "f", "owner": "final", "final_cost": {"slope": "0", "intercept": "0"}})
+    trans = [{"from": n, "to": "f", "guard": gd, "reset": False, "weight": w} for n, gd, w in edges]
+    return json.dumps({"clock_bound": 1, "locations": locs, "transitions": trans})
+
+
+_FULL = {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": True}
+_AT_ONE = {"lo": "1", "hi": "1", "lo_closed": True, "hi_closed": True}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # guarded, so a window game names its first stub "@s0" as well
+        _exit_game({"@s0": "max"}, [("@s0", _FULL, 1), ("@s0", _AT_ONE, 2)]),
+        # simple, so the sweep clones the waiting location x as "x@wait"
+        _exit_game({"x": "min", "x@wait": "min"}, [("x", _FULL, 0), ("x@wait", _FULL, 0)]),
+    ],
+    ids=["stub-name", "wait-clone-name"],
+)
+def test_solve_refuses_names_the_solver_reserves(tmp_path, capsys, text):
+    # both games were once refused as having a duplicate location: the
+    # solver's own location collided with one of the file's
+    game = tmp_path / "game.json"
+    game.write_text(text)
+    code, _, err = run_cli(capsys, "solve", str(game), "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "contains '@', reserved for the solver's locations" in err
+    assert "duplicate location" not in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "no-such-file.json")
     assert code == 2

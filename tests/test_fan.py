@@ -145,6 +145,29 @@ def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):
     assert counts["runs"] == 611
 
 
+def test_fan_sweep_starts_from_the_pruning_values(monkeypatch):
+    # Pruning's urgent solve at 1 already gives the finite values the sweep
+    # starts from; solving the core at 1 once more took a third evaluator
+    # and one more run here.
+    counts = {"evaluators": 0, "runs": 0}
+    init, run = InstantEvaluator.__init__, InstantEvaluator.run
+
+    def counting_init(self, game):
+        counts["evaluators"] += 1
+        init(self, game)
+
+    def counting_run(self, *args, **kwargs):
+        counts["runs"] += 1
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(InstantEvaluator, "__init__", counting_init)
+    monkeypatch.setattr(InstantEvaluator, "run", counting_run)
+    sw = solver.sweep(fan_game(16, (1, -2, 3)))
+    assert sw.finite["pick"].xs == tuple(F(i, 16) for i in range(17))
+    # the pruning solve and the window evaluator; 592 candidates and pruning
+    assert counts == {"evaluators": 2, "runs": 593}
+
+
 def test_fan_budget_counts_candidate_evaluations():
     # The sweep evaluates 592 candidates here: a budget of 592 suffices
     # and one less stops the solve.

@@ -415,6 +415,50 @@ def test_stuck_point_copies_are_worth_plus_infinity():
     assert list(zip(stuck.xs, stuck.vals)) == [(F(1), inf)]
 
 
+def test_waiting_member_held_to_a_hurting_anchor_takes_it():
+    # m may only wait in (0, 1): its one edge fires at 1, into the -inf
+    # loop d.  The anchor -inf hurts Max, but waiting is all m can do, so
+    # m is -inf there, not stuck at +inf; n, which may fire into m, too.
+    locs = (
+        Location("m", MAX, 2, False, None),
+        Location("d", MIN, 0, False, None),
+        Location("n", MIN, 1, False, None),
+        Location("f", "final", 0, False, Affine(0, 0)),
+    )
+    trans = (
+        Transition("m", Guard.point(1), False, "d", 0),
+        Transition("d", Guard.closed(0, 1), False, "d", -1),
+        Transition("d", Guard.closed(0, 1), False, "f", 0),
+        Transition("n", Guard.closed(0, 1), False, "m", 3),
+        Transition("n", Guard.closed(0, 1), False, "f", 5),
+    )
+    sol = solve_reset_acyclic(make_game(locs, trans, 1))
+    assert sol.region_values["m"] == (float("-inf"),) * 3
+    assert sol.region_values["n"] == (float("-inf"),) * 3
+
+
+def test_urgent_member_without_interior_edges_is_stuck():
+    # u is urgent and its one edge fires at 1, so in {0} and (0, 1) it has
+    # no move: +inf, which Max at w then takes over its exit worth 6 + x.
+    # Validation would refuse the deadlock, so the game is built without it.
+    locs = (
+        Location("u", MIN, 0, True, None),
+        Location("w", MAX, 1, False, None),
+        Location("f", "final", 0, False, Affine(1, 2)),
+    )
+    trans = (
+        Transition("u", Guard.point(1), False, "f", 0),
+        Transition("w", Guard.closed(0, 1), False, "u", 0),
+        Transition("w", Guard.closed(0, 1), False, "f", 4),
+    )
+    sol = solve_reset_acyclic(make_game(locs, trans, 1))
+    inf = float("inf")
+    for name, at_one in (("u", 3), ("w", 7)):
+        *open_part, last = sol.region_values[name]
+        assert open_part == [inf, inf]
+        assert (last.xs, last.vals) == ((1,), (at_one,))
+
+
 def test_region_pipeline_builds_no_strategies(monkeypatch, reset_chain):
     """Each window of an open region is needed for its values only, so the
     pipeline gives the same values with strategy synthesis refused."""
