@@ -12,11 +12,13 @@ The copies form a directed graph.  As long as no cycle of that graph fires
 a reset, its strongly connected components can be solved one at a time,
 dependencies first: point copies are single-valuation games with no time
 passage, interval copies become unit-interval closed-guard games after an
-affine change of clock variable, anchored at their upper border by the same
-single-valuation game, and values already computed downstream enter as
-terminal stubs.  Each window runs `solver.sweep`, for its values only,
-and leaves the infinities to the sweep's pruning: no member is decided by
-hand, and an infinite stub is a location the pruning sets aside.
+affine change of clock variable, and values already computed downstream
+enter as terminal stubs.  An interval copy is left only by an edge fired
+inside it or by the hop into its upper border's point copy, so that point
+copy's value, entered by the hop, anchors the interval at its upper
+border.  Each window runs `solver.sweep`, for its values only, and leaves
+the infinities to the sweep's pruning: no member is decided by hand, and
+an infinite stub is a location the pruning sets aside.
 """
 
 from dataclasses import dataclass
@@ -91,13 +93,10 @@ class RegionGame:
 def _restrict(gd: Guard, reg: Region) -> Optional[Guard]:
     """Guard of a copied edge within one region: closure of the overlap.
 
-    A guard touching only the upper border of an open region collapses to
-    that border point.  Such an edge fires at the border itself, so
-    `build_region_game` sends it into the target's copy in the border's
-    point region, not back into the open region, where edges open at the
-    border would stay usable in the limit.  A guard touching only the
-    lower border is dropped, those valuations lie in the past once the
-    region has been entered.
+    An open region copies only the guards that overlap it.  A guard
+    touching only one of its borders is dropped: the lower border lies in
+    the past once the region has been entered, and the upper border is
+    reached by the hop into its point region, whose copy carries the edge.
     """
     if reg.is_point:
         return Guard.point(reg.lo) if gd.contains(reg.lo) else None
@@ -106,26 +105,28 @@ def _restrict(gd: Guard, reg: Region) -> Optional[Guard]:
         lo = max(gd.lo, reg.lo)
         hi = reg.hi if isinstance(gd.hi, float) else min(gd.hi, reg.hi)
         return Guard.closed(lo, hi)
-    if gd.contains(reg.hi):
-        return Guard.point(reg.hi)
     return None
 
 
-def build_region_game(g: Game, regions=None) -> RegionGame:
+def solving_regions(g: Game) -> tuple:
+    """The partition the pipeline works over: guard-endpoint regions."""
+    return tuple(regions_of(g))
+
+
+def build_region_game(g: Game) -> RegionGame:
     """Copy every location into every clock region and rewire the edges.
 
-    Copied edges keep their weight and follow the guard restriction rule of
-    `_restrict`; a resetting edge always targets its location's copy in the
-    {0} region, and an edge collapsed onto an open region's upper border
-    the copy in that border's point region.  Every non-final copy whose location may wait additionally
-    gets a zero-weight hop into the neighbouring region above, available
-    exactly at the border, so letting time cross a border is an explicit
-    move of the copy graph.  Urgent locations get no hops: crossing a
-    border needs time to pass.
+    The regions are `solving_regions(g)`.  Copied edges keep their weight
+    and follow the guard restriction rule of `_restrict`; a resetting edge
+    always targets its location's copy in the {0} region, any other edge
+    its target's copy in the same region.  Every non-final copy whose
+    location may wait additionally gets a zero-weight hop into the
+    neighbouring region above, available exactly at the border, so letting
+    time cross a border is an explicit move of the copy graph, and the only
+    way out of an open copy other than an edge fired inside it.  Urgent
+    locations get no hops: crossing a border needs time to pass.
     """
-    regs = tuple(regions) if regions is not None else tuple(regions_of(g))
-    if not regs or regs[0] != Region(0, 0):
-        raise AssertionError("regions must start at the zero point")
+    regs = solving_regions(g)
     nodes = tuple((l.name, i) for l in g.locations for i in range(len(regs)))
     edges = []
     for ti, t in enumerate(g.transitions):
@@ -133,12 +134,7 @@ def build_region_game(g: Game, regions=None) -> RegionGame:
             gd = _restrict(t.guard, reg)
             if gd is None:
                 continue
-            if t.reset:
-                target = (t.target, 0)
-            elif not reg.is_point and gd.lo == reg.hi:  # collapsed to the border
-                target = (t.target, i + 1)
-            else:
-                target = (t.target, i)
+            target = (t.target, 0 if t.reset else i)
             edges.append(RegionTransition((t.source, i), gd, t.reset, target, t.weight, ti))
     for l in g.locations:
         if l.is_final or l.urgent:
@@ -295,11 +291,6 @@ class RegionSolution:
     values: dict
 
 
-def solving_regions(g: Game) -> tuple:
-    """The partition the pipeline works over: guard-endpoint regions."""
-    return tuple(regions_of(g))
-
-
 class _SubGame:
     """Accumulates locations and edges for one closed-guard solver input.
 
@@ -355,12 +346,13 @@ def _entry_value(nodeval: dict, rt: RegionTransition, x):
 
 
 def _instant(rg, comp, out_edges, nodeval, x) -> dict:
-    """Values of comp's members at the one valuation x, where no time passes.
+    """Values of a point component's members at its valuation x.
 
-    Every member plays urgently.  Its moves are the edges whose guard holds
-    x, into another member or into a stub worth the target's value entered
-    at x; where the member may wait, that includes the hop into the region
-    above.  A member without moves is stuck, worth +inf.
+    No time passes at a point, so every member plays urgently.  Every edge
+    of a point copy holds at x; its moves lead into another member or into
+    a stub worth the target's value entered at x, and where the member may
+    wait, that includes the hop into the region above.  A member without
+    moves is stuck, worth +inf.
     """
     base = rg.base
     members = set(comp)
@@ -370,8 +362,6 @@ def _instant(rg, comp, out_edges, nodeval, x) -> dict:
     for node in comp:
         for j in out_edges[node]:
             rt = rg.transitions[j]
-            if not rt.guard.contains(x):
-                continue
             if rt.target in members:
                 tgt = rt.target[0]
             else:
@@ -390,6 +380,8 @@ def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
     costs.  Waiting past d is priced by a per-member terminal clone whose
     cost line starts at the member's already-known value at d and grows
     leftwards at the member's own rate, exactly what waiting would cost.
+    At the region's upper border that known value is the one its hop
+    enters; `sweep` then settles the members' moves at d among themselves.
     Every member enters the game, and infinities are left to `sweep`'s
     pruning: an infinite anchor or target becomes a stub of its sign, and
     a member with no move is stuck, worth +inf.
@@ -442,16 +434,20 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
     a, b = reg.lo, reg.hi
     members = set(comp)
     interior = {}
+    # the first window's wait stubs bank what the hop enters at b: each
+    # waiting member's own point copy there
+    anchor = {}
     for node in comp:
         full = []
         for j in out_edges[node]:
             rt = rg.transitions[j]
-            if rt.guard.lo != rt.guard.hi:
-                if rt.guard.lo != a or rt.guard.hi != b:
-                    raise AssertionError(f"{rt.source}: interior guard must span the region")
+            if rt.origin is None:
+                anchor[node] = _entry_value(nodeval, rt, b)
+            elif rt.guard.lo != a or rt.guard.hi != b:
+                raise AssertionError(f"{rt.source}: interior guard must span the region")
+            else:
                 full.append(rt)
         interior[node] = full
-    anchor = _instant(rg, comp, out_edges, nodeval, b)
     cuts = {a, b}
     for node in comp:
         for rt in interior[node]:
@@ -509,8 +505,8 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
     outside references enter as terminal stubs.  Each window runs `sweep`,
     which builds no strategies; `max_steps` caps each one separately.
     """
-    regs = solving_regions(g)
-    rg = build_region_game(g, regs)
+    rg = build_region_game(g)
+    regs = rg.regions
     dag = check_reset_acyclic(rg)
     out_edges = rg.outgoing_map()
     nodeval = {}

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FIXTURES
 from test_fan import fan_game
+from test_regions import urgent_reset_game
 
 from ptgsolve.cli import main
 from ptgsolve.model import serialize_game
@@ -62,15 +63,17 @@ def test_solve_fig1_matches_committed_fixture(fig1_solution):
     assert fig1_solution.read_bytes() == committed
 
 
-def test_solve_guarded_jump_matches_committed_fixture(tmp_path, capsys):
-    # the region pipeline's document: g3 is +inf on [0, 1], keeps a point
-    # segment of its own at 1 and jumps to a finite value after it
-    out = tmp_path / "guarded_jump.values.json"
-    code, _, _ = run_cli(
-        capsys, "solve", str(FIXTURES / "guarded_jump.json"), "--out", str(out)
-    )
+@pytest.mark.parametrize("name", ["guarded_jump", "urgent_border"])
+def test_solve_guarded_jump_matches_committed_fixture(tmp_path, capsys, name):
+    # the region pipeline's documents.  guarded_jump: g3 is +inf on [0, 1],
+    # keeps a point segment of its own at 1 and jumps to a finite value
+    # after it.  urgent_border: the urgent u may not fire its edge on {1}
+    # from inside (0, 1); values that let it do so pass `ptg verify`, so
+    # only the bytes pin them.
+    out = tmp_path / f"{name}.values.json"
+    code, _, _ = run_cli(capsys, "solve", str(FIXTURES / f"{name}.json"), "--out", str(out))
     assert code == 0
-    assert out.read_bytes() == (FIXTURES / "guarded_jump.values.json").read_bytes()
+    assert out.read_bytes() == (FIXTURES / f"{name}.values.json").read_bytes()
 
 
 def test_solve_default_output_path(tmp_path, capsys):
@@ -125,6 +128,19 @@ def test_solve_fig3_reports_reset_cycle(capsys):
     assert code == 3
     assert out == ""
     assert "l0 -> l1 -> l0" in err
+
+
+def test_solve_game_whose_only_reset_cycle_is_unfireable(tmp_path, capsys):
+    # u's reset edge on {1} could close u -> x -> u only if u, which is
+    # urgent and entered only before 1, could fire it from inside (0, 1)
+    game = tmp_path / "urgent_reset.json"
+    game.write_text(serialize_game(urgent_reset_game()))
+    out = tmp_path / "urgent_reset.values.json"
+    code, _, err = run_cli(capsys, "solve", str(game), "--out", str(out))
+    assert code == 0, err
+    code, stdout, _ = run_cli(capsys, "verify", str(game), str(out))
+    assert code == 0
+    assert "verdict: pass" in stdout.splitlines()
 
 
 def test_solve_rejects_deadlocked_game(tmp_path, capsys):

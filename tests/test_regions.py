@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import load_fixture
 from reference import region_bellman_check
 from test_properties import GUARDED_SEEDS, usable_guarded
+from ptgsolve import regions as region_pipeline
 from ptgsolve import solver
 from ptgsolve.document import SolutionFormatError, region_values, uniform_infinity
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
@@ -32,6 +33,7 @@ from ptgsolve.regions import (
     solve_reset_acyclic,
 )
 from ptgsolve.solver import EmptyGame, solve
+from ptgsolve.urgent import InstantEvaluator
 
 F = Fraction
 
@@ -62,11 +64,12 @@ def test_region_game_copies_every_location_per_region(fig3):
 
 
 def test_region_game_point_guard_placement(fig3):
-    """Border-only guards show up from the open copy and the border copy."""
+    """Border-only guards show up only in the border copy: the open copy
+    below reaches them by its hop."""
     rg = build_region_game(fig3)
     at_one = [t for t in rg.transitions if t.origin is not None and fig3.transitions[t.origin].guard.lo == 1]
     sources = {t.source[1] for t in at_one}
-    assert sources == {1, 2}
+    assert sources == {2}
     assert all(t.guard == Guard.point(1) for t in at_one)
 
 
@@ -96,9 +99,9 @@ def test_region_game_lower_border_guard_is_dropped():
     )
     rg = build_region_game(make_game(locs, trans, 2))
     fires_f = [t for t in rg.transitions if t.origin == 0]
-    # guard {1} belongs to the regions that can still reach it: the open
-    # region below, the point itself, but not the open region above
-    assert {t.source[1] for t in fires_f} == {1, 2}
+    # guard {1} belongs to the point itself: the open region below reaches
+    # it by its hop, and the open region above has left it behind
+    assert {t.source[1] for t in fires_f} == {2}
 
 
 def test_fig3_reset_cycle_witness(fig3):
@@ -459,6 +462,107 @@ def test_urgent_member_without_interior_edges_is_stuck():
         assert (last.xs, last.vals) == ((1,), (at_one,))
 
 
+def _table(entry):
+    """A region value as its (x, v) points, or the bare infinity."""
+    return entry if isinstance(entry, float) else list(zip(entry.xs, entry.vals))
+
+
+def test_urgent_member_cannot_fire_a_border_edge_from_inside_the_region():
+    """fixtures/urgent_border.json, clock bound 1: Min m (rate 0, may
+    wait), urgent Min u (rate 0), finals F worth 0 and H worth 5.  Every
+    edge weighs 0 and none resets: m -> u on [0, 1), m -> H on [0, 1],
+    u -> m on [0, 1] and u -> F on {1}.
+
+    u cannot wait, and m enters it only before 1, so from there time never
+    reaches 1 and F is out of reach: u can only go back to m, and a play
+    that cycles between them never reaches a final.  So m = 5 on [0, 1]
+    (through H), u = 5 on [0, 1), and u = 0 at 1, where it fires into F.
+
+    Letting u's copy in (0, 1) fire its edge on {1} wrote m = 0 on [0, 1)
+    and u = 0 on [0, 1].  The region Bellman oracle passes those values:
+    m and u support each other through their zero-weight cycle, and local
+    optimality cannot tell that cycle from a play that reaches F.  Hence
+    this test pins the values.
+    """
+    sol = solve_reset_acyclic(parse_game(load_fixture("urgent_border.json")))
+    assert [r.describe() for r in sol.regions] == ["{0}", "(0,1)", "{1}"]
+    assert [_table(v) for v in sol.region_values["m"]] == [
+        [(0, 5)],
+        [(0, 5), (1, 5)],
+        [(1, 5)],
+    ]
+    assert [_table(v) for v in sol.region_values["u"]] == [
+        [(0, 5)],
+        [(0, 5), (1, 5)],
+        [(1, 0)],
+    ]
+
+
+def urgent_reset_game():
+    """Clock bound 1: Min x (rate 1, may wait), urgent Min u (rate 0),
+    finals f worth 0 and g worth 7.  x -> u on [0, 1) and x -> g on
+    [0, 1], both at weight 0; u -> f on [0, 1] at weight 3, and u -> x on
+    {1} with a reset at weight -1."""
+    locs = (
+        Location("x", MIN, 1, False, None),
+        Location("u", MIN, 0, True, None),
+        Location("f", "final", 0, False, Affine(0, 0)),
+        Location("g", "final", 0, False, Affine(0, 7)),
+    )
+    trans = (
+        Transition("x", Guard(F(0), F(1), True, False), False, "u", 0),
+        Transition("x", Guard.closed(0, 1), False, "g", 0),
+        Transition("u", Guard.closed(0, 1), False, "f", 3),
+        Transition("u", Guard.point(1), True, "x", -1),
+    )
+    return make_game(locs, trans, 1)
+
+
+def test_unfireable_border_reset_closes_no_reset_cycle():
+    """In urgent_reset_game, u's reset edge fires only at 1, and u is
+    entered only before 1 and cannot wait.  So the reset leaves only u's
+    copy at 1, which nothing enters, and closes no cycle of the region
+    graph; a copy of it in (0, 1) closed u -> x -> u.
+
+    x moves on to u for 3 on [0, 1) and takes g for 7 at 1.  u takes f for
+    3 on [0, 1), and at 1 it resets into x for -1 + 3 = 2.
+    """
+    sol = solve_reset_acyclic(urgent_reset_game())
+    assert [_table(v) for v in sol.region_values["x"]] == [
+        [(0, 3)],
+        [(0, 3), (1, 3)],
+        [(1, 7)],
+    ]
+    assert [_table(v) for v in sol.region_values["u"]] == [
+        [(0, 3)],
+        [(0, 3), (1, 3)],
+        [(1, 2)],
+    ]
+
+
+def test_point_components_are_the_only_instant_solves(monkeypatch, reset_chain):
+    """An open component's first window banks the value its hop enters at
+    the upper border, and its sweep settles the moves there, so only the
+    six point components of reset_chain (a and b at 0, 1 and 2) solve a
+    single-valuation game.  Solving one more per open component to anchor
+    its windows took 10 such solves and 18 evaluators."""
+    counts = {"instant": 0, "evaluators": 0}
+    instant, init = region_pipeline._instant, InstantEvaluator.__init__
+
+    def counting_instant(*args):
+        counts["instant"] += 1
+        return instant(*args)
+
+    def counting_init(self, game):
+        counts["evaluators"] += 1
+        init(self, game)
+
+    monkeypatch.setattr(region_pipeline, "_instant", counting_instant)
+    monkeypatch.setattr(InstantEvaluator, "__init__", counting_init)
+    solve_reset_acyclic(reset_chain)
+    assert counts == {"instant": 6, "evaluators": 14}
+
+
 def test_region_pipeline_builds_no_strategies(monkeypatch, reset_chain):
     """Each window of an open region is needed for its values only, so the
     pipeline gives the same values with strategy synthesis refused."""
@@ -508,10 +612,11 @@ def _border_exit_core():
     """The core of a generated game the region pipeline once got wrong.
 
     g1 leaves for g5 on [1, 3) and loops on {3} at weight -4; g4 reaches
-    g1 only at the borders 1 and 3.  In the open region (1, 3) the loop's
-    guard collapses to its upper border; sent back into the open copy, the
-    loop met g1's exit there "in the limit", a negative cycle with an exit
-    that made g1 -inf on all of [0, 3).
+    g1 only at the borders 1 and 3.  The loop's guard touches the open
+    region (1, 3) only at its upper border.  Copied back into the open
+    copy, the loop once met g1's exit there "in the limit", a negative
+    cycle with an exit that made g1 -inf on all of [0, 3).  Only the copy
+    at {3} carries the loop, which the open copy reaches by its hop.
     """
     locs = (
         Location("g1", "min", 3, False, None),
@@ -532,7 +637,7 @@ def test_edge_collapsed_to_the_upper_border_lands_in_the_border_point():
     rg = build_region_game(g)
     assert [r.describe() for r in rg.regions] == ["{0}", "(0,1)", "{1}", "(1,3)", "{3}"]
     loop = [(t.source[1], t.target[1]) for t in rg.transitions if t.origin == 1]
-    assert loop == [(3, 4), (4, 4)]
+    assert loop == [(4, 4)]
     sol = solve_reset_acyclic(g)
     g1 = sol.region_values["g1"]
     for x in (F(0), F(1, 2), F(1)):
