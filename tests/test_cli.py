@@ -63,13 +63,15 @@ def test_solve_fig1_matches_committed_fixture(fig1_solution):
     assert fig1_solution.read_bytes() == committed
 
 
-@pytest.mark.parametrize("name", ["guarded_jump", "urgent_border"])
+@pytest.mark.parametrize("name", ["guarded_jump", "urgent_border", "appc", "urgent_all"])
 def test_solve_guarded_jump_matches_committed_fixture(tmp_path, capsys, name):
     # the region pipeline's documents.  guarded_jump: g3 is +inf on [0, 1],
     # keeps a point segment of its own at 1 and jumps to a finite value
     # after it.  urgent_border: the urgent u may not fire its edge on {1}
     # from inside (0, 1); values that let it do so pass `ptg verify`, so
-    # only the bytes pin them.
+    # only the bytes pin them.  Two sptg documents ride along: appc, where
+    # Min switches at an accumulated-cost threshold, and urgent_all, where
+    # no location may wait, so the window evaluator has no wait clone.
     out = tmp_path / f"{name}.values.json"
     code, _, _ = run_cli(capsys, "solve", str(FIXTURES / f"{name}.json"), "--out", str(out))
     assert code == 0
