@@ -37,7 +37,6 @@ from .model import (
 from .urgent import (
     InstantEvaluator,
     iteration_bound,
-    solve_instant,
 )
 from .solver import (
     BudgetExceeded,
@@ -90,7 +89,6 @@ __all__ = [
     "serialize_game",
     "InstantEvaluator",
     "iteration_bound",
-    "solve_instant",
     "BudgetExceeded",
     "EmptyGame",
     "InfiniteValue",

@@ -164,11 +164,6 @@ class CostFunction:
     def is_point(self) -> bool:
         return len(self.xs) == 1
 
-    def all_finite(self) -> bool:
-        return all(isinstance(p, Affine) for p in self.pieces) and all(
-            is_finite(v) for v in self.vals
-        )
-
     @staticmethod
     def from_points(points: Sequence) -> "CostFunction":
         """Interpolate finite breakpoint values: [(x0, v0), ..., (xn, vn)]."""

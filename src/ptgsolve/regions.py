@@ -39,7 +39,7 @@ from .model import (
     regions_of,
 )
 from .solver import sweep
-from .urgent import solve_instant
+from .urgent import InstantEvaluator, unscale
 
 _FULL = Guard.closed(0, 1)
 
@@ -352,7 +352,9 @@ def _instant(rg, comp, out_edges, nodeval, x) -> dict:
     of a point copy holds at x; its moves lead into another member or into
     a stub worth the target's value entered at x, and where the member may
     wait, that includes the hop into the region above.  A member without
-    moves is stuck, worth +inf.
+    moves is stuck, worth +inf.  Every stub is constant, so one
+    `InstantEvaluator` run of the members' game, at 1, gives the values,
+    read off its names here.
     """
     base = rg.base
     members = set(comp)
@@ -368,8 +370,10 @@ def _instant(rg, comp, out_edges, nodeval, x) -> dict:
                 v = _entry_value(nodeval, rt, x)
                 tgt = sub.stub((rt.target, rt.reset), v, v)
             sub.edge(node[0], tgt, rt.weight)
-    vec = solve_instant(sub.game(), 1)
-    return {node: vec[node[0]] for node in comp}
+    ev = InstantEvaluator(sub.game())
+    x, _, _, denom = ev.run(1)
+    vals = dict(zip(ev.names, unscale(x, denom)))
+    return {node: vals[node[0]] for node in comp}
 
 
 def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
@@ -405,16 +409,9 @@ def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
         if not loc.urgent:
             rate = loc.rate * length
             sub.edge(loc.name, sub.stub((node, "wait"), rate + anchor[node], anchor[node]), 0)
-    sw = sweep(sub.game(), max_steps)
-    out = {}
-    for node in comp:
-        if node[0] in sw.infinite:
-            out[node] = sw.infinite[node[0]]
-        else:
-            f = sw.finite[node[0]]
-            pts = [(c + x * length, v) for x, v in zip(f.xs, f.vals)]
-            out[node] = CostFunction.from_points(pts)
-    return out
+    sw = sweep(sub.game(), max_steps, onto=(c, d))
+    vals = {**sw.finite, **sw.infinite}
+    return {node: vals[node[0]] for node in comp}
 
 
 def _combine(parts, reg):

@@ -16,11 +16,11 @@ anchored solve, and Min's switching strategy.  The region pipeline's
 windows need values only and call `sweep`.
 
 Every window, and every cell of the strategy synthesis after the sweep,
-plays the same urgent game; only the clones' final lines (-rate, r*rate + v)
-differ.  So one `WindowEvaluator` is built per solve, from the waiting game
-at r = 1, and re-anchored in place: the core finals' integer lines are
-fixed once, and a re-anchor recomputes the clone lines, the common scale,
-the -inf cutoff and the round bound.
+plays the same game at single valuations; only the clones' final lines
+(-rate, r*rate + v) differ.  So one `WindowEvaluator` is built per solve,
+straight from the pruned game, and re-anchored in place: the core finals'
+integer lines are fixed once, and a re-anchor recomputes the clone lines,
+the common scale, the -inf cutoff and the round bound.
 
 The sweep stays on the integer scale of value iteration.  Values at b and
 at the candidate a are integers over their run's denominators, so every
@@ -34,22 +34,21 @@ function is built after the sweep.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .exactmath import (
-    Affine,
     CostFunction,
     as_fraction,
     evaluate,
     format_value,
 )
-from .model import FINAL, MAX, MIN, Game, Guard, Location, Transition, check_sptg, make_game
+from .model import MAX, MIN, Game, Location, check_sptg, make_game
 from .strategy import FPStrategy, Move, SwitchingStrategy
 from .urgent import (
+    WAIT_SUFFIX,
     InstantEvaluator,
     _integer_lines,
     _with_cutoff,
@@ -57,8 +56,6 @@ from .urgent import (
     iteration_bound,
     possible_cutpoints,
 )
-
-WAIT_SUFFIX = "@wait"
 
 
 class NonSPTG(ValueError):
@@ -70,7 +67,7 @@ class InfiniteValue(ValueError):
 
 
 class MissingTerminalValue(KeyError):
-    """The waiting construction got no anchor value for some location."""
+    """A window got no anchor value for some location that may wait."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -135,48 +132,6 @@ class Solution:
     infinite: dict
 
 
-def make_urgent(g: Game) -> Game:
-    """Copy of the game where no location may let time pass."""
-    locs = tuple(
-        l if l.is_final or l.urgent else dataclasses.replace(l, urgent=True)
-        for l in g.locations
-    )
-    return make_game(locs, g.transitions, g.clock_bound)
-
-
-def waiting(g: Game, r, anchor: dict) -> Game:
-    """Game on [0, r] where waiting until r is priced by the anchor values.
-
-    Every non-urgent non-final location gets a final clone whose cost is
-    the waiting cost to r plus its anchor value, reachable by a fresh
-    zero-weight transition.  Original transitions keep their order and
-    indices; the clone edges are appended after all of them.
-    """
-    r = as_fraction(r)
-    locs = []
-    clone_edges = []
-    for l in g.locations:
-        locs.append(l)
-        if l.is_final or l.urgent:
-            continue
-        v = _anchor_value(anchor, l.name)
-        clone = Location(
-            l.name + WAIT_SUFFIX,
-            FINAL,
-            Fraction(0),
-            False,
-            Affine(-as_fraction(l.rate), r * as_fraction(l.rate) + v),
-        )
-        locs.append(clone)
-        clone_edges.append(
-            Transition(l.name, Guard.closed(0, r), False, clone.name, 0)
-        )
-    trans = [
-        dataclasses.replace(t, guard=Guard.closed(0, r)) for t in g.transitions
-    ]
-    return make_game(tuple(locs), tuple(trans) + tuple(clone_edges), r)
-
-
 def _anchor_value(anchor: dict, name: str) -> Fraction:
     if name not in anchor:
         raise MissingTerminalValue(name)
@@ -187,20 +142,23 @@ def _anchor_value(anchor: dict, name: str) -> Fraction:
 
 
 class WindowEvaluator(InstantEvaluator):
-    """Value iteration for make_urgent(waiting(core, r, anchor)), re-anchored in place.
+    """Value iteration for the core on a window [0, r], re-anchored in place.
 
-    The waiting game is built once, at r = 1.  Its locations, rows and
-    moves depend on neither r nor the anchor, and neither do the core
-    finals' integer lines; only each clone's line (-rate, r*rate + v)
+    Waiting until r is priced by a final clone name@wait of each location
+    that may wait, placed right after it and entered by a zero-weight move
+    appended to its row; the clone's cost line (-rate, r*rate + v) pays the
+    rate to r and then the anchor value v.  The rows are compiled once,
+    straight from the core: they depend on neither r nor the anchor, and
+    neither do the core finals' integer lines; only each clone's line
     moves.  `reanchor` therefore computes just the clone lines, puts every
     line on the new least common scale and re-derives pf, the -inf cutoff
-    and the round bound, so the evaluator then behaves exactly like a fresh
-    InstantEvaluator of the waiting game at (r, anchor); built, it is one at
-    (1, anchor).  Re-anchors hold core finals first, which changes no run.
+    and the round bound.  Built, the evaluator is re-anchored at (1,
+    anchor); core finals' lines come first, then the clones', which
+    changes no run.
     """
 
     def __init__(self, core: Game, anchor: dict):
-        super().__init__(make_urgent(waiting(core, 1, anchor)))
+        super().__init__(core, clones=True)
         # (name, rate) of every location that may wait, in clone order
         self.waits = [
             (l.name, as_fraction(l.rate))
@@ -215,6 +173,7 @@ class WindowEvaluator(InstantEvaluator):
         self._base = math.lcm(scale, *(rate.denominator for _, rate in self.waits))
         k = self._base // scale
         self._core_lines = [(s * k, c * k) for s, c in lines]
+        self.reanchor(1, anchor)
 
     def reanchor(self, r, anchor: dict) -> None:
         """Moves the window to [0, r], each clone banking anchor[name] at r."""
@@ -244,7 +203,7 @@ def prune_infinite(g: Game) -> PruneResult:
     back to the input game.  The same solve gives the finite locations'
     values at the right end, where `sweep` starts.
     """
-    ev = InstantEvaluator(make_urgent(g))
+    ev = InstantEvaluator(g)
     x, _, _, denom = ev.run(g.clock_bound)
     values = dict(zip(ev.names, x))
     infinite = {n: v for n, v in values.items() if isinstance(v, float)}
@@ -261,14 +220,17 @@ def prune_infinite(g: Game) -> PruneResult:
 
 def default_max_steps(g: Game) -> int:
     # the round bound reads locations, weights and final costs only, so it
-    # is the same for g and make_urgent(g)
+    # is the same whatever the locations' urgent flags
     return 4 * len(g.locations) * iteration_bound(g)
 
 
-def sweep(g: Game, max_steps: Optional[int] = None) -> Sweep:
+def sweep(g: Game, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Sweep:
     """Values of a simple game on [0, 1], without strategies.  A game left
     with no non-final location after pruning gives an empty `finite` map,
-    not EmptyGame; `max_steps` caps the candidate evaluations."""
+    not EmptyGame; `max_steps` caps the candidate evaluations.  The finite
+    functions are built on onto = (c, d), the clock x standing at
+    c + x*(d-c) there; the region pipeline's windows use that to build
+    each value once, on its own window."""
     if g.clock_bound != 1 or not check_sptg(g, 1):
         raise NonSPTG("expected guards [0, 1] everywhere and no resets")
     pr = prune_infinite(g)
@@ -352,8 +314,11 @@ def sweep(g: Game, max_steps: Optional[int] = None) -> Sweep:
             trace.boundaries.append(Fraction(0))
             r = Fraction(0)
 
+    c, length = as_fraction(onto[0]), as_fraction(onto[1] - onto[0])
     finite = {
-        n: CostFunction.from_points([(x, Fraction(v, d)) for x, v, d in reversed(pts)])
+        n: CostFunction.from_points(
+            [(c + x * length, Fraction(v, den)) for x, v, den in reversed(pts)]
+        )
         for n, pts in zip(names, points)
     }
     return Sweep(pr, finite, trace, ev)
@@ -373,7 +338,7 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
 
     # the no-time-left moves need the core's own ranks at 1: pruning's
     # differ where a Max location has an edge into a pruned -inf location
-    end_ev = InstantEvaluator(make_urgent(core))
+    end_ev = InstantEvaluator(core)
     x, ranks, _, denom = end_ev.run(1)
     end = (dict(zip(end_ev.names, x)), dict(zip(end_ev.names, ranks)), denom)
     max_fp, min_fp = _synthesize(sw.evaluator, core, fns, end, pr.transition_origin)

@@ -1,13 +1,14 @@
-"""Solving games where every non-final location is urgent.
+"""Solving a game at one valuation, where no time passes.
 
 At a fixed valuation nu time cannot pass, so the game is a finite min/max
-reachability game over the locations.  Value iteration from +inf converges to
-the greatest fixpoint, which is the value; entries that sink below the finite
-range are snapped to -inf.  Between two consecutive possible cutpoints
-(`possible_cutpoints`: the crossings of the integer shifts of the final
-costs) no two lines of that family cross, so each value is affine there;
-the sweep reads its candidate breakpoints from them.  `attractor_strategy`
-gives the reachability choices Min falls back on.
+reachability game over the locations, whatever their `urgent` flags say.
+Value iteration from +inf converges to the greatest fixpoint, which is the
+value; entries that sink below the finite range are snapped to -inf.
+Between two consecutive possible cutpoints (`possible_cutpoints`: the
+crossings of the integer shifts of the final costs) no two lines of that
+family cross, so each value is affine there; the sweep reads its candidate
+breakpoints from them.  `attractor_strategy` gives the reachability
+choices Min falls back on.
 
 Both the iteration and the cutpoint grid work on integers: the final costs
 of a game are put once on one integer scale L (the least common denominator
@@ -19,34 +20,19 @@ Fractions (`unscale`) only for values they keep.
 An evaluator's locations, rows and moves are fixed when it is built, but
 its final lines, scale, cutoff and round bound can be put in again
 (`InstantEvaluator._place`).  The sweep's window evaluator does that to
-re-anchor one waiting game per window and per strategy cell, and
+re-anchor its wait clones per window and per strategy cell, and
 `possible_cutpoints` reads the grid straight off an evaluator's lines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import INF, NEG_INF, as_fraction, is_finite
+from .exactmath import INF, NEG_INF, as_fraction
 from .model import MAX, MIN, Game
 
-
-class PreconditionError(ValueError):
-    """The game is not in the shape this routine requires."""
-
-
-@dataclass(frozen=True)
-class ValueVector:
-    nu: Fraction
-    values: dict
-
-    def __getitem__(self, name: str) -> Value:
-        return self.values[name]
-
-    def all_finite(self) -> bool:
-        return all(is_finite(v) for v in self.values.values())
+WAIT_SUFFIX = "@wait"
 
 
 def iteration_bound(g: Game) -> int:
@@ -101,7 +87,13 @@ def unscale(x: list, denom: int) -> list:
 
 
 class InstantEvaluator:
-    """Precompiled value iteration for one all-urgent game.
+    """Precompiled value iteration for one game at single valuations.
+
+    Every non-final location's moves are compiled, whatever its `urgent`
+    flag: at one valuation no time passes, so a location that may wait has
+    nothing more to do there than an urgent one.  Waiting until the end of
+    a window is a move of its own only in the sweep's window evaluator,
+    which enters it through a final clone.
 
     The hot loop runs on integers.  The constructor puts the final costs
     and the -inf cutoff on one integer scale L and derives the round bound,
@@ -112,15 +104,20 @@ class InstantEvaluator:
     The locations, rows and moves are fixed at construction; `_place` can
     later put new final lines and a new clock bound in, which is how a
     window evaluator is re-anchored without rebuilding the game.
+
+    With clones, every non-final location that may wait is followed by a
+    final clone name@wait, entered by a zero-weight move appended to the
+    location's row.  The clones' lines depend on the window, so no line is
+    placed then: the window evaluator places them all (`reanchor`).
     """
 
-    def __init__(self, g: Game):
-        for loc in g.locations:
-            if not loc.is_final and not loc.urgent:
-                raise PreconditionError(
-                    f"non-urgent non-final location {loc.name}; make the game urgent first"
-                )
-        self.names = [l.name for l in g.locations]
+    def __init__(self, g: Game, clones: bool = False):
+        waits = {l.name for l in g.nonfinal_locations if clones and not l.urgent}
+        self.names = []
+        for l in g.locations:
+            self.names.append(l.name)
+            if l.name in waits:
+                self.names.append(l.name + WAIT_SUFFIX)
         self.index = {n: i for i, n in enumerate(self.names)}
         self.final_index = [self.index[l.name] for l in g.final_locations]
         self.rows = []  # (loc_idx, is_max, [(weight, tgt_idx), ...])
@@ -131,9 +128,12 @@ class InstantEvaluator:
                 (g.transitions[i].weight, self.index[g.transitions[i].target])
                 for i in g.outgoing(l.name)
             ]
+            if l.name in waits:
+                moves.append((0, self.index[l.name + WAIT_SUFFIX]))
             self.rows.append((self.index[l.name], l.owner == MAX, moves))
         self.max_weight = g.max_transition_weight()
-        self._place(*_final_scale(g))
+        if not clones:
+            self._place(*_final_scale(g))
 
     def _place(self, scale: int, lines: list, pf: Fraction) -> None:
         """Puts the final lines (S, C) on the scale L in, with their pf.
@@ -196,15 +196,6 @@ class InstantEvaluator:
             if not changed:
                 break
         return x, ranks, rounds, denom
-
-    def value_vector(self, nu) -> ValueVector:
-        x, _, _, denom = self.run(nu)
-        return ValueVector(as_fraction(nu), dict(zip(self.names, unscale(x, denom))))
-
-
-def solve_instant(g: Game, nu) -> ValueVector:
-    """Exact values of an all-urgent game at one valuation."""
-    return InstantEvaluator(g).value_vector(nu)
 
 
 def possible_cutpoints(ev: InstantEvaluator, r) -> list:

@@ -5,6 +5,9 @@ check the package against, not part of it:
 
 - ``restrict`` and ``pairwise_intersections`` on cost functions and
   lines;
+- ``make_urgent`` and ``waiting``, the game copies the sweep's evaluators
+  once were built from, and ``solve_instant``, the values of a game at one
+  valuation as a ``ValueVector``;
 - ``line_family``, the shifted final-cost lines whose crossings bound the
   cutpoints of an all-urgent game, and ``solve_all_urgent``, which solves
   such a game by evaluating at every crossing;
@@ -22,6 +25,7 @@ Test modules import it like ``conftest``: ``from reference import ...``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -31,11 +35,25 @@ from ptgsolve.exactmath import (
     Affine,
     CostFunction,
     DomainError,
+    Value,
     as_fraction,
     evaluate,
     format_value,
+    is_finite,
 )
-from ptgsolve.model import MAX, MIN, Config, Game, regions_of
+from ptgsolve.model import (
+    FINAL,
+    MAX,
+    MIN,
+    Config,
+    Game,
+    Guard,
+    Location,
+    Transition,
+    make_game,
+    regions_of,
+)
+from ptgsolve.solver import WAIT_SUFFIX, _anchor_value
 from ptgsolve.strategy import (
     NOW,
     WAIT_UNTIL,
@@ -45,7 +63,6 @@ from ptgsolve.strategy import (
 )
 from ptgsolve.urgent import (
     InstantEvaluator,
-    ValueVector,
     attractor_strategy,
     possible_cutpoints,
     unscale,
@@ -91,6 +108,71 @@ def pairwise_intersections(fs: Iterable[Affine], lo, hi) -> list:
             if lo <= x <= hi:
                 found.add(x)
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# urgent and waiting copies of a game, values at one valuation
+
+
+@dataclass(frozen=True)
+class ValueVector:
+    nu: Fraction
+    values: dict
+
+    def __getitem__(self, name: str) -> Value:
+        return self.values[name]
+
+    def all_finite(self) -> bool:
+        return all(is_finite(v) for v in self.values.values())
+
+
+def make_urgent(g: Game) -> Game:
+    """Copy of the game where no location may let time pass."""
+    locs = tuple(
+        l if l.is_final or l.urgent else dataclasses.replace(l, urgent=True)
+        for l in g.locations
+    )
+    return make_game(locs, g.transitions, g.clock_bound)
+
+
+def waiting(g: Game, r, anchor: dict) -> Game:
+    """Game on [0, r] where waiting until r is priced by the anchor values.
+
+    Every non-urgent non-final location gets a final clone whose cost is
+    the waiting cost to r plus its anchor value, reachable by a fresh
+    zero-weight transition.  Original transitions keep their order and
+    indices; the clone edges are appended after all of them.
+    """
+    r = as_fraction(r)
+    locs = []
+    clone_edges = []
+    for l in g.locations:
+        locs.append(l)
+        if l.is_final or l.urgent:
+            continue
+        v = _anchor_value(anchor, l.name)
+        clone = Location(
+            l.name + WAIT_SUFFIX,
+            FINAL,
+            Fraction(0),
+            False,
+            Affine(-as_fraction(l.rate), r * as_fraction(l.rate) + v),
+        )
+        locs.append(clone)
+        clone_edges.append(
+            Transition(l.name, Guard.closed(0, r), False, clone.name, 0)
+        )
+    trans = [
+        dataclasses.replace(t, guard=Guard.closed(0, r)) for t in g.transitions
+    ]
+    return make_game(tuple(locs), tuple(trans) + tuple(clone_edges), r)
+
+
+def solve_instant(g: Game, nu) -> ValueVector:
+    """Exact values of a game at one valuation."""
+    ev = InstantEvaluator(g)
+    x, _, _, denom = ev.run(nu)
+    return ValueVector(as_fraction(nu), dict(zip(ev.names, unscale(x, denom))))
 
 
 # ---------------------------------------------------------------------------

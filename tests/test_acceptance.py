@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import FIXTURES, load_fixture
-from reference import extract_untimed_strategies, solve_all_urgent
+from reference import extract_untimed_strategies, make_urgent, solve_all_urgent, solve_instant
 from test_properties import (
     GUARDED_SEEDS,
     run_equality_check,
@@ -23,9 +23,8 @@ from test_properties import (
 from ptgsolve.cli import main
 from ptgsolve.exactmath import Affine, evaluate
 from ptgsolve.model import MAX, MIN, Config, Guard, Location, Transition, make_game, parse_game
-from ptgsolve.solver import make_urgent, solve
+from ptgsolve.solver import solve
 from ptgsolve.strategy import FPStrategy, Move, SwitchingStrategy, play_out
-from ptgsolve.urgent import solve_instant
 
 FIG1_TABLES = {
     "l1": ((0, F(-19, 2)), (F(1, 4), -6), (F(1, 2), F(-11, 2)), (F(3, 4), -2), (F(9, 10), F(-1, 5)), (1, 0)),

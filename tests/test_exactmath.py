@@ -182,7 +182,7 @@ def test_breakpoints_strictly_increasing():
 def test_infinite_constant_function():
     f = CostFunction.constant(0, 1, NEG_INF)
     assert evaluate(f, F(1, 3)) == NEG_INF
-    assert not f.all_finite()
+    assert f.pieces == (NEG_INF,)
 
 
 def test_restrict_mid_piece():

@@ -117,29 +117,31 @@ def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):
     # Building the waiting game and its evaluator afresh for every window
     # and every strategy cell made 19 waiting games and 21 evaluators
     # here.  One evaluator is built and re-anchored instead; pruning and
-    # the end values take the other two.
+    # the end values take the other two.  Every evaluator reads its game
+    # as it is, so the pruned game is the one Game a solve builds; urgent
+    # and waiting copies for the evaluators made 5.
     g = fan_game(16, (1, -2, 3))
-    counts = {"waiting": 0, "evaluators": 0, "runs": 0}
-    waiting, init, run = solver.waiting, InstantEvaluator.__init__, InstantEvaluator.run
+    counts = {"games": 0, "evaluators": 0, "runs": 0}
+    post_init, init, run = Game.__post_init__, InstantEvaluator.__init__, InstantEvaluator.run
 
-    def counting_waiting(*args):
-        counts["waiting"] += 1
-        return waiting(*args)
+    def counting_post_init(self):
+        counts["games"] += 1
+        post_init(self)
 
-    def counting_init(self, game):
+    def counting_init(self, game, clones=False):
         counts["evaluators"] += 1
-        init(self, game)
+        init(self, game, clones)
 
     def counting_run(self, *args, **kwargs):
         counts["runs"] += 1
         return run(self, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "waiting", counting_waiting)
+    monkeypatch.setattr(Game, "__post_init__", counting_post_init)
     monkeypatch.setattr(InstantEvaluator, "__init__", counting_init)
     monkeypatch.setattr(InstantEvaluator, "run", counting_run)
     pick = solve(g).values["pick"]
     assert pick.xs == tuple(F(i, 16) for i in range(17))
-    assert counts["waiting"] == 1
+    assert counts["games"] == 1
     assert counts["evaluators"] <= 3
     # 592 candidates, the pruning and end-value solves, and 17 cells
     assert counts["runs"] == 611
@@ -152,9 +154,9 @@ def test_fan_sweep_starts_from_the_pruning_values(monkeypatch):
     counts = {"evaluators": 0, "runs": 0}
     init, run = InstantEvaluator.__init__, InstantEvaluator.run
 
-    def counting_init(self, game):
+    def counting_init(self, game, clones=False):
         counts["evaluators"] += 1
-        init(self, game)
+        init(self, game, clones)
 
     def counting_run(self, *args, **kwargs):
         counts["runs"] += 1

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import bellman_check, line_family, region_bellman_check
+from reference import bellman_check, line_family, make_urgent, region_bellman_check, waiting
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, slope_between
 from ptgsolve.model import (
     MAX,
@@ -27,7 +27,7 @@ from ptgsolve.model import (
     validate_game,
 )
 from ptgsolve.regions import ResetCycle, build_region_game, check_reset_acyclic, solve_reset_acyclic
-from ptgsolve.solver import EmptyGame, make_urgent, prune_infinite, solve, waiting
+from ptgsolve.solver import EmptyGame, prune_infinite, solve
 from ptgsolve.strategy import play_out
 from ptgsolve.urgent import InstantEvaluator, iteration_bound, unscale
 

@@ -17,6 +17,7 @@ from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
 from ptgsolve.model import (
     MAX,
     MIN,
+    Game,
     Guard,
     Location,
     Region,
@@ -545,22 +546,47 @@ def test_point_components_are_the_only_instant_solves(monkeypatch, reset_chain):
     the upper border, and its sweep settles the moves there, so only the
     six point components of reset_chain (a and b at 0, 1 and 2) solve a
     single-valuation game.  Solving one more per open component to anchor
-    its windows took 10 such solves and 18 evaluators."""
-    counts = {"instant": 0, "evaluators": 0}
+    its windows took 10 such solves and 18 evaluators.  Every evaluator
+    reads its game as it is: each point component and each window builds
+    one Game, and the sweep's pruning one more per window; urgent and
+    waiting copies for the evaluators made 26."""
+    counts = {"instant": 0, "evaluators": 0, "games": 0}
     instant, init = region_pipeline._instant, InstantEvaluator.__init__
+    post_init = Game.__post_init__
 
     def counting_instant(*args):
         counts["instant"] += 1
         return instant(*args)
 
-    def counting_init(self, game):
+    def counting_init(self, game, clones=False):
         counts["evaluators"] += 1
-        init(self, game)
+        init(self, game, clones)
+
+    def counting_post_init(self):
+        counts["games"] += 1
+        post_init(self)
 
     monkeypatch.setattr(region_pipeline, "_instant", counting_instant)
     monkeypatch.setattr(InstantEvaluator, "__init__", counting_init)
+    monkeypatch.setattr(Game, "__post_init__", counting_post_init)
     solve_reset_acyclic(reset_chain)
-    assert counts == {"instant": 6, "evaluators": 14}
+    assert counts == {"instant": 6, "evaluators": 14, "games": 14}
+
+
+def test_window_values_are_built_once(monkeypatch, reset_chain):
+    """`sweep` builds each window's finite values on the window itself.
+    Building them on [0, 1] and mapping them onto the window built each
+    one twice: 22 cost functions here instead of 18."""
+    counts = {"builds": 0}
+    post_init = CostFunction.__post_init__
+
+    def counting_post_init(self):
+        counts["builds"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(CostFunction, "__post_init__", counting_post_init)
+    solve_reset_acyclic(reset_chain)
+    assert counts["builds"] == 18
 
 
 def test_region_pipeline_builds_no_strategies(monkeypatch, reset_chain):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture
-from reference import fake_value_upper_bound, validate_nc
+from reference import fake_value_upper_bound, make_urgent, validate_nc, waiting
 from test_properties import random_sptg
 from ptgsolve.exactmath import Affine, evaluate
 from ptgsolve.model import Config, Guard, Location, Transition, make_game, parse_game
@@ -20,11 +20,9 @@ from ptgsolve.solver import (
     NonSPTG,
     WindowEvaluator,
     default_max_steps,
-    make_urgent,
     prune_infinite,
     solve,
     sweep,
-    waiting,
 )
 from ptgsolve.strategy import play_out
 from ptgsolve.urgent import InstantEvaluator, possible_cutpoints

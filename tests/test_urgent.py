@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from ptgsolve.exactmath import INF, NEG_INF, Affine, evaluate
 from ptgsolve.model import MAX, Guard, Location, Transition, make_game, parse_game
-from ptgsolve.solver import make_urgent
 from ptgsolve.urgent import (
     InstantEvaluator,
-    PreconditionError,
     iteration_bound,
     possible_cutpoints,
-    solve_instant,
     unscale,
 )
 
@@ -22,8 +19,10 @@ from reference import (
     NotFinite,
     extract_untimed_strategies,
     line_family,
+    make_urgent,
     pairwise_intersections,
     solve_all_urgent,
+    solve_instant,
 )
 
 F = Fraction
@@ -56,10 +55,14 @@ def appc_urgent():
     return make_urgent(parse_game(load_fixture("appc.json")))
 
 
-def test_requires_urgency():
+def test_urgency_flags_do_not_change_a_run(fig1_urgent):
+    # no time passes at one valuation, so a location that may wait plays
+    # exactly as an urgent one there
     g = parse_game(load_fixture("fig1.json"))
-    with pytest.raises(PreconditionError):
-        solve_instant(g, 1)
+    assert any(not l.urgent for l in g.nonfinal_locations)
+    ev, urgent_ev = InstantEvaluator(g), InstantEvaluator(fig1_urgent)
+    for x in (F(0), F(1, 3), F(1)):
+        assert ev.run(x) == urgent_ev.run(x)
 
 
 def test_fig1_values_at_one(fig1_urgent):
