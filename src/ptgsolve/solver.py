@@ -152,9 +152,10 @@ class WindowEvaluator(InstantEvaluator):
     neither do the core finals' integer lines; only each clone's line
     moves.  `reanchor` therefore computes just the clone lines, puts every
     line on the new least common scale and re-derives pf, the -inf cutoff
-    and the round bound.  Built, the evaluator is re-anchored at (1,
-    anchor); core finals' lines come first, then the clones', which
-    changes no run.
+    and the round bound, so the evaluator then behaves exactly like one
+    compiled afresh for the window at (r, anchor).  Built, it is
+    re-anchored at (1, anchor); core finals' lines come first, then the
+    clones', which changes no run.
     """
 
     def __init__(self, core: Game, anchor: dict):
