@@ -26,7 +26,6 @@ from .exactmath import (
     evaluate,
     format_value,
     parse_value,
-    slope_between,
 )
 from .model import Game, Region
 from .regions import solving_regions
@@ -370,8 +369,9 @@ def _check_lipschitz(values: dict, cap: Fraction) -> Optional[str]:
         for seg in values[name]:
             if uniform_infinity(seg) is not None or seg.is_point:
                 continue
-            for a, b in zip(seg.xs, seg.xs[1:]):
-                slope = slope_between(seg, a, b)
+            # a finite segment is read by from_points, whose pieces meet its breakpoints
+            for a, b, piece in zip(seg.xs, seg.xs[1:], seg.pieces):
+                slope = piece.slope
                 if abs(slope) > cap:
                     return (
                         f"lipschitz: {name} has slope {format_value(slope)} on "

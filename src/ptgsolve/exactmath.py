@@ -33,14 +33,6 @@ class SeamMismatch(ValueError):
     """Concatenation seam values disagree."""
 
 
-class InfinitePiece(ValueError):
-    """Operation requires finite values but hit an infinite piece."""
-
-
-def is_finite(v: Value) -> bool:
-    return not isinstance(v, float)
-
-
 def as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
@@ -262,15 +254,4 @@ def concat(*parts: CostFunction) -> CostFunction:
     vals = spans[0].vals + tuple(v for p in spans[1:] for v in p.vals[1:])
     pieces = tuple(piece for p in spans for piece in p.pieces)
     return CostFunction(xs, vals, pieces)
-
-
-def slope_between(f: CostFunction, nu1, nu2) -> Fraction:
-    """Exact chord slope (f(nu2) - f(nu1)) / (nu2 - nu1), nu1 < nu2."""
-    nu1, nu2 = as_fraction(nu1), as_fraction(nu2)
-    if not nu1 < nu2:
-        raise DomainError(f"need nu1 < nu2, got {nu1} >= {nu2}")
-    v1, v2 = evaluate(f, nu1), evaluate(f, nu2)
-    if not (is_finite(v1) and is_finite(v2)):
-        raise InfinitePiece(f"chord over ({nu1}, {nu2}) hits an infinite value")
-    return (v2 - v1) / (nu2 - nu1)
 

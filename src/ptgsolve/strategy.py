@@ -12,18 +12,21 @@ optimality of a claimed value function from the game alone.  It is one
 oracle for both pipelines: it reads values per clock region, jumps at
 region borders included, builds per-transition suffix tables once per
 document and then takes one bisection per transition at each valuation.
-`ptg verify` asks it about every document it checks.
+Its tables hold integers on two scales, one for clock values and one for
+costs, so a check at a valuation does integer arithmetic only and is still
+exact.  `ptg verify` asks it about every document it checks.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .exactmath import INF, Affine, Value, as_fraction, evaluate, format_value
+from .exactmath import INF, Affine, Value, as_fraction, format_value
 from .model import MAX, Config, Game
 
 NOW = "now"
@@ -200,117 +203,222 @@ class RegionBellmanOracle:
     is no candidate.  These are the candidates of trying every critical
     point at every valuation, in the same exact arithmetic.  An urgent
     location only fires now.
+
+    The tables live on two integer scales, fixed once per document, so
+    that a check does integer arithmetic only:
+
+    - X, the least common denominator of every abscissa: borders,
+      breakpoints, guard ends and the clock bound, which covers the
+      critical points and window ends too.  An abscissa a is the integer
+      a*X.
+    - M = X*D, where D is the least common denominator of the game's and
+      the claims' values, slopes and rates.  A value v is the integer v*M,
+      a slope or rate s the integer s*D, its change per step 1/X of the
+      clock on the scale M.  So a line's value s*k + c at a critical point
+      k is an integer on the scale M too, and with it the values after a
+      reset and the suffix optima.
+
+    The inputs are put on the scales once, and the tables are built from
+    those integers.  At nu = p/q every candidate and the claim are then
+    numerators over the one positive denominator M*q:
+
+    - a piece s*nu + c is s*D * p*X + c*M * q, a breakpoint value v*M * q;
+    - a weight w is w*M * q;
+    - a later fire point is suffix * q - rate*D * p*X.
+
+    Numerators over one positive denominator order as the values they
+    stand for, so picking the owner's best candidate and comparing it with
+    the claim is exact.  An abscissa A/X is at most nu exactly when the
+    integer A is at most floor(nu*X), and at least nu exactly when A is at
+    least ceil(nu*X); the two are equal exactly when q divides X, and only
+    then can an abscissa equal nu.  So every abscissa test is a test on
+    integers, a bisection included.  Infinities stay float sentinels:
+    Python compares them with integers of any size exactly, and inf*q is
+    inf for q > 0.
     """
 
     def __init__(self, g: Game, regions, region_vals: dict):
-        self.borders = [reg.lo for reg in regions if reg.is_point]
-        self.vals = region_vals
         bound = as_fraction(g.clock_bound)
-        self.rows = []
-        zero = Fraction(0)
+        borders = [reg.lo for reg in regions if reg.is_point]
+        funcs = {id(f): f for per in region_vals.values() for f in per if not isinstance(f, float)}
+        xden = {bound.denominator, *(b.denominator for b in borders)}
+        vden = set()
+        for f in funcs.values():
+            xden.update(x.denominator for x in f.xs)
+            vden.update(v.denominator for v in f.vals if not isinstance(v, float))
+            for piece in f.pieces:
+                if isinstance(piece, Affine):
+                    vden.update((piece.slope.denominator, piece.intercept.denominator))
+        for t in g.transitions:
+            xden.add(t.guard.lo.denominator)
+            if not isinstance(t.guard.hi, float):
+                xden.add(t.guard.hi.denominator)
+            vden.add(t.weight.denominator)
+        vden.update(l.rate.denominator for l in g.nonfinal_locations)
+        self.X = X = math.lcm(*xden)
+        D = math.lcm(*vden)
+        M = X * D
+        self.borders = borders = [_scaled(b, X) for b in borders]
+        tables = {key: _table(f, X, D, M) for key, f in funcs.items()}
+        self.entries, breaks = {}, {}
+        for name, per in region_vals.items():
+            # an infinity is the line (0, inf): 0*p + inf*q is inf for q > 0
+            self.entries[name] = [(0, f) if isinstance(f, float) else tables[id(f)][0] for f in per]
+            finite = [tables[id(f)] for f in per if not isinstance(f, float)]
+            breaks[name] = sorted({x for _, xs in finite for x in xs})
+        B = _scaled(bound, X)
+        zero = _around(borders, 0)[0]
         readings = {}
+        self.rows = []
         for l in g.nonfinal_locations:
             pick = max if l.owner == MAX else min
+            rate = _scaled(l.rate, D)
             moves = []
             for i in g.outgoing(l.name):
                 t = g.transitions[i]
-                lo = as_fraction(t.guard.lo)
-                hi = bound if isinstance(t.guard.hi, float) else min(bound, as_fraction(t.guard.hi))
+                guard = t.guard
+                lo = _scaled(guard.lo, X)
+                top = INF if isinstance(guard.hi, float) else _scaled(guard.hi, X)
+                hi = min(B, top)
                 if lo > hi:
                     continue
-                at_zero = self._value(t.target, self._around(zero)[0], zero) if t.reset else None
+                # the window ends the guard leaves out; a guard end above the bound is none
+                opened = ((lo,) if not guard.lo_closed else ()) + (
+                    (hi,) if not guard.hi_closed and hi == top else ()
+                )
+                # an interval holding both ends of the clock range holds all of it
+                always = (lo < 0 or lo == 0 and guard.lo_closed) and (
+                    B < top or B == top and guard.hi_closed
+                )
+                w = _scaled(t.weight, M)
+                at_zero = _at(self.entries[t.target][zero], 0, 1, 0, True) if t.reset else None
                 ks, tvs = [], []
                 if not l.urgent:
-                    key = (t.target, t.guard, pick)
+                    key = (t.target, lo, hi, opened, pick)
                     if key not in readings:
-                        readings[key] = self._readings(t.target, t.guard, lo, hi, pick)
+                        readings[key] = _readings(
+                            borders, self.entries[t.target], breaks[t.target], lo, hi, opened, pick
+                        )
                     ks, tvs = readings[key]
-                hs = [p * l.rate + t.weight + (at_zero if t.reset else tv) for p, tv in zip(ks, tvs)]
+                hs = [k * rate + w + (at_zero if t.reset else tv) for k, tv in zip(ks, tvs)]
                 suffix = list(accumulate(reversed(hs), pick))[::-1]
-                # an interval holding both ends of the clock range holds all of it
-                always = t.guard.contains(zero) and t.guard.contains(bound)
-                moves.append((t, always, lo, hi, at_zero, ks, suffix))
-            self.rows.append((l, pick, moves))
-
-    def _readings(self, target: str, guard, lo, hi, pick) -> tuple:
-        """The critical points p of the window [lo, hi] of a guard into
-        target, and the owner's best of the target's value at p (if the
-        guard contains p), its left limit (if p > lo) and its right limit
-        (if p < hi), each region read once.  Moves with the same target,
-        guard and owner share them."""
-        crit = self._critical(target, lo, hi)
-        last = len(crit) - 1
-        ks, tvs = [], []
-        for n, p in enumerate(crit):
-            here, below, above = self._around(p)
-            # crit runs from lo to hi: p > lo and p < hi read off n, and the
-            # guard holds every point strictly between them
-            inside = 0 < n < last or guard.contains(p)
-            sides = {k for k, ok in ((here, inside), (below, n > 0), (above, n < last)) if ok}
-            if sides:
-                ks.append(p)
-                tvs.append(pick(self._value(target, k, p) for k in sides))
-        return ks, tvs
-
-    def _critical(self, target: str, lo, hi) -> list:
-        crit = {lo, hi}
-        crit.update(b for b in self.borders if lo <= b <= hi)
-        for f in self.vals[target]:
-            if not isinstance(f, float):
-                crit.update(x for x in f.xs if lo <= x <= hi)
-        return sorted(crit)
-
-    def _around(self, x) -> tuple:
-        """Indices of the regions holding x, touching it from below and
-        touching it from above; off a border they are one region."""
-        i = bisect_left(self.borders, x)
-        if i < len(self.borders) and self.borders[i] == x:
-            return 2 * i, 2 * i - 1, 2 * i + 1
-        return 2 * i - 1, 2 * i - 1, 2 * i - 1
-
-    def _value(self, name: str, index: int, x):
-        f = self.vals[name][index]
-        if isinstance(f, float):
-            return f
-        if len(f.pieces) == 1 and isinstance(f.pieces[0], Affine):
-            # CostFunction checks on construction that the line meets both ends
-            return f.pieces[0](x)
-        return evaluate(f, x)
+                reset = w + at_zero if t.reset else None
+                moves.append((w, reset, always, lo, hi, opened, ks, suffix, t.target))
+            self.rows.append((l.name, pick, l.urgent, rate, moves))
 
     def check(self, nu) -> list:
         """Names of locations whose claimed value is not locally optimal at nu."""
         nu = as_fraction(nu)
-        here, _, after = self._around(nu)
-        border = here != after
-        seen = {}
+        p, q = nu.numerator, nu.denominator
+        X, borders, entries = self.X, self.borders, self.entries
+        exact = X % q == 0  # only then is nu*X an integer, and can equal an abscissa
+        px = p * X
+        fl = px // q
+        ce = fl if exact else fl + 1
+        i = bisect_left(borders, ce)
+        border = exact and i < len(borders) and borders[i] == fl
+        here, after = (2 * i, 2 * i + 1) if border else (2 * i - 1, 2 * i - 1)
+        at_here = {}
+        at_after = {} if border else at_here
 
-        def at_nu(name, index):
-            v = seen.get((name, index))
+        def at(name, index, seen):
+            v = seen.get(name)
             if v is None:
-                v = seen[name, index] = self._value(name, index, nu)
+                v = seen[name] = _at(entries[name][index], px, q, fl, exact)
             return v
 
         bad = []
-        for l, pick, moves in self.rows:
+        for name, pick, urgent, rate, moves in self.rows:
             cands, later = [], []
-            for t, always, lo, hi, at_zero, ks, suffix in moves:
-                j = bisect_right(ks, nu)
+            for w, reset, always, lo, hi, opened, ks, suffix, target in moves:
+                j = bisect_right(ks, fl)
                 if j < len(ks):
                     later.append(suffix[j])
                 if always:
                     attained = True
-                elif lo <= nu <= hi:
-                    attained = t.guard.contains(nu)
+                elif lo <= fl and ce <= hi:
+                    attained = not (exact and fl in opened)
                 else:
                     continue
                 if attained:
-                    cands.append(t.weight + (at_zero if t.reset else at_nu(t.target, here)))
-                if not l.urgent and (border or not attained) and nu < hi:
-                    cands.append(t.weight + (at_zero if t.reset else at_nu(t.target, after)))
+                    cands.append(reset * q if reset is not None else w * q + at(target, here, at_here))
+                if not urgent and (border or not attained) and fl < hi:
+                    cands.append(reset * q if reset is not None else w * q + at(target, after, at_after))
             if later:
                 # every later fire point pays the same -nu*rate for the wait
-                cands.append(pick(later) - nu * l.rate)
-            if (pick(cands) if cands else INF) != at_nu(l.name, here):
-                bad.append(l.name)
+                cands.append(pick(later) * q - rate * px)
+            if (pick(cands) if cands else INF) != at(name, here, at_here):
+                bad.append(name)
         return bad
 
+
+def _scaled(v, scale: int):
+    """The integer v*scale of a rational v whose denominator divides
+    scale; an infinity stays itself."""
+    return v if isinstance(v, float) else v.numerator * (scale // v.denominator)
+
+
+def _table(f, X: int, D: int, M: int) -> tuple:
+    """A CostFunction on the scales, as the check reads it, and its
+    breakpoints.  It reads a line (slope*D, intercept*M) where one line
+    gives every value on the closure (a point or one affine piece), else
+    (xs, vals, lines), an infinite piece being the line (0, inf)."""
+    xs = [_scaled(x, X) for x in f.xs]
+    if f.is_point:
+        return (0, _scaled(f.vals[0], M)), xs
+    lines = [
+        (_scaled(p.slope, D), _scaled(p.intercept, M)) if isinstance(p, Affine) else (0, p)
+        for p in f.pieces
+    ]
+    if len(lines) == 1 and isinstance(f.pieces[0], Affine):
+        # CostFunction checks on construction that the line meets both ends
+        return lines[0], xs
+    return (xs, [_scaled(v, M) for v in f.vals], lines), xs
+
+
+def _at(entry: tuple, a: int, b: int, fl: int, exact: bool):
+    """The value of a `_table` entry at the abscissa a/(X*b), as a
+    numerator over M*b; fl is floor(a/b) and exact tells whether b
+    divides a."""
+    if len(entry) == 2:
+        s, c = entry
+        return s * a + c * b
+    xs, vals, lines = entry
+    j = bisect_left(xs, fl if exact else fl + 1)
+    if exact and xs[j] == fl:
+        return vals[j] * b
+    s, c = lines[j - 1]
+    return s * a + c * b
+
+
+def _readings(borders: list, per: list, breaks: list, lo, hi, opened: tuple, pick) -> tuple:
+    """The critical points k of the window [lo, hi] of a guard into a
+    target valued per region by per, whose breakpoints are breaks, and the
+    owner's best of the target's value at k (if the guard contains k), its
+    left limit (if k > lo) and its right limit (if k < hi), each region
+    read once.  Moves with the same target, window and owner share them."""
+    crit = {lo, hi}
+    crit.update(borders[bisect_left(borders, lo) : bisect_right(borders, hi)])
+    crit.update(breaks[bisect_left(breaks, lo) : bisect_right(breaks, hi)])
+    crit = sorted(crit)
+    last = len(crit) - 1
+    ks, tvs = [], []
+    for n, k in enumerate(crit):
+        here, below, above = _around(borders, k)
+        # crit runs from lo to hi: k > lo and k < hi read off n, and the
+        # guard holds every point strictly between them
+        inside = 0 < n < last or k not in opened
+        sides = {r for r, ok in ((here, inside), (below, n > 0), (above, n < last)) if ok}
+        if sides:
+            ks.append(k)
+            tvs.append(pick(_at(per[r], k, 1, k, True) for r in sides))
+    return ks, tvs
+
+
+def _around(borders: list, x) -> tuple:
+    """Indices of the regions holding x, touching it from below and
+    touching it from above; off a border they are one region."""
+    i = bisect_left(borders, x)
+    if i < len(borders) and borders[i] == x:
+        return 2 * i, 2 * i - 1, 2 * i + 1
+    return 2 * i - 1, 2 * i - 1, 2 * i - 1

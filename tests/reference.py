@@ -3,8 +3,8 @@
 Each is a second implementation built from the paper's proofs, kept to
 check the package against, not part of it:
 
-- ``restrict`` and ``pairwise_intersections`` on cost functions and
-  lines;
+- ``restrict``, ``slope_between`` and ``pairwise_intersections`` on
+  cost functions and lines;
 - ``make_urgent`` and ``waiting``, the game copies the sweep's evaluators
   once were built from, and ``solve_instant``, the values of a game at one
   valuation as a ``ValueVector``;
@@ -39,7 +39,6 @@ from ptgsolve.exactmath import (
     as_fraction,
     evaluate,
     format_value,
-    is_finite,
 )
 from ptgsolve.model import (
     FINAL,
@@ -92,6 +91,25 @@ def restrict(f: CostFunction, lo, hi) -> CostFunction:
         xs.append(cut_b)
         vals.append(p(cut_b) if isinstance(p, Affine) else f.vals[i + 1] if cut_b == b else p)
     return CostFunction(tuple(xs), tuple(vals), tuple(pieces))
+
+
+class InfinitePiece(ValueError):
+    """Operation requires finite values but hit an infinite piece."""
+
+
+def is_finite(v: Value) -> bool:
+    return not isinstance(v, float)
+
+
+def slope_between(f: CostFunction, nu1, nu2) -> Fraction:
+    """Exact chord slope (f(nu2) - f(nu1)) / (nu2 - nu1), nu1 < nu2."""
+    nu1, nu2 = as_fraction(nu1), as_fraction(nu2)
+    if not nu1 < nu2:
+        raise DomainError(f"need nu1 < nu2, got {nu1} >= {nu2}")
+    v1, v2 = evaluate(f, nu1), evaluate(f, nu2)
+    if not (is_finite(v1) and is_finite(v2)):
+        raise InfinitePiece(f"chord over ({nu1}, {nu2}) hits an infinite value")
+    return (v2 - v1) / (nu2 - nu1)
 
 
 def pairwise_intersections(fs: Iterable[Affine], lo, hi) -> list:

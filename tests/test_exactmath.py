@@ -8,16 +8,14 @@ from ptgsolve.exactmath import (
     Affine,
     CostFunction,
     DomainError,
-    InfinitePiece,
     SeamMismatch,
     concat,
     evaluate,
     format_value,
     parse_value,
-    slope_between,
 )
 
-from reference import pairwise_intersections, restrict
+from reference import InfinitePiece, pairwise_intersections, restrict, slope_between
 
 
 def test_evaluate_affine_endpoint():

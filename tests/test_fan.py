@@ -14,11 +14,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import FIXTURES, load_fixture
+
+from ptgsolve import document, solver
 from ptgsolve.cli import main
 from ptgsolve.exactmath import Affine, CostFunction, evaluate
-from ptgsolve.model import Game, Guard, Location, Transition, make_game, serialize_game
-from ptgsolve import solver
+from ptgsolve.model import Game, Guard, Location, Transition, make_game, parse_game, serialize_game
+from ptgsolve.regions import solving_regions
 from ptgsolve.solver import BudgetExceeded, solve
+from ptgsolve.strategy import RegionBellmanOracle
 from ptgsolve.urgent import InstantEvaluator
 
 
@@ -216,6 +220,40 @@ def test_guarded_fan_verify_builds_its_region_tables_once(tmp_path, capsys, monk
     counts, out = _verify_counts(tmp_path, capsys, monkeypatch, guarded_fan(16, (1, -2, 3)))
     assert "mode: reset-acyclic" in out
     assert counts["evaluate"] <= 750
+
+
+@pytest.mark.parametrize("case", ["fan", "guarded_jump"])
+def test_bellman_checks_do_no_fraction_arithmetic(tmp_path, monkeypatch, case):
+    # The oracle puts its tables on two integer scales when it is built, so
+    # a check at p/q compares integer numerators over one denominator.  In
+    # Fractions the fan's 35 checks made 1,985 comparisons, 513
+    # multiplications and 411 additions.
+    if case == "fan":
+        g = fan_game(9, (1, -2, 3))
+        game, values = tmp_path / "fan.json", tmp_path / "fan.values.json"
+        game.write_text(serialize_game(g))
+        assert main(["solve", str(game), "--out", str(values)]) == 0
+    else:
+        g = parse_game(load_fixture("guarded_jump.json"))
+        values = FIXTURES / "guarded_jump.values.json"
+    doc = document.load(str(values))
+    regions = solving_regions(g)
+    borders = {reg.lo for reg in regions if reg.is_point} if doc.mode == document.MODE_REGIONS else set()
+    region_vals = {name: document.region_values(regions, segs) for name, segs in doc.values.items()}
+    oracle = RegionBellmanOracle(g, regions, region_vals)
+    points = document._sample_points(g, doc.values, 16, borders)
+    counts = {}
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "_richcmp", "__eq__"):
+
+        def counting(*args, op=op, plain=getattr(F, op)):
+            counts[op] = counts.get(op, 0) + 1
+            return plain(*args)
+
+        monkeypatch.setattr(F, op, counting)
+    verdicts = [oracle.check(nu) for nu in points]
+    monkeypatch.undo()
+    assert verdicts == [[]] * len(points)
+    assert counts == {}
 
 
 def _verify_counts(tmp_path, capsys, monkeypatch, g) -> tuple:

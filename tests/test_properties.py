@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import bellman_check, line_family, make_urgent, region_bellman_check, waiting
-from ptgsolve.exactmath import Affine, CostFunction, evaluate, slope_between
+from reference import bellman_check, line_family, make_urgent, region_bellman_check, slope_between, waiting
+from ptgsolve.exactmath import Affine, CostFunction, evaluate
 from ptgsolve.model import (
     MAX,
     MIN,

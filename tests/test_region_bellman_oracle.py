@@ -5,20 +5,24 @@
 collects every critical point of each transition's window, tries the
 target's value and one-sided limits there, and finds each value's region
 by a linear scan.  ``RegionBellmanOracle`` answers from per-transition
-suffix optima built once, and must name the same locations at every
-valuation.
+suffix optima built once, on two integer scales, and must name the same
+locations at every valuation.  Claims over a prime above 2**64, checked
+where ``ptg verify`` samples and off its grid, take those scales past
+machine words.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference import region_bellman_check
 from test_properties import usable_guarded
 
+from ptgsolve.document import _sample_points
 from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate, format_value
 from ptgsolve.model import MAX, MIN, Game, Guard, Location, Transition, make_game
 from ptgsolve.regions import solve_reset_acyclic, solving_regions
@@ -116,6 +120,29 @@ SMALL = st.integers(-2, 2)
 BOUNDS = (F(1), F(2), F(3, 2))
 
 
+@dataclass(frozen=True)
+class Numbers:
+    """The numbers a claim is drawn from: claimed values and final-cost
+    coefficients, transition weights, and where a region's inner
+    breakpoints fall, as fractions of its span."""
+
+    value: st.SearchStrategy
+    weight: st.SearchStrategy
+    inner: st.SearchStrategy
+
+
+QUARTERS = Numbers(SMALL, SMALL, st.sampled_from((F(1, 4), F(1, 2), F(3, 4))))
+# A prime above 2**64: values and breakpoints over it keep it as their
+# denominator, so both integer scales of the oracle outgrow machine words.
+WIDE_DENOMINATOR = 2**89 - 1
+HUGE = st.sampled_from((-(10**6), -1, 0, 1, 10**6))
+WIDE = Numbers(
+    st.integers(-(10**27), 10**27).map(lambda n: F(n, WIDE_DENOMINATOR)),
+    HUGE,
+    st.integers(1, WIDE_DENOMINATOR - 1).map(lambda n: F(n, WIDE_DENOMINATOR)),
+)
+
+
 def _points(g: Game, regions, vals: dict) -> list:
     """Every border, breakpoint and the clock bound, and the midpoints."""
     pts = {reg.lo for reg in regions} | {g.clock_bound}
@@ -127,12 +154,22 @@ def _points(g: Game, regions, vals: dict) -> list:
     return pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
 
 
-def _assert_same(g: Game, vals: dict) -> int:
+def _sampled(g: Game, regions, vals: dict) -> list:
+    """The valuations `ptg verify --grid 16` samples on these claims, and
+    one off-grid point in each gap between them, over a second prime above
+    2**64."""
+    segments = {name: [f for f in per if not isinstance(f, float)] for name, per in vals.items()}
+    borders = {reg.lo for reg in regions if reg.is_point}
+    pts = _sample_points(g, segments, 16, borders)
+    return pts + [a + (b - a) / (2**107 - 1) for a, b in zip(pts, pts[1:])]
+
+
+def _assert_same(g: Game, vals: dict, points=_points) -> int:
     """Checks both oracles at every point; returns how many locations failed."""
     regions = solving_regions(g)
     oracle = RegionBellmanOracle(g, regions, vals)
     failed = 0
-    for nu in _points(g, regions, vals):
+    for nu in points(g, regions, vals):
         want = reference_region_bellman_check(g, list(regions), vals, nu)
         assert oracle.check(nu) == want, f"at {nu}"
         assert region_bellman_check(g, regions, vals, nu) == want, f"at {nu}"
@@ -153,6 +190,10 @@ def _features(g: Game, vals: dict) -> set:
             out.add("unbounded")
         if not (t.guard.lo_closed and t.guard.hi_closed):
             out.add("open")
+    # a breakpoint over 2**64 puts both of the oracle's scales above it
+    finite = [f for per in vals.values() for f in per if not isinstance(f, float)]
+    if any(x.denominator > 2**64 for f in finite for x in f.xs):
+        out.add("wide")
     for l in g.nonfinal_locations:
         per = vals[l.name]
         if any(isinstance(f, float) for f in per):
@@ -166,14 +207,15 @@ def _features(g: Game, vals: dict) -> set:
 
 
 @st.composite
-def _locations(draw, n_max: int, rates):
+def _locations(draw, n_max: int, rates, numbers: Numbers = QUARTERS):
     names = [f"q{i}" for i in range(draw(st.integers(1, n_max)))]
     finals = [f"f{i}" for i in range(draw(st.integers(1, 2)))]
     locs = [
         Location(q, draw(st.sampled_from((MIN, MAX))), draw(rates), draw(st.booleans()), None)
         for q in names
     ]
-    locs += [Location(f, "final", 0, False, Affine(draw(SMALL), draw(SMALL))) for f in finals]
+    value = numbers.value
+    locs += [Location(f, "final", 0, False, Affine(draw(value), draw(value))) for f in finals]
     return names, finals, locs
 
 
@@ -187,29 +229,29 @@ def _guard(draw, bound):
 
 
 @st.composite
-def _entry(draw, reg):
+def _entry(draw, reg, numbers: Numbers = QUARTERS):
     """A claimed value on the closure of one region: an infinity or a few
     affine pieces, drawn apart from its neighbours so borders jump."""
     kind = draw(st.sampled_from(("inf", "-inf", "finite", "finite", "finite")))
     if kind != "finite":
         return INF if kind == "inf" else NEG_INF
     if reg.is_point:
-        return CostFunction.point(reg.lo, draw(SMALL))
+        return CostFunction.point(reg.lo, draw(numbers.value))
     span = reg.hi - reg.lo
-    inner = draw(st.sets(st.sampled_from([reg.lo + span * i / 4 for i in (1, 2, 3)]), max_size=2))
+    inner = draw(st.sets(numbers.inner.map(lambda r: reg.lo + span * r), max_size=2))
     xs = [reg.lo, *sorted(inner), reg.hi]
-    return CostFunction.from_points([(x, draw(SMALL)) for x in xs])
+    return CostFunction.from_points([(x, draw(numbers.value)) for x in xs])
 
 
 @st.composite
-def _claim(draw, regions):
+def _claim(draw, regions, numbers: Numbers = QUARTERS):
     """Jumpy entries, or spikes: one infinity on every open region and the
     other one or a finite value at borders, which only firing exactly at a
     border reaches."""
     if not draw(st.booleans()):
-        return tuple(draw(_entry(r)) for r in regions)
+        return tuple(draw(_entry(r, numbers)) for r in regions)
     sign = draw(st.sampled_from((INF, NEG_INF)))
-    spikes = st.one_of(st.just(-sign), SMALL)
+    spikes = st.one_of(st.just(-sign), numbers.value)
     out = []
     for r in regions:
         v = draw(spikes) if r.is_point else sign
@@ -283,7 +325,7 @@ def _meeting_entry(reg, pts: list, rhs: list):
 
 
 @st.composite
-def layered_claims(draw):
+def layered_claims(draw, numbers: Numbers = QUARTERS, rates=st.integers(-1, 1)):
     """Claims that meet the one-step optimum at the points checked.
 
     Transitions only lead down the list of locations, so a location's
@@ -293,17 +335,17 @@ def layered_claims(draw):
     Which limit or which critical point is tried then decides verdicts.
     """
     bound = draw(st.sampled_from(BOUNDS))
-    names, finals, locs = draw(_locations(5, st.integers(-1, 1)))
+    names, finals, locs = draw(_locations(5, rates, numbers))
     trans = []
     for j, q in enumerate(names):
         below = names[j + 1 :] + finals
         for target in draw(st.lists(st.sampled_from(below), min_size=1, max_size=3)):
-            trans.append(Transition(q, draw(_guard(bound)), draw(st.booleans()), target, draw(SMALL)))
+            trans.append(Transition(q, draw(_guard(bound)), draw(st.booleans()), target, draw(numbers.weight)))
     g = make_game(locs, trans, bound)
     regions = solving_regions(g)
     split = draw(st.integers(1, max(1, len(names) - 1)))
     vals = _final_entries(g, regions)
-    vals.update({q: draw(_claim(regions)) for q in names[split:]})
+    vals.update({q: draw(_claim(regions, numbers)) for q in names[split:]})
     for j in range(split - 1, -1, -1):
         sub = make_game(
             [l for l in locs if l.name not in names[:j]],
@@ -315,7 +357,7 @@ def layered_claims(draw):
         for reg in regions:
             inside = sorted(p for p in pts if reg.lo < p < reg.hi or p == reg.lo == reg.hi)
             entry = _meeting_entry(reg, inside, [_one_step(sub, regions, vals, names[j], p) for p in inside])
-            per.append(draw(_entry(reg)) if entry is None else entry)
+            per.append(draw(_entry(reg, numbers)) if entry is None else entry)
         vals[names[j]] = tuple(per)
     return g, vals
 
@@ -388,6 +430,26 @@ def test_oracle_matches_reference_on_solved_and_moved_values(claim):
     _assert_same(*claim)
 
 
+def _draw_verdicts(claims, points=_points, phases=settings.default.phases) -> tuple:
+    """Checks both oracles on 60 draws of claims at points; returns the
+    location-valuations that passed and failed, and the shapes drawn."""
+    seen = {"passed": 0, "failed": 0}
+    drawn = set()
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True, phases=phases)
+    @given(claims)
+    def collect(claim):
+        g, vals = claim
+        failed = _assert_same(g, vals, points)
+        seen["failed"] += failed
+        checked = len(points(g, solving_regions(g), vals)) * len(g.nonfinal_locations)
+        seen["passed"] += checked - failed
+        drawn.update(_features(g, vals))
+
+    collect()
+    return seen, drawn
+
+
 @pytest.mark.parametrize(
     "claims, shapes",
     [
@@ -399,19 +461,17 @@ def test_oracle_matches_reference_on_solved_and_moved_values(claim):
 def test_draws_exercise_passes_and_failures(claims, shapes):
     # Without both verdicts, and the shapes each kind is meant to draw,
     # the equivalence above would say little.
-    seen = {"passed": 0, "failed": 0}
-    drawn = set()
-
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @given(claims())
-    def collect(claim):
-        g, vals = claim
-        failed = _assert_same(g, vals)
-        seen["failed"] += failed
-        points = _points(g, solving_regions(g), vals)
-        seen["passed"] += len(points) * len(g.nonfinal_locations) - failed
-        drawn.update(_features(g, vals))
-
-    collect()
+    seen, drawn = _draw_verdicts(claims())
     assert seen["passed"] > 0 and seen["failed"] > 0
     assert shapes <= drawn
+
+
+def test_oracle_matches_reference_on_wide_claims():
+    # Values, breakpoints and final costs over a prime above 2**64 and
+    # weights of +-10**6, checked where `ptg verify` samples and off its
+    # grid, with both verdicts, infinite regions and jumps drawn.  Shrinking
+    # such a draw takes minutes, so a failure reports the draw as found.
+    no_shrink = (Phase.explicit, Phase.reuse, Phase.generate)
+    seen, drawn = _draw_verdicts(layered_claims(WIDE, HUGE), _sampled, no_shrink)
+    assert seen["passed"] > 0 and seen["failed"] > 0
+    assert {"wide", "jump", "inf", "urgent", "reset", "open", "unbounded"} <= drawn
