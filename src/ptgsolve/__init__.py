@@ -24,6 +24,7 @@ from .model import (
     Game,
     GameSyntaxError,
     Guard,
+    InternalError,
     Location,
     Region,
     Transition,
@@ -78,6 +79,7 @@ __all__ = [
     "Game",
     "GameSyntaxError",
     "Guard",
+    "InternalError",
     "Location",
     "Region",
     "Transition",

@@ -9,7 +9,10 @@ checks are in :mod:`ptgsolve.document`; this module parses the arguments,
 prints the reports and maps errors to exit codes.
 
 Exit codes: 0 success, 2 unreadable or invalid input, 3 reset cycle,
-4 step budget exhausted, 5 verification or simulation failure.
+4 step budget exhausted, 5 verification or simulation failure, 6 internal
+error (a broken invariant of the solver, reported in one line on stderr
+with its phase, location and valuation; a fault of ptgsolve, not of the
+input).
 
 Everything printed to stdout is deterministic for fixed inputs, flags and
 seed; the elapsed-time line goes to stderr so output files and captured
@@ -32,7 +35,7 @@ from pathlib import Path
 from . import document
 from .document import MODE_REGIONS, MODE_SPTG, SolutionFormatError
 from .exactmath import format_value, parse_value
-from .model import MAX, Config, Game, GameSyntaxError, ValidationError, check_sptg, parse_game
+from .model import MAX, Config, Game, GameSyntaxError, InternalError, ValidationError, check_sptg, parse_game
 from .regions import ResetCycle, solve_reset_acyclic
 from .solver import BudgetExceeded, EmptyGame, NonSPTG, solve
 from .strategy import FPStrategy, IllegalMove, Move, play_out
@@ -42,6 +45,7 @@ EXIT_INPUT = 2
 EXIT_RESET_CYCLE = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+EXIT_INTERNAL = 6
 
 PLAY_PRINT_CAP = 40
 
@@ -423,6 +427,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     report.elapsed = time.monotonic() - started
     report.emit()
     return report.exit_code

@@ -27,7 +27,7 @@ from .exactmath import (
     format_value,
     parse_value,
 )
-from .model import Game, Region
+from .model import Game, InternalError, Region
 from .regions import solving_regions
 from .solver import Solution, SweepTrace
 from .strategy import WAIT_UNTIL, FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
@@ -50,13 +50,15 @@ class Document:
     strategies: Optional[dict]
 
 
-def _segment_to_json(seg: CostFunction) -> dict:
+def _segment_to_json(name: str, seg: CostFunction) -> dict:
     head = {"from": format_value(seg.lo), "to": format_value(seg.hi)}
     floats = [v for v in seg.vals if isinstance(v, float)]
     if floats:
         sign = floats[0]
         if not (all(v == sign for v in seg.vals) and all(p == sign for p in seg.pieces)):
-            raise AssertionError("solver segments never mix finite and infinite values")
+            raise InternalError(
+                "document", "a segment mixes finite and infinite values", name, seg.lo
+            )
         head["infinite"] = "inf" if sign > 0 else "-inf"
         return head
     head["points"] = [
@@ -70,7 +72,7 @@ def _values_to_json(values: dict) -> dict:
     for name in sorted(values):
         v = values[name]
         segs = (v,) if isinstance(v, CostFunction) else tuple(v)
-        out[name] = [_segment_to_json(s) for s in segs]
+        out[name] = [_segment_to_json(name, s) for s in segs]
     return out
 
 

@@ -139,10 +139,23 @@ class CostFunction:
                     raise DomainError(
                         f"piece {i} does not meet its breakpoint values"
                     )
+        self._store(xs, vals, pieces)
+
+    def _store(self, xs: tuple, vals: tuple, pieces: tuple) -> None:
+        """Canonicalises and keeps checked parts; every build ends here."""
         xs, vals, pieces = _canonical(xs, vals, pieces)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vals", vals)
         object.__setattr__(self, "pieces", pieces)
+
+    @classmethod
+    def _trusted(cls, xs: tuple, vals: tuple, pieces: tuple) -> "CostFunction":
+        """A function from parts known to be valid: exact, with strictly
+        increasing breakpoints and each finite piece meeting its two
+        breakpoint values.  Only canonicalised, never re-evaluated."""
+        f = object.__new__(cls)
+        f._store(xs, vals, pieces)
+        return f
 
     @property
     def lo(self) -> Fraction:
@@ -158,24 +171,33 @@ class CostFunction:
 
     @staticmethod
     def from_points(points: Sequence) -> "CostFunction":
-        """Interpolate finite breakpoint values: [(x0, v0), ..., (xn, vn)]."""
+        """Interpolate finite breakpoint values: [(x0, v0), ..., (xn, vn)].
+
+        Each piece is built through its own two points, so only the order of
+        the breakpoints is checked; a document's slopes are read off them.
+        """
         pts = [(as_fraction(x), as_fraction(v)) for x, v in points]
-        if len(pts) == 1:
-            return CostFunction((pts[0][0],), (pts[0][1],), ())
+        if not pts:
+            raise DomainError("a cost function needs at least one breakpoint")
         xs = tuple(x for x, _ in pts)
         vals = tuple(v for _, v in pts)
         pieces = tuple(
             Affine.through(xs[i], vals[i], xs[i + 1], vals[i + 1])
             for i in range(len(xs) - 1)
         )
-        return CostFunction(xs, vals, pieces)
+        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
+            raise DomainError("breakpoints must be strictly increasing")
+        return CostFunction._trusted(xs, vals, pieces)
 
     @staticmethod
     def from_affine(lo, hi, line: Affine) -> "CostFunction":
+        """The line on [lo, hi], whose one piece meets its ends by construction."""
         lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo > hi:
+            raise DomainError("breakpoints must be strictly increasing")
         if lo == hi:
-            return CostFunction((lo,), (line(lo),), ())
-        return CostFunction((lo, hi), (line(lo), line(hi)), (line,))
+            return CostFunction._trusted((lo,), (line(lo),), ())
+        return CostFunction._trusted((lo, hi), (line(lo), line(hi)), (line,))
 
     @staticmethod
     def constant(lo, hi, v: Value) -> "CostFunction":
@@ -236,7 +258,8 @@ def concat(*parts: CostFunction) -> CostFunction:
     """Glue cost functions left to right; each starts where the one before ends.
 
     Every seam must carry the same value on both sides.  Point parts add
-    nothing beyond their seam, and a single part comes back unchanged.
+    nothing beyond their seam, and a single part comes back unchanged.  The
+    parts are valid already, so only the seams are checked.
     """
     for left, right in zip(parts, parts[1:]):
         if right.lo != left.hi:
@@ -253,5 +276,5 @@ def concat(*parts: CostFunction) -> CostFunction:
     xs = spans[0].xs + tuple(x for p in spans[1:] for x in p.xs[1:])
     vals = spans[0].vals + tuple(v for p in spans[1:] for v in p.vals[1:])
     pieces = tuple(piece for p in spans for piece in p.pieces)
-    return CostFunction(xs, vals, pieces)
+    return CostFunction._trusted(xs, vals, pieces)
 

@@ -54,6 +54,25 @@ class ValidationError(ValueError):
         super().__init__(f"{reason}: {detail}")
 
 
+class InternalError(RuntimeError):
+    """A broken invariant of the solver: a fault of ptgsolve, not of its input.
+
+    `phase` names the step that found it, `where` the location, edge or
+    component concerned and `nu` the clock valuation, each where known.
+    It is raised, never asserted, so `python -O` keeps every such check.
+    """
+
+    def __init__(self, phase: str, reason: str, where=None, nu=None):
+        self.phase = phase
+        self.reason = reason
+        self.where = where
+        self.nu = nu
+        head = phase if where is None else f"{phase} at {where}"
+        if nu is not None:
+            head += f", x = {format_value(nu)}"
+        super().__init__(f"{head}: {reason}")
+
+
 @dataclass(frozen=True)
 class Guard:
     """A clock interval with rational endpoints; hi may be +inf."""

@@ -10,9 +10,11 @@ a copy stands for firing arbitrarily close to it in the original game).
 
 The copies form a directed graph.  As long as no cycle of that graph fires
 a reset, its strongly connected components can be solved one at a time,
-dependencies first: point copies are single-valuation games with no time
-passage, interval copies become unit-interval closed-guard games after an
-affine change of clock variable, and values already computed downstream
+dependencies first: a final copy is its cost line, read wherever it is
+entered; point copies are single-valuation games with no time passage,
+whose rows are compiled straight from the region graph with no game built
+for them; interval copies become unit-interval closed-guard games after an
+affine change of clock variable; and values already computed downstream
 enter as terminal stubs.  An interval copy is left only by an edge fired
 inside it or by the hop into its upper border's point copy, so that point
 copy's value, entered by the hop, anchors the interval at its upper
@@ -21,17 +23,20 @@ the infinities to the sweep's pruning: no member is decided by hand, and
 an infinite stub is a location the pruning sets aside.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .exactmath import INF, NEG_INF, Affine, CostFunction, concat, evaluate, format_value
+from .exactmath import INF, NEG_INF, Affine, CostFunction, concat, evaluate
 from .model import (
     FINAL,
     MAX,
     MIN,
     Game,
     Guard,
+    InternalError,
     Location,
     Region,
     Transition,
@@ -39,7 +44,7 @@ from .model import (
     regions_of,
 )
 from .solver import sweep
-from .urgent import InstantEvaluator, unscale
+from .urgent import InstantEvaluator, _with_cutoff
 
 _FULL = Guard.closed(0, 1)
 
@@ -249,6 +254,15 @@ def _witness(rg: RegionGame, comp, bad: RegionTransition) -> list:
     return ring + [ring[0]]
 
 
+def _node(rg: RegionGame, node) -> str:
+    """A region copy as the user reads it: its location in its region."""
+    return f"{node[0]} in {rg.regions[node[1]].describe()}"
+
+
+def _nodes(rg: RegionGame, comp) -> str:
+    return "{" + ", ".join(_node(rg, n) for n in comp) + "}"
+
+
 def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
     """Condense the region graph, refusing it when a cycle fires a reset."""
     adj = {n: [] for n in rg.locations}
@@ -264,7 +278,8 @@ def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
             raise ResetCycle(_witness(rg, comps[comp_of[t.source]], t))
     for t in rg.transitions:
         if comp_of[t.target] > comp_of[t.source]:
-            raise AssertionError(f"{t.source} -> {t.target}: components out of dependency order")
+            where = f"{_node(rg, t.source)} -> {_node(rg, t.target)}"
+            raise InternalError("condensation", "components out of dependency order", where)
     resets = tuple(i for i, t in enumerate(rg.transitions) if t.reset)
     return ResetDAG(rg, tuple(comps), comp_of, resets)
 
@@ -273,12 +288,11 @@ def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
 class RegionSolution:
     """Exact values of a guarded game, organised by clock region.
 
-    region_values[name][i] covers the closure of regions[i]: a CostFunction
-    with the region's one-sided limits at its borders, or a bare float when
-    the location's value is infinite throughout the region.  values[name]
-    stitches the regions into maximal continuous segments over the full
-    clock range; where two consecutive segments meet, the later one carries
-    the value the game actually attains at the shared point.
+    values[name] gives each location's value as maximal continuous segments
+    over the full clock range; where two consecutive segments meet, the
+    later one carries the value the game actually attains at the shared
+    point.  A final location's is one segment, its cost line.  solved[name]
+    gives a non-final location's value per region, as `region_values` does.
 
     No strategies are produced on this path.  Near an open region border,
     optimal play may require moves ever closer to the border, which the
@@ -287,8 +301,21 @@ class RegionSolution:
 
     game: Game
     regions: tuple
-    region_values: dict
     values: dict
+    solved: dict
+
+    @cached_property
+    def region_values(self) -> dict:
+        """region_values[name][i] covers the closure of regions[i]: a
+        CostFunction with the region's one-sided limits at its borders, or a
+        bare float when the location's value is infinite throughout the
+        region.  Final locations' entries are their cost line on each
+        region, built on the first read."""
+        return {
+            l.name: tuple(CostFunction.from_affine(r.lo, r.hi, l.final_cost) for r in self.regions)
+            if l.is_final else self.solved[l.name]
+            for l in self.game.locations
+        }
 
 
 class _SubGame:
@@ -338,11 +365,15 @@ class _SubGame:
 
 
 def _entry_value(nodeval: dict, rt: RegionTransition, x):
-    """Value collected on entering rt's target at firing valuation x."""
+    """Value collected on entering rt's target at firing valuation x.
+
+    A final copy's entry is its cost line, read at x itself.
+    """
     tv = nodeval[rt.target]
     if isinstance(tv, float):
         return tv
-    return evaluate(tv, Fraction(0) if rt.reset else x)
+    x = Fraction(0) if rt.reset else x
+    return tv(x) if isinstance(tv, Affine) else evaluate(tv, x)
 
 
 def _instant(rg, comp, out_edges, nodeval, x) -> dict:
@@ -352,28 +383,49 @@ def _instant(rg, comp, out_edges, nodeval, x) -> dict:
     of a point copy holds at x; its moves lead into another member or into
     a stub worth the target's value entered at x, and where the member may
     wait, that includes the hop into the region above.  A member without
-    moves is stuck, worth +inf.  Every stub is constant, so one
-    `InstantEvaluator` run of the members' game, at 1, gives the values,
-    read off its names here.
+    moves is stuck, worth +inf.  The rows are compiled straight from the
+    region graph, members first, with no game built: a finite stub is a
+    constant final line, one per target and reset flag; the +inf stub is a
+    row without moves, the -inf stub a free loop of weight -1 next to an
+    exit worth 0, one of each at most.  One `InstantEvaluator` run of
+    them at x gives the members' values.
     """
     base = rg.base
-    members = set(comp)
-    sub = _SubGame()
+    index = {node: i for i, node in enumerate(comp)}
+    rows, finals = [], []  # finals: (index, constant value)
+
+    def stub(key, v) -> int:
+        if isinstance(v, float):
+            key = v
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(index)
+            if v == INF:
+                rows.append((i, True, []))
+            elif v == NEG_INF:
+                index[v, "exit"] = i + 1
+                rows.append((i, False, [(-1, i), (0, i + 1)]))
+                finals.append((i + 1, Fraction(0)))
+            else:
+                finals.append((i, v))
+        return i
+
     for node in comp:
-        sub.add(Location(node[0], base.location(node[0]).owner, 0, True, None))
-    for node in comp:
+        moves = []
         for j in out_edges[node]:
             rt = rg.transitions[j]
-            if rt.target in members:
-                tgt = rt.target[0]
-            else:
-                v = _entry_value(nodeval, rt, x)
-                tgt = sub.stub((rt.target, rt.reset), v, v)
-            sub.edge(node[0], tgt, rt.weight)
-    ev = InstantEvaluator(sub.game())
-    x, _, _, denom = ev.run(1)
-    vals = dict(zip(ev.names, unscale(x, denom)))
-    return {node: vals[node[0]] for node in comp}
+            t = index.get(rt.target)
+            if t is None:
+                t = stub((rt.target, rt.reset), _entry_value(nodeval, rt, x))
+            moves.append((rt.weight, t))
+        rows.append((index[node], base.location(node[0]).owner == MAX, moves))
+    max_weight = max((abs(w) for _, _, moves in rows for w, _ in moves), default=0)
+    scale = math.lcm(*(v.denominator for _, v in finals))
+    lines = [(0, v.numerator * (scale // v.denominator)) for _, v in finals]
+    placed = _with_cutoff(scale, lines, x)
+    ev = InstantEvaluator.compiled(list(index), rows, [i for i, _ in finals], max_weight, placed)
+    vals, _, _, denom = ev.run(x)
+    return {node: v if isinstance(v, float) else Fraction(v, denom) for node, v in zip(comp, vals)}
 
 
 def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
@@ -414,16 +466,16 @@ def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
     return {node: vals[node[0]] for node in comp}
 
 
-def _combine(parts, reg):
+def _combine(parts, where: str):
     """Join the right-to-left window results of one region closure."""
     if all(isinstance(p, float) for p in parts):
         if len(set(parts)) != 1:
-            raise AssertionError(
-                f"infinite value must cover all of ({format_value(reg.lo)},{format_value(reg.hi)})"
-            )
+            raise InternalError("region solve", "infinite value must cover its whole region", where)
         return parts[0]
     if any(isinstance(p, float) for p in parts):
-        raise AssertionError("value switches between finite and infinite inside one region")
+        raise InternalError(
+            "region solve", "value switches between finite and infinite inside one region", where
+        )
     return concat(*reversed(parts))
 
 
@@ -441,7 +493,9 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
             if rt.origin is None:
                 anchor[node] = _entry_value(nodeval, rt, b)
             elif rt.guard.lo != a or rt.guard.hi != b:
-                raise AssertionError(f"{rt.source}: interior guard must span the region")
+                raise InternalError(
+                    "region solve", "interior guard must span the region", _node(rg, rt.source)
+                )
             else:
                 full.append(rt)
         interior[node] = full
@@ -451,7 +505,7 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
             if rt.target in members or rt.reset:
                 continue
             tv = nodeval[rt.target]
-            if not isinstance(tv, float):
+            if isinstance(tv, CostFunction):
                 cuts.update(x for x in tv.xs if a < x < b)
     seams = sorted(cuts)
     pieces = {n: [] for n in comp}
@@ -463,7 +517,7 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
             pieces[n].append(wvals[n])
             anchor[n] = wvals[n] if isinstance(wvals[n], float) else evaluate(wvals[n], c)
     for n in comp:
-        nodeval[n] = _combine(pieces[n], reg)
+        nodeval[n] = _combine(pieces[n], _node(rg, n))
 
 
 def _stitch(regs, per) -> tuple:
@@ -496,11 +550,13 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
     """Exact values of a guarded, reset-acyclic game over its whole clock range.
 
     Builds the region copy graph, refuses it when a cycle fires a reset,
-    then solves the strongly connected components in dependency order:
-    final copies by their cost, point copies as single-valuation games
-    (`_instant`), interval copies as rescaled unit-interval games whose
-    outside references enter as terminal stubs.  Each window runs `sweep`,
-    which builds no strategies; `max_steps` caps each one separately.
+    then solves the strongly connected components in dependency order: a
+    final copy is its cost line, read wherever it is entered; point copies
+    are single-valuation games run straight from the region graph
+    (`_instant`), with no game built; interval copies are rescaled
+    unit-interval games whose outside references enter as terminal stubs.
+    Each window runs `sweep`, which builds no strategies; `max_steps` caps
+    each one separately.
     """
     rg = build_region_game(g)
     regs = rg.regions
@@ -510,22 +566,25 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
     for comp in dag.components:
         ridx = {n[1] for n in comp}
         if len(ridx) != 1:
-            raise AssertionError("a reset-free component never spans regions")
+            raise InternalError("region solve", "a reset-free component spans regions", _nodes(rg, comp))
         reg = regs[ridx.pop()]
         loc = g.location(comp[0][0])
         if loc.is_final:
             if len(comp) != 1:
-                raise AssertionError("a final location has no moves")
-            nodeval[comp[0]] = CostFunction.from_affine(reg.lo, reg.hi, loc.final_cost)
+                raise InternalError("region solve", "a final location has moves", _nodes(rg, comp))
+            nodeval[comp[0]] = loc.final_cost
         elif reg.is_point:
             for node, v in _instant(rg, comp, out_edges, nodeval, reg.lo).items():
                 nodeval[node] = v if isinstance(v, float) else CostFunction.point(reg.lo, v)
         else:
             _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps)
-    region_values = {}
+    solved = {}
     values = {}
     for l in g.locations:
+        if l.is_final:
+            values[l.name] = (CostFunction.from_affine(0, g.clock_bound, l.final_cost),)
+            continue
         per = tuple(nodeval[(l.name, i)] for i in range(len(regs)))
-        region_values[l.name] = per
+        solved[l.name] = per
         values[l.name] = _stitch(regs, per)
-    return RegionSolution(g, regs, region_values, values)
+    return RegionSolution(g, regs, values, solved)

@@ -45,7 +45,7 @@ from .exactmath import (
     evaluate,
     format_value,
 )
-from .model import MAX, MIN, Game, Location, check_sptg, make_game
+from .model import MAX, MIN, Game, InternalError, Location, check_sptg, make_game
 from .strategy import FPStrategy, Move, SwitchingStrategy
 from .urgent import (
     WAIT_SUFFIX,
@@ -240,6 +240,7 @@ def sweep(g: Game, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Swe
         return Sweep(pr, {}, SweepTrace())
     budget = default_max_steps(core) if max_steps is None else max_steps
     spent = 0
+    c, length = as_fraction(onto[0]), as_fraction(onto[1] - onto[0])
 
     nonfinal = core.nonfinal_locations
     names = [l.name for l in nonfinal]
@@ -277,7 +278,10 @@ def sweep(g: Game, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Swe
             x, _, _, da = ev.run(a)
             x_a = [x[i] for i in at]
             if any(isinstance(v, float) for v in x_a):
-                raise AssertionError("window game produced an infinite value")
+                where = ", ".join(n for n, v in zip(names, x_a) if isinstance(v, float))
+                raise InternalError(
+                    "sweep", "window game produced an infinite value", where, c + a * length
+                )
             # chord j is (f_b[j]/db - x_a[j]/da) / (b - a) = nums[j] / den
             w = b - a
             nums = [(fb * da - xa * db) * w.denominator for fb, xa in zip(f_b, x_a)]
@@ -285,9 +289,12 @@ def sweep(g: Game, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Swe
             bad = [names[j] for j, sq, sp in waits if nums[j] * sq < sp * den]
             if bad:
                 if b == r:
-                    raise AssertionError(
-                        f"first candidate {format_value(a)} of the window at "
-                        f"{format_value(r)} failed the slope test"
+                    raise InternalError(
+                        "sweep",
+                        f"first candidate of the window at {format_value(c + r * length)} "
+                        "failed the slope test",
+                        ", ".join(bad),
+                        c + a * length,
                     )
                 win.rejection = (a, bad)
                 trace.windows.append(win)
@@ -315,7 +322,6 @@ def sweep(g: Game, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Swe
             trace.boundaries.append(Fraction(0))
             r = Fraction(0)
 
-    c, length = as_fraction(onto[0]), as_fraction(onto[1] - onto[0])
     finite = {
         n: CostFunction.from_points(
             [(c + x * length, Fraction(v, den)) for x, v, den in reversed(pts)]
@@ -395,7 +401,7 @@ def _synthesize(ev: WindowEvaluator, core: Game, fns: dict, end: tuple, origin: 
     names = [l.name for l in core.locations if not l.is_final]
     WAIT = "wait"
 
-    end_moves = {l.name: _tight_move_at(core, l, *end) for l in core.nonfinal_locations}
+    end_moves = {l.name: _tight_move_at(core, l, *end, 1) for l in core.nonfinal_locations}
 
     per_cell = []
     for lo, hi in cells:
@@ -408,16 +414,19 @@ def _synthesize(ev: WindowEvaluator, core: Game, fns: dict, end: tuple, origin: 
             v = evaluate(fns[n], mid)
             # an infinite by_name[n] stays infinite and so disagrees too
             if by_name[n] * v.denominator != v.numerator * denom:
-                raise AssertionError(
-                    f"cell [{format_value(lo)}, {format_value(hi)}): anchored value "
-                    f"of {n} disagrees with the computed value function"
+                raise InternalError(
+                    "synthesis",
+                    f"anchored value of the cell [{format_value(lo)}, {format_value(hi)}) "
+                    "disagrees with the computed value function",
+                    n,
+                    mid,
                 )
         moves = {}
         for l in core.nonfinal_locations:
             if not l.urgent and by_name[l.name + WAIT_SUFFIX] == by_name[l.name]:
                 moves[l.name] = WAIT
             else:
-                moves[l.name] = _tight_move_at(core, l, by_name, rank_of, denom)
+                moves[l.name] = _tight_move_at(core, l, by_name, rank_of, denom, mid)
         per_cell.append(moves)
 
     max_rows, max_end = {}, {}
@@ -444,10 +453,11 @@ def _synthesize(ev: WindowEvaluator, core: Game, fns: dict, end: tuple, origin: 
     return FPStrategy(max_rows, max_end), FPStrategy(min_rows, min_end)
 
 
-def _tight_move_at(core: Game, l: Location, vals: dict, ranks: dict, denom: int) -> int:
+def _tight_move_at(core: Game, l: Location, vals: dict, ranks: dict, denom: int, nu) -> int:
     """Index (in core) of the transition to fire at a location right now.
 
-    vals holds integers on the common denominator denom, or infinities.
+    vals holds integers on the common denominator denom, or infinities,
+    solved at the valuation nu.
     """
     tight = [
         i
@@ -457,11 +467,11 @@ def _tight_move_at(core: Game, l: Location, vals: dict, ranks: dict, denom: int)
     ]
     if l.owner == MAX:
         if not tight:
-            raise AssertionError(f"{l.name}: no tight transition at a Max location")
+            raise InternalError("synthesis", "no tight transition at a Max location", l.name, nu)
         return tight[0]
     progressing = [
         i for i in tight if ranks[core.transitions[i].target] < ranks[l.name]
     ]
     if not progressing:
-        raise AssertionError(f"{l.name}: no progressing tight transition")
+        raise InternalError("synthesis", "no progressing tight transition", l.name, nu)
     return progressing[0]

@@ -22,6 +22,9 @@ its final lines, scale, cutoff and round bound can be put in again
 (`InstantEvaluator._place`).  The sweep's window evaluator does that to
 re-anchor its wait clones per window and per strategy cell, and
 `possible_cutpoints` reads the grid straight off an evaluator's lines.
+Rows need not come from a `Game`: `InstantEvaluator.compiled` takes rows
+and integer final lines made elsewhere, which is how the region
+pipeline's point components are solved without a game built for them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .exactmath import INF, NEG_INF, as_fraction
-from .model import MAX, MIN, Game
+from .model import MAX, MIN, Game, InternalError
 
 WAIT_SUFFIX = "@wait"
 
@@ -113,27 +116,50 @@ class InstantEvaluator:
 
     def __init__(self, g: Game, clones: bool = False):
         waits = {l.name for l in g.nonfinal_locations if clones and not l.urgent}
-        self.names = []
+        names = []
         for l in g.locations:
-            self.names.append(l.name)
+            names.append(l.name)
             if l.name in waits:
-                self.names.append(l.name + WAIT_SUFFIX)
-        self.index = {n: i for i, n in enumerate(self.names)}
-        self.final_index = [self.index[l.name] for l in g.final_locations]
-        self.rows = []  # (loc_idx, is_max, [(weight, tgt_idx), ...])
+                names.append(l.name + WAIT_SUFFIX)
+        self.index = index = {n: i for i, n in enumerate(names)}
+        rows = []
         for l in g.locations:
             if l.is_final:
                 continue
             moves = [
-                (g.transitions[i].weight, self.index[g.transitions[i].target])
+                (g.transitions[i].weight, index[g.transitions[i].target])
                 for i in g.outgoing(l.name)
             ]
             if l.name in waits:
-                moves.append((0, self.index[l.name + WAIT_SUFFIX]))
-            self.rows.append((self.index[l.name], l.owner == MAX, moves))
-        self.max_weight = g.max_transition_weight()
+                moves.append((0, index[l.name + WAIT_SUFFIX]))
+            rows.append((index[l.name], l.owner == MAX, moves))
+        finals = [index[l.name] for l in g.final_locations]
+        self._load(names, rows, finals, g.max_transition_weight())
         if not clones:
             self._place(*_final_scale(g))
+
+    @classmethod
+    def compiled(cls, names: list, rows: list, final_index: list, max_weight: int, placed: tuple):
+        """An evaluator of rows compiled elsewhere.
+
+        rows holds (location index, is_max, [(weight, target index), ...])
+        per non-final location, indices into names; a row without moves is
+        stuck.  final_index lists the final locations' indices, in the
+        order of the lines in placed, which is (L, lines, pf) as
+        `_with_cutoff` gives it.  The largest |weight| of any move is
+        max_weight.
+        """
+        ev = cls.__new__(cls)
+        ev._load(names, rows, final_index, max_weight)
+        ev._place(*placed)
+        return ev
+
+    def _load(self, names: list, rows: list, final_index: list, max_weight: int) -> None:
+        """Takes the compiled locations and rows in; every build ends here."""
+        self.names = names
+        self.rows = rows  # (loc_idx, is_max, [(weight, tgt_idx), ...])
+        self.final_index = final_index
+        self.max_weight = max_weight
 
     def _place(self, scale: int, lines: list, pf: Fraction) -> None:
         """Puts the final lines (S, C) on the scale L in, with their pf.
@@ -174,8 +200,8 @@ class InstantEvaluator:
         while True:
             rounds += 1
             if rounds > self.bound:
-                raise AssertionError(
-                    f"value iteration exceeded its round bound {self.bound}"
+                raise InternalError(
+                    "value iteration", f"exceeded its round bound {self.bound}", nu=nu
                 )
             changed = False
             prev = list(x)
@@ -231,7 +257,10 @@ def possible_cutpoints(ev: InstantEvaluator, r) -> list:
                 if ds < 0:
                     k = -k
                 found.add((num // k, ds // k))
-    return sorted(Fraction(a, b) for a, b in found)
+    # sorted on one integer key: each a/b put on the common denominator D
+    big = math.lcm(*(b for _, b in found))
+    ordered = sorted(found, key=lambda ab: ab[0] * (big // ab[1]))
+    return [Fraction(a, b) for a, b in ordered]
 
 
 def attractor_strategy(g: Game) -> dict:

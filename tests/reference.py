@@ -18,7 +18,11 @@ check the package against, not part of it:
 - ``fake_value_upper_bound``, the best cost Min can force against a fixed
   Max strategy;
 - ``bellman_check`` and ``region_bellman_check``, one-shot wrappers
-  around ``strategy.RegionBellmanOracle``.
+  around ``strategy.RegionBellmanOracle``;
+- ``instant_by_subgame``, a point component's values through a ``Game``
+  built for it, and ``possible_cutpoints_by_fraction``, the candidate grid
+  sorted as Fractions: the package's former bodies of ``regions._instant``
+  and ``urgent.possible_cutpoints``.
 
 Test modules import it like ``conftest``: ``from reference import ...``.
 """
@@ -26,12 +30,14 @@ Test modules import it like ``conftest``: ``from reference import ...``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from ptgsolve.exactmath import (
     INF,
+    NEG_INF,
     Affine,
     CostFunction,
     DomainError,
@@ -52,6 +58,7 @@ from ptgsolve.model import (
     make_game,
     regions_of,
 )
+from ptgsolve.regions import _entry_value
 from ptgsolve.solver import WAIT_SUFFIX, _anchor_value
 from ptgsolve.strategy import (
     NOW,
@@ -565,3 +572,129 @@ def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:
     valuations, build the oracle once and call its check.
     """
     return RegionBellmanOracle(g, regions, region_vals).check(nu)
+
+
+# ---------------------------------------------------------------------------
+# the region pipeline's point solves and the cutpoint sort, as they were
+#
+# `instant_by_subgame` builds a `Game` of each point component, with
+# `_SubGame`, and a fresh evaluator of it; `regions._instant` compiles the
+# same rows straight from the region graph.  `possible_cutpoints_by_fraction`
+# sorts the candidates as Fractions; `urgent.possible_cutpoints` sorts the
+# integer pairs first.
+
+
+_FULL = Guard.closed(0, 1)
+
+
+class _SubGame:
+    """Accumulates locations and edges for one closed-guard solver input.
+
+    Every name it makes starts with "@", which game files may not use.
+    """
+
+    def __init__(self):
+        self.locations = []
+        self.transitions = []
+        self._stubs = {}
+
+    def add(self, loc: Location) -> None:
+        self.locations.append(loc)
+
+    def edge(self, src: str, tgt: str, weight: int) -> None:
+        self.transitions.append(Transition(src, _FULL, False, tgt, weight))
+
+    def stub(self, key, v0, v1) -> str:
+        """A location worth v0 at t = 0 and v1 at t = 1.
+
+        A finite stub is the final line from v0 to v1, one per key.  An
+        infinite one (v0 and v1 then share the sign) is one location per sign:
+        +inf is a location without moves, which never reaches a final, and
+        -inf a free negative loop next to an exit.  `sweep`'s pruning sets
+        both aside, with every edge into them.
+        """
+        if isinstance(v0, float):
+            key = v0
+        name = self._stubs.get(key)
+        if name is None:
+            name = self._stubs[key] = f"@s{len(self._stubs)}"
+            if v0 == INF:
+                self.add(Location(name, MAX, 0, True, None))
+            elif v0 == NEG_INF:
+                self.add(Location(name, MIN, 0, True, None))
+                self.add(Location(name + ".out", FINAL, 0, False, Affine(0, 0)))
+                self.edge(name, name, -1)
+                self.edge(name, name + ".out", 0)
+            else:
+                self.add(Location(name, FINAL, 0, False, Affine(v1 - v0, v0)))
+        return name
+
+    def game(self) -> Game:
+        return make_game(self.locations, self.transitions, 1)
+
+
+def instant_by_subgame(rg, comp, out_edges, nodeval, x) -> dict:
+    """Values of a point component's members at its valuation x.
+
+    No time passes at a point, so every member plays urgently.  Every edge
+    of a point copy holds at x; its moves lead into another member or into
+    a stub worth the target's value entered at x, and where the member may
+    wait, that includes the hop into the region above.  A member without
+    moves is stuck, worth +inf.  Every stub is constant, so one
+    `InstantEvaluator` run of the members' game, at 1, gives the values,
+    read off its names here.
+    """
+    base = rg.base
+    members = set(comp)
+    sub = _SubGame()
+    for node in comp:
+        sub.add(Location(node[0], base.location(node[0]).owner, 0, True, None))
+    for node in comp:
+        for j in out_edges[node]:
+            rt = rg.transitions[j]
+            if rt.target in members:
+                tgt = rt.target[0]
+            else:
+                v = _entry_value(nodeval, rt, x)
+                tgt = sub.stub((rt.target, rt.reset), v, v)
+            sub.edge(node[0], tgt, rt.weight)
+    ev = InstantEvaluator(sub.game())
+    x, _, _, denom = ev.run(1)
+    vals = dict(zip(ev.names, unscale(x, denom)))
+    return {node: vals[node[0]] for node in comp}
+
+
+def possible_cutpoints_by_fraction(ev: InstantEvaluator, r) -> list:
+    """Candidate cutpoints in [0, r]: crossings of the line family, plus 0 and r.
+
+    The family is read off the evaluator's current final lines, so a
+    re-anchored evaluator needs no Game built.  Enumerating the full family
+    is wasteful; for each pair of base final functions only integer offsets
+    d = k1 - k2 within the value window can produce a crossing, and the
+    crossing abscissa determines d uniquely, so the pairs are walked
+    directly.
+    """
+    r = as_fraction(r)
+    rn, rd = r.numerator, r.denominator
+    scale, lines = ev.scale, [(s, c) for _, s, c in ev.finals]
+    width = (2 * len(ev.names) - 1) * ev.max_weight
+    step = scale * rd
+    found = {(0, 1), (rn, rd)}  # reduced (numerator, positive denominator)
+    for i, (si, ci) in enumerate(lines):
+        for sj, cj in lines[i + 1 :]:
+            ds = si - sj
+            if ds == 0:
+                continue
+            dc = cj - ci
+            # x = (dc + d*L)/ds lies in [0, r] exactly for d*L*rd between
+            # -dc*rd and rn*ds - dc*rd
+            lo_d, hi_d = sorted((-dc * rd, rn * ds - dc * rd))
+            lo_i = max(-(-lo_d // step), -width)
+            hi_i = min(hi_d // step, width)
+            for d in range(lo_i, hi_i + 1):
+                num = dc + d * scale
+                k = math.gcd(num, ds)
+                if ds < 0:
+                    k = -k
+                found.add((num // k, ds // k))
+    return sorted(Fraction(a, b) for a, b in found)

@@ -63,13 +63,17 @@ def test_solve_fig1_matches_committed_fixture(fig1_solution):
     assert fig1_solution.read_bytes() == committed
 
 
-@pytest.mark.parametrize("name", ["guarded_jump", "urgent_border", "appc", "urgent_all"])
+@pytest.mark.parametrize(
+    "name", ["guarded_jump", "urgent_border", "reset_chain", "appc", "urgent_all"]
+)
 def test_solve_guarded_jump_matches_committed_fixture(tmp_path, capsys, name):
     # the region pipeline's documents.  guarded_jump: g3 is +inf on [0, 1],
     # keeps a point segment of its own at 1 and jumps to a finite value
     # after it.  urgent_border: the urgent u may not fire its edge on {1}
     # from inside (0, 1); values that let it do so pass `ptg verify`, so
-    # only the bytes pin them.  Two sptg documents ride along: appc, where
+    # only the bytes pin them.  reset_chain: the one fixture that enters a
+    # final (bf) after a reset, which reads bf's cost line at 0.  Two sptg
+    # documents ride along: appc, where
     # Min switches at an accumulated-cost threshold, and urgent_all, where
     # no location may wait, so the window evaluator has no wait clone.
     out = tmp_path / f"{name}.values.json"
@@ -123,6 +127,24 @@ def test_solve_byte_identical_across_runs(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("name, x", [("fig1", 1), ("reset_chain", 2)])
+def test_internal_error_exits_6_with_one_line(monkeypatch, tmp_path, capsys, name, x):
+    """A broken invariant is a fault of ptgsolve, not of the input: exit 6
+    and one line on stderr naming its phase and valuation.  A round bound
+    of 0 breaks the first value-iteration run of either pipeline: fig1's
+    pruning at its clock bound 1, and reset_chain's first point component,
+    at its clock bound 2."""
+    from ptgsolve import urgent
+
+    monkeypatch.setattr(urgent, "_round_bound", lambda *args: 0)
+    out = tmp_path / "x.json"
+    code, stdout, err = run_cli(capsys, "solve", str(FIXTURES / f"{name}.json"), "--out", str(out))
+    assert code == 6
+    assert stdout == ""
+    assert err.splitlines() == [f"internal error: value iteration, x = {x}: exceeded its round bound 0"]
+    assert not out.exists()
 
 
 def test_solve_fig3_reports_reset_cycle(capsys):

@@ -212,3 +212,23 @@ def test_parse_value_rejects_other_literals(text):
     # an exponent would let a few bytes ask Fraction for a huge integer
     with pytest.raises(ValueError, match="not a rational literal"):
         parse_value(text)
+
+
+def test_from_points_and_concat_evaluate_no_piece(monkeypatch):
+    """from_points builds each piece through its own two points and concat
+    glues valid parts at checked seams, so neither evaluates a piece again;
+    the public constructor still checks every piece at both ends."""
+    calls = []
+    call = Affine.__call__
+
+    def counting(self, nu):
+        calls.append(nu)
+        return call(self, nu)
+
+    monkeypatch.setattr(Affine, "__call__", counting)
+    left = CostFunction.from_points([(0, F(-1, 2)), (F(1, 3), 2), (F(1, 2), F(1, 2))])
+    right = CostFunction.from_points([(F(1, 2), F(1, 2)), (F(3, 4), F(1, 2)), (1, 1)])
+    glued = concat(left, CostFunction.point(F(1, 2), F(1, 2)), right)
+    assert calls == []
+    assert glued == CostFunction(glued.xs, glued.vals, glued.pieces)
+    assert len(calls) == 2 * len(glued.pieces)

@@ -6,12 +6,29 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "ptgsolve"
 
 
+def _nodes():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path, node
+
+
 def test_package_has_no_bare_asserts():
     """`python -O` strips assert statements, so an internal check must raise."""
+    found = [f"{path.name}:{node.lineno}" for path, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_package_raises_no_assertion_error():
+    """A broken invariant raises `InternalError`, which names its phase,
+    location and valuation and which `ptg` maps to exit 6."""
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        for path, node in _nodes()
+        if isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
     ]
     assert found == []

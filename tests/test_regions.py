@@ -1,17 +1,19 @@
 """Region construction and the reset-acyclic solving pipeline."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture
-from reference import region_bellman_check
+from conftest import FIXTURES, load_fixture
+from reference import instant_by_subgame, region_bellman_check
 from test_properties import GUARDED_SEEDS, usable_guarded
 from ptgsolve import regions as region_pipeline
 from ptgsolve import solver
+from ptgsolve.cli import main
 from ptgsolve.document import SolutionFormatError, region_values, uniform_infinity
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
 from ptgsolve.model import (
@@ -19,6 +21,7 @@ from ptgsolve.model import (
     MIN,
     Game,
     Guard,
+    InternalError,
     Location,
     Region,
     Transition,
@@ -546,47 +549,208 @@ def test_point_components_are_the_only_instant_solves(monkeypatch, reset_chain):
     the upper border, and its sweep settles the moves there, so only the
     six point components of reset_chain (a and b at 0, 1 and 2) solve a
     single-valuation game.  Solving one more per open component to anchor
-    its windows took 10 such solves and 18 evaluators.  Every evaluator
-    reads its game as it is: each point component and each window builds
-    one Game, and the sweep's pruning one more per window; urgent and
-    waiting copies for the evaluators made 26."""
+    its windows took 10 such solves and 18 evaluators.  Each point
+    component compiles its rows straight from the region graph into one
+    evaluator, with no Game; each window builds one Game, and the sweep's
+    pruning one more per window.  A Game per point component made 14;
+    urgent and waiting copies for the evaluators made 26."""
     counts = {"instant": 0, "evaluators": 0, "games": 0}
-    instant, init = region_pipeline._instant, InstantEvaluator.__init__
+    instant, load = region_pipeline._instant, InstantEvaluator._load
     post_init = Game.__post_init__
 
     def counting_instant(*args):
         counts["instant"] += 1
         return instant(*args)
 
-    def counting_init(self, game, clones=False):
+    def counting_load(self, *args):
         counts["evaluators"] += 1
-        init(self, game, clones)
+        load(self, *args)
 
     def counting_post_init(self):
         counts["games"] += 1
         post_init(self)
 
     monkeypatch.setattr(region_pipeline, "_instant", counting_instant)
-    monkeypatch.setattr(InstantEvaluator, "__init__", counting_init)
+    monkeypatch.setattr(InstantEvaluator, "_load", counting_load)
     monkeypatch.setattr(Game, "__post_init__", counting_post_init)
     solve_reset_acyclic(reset_chain)
-    assert counts == {"instant": 6, "evaluators": 14, "games": 14}
+    assert counts == {"instant": 6, "evaluators": 14, "games": 8}
+
+
+@pytest.mark.parametrize("name", ["reset_chain.json", "guarded_jump.json"])
+def test_point_components_build_no_game(monkeypatch, name):
+    """A point component is compiled straight from the region graph: no
+    Game, Location or Transition is built for it."""
+    g = parse_game(load_fixture(name))
+    counts = {"instant": 0, "built": 0}
+    inside = []
+    instant = region_pipeline._instant
+
+    def counting_instant(*args):
+        counts["instant"] += 1
+        inside.append(True)
+        try:
+            return instant(*args)
+        finally:
+            inside.pop()
+
+    def counting(cls, attr):
+        original = getattr(cls, attr)
+
+        def wrapper(self, *args, **kwargs):
+            counts["built"] += bool(inside)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    monkeypatch.setattr(region_pipeline, "_instant", counting_instant)
+    counting(Game, "__post_init__")
+    counting(Location, "__post_init__")
+    counting(Transition, "__init__")
+    solve_reset_acyclic(g)
+    assert counts["instant"] > 0
+    assert counts["built"] == 0
 
 
 def test_window_values_are_built_once(monkeypatch, reset_chain):
     """`sweep` builds each window's finite values on the window itself.
     Building them on [0, 1] and mapping them onto the window built each
-    one twice: 22 cost functions here instead of 18."""
+    one twice: 22 cost functions here instead of 18.  A final copy is now
+    its cost line, so bf's five region copies and the concat that
+    stitched two of them back into one line are gone too: 13."""
     counts = {"builds": 0}
-    post_init = CostFunction.__post_init__
+    store = CostFunction._store
 
-    def counting_post_init(self):
+    def counting_store(self, *args):
         counts["builds"] += 1
-        post_init(self)
+        store(self, *args)
 
-    monkeypatch.setattr(CostFunction, "__post_init__", counting_post_init)
+    monkeypatch.setattr(CostFunction, "_store", counting_store)
     solve_reset_acyclic(reset_chain)
-    assert counts["builds"] == 18
+    assert counts["builds"] == 13
+
+
+@pytest.mark.parametrize("name", ["reset_chain", "guarded_jump"])
+def test_final_copies_build_no_cost_function(monkeypatch, tmp_path, capsys, name):
+    """A final copy is its cost line: `ptg solve` builds one `from_affine`
+    per final location, for its one segment, and none per region copy;
+    the per-region view of the finals is built only when read."""
+    g = parse_game(load_fixture(f"{name}.json"))
+    calls = []
+    from_affine = CostFunction.from_affine
+
+    def counting(lo, hi, line):
+        calls.append((lo, hi))
+        return from_affine(lo, hi, line)
+
+    monkeypatch.setattr(CostFunction, "from_affine", staticmethod(counting))
+    out = tmp_path / "out.json"
+    assert main(["solve", str(FIXTURES / f"{name}.json"), "--out", str(out)]) == 0
+    bound = g.clock_bound
+    assert calls == [(0, bound)] * len(g.final_locations)
+    sol = solve_reset_acyclic(g)
+    del calls[:]
+    per = sol.region_values
+    assert len(calls) == len(g.final_locations) * len(sol.regions)
+    for l in g.final_locations:
+        assert sol.values[l.name] == (from_affine(0, bound, l.final_cost),)
+        assert per[l.name] == tuple(from_affine(r.lo, r.hi, l.final_cost) for r in sol.regions)
+
+
+def _with_rounds(instant, *args):
+    """instant(*args) and the rounds of every evaluator run it made."""
+    rounds = []
+    run = InstantEvaluator.run
+
+    def recording(self, nu, history=None):
+        out = run(self, nu, history)
+        rounds.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InstantEvaluator, "run", recording)
+        vals = instant(*args)
+    return vals, rounds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_point_solves_match_the_subgame_reference(seed):
+    """Every point component of a drawn game gets the values and the
+    rounds it got from a Game built for it."""
+    g = usable_guarded(seed)
+    assume(g is not None)
+    instant = region_pipeline._instant
+
+    def checked(*args):
+        got = _with_rounds(instant, *args)
+        assert got == _with_rounds(instant_by_subgame, *args)
+        return got[0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region_pipeline, "_instant", checked)
+        solve_reset_acyclic(g)
+
+
+def _hand_component_game():
+    """Min a, Max b and Min c, each with edges to the others and out to
+    p, q, r and a final f; c reaches r both with and without a reset, so
+    its two stubs share a target."""
+    locs = (
+        Location("a", MIN, 1, False, None),
+        Location("b", MAX, -1, False, None),
+        Location("c", MIN, 2, False, None),
+        Location("p", MAX, 0, False, None),
+        Location("q", MIN, 0, False, None),
+        Location("r", MIN, 0, False, None),
+        Location("f", "final", 0, False, Affine(F(3, 2), F(-1, 3))),
+    )
+    full = Guard.closed(0, 1)
+    trans = (
+        Transition("a", full, False, "b", 1),
+        Transition("b", full, False, "a", -1),
+        Transition("b", full, False, "c", 2),
+        Transition("c", full, False, "a", 0),
+        Transition("a", full, False, "p", 2),
+        Transition("b", full, False, "q", 0),
+        Transition("c", full, False, "r", -2),
+        Transition("c", full, True, "r", 4),
+        Transition("a", full, False, "f", 3),
+        Transition("b", full, False, "r", 1),
+        Transition("p", full, False, "f", 0),
+        Transition("q", full, False, "f", 0),
+        Transition("r", full, False, "f", 0),
+    )
+    return make_game(locs, trans, 1)
+
+
+_PALETTE = (float("inf"), float("-inf"), F(5, 2), F(-7, 3))
+
+
+@pytest.mark.parametrize("region", [0, 2])
+def test_point_solves_match_the_subgame_reference_on_hand_components(region):
+    """Components of several members whose outside targets are set by hand
+    to +inf, -inf or finite values, in every combination: the compiled
+    rows give the reference's values and rounds.  In {0} the hops into
+    (0, 1) enter too; in {1} there are none."""
+    g = _hand_component_game()
+    rg = build_region_game(g)
+    out_edges = rg.outgoing_map()
+    x = rg.regions[region].lo
+    hops = {("a", 1): CostFunction.from_affine(0, 1, Affine(1, F(1, 3))), ("b", 1): float("inf")}
+    hops[("c", 1)] = CostFunction.from_affine(0, 1, Affine(-2, 4))
+    for members in ((("a", region), ("b", region), ("c", region)), (("c", region), ("a", region))):
+        inside = set(members)
+        outside = sorted({rg.transitions[j].target for m in members for j in out_edges[m]} - inside)
+        free = [n for n in outside if n[0] in "pqrb" and n[1] == region]
+        for combo in itertools.product(_PALETTE, repeat=len(free)):
+            nodeval = {("f", region): g.location("f").final_cost, ("r", 0): float("-inf")}
+            nodeval.update(hops)
+            for n, v in zip(free, combo):
+                nodeval[n] = v if isinstance(v, float) else CostFunction.point(x, v)
+            args = (rg, members, out_edges, nodeval, x)
+            got = _with_rounds(region_pipeline._instant, *args)
+            assert got == _with_rounds(instant_by_subgame, *args), (members, combo)
 
 
 def test_region_pipeline_builds_no_strategies(monkeypatch, reset_chain):
@@ -830,3 +994,14 @@ def test_a_dominated_parallel_edge_keeps_the_values(pair):
     """An edge whose owner always does at least as well on its twin with
     the same guard, reset and target changes no value."""
     assert_same_values(*pair)
+
+
+def test_broken_region_invariant_names_phase_and_copy():
+    """A window result that is +inf on one side of a region and -inf on the
+    other cannot come from the pipeline; joining it raises InternalError,
+    which names the phase and the region copy."""
+    inf = float("inf")
+    with pytest.raises(InternalError) as caught:
+        region_pipeline._combine([inf, -inf], "m in (0,1)")
+    assert str(caught.value) == "region solve at m in (0,1): infinite value must cover its whole region"
+    assert (caught.value.phase, caught.value.where, caught.value.nu) == ("region solve", "m in (0,1)", None)

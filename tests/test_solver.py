@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture
-from reference import fake_value_upper_bound, make_urgent, validate_nc, waiting
+from reference import (
+    fake_value_upper_bound,
+    make_urgent,
+    possible_cutpoints_by_fraction,
+    validate_nc,
+    waiting,
+)
 from test_properties import random_sptg
 from ptgsolve.exactmath import Affine, evaluate
 from ptgsolve.model import Config, Guard, Location, Transition, make_game, parse_game
@@ -304,6 +310,19 @@ def test_reanchored_evaluator_equals_a_fresh_one(case):
             # values on the common denominator, ranks, rounds, the denominator
             assert ev.run(x) == fresh.run(x)
         assert possible_cutpoints(ev, r) == possible_cutpoints(fresh, r)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(anchored_windows())
+def test_cutpoints_of_reanchored_evaluators_match_the_fraction_sort(case):
+    """The grid sorted on integer keys is the grid sorted as Fractions, on
+    every window a re-anchored evaluator is moved to."""
+    g, first, windows = case
+    ev = WindowEvaluator(g, first)
+    for r, anchor, nu in windows:
+        ev.reanchor(r, anchor)
+        for end in (r, nu):
+            assert possible_cutpoints(ev, end) == possible_cutpoints_by_fraction(ev, end)
 
 
 def test_reanchor_requires_finite_anchor_values(fig1):

@@ -21,6 +21,7 @@ from reference import (
     line_family,
     make_urgent,
     pairwise_intersections,
+    possible_cutpoints_by_fraction,
     solve_all_urgent,
     solve_instant,
 )
@@ -441,6 +442,17 @@ def check_against_reference(g, nu):
     assert got_history == want_history
     for v in got[0]:
         assert isinstance(v, float) or type(v) is Fraction
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_cutpoints_match_the_fraction_sort(data):
+    """Sorting the reduced (numerator, denominator) pairs on one integer key
+    gives the list the Fraction sort gave."""
+    g = data.draw(scaled_urgent_games())
+    r = data.draw(valuations(g.clock_bound))
+    ev = InstantEvaluator(g)
+    assert possible_cutpoints(ev, r) == possible_cutpoints_by_fraction(ev, r)
 
 
 @pytest.mark.parametrize("g", [_SINK, _STUCK], ids=["neg-inf-cutoff", "stuck-plus-inf"])
