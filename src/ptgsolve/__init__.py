@@ -37,6 +37,7 @@ from .model import (
 )
 from .urgent import (
     InstantEvaluator,
+    compile_game,
     iteration_bound,
 )
 from .solver import (
@@ -90,6 +91,7 @@ __all__ = [
     "regions_of",
     "serialize_game",
     "InstantEvaluator",
+    "compile_game",
     "iteration_bound",
     "BudgetExceeded",
     "EmptyGame",

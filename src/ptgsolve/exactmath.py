@@ -201,16 +201,26 @@ class CostFunction:
 
     @staticmethod
     def constant(lo, hi, v: Value) -> "CostFunction":
+        """v on [lo, hi]; valid by construction once lo <= hi and a float v
+        is an infinity sentinel."""
         lo, hi = as_fraction(lo), as_fraction(hi)
-        if isinstance(v, float):
-            if lo == hi:
-                return CostFunction((lo,), (v,), ())
-            return CostFunction((lo, hi), (v, v), (v,))
-        return CostFunction.from_affine(lo, hi, Affine(Fraction(0), as_fraction(v)))
+        if not isinstance(v, float):
+            return CostFunction.from_affine(lo, hi, Affine(Fraction(0), as_fraction(v)))
+        _check_piece(v)
+        if lo > hi:
+            raise DomainError("breakpoints must be strictly increasing")
+        if lo == hi:
+            return CostFunction._trusted((lo,), (v,), ())
+        return CostFunction._trusted((lo, hi), (v, v), (v,))
 
     @staticmethod
     def point(x, v: Value) -> "CostFunction":
-        return CostFunction((as_fraction(x),), (v if isinstance(v, float) else as_fraction(v),), ())
+        """v at x alone; a float v must be an infinity sentinel."""
+        if isinstance(v, float):
+            _check_piece(v)
+        else:
+            v = as_fraction(v)
+        return CostFunction._trusted((as_fraction(x),), (v,), ())
 
 
 def _canonical(xs, vals, pieces):

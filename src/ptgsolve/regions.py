@@ -11,42 +11,31 @@ a copy stands for firing arbitrarily close to it in the original game).
 The copies form a directed graph.  As long as no cycle of that graph fires
 a reset, its strongly connected components can be solved one at a time,
 dependencies first: a final copy is its cost line, read wherever it is
-entered; point copies are single-valuation games with no time passage,
-whose rows are compiled straight from the region graph with no game built
-for them; interval copies become unit-interval closed-guard games after an
-affine change of clock variable; and values already computed downstream
-enter as terminal stubs.  An interval copy is left only by an edge fired
-inside it or by the hop into its upper border's point copy, so that point
-copy's value, entered by the hop, anchors the interval at its upper
-border.  Each window runs `solver.sweep`, for its values only, and leaves
-the infinities to the sweep's pruning: no member is decided by hand, and
-an infinite stub is a location the pruning sets aside.
+entered; point copies are single-valuation games with no time passage;
+interval copies become unit-interval closed-guard games after an affine
+change of clock variable; and values already computed downstream enter as
+terminal stubs.  An interval copy is left only by an edge fired inside it
+or by the hop into its upper border's point copy, so that point copy's
+value, entered by the hop, anchors the interval at its upper border.
+
+Both kinds of component are compiled by one function, `_compile`, straight
+from the region graph into value-iteration rows (`urgent.Rows`), with one
+stub rule; no `Game` is built on this path.  A point component is one
+`InstantEvaluator` run of its rows.  Each window of an interval runs
+`solver.sweep` on its rows, for its values only, and leaves the
+infinities to the sweep's pruning: no member is decided by hand, and an
+infinite stub is a row the pruning drops.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 from .exactmath import INF, NEG_INF, Affine, CostFunction, concat, evaluate
-from .model import (
-    FINAL,
-    MAX,
-    MIN,
-    Game,
-    Guard,
-    InternalError,
-    Location,
-    Region,
-    Transition,
-    make_game,
-    regions_of,
-)
+from .model import MAX, Game, Guard, InternalError, Region, regions_of
 from .solver import sweep
-from .urgent import InstantEvaluator, _with_cutoff
-
-_FULL = Guard.closed(0, 1)
+from .urgent import InstantEvaluator, Rows
 
 
 class ResetCycle(Exception):
@@ -318,52 +307,6 @@ class RegionSolution:
         }
 
 
-class _SubGame:
-    """Accumulates locations and edges for one closed-guard solver input.
-
-    Every name it makes starts with "@", which game files may not use.
-    """
-
-    def __init__(self):
-        self.locations = []
-        self.transitions = []
-        self._stubs = {}
-
-    def add(self, loc: Location) -> None:
-        self.locations.append(loc)
-
-    def edge(self, src: str, tgt: str, weight: int) -> None:
-        self.transitions.append(Transition(src, _FULL, False, tgt, weight))
-
-    def stub(self, key, v0, v1) -> str:
-        """A location worth v0 at t = 0 and v1 at t = 1.
-
-        A finite stub is the final line from v0 to v1, one per key.  An
-        infinite one (v0 and v1 then share the sign) is one location per sign:
-        +inf is a location without moves, which never reaches a final, and
-        -inf a free negative loop next to an exit.  `sweep`'s pruning sets
-        both aside, with every edge into them.
-        """
-        if isinstance(v0, float):
-            key = v0
-        name = self._stubs.get(key)
-        if name is None:
-            name = self._stubs[key] = f"@s{len(self._stubs)}"
-            if v0 == INF:
-                self.add(Location(name, MAX, 0, True, None))
-            elif v0 == NEG_INF:
-                self.add(Location(name, MIN, 0, True, None))
-                self.add(Location(name + ".out", FINAL, 0, False, Affine(0, 0)))
-                self.edge(name, name, -1)
-                self.edge(name, name + ".out", 0)
-            else:
-                self.add(Location(name, FINAL, 0, False, Affine(v1 - v0, v0)))
-        return name
-
-    def game(self) -> Game:
-        return make_game(self.locations, self.transitions, 1)
-
-
 def _entry_value(nodeval: dict, rt: RegionTransition, x):
     """Value collected on entering rt's target at firing valuation x.
 
@@ -376,54 +319,79 @@ def _entry_value(nodeval: dict, rt: RegionTransition, x):
     return tv(x) if isinstance(tv, Affine) else evaluate(tv, x)
 
 
-def _instant(rg, comp, out_edges, nodeval, x) -> dict:
-    """Values of a point component's members at its valuation x.
+def _compile(rg, comp, edges, nodeval, c, d, anchor=None) -> Rows:
+    """The rows of one component on its window [c, d], from the region graph.
 
-    No time passes at a point, so every member plays urgently.  Every edge
-    of a point copy holds at x; its moves lead into another member or into
-    a stub worth the target's value entered at x, and where the member may
-    wait, that includes the hop into the region above.  A member without
-    moves is stuck, worth +inf.  The rows are compiled straight from the
-    region graph, members first, with no game built: a finite stub is a
-    constant final line, one per target and reset flag; the +inf stub is a
-    row without moves, the -inf stub a free loop of weight -1 next to an
-    exit worth 0, one of each at most.  One `InstantEvaluator` run of
-    them at x gives the members' values.
+    The change of variable x = c + t*(d-c) scales waiting rates by the
+    window length and turns neighbour values into lines over t in [0, 1].
+    The members come first, in component order.  edges[node] indexes the
+    edges a member fires in the window; each leads into another member or
+    into a stub worth the target's value entered at c (t = 0) and at d
+    (t = 1).  Where anchor is given, a member that may wait also moves at
+    weight 0 into a stub worth anchor[node] at d, plus its rate for each
+    unit of time before: waiting until d.  A member without moves is
+    stuck, worth +inf.
+
+    One stub rule: a finite stub is the final line between its two values,
+    one per key; +inf is a row without moves, which never reaches a
+    final, and -inf a free loop of weight -1 next to an exit worth 0, one
+    of each at most.  Stub names start with "@", which game files may not
+    use.
     """
     base = rg.base
+    length = d - c
+    names = [node[0] for node in comp]
     index = {node: i for i, node in enumerate(comp)}
-    rows, finals = [], []  # finals: (index, constant value)
+    stubs, stub_rows, finals = {}, [], []
 
-    def stub(key, v) -> int:
-        if isinstance(v, float):
-            key = v
-        i = index.get(key)
+    def stub(key, v0, v1) -> int:
+        if isinstance(v0, float):
+            key = v0
+        i = stubs.get(key)
         if i is None:
-            i = index[key] = len(index)
-            if v == INF:
-                rows.append((i, True, []))
-            elif v == NEG_INF:
-                index[v, "exit"] = i + 1
-                rows.append((i, False, [(-1, i), (0, i + 1)]))
-                finals.append((i + 1, Fraction(0)))
+            i = stubs[key] = len(names)
+            names.append(f"@s{len(stubs) - 1}")
+            if v0 == INF:
+                stub_rows.append((i, True, []))
+            elif v0 == NEG_INF:
+                names.append(names[i] + ".out")
+                stub_rows.append((i, False, [(-1, i), (0, i + 1)]))
+                finals.append((i + 1, Affine(0, 0)))
             else:
-                finals.append((i, v))
+                finals.append((i, Affine(v1 - v0, v0)))
         return i
 
+    rows, timing = [], []
     for node in comp:
+        loc = base.location(node[0])
         moves = []
-        for j in out_edges[node]:
+        for j in edges[node]:
             rt = rg.transitions[j]
             t = index.get(rt.target)
             if t is None:
-                t = stub((rt.target, rt.reset), _entry_value(nodeval, rt, x))
+                vc = _entry_value(nodeval, rt, c)
+                vd = vc if length == 0 else _entry_value(nodeval, rt, d)
+                t = stub((rt.target, rt.reset), vc, vd)
             moves.append((rt.weight, t))
-        rows.append((index[node], base.location(node[0]).owner == MAX, moves))
-    max_weight = max((abs(w) for _, _, moves in rows for w, _ in moves), default=0)
-    scale = math.lcm(*(v.denominator for _, v in finals))
-    lines = [(0, v.numerator * (scale // v.denominator)) for _, v in finals]
-    placed = _with_cutoff(scale, lines, x)
-    ev = InstantEvaluator.compiled(list(index), rows, [i for i, _ in finals], max_weight, placed)
+        rate = loc.rate * length
+        if anchor is not None and not loc.urgent:
+            moves.append((0, stub((node, "wait"), rate + anchor[node], anchor[node])))
+        rows.append((index[node], loc.owner == MAX, moves))
+        timing.append((rate, loc.urgent))
+    timing += [(0, True)] * len(stub_rows)
+    return Rows(names, rows + stub_rows, timing, finals, Fraction(1))
+
+
+def _instant(rg, comp, out_edges, nodeval, x) -> dict:
+    """Values of a point component's members at its valuation x.
+
+    No time passes at a point, so every member plays urgently, on the
+    window [x, x]: every edge of a point copy holds at x, and where the
+    member may wait, its edges include the hop into the region above.
+    Every stub is constant there, so one `InstantEvaluator` run of the
+    component's rows at x itself gives the values.
+    """
+    ev = InstantEvaluator(_compile(rg, comp, out_edges, nodeval, x, x))
     vals, _, _, denom = ev.run(x)
     return {node: v if isinstance(v, float) else Fraction(v, denom) for node, v in zip(comp, vals)}
 
@@ -431,37 +399,16 @@ def _instant(rg, comp, out_edges, nodeval, x) -> dict:
 def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
     """One seam-free window [c, d] of an open region, as a unit-interval game.
 
-    The change of variable x = c + t*(d-c) scales waiting rates by the
-    window length and turns neighbour value functions into affine terminal
-    costs.  Waiting past d is priced by a per-member terminal clone whose
-    cost line starts at the member's already-known value at d and grows
-    leftwards at the member's own rate, exactly what waiting would cost.
-    At the region's upper border that known value is the one its hop
-    enters; `sweep` then settles the members' moves at d among themselves.
-    Every member enters the game, and infinities are left to `sweep`'s
-    pruning: an infinite anchor or target becomes a stub of its sign, and
-    a member with no move is stuck, worth +inf.
+    Its rows are `_compile`'s: waiting past d is priced by a per-member
+    stub whose cost line starts at the member's already-known value at d
+    and grows leftwards at the member's own rate, exactly what waiting
+    would cost.  At the region's upper border that known value is the one
+    its hop enters; `sweep` then settles the members' moves at d among
+    themselves.  Every member enters the rows, and infinities are left to
+    `sweep`'s pruning: an infinite anchor or target becomes a stub of its
+    sign, and a member with no move is stuck, worth +inf.
     """
-    base = rg.base
-    members = set(comp)
-    length = d - c
-    sub = _SubGame()
-    for node in comp:
-        loc = base.location(node[0])
-        sub.add(Location(node[0], loc.owner, loc.rate * length, loc.urgent, None))
-    for node in comp:
-        loc = base.location(node[0])
-        for rt in interior[node]:
-            if rt.target in members:
-                tgt = rt.target[0]
-            else:
-                vc, vd = _entry_value(nodeval, rt, c), _entry_value(nodeval, rt, d)
-                tgt = sub.stub((rt.target, rt.reset), vc, vd)
-            sub.edge(loc.name, tgt, rt.weight)
-        if not loc.urgent:
-            rate = loc.rate * length
-            sub.edge(loc.name, sub.stub((node, "wait"), rate + anchor[node], anchor[node]), 0)
-    sw = sweep(sub.game(), max_steps, onto=(c, d))
+    sw = sweep(_compile(rg, comp, interior, nodeval, c, d, anchor), max_steps, onto=(c, d))
     vals = {**sw.finite, **sw.infinite}
     return {node: vals[node[0]] for node in comp}
 
@@ -486,27 +433,23 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
     # the first window's wait stubs bank what the hop enters at b: each
     # waiting member's own point copy there
     anchor = {}
+    cuts = {a, b}
     for node in comp:
         full = []
         for j in out_edges[node]:
             rt = rg.transitions[j]
             if rt.origin is None:
                 anchor[node] = _entry_value(nodeval, rt, b)
-            elif rt.guard.lo != a or rt.guard.hi != b:
+                continue
+            if rt.guard.lo != a or rt.guard.hi != b:
                 raise InternalError(
                     "region solve", "interior guard must span the region", _node(rg, rt.source)
                 )
-            else:
-                full.append(rt)
-        interior[node] = full
-    cuts = {a, b}
-    for node in comp:
-        for rt in interior[node]:
-            if rt.target in members or rt.reset:
-                continue
-            tv = nodeval[rt.target]
+            full.append(j)
+            tv = None if rt.target in members or rt.reset else nodeval[rt.target]
             if isinstance(tv, CostFunction):
                 cuts.update(x for x in tv.xs if a < x < b)
+        interior[node] = full
     seams = sorted(cuts)
     pieces = {n: [] for n in comp}
     for k in range(len(seams) - 1, 0, -1):
@@ -552,11 +495,11 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
     Builds the region copy graph, refuses it when a cycle fires a reset,
     then solves the strongly connected components in dependency order: a
     final copy is its cost line, read wherever it is entered; point copies
-    are single-valuation games run straight from the region graph
-    (`_instant`), with no game built; interval copies are rescaled
+    are single-valuation games (`_instant`); interval copies are rescaled
     unit-interval games whose outside references enter as terminal stubs.
-    Each window runs `sweep`, which builds no strategies; `max_steps` caps
-    each one separately.
+    Both are compiled straight from the region graph (`_compile`), with no
+    game built.  Each window runs `sweep`, which builds no strategies;
+    `max_steps` caps each one separately.
     """
     rg = build_region_game(g)
     regs = rg.regions

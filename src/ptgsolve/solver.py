@@ -12,13 +12,16 @@ so the assembled functions are the values of the game.
 Two parts: `sweep` prunes the infinite locations and runs the windows, for
 the values and the trace; `solve` adds `_synthesize`, which reads both
 players' strategies off the values and checks them against each cell's
-anchored solve, and Min's switching strategy.  The region pipeline's
-windows need values only and call `sweep`.
+anchored solve, and Min's switching strategy.  `sweep` works on the
+compiled rows of `urgent.Rows`: `solve` compiles its game with
+`compile_game`, and the region pipeline's windows, which need values
+only, compile theirs straight from the region graph.  Pruning drops rows;
+only `solve` builds the pruned core as a `Game`, for the synthesis.
 
 Every window, and every cell of the strategy synthesis after the sweep,
 plays the same game at single valuations; only the clones' final lines
-(-rate, r*rate + v) differ.  So one `WindowEvaluator` is built per solve,
-straight from the pruned game, and re-anchored in place: the core finals'
+(-rate, r*rate + v) differ.  So one `WindowEvaluator` is built per sweep,
+straight from the pruned rows, and re-anchored in place: the core finals'
 integer lines are fixed once, and a re-anchor recomputes the clone lines,
 the common scale, the -inf cutoff and the round bound.
 
@@ -40,19 +43,23 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactmath import (
+    Affine,
     CostFunction,
     as_fraction,
     evaluate,
     format_value,
 )
-from .model import MAX, MIN, Game, InternalError, Location, check_sptg, make_game
+from .model import MAX, Game, InternalError, Location, check_sptg, make_game
 from .strategy import FPStrategy, Move, SwitchingStrategy
 from .urgent import (
     WAIT_SUFFIX,
     InstantEvaluator,
+    Rows,
     _integer_lines,
+    _scaled,
     _with_cutoff,
     attractor_strategy,
+    compile_game,
     iteration_bound,
     possible_cutpoints,
 )
@@ -85,9 +92,8 @@ class EmptyGame(ValueError):
 
 @dataclass
 class PruneResult:
-    game: Game
+    rows: Rows  # the finite part
     infinite: dict
-    transition_origin: tuple
     values: dict  # the run's integers by name, on denom, or float infinities
     denom: int
 
@@ -144,37 +150,44 @@ def _anchor_value(anchor: dict, name: str) -> Fraction:
 class WindowEvaluator(InstantEvaluator):
     """Value iteration for the core on a window [0, r], re-anchored in place.
 
-    Waiting until r is priced by a final clone name@wait of each location
-    that may wait, placed right after it and entered by a zero-weight move
-    appended to its row; the clone's cost line (-rate, r*rate + v) pays the
-    rate to r and then the anchor value v.  The rows are compiled once,
-    straight from the core: they depend on neither r nor the anchor, and
+    Waiting until r is priced by a final clone name@wait of each row that
+    may wait, placed right after it and entered by a zero-weight move
+    appended to the row; the clone's cost line (-rate, r*rate + v) pays the
+    rate to r and then the anchor value v.  The rows keep the core's order
+    and are compiled once: they depend on neither r nor the anchor, and
     neither do the core finals' integer lines; only each clone's line
     moves.  `reanchor` therefore computes just the clone lines, puts every
     line on the new least common scale and re-derives pf, the -inf cutoff
     and the round bound, so the evaluator then behaves exactly like one
-    compiled afresh for the window at (r, anchor).  Built, it is
-    re-anchored at (1, anchor); core finals' lines come first, then the
-    clones', which changes no run.
+    compiled afresh for the window at (r, anchor).  Built, it stands at
+    (1, anchor); core finals' lines come first, then the clones', which
+    changes no run.
     """
 
-    def __init__(self, core: Game, anchor: dict):
-        super().__init__(core, clones=True)
+    def __init__(self, core: Rows, anchor: dict):
+        rate = {i: r for (i, _, _), (r, urgent) in zip(core.rows, core.timing) if not urgent}
+        names, at = [], []  # at[i]: the index of core location i here
+        for i, n in enumerate(core.names):
+            at.append(len(names))
+            names.append(n)
+            if i in rate:
+                names.append(n + WAIT_SUFFIX)
+        rows = [
+            (at[i], is_max, [(w, at[t]) for w, t in moves] + ([(0, at[i] + 1)] if i in rate else []))
+            for i, is_max, moves in core.rows
+        ]
         # (name, rate) of every location that may wait, in clone order
-        self.waits = [
-            (l.name, as_fraction(l.rate))
-            for l in core.locations
-            if not l.is_final and not l.urgent
+        self.waits = [(core.names[i], as_fraction(r)) for i, r in rate.items()]
+        clones = [
+            (at[i] + 1, Affine(-r, r + _anchor_value(anchor, n)))
+            for (n, r), i in zip(self.waits, rate)
         ]
-        finals = core.final_locations
-        self.final_index = [self.index[l.name] for l in finals] + [
-            self.index[n + WAIT_SUFFIX] for n, _ in self.waits
-        ]
-        scale, lines = _integer_lines([l.final_cost for l in finals])
-        self._base = math.lcm(scale, *(rate.denominator for _, rate in self.waits))
+        finals = [(at[i], phi) for i, phi in core.finals] + clones
+        super().__init__(Rows(names, rows, core.timing, finals, core.bound))
+        scale, lines = _integer_lines([phi for _, phi in core.finals])
+        self._base = math.lcm(scale, *(r.denominator for _, r in self.waits))
         k = self._base // scale
         self._core_lines = [(s * k, c * k) for s, c in lines]
-        self.reanchor(1, anchor)
 
     def reanchor(self, r, anchor: dict) -> None:
         """Moves the window to [0, r], each clone banking anchor[name] at r."""
@@ -184,80 +197,92 @@ class WindowEvaluator(InstantEvaluator):
         k = scale // self._base
         lines = [(s * k, c * k) for s, c in self._core_lines]
         for (_, rate), c in zip(self.waits, tops):
-            lines.append(
-                (
-                    -rate.numerator * (scale // rate.denominator),
-                    c.numerator * (scale // c.denominator),
-                )
-            )
+            lines.append((-_scaled(rate, scale), _scaled(c, scale)))
         self._place(*_with_cutoff(scale, lines, r))
 
 
-def prune_infinite(g: Game) -> PruneResult:
+def prune_infinite(c: Rows) -> PruneResult:
     """Splits off the locations whose value is +inf or -inf everywhere.
 
     Whether a location has infinite value does not depend on the clock, so
     one urgent solve at the right end decides it.  That solve also strands
     nothing: a non-final location whose moves all lead to infinite locations,
-    or that has no moves, is itself infinite there.  The returned game keeps
-    only the finite part; transition_origin maps its transition indices
-    back to the input game.  The same solve gives the finite locations'
+    or that has no moves, is itself infinite there.  The returned rows keep
+    only the finite part, in the same order, with every move into an
+    infinite location dropped.  The same solve gives the finite locations'
     values at the right end, where `sweep` starts.
     """
-    ev = InstantEvaluator(g)
-    x, _, _, denom = ev.run(g.clock_bound)
-    values = dict(zip(ev.names, x))
-    infinite = {n: v for n, v in values.items() if isinstance(v, float)}
+    ev = InstantEvaluator(c)
+    x, _, _, denom = ev.run(c.bound)
+    infinite = {n: v for n, v in zip(c.names, x) if isinstance(v, float)}
+    keep = {}  # old index -> new index of each finite location
+    for i, v in enumerate(x):
+        if not isinstance(v, float):
+            keep[i] = len(keep)
+    rows, timing = [], []
+    for (i, is_max, moves), t in zip(c.rows, c.timing):
+        if i in keep:
+            rows.append((keep[i], is_max, [(w, keep[j]) for w, j in moves if j in keep]))
+            timing.append(t)
+    finals = [(keep[i], phi) for i, phi in c.finals]
+    core = Rows([c.names[i] for i in keep], rows, timing, finals, c.bound)
+    return PruneResult(core, infinite, dict(zip(c.names, x)), denom)
+
+
+def core_game(g: Game, infinite: dict) -> tuple:
+    """(core, origin): g without its infinite locations and every
+    transition touching one; origin maps core's transition indices back
+    to g's."""
     locs = tuple(l for l in g.locations if l.name not in infinite)
     origin = tuple(
         i
         for i, t in enumerate(g.transitions)
         if t.source not in infinite and t.target not in infinite
     )
-    trans = tuple(g.transitions[i] for i in origin)
-    pruned = make_game(locs, trans, g.clock_bound)
-    return PruneResult(pruned, infinite, origin, values, denom)
+    return make_game(locs, (g.transitions[i] for i in origin), g.clock_bound), origin
 
 
-def default_max_steps(g: Game) -> int:
+def default_max_steps(core: Rows) -> int:
     # the round bound reads locations, weights and final costs only, so it
     # is the same whatever the locations' urgent flags
-    return 4 * len(g.locations) * iteration_bound(g)
+    return 4 * len(core.names) * iteration_bound(core)
 
 
-def sweep(g: Game, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Sweep:
-    """Values of a simple game on [0, 1], without strategies.  A game left
-    with no non-final location after pruning gives an empty `finite` map,
-    not EmptyGame; `max_steps` caps the candidate evaluations.  The finite
-    functions are built on onto = (c, d), the clock x standing at
-    c + x*(d-c) there; the region pipeline's windows use that to build
-    each value once, on its own window."""
-    if g.clock_bound != 1 or not check_sptg(g, 1):
-        raise NonSPTG("expected guards [0, 1] everywhere and no resets")
+def sweep(g, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Sweep:
+    """Values of a simple game on [0, 1], without strategies.  g is a Game,
+    compiled here with `compile_game`, or rows compiled elsewhere on
+    [0, 1].  A game left with no non-final location after pruning gives an
+    empty `finite` map, not EmptyGame; `max_steps` caps the candidate
+    evaluations.  The finite functions are built on onto = (c, d), the
+    clock x standing at c + x*(d-c) there; the region pipeline's windows
+    use that to build each value once, on its own window."""
+    if isinstance(g, Game):
+        if g.clock_bound != 1 or not check_sptg(g, 1):
+            raise NonSPTG("expected guards [0, 1] everywhere and no resets")
+        g = compile_game(g)
     pr = prune_infinite(g)
-    core = pr.game
-    if not core.nonfinal_locations:
+    core = pr.rows
+    if not core.rows:
         return Sweep(pr, {}, SweepTrace())
     budget = default_max_steps(core) if max_steps is None else max_steps
     spent = 0
     c, length = as_fraction(onto[0]), as_fraction(onto[1] - onto[0])
 
-    nonfinal = core.nonfinal_locations
-    names = [l.name for l in nonfinal]
+    names = [core.names[i] for i, _, _ in core.rows]
     # the sweep's values at b are f_b[j] / db for names[j], pruning's at 1
     b, db = Fraction(1), pr.denom
     f_b = [pr.values[n] for n in names]
     ev = WindowEvaluator(core, _anchor(names, f_b, db))
-    at = [ev.index[n] for n in names]
+    at = [i for i, _, _ in ev.rows]
     # The chord of a location that may wait may not fall below -rate = p/q
     # if Min, nor rise above it if Max.  With chord nums[j]/den, den > 0,
     # and s = 1 for Min, -1 for Max, that fails where nums[j]*s*q < s*p*den;
     # waits holds (j, s*q, s*p) for every such location names[j].
     waits = []
-    for j, l in enumerate(nonfinal):
-        if not l.urgent:
-            s = 1 if l.owner == MIN else -1
-            limit = -as_fraction(l.rate)
+    for j, ((_, is_max, _), (rate, urgent)) in enumerate(zip(core.rows, core.timing)):
+        if not urgent:
+            s = -1 if is_max else 1
+            limit = -as_fraction(rate)
             waits.append((j, s * limit.denominator, s * limit.numerator))
     # breakpoints per location, newest last: (x, value numerator, denominator)
     points = [[(b, v, db)] for v in f_b]
@@ -337,23 +362,20 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     carrying the values, when pruning leaves no non-final location."""
     sw = sweep(g, max_steps)
     pr = sw.pruned
-    core = pr.game
     values = _values(g, pr, sw.finite)
     if sw.evaluator is None:
         raise EmptyGame(pr.infinite, values)
+    core, origin = core_game(g, pr.infinite)
     fns = {l.name: values[l.name] for l in core.locations}
 
     # the no-time-left moves need the core's own ranks at 1: pruning's
     # differ where a Max location has an edge into a pruned -inf location
-    end_ev = InstantEvaluator(core)
+    end_ev = InstantEvaluator(pr.rows)
     x, ranks, _, denom = end_ev.run(1)
     end = (dict(zip(end_ev.names, x)), dict(zip(end_ev.names, ranks)), denom)
-    max_fp, min_fp = _synthesize(sw.evaluator, core, fns, end, pr.transition_origin)
+    max_fp, min_fp = _synthesize(sw.evaluator, core, fns, end, origin)
     # urgency plays no part in the attractor, so the core gives the same one
-    sigma2 = {
-        n: pr.transition_origin[i]
-        for n, i in attractor_strategy(core).items()
-    }
+    sigma2 = {n: origin[i] for n, i in attractor_strategy(core).items()}
     n_locs = len(core.locations)
     reach = (n_locs - 1) * core.max_transition_weight() + core.max_final_cost()
     lowest = min(min(f.vals) for f in fns.values())

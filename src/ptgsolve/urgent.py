@@ -17,32 +17,27 @@ of every slope, intercept and the -inf cutoff), so a final's cost at p/q is
 that common denominator L*q; callers compare them as integers and make
 Fractions (`unscale`) only for values they keep.
 
-An evaluator's locations, rows and moves are fixed when it is built, but
-its final lines, scale, cutoff and round bound can be put in again
-(`InstantEvaluator._place`).  The sweep's window evaluator does that to
-re-anchor its wait clones per window and per strategy cell, and
+Value iteration reads a game in one compiled form, `Rows`: location
+names, one row of moves per non-final location, the finals' cost lines,
+and each row's rate and urgent flag, which only the sweep reads.
+`compile_game` compiles a `Game`; the region pipeline compiles its
+components straight from the region graph, with no game built.  An
+evaluator's rows are fixed when it is built, but its final lines, scale,
+cutoff and round bound can be put in again (`InstantEvaluator._place`):
+the sweep's window evaluator re-anchors its wait clones that way, and
 `possible_cutpoints` reads the grid straight off an evaluator's lines.
-Rows need not come from a `Game`: `InstantEvaluator.compiled` takes rows
-and integer final lines made elsewhere, which is how the region
-pipeline's point components are solved without a game built for them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import INF, NEG_INF, as_fraction
 from .model import MAX, MIN, Game, InternalError
 
 WAIT_SUFFIX = "@wait"
-
-
-def iteration_bound(g: Game) -> int:
-    """Hard cap on value-iteration rounds until the fixpoint."""
-    return _round_bound(
-        len(g.locations), len(g.final_locations), g.max_transition_weight(), g.max_final_cost()
-    )
 
 
 def _round_bound(n: int, nf: int, pt: int, pf: Fraction) -> int:
@@ -56,7 +51,12 @@ def _integer_lines(costs) -> tuple:
     scale = math.lcm(
         *(q for phi in costs for q in (phi.slope.denominator, phi.intercept.denominator))
     )
-    return scale, [(int(phi.slope * scale), int(phi.intercept * scale)) for phi in costs]
+    return scale, [(_scaled(phi.slope, scale), _scaled(phi.intercept, scale)) for phi in costs]
+
+
+def _scaled(v: Fraction, scale: int) -> int:
+    """v * scale, for a scale that v's denominator divides."""
+    return v.numerator * (scale // v.denominator)
 
 
 def _with_cutoff(scale: int, lines: list, bound: Fraction) -> tuple:
@@ -73,30 +73,65 @@ def _with_cutoff(scale: int, lines: list, bound: Fraction) -> tuple:
     return scale * grow, [(s * grow, c * grow) for s, c in lines], pf
 
 
-def _final_scale(g: Game) -> tuple:
-    """The final costs of g on one integer scale: (L, lines, pf).
-
-    lines holds (S, C) per final location in file order, so that its cost at
-    p/q is (S*p + C*q) / (L*q).  L is the least common denominator of every
-    slope, intercept and pf (see `_with_cutoff`).
-    """
-    scale, lines = _integer_lines([l.final_cost for l in g.final_locations])
-    return _with_cutoff(scale, lines, g.clock_bound)
-
-
 def unscale(x: list, denom: int) -> list:
     """The values of a run as Fractions; infinities stay float sentinels."""
     return [v if isinstance(v, float) else Fraction(v, denom) for v in x]
 
 
-class InstantEvaluator:
-    """Precompiled value iteration for one game at single valuations.
+@dataclass
+class Rows:
+    """A game compiled for value iteration.
 
-    Every non-final location's moves are compiled, whatever its `urgent`
-    flag: at one valuation no time passes, so a location that may wait has
-    nothing more to do there than an urgent one.  Waiting until the end of
-    a window is a move of its own only in the sweep's window evaluator,
-    which enters it through a final clone.
+    names[i] is location i's name.  rows holds (i, is_max, [(weight,
+    target index), ...]) per non-final location, in index order; a row
+    without moves is stuck.  timing holds each row's (rate, urgent), in
+    the same order.  finals holds (i, cost line) per final location, in
+    index order, and the lines are read up to the clock bound.
+    """
+
+    names: list
+    rows: list
+    timing: list
+    finals: list
+    bound: Fraction
+
+    def max_weight(self) -> int:
+        return max((abs(w) for _, _, moves in self.rows for w, _ in moves), default=0)
+
+    def placed(self) -> tuple:
+        """The final lines on their integer scale: (L, lines, pf), see `_with_cutoff`."""
+        return _with_cutoff(*_integer_lines([phi for _, phi in self.finals]), self.bound)
+
+
+def iteration_bound(c: Rows) -> int:
+    """Hard cap on value-iteration rounds until the fixpoint."""
+    return _round_bound(len(c.names), len(c.finals), c.max_weight(), c.placed()[2])
+
+
+def compile_game(g: Game) -> Rows:
+    """The rows of g: its locations in file order, each row's moves in the
+    order of its transitions, whatever the locations' urgent flags."""
+    index = {l.name: i for i, l in enumerate(g.locations)}
+    ts = g.transitions
+    rows, timing, finals = [], [], []
+    for i, l in enumerate(g.locations):
+        if l.is_final:
+            finals.append((i, l.final_cost))
+            continue
+        moves = [(ts[k].weight, index[ts[k].target]) for k in g.outgoing(l.name)]
+        rows.append((i, l.owner == MAX, moves))
+        timing.append((l.rate, l.urgent))
+    return Rows(list(index), rows, timing, finals, g.clock_bound)
+
+
+class InstantEvaluator:
+    """Precompiled value iteration for one game's rows at single valuations.
+
+    Every row is compiled, whatever its urgent flag: at one valuation no
+    time passes, so a location that may wait has nothing more to do there
+    than an urgent one.  Waiting until the end of a window is a move of its
+    own only in the sweep's window evaluator, which enters it through a
+    final clone.
 
     The hot loop runs on integers.  The constructor puts the final costs
     and the -inf cutoff on one integer scale L and derives the round bound,
@@ -106,66 +141,21 @@ class InstantEvaluator:
 
     The locations, rows and moves are fixed at construction; `_place` can
     later put new final lines and a new clock bound in, which is how a
-    window evaluator is re-anchored without rebuilding the game.
-
-    With clones, every non-final location that may wait is followed by a
-    final clone name@wait, entered by a zero-weight move appended to the
-    location's row.  The clones' lines depend on the window, so no line is
-    placed then: the window evaluator places them all (`reanchor`).
+    window evaluator is re-anchored without compiling its rows again.
     """
 
-    def __init__(self, g: Game, clones: bool = False):
-        waits = {l.name for l in g.nonfinal_locations if clones and not l.urgent}
-        names = []
-        for l in g.locations:
-            names.append(l.name)
-            if l.name in waits:
-                names.append(l.name + WAIT_SUFFIX)
-        self.index = index = {n: i for i, n in enumerate(names)}
-        rows = []
-        for l in g.locations:
-            if l.is_final:
-                continue
-            moves = [
-                (g.transitions[i].weight, index[g.transitions[i].target])
-                for i in g.outgoing(l.name)
-            ]
-            if l.name in waits:
-                moves.append((0, index[l.name + WAIT_SUFFIX]))
-            rows.append((index[l.name], l.owner == MAX, moves))
-        finals = [index[l.name] for l in g.final_locations]
-        self._load(names, rows, finals, g.max_transition_weight())
-        if not clones:
-            self._place(*_final_scale(g))
-
-    @classmethod
-    def compiled(cls, names: list, rows: list, final_index: list, max_weight: int, placed: tuple):
-        """An evaluator of rows compiled elsewhere.
-
-        rows holds (location index, is_max, [(weight, target index), ...])
-        per non-final location, indices into names; a row without moves is
-        stuck.  final_index lists the final locations' indices, in the
-        order of the lines in placed, which is (L, lines, pf) as
-        `_with_cutoff` gives it.  The largest |weight| of any move is
-        max_weight.
-        """
-        ev = cls.__new__(cls)
-        ev._load(names, rows, final_index, max_weight)
-        ev._place(*placed)
-        return ev
-
-    def _load(self, names: list, rows: list, final_index: list, max_weight: int) -> None:
-        """Takes the compiled locations and rows in; every build ends here."""
-        self.names = names
-        self.rows = rows  # (loc_idx, is_max, [(weight, tgt_idx), ...])
-        self.final_index = final_index
-        self.max_weight = max_weight
+    def __init__(self, c: Rows):
+        self.names = c.names
+        self.rows = c.rows  # (loc_idx, is_max, [(weight, tgt_idx), ...])
+        self.final_index = [i for i, _ in c.finals]
+        self.max_weight = c.max_weight()
+        self._place(*c.placed())
 
     def _place(self, scale: int, lines: list, pf: Fraction) -> None:
         """Puts the final lines (S, C) on the scale L in, with their pf.
 
         The cutoff and the round bound follow from pf; lines are in the
-        order of the game's final locations.
+        order of final_index.
         """
         n = len(self.names)
         self.scale = scale

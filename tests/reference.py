@@ -19,10 +19,11 @@ check the package against, not part of it:
   Max strategy;
 - ``bellman_check`` and ``region_bellman_check``, one-shot wrappers
   around ``strategy.RegionBellmanOracle``;
-- ``instant_by_subgame``, a point component's values through a ``Game``
-  built for it, and ``possible_cutpoints_by_fraction``, the candidate grid
-  sorted as Fractions: the package's former bodies of ``regions._instant``
-  and ``urgent.possible_cutpoints``.
+- ``instant_by_subgame`` and ``window_by_subgame``, a point component's
+  values and an open window's through a ``Game`` built for them, and
+  ``possible_cutpoints_by_fraction``, the candidate grid sorted as
+  Fractions: the package's former bodies of ``regions._instant``,
+  ``regions._solve_window`` and ``urgent.possible_cutpoints``.
 
 Test modules import it like ``conftest``: ``from reference import ...``.
 """
@@ -59,7 +60,7 @@ from ptgsolve.model import (
     regions_of,
 )
 from ptgsolve.regions import _entry_value
-from ptgsolve.solver import WAIT_SUFFIX, _anchor_value
+from ptgsolve.solver import WAIT_SUFFIX, _anchor_value, sweep
 from ptgsolve.strategy import (
     NOW,
     WAIT_UNTIL,
@@ -70,6 +71,7 @@ from ptgsolve.strategy import (
 from ptgsolve.urgent import (
     InstantEvaluator,
     attractor_strategy,
+    compile_game,
     possible_cutpoints,
     unscale,
 )
@@ -195,7 +197,7 @@ def waiting(g: Game, r, anchor: dict) -> Game:
 
 def solve_instant(g: Game, nu) -> ValueVector:
     """Exact values of a game at one valuation."""
-    ev = InstantEvaluator(g)
+    ev = InstantEvaluator(compile_game(g))
     x, _, _, denom = ev.run(nu)
     return ValueVector(as_fraction(nu), dict(zip(ev.names, unscale(x, denom))))
 
@@ -227,7 +229,7 @@ def line_family(g: Game) -> list:
 def solve_all_urgent(g: Game, r) -> dict:
     """Value functions of an all-urgent game on [0, r]."""
     r = as_fraction(r)
-    ev = InstantEvaluator(g)
+    ev = InstantEvaluator(compile_game(g))
     pts = possible_cutpoints(ev, r)
     if r == 0:
         pts = [Fraction(0)]
@@ -264,7 +266,7 @@ class UntimedStrategies:
 
 
 def extract_untimed_strategies(g: Game, nu) -> UntimedStrategies:
-    ev = InstantEvaluator(g)
+    ev = InstantEvaluator(compile_game(g))
     x, ranks, _, denom = ev.run(nu)
     vals = unscale(x, denom)
     if any(isinstance(v, float) for v in vals):
@@ -575,11 +577,13 @@ def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the region pipeline's point solves and the cutpoint sort, as they were
+# the region pipeline's point solves, windows and the cutpoint sort, as
+# they were
 #
 # `instant_by_subgame` builds a `Game` of each point component, with
-# `_SubGame`, and a fresh evaluator of it; `regions._instant` compiles the
-# same rows straight from the region graph.  `possible_cutpoints_by_fraction`
+# `_SubGame`, and a fresh evaluator of it; `window_by_subgame` builds one
+# of each open window and sweeps it.  `regions._compile` compiles the same
+# rows straight from the region graph.  `possible_cutpoints_by_fraction`
 # sorts the candidates as Fractions; `urgent.possible_cutpoints` sorts the
 # integer pairs first.
 
@@ -658,9 +662,48 @@ def instant_by_subgame(rg, comp, out_edges, nodeval, x) -> dict:
                 v = _entry_value(nodeval, rt, x)
                 tgt = sub.stub((rt.target, rt.reset), v, v)
             sub.edge(node[0], tgt, rt.weight)
-    ev = InstantEvaluator(sub.game())
+    ev = InstantEvaluator(compile_game(sub.game()))
     x, _, _, denom = ev.run(1)
     vals = dict(zip(ev.names, unscale(x, denom)))
+    return {node: vals[node[0]] for node in comp}
+
+
+def window_by_subgame(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
+    """One seam-free window [c, d] of an open region, as a unit-interval game.
+
+    The change of variable x = c + t*(d-c) scales waiting rates by the
+    window length and turns neighbour value functions into affine terminal
+    costs.  Waiting past d is priced by a per-member terminal clone whose
+    cost line starts at the member's already-known value at d and grows
+    leftwards at the member's own rate, exactly what waiting would cost.
+    At the region's upper border that known value is the one its hop
+    enters; `sweep` then settles the members' moves at d among themselves.
+    Every member enters the game, and infinities are left to `sweep`'s
+    pruning: an infinite anchor or target becomes a stub of its sign, and
+    a member with no move is stuck, worth +inf.  interior[node] lists the
+    member's edges as `RegionTransition`s.
+    """
+    base = rg.base
+    members = set(comp)
+    length = d - c
+    sub = _SubGame()
+    for node in comp:
+        loc = base.location(node[0])
+        sub.add(Location(node[0], loc.owner, loc.rate * length, loc.urgent, None))
+    for node in comp:
+        loc = base.location(node[0])
+        for rt in interior[node]:
+            if rt.target in members:
+                tgt = rt.target[0]
+            else:
+                vc, vd = _entry_value(nodeval, rt, c), _entry_value(nodeval, rt, d)
+                tgt = sub.stub((rt.target, rt.reset), vc, vd)
+            sub.edge(loc.name, tgt, rt.weight)
+        if not loc.urgent:
+            rate = loc.rate * length
+            sub.edge(loc.name, sub.stub((node, "wait"), rate + anchor[node], anchor[node]), 0)
+    sw = sweep(sub.game(), max_steps, onto=(c, d))
+    vals = {**sw.finite, **sw.infinite}
     return {node: vals[node[0]] for node in comp}
 
 

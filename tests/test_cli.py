@@ -82,6 +82,17 @@ def test_solve_guarded_jump_matches_committed_fixture(tmp_path, capsys, name):
     assert out.read_bytes() == (FIXTURES / f"{name}.values.json").read_bytes()
 
 
+def test_solve_fig1_in_region_mode_matches_committed_fixture(tmp_path, capsys):
+    # fig1 through the region pipeline: point components at 0 and 1 and
+    # open windows of (0, 1) whose sweeps reject and re-anchor, all compiled
+    # straight from the region graph
+    out = tmp_path / "fig1.regions.json"
+    fig1 = str(FIXTURES / "fig1.json")
+    code, _, _ = run_cli(capsys, "solve", fig1, "--mode", "reset-acyclic", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (FIXTURES / "fig1.regions.json").read_bytes()
+
+
 def test_solve_default_output_path(tmp_path, capsys):
     game = tmp_path / "copy.json"
     game.write_text((FIXTURES / "fig1.json").read_text())
@@ -468,6 +479,19 @@ def test_verify_unreadable_document_exits_2_without_traceback(tmp_path, text):
     assert code == 2
     assert "not valid JSON" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("marker", ["inf", "-inf"])
+def test_verify_rejects_a_reversed_infinite_segment(fig1_solution, tmp_path, capsys, marker):
+    # an infinite segment is built without checking its pieces, but its
+    # ends must still be in order
+    doc = json.loads(fig1_solution.read_text())
+    doc["values"]["l1"] = [{"from": "1", "to": "0", "infinite": marker}]
+    bad = tmp_path / "reversed.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(FIXTURES / "fig1.json"), str(bad))
+    assert code == 2
+    assert "bad value segment" in err and "strictly increasing" in err
 
 
 def test_verify_garbage_values_file(tmp_path, capsys):

@@ -121,9 +121,9 @@ def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):
     # Building the waiting game and its evaluator afresh for every window
     # and every strategy cell made 19 waiting games and 21 evaluators
     # here.  One evaluator is built and re-anchored instead; pruning and
-    # the end values take the other two.  Every evaluator reads its game
-    # as it is, so the pruned game is the one Game a solve builds; urgent
-    # and waiting copies for the evaluators made 5.
+    # the end values take the other two.  Every evaluator reads compiled
+    # rows, so the pruned game, which the synthesis reads, is the one Game
+    # a solve builds; urgent and waiting copies for the evaluators made 5.
     g = fan_game(16, (1, -2, 3))
     counts = {"games": 0, "evaluators": 0, "runs": 0}
     post_init, init, run = Game.__post_init__, InstantEvaluator.__init__, InstantEvaluator.run
@@ -132,9 +132,9 @@ def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):
         counts["games"] += 1
         post_init(self)
 
-    def counting_init(self, game, clones=False):
+    def counting_init(self, rows):
         counts["evaluators"] += 1
-        init(self, game, clones)
+        init(self, rows)
 
     def counting_run(self, *args, **kwargs):
         counts["runs"] += 1
@@ -158,9 +158,9 @@ def test_fan_sweep_starts_from_the_pruning_values(monkeypatch):
     counts = {"evaluators": 0, "runs": 0}
     init, run = InstantEvaluator.__init__, InstantEvaluator.run
 
-    def counting_init(self, game, clones=False):
+    def counting_init(self, rows):
         counts["evaluators"] += 1
-        init(self, game, clones)
+        init(self, rows)
 
     def counting_run(self, *args, **kwargs):
         counts["runs"] += 1

@@ -27,9 +27,9 @@ from ptgsolve.model import (
     validate_game,
 )
 from ptgsolve.regions import ResetCycle, build_region_game, check_reset_acyclic, solve_reset_acyclic
-from ptgsolve.solver import EmptyGame, prune_infinite, solve
+from ptgsolve.solver import EmptyGame, core_game, solve
 from ptgsolve.strategy import play_out
-from ptgsolve.urgent import InstantEvaluator, iteration_bound, unscale
+from ptgsolve.urgent import InstantEvaluator, compile_game, iteration_bound, unscale
 
 F = Fraction
 
@@ -156,7 +156,7 @@ def run_simple_checks(seed: int) -> None:
             assert bellman_check(g, flat, nu) == []
         return
 
-    core = prune_infinite(g).game
+    core, _ = core_game(g, sol.infinite)
     core_names = [l.name for l in core.locations]
     finite = {n: sol.values[n] for n in core_names}
 
@@ -184,11 +184,11 @@ def run_simple_checks(seed: int) -> None:
 
     # (d) value iteration descends monotonically and stops within its bound
     ug = make_urgent(g)
-    ev = InstantEvaluator(ug)
+    ev = InstantEvaluator(compile_game(ug))
     for nu in (F(0), F(1, 3), F(1)):
         history = []
         _, _, rounds, _ = ev.run(nu, history)
-        assert rounds <= iteration_bound(ug)
+        assert rounds <= iteration_bound(compile_game(ug))
         for before, after in zip(history, history[1:]):
             assert all(y <= x for x, y in zip(before, after))
 
@@ -335,11 +335,11 @@ def urgent_games(draw):
 @settings(max_examples=60, deadline=None)
 @given(urgent_games(), st.fractions(min_value=0, max_value=1, max_denominator=50))
 def test_instant_values_solve_their_own_equations(g, nu):
-    ev = InstantEvaluator(g)
+    ev = InstantEvaluator(compile_game(g))
     history = []
     raw, _, rounds, denom = ev.run(nu, history)
     vals = unscale(raw, denom)
-    assert rounds <= iteration_bound(g)
+    assert rounds <= iteration_bound(compile_game(g))
     for before, after in zip(history, history[1:]):
         assert all(y <= x for x, y in zip(before, after))
     by_name = dict(zip(ev.names, vals))

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, load_fixture
-from reference import instant_by_subgame, region_bellman_check
+import reference
+from reference import instant_by_subgame, region_bellman_check, window_by_subgame
 from test_properties import GUARDED_SEEDS, usable_guarded
 from ptgsolve import regions as region_pipeline
 from ptgsolve import solver
@@ -551,65 +552,59 @@ def test_point_components_are_the_only_instant_solves(monkeypatch, reset_chain):
     single-valuation game.  Solving one more per open component to anchor
     its windows took 10 such solves and 18 evaluators.  Each point
     component compiles its rows straight from the region graph into one
-    evaluator, with no Game; each window builds one Game, and the sweep's
-    pruning one more per window.  A Game per point component made 14;
-    urgent and waiting copies for the evaluators made 26."""
+    evaluator, and each of the four windows two: pruning's and the
+    sweep's.  No Game is built: a Game per window and one more for its
+    pruning made 8, a Game per point component 14, and urgent and waiting
+    copies for the evaluators 26."""
     counts = {"instant": 0, "evaluators": 0, "games": 0}
-    instant, load = region_pipeline._instant, InstantEvaluator._load
+    instant, init = region_pipeline._instant, InstantEvaluator.__init__
     post_init = Game.__post_init__
 
     def counting_instant(*args):
         counts["instant"] += 1
         return instant(*args)
 
-    def counting_load(self, *args):
+    def counting_init(self, rows):
         counts["evaluators"] += 1
-        load(self, *args)
+        init(self, rows)
 
     def counting_post_init(self):
         counts["games"] += 1
         post_init(self)
 
     monkeypatch.setattr(region_pipeline, "_instant", counting_instant)
-    monkeypatch.setattr(InstantEvaluator, "_load", counting_load)
+    monkeypatch.setattr(InstantEvaluator, "__init__", counting_init)
     monkeypatch.setattr(Game, "__post_init__", counting_post_init)
     solve_reset_acyclic(reset_chain)
-    assert counts == {"instant": 6, "evaluators": 14, "games": 8}
+    assert counts == {"instant": 6, "evaluators": 14, "games": 0}
 
 
-@pytest.mark.parametrize("name", ["reset_chain.json", "guarded_jump.json"])
-def test_point_components_build_no_game(monkeypatch, name):
-    """A point component is compiled straight from the region graph: no
-    Game, Location or Transition is built for it."""
+@pytest.mark.parametrize("name", ["reset_chain.json", "guarded_jump.json", "fig1.json"])
+def test_region_pipeline_builds_no_game(monkeypatch, name):
+    """Point components and open windows compile their rows straight from
+    the region graph, and the sweep prunes rows: the pipeline builds no
+    Game, Location or Transition.  Each window built two Games (its own
+    and its pruning's) and a Location per member and stub.  Nor does it
+    validate a function it built itself: points and infinite constants
+    are built trusted too."""
     g = parse_game(load_fixture(name))
-    counts = {"instant": 0, "built": 0}
-    inside = []
-    instant = region_pipeline._instant
+    counts = {"games": 0, "locations": 0, "transitions": 0, "validated": 0}
 
-    def counting_instant(*args):
-        counts["instant"] += 1
-        inside.append(True)
-        try:
-            return instant(*args)
-        finally:
-            inside.pop()
-
-    def counting(cls, attr):
+    def counting(key, cls, attr):
         original = getattr(cls, attr)
 
         def wrapper(self, *args, **kwargs):
-            counts["built"] += bool(inside)
+            counts[key] += 1
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, attr, wrapper)
 
-    monkeypatch.setattr(region_pipeline, "_instant", counting_instant)
-    counting(Game, "__post_init__")
-    counting(Location, "__post_init__")
-    counting(Transition, "__init__")
+    counting("games", Game, "__post_init__")
+    counting("locations", Location, "__post_init__")
+    counting("transitions", Transition, "__init__")
+    counting("validated", CostFunction, "__post_init__")
     solve_reset_acyclic(g)
-    assert counts["instant"] > 0
-    assert counts["built"] == 0
+    assert counts == {"games": 0, "locations": 0, "transitions": 0, "validated": 0}
 
 
 def test_window_values_are_built_once(monkeypatch, reset_chain):
@@ -751,6 +746,96 @@ def test_point_solves_match_the_subgame_reference_on_hand_components(region):
             args = (rg, members, out_edges, nodeval, x)
             got = _with_rounds(region_pipeline._instant, *args)
             assert got == _with_rounds(instant_by_subgame, *args), (members, combo)
+
+
+def _window_work(solve_window, *args):
+    """solve_window(*args), the trace of the sweep it runs and the rounds
+    of every evaluator run it makes: pruning's, then one per candidate."""
+    traces, rounds = [], []
+    run = InstantEvaluator.run
+
+    def recording_run(self, nu, history=None):
+        out = run(self, nu, history)
+        rounds.append(out[2])
+        return out
+
+    def recording_sweep(*args, **kwargs):
+        sw = solver.sweep(*args, **kwargs)
+        traces.append(sw.trace)
+        return sw
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InstantEvaluator, "run", recording_run)
+        mp.setattr(region_pipeline, "sweep", recording_sweep)
+        mp.setattr(reference, "sweep", recording_sweep)
+        vals = solve_window(*args)
+    return vals, traces, rounds
+
+
+def _check_window(rg, comp, interior, *rest, solve_window=region_pipeline._solve_window):
+    """The window's values, its sweep's trace, and its candidates and the
+    rounds of each run, the same as a Game built for it gives them."""
+    got = _window_work(solve_window, rg, comp, interior, *rest)
+    edges = {n: [rg.transitions[j] for j in js] for n, js in interior.items()}
+    assert got == _window_work(window_by_subgame, rg, comp, edges, *rest)
+    return got[0]
+
+
+def _windows_checked(g) -> int:
+    """Solves g with every window checked by `_check_window`; the windows."""
+    windows = []
+
+    def checked(*args):
+        windows.append(args[1])
+        return _check_window(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region_pipeline, "_solve_window", checked)
+        solve_reset_acyclic(g)
+    return len(windows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_windows_match_the_subgame_reference(seed):
+    """Every window of a drawn game gets the values, the sweep trace, the
+    candidates and the rounds per run it got from a Game built for it, so
+    a `--max-steps` budget runs out where it did."""
+    g = usable_guarded(seed)
+    assume(g is not None)
+    _windows_checked(g)
+
+
+_WINDOW_PALETTE = (
+    float("inf"),
+    float("-inf"),
+    CostFunction.from_affine(0, 1, Affine(-3, F(5, 2))),
+    CostFunction.from_affine(0, 1, Affine(0, F(-7, 3))),
+)
+
+
+@pytest.mark.parametrize("urgent", ["", "b", "ac"])
+def test_windows_match_the_subgame_reference_on_hand_components(urgent):
+    """Windows of (0, 1) whose outside targets are set by hand to +inf,
+    -inf or finite values, in every combination, with finite and infinite
+    first-window anchors and urgent members: the compiled rows give the
+    reference's values, trace, candidates and rounds."""
+    base = _hand_component_game()
+    locs = [dataclasses.replace(l, urgent=l.name in urgent) for l in base.locations]
+    g = make_game(locs, base.transitions, 1)
+    rg = build_region_game(g)
+    out_edges = rg.outgoing_map()
+    members = (("a", 1), ("b", 1), ("c", 1))
+    interior = {m: [j for j in out_edges[m] if rg.transitions[j].origin is not None] for m in members}
+    waiting = [m for m in members if m[0] not in urgent]
+    anchors = [{m: F(1, 2) for m in waiting}]
+    anchors += [{**anchors[0], waiting[0]: v} for v in (float("inf"), float("-inf"))]
+    for combo in itertools.product(_WINDOW_PALETTE, repeat=3):
+        nodeval = {("f", 1): g.location("f").final_cost, ("r", 0): CostFunction.point(0, F(1, 4))}
+        nodeval.update(zip((("p", 1), ("q", 1), ("r", 1)), combo))
+        for anchor in anchors:
+            for c, d in ((0, 1), (F(1, 3), F(1, 2))):
+                _check_window(rg, members, interior, nodeval, anchor, c, d, None)
 
 
 def test_region_pipeline_builds_no_strategies(monkeypatch, reset_chain):
@@ -904,13 +989,8 @@ def test_scaled_split_twin_has_scaled_values(pair):
     assert_scaled_values(direct, scaled, SCALE, [F(j, 24) for j in range(25)])
 
 
-@pytest.mark.parametrize("factor, k", [(2, F(1, 3)), (5, F(7, 3))])
-def test_fig1_scaled_and_split_off_the_integers(fig1, factor, k):
-    """fig1's sweep rejects three windows.  With time scaled by factor and
-    every guard split at a k off the integers, the open regions have
-    rational lengths, so the region pipeline's windows wait at rational
-    rates and re-anchor after rejections; the values stay factor times
-    fig1's, read at every breakpoint, every midpoint and j/24."""
+def _fig1_scaled(fig1, factor, k):
+    """fig1 with time scaled by factor and every guard split at k."""
     locs = [
         dataclasses.replace(l, final_cost=Affine(l.final_cost.slope, factor * l.final_cost.intercept))
         if l.is_final else l
@@ -921,7 +1001,25 @@ def test_fig1_scaled_and_split_off_the_integers(fig1, factor, k):
         for t in fig1.transitions
         for lo, hi in ((0, k), (k, factor))
     ]
-    scaled = solve_reset_acyclic(make_game(locs, trans, factor)).values
+    return make_game(locs, trans, factor)
+
+
+@pytest.mark.parametrize("factor, k", [(2, F(1, 3)), (5, F(7, 3))])
+def test_fig1_scaled_windows_match_the_subgame_reference(fig1, factor, k):
+    """The six windows of the scaled and split fig1 below wait at rational
+    rates and re-anchor after rejections; each matches the Game-built
+    reference."""
+    assert _windows_checked(_fig1_scaled(fig1, factor, k)) == 6
+
+
+@pytest.mark.parametrize("factor, k", [(2, F(1, 3)), (5, F(7, 3))])
+def test_fig1_scaled_and_split_off_the_integers(fig1, factor, k):
+    """fig1's sweep rejects three windows.  With time scaled by factor and
+    every guard split at a k off the integers, the open regions have
+    rational lengths, so the region pipeline's windows wait at rational
+    rates and re-anchor after rejections; the values stay factor times
+    fig1's, read at every breakpoint, every midpoint and j/24."""
+    scaled = solve_reset_acyclic(_fig1_scaled(fig1, factor, k)).values
     direct = solve(fig1).values
     xs = sorted({x for f in direct.values() for x in f.xs} | {F(j, 24) for j in range(25)})
     assert_scaled_values(direct, scaled, factor, xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])])

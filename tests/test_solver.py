@@ -25,13 +25,14 @@ from ptgsolve.solver import (
     MissingTerminalValue,
     NonSPTG,
     WindowEvaluator,
+    core_game,
     default_max_steps,
     prune_infinite,
     solve,
     sweep,
 )
 from ptgsolve.strategy import play_out
-from ptgsolve.urgent import InstantEvaluator, possible_cutpoints
+from ptgsolve.urgent import InstantEvaluator, compile_game, possible_cutpoints
 
 F = Fraction
 
@@ -172,11 +173,13 @@ def _mixed_game():
 
 def test_prune_infinite_splits_off_divergent_locations():
     g = _mixed_game()
-    pr = prune_infinite(g)
+    pr = prune_infinite(compile_game(g))
     assert pr.infinite == {"trap": float("inf"), "drain": float("-inf")}
-    assert [l.name for l in pr.game.locations] == ["m", "f"]
+    assert pr.rows.names == ["m", "f"]
+    core, origin = core_game(g, pr.infinite)
+    assert [l.name for l in core.locations] == ["m", "f"]
     # Surviving transition indices point back into the original game.
-    assert pr.transition_origin == (3,)
+    assert origin == (3,)
     assert g.transitions[3].source == "m"
 
 
@@ -262,7 +265,7 @@ def test_make_urgent_marks_everything(fig1):
 
 
 def test_default_budget_scales_with_game_size(fig1):
-    assert default_max_steps(fig1) == 27392
+    assert default_max_steps(compile_game(fig1)) == 27392
 
 
 _RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -297,13 +300,13 @@ def anchored_windows(draw):
 @given(anchored_windows())
 def test_reanchored_evaluator_equals_a_fresh_one(case):
     g, first, windows = case
-    ev = WindowEvaluator(g, first)
+    ev = WindowEvaluator(compile_game(g), first)
     steps = [(F(1), first, F(1, 2))] + windows
     for i, (r, anchor, nu) in enumerate(steps):
         if i:
             ev.reanchor(r, anchor)
         wg = make_urgent(waiting(g, r, anchor))
-        fresh = InstantEvaluator(wg)
+        fresh = InstantEvaluator(compile_game(wg))
         assert ev.names == fresh.names
         assert (ev.scale, ev.cutoff, ev.bound) == (fresh.scale, fresh.cutoff, fresh.bound)
         for x in (nu, F(0), r):
@@ -318,7 +321,7 @@ def test_cutpoints_of_reanchored_evaluators_match_the_fraction_sort(case):
     """The grid sorted on integer keys is the grid sorted as Fractions, on
     every window a re-anchored evaluator is moved to."""
     g, first, windows = case
-    ev = WindowEvaluator(g, first)
+    ev = WindowEvaluator(compile_game(g), first)
     for r, anchor, nu in windows:
         ev.reanchor(r, anchor)
         for end in (r, nu):
@@ -327,7 +330,7 @@ def test_cutpoints_of_reanchored_evaluators_match_the_fraction_sort(case):
 
 def test_reanchor_requires_finite_anchor_values(fig1):
     anchors = {l.name: Fraction(0) for l in fig1.locations}
-    ev = WindowEvaluator(fig1, anchors)
+    ev = WindowEvaluator(compile_game(fig1), anchors)
     with pytest.raises(MissingTerminalValue):
         ev.reanchor(F(1, 2), {})
     with pytest.raises(InfiniteValue):

@@ -9,6 +9,7 @@ from ptgsolve.exactmath import INF, NEG_INF, Affine, evaluate
 from ptgsolve.model import MAX, Guard, Location, Transition, make_game, parse_game
 from ptgsolve.urgent import (
     InstantEvaluator,
+    compile_game,
     iteration_bound,
     possible_cutpoints,
     unscale,
@@ -61,7 +62,7 @@ def test_urgency_flags_do_not_change_a_run(fig1_urgent):
     # exactly as an urgent one there
     g = parse_game(load_fixture("fig1.json"))
     assert any(not l.urgent for l in g.nonfinal_locations)
-    ev, urgent_ev = InstantEvaluator(g), InstantEvaluator(fig1_urgent)
+    ev, urgent_ev = InstantEvaluator(compile_game(g)), InstantEvaluator(compile_game(fig1_urgent))
     for x in (F(0), F(1, 3), F(1)):
         assert ev.run(x) == urgent_ev.run(x)
 
@@ -91,26 +92,26 @@ def test_fig1_values_at_zero(fig1_urgent):
 
 
 def test_iteration_bound_examples(fig1_urgent):
-    assert iteration_bound(fig1_urgent) == 856
+    assert iteration_bound(compile_game(fig1_urgent)) == 856
     g = tiny({"a": ("min", [(1, "f")])}, {"f": Affine(0, 0)})
-    assert iteration_bound(g) == 10
+    assert iteration_bound(compile_game(g)) == 10
     g0 = tiny({"a": ("min", [(0, "f")])}, {"f": Affine(0, 0)})
-    assert iteration_bound(g0) == 2 * len(g0.locations)
+    assert iteration_bound(compile_game(g0)) == 2 * len(g0.locations)
 
 
 def test_iterates_decrease_and_converge(fig1_urgent):
-    ev = InstantEvaluator(fig1_urgent)
+    ev = InstantEvaluator(compile_game(fig1_urgent))
     hist = []
     raw, _, rounds, denom = ev.run(F(1, 3), history=hist)
     vals = unscale(raw, denom)
-    assert rounds <= iteration_bound(fig1_urgent)
+    assert rounds <= iteration_bound(compile_game(fig1_urgent))
     assert hist[-1] == vals
     for a, b in zip(hist, hist[1:]):
         assert all(x >= y for x, y in zip(a, b))
 
 
 def test_ranks_settle_in_order(fig1_urgent):
-    ev = InstantEvaluator(fig1_urgent)
+    ev = InstantEvaluator(compile_game(fig1_urgent))
     _, ranks, _, _ = ev.run(1)
     by_name = dict(zip(ev.names, ranks))
     assert by_name["lf"] == 0
@@ -161,13 +162,13 @@ def test_line_family_fig1(fig1_urgent):
 
 def test_cutpoints_constant_finals():
     g = tiny({"a": ("min", [(1, "f")])}, {"f": Affine(0, 0)})
-    assert possible_cutpoints(InstantEvaluator(g), F(1)) == [0, 1]
-    assert possible_cutpoints(InstantEvaluator(g), F(1, 2)) == [0, F(1, 2)]
+    assert possible_cutpoints(InstantEvaluator(compile_game(g)), F(1)) == [0, 1]
+    assert possible_cutpoints(InstantEvaluator(compile_game(g)), F(1, 2)) == [0, F(1, 2)]
 
 
 def test_cutpoints_urgent_all_fixture():
     g = parse_game(load_fixture("urgent_all.json"))
-    pts = possible_cutpoints(InstantEvaluator(g), 1)
+    pts = possible_cutpoints(InstantEvaluator(compile_game(g)), 1)
     assert pts[0] == 0 and pts[-1] == 1
     assert F(6, 19) in pts
     assert all(p.denominator in (1, 19) for p in pts)
@@ -178,7 +179,7 @@ def test_cutpoints_three_final_grid():
         {"a": ("min", [(1, "f0"), (0, "fu"), (-1, "fd")])},
         {"f0": Affine(0, 0), "fu": Affine(2, -1), "fd": Affine(-2, 1)},
     )
-    assert possible_cutpoints(InstantEvaluator(g), 1) == [0, F(1, 4), F(1, 2), F(3, 4), 1]
+    assert possible_cutpoints(InstantEvaluator(compile_game(g)), 1) == [0, F(1, 4), F(1, 2), F(3, 4), 1]
 
 
 def random_fractional_game(rng: random.Random):
@@ -213,7 +214,7 @@ def test_cutpoints_agree_with_line_family():
         (random_fractional_game(rng), F(rng.randint(1, 11), 11)) for _ in range(40)
     ]
     for g, r in cases:
-        lazy = possible_cutpoints(InstantEvaluator(g), r)
+        lazy = possible_cutpoints(InstantEvaluator(compile_game(g)), r)
         literal = sorted(
             set(pairwise_intersections(line_family(g), 0, r)) | {F(0), r}
         )
@@ -334,7 +335,7 @@ def reference_run(g, nu, history=None):
     rounds = 0
     while True:
         rounds += 1
-        assert rounds <= iteration_bound(g)
+        assert rounds <= iteration_bound(compile_game(g))
         prev = list(x)
         changed = False
         for l in g.nonfinal_locations:
@@ -436,7 +437,7 @@ def test_run_matches_plain_fraction_iteration(data):
 def check_against_reference(g, nu):
     want_history, got_history = [], []
     want = reference_run(g, nu, want_history)
-    x, ranks, rounds, denom = InstantEvaluator(g).run(nu, got_history)
+    x, ranks, rounds, denom = InstantEvaluator(compile_game(g)).run(nu, got_history)
     got = (unscale(x, denom), ranks, rounds)
     assert got == want
     assert got_history == want_history
@@ -451,7 +452,7 @@ def test_cutpoints_match_the_fraction_sort(data):
     gives the list the Fraction sort gave."""
     g = data.draw(scaled_urgent_games())
     r = data.draw(valuations(g.clock_bound))
-    ev = InstantEvaluator(g)
+    ev = InstantEvaluator(compile_game(g))
     assert possible_cutpoints(ev, r) == possible_cutpoints_by_fraction(ev, r)
 
 
@@ -459,6 +460,6 @@ def test_cutpoints_match_the_fraction_sort(data):
 @pytest.mark.parametrize("nu", [F(0), F(1, 3), F(2, 3), F(10**12 + 1, 10**13)])
 def test_run_matches_plain_fraction_iteration_at_infinities(g, nu):
     check_against_reference(g, nu)
-    x, _, _, denom = InstantEvaluator(g).run(nu)
+    x, _, _, denom = InstantEvaluator(compile_game(g)).run(nu)
     vals = unscale(x, denom)
     assert (NEG_INF if g is _SINK else INF) in vals
