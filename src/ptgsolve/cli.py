@@ -357,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="auto picks sptg for unguarded unit-bound games, else the region pipeline",
     )
     sp.add_argument(
-        "--max-steps", type=non_negative_int, help="cap on sweep candidate evaluations"
+        "--max-steps", type=non_negative_int, help="cap on the value-iteration runs of each sweep"
     )
 
     vp = sub.add_parser("verify", help="re-check a solution against its game")

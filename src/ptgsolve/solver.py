@@ -3,11 +3,16 @@
 The value functions are computed by a right-to-left sweep.  Anchored at the
 right end r of the remaining interval, every location gets a final clone
 that prices "wait here until r, then bank the known value"; the resulting
-game is urgent everywhere and can be solved at single valuations.  Walking
-the candidate cutpoints downward, a chord-slope test per location decides
-how far the anchored picture stays truthful; where it breaks, the sweep
-restarts from the last confirmed point.  Each confirmed segment is exact,
-so the assembled functions are the values of the game.
+game is urgent everywhere and can be solved at single valuations.  The
+candidate cutpoints (`possible_cutpoints`) index where values may bend.
+Walking them downward, the sweep runs value iteration only where a
+witness line may change: after a run, every row's line and every move's
+line are known, and the candidates before the nearest crossing of a
+move's line with its row's are read off those lines (`sweep` proves
+it).  A chord-slope test per location decides how far the anchored
+picture stays truthful; where it breaks, the sweep restarts from the
+last confirmed point.  Each confirmed segment is exact, so the assembled
+functions are the values of the game.
 
 Two parts: `sweep` prunes the infinite locations and runs the windows, for
 the values and the trace; `solve` adds `_synthesize`, which reads both
@@ -23,7 +28,9 @@ plays the same game at single valuations; only the clones' final lines
 (-rate, r*rate + v) differ.  So one `WindowEvaluator` is built per sweep,
 straight from the pruned rows, and re-anchored in place: the core finals'
 integer lines are fixed once, and a re-anchor recomputes the clone lines,
-the common scale, the -inf cutoff and the round bound.
+the common scale, the -inf cutoff and the round bound.  The sweep places
+the finals' lines once (`Rows.placed`) for pruning, the budget and the
+window evaluator alike.
 
 The sweep stays on the integer scale of value iteration.  Values at b and
 at the candidate a are integers over their run's denominators, so every
@@ -38,6 +45,7 @@ function is built after the sweep.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -55,7 +63,6 @@ from .urgent import (
     WAIT_SUFFIX,
     InstantEvaluator,
     Rows,
-    _integer_lines,
     _scaled,
     _with_cutoff,
     attractor_strategy,
@@ -78,7 +85,7 @@ class MissingTerminalValue(KeyError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The sweep used more candidate evaluations than allowed."""
+    """The sweep used more value-iteration runs than allowed."""
 
 
 class EmptyGame(ValueError):
@@ -161,10 +168,10 @@ class WindowEvaluator(InstantEvaluator):
     and the round bound, so the evaluator then behaves exactly like one
     compiled afresh for the window at (r, anchor).  Built, it stands at
     (1, anchor); core finals' lines come first, then the clones', which
-    changes no run.
+    changes no run.  placed, if given, is `core.placed()`.
     """
 
-    def __init__(self, core: Rows, anchor: dict):
+    def __init__(self, core: Rows, anchor: dict, placed: tuple | None = None):
         rate = {i: r for (i, _, _), (r, urgent) in zip(core.rows, core.timing) if not urgent}
         names, at = [], []  # at[i]: the index of core location i here
         for i, n in enumerate(core.names):
@@ -183,25 +190,30 @@ class WindowEvaluator(InstantEvaluator):
             for (n, r), i in zip(self.waits, rate)
         ]
         finals = [(at[i], phi) for i, phi in core.finals] + clones
-        super().__init__(Rows(names, rows, core.timing, finals, core.bound))
-        scale, lines = _integer_lines([phi for _, phi in core.finals])
+        # on [0, 1] the cutoff grows no scale, so placed holds the core
+        # finals' least integer lines
+        scale, lines, _ = core.placed() if placed is None else placed
         self._base = math.lcm(scale, *(r.denominator for _, r in self.waits))
         k = self._base // scale
         self._core_lines = [(s * k, c * k) for s, c in lines]
+        super().__init__(Rows(names, rows, core.timing, finals, core.bound), self._anchored(1, anchor))
 
-    def reanchor(self, r, anchor: dict) -> None:
-        """Moves the window to [0, r], each clone banking anchor[name] at r."""
-        r = as_fraction(r)
+    def _anchored(self, r: Fraction, anchor: dict) -> tuple:
+        """The lines placed for the window [0, r], as `Rows.placed` gives them."""
         tops = [r * rate + _anchor_value(anchor, n) for n, rate in self.waits]
         scale = math.lcm(self._base, *(c.denominator for c in tops))
         k = scale // self._base
         lines = [(s * k, c * k) for s, c in self._core_lines]
         for (_, rate), c in zip(self.waits, tops):
             lines.append((-_scaled(rate, scale), _scaled(c, scale)))
-        self._place(*_with_cutoff(scale, lines, r))
+        return _with_cutoff(scale, lines, r)
+
+    def reanchor(self, r, anchor: dict) -> None:
+        """Moves the window to [0, r], each clone banking anchor[name] at r."""
+        self._place(*self._anchored(as_fraction(r), anchor))
 
 
-def prune_infinite(c: Rows) -> PruneResult:
+def prune_infinite(c: Rows, placed: tuple | None = None) -> PruneResult:
     """Splits off the locations whose value is +inf or -inf everywhere.
 
     Whether a location has infinite value does not depend on the clock, so
@@ -210,9 +222,10 @@ def prune_infinite(c: Rows) -> PruneResult:
     or that has no moves, is itself infinite there.  The returned rows keep
     only the finite part, in the same order, with every move into an
     infinite location dropped.  The same solve gives the finite locations'
-    values at the right end, where `sweep` starts.
+    values at the right end, where `sweep` starts.  placed, if given, is
+    `c.placed()`.
     """
-    ev = InstantEvaluator(c)
+    ev = InstantEvaluator(c, placed)
     x, _, _, denom = ev.run(c.bound)
     infinite = {n: v for n, v in zip(c.names, x) if isinstance(v, float)}
     keep = {}  # old index -> new index of each finite location
@@ -242,37 +255,84 @@ def core_game(g: Game, infinite: dict) -> tuple:
     return make_game(locs, (g.transitions[i] for i in origin), g.clock_bound), origin
 
 
-def default_max_steps(core: Rows) -> int:
+def default_max_steps(core: Rows, placed: tuple | None = None) -> int:
     # the round bound reads locations, weights and final costs only, so it
     # is the same whatever the locations' urgent flags
-    return 4 * len(core.names) * iteration_bound(core)
+    return 4 * len(core.names) * iteration_bound(core, placed)
 
 
-def sweep(g, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Sweep:
-    """Values of a simple game on [0, 1], without strategies.  g is a Game,
-    compiled here with `compile_game`, or rows compiled elsewhere on
-    [0, 1].  A game left with no non-final location after pruning gives an
-    empty `finite` map, not EmptyGame; `max_steps` caps the candidate
-    evaluations.  The finite functions are built on onto = (c, d), the
-    clock x standing at c + x*(d-c) there; the region pipeline's windows
-    use that to build each value once, on its own window."""
+def sweep(g, max_steps: Optional[int] = None, onto: Optional[tuple] = None) -> Sweep:
+    """Values of a simple game on [0, 1], without strategies.
+
+    g is a Game, compiled here with `compile_game`, or rows compiled
+    elsewhere on [0, 1].  A game left with no non-final location after
+    pruning gives an empty `finite` map, not EmptyGame; `max_steps` caps
+    the value-iteration runs of the walk, pruning's not counted.  The
+    finite functions are built on onto = (c, d), the clock x standing at
+    c + x*(d-c) there; the region pipeline's windows use that to build each
+    value once, on its own window, and a failure of pruning then names the
+    window and the clock.
+
+    Each window [0, r] walks `possible_cutpoints` downward from r, and no
+    two lines of the family cross between neighbouring candidates, so the
+    values are affine between them.  A run at a candidate a thus fixes
+    every line of the window game on [a, b], b the point accepted before:
+    a row's is its chord, a final's (wait clones included) its cost line.
+    Value iteration runs again only where a witness line may change.  For
+    a row and one of its moves (w, t), the move's line w + line_t either
+    is the row's line, and the move is tight all along, or meets it at
+    most once.  Let z be the nearest point left of a where such a line that
+    is not its row's meets it: z = a if one meets it at a, and z = 0 if
+    none does above 0.  The lines are the values on [z, b]:
+
+    - On (z, a] every other move keeps the strict side it had at a, so
+      each row's value there is attained by the moves whose lines are its
+      own (at a, a tight move on another line would make z = a).  The
+      lines are a fixpoint on (z, b).
+    - A finite fixpoint is the value, the greatest fixpoint, exactly when
+      its tight moves let Min force the finals: Min needs one tight move
+      into the attractor, Max all of his (the certificate of the paper's
+      switching strategies).  On (z, b) the tight moves are the ones on
+      identical lines, at every point alike (on (a, b) no lines cross), so
+      the attractor that certifies the values on (a, b) certifies the
+      lines on (z, b).
+    - Finite values are continuous, which covers z itself.
+
+    So the candidates strictly between z and a are skipped, and the first
+    candidate at or above z is accepted with its values read off the
+    lines: walking them would have run to points on the same lines, with
+    the same chords, no slope break and no rejection.  The candidate below
+    it gets the next run.  The gaps are integers on the run's denominator
+    and the slopes on one common one, so only the nearest closing gap makes
+    a Fraction.
+    """
     if isinstance(g, Game):
         if g.clock_bound != 1 or not check_sptg(g, 1):
             raise NonSPTG("expected guards [0, 1] everywhere and no resets")
         g = compile_game(g)
-    pr = prune_infinite(g)
+    c, d = (as_fraction(v) for v in (onto or (0, 1)))
+    length = d - c
+    # finals are never pruned: pruning, the budget and the window
+    # evaluator all read these lines
+    placed = g.placed()
+    try:
+        pr = prune_infinite(g, placed)
+    except InternalError as e:
+        if onto is None or e.nu is None:
+            raise
+        window = f"window [{format_value(c)}, {format_value(d)}]"
+        raise InternalError(e.phase, e.reason, window, c + e.nu * length) from e
     core = pr.rows
     if not core.rows:
         return Sweep(pr, {}, SweepTrace())
-    budget = default_max_steps(core) if max_steps is None else max_steps
+    budget = default_max_steps(core, placed) if max_steps is None else max_steps
     spent = 0
-    c, length = as_fraction(onto[0]), as_fraction(onto[1] - onto[0])
 
     names = [core.names[i] for i, _, _ in core.rows]
     # the sweep's values at b are f_b[j] / db for names[j], pruning's at 1
     b, db = Fraction(1), pr.denom
     f_b = [pr.values[n] for n in names]
-    ev = WindowEvaluator(core, _anchor(names, f_b, db))
+    ev = WindowEvaluator(core, _anchor(names, f_b, db), placed)
     at = [i for i, _, _ in ev.rows]
     # The chord of a location that may wait may not fall below -rate = p/q
     # if Min, nor rise above it if Max.  With chord nums[j]/den, den > 0,
@@ -294,14 +354,15 @@ def sweep(g, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Sweep:
         win = WindowTrace(start=r)
         prev = None  # (numerators, denominator) of the last accepted chords
         rejected = False
-        for a in reversed(grid[:-1]):
+        i = len(grid) - 1  # b is grid[i]
+        while i > 0:
+            i -= 1
+            a = grid[i]
             spent += 1
             if spent > budget:
-                raise BudgetExceeded(
-                    f"sweep exceeded {budget} candidate evaluations"
-                )
+                raise BudgetExceeded(f"sweep exceeded {budget} value-iteration runs")
             x, _, _, da = ev.run(a)
-            x_a = [x[i] for i in at]
+            x_a = [x[t] for t in at]
             if any(isinstance(v, float) for v in x_a):
                 where = ", ".join(n for n, v in zip(names, x_a) if isinstance(v, float))
                 raise InternalError(
@@ -342,6 +403,12 @@ def sweep(g, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Sweep:
                     pts.append((a, x_a[j], da))
             prev = (nums, den)
             b, f_b, db = a, x_a, da
+            k = bisect_left(grid, _witness_reach(ev, a, x, da, nums, den), 0, i)
+            if k < i:
+                b, i = grid[k], k
+                f_b, db = _on_lines(f_b, db, nums, den, a - b)
+                for pts, v in zip(points, f_b):
+                    pts[-1] = (b, v, db)
         if not rejected:
             trace.windows.append(win)
             trace.boundaries.append(Fraction(0))
@@ -354,6 +421,49 @@ def sweep(g, max_steps: Optional[int] = None, onto: tuple = (0, 1)) -> Sweep:
         for n, pts in zip(names, points)
     }
     return Sweep(pr, finite, trace, ev)
+
+
+def _witness_reach(ev: WindowEvaluator, a: Fraction, x: list, da: int, nums: list, den: int) -> Fraction:
+    """z <= a, the nearest point left of a where a move's line meets its
+    row's line without being it; 0 if none does above 0 (see `sweep`).
+
+    x is the run at a, on da; row j's line is its chord nums[j]/den through
+    its value at a, a final's its cost line (s, c) on ev.scale.  A gap
+    G/da = w + x[t]/da - x[row]/da closes going left where the slope
+    difference ds, on den*scale, has its sign; it closes at
+    a - G*den*scale / (da*ds).
+    """
+    scale = ev.scale
+    slope = [0] * len(x)  # every line's slope on den*scale
+    for i, s, _ in ev.finals:
+        slope[i] = s * den
+    for (i, _, _), n in zip(ev.rows, nums):
+        slope[i] = n * scale
+    near = None  # (|G|, |ds|) of the nearest closing gap
+    for i, _, moves in ev.rows:
+        xi, si = x[i], slope[i]
+        for w, t in moves:
+            gap = w * da + x[t] - xi
+            ds = slope[t] - si
+            if gap == 0:
+                if ds:
+                    return a  # another line through the row's value at a
+            elif ds and (gap > 0) == (ds > 0):
+                gap, ds = abs(gap), abs(ds)
+                if near is None or gap * near[1] < near[0] * ds:
+                    near = (gap, ds)
+    if near is None:
+        return Fraction(0)
+    return max(a - Fraction(near[0] * den * scale, da * near[1]), Fraction(0))
+
+
+def _on_lines(f: list, df: int, nums: list, den: int, dw: Fraction) -> tuple:
+    """(values, denominator): the values f/df at a moved dw > 0 to the left
+    along the chords nums/den, on their least common denominator."""
+    top = [v * den * dw.denominator - n * dw.numerator * df for v, n in zip(f, nums)]
+    bottom = df * den * dw.denominator
+    k = math.gcd(bottom, *top)
+    return [v // k for v in top], bottom // k
 
 
 def solve(g: Game, max_steps: Optional[int] = None) -> Solution:

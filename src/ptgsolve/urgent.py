@@ -6,9 +6,11 @@ Value iteration from +inf converges to the greatest fixpoint, which is the
 value; entries that sink below the finite range are snapped to -inf.
 Between two consecutive possible cutpoints (`possible_cutpoints`: the
 crossings of the integer shifts of the final costs) no two lines of that
-family cross, so each value is affine there; the sweep reads its candidate
-breakpoints from them.  `attractor_strategy` gives the reachability
-choices Min falls back on.
+family cross, so each value is affine there.  The sweep walks them as
+the index of its candidate breakpoints, but runs value iteration only at
+those where a witness line may change and reads the others off the lines
+of its last run.  `attractor_strategy` gives the reachability choices
+Min falls back on.
 
 Both the iteration and the cutpoint grid work on integers: the final costs
 of a game are put once on one integer scale L (the least common denominator
@@ -103,9 +105,11 @@ class Rows:
         return _with_cutoff(*_integer_lines([phi for _, phi in self.finals]), self.bound)
 
 
-def iteration_bound(c: Rows) -> int:
-    """Hard cap on value-iteration rounds until the fixpoint."""
-    return _round_bound(len(c.names), len(c.finals), c.max_weight(), c.placed()[2])
+def iteration_bound(c: Rows, placed: tuple | None = None) -> int:
+    """Hard cap on value-iteration rounds until the fixpoint; placed, if
+    given, is `c.placed()` computed already."""
+    pf = (c.placed() if placed is None else placed)[2]
+    return _round_bound(len(c.names), len(c.finals), c.max_weight(), pf)
 
 
 def compile_game(g: Game) -> Rows:
@@ -142,14 +146,16 @@ class InstantEvaluator:
     The locations, rows and moves are fixed at construction; `_place` can
     later put new final lines and a new clock bound in, which is how a
     window evaluator is re-anchored without compiling its rows again.
+    A caller that has the final lines placed already (`Rows.placed`) hands
+    them in as placed.
     """
 
-    def __init__(self, c: Rows):
+    def __init__(self, c: Rows, placed: tuple | None = None):
         self.names = c.names
         self.rows = c.rows  # (loc_idx, is_max, [(weight, tgt_idx), ...])
         self.final_index = [i for i, _ in c.finals]
         self.max_weight = c.max_weight()
-        self._place(*c.placed())
+        self._place(*(c.placed() if placed is None else placed))
 
     def _place(self, scale: int, lines: list, pf: Fraction) -> None:
         """Puts the final lines (S, C) on the scale L in, with their pf.

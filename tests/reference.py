@@ -23,7 +23,9 @@ check the package against, not part of it:
   values and an open window's through a ``Game`` built for them, and
   ``possible_cutpoints_by_fraction``, the candidate grid sorted as
   Fractions: the package's former bodies of ``regions._instant``,
-  ``regions._solve_window`` and ``urgent.possible_cutpoints``.
+  ``regions._solve_window`` and ``urgent.possible_cutpoints``;
+- ``grid_sweep``, the sweep that runs value iteration at every candidate
+  of the grid, the package's former walk of ``solver.sweep``.
 
 Test modules import it like ``conftest``: ``from reference import ...``.
 """
@@ -54,13 +56,28 @@ from ptgsolve.model import (
     Config,
     Game,
     Guard,
+    InternalError,
     Location,
     Transition,
+    check_sptg,
     make_game,
     regions_of,
 )
 from ptgsolve.regions import _entry_value
-from ptgsolve.solver import WAIT_SUFFIX, _anchor_value, sweep
+from ptgsolve.solver import (
+    WAIT_SUFFIX,
+    BudgetExceeded,
+    NonSPTG,
+    Sweep,
+    SweepTrace,
+    WindowEvaluator,
+    WindowTrace,
+    _anchor,
+    _anchor_value,
+    default_max_steps,
+    prune_infinite,
+    sweep,
+)
 from ptgsolve.strategy import (
     NOW,
     WAIT_UNTIL,
@@ -741,3 +758,99 @@ def possible_cutpoints_by_fraction(ev: InstantEvaluator, r) -> list:
                     k = -k
                 found.add((num // k, ds // k))
     return sorted(Fraction(a, b) for a, b in found)
+
+
+def grid_sweep(g, max_steps: Optional[int] = None, onto: Optional[tuple] = None) -> Sweep:
+    """`solver.sweep` walking every candidate: value iteration runs at each
+    point of `possible_cutpoints`, and max_steps counts those candidates.
+    The witness-line sweep must give the same values and trace."""
+    if isinstance(g, Game):
+        if g.clock_bound != 1 or not check_sptg(g, 1):
+            raise NonSPTG("expected guards [0, 1] everywhere and no resets")
+        g = compile_game(g)
+    pr = prune_infinite(g)
+    core = pr.rows
+    if not core.rows:
+        return Sweep(pr, {}, SweepTrace())
+    budget = default_max_steps(core) if max_steps is None else max_steps
+    spent = 0
+    c, d = (as_fraction(v) for v in (onto or (0, 1)))
+    length = d - c
+
+    names = [core.names[i] for i, _, _ in core.rows]
+    b, db = Fraction(1), pr.denom
+    f_b = [pr.values[n] for n in names]
+    ev = WindowEvaluator(core, _anchor(names, f_b, db))
+    at = [i for i, _, _ in ev.rows]
+    waits = []
+    for j, ((_, is_max, _), (rate, urgent)) in enumerate(zip(core.rows, core.timing)):
+        if not urgent:
+            s = -1 if is_max else 1
+            limit = -as_fraction(rate)
+            waits.append((j, s * limit.denominator, s * limit.numerator))
+    points = [[(b, v, db)] for v in f_b]
+
+    trace = SweepTrace(boundaries=[Fraction(1)])
+    r = Fraction(1)
+    while r > 0:
+        grid = possible_cutpoints(ev, r)
+        win = WindowTrace(start=r)
+        prev = None
+        rejected = False
+        for a in reversed(grid[:-1]):
+            spent += 1
+            if spent > budget:
+                raise BudgetExceeded(f"sweep exceeded {budget} candidate evaluations")
+            x, _, _, da = ev.run(a)
+            x_a = [x[i] for i in at]
+            if any(isinstance(v, float) for v in x_a):
+                where = ", ".join(n for n, v in zip(names, x_a) if isinstance(v, float))
+                raise InternalError(
+                    "sweep", "window game produced an infinite value", where, c + a * length
+                )
+            w = b - a
+            nums = [(fb * da - xa * db) * w.denominator for fb, xa in zip(f_b, x_a)]
+            den = db * da * w.numerator
+            bad = [names[j] for j, sq, sp in waits if nums[j] * sq < sp * den]
+            if bad:
+                if b == r:
+                    raise InternalError(
+                        "sweep",
+                        f"first candidate of the window at {format_value(c + r * length)} "
+                        "failed the slope test",
+                        ", ".join(bad),
+                        c + a * length,
+                    )
+                win.rejection = (a, bad)
+                trace.windows.append(win)
+                trace.boundaries.append(b)
+                r = b
+                ev.reanchor(r, _anchor(names, f_b, db))
+                rejected = True
+                break
+            same = None
+            if prev is not None:
+                pnums, pden = prev
+                same = [n * pden == pn * den for n, pn in zip(nums, pnums)]
+                moved = [names[j] for j, kept in enumerate(same) if not kept]
+                if moved:
+                    win.slope_breaks.append((b, moved))
+            for j, pts in enumerate(points):
+                if same is not None and same[j]:
+                    pts[-1] = (a, x_a[j], da)
+                else:
+                    pts.append((a, x_a[j], da))
+            prev = (nums, den)
+            b, f_b, db = a, x_a, da
+        if not rejected:
+            trace.windows.append(win)
+            trace.boundaries.append(Fraction(0))
+            r = Fraction(0)
+
+    finite = {
+        n: CostFunction.from_points(
+            [(c + x * length, Fraction(v, den)) for x, v, den in reversed(pts)]
+        )
+        for n, pts in zip(names, points)
+    }
+    return Sweep(pr, finite, trace, ev)

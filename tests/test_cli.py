@@ -158,6 +158,28 @@ def test_internal_error_exits_6_with_one_line(monkeypatch, tmp_path, capsys, nam
     assert not out.exists()
 
 
+def test_pruning_error_in_a_window_names_the_window_and_the_clock(monkeypatch, tmp_path, capsys):
+    """A region window's sweep prunes on the window's own variable; a
+    failure there is reported at the clock, with the window named.  With
+    only pruning's round bound at 0, reset_chain's window [1, 2] of b
+    fails at its right end, which it reported as x = 1."""
+    from ptgsolve import solver, urgent
+
+    class Unbounded(urgent.InstantEvaluator):
+        def _place(self, *args):
+            super()._place(*args)
+            self.bound = 0
+
+    monkeypatch.setattr(solver, "InstantEvaluator", Unbounded)
+    out = tmp_path / "x.json"
+    code, stdout, err = run_cli(capsys, "solve", str(FIXTURES / "reset_chain.json"), "--out", str(out))
+    assert code == 6
+    assert stdout == ""
+    assert err.splitlines() == [
+        "internal error: value iteration at window [1, 2], x = 2: exceeded its round bound 0"
+    ]
+
+
 def test_solve_fig3_reports_reset_cycle(capsys):
     code, out, err = run_cli(capsys, "solve", str(FIXTURES / "fig3.json"))
     assert code == 3

@@ -132,9 +132,9 @@ def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):
         counts["games"] += 1
         post_init(self)
 
-    def counting_init(self, rows):
+    def counting_init(self, *args):
         counts["evaluators"] += 1
-        init(self, rows)
+        init(self, *args)
 
     def counting_run(self, *args, **kwargs):
         counts["runs"] += 1
@@ -147,8 +147,9 @@ def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):
     assert pick.xs == tuple(F(i, 16) for i in range(17))
     assert counts["games"] == 1
     assert counts["evaluators"] <= 3
-    # 592 candidates, the pruning and end-value solves, and 17 cells
-    assert counts["runs"] == 611
+    # 18 sweep runs (walking all 592 candidates made 611 here), the
+    # pruning and end-value solves, and 17 cells
+    assert counts["runs"] == 37
 
 
 def test_fan_sweep_starts_from_the_pruning_values(monkeypatch):
@@ -158,9 +159,9 @@ def test_fan_sweep_starts_from_the_pruning_values(monkeypatch):
     counts = {"evaluators": 0, "runs": 0}
     init, run = InstantEvaluator.__init__, InstantEvaluator.run
 
-    def counting_init(self, rows):
+    def counting_init(self, *args):
         counts["evaluators"] += 1
-        init(self, rows)
+        init(self, *args)
 
     def counting_run(self, *args, **kwargs):
         counts["runs"] += 1
@@ -170,17 +171,36 @@ def test_fan_sweep_starts_from_the_pruning_values(monkeypatch):
     monkeypatch.setattr(InstantEvaluator, "run", counting_run)
     sw = solver.sweep(fan_game(16, (1, -2, 3)))
     assert sw.finite["pick"].xs == tuple(F(i, 16) for i in range(17))
-    # the pruning solve and the window evaluator; 592 candidates and pruning
-    assert counts == {"evaluators": 2, "runs": 593}
+    # the pruning solve and the window evaluator; 18 sweep runs and pruning
+    assert counts == {"evaluators": 2, "runs": 19}
 
 
 def test_fan_budget_counts_candidate_evaluations():
-    # The sweep evaluates 592 candidates here: a budget of 592 suffices
-    # and one less stops the solve.
+    # The budget counts the sweep's value-iteration runs: 18 here, where
+    # walking every candidate evaluated 592.  A budget of 18 suffices and
+    # one less stops the solve.
     g = fan_game(16, (1, -2, 3))
-    solve(g, max_steps=592)
-    with pytest.raises(BudgetExceeded):
-        solve(g, max_steps=591)
+    solve(g, max_steps=18)
+    with pytest.raises(BudgetExceeded, match="exceeded 17 value-iteration runs"):
+        solve(g, max_steps=17)
+
+
+def test_fan_runs_per_breakpoint_stay_bounded(monkeypatch):
+    # The sweep runs value iteration only where a witness line changes,
+    # so its runs follow pick's breakpoints, not the k^2 candidates: at
+    # k = 64 a solve made 28,932 runs when it walked every candidate.
+    runs = 0
+    run = InstantEvaluator.run
+
+    def counting_run(self, *args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(InstantEvaluator, "run", counting_run)
+    pick = solve(fan_game(64, (1, -2, 3))).values["pick"]
+    assert pick.xs == tuple(F(i, 64) for i in range(65))
+    assert runs <= 3 * len(pick.xs)
 
 
 def test_fan_verify_builds_its_bellman_tables_once(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ import reference
 from reference import instant_by_subgame, region_bellman_check, window_by_subgame
 from test_properties import GUARDED_SEEDS, usable_guarded
 from ptgsolve import regions as region_pipeline
-from ptgsolve import solver
+from ptgsolve import solver, urgent
 from ptgsolve.cli import main
 from ptgsolve.document import SolutionFormatError, region_values, uniform_infinity
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
@@ -564,9 +564,9 @@ def test_point_components_are_the_only_instant_solves(monkeypatch, reset_chain):
         counts["instant"] += 1
         return instant(*args)
 
-    def counting_init(self, rows):
+    def counting_init(self, *args):
         counts["evaluators"] += 1
-        init(self, rows)
+        init(self, *args)
 
     def counting_post_init(self):
         counts["games"] += 1
@@ -577,6 +577,24 @@ def test_point_components_are_the_only_instant_solves(monkeypatch, reset_chain):
     monkeypatch.setattr(Game, "__post_init__", counting_post_init)
     solve_reset_acyclic(reset_chain)
     assert counts == {"instant": 6, "evaluators": 14, "games": 0}
+
+
+def test_each_solve_places_its_final_lines_once(monkeypatch, reset_chain):
+    """Finals are never pruned, so a window's sweep puts them on their
+    integer scale once, for pruning, the budget and its window evaluator;
+    each of the six point components places its own.  Placing them again
+    in each of those (and twice in the window evaluator) made 22 here."""
+    calls = 0
+    integer_lines = urgent._integer_lines
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return integer_lines(*args)
+
+    monkeypatch.setattr(urgent, "_integer_lines", counting)
+    solve_reset_acyclic(reset_chain)
+    assert calls == 4 + 6
 
 
 @pytest.mark.parametrize("name", ["reset_chain.json", "guarded_jump.json", "fig1.json"])
