@@ -41,6 +41,12 @@ def as_fraction(v) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(v).__name__}: {v!r}")
 
 
+def _scaled(v, scale: int):
+    """The integer v*scale of a rational v whose denominator divides
+    scale; an infinity stays itself."""
+    return v if isinstance(v, float) else v.numerator * (scale // v.denominator)
+
+
 def format_value(v: Value) -> str:
     """Render a value as "p/q" ("p" when integral), or "+inf"/"-inf"."""
     if isinstance(v, float):

@@ -55,15 +55,14 @@ class ResetCycle(Exception):
 class RegionTransition:
     """One edge between region copies.
 
-    `source` and `target` are (location name, region index) pairs.  The
-    guard is a closed interval or a point inside the source region's
-    closure.  `origin` indexes the copied transition in the base game;
-    border hops, which carry a location from one region into the next at
-    zero cost, have origin None.
+    `source` and `target` are (location name, region index) pairs.  A
+    copy carries no guard: it fires anywhere in its source region's
+    closure (`_enabled`).  `origin` indexes the copied transition in the
+    base game; border hops, which carry a location from one region into
+    the next at zero cost at the border, have origin None.
     """
 
     source: tuple
-    guard: Guard
     reset: bool
     target: tuple
     weight: int
@@ -84,22 +83,20 @@ class RegionGame:
         return out
 
 
-def _restrict(gd: Guard, reg: Region) -> Optional[Guard]:
-    """Guard of a copied edge within one region: closure of the overlap.
+def _enabled(gd: Guard, reg: Region) -> bool:
+    """Does an edge with guard gd get a copy in the region reg?
 
-    An open region copies only the guards that overlap it.  A guard
-    touching only one of its borders is dropped: the lower border lies in
-    the past once the region has been entered, and the upper border is
-    reached by the hop into its point region, whose copy carries the edge.
+    A point region copies the guards that hold at its point.  An open
+    region copies only the guards that overlap it.  A guard touching only
+    one of its borders is dropped: the lower border lies in the past once
+    the region has been entered, and the upper border is reached by the
+    hop into its point region, whose copy carries the edge.  The regions
+    are cut at every guard end, so a guard that overlaps an open region
+    spans its whole closure: the copy needs no guard of its own.
     """
     if reg.is_point:
-        return Guard.point(reg.lo) if gd.contains(reg.lo) else None
-    above = isinstance(gd.hi, float) or gd.hi > reg.lo
-    if gd.lo < reg.hi and above:
-        lo = max(gd.lo, reg.lo)
-        hi = reg.hi if isinstance(gd.hi, float) else min(gd.hi, reg.hi)
-        return Guard.closed(lo, hi)
-    return None
+        return gd.contains(reg.lo)
+    return gd.lo < reg.hi and (isinstance(gd.hi, float) or gd.hi > reg.lo)
 
 
 def solving_regions(g: Game) -> tuple:
@@ -111,7 +108,7 @@ def build_region_game(g: Game) -> RegionGame:
     """Copy every location into every clock region and rewire the edges.
 
     The regions are `solving_regions(g)`.  Copied edges keep their weight
-    and follow the guard restriction rule of `_restrict`; a resetting edge
+    and are copied into the regions `_enabled` picks; a resetting edge
     always targets its location's copy in the {0} region, any other edge
     its target's copy in the same region.  Every non-final copy whose
     location may wait additionally gets a zero-weight hop into the
@@ -125,21 +122,14 @@ def build_region_game(g: Game) -> RegionGame:
     edges = []
     for ti, t in enumerate(g.transitions):
         for i, reg in enumerate(regs):
-            gd = _restrict(t.guard, reg)
-            if gd is None:
-                continue
-            target = (t.target, 0 if t.reset else i)
-            edges.append(RegionTransition((t.source, i), gd, t.reset, target, t.weight, ti))
+            if _enabled(t.guard, reg):
+                target = (t.target, 0 if t.reset else i)
+                edges.append(RegionTransition((t.source, i), t.reset, target, t.weight, ti))
     for l in g.locations:
         if l.is_final or l.urgent:
             continue
-        for i, reg in enumerate(regs):
-            if i + 1 >= len(regs):
-                continue
-            border = reg.lo if reg.is_point else reg.hi
-            edges.append(
-                RegionTransition((l.name, i), Guard.point(border), False, (l.name, i + 1), 0, None)
-            )
+        for i in range(len(regs) - 1):
+            edges.append(RegionTransition((l.name, i), False, (l.name, i + 1), 0, None))
     return RegionGame(g, regs, nodes, tuple(edges))
 
 
@@ -441,10 +431,6 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
             if rt.origin is None:
                 anchor[node] = _entry_value(nodeval, rt, b)
                 continue
-            if rt.guard.lo != a or rt.guard.hi != b:
-                raise InternalError(
-                    "region solve", "interior guard must span the region", _node(rg, rt.source)
-                )
             full.append(j)
             tv = None if rt.target in members or rt.reset else nodeval[rt.target]
             if isinstance(tv, CostFunction):

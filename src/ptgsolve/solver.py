@@ -20,8 +20,9 @@ players' strategies off the values and checks them against each cell's
 anchored solve, and Min's switching strategy.  `sweep` works on the
 compiled rows of `urgent.Rows`: `solve` compiles its game with
 `compile_game`, and the region pipeline's windows, which need values
-only, compile theirs straight from the region graph.  Pruning drops rows;
-only `solve` builds the pruned core as a `Game`, for the synthesis.
+only, compile theirs straight from the region graph.  Pruning drops rows,
+and the synthesis and Min's fallback read the pruned rows as well, so no
+`Game` is built after parsing.
 
 Every window, and every cell of the strategy synthesis after the sweep,
 plays the same game at single valuations; only the clones' final lines
@@ -53,19 +54,19 @@ from typing import Optional
 from .exactmath import (
     Affine,
     CostFunction,
+    _scaled,
     as_fraction,
     evaluate,
     format_value,
 )
-from .model import MAX, Game, InternalError, Location, check_sptg, make_game
+from .model import Game, InternalError, check_sptg
 from .strategy import FPStrategy, Move, SwitchingStrategy
 from .urgent import (
     WAIT_SUFFIX,
     InstantEvaluator,
     Rows,
-    _scaled,
     _with_cutoff,
-    attractor_strategy,
+    attractor,
     compile_game,
     iteration_bound,
     possible_cutpoints,
@@ -242,36 +243,25 @@ def prune_infinite(c: Rows, placed: tuple | None = None) -> PruneResult:
     return PruneResult(core, infinite, dict(zip(c.names, x)), denom)
 
 
-def core_game(g: Game, infinite: dict) -> tuple:
-    """(core, origin): g without its infinite locations and every
-    transition touching one; origin maps core's transition indices back
-    to g's."""
-    locs = tuple(l for l in g.locations if l.name not in infinite)
-    origin = tuple(
-        i
-        for i, t in enumerate(g.transitions)
-        if t.source not in infinite and t.target not in infinite
-    )
-    return make_game(locs, (g.transitions[i] for i in origin), g.clock_bound), origin
-
-
 def default_max_steps(core: Rows, placed: tuple | None = None) -> int:
     # the round bound reads locations, weights and final costs only, so it
     # is the same whatever the locations' urgent flags
     return 4 * len(core.names) * iteration_bound(core, placed)
 
 
-def sweep(g, max_steps: Optional[int] = None, onto: Optional[tuple] = None) -> Sweep:
+def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = None) -> Sweep:
     """Values of a simple game on [0, 1], without strategies.
 
-    g is a Game, compiled here with `compile_game`, or rows compiled
-    elsewhere on [0, 1].  A game left with no non-final location after
-    pruning gives an empty `finite` map, not EmptyGame; `max_steps` caps
-    the value-iteration runs of the walk, pruning's not counted.  The
-    finite functions are built on onto = (c, d), the clock x standing at
-    c + x*(d-c) there; the region pipeline's windows use that to build each
-    value once, on its own window, and a failure of pruning then names the
-    window and the clock.
+    rows is the game compiled on [0, 1]: by `compile_game` for a simple
+    game, or straight from the region graph for a window.  A game left
+    with no non-final location after pruning gives an empty `finite` map,
+    not EmptyGame; `max_steps` caps the value-iteration runs of the walk,
+    pruning's not counted.  The finite functions are built on onto =
+    (c, d), the clock x standing at c + x*(d-c) there; the region
+    pipeline's windows use that to build each value once, on its own
+    window, and a failure of pruning then names the window and the clock.
+    Whether the game is simple is the caller's check: `solve` raises
+    NonSPTG before it compiles.
 
     Each window [0, r] walks `possible_cutpoints` downward from r, and no
     two lines of the family cross between neighbouring candidates, so the
@@ -306,17 +296,13 @@ def sweep(g, max_steps: Optional[int] = None, onto: Optional[tuple] = None) -> S
     and the slopes on one common one, so only the nearest closing gap makes
     a Fraction.
     """
-    if isinstance(g, Game):
-        if g.clock_bound != 1 or not check_sptg(g, 1):
-            raise NonSPTG("expected guards [0, 1] everywhere and no resets")
-        g = compile_game(g)
     c, d = (as_fraction(v) for v in (onto or (0, 1)))
     length = d - c
     # finals are never pruned: pruning, the budget and the window
     # evaluator all read these lines
-    placed = g.placed()
+    placed = rows.placed()
     try:
-        pr = prune_infinite(g, placed)
+        pr = prune_infinite(rows, placed)
     except InternalError as e:
         if onto is None or e.nu is None:
             raise
@@ -467,29 +453,40 @@ def _on_lines(f: list, df: int, nums: list, den: int, dw: Fraction) -> tuple:
 
 
 def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
-    """Values and optimal strategies of a simple game on [0, 1]: `sweep`,
-    then `_synthesize` and Min's switching strategy.  Raises EmptyGame,
-    carrying the values, when pruning leaves no non-final location."""
-    sw = sweep(g, max_steps)
+    """Values and optimal strategies of a simple game on [0, 1]: `sweep`
+    on its compiled rows, then `_synthesize` and Min's switching strategy,
+    both read off the pruned rows.  Raises EmptyGame, carrying the values,
+    when pruning leaves no non-final location."""
+    if g.clock_bound != 1 or not check_sptg(g, 1):
+        raise NonSPTG("expected guards [0, 1] everywhere and no resets")
+    sw = sweep(compile_game(g), max_steps)
     pr = sw.pruned
     values = _values(g, pr, sw.finite)
     if sw.evaluator is None:
         raise EmptyGame(pr.infinite, values)
-    core, origin = core_game(g, pr.infinite)
-    fns = {l.name: values[l.name] for l in core.locations}
-
+    core = pr.rows
+    # each kept row's moves as g's transitions: compile_game keeps their
+    # order, and pruning drops exactly the moves into infinite locations
+    ts = g.transitions
+    moves = [
+        [k for k in g.outgoing(core.names[i]) if ts[k].target not in pr.infinite]
+        for i, _, _ in core.rows
+    ]
+    # finals are never pruned, so pf here is g's largest |final cost|
+    placed = core.placed()
     # the no-time-left moves need the core's own ranks at 1: pruning's
     # differ where a Max location has an edge into a pruned -inf location
-    end_ev = InstantEvaluator(pr.rows)
-    x, ranks, _, denom = end_ev.run(1)
-    end = (dict(zip(end_ev.names, x)), dict(zip(end_ev.names, ranks)), denom)
-    max_fp, min_fp = _synthesize(sw.evaluator, core, fns, end, origin)
+    x, ranks, _, denom = InstantEvaluator(core, placed).run(1)
+    max_fp, min_fp = _synthesize(sw.evaluator, core, values, (x, ranks, denom), moves)
     # urgency plays no part in the attractor, so the core gives the same one
-    sigma2 = {n: origin[i] for n, i in attractor_strategy(core).items()}
-    n_locs = len(core.locations)
-    reach = (n_locs - 1) * core.max_transition_weight() + core.max_final_cost()
-    lowest = min(min(f.vals) for f in fns.values())
-    threshold = lowest - reach - core.max_rate()
+    sigma2 = {
+        core.names[i]: ks[m]
+        for (i, _, _), ks, m in zip(core.rows, moves, attractor(core))
+        if m is not None
+    }
+    reach = (len(core.names) - 1) * core.max_weight() + placed[2]
+    lowest = min(min(values[n].vals) for n in core.names)
+    threshold = lowest - reach - max(abs(g.location(n).rate) for n in core.names)
     minstrat = SwitchingStrategy(min_fp, sigma2, as_fraction(threshold))
     return Solution(g, values, max_fp, minstrat, sw.trace, pr.infinite)
 
@@ -510,7 +507,7 @@ def _anchor(names: list, vals: list, denom: int) -> dict:
     return {n: Fraction(v, denom) for n, v in zip(names, vals)}
 
 
-def _synthesize(ev: WindowEvaluator, core: Game, fns: dict, end: tuple, origin: tuple) -> tuple:
+def _synthesize(ev: WindowEvaluator, core: Rows, values: dict, end: tuple, moves: list) -> tuple:
     """Optimal finitely-positional strategies from the value functions.
 
     The clock interval is cut at every breakpoint of every value function
@@ -523,87 +520,85 @@ def _synthesize(ev: WindowEvaluator, core: Game, fns: dict, end: tuple, origin: 
     move prescribed at the run end, which by the left-closed convention is
     the move of the cell starting there (or the no-time-left move at 1);
     every zero-delay step at a valuation therefore uses one cell's tight
-    edges, and those never cycle.  end holds the values and ranks by name
-    and the common denominator of the urgent solve at 1, which give the
-    no-time-left moves.  ev is the sweep's window evaluator, re-anchored
-    here once per cell; the checks compare on its integer scale.
-    """
-    breaks = sorted({x for f in fns.values() for x in f.xs})
-    cells = list(zip(breaks, breaks[1:]))
-    names = [l.name for l in core.locations if not l.is_final]
-    WAIT = "wait"
+    edges, and those never cycle.
 
-    end_moves = {l.name: _tight_move_at(core, l, *end, 1) for l in core.nonfinal_locations}
+    Everything is read per row of the pruned core: values holds the value
+    functions by name, moves[j] the game's transition index of each move
+    of core row j, and end the values, ranks and common denominator of
+    the core's urgent solve at 1, which give the no-time-left moves.  ev
+    is the sweep's window evaluator, re-anchored here once per cell; its
+    rows keep the core's order and each row that may wait ends with its
+    zero-weight move into its wait clone, so the location waits where that
+    move is tight.  The checks compare on its integer scale.
+    """
+    fns = [values[core.names[i]] for i, _, _ in core.rows]
+    breaks = sorted({x for f in fns for x in f.xs})
+    cells = list(zip(breaks, breaks[1:]))
+    WAIT = None
+
+    end_moves = [_tight_move_at(core.names, row, *end, 1) for row in core.rows]
 
     per_cell = []
     for lo, hi in cells:
-        ev.reanchor(hi, {n: evaluate(fns[n], hi) for n, _ in ev.waits})
+        ev.reanchor(hi, {n: evaluate(values[n], hi) for n, _ in ev.waits})
         mid = (lo + hi) / 2
         x, ranks, _, denom = ev.run(mid)
-        by_name = dict(zip(ev.names, x))
-        rank_of = dict(zip(ev.names, ranks))
-        for n in names:
-            v = evaluate(fns[n], mid)
-            # an infinite by_name[n] stays infinite and so disagrees too
-            if by_name[n] * v.denominator != v.numerator * denom:
+        for (i, _, _), f in zip(ev.rows, fns):
+            v = evaluate(f, mid)
+            # an infinite x[i] stays infinite and so disagrees too
+            if x[i] * v.denominator != v.numerator * denom:
                 raise InternalError(
                     "synthesis",
                     f"anchored value of the cell [{format_value(lo)}, {format_value(hi)}) "
                     "disagrees with the computed value function",
-                    n,
+                    ev.names[i],
                     mid,
                 )
-        moves = {}
-        for l in core.nonfinal_locations:
-            if not l.urgent and by_name[l.name + WAIT_SUFFIX] == by_name[l.name]:
-                moves[l.name] = WAIT
-            else:
-                moves[l.name] = _tight_move_at(core, l, by_name, rank_of, denom, mid)
-        per_cell.append(moves)
+        cell = []
+        for row, (_, urgent) in zip(ev.rows, core.timing):
+            i, _, mv = row
+            waits = not urgent and x[mv[-1][1]] == x[i]
+            cell.append(WAIT if waits else _tight_move_at(ev.names, row, x, ranks, denom, mid))
+        per_cell.append(cell)
 
     max_rows, max_end = {}, {}
     min_rows, min_end = {}, {}
-    for l in core.nonfinal_locations:
+    for j, ((i, is_max, _), ks) in enumerate(zip(core.rows, moves)):
         # right to left, so a waiting cell knows where its run stops and
         # which move follows; equal moves of neighbouring cells merge
         rows = []
-        after, stop = end_moves[l.name], cells[-1][1]
-        for (lo, hi), moves in zip(reversed(cells), reversed(per_cell)):
-            move = moves[l.name]
-            if move == WAIT:
-                mv = Move.wait_until(stop, origin[after])
+        after, stop = end_moves[j], cells[-1][1]
+        for (lo, hi), cell in zip(reversed(cells), reversed(per_cell)):
+            if cell[j] is WAIT:
+                mv = Move.wait_until(stop, ks[after])
             else:
-                mv = Move.now(origin[move])
-                after, stop = move, lo
+                mv = Move.now(ks[cell[j]])
+                after, stop = cell[j], lo
             if rows and rows[-1][2] == mv:
                 rows[-1] = (lo, rows[-1][1], mv)
             else:
                 rows.append((lo, hi, mv))
-        rows_of, end_of = (max_rows, max_end) if l.owner == MAX else (min_rows, min_end)
-        rows_of[l.name] = rows[::-1]
-        end_of[l.name] = Move.now(origin[end_moves[l.name]])
+        rows_of, end_of = (max_rows, max_end) if is_max else (min_rows, min_end)
+        rows_of[core.names[i]] = rows[::-1]
+        end_of[core.names[i]] = Move.now(ks[end_moves[j]])
     return FPStrategy(max_rows, max_end), FPStrategy(min_rows, min_end)
 
 
-def _tight_move_at(core: Game, l: Location, vals: dict, ranks: dict, denom: int, nu) -> int:
-    """Index (in core) of the transition to fire at a location right now.
+def _tight_move_at(names: list, row: tuple, x: list, ranks: list, denom: int, nu) -> int:
+    """Position, in its row, of the move to fire at a location right now.
 
-    vals holds integers on the common denominator denom, or infinities,
-    solved at the valuation nu.
+    row is an evaluator's (index, is_max, moves) of the location
+    names[index]; x and ranks are that evaluator's run at the valuation
+    nu, its values integers on the common denominator denom, or
+    infinities.
     """
-    tight = [
-        i
-        for i in core.outgoing(l.name)
-        if core.transitions[i].weight * denom + vals[core.transitions[i].target]
-        == vals[l.name]
-    ]
-    if l.owner == MAX:
+    i, is_max, moves = row
+    tight = [m for m, (w, t) in enumerate(moves) if w * denom + x[t] == x[i]]
+    if is_max:
         if not tight:
-            raise InternalError("synthesis", "no tight transition at a Max location", l.name, nu)
+            raise InternalError("synthesis", "no tight transition at a Max location", names[i], nu)
         return tight[0]
-    progressing = [
-        i for i in tight if ranks[core.transitions[i].target] < ranks[l.name]
-    ]
+    progressing = [m for m in tight if ranks[moves[m][1]] < ranks[i]]
     if not progressing:
-        raise InternalError("synthesis", "no progressing tight transition", l.name, nu)
+        raise InternalError("synthesis", "no progressing tight transition", names[i], nu)
     return progressing[0]

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .exactmath import INF, Affine, Value, as_fraction, format_value
+from .exactmath import INF, Affine, Value, _scaled, as_fraction, format_value
 from .model import MAX, Config, Game
 
 NOW = "now"
@@ -350,12 +350,6 @@ class RegionBellmanOracle:
             if (pick(cands) if cands else INF) != at(name, here, at_here):
                 bad.append(name)
         return bad
-
-
-def _scaled(v, scale: int):
-    """The integer v*scale of a rational v whose denominator divides
-    scale; an infinity stays itself."""
-    return v if isinstance(v, float) else v.numerator * (scale // v.denominator)
 
 
 def _table(f, X: int, D: int, M: int) -> tuple:

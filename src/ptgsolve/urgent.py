@@ -9,8 +9,8 @@ crossings of the integer shifts of the final costs) no two lines of that
 family cross, so each value is affine there.  The sweep walks them as
 the index of its candidate breakpoints, but runs value iteration only at
 those where a witness line may change and reads the others off the lines
-of its last run.  `attractor_strategy` gives the reachability choices
-Min falls back on.
+of its last run.  `attractor` gives the reachability choices Min
+falls back on, on the same rows.
 
 Both the iteration and the cutpoint grid work on integers: the final costs
 of a game are put once on one integer scale L (the least common denominator
@@ -36,8 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import INF, NEG_INF, as_fraction
-from .model import MAX, MIN, Game, InternalError
+from .exactmath import INF, NEG_INF, _scaled, as_fraction
+from .model import MAX, Game, InternalError
 
 WAIT_SUFFIX = "@wait"
 
@@ -54,11 +54,6 @@ def _integer_lines(costs) -> tuple:
         *(q for phi in costs for q in (phi.slope.denominator, phi.intercept.denominator))
     )
     return scale, [(_scaled(phi.slope, scale), _scaled(phi.intercept, scale)) for phi in costs]
-
-
-def _scaled(v: Fraction, scale: int) -> int:
-    """v * scale, for a scale that v's denominator divides."""
-    return v.numerator * (scale // v.denominator)
 
 
 def _with_cutoff(scale: int, lines: list, bound: Fraction) -> tuple:
@@ -259,44 +254,31 @@ def possible_cutpoints(ev: InstantEvaluator, r) -> list:
     return [Fraction(a, b) for a, b in ordered]
 
 
-def attractor_strategy(g: Game) -> dict:
+def attractor(c: Rows) -> list:
     """Minimal-step reachability choices toward the final locations.
 
-    Level 0 holds the finals; a Min location enters the attractor once some
-    successor is in, a Max location once all successors are.  The returned
-    map sends each non-final location to the index of its chosen transition
-    (lowest index among those into the lowest level).
+    Level 0 holds the finals; in round k = 1, 2, ... a Min row enters the
+    attractor at level k once some move leads into it, a Max row once all
+    of its moves do, and a row sees the rows entered before it in the same
+    round.  Per row, the returned list holds the position of its chosen
+    move (the lowest position among those into the lowest level), or None
+    for a row outside the attractor.
     """
-    level = {l.name: 0 for l in g.final_locations}
-    nonfinal = [l for l in g.locations if not l.is_final]
-    current = 0
-    while True:
+    level = [None] * len(c.names)
+    for i, _ in c.finals:
+        level[i] = 0
+    current, grew = 0, True
+    while grew:
         current += 1
         grew = False
-        for l in nonfinal:
-            if l.name in level:
-                continue
-            succs = [g.transitions[i].target for i in g.outgoing(l.name)]
-            if l.owner == MIN:
-                ok = any(s in level for s in succs)
-            else:
-                ok = succs and all(s in level for s in succs)
-            if ok:
-                level[l.name] = current
-                grew = True
-        if not grew:
-            break
-    choice = {}
-    for l in nonfinal:
-        if l.name not in level:
-            continue
-        best = None
-        for i in g.outgoing(l.name):
-            tgt = g.transitions[i].target
-            if tgt in level:
-                key = level[tgt]
-                if best is None or key < best[0]:
-                    best = (key, i)
-        choice[l.name] = best[1]
-    return choice
-
+        for i, is_max, moves in c.rows:
+            if level[i] is None:
+                inside = [level[t] is not None for _, t in moves]
+                if (moves and all(inside)) if is_max else any(inside):
+                    level[i] = current
+                    grew = True
+    return [
+        min((level[t], m) for m, (_, t) in enumerate(moves) if level[t] is not None)[1]
+        if level[i] is not None else None
+        for i, _, moves in c.rows
+    ]

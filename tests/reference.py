@@ -25,7 +25,10 @@ check the package against, not part of it:
   Fractions: the package's former bodies of ``regions._instant``,
   ``regions._solve_window`` and ``urgent.possible_cutpoints``;
 - ``grid_sweep``, the sweep that runs value iteration at every candidate
-  of the grid, the package's former walk of ``solver.sweep``.
+  of the grid, the package's former walk of ``solver.sweep``;
+- ``core_game`` and ``attractor_strategy``, the pruned core as a ``Game``
+  and Min's reachability fallback on a ``Game``, which ``solver.solve``
+  read before it worked on the pruned rows.
 
 Test modules import it like ``conftest``: ``from reference import ...``.
 """
@@ -59,7 +62,6 @@ from ptgsolve.model import (
     InternalError,
     Location,
     Transition,
-    check_sptg,
     make_game,
     regions_of,
 )
@@ -67,7 +69,6 @@ from ptgsolve.regions import _entry_value
 from ptgsolve.solver import (
     WAIT_SUFFIX,
     BudgetExceeded,
-    NonSPTG,
     Sweep,
     SweepTrace,
     WindowEvaluator,
@@ -87,7 +88,6 @@ from ptgsolve.strategy import (
 )
 from ptgsolve.urgent import (
     InstantEvaluator,
-    attractor_strategy,
     compile_game,
     possible_cutpoints,
     unscale,
@@ -719,7 +719,7 @@ def window_by_subgame(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> d
         if not loc.urgent:
             rate = loc.rate * length
             sub.edge(loc.name, sub.stub((node, "wait"), rate + anchor[node], anchor[node]), 0)
-    sw = sweep(sub.game(), max_steps, onto=(c, d))
+    sw = sweep(compile_game(sub.game()), max_steps, onto=(c, d))
     vals = {**sw.finite, **sw.infinite}
     return {node: vals[node[0]] for node in comp}
 
@@ -760,15 +760,11 @@ def possible_cutpoints_by_fraction(ev: InstantEvaluator, r) -> list:
     return sorted(Fraction(a, b) for a, b in found)
 
 
-def grid_sweep(g, max_steps: Optional[int] = None, onto: Optional[tuple] = None) -> Sweep:
+def grid_sweep(rows, max_steps: Optional[int] = None, onto: Optional[tuple] = None) -> Sweep:
     """`solver.sweep` walking every candidate: value iteration runs at each
     point of `possible_cutpoints`, and max_steps counts those candidates.
     The witness-line sweep must give the same values and trace."""
-    if isinstance(g, Game):
-        if g.clock_bound != 1 or not check_sptg(g, 1):
-            raise NonSPTG("expected guards [0, 1] everywhere and no resets")
-        g = compile_game(g)
-    pr = prune_infinite(g)
+    pr = prune_infinite(rows)
     core = pr.rows
     if not core.rows:
         return Sweep(pr, {}, SweepTrace())
@@ -854,3 +850,65 @@ def grid_sweep(g, max_steps: Optional[int] = None, onto: Optional[tuple] = None)
         for n, pts in zip(names, points)
     }
     return Sweep(pr, finite, trace, ev)
+
+
+# ---------------------------------------------------------------------------
+# the pruned core and Min's fallback on a Game, as `solver.solve` read them
+#
+# `solve` now reads both off the pruned rows (`urgent.attractor`); the
+# tests check it against these.
+
+
+def core_game(g: Game, infinite: dict) -> tuple:
+    """(core, origin): g without its infinite locations and every
+    transition touching one; origin maps core's transition indices back
+    to g's."""
+    locs = tuple(l for l in g.locations if l.name not in infinite)
+    origin = tuple(
+        i
+        for i, t in enumerate(g.transitions)
+        if t.source not in infinite and t.target not in infinite
+    )
+    return make_game(locs, (g.transitions[i] for i in origin), g.clock_bound), origin
+
+
+def attractor_strategy(g: Game) -> dict:
+    """Minimal-step reachability choices toward the final locations.
+
+    Level 0 holds the finals; a Min location enters the attractor once some
+    successor is in, a Max location once all successors are.  The returned
+    map sends each non-final location to the index of its chosen transition
+    (lowest index among those into the lowest level).
+    """
+    level = {l.name: 0 for l in g.final_locations}
+    nonfinal = [l for l in g.locations if not l.is_final]
+    current = 0
+    while True:
+        current += 1
+        grew = False
+        for l in nonfinal:
+            if l.name in level:
+                continue
+            succs = [g.transitions[i].target for i in g.outgoing(l.name)]
+            if l.owner == MIN:
+                ok = any(s in level for s in succs)
+            else:
+                ok = succs and all(s in level for s in succs)
+            if ok:
+                level[l.name] = current
+                grew = True
+        if not grew:
+            break
+    choice = {}
+    for l in nonfinal:
+        if l.name not in level:
+            continue
+        best = None
+        for i in g.outgoing(l.name):
+            tgt = g.transitions[i].target
+            if tgt in level:
+                key = level[tgt]
+                if best is None or key < best[0]:
+                    best = (key, i)
+        choice[l.name] = best[1]
+    return choice

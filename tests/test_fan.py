@@ -23,7 +23,7 @@ from ptgsolve.model import Game, Guard, Location, Transition, make_game, parse_g
 from ptgsolve.regions import solving_regions
 from ptgsolve.solver import BudgetExceeded, solve
 from ptgsolve.strategy import RegionBellmanOracle
-from ptgsolve.urgent import InstantEvaluator
+from ptgsolve.urgent import InstantEvaluator, compile_game
 
 
 def fan_game(k: int, rates: tuple):
@@ -121,9 +121,10 @@ def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):
     # Building the waiting game and its evaluator afresh for every window
     # and every strategy cell made 19 waiting games and 21 evaluators
     # here.  One evaluator is built and re-anchored instead; pruning and
-    # the end values take the other two.  Every evaluator reads compiled
-    # rows, so the pruned game, which the synthesis reads, is the one Game
-    # a solve builds; urgent and waiting copies for the evaluators made 5.
+    # the end values take the other two.  Every evaluator, the synthesis
+    # and Min's fallback read compiled rows, so a solve builds no Game;
+    # urgent and waiting copies for the evaluators made 5, and the pruned
+    # core built for the synthesis 1.
     g = fan_game(16, (1, -2, 3))
     counts = {"games": 0, "evaluators": 0, "runs": 0}
     post_init, init, run = Game.__post_init__, InstantEvaluator.__init__, InstantEvaluator.run
@@ -145,7 +146,7 @@ def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):
     monkeypatch.setattr(InstantEvaluator, "run", counting_run)
     pick = solve(g).values["pick"]
     assert pick.xs == tuple(F(i, 16) for i in range(17))
-    assert counts["games"] == 1
+    assert counts["games"] == 0
     assert counts["evaluators"] <= 3
     # 18 sweep runs (walking all 592 candidates made 611 here), the
     # pruning and end-value solves, and 17 cells
@@ -169,7 +170,7 @@ def test_fan_sweep_starts_from_the_pruning_values(monkeypatch):
 
     monkeypatch.setattr(InstantEvaluator, "__init__", counting_init)
     monkeypatch.setattr(InstantEvaluator, "run", counting_run)
-    sw = solver.sweep(fan_game(16, (1, -2, 3)))
+    sw = solver.sweep(compile_game(fan_game(16, (1, -2, 3))))
     assert sw.finite["pick"].xs == tuple(F(i, 16) for i in range(17))
     # the pruning solve and the window evaluator; 18 sweep runs and pruning
     assert counts == {"evaluators": 2, "runs": 19}

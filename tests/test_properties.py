@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import bellman_check, line_family, make_urgent, region_bellman_check, slope_between, waiting
+from reference import bellman_check, core_game, line_family, make_urgent, region_bellman_check, slope_between, waiting
 from ptgsolve.exactmath import Affine, CostFunction, evaluate
 from ptgsolve.model import (
     MAX,
@@ -27,7 +27,7 @@ from ptgsolve.model import (
     validate_game,
 )
 from ptgsolve.regions import ResetCycle, build_region_game, check_reset_acyclic, solve_reset_acyclic
-from ptgsolve.solver import EmptyGame, core_game, solve
+from ptgsolve.solver import EmptyGame, solve
 from ptgsolve.strategy import play_out
 from ptgsolve.urgent import InstantEvaluator, compile_game, iteration_bound, unscale
 

@@ -75,7 +75,7 @@ def test_region_game_point_guard_placement(fig3):
     at_one = [t for t in rg.transitions if t.origin is not None and fig3.transitions[t.origin].guard.lo == 1]
     sources = {t.source[1] for t in at_one}
     assert sources == {2}
-    assert all(t.guard == Guard.point(1) for t in at_one)
+    assert rg.regions[2] == Region(1, 1)
 
 
 def test_region_game_strict_guard_becomes_closure():
@@ -86,10 +86,9 @@ def test_region_game_strict_guard_becomes_closure():
     trans = (Transition("m", Guard(F(0), F(1), False, False), False, "f", 0),)
     rg = build_region_game(make_game(locs, trans, 1))
     copied = [t for t in rg.transitions if t.origin == 0]
-    by_region = {t.source[1]: t.guard for t in copied}
-    # nothing from the point copies, the full closure from the open copy
-    assert set(by_region) == {1}
-    assert by_region[1] == Guard.closed(0, 1)
+    # nothing from the point copies; the open copy fires on its closure
+    assert [t.source[1] for t in copied] == [1]
+    assert rg.regions[1] == Region(0, 1)
 
 
 def test_region_game_lower_border_guard_is_dropped():
@@ -867,7 +866,7 @@ def test_region_pipeline_builds_no_strategies(monkeypatch, reset_chain):
         raise AssertionError("the region pipeline asked for a strategy")
 
     monkeypatch.setattr(solver, "_synthesize", refuse)
-    monkeypatch.setattr(solver, "attractor_strategy", refuse)
+    monkeypatch.setattr(solver, "attractor", refuse)
     assert [solve_reset_acyclic(g).values for g in games] == want
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture
 from reference import (
+    core_game,
     fake_value_upper_bound,
     make_urgent,
     possible_cutpoints_by_fraction,
@@ -25,7 +26,6 @@ from ptgsolve.solver import (
     MissingTerminalValue,
     NonSPTG,
     WindowEvaluator,
-    core_game,
     default_max_steps,
     prune_infinite,
     solve,
@@ -207,7 +207,7 @@ def test_sweep_is_solve_without_the_strategies(seed):
     """`sweep` reports the values and trace of `solve`, and where `solve`
     raises EmptyGame it raises nothing and gives the same infinities."""
     g = random_sptg(seed)
-    sw = sweep(g)
+    sw = sweep(compile_game(g))
     assert set(sw.finite) | set(sw.infinite) == {l.name for l in g.nonfinal_locations}
     try:
         sol = solve(g)

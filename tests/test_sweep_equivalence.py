@@ -18,12 +18,13 @@ from test_properties import _usable_seeds, random_sptg, usable_guarded
 from ptgsolve import document, solver
 from ptgsolve import regions as region_pipeline
 from ptgsolve.regions import solve_reset_acyclic
+from ptgsolve.urgent import compile_game
 
 
 def _outcome(sweep, g):
     """What a sweep of g gives, as plain data; a refusal by its type."""
     try:
-        sw = sweep(g)
+        sw = sweep(compile_game(g))
     except (ValueError, RuntimeError) as exc:
         return type(exc).__name__
     return (

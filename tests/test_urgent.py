@@ -7,17 +7,21 @@ from hypothesis import strategies as st
 
 from ptgsolve.exactmath import INF, NEG_INF, Affine, evaluate
 from ptgsolve.model import MAX, Guard, Location, Transition, make_game, parse_game
+from ptgsolve.solver import prune_infinite
 from ptgsolve.urgent import (
     InstantEvaluator,
+    attractor,
     compile_game,
     iteration_bound,
     possible_cutpoints,
     unscale,
 )
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from reference import (
     NotFinite,
+    attractor_strategy,
+    core_game,
     extract_untimed_strategies,
     line_family,
     make_urgent,
@@ -26,6 +30,7 @@ from reference import (
     solve_all_urgent,
     solve_instant,
 )
+from test_properties import random_sptg
 
 F = Fraction
 
@@ -463,3 +468,36 @@ def test_run_matches_plain_fraction_iteration_at_infinities(g, nu):
     x, _, _, denom = InstantEvaluator(compile_game(g)).run(nu)
     vals = unscale(x, denom)
     assert (NEG_INF if g is _SINK else INF) in vals
+
+
+def _picked(g, rows, infinite=()) -> dict:
+    """`attractor` on rows of g, each choice mapped to g's transition: a
+    row's moves are its location's transitions in file order, less those
+    into infinite locations."""
+    picked = {}
+    for (i, _, _), m in zip(rows.rows, attractor(rows)):
+        if m is not None:
+            name = rows.names[i]
+            moves = [k for k in g.outgoing(name) if g.transitions[k].target not in infinite]
+            picked[name] = moves[m]
+    return picked
+
+
+def _attractor_games():
+    for path in sorted(FIXTURES.glob("*.json")):
+        if not path.name.endswith((".values.json", ".regions.json")):
+            yield path.name, parse_game(path.read_text(encoding="utf-8"))
+    for seed in range(240):
+        yield seed, random_sptg(seed)
+
+
+def test_attractor_on_rows_picks_the_game_attractors_transitions():
+    """The row attractor, on a compiled game and on pruning's rows, picks
+    the transitions the attractor on a Game picks, level for level and
+    with the same ties."""
+    for key, g in _attractor_games():
+        assert _picked(g, compile_game(g)) == attractor_strategy(g), key
+        pr = prune_infinite(compile_game(g))
+        core, origin = core_game(g, pr.infinite)
+        want = {n: origin[i] for n, i in attractor_strategy(core).items()}
+        assert _picked(g, pr.rows, pr.infinite) == want, key
