@@ -43,8 +43,6 @@ from .urgent import (
 from .solver import (
     BudgetExceeded,
     EmptyGame,
-    InfiniteValue,
-    MissingTerminalValue,
     NonSPTG,
     Solution,
     solve,
@@ -95,8 +93,6 @@ __all__ = [
     "iteration_bound",
     "BudgetExceeded",
     "EmptyGame",
-    "InfiniteValue",
-    "MissingTerminalValue",
     "NonSPTG",
     "Solution",
     "solve",

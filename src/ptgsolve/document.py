@@ -278,11 +278,18 @@ def _move_from_json(obj, transition_count: int) -> Move:
     raise SolutionFormatError(f"move {obj!r}: unknown type")
 
 
+def _object(obj) -> dict:
+    """obj, if it is a JSON object; a TypeError the readers report otherwise."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected an object, got {type(obj).__name__}")
+    return obj
+
+
 def _fp_from_json(doc, transition_count: int) -> FPStrategy:
     rows = {}
     at_end = {}
     try:
-        for name, entry in doc.items():
+        for name, entry in _object(doc).items():
             rows[name] = [
                 (
                     parse_value(r["interval"][0]),
@@ -302,7 +309,7 @@ def _switching_from_json(doc, transition_count: int) -> SwitchingStrategy:
         sigma1 = _fp_from_json(doc["sigma1"], transition_count)
         sigma2 = {
             name: _move_from_json(mv, transition_count).t_index
-            for name, mv in doc["sigma2"].items()
+            for name, mv in _object(doc["sigma2"]).items()
         }
         threshold = parse_value(doc["threshold"])
     except (KeyError, TypeError, ValueError) as exc:

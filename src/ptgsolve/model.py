@@ -17,8 +17,10 @@ A game file is one JSON document:
     }
 
 Guard endpoints must be naturals in game files (the theory needs integer
-region borders); games built internally by the solver may carry rational
-endpoints and skip file-level validation.
+region borders).  `make_game` builds a game in code without that
+file-level validation, so its guards may have rational endpoints.  The
+solver builds no game: it compiles the parsed one (`urgent.compile_game`)
+or its region graph into rows.
 """
 
 from __future__ import annotations
@@ -206,20 +208,8 @@ class Game:
     def nonfinal_locations(self) -> list:
         return [l for l in self.locations if not l.is_final]
 
-    def max_transition_weight(self) -> int:
-        """Largest absolute transition weight (0 when there are none)."""
-        return max((abs(t.weight) for t in self.transitions), default=0)
-
     def max_rate(self) -> Fraction:
         return max((abs(l.rate) for l in self.locations), default=Fraction(0))
-
-    def max_final_cost(self) -> Fraction:
-        """Bound on |phi| over the clock domain, via both endpoints."""
-        worst = Fraction(0)
-        for l in self.final_locations:
-            phi = l.final_cost
-            worst = max(worst, abs(phi(0)), abs(phi(self.clock_bound)))
-        return worst
 
 
 def check_sptg(g: Game, r) -> bool:

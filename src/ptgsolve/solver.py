@@ -15,9 +15,10 @@ last confirmed point.  Each confirmed segment is exact, so the assembled
 functions are the values of the game.
 
 Two parts: `sweep` prunes the infinite locations and runs the windows, for
-the values and the trace; `solve` adds `_synthesize`, which reads both
-players' strategies off the values and checks them against each cell's
-anchored solve, and Min's switching strategy.  `sweep` works on the
+the values, the trace and the record of its walk; `solve` adds
+`_synthesize`, which reads both players' strategies off that record and
+checks it against each cell's anchored solve, and Min's switching
+strategy.  `sweep` works on the
 compiled rows of `urgent.Rows`: `solve` compiles its game with
 `compile_game`, and the region pipeline's windows, which need values
 only, compile theirs straight from the region graph.  Pruning drops rows,
@@ -27,9 +28,10 @@ and the synthesis and Min's fallback read the pruned rows as well, so no
 Every window, and every cell of the strategy synthesis after the sweep,
 plays the same game at single valuations; only the clones' final lines
 (-rate, r*rate + v) differ.  So one `WindowEvaluator` is built per sweep,
-straight from the pruned rows, and re-anchored in place: the core finals'
-integer lines are fixed once, and a re-anchor recomputes the clone lines,
-the common scale, the -inf cutoff and the round bound.  The sweep places
+straight from the pruned rows, and re-anchored in place from recorded
+integers: the core finals' integer lines are fixed once, and a re-anchor
+recomputes the clone lines, the common scale, the -inf cutoff and the
+round bound.  The sweep places
 the finals' lines once (`Rows.placed`) for pruning, the budget and the
 window evaluator alike.
 
@@ -37,10 +39,14 @@ The sweep stays on the integer scale of value iteration.  Values at b and
 at the candidate a are integers over their run's denominators, so every
 chord of one step is an integer over one positive common denominator; the
 slope test and the test for an unchanged chord are integer
-cross-multiplications.  A location's breakpoint list gains a point only
-where its chord changes (a candidate on the same line replaces the last
-point), and Fractions are made once, for the points kept, when each
-function is built after the sweep.
+cross-multiplications.  The sweep keeps one record of its walk: every
+accepted point once, with every row's value as an integer on that point's
+denominator.  A location's breakpoints index into it and gain a point
+only where its chord changes (a candidate on the same line replaces the
+last index); Fractions are made once, for those points, when each
+function is built after the sweep.  The synthesis reads the same record:
+every row is affine on a cell, so the recorded integers at the cell's
+ends anchor it and check its midpoint, and no function is evaluated.
 """
 
 from __future__ import annotations
@@ -51,14 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import (
-    Affine,
-    CostFunction,
-    _scaled,
-    as_fraction,
-    evaluate,
-    format_value,
-)
+from .exactmath import CostFunction, _scaled, as_fraction, format_value
 from .model import Game, InternalError, check_sptg
 from .strategy import FPStrategy, Move, SwitchingStrategy
 from .urgent import (
@@ -75,14 +74,6 @@ from .urgent import (
 
 class NonSPTG(ValueError):
     """The game has guards or resets the sweep cannot handle directly."""
-
-
-class InfiniteValue(ValueError):
-    """An operation that needs finite values met an infinite one."""
-
-
-class MissingTerminalValue(KeyError):
-    """A window got no anchor value for some location that may wait."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -124,12 +115,17 @@ class Sweep:
     """What `sweep` finds.  `infinite` and `finite` cover every non-final
     location, by sign or by value function.  `solve` goes on from the window
     `evaluator`, which is None when no non-final location is left after
-    pruning."""
+    pruning, and from the `record` of accepted points, newest last: (x, the
+    core rows' values as integers in row order, their denominator), with x
+    on the sweep's own [0, 1].  breaks[j] holds the indices into it of row
+    j's breakpoints."""
 
     pruned: PruneResult
     finite: dict
     trace: SweepTrace
     evaluator: Optional[WindowEvaluator] = None
+    record: list = field(default_factory=list)  # see `sweep`
+    breaks: list = field(default_factory=list)
 
     @property
     def infinite(self) -> dict:
@@ -146,15 +142,6 @@ class Solution:
     infinite: dict
 
 
-def _anchor_value(anchor: dict, name: str) -> Fraction:
-    if name not in anchor:
-        raise MissingTerminalValue(name)
-    v = anchor[name]
-    if isinstance(v, float):
-        raise InfiniteValue(f"{name}: anchor value must be finite, got {v}")
-    return as_fraction(v)
-
-
 class WindowEvaluator(InstantEvaluator):
     """Value iteration for the core on a window [0, r], re-anchored in place.
 
@@ -167,41 +154,41 @@ class WindowEvaluator(InstantEvaluator):
     moves.  `reanchor` therefore computes just the clone lines, puts every
     line on the new least common scale and re-derives pf, the -inf cutoff
     and the round bound, so the evaluator then behaves exactly like one
-    compiled afresh for the window at (r, anchor).  Built, it stands at
-    (1, anchor); core finals' lines come first, then the clones', which
+    compiled afresh for the window at (r, anchor).  An anchor is vals/den:
+    one integer per core row, in the core's row order, on one positive
+    denominator, as the sweep records them.  Built, it stands at (1,
+    anchor); core finals' lines come first, then the clones', which
     changes no run.  placed, if given, is `core.placed()`.
     """
 
-    def __init__(self, core: Rows, anchor: dict, placed: tuple | None = None):
-        rate = {i: r for (i, _, _), (r, urgent) in zip(core.rows, core.timing) if not urgent}
+    def __init__(self, core: Rows, vals: list, den: int, placed: tuple | None = None):
+        # (core row, rate) of every row that may wait, in clone order
+        self.waits = [(j, as_fraction(r)) for j, (r, urgent) in enumerate(core.timing) if not urgent]
+        waiting = {core.rows[j][0] for j, _ in self.waits}
         names, at = [], []  # at[i]: the index of core location i here
         for i, n in enumerate(core.names):
             at.append(len(names))
             names.append(n)
-            if i in rate:
+            if i in waiting:
                 names.append(n + WAIT_SUFFIX)
         rows = [
-            (at[i], is_max, [(w, at[t]) for w, t in moves] + ([(0, at[i] + 1)] if i in rate else []))
+            (at[i], is_max, [(w, at[t]) for w, t in moves] + ([(0, at[i] + 1)] if i in waiting else []))
             for i, is_max, moves in core.rows
         ]
-        # (name, rate) of every location that may wait, in clone order
-        self.waits = [(core.names[i], as_fraction(r)) for i, r in rate.items()]
-        clones = [
-            (at[i] + 1, Affine(-r, r + _anchor_value(anchor, n)))
-            for (n, r), i in zip(self.waits, rate)
-        ]
-        finals = [(at[i], phi) for i, phi in core.finals] + clones
+        # only the clones' indices are read here: `_anchored` gives their lines
+        clones = [(at[core.rows[j][0]] + 1, None) for j, _ in self.waits]
         # on [0, 1] the cutoff grows no scale, so placed holds the core
         # finals' least integer lines
         scale, lines, _ = core.placed() if placed is None else placed
         self._base = math.lcm(scale, *(r.denominator for _, r in self.waits))
         k = self._base // scale
         self._core_lines = [(s * k, c * k) for s, c in lines]
-        super().__init__(Rows(names, rows, core.timing, finals, core.bound), self._anchored(1, anchor))
+        finals = [(at[i], phi) for i, phi in core.finals] + clones
+        super().__init__(Rows(names, rows, core.timing, finals, core.bound), self._anchored(Fraction(1), vals, den))
 
-    def _anchored(self, r: Fraction, anchor: dict) -> tuple:
+    def _anchored(self, r: Fraction, vals: list, den: int) -> tuple:
         """The lines placed for the window [0, r], as `Rows.placed` gives them."""
-        tops = [r * rate + _anchor_value(anchor, n) for n, rate in self.waits]
+        tops = [r * rate + Fraction(vals[j], den) for j, rate in self.waits]
         scale = math.lcm(self._base, *(c.denominator for c in tops))
         k = scale // self._base
         lines = [(s * k, c * k) for s, c in self._core_lines]
@@ -209,9 +196,9 @@ class WindowEvaluator(InstantEvaluator):
             lines.append((-_scaled(rate, scale), _scaled(c, scale)))
         return _with_cutoff(scale, lines, r)
 
-    def reanchor(self, r, anchor: dict) -> None:
-        """Moves the window to [0, r], each clone banking anchor[name] at r."""
-        self._place(*self._anchored(as_fraction(r), anchor))
+    def reanchor(self, r, vals: list, den: int) -> None:
+        """Moves the window to [0, r], each clone banking its row's vals/den at r."""
+        self._place(*self._anchored(as_fraction(r), vals, den))
 
 
 def prune_infinite(c: Rows, placed: tuple | None = None) -> PruneResult:
@@ -295,6 +282,12 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
     it gets the next run.  The gaps are integers on the run's denominator
     and the slopes on one common one, so only the nearest closing gap makes
     a Fraction.
+
+    Every accepted point goes into the record once, with its integers:
+    1 with pruning's values, each run point, and each point read off the
+    lines.  The value functions are built from the points where a chord
+    changes, and `solve`'s synthesis reads its cells' ends from the same
+    record.
     """
     c, d = (as_fraction(v) for v in (onto or (0, 1)))
     length = d - c
@@ -318,20 +311,21 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
     # the sweep's values at b are f_b[j] / db for names[j], pruning's at 1
     b, db = Fraction(1), pr.denom
     f_b = [pr.values[n] for n in names]
-    ev = WindowEvaluator(core, _anchor(names, f_b, db), placed)
+    ev = WindowEvaluator(core, f_b, db, placed)
     at = [i for i, _, _ in ev.rows]
     # The chord of a location that may wait may not fall below -rate = p/q
     # if Min, nor rise above it if Max.  With chord nums[j]/den, den > 0,
     # and s = 1 for Min, -1 for Max, that fails where nums[j]*s*q < s*p*den;
     # waits holds (j, s*q, s*p) for every such location names[j].
     waits = []
-    for j, ((_, is_max, _), (rate, urgent)) in enumerate(zip(core.rows, core.timing)):
-        if not urgent:
-            s = -1 if is_max else 1
-            limit = -as_fraction(rate)
-            waits.append((j, s * limit.denominator, s * limit.numerator))
-    # breakpoints per location, newest last: (x, value numerator, denominator)
-    points = [[(b, v, db)] for v in f_b]
+    for j, rate in ev.waits:
+        s = -1 if core.rows[j][1] else 1
+        waits.append((j, s * rate.denominator, -s * rate.numerator))
+    # every accepted point once, newest last: (x, the rows' values as
+    # integers in names' order, their denominator); breaks[j] indexes the
+    # points where names[j]'s chord changes
+    record = [(b, f_b, db)]
+    breaks = [[0] for _ in names]
 
     trace = SweepTrace(boundaries=[Fraction(1)])
     r = Fraction(1)
@@ -372,7 +366,7 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
                 trace.windows.append(win)
                 trace.boundaries.append(b)
                 r = b
-                ev.reanchor(r, _anchor(names, f_b, db))
+                ev.reanchor(r, f_b, db)
                 rejected = True
                 break
             same = None
@@ -382,19 +376,21 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
                 moved = [names[j] for j, kept in enumerate(same) if not kept]
                 if moved:
                     win.slope_breaks.append((b, moved))
-            for j, pts in enumerate(points):
+            record.append((a, x_a, da))
+            for j, ks in enumerate(breaks):
                 if same is not None and same[j]:
-                    pts[-1] = (a, x_a[j], da)
+                    ks[-1] = len(record) - 1
                 else:
-                    pts.append((a, x_a[j], da))
+                    ks.append(len(record) - 1)
             prev = (nums, den)
             b, f_b, db = a, x_a, da
             k = bisect_left(grid, _witness_reach(ev, a, x, da, nums, den), 0, i)
             if k < i:
                 b, i = grid[k], k
                 f_b, db = _on_lines(f_b, db, nums, den, a - b)
-                for pts, v in zip(points, f_b):
-                    pts[-1] = (b, v, db)
+                record.append((b, f_b, db))
+                for ks in breaks:
+                    ks[-1] = len(record) - 1
         if not rejected:
             trace.windows.append(win)
             trace.boundaries.append(Fraction(0))
@@ -402,11 +398,11 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
 
     finite = {
         n: CostFunction.from_points(
-            [(c + x * length, Fraction(v, den)) for x, v, den in reversed(pts)]
+            [(c + record[k][0] * length, Fraction(record[k][1][j], record[k][2])) for k in reversed(ks)]
         )
-        for n, pts in zip(names, points)
+        for j, (n, ks) in enumerate(zip(names, breaks))
     }
-    return Sweep(pr, finite, trace, ev)
+    return Sweep(pr, finite, trace, ev, record, breaks)
 
 
 def _witness_reach(ev: WindowEvaluator, a: Fraction, x: list, da: int, nums: list, den: int) -> Fraction:
@@ -477,7 +473,9 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     # the no-time-left moves need the core's own ranks at 1: pruning's
     # differ where a Max location has an edge into a pruned -inf location
     x, ranks, _, denom = InstantEvaluator(core, placed).run(1)
-    max_fp, min_fp = _synthesize(sw.evaluator, core, values, (x, ranks, denom), moves)
+    # the cell ends: every breakpoint of a finite function, left to right
+    ends = [sw.record[k] for k in sorted({k for ks in sw.breaks for k in ks}, reverse=True)]
+    max_fp, min_fp = _synthesize(sw.evaluator, core, ends, (x, ranks, denom), moves)
     # urgency plays no part in the attractor, so the core gives the same one
     sigma2 = {
         core.names[i]: ks[m]
@@ -502,12 +500,7 @@ def _values(g: Game, pr: PruneResult, finite: dict) -> dict:
     }
 
 
-def _anchor(names: list, vals: list, denom: int) -> dict:
-    """Anchor values by name from integers on a common denominator."""
-    return {n: Fraction(v, denom) for n, v in zip(names, vals)}
-
-
-def _synthesize(ev: WindowEvaluator, core: Rows, values: dict, end: tuple, moves: list) -> tuple:
+def _synthesize(ev: WindowEvaluator, core: Rows, ends: list, end: tuple, moves: list) -> tuple:
     """Optimal finitely-positional strategies from the value functions.
 
     The clock interval is cut at every breakpoint of every value function
@@ -522,31 +515,32 @@ def _synthesize(ev: WindowEvaluator, core: Rows, values: dict, end: tuple, moves
     every zero-delay step at a valuation therefore uses one cell's tight
     edges, and those never cycle.
 
-    Everything is read per row of the pruned core: values holds the value
-    functions by name, moves[j] the game's transition index of each move
-    of core row j, and end the values, ranks and common denominator of
-    the core's urgent solve at 1, which give the no-time-left moves.  ev
-    is the sweep's window evaluator, re-anchored here once per cell; its
-    rows keep the core's order and each row that may wait ends with its
-    zero-weight move into its wait clone, so the location waits where that
-    move is tight.  The checks compare on its integer scale.
+    Everything is read per row of the pruned core.  ends holds the sweep's
+    record at those breakpoints, left to right: (x, the rows' values as
+    integers, their denominator).  moves[j] holds the game's transition
+    index of each move of core row j, and end the values, ranks and common
+    denominator of the core's urgent solve at 1, which give the
+    no-time-left moves.  ev is the sweep's window evaluator, re-anchored
+    here once per cell at the cell's right end; its rows keep the core's
+    order and each row that may wait ends with its zero-weight move into
+    its wait clone, so the location waits where that move is tight.  Every
+    row is affine on a cell, so its value at the midpoint is the mean of
+    its recorded values at the ends; the check compares that to the run
+    by integer cross-multiplication.
     """
-    fns = [values[core.names[i]] for i, _, _ in core.rows]
-    breaks = sorted({x for f in fns for x in f.xs})
-    cells = list(zip(breaks, breaks[1:]))
+    cells = [(lo[0], hi[0]) for lo, hi in zip(ends, ends[1:])]
     WAIT = None
 
     end_moves = [_tight_move_at(core.names, row, *end, 1) for row in core.rows]
 
     per_cell = []
-    for lo, hi in cells:
-        ev.reanchor(hi, {n: evaluate(values[n], hi) for n, _ in ev.waits})
+    for (lo, v_lo, d_lo), (hi, v_hi, d_hi) in zip(ends, ends[1:]):
+        ev.reanchor(hi, v_hi, d_hi)
         mid = (lo + hi) / 2
         x, ranks, _, denom = ev.run(mid)
-        for (i, _, _), f in zip(ev.rows, fns):
-            v = evaluate(f, mid)
-            # an infinite x[i] stays infinite and so disagrees too
-            if x[i] * v.denominator != v.numerator * denom:
+        for (i, _, _), a, b in zip(ev.rows, v_lo, v_hi):
+            # x[i]/denom == (a/d_lo + b/d_hi) / 2; an infinite x[i] disagrees
+            if isinstance(x[i], float) or 2 * x[i] * d_lo * d_hi != (a * d_hi + b * d_lo) * denom:
                 raise InternalError(
                     "synthesis",
                     f"anchored value of the cell [{format_value(lo)}, {format_value(hi)}) "

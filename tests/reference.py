@@ -5,9 +5,12 @@ check the package against, not part of it:
 
 - ``restrict``, ``slope_between`` and ``pairwise_intersections`` on
   cost functions and lines;
+- ``max_transition_weight`` and ``max_final_cost``, the bounds of a
+  ``Game`` that the solver now reads off its compiled rows;
 - ``make_urgent`` and ``waiting``, the game copies the sweep's evaluators
-  once were built from, and ``solve_instant``, the values of a game at one
-  valuation as a ``ValueVector``;
+  once were built from, with the name-keyed anchor checks of ``waiting``
+  (``MissingTerminalValue``, ``InfiniteValue``), and ``solve_instant``,
+  the values of a game at one valuation as a ``ValueVector``;
 - ``line_family``, the shifted final-cost lines whose crossings bound the
   cutpoints of an all-urgent game, and ``solve_all_urgent``, which solves
   such a game by evaluating at every crossing;
@@ -73,8 +76,6 @@ from ptgsolve.solver import (
     SweepTrace,
     WindowEvaluator,
     WindowTrace,
-    _anchor,
-    _anchor_value,
     default_max_steps,
     prune_infinite,
     sweep,
@@ -155,6 +156,24 @@ def pairwise_intersections(fs: Iterable[Affine], lo, hi) -> list:
 
 
 # ---------------------------------------------------------------------------
+# bounds of a game
+
+
+def max_transition_weight(g: Game) -> int:
+    """Largest absolute transition weight (0 when there are none)."""
+    return max((abs(t.weight) for t in g.transitions), default=0)
+
+
+def max_final_cost(g: Game) -> Fraction:
+    """Bound on |phi| over the clock domain, via both endpoints."""
+    worst = Fraction(0)
+    for l in g.final_locations:
+        phi = l.final_cost
+        worst = max(worst, abs(phi(0)), abs(phi(g.clock_bound)))
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # urgent and waiting copies of a game, values at one valuation
 
 
@@ -177,6 +196,23 @@ def make_urgent(g: Game) -> Game:
         for l in g.locations
     )
     return make_game(locs, g.transitions, g.clock_bound)
+
+
+class InfiniteValue(ValueError):
+    """An operation that needs finite values met an infinite one."""
+
+
+class MissingTerminalValue(KeyError):
+    """A window got no anchor value for some location that may wait."""
+
+
+def _anchor_value(anchor: dict, name: str) -> Fraction:
+    if name not in anchor:
+        raise MissingTerminalValue(name)
+    v = anchor[name]
+    if isinstance(v, float):
+        raise InfiniteValue(f"{name}: anchor value must be finite, got {v}")
+    return as_fraction(v)
 
 
 def waiting(g: Game, r, anchor: dict) -> Game:
@@ -230,7 +266,7 @@ class NotFinite(ValueError):
 def line_family(g: Game) -> list:
     """All integer shifts k + phi of final cost functions, k in the value window."""
     n = len(g.locations)
-    pt = g.max_transition_weight()
+    pt = max_transition_weight(g)
     lo, hi = -(n - 1) * pt, n * pt
     out = []
     seen = set()
@@ -318,7 +354,7 @@ def extract_untimed_strategies(g: Game, nu) -> UntimedStrategies:
         raise NotFinite(f"attractor does not cover {missing}; values cannot be finite")
 
     n = len(g.locations)
-    reach_cost = (n - 1) * g.max_transition_weight() + g.max_final_cost()
+    reach_cost = (n - 1) * max_transition_weight(g) + max_final_cost(g)
     threshold = min(by_name.values()) - reach_cost
     return UntimedStrategies(
         max_choice,
@@ -776,7 +812,7 @@ def grid_sweep(rows, max_steps: Optional[int] = None, onto: Optional[tuple] = No
     names = [core.names[i] for i, _, _ in core.rows]
     b, db = Fraction(1), pr.denom
     f_b = [pr.values[n] for n in names]
-    ev = WindowEvaluator(core, _anchor(names, f_b, db))
+    ev = WindowEvaluator(core, f_b, db)
     at = [i for i, _, _ in ev.rows]
     waits = []
     for j, ((_, is_max, _), (rate, urgent)) in enumerate(zip(core.rows, core.timing)):
@@ -784,7 +820,8 @@ def grid_sweep(rows, max_steps: Optional[int] = None, onto: Optional[tuple] = No
             s = -1 if is_max else 1
             limit = -as_fraction(rate)
             waits.append((j, s * limit.denominator, s * limit.numerator))
-    points = [[(b, v, db)] for v in f_b]
+    record = [(b, f_b, db)]
+    breaks = [[0] for _ in names]
 
     trace = SweepTrace(boundaries=[Fraction(1)])
     r = Fraction(1)
@@ -821,7 +858,7 @@ def grid_sweep(rows, max_steps: Optional[int] = None, onto: Optional[tuple] = No
                 trace.windows.append(win)
                 trace.boundaries.append(b)
                 r = b
-                ev.reanchor(r, _anchor(names, f_b, db))
+                ev.reanchor(r, f_b, db)
                 rejected = True
                 break
             same = None
@@ -831,11 +868,12 @@ def grid_sweep(rows, max_steps: Optional[int] = None, onto: Optional[tuple] = No
                 moved = [names[j] for j, kept in enumerate(same) if not kept]
                 if moved:
                     win.slope_breaks.append((b, moved))
-            for j, pts in enumerate(points):
+            record.append((a, x_a, da))
+            for j, ks in enumerate(breaks):
                 if same is not None and same[j]:
-                    pts[-1] = (a, x_a[j], da)
+                    ks[-1] = len(record) - 1
                 else:
-                    pts.append((a, x_a[j], da))
+                    ks.append(len(record) - 1)
             prev = (nums, den)
             b, f_b, db = a, x_a, da
         if not rejected:
@@ -845,11 +883,11 @@ def grid_sweep(rows, max_steps: Optional[int] = None, onto: Optional[tuple] = No
 
     finite = {
         n: CostFunction.from_points(
-            [(c + x * length, Fraction(v, den)) for x, v, den in reversed(pts)]
+            [(c + record[k][0] * length, Fraction(record[k][1][j], record[k][2])) for k in reversed(ks)]
         )
-        for n, pts in zip(names, points)
+        for j, (n, ks) in enumerate(zip(names, breaks))
     }
-    return Sweep(pr, finite, trace, ev)
+    return Sweep(pr, finite, trace, ev, record, breaks)
 
 
 # ---------------------------------------------------------------------------

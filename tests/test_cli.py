@@ -10,6 +10,7 @@ import pytest
 from conftest import FIXTURES
 from test_fan import fan_game
 from test_regions import urgent_reset_game
+from test_solver import corrupting_sweep
 
 from ptgsolve.cli import main
 from ptgsolve.model import serialize_game
@@ -178,6 +179,21 @@ def test_pruning_error_in_a_window_names_the_window_and_the_clock(monkeypatch, t
     assert err.splitlines() == [
         "internal error: value iteration at window [1, 2], x = 2: exceeded its round bound 0"
     ]
+
+
+def test_synthesis_error_exits_6_with_one_line(monkeypatch, tmp_path, capsys):
+    """A cell whose anchored run disagrees with the recorded values stops
+    `ptg solve` before it writes a document."""
+    corrupting_sweep(monkeypatch, 0)
+    out = tmp_path / "x.json"
+    code, stdout, err = run_cli(capsys, "solve", str(FIXTURES / "fig1.json"), "--out", str(out))
+    assert code == 6
+    assert stdout == ""
+    assert err.splitlines() == [
+        "internal error: synthesis at l1, x = 19/20: anchored value of the cell [9/10, 1) "
+        "disagrees with the computed value function"
+    ]
+    assert not out.exists()
 
 
 def test_solve_fig3_reports_reset_cycle(capsys):
@@ -808,6 +824,31 @@ def test_simulate_rejects_boolean_transition_indices(fig1_solution, tmp_path, ca
     assert code == 2
     assert "transition index must be an integer" in err
     assert "verdict: pass" not in out
+
+
+@pytest.mark.parametrize(
+    "path, reason",
+    [
+        (("max",), "bad positional strategy"),
+        (("min", "sigma1"), "bad switching strategy: bad positional strategy"),
+        (("min", "sigma2"), "bad switching strategy"),
+    ],
+)
+def test_simulate_rejects_a_strategy_map_given_as_an_array(tmp_path, capsys, path, reason):
+    # each is read as a map from location names; an array made .items() fail
+    doc = json.loads((FIXTURES / "fig1.values.json").read_text())
+    obj = doc["strategies"]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = []
+    bad = tmp_path / "array.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "simulate", str(FIXTURES / "fig1.json"), str(bad), "--from", "l1:1/2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {reason}: expected an object, got list"]
 
 
 def test_simulate_bad_start_strings(fig1_solution, capsys):

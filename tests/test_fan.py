@@ -80,16 +80,13 @@ def test_fan_builds_each_value_function_once(monkeypatch):
 
 def test_fan_value_iteration_stays_on_its_integer_scale(monkeypatch):
     # Each evaluator puts the final costs on one integer scale once: a run
-    # evaluates no Affine, and a solve bounds the final costs twice (the
-    # budget and the Min strategy's threshold).  Evaluating every final per
-    # run made one Affine call per final per run, and bounding them per
-    # evaluator made 46 max_final_cost calls here.
+    # evaluates no Affine.  Evaluating every final per run made one Affine
+    # call per final per run.
     g = fan_game(16, (1, -2, 3))
-    counts = {"affine_in_run": 0, "runs": 0, "max_final_cost": 0}
+    counts = {"affine_in_run": 0, "runs": 0}
     inside_run = False
     affine_call = Affine.__call__
     run = InstantEvaluator.run
-    max_final_cost = Game.max_final_cost
 
     def counting_affine(self, nu):
         counts["affine_in_run"] += inside_run
@@ -104,17 +101,45 @@ def test_fan_value_iteration_stays_on_its_integer_scale(monkeypatch):
         finally:
             inside_run = False
 
-    def counting_max_final_cost(self):
-        counts["max_final_cost"] += 1
-        return max_final_cost(self)
-
     monkeypatch.setattr(Affine, "__call__", counting_affine)
     monkeypatch.setattr(InstantEvaluator, "run", counting_run)
-    monkeypatch.setattr(Game, "max_final_cost", counting_max_final_cost)
     solve(g)
     assert counts["runs"] > 0
     assert counts["affine_in_run"] == 0
-    assert counts["max_final_cost"] <= 4
+
+
+def test_fan_synthesis_reads_the_sweeps_integer_record(monkeypatch):
+    # The synthesis anchors each cell and checks its midpoint from the
+    # sweep's record of integers.  Evaluating the value functions in
+    # Fractions for both made 119 evaluate calls here, for 17 cells.
+    g = fan_game(16, (1, -2, 3))
+    counts = {"evaluate": 0, "runs": 0}
+    inside = False
+    synthesize, run = solver._synthesize, InstantEvaluator.run
+
+    def counting_evaluate(f, nu):
+        counts["evaluate"] += inside
+        return evaluate(f, nu)
+
+    def counting_synthesize(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return synthesize(*args)
+        finally:
+            inside = False
+
+    def counting_run(self, *args, **kwargs):
+        counts["runs"] += 1
+        return run(self, *args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("ptgsolve")]:
+        if getattr(module, "evaluate", None) is evaluate:
+            monkeypatch.setattr(module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(solver, "_synthesize", counting_synthesize)
+    monkeypatch.setattr(InstantEvaluator, "run", counting_run)
+    assert solve(g).values["pick"].xs == tuple(F(i, 16) for i in range(17))
+    assert counts == {"evaluate": 0, "runs": 37}
 
 
 def test_fan_builds_one_window_evaluator_per_solve(monkeypatch):

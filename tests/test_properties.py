@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import bellman_check, core_game, line_family, make_urgent, region_bellman_check, slope_between, waiting
+from reference import (
+    bellman_check,
+    core_game,
+    line_family,
+    make_urgent,
+    max_transition_weight,
+    region_bellman_check,
+    slope_between,
+    waiting,
+)
 from ptgsolve.exactmath import Affine, CostFunction, evaluate
 from ptgsolve.model import (
     MAX,
@@ -211,7 +220,7 @@ def run_simple_checks(seed: int) -> None:
             assert play.cost == evaluate(finite[l.name], nu)
 
     # (g) breakpoint budget, evaluated in big integers
-    pt = g.max_transition_weight()
+    pt = max_transition_weight(g)
     budget = (pt * len(g.locations) ** 2) ** (2 * len(g.locations) + 2)
     total = sum(len(f.xs) for f in finite.values())
     assert total <= budget

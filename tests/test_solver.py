@@ -1,6 +1,7 @@
 """End-to-end checks for the sweep solver on the bundled fixtures."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture
 from reference import (
+    InfiniteValue,
+    MissingTerminalValue,
     core_game,
     fake_value_upper_bound,
     make_urgent,
@@ -18,12 +21,10 @@ from reference import (
 )
 from test_properties import random_sptg
 from ptgsolve.exactmath import Affine, evaluate
-from ptgsolve.model import Config, Guard, Location, Transition, make_game, parse_game
+from ptgsolve.model import Config, Guard, InternalError, Location, Transition, make_game, parse_game
 from ptgsolve.solver import (
     BudgetExceeded,
     EmptyGame,
-    InfiniteValue,
-    MissingTerminalValue,
     NonSPTG,
     WindowEvaluator,
     default_max_steps,
@@ -219,6 +220,34 @@ def test_sweep_is_solve_without_the_strategies(seed):
     assert sw.trace == sol.trace
 
 
+def corrupting_sweep(monkeypatch, row: int) -> None:
+    """Makes `solve`'s sweep record the given core row's value at 1 one
+    unit (1/den) too high, after the value functions are built."""
+    from ptgsolve import solver
+
+    sweep = solver.sweep
+
+    def corrupted(*args, **kwargs):
+        sw = sweep(*args, **kwargs)
+        x, vals, den = sw.record[0]
+        sw.record[0] = (x, [v + (j == row) for j, v in enumerate(vals)], den)
+        return sw
+
+    monkeypatch.setattr(solver, "sweep", corrupted)
+
+
+def test_synthesis_checks_each_cell_midpoint_against_the_record(fig1, monkeypatch):
+    # fig1's last cell is [9/10, 1); l1, the first core row, banks the
+    # corrupted value there, so the run at the midpoint and the mean of
+    # its recorded ends disagree
+    corrupting_sweep(monkeypatch, 0)
+    with pytest.raises(InternalError) as info:
+        solve(fig1)
+    e = info.value
+    assert (e.phase, e.where, e.nu) == ("synthesis", "l1", F(19, 20))
+    assert e.reason == "anchored value of the cell [9/10, 1) disagrees with the computed value function"
+
+
 def test_budget_exhaustion_raises(fig1):
     with pytest.raises(BudgetExceeded):
         solve(fig1, max_steps=1)
@@ -296,15 +325,24 @@ def anchored_windows(draw):
     return g, draw(anchors), windows
 
 
+def _on_rows(core, anchor: dict) -> tuple:
+    """(vals, den): anchor's values for core's rows, integers in row order
+    on their least common denominator."""
+    fs = [anchor[core.names[i]] for i, _, _ in core.rows]
+    den = math.lcm(*(f.denominator for f in fs))
+    return [f.numerator * (den // f.denominator) for f in fs], den
+
+
 @settings(max_examples=150, deadline=None)
 @given(anchored_windows())
 def test_reanchored_evaluator_equals_a_fresh_one(case):
     g, first, windows = case
-    ev = WindowEvaluator(compile_game(g), first)
+    core = compile_game(g)
+    ev = WindowEvaluator(core, *_on_rows(core, first))
     steps = [(F(1), first, F(1, 2))] + windows
     for i, (r, anchor, nu) in enumerate(steps):
         if i:
-            ev.reanchor(r, anchor)
+            ev.reanchor(r, *_on_rows(core, anchor))
         wg = make_urgent(waiting(g, r, anchor))
         fresh = InstantEvaluator(compile_game(wg))
         assert ev.names == fresh.names
@@ -321,17 +359,10 @@ def test_cutpoints_of_reanchored_evaluators_match_the_fraction_sort(case):
     """The grid sorted on integer keys is the grid sorted as Fractions, on
     every window a re-anchored evaluator is moved to."""
     g, first, windows = case
-    ev = WindowEvaluator(compile_game(g), first)
+    core = compile_game(g)
+    ev = WindowEvaluator(core, *_on_rows(core, first))
     for r, anchor, nu in windows:
-        ev.reanchor(r, anchor)
+        ev.reanchor(r, *_on_rows(core, anchor))
         for end in (r, nu):
             assert possible_cutpoints(ev, end) == possible_cutpoints_by_fraction(ev, end)
 
-
-def test_reanchor_requires_finite_anchor_values(fig1):
-    anchors = {l.name: Fraction(0) for l in fig1.locations}
-    ev = WindowEvaluator(compile_game(fig1), anchors)
-    with pytest.raises(MissingTerminalValue):
-        ev.reanchor(F(1, 2), {})
-    with pytest.raises(InfiniteValue):
-        ev.reanchor(F(1, 2), {**anchors, "l1": float("inf")})

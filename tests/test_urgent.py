@@ -25,6 +25,8 @@ from reference import (
     extract_untimed_strategies,
     line_family,
     make_urgent,
+    max_final_cost,
+    max_transition_weight,
     pairwise_intersections,
     possible_cutpoints_by_fraction,
     solve_all_urgent,
@@ -332,7 +334,7 @@ def reference_run(g, nu, history=None):
     """
     names = [l.name for l in g.locations]
     index = {n: i for i, n in enumerate(names)}
-    cutoff = -(len(names) - 1) * g.max_transition_weight() - g.max_final_cost()
+    cutoff = -(len(names) - 1) * max_transition_weight(g) - max_final_cost(g)
     x = [INF] * len(names)
     for l in g.final_locations:
         x[index[l.name]] = l.final_cost(nu)
