@@ -78,13 +78,17 @@ class RunReport:
         print(f"elapsed: {self.elapsed:.3f}s", file=sys.stderr)
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read(report: RunReport, label: str, path: str) -> bytes:
+    """An input file's bytes, read once; the report lists their sha256, so
+    the digest printed is that of what is parsed."""
+    data = Path(path).read_bytes()
+    report.inputs.append((label, path, hashlib.sha256(data).hexdigest()))
+    return data
 
 
-def _read_game(path: str) -> Game:
+def _read_game(path: str, data: bytes) -> Game:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GameSyntaxError(f"{path}: not UTF-8 text: {exc}") from exc
     return parse_game(text)
@@ -95,8 +99,8 @@ def _read_game(path: str) -> Game:
 
 
 def cmd_solve(args) -> RunReport:
-    report = RunReport("solve", inputs=[("input", args.input, _sha256(args.input))])
-    g = _read_game(args.input)
+    report = RunReport("solve")
+    g = _read_game(args.input, _read(report, "input", args.input))
     mode = args.mode
     if mode == "auto":
         is_simple = g.clock_bound == 1 and check_sptg(g, 1)
@@ -127,15 +131,11 @@ def cmd_solve(args) -> RunReport:
 
 
 def cmd_verify(args) -> RunReport:
-    report = RunReport(
-        "verify",
-        inputs=[
-            ("game", args.game, _sha256(args.game)),
-            ("values", args.values, _sha256(args.values)),
-        ],
-    )
-    g = _read_game(args.game)
-    doc = document.load(args.values)
+    report = RunReport("verify")
+    game = _read(report, "game", args.game)
+    values = _read(report, "values", args.values)
+    g = _read_game(args.game, game)
+    doc = document.load(args.values, values)
     report.body.append(f"mode: {doc.mode}")
     lines, witness = document.verify(g, doc, args.grid)
     report.body.extend(lines)
@@ -162,8 +162,8 @@ def _decimal12(v: Fraction) -> str:
 
 
 def cmd_plot(args) -> RunReport:
-    report = RunReport("plot", inputs=[("values", args.values, _sha256(args.values))])
-    doc = document.load(args.values)
+    report = RunReport("plot")
+    doc = document.load(args.values, _read(report, "values", args.values))
     for name in doc.values:
         # each name becomes a file in --csv, so it must not be a path
         if name in (".", "..") or any(c in name for c in "/\\\0"):
@@ -260,15 +260,11 @@ def _play_lines(g: Game, play) -> list:
 
 
 def cmd_simulate(args) -> RunReport:
-    report = RunReport(
-        "simulate",
-        inputs=[
-            ("game", args.game, _sha256(args.game)),
-            ("values", args.values, _sha256(args.values)),
-        ],
-    )
-    g = _read_game(args.game)
-    doc = document.load(args.values)
+    report = RunReport("simulate")
+    game = _read(report, "game", args.game)
+    values = _read(report, "values", args.values)
+    g = _read_game(args.game, game)
+    doc = document.load(args.values, values)
     max_fp, min_sw = document.read_strategies(g, doc)
     start = _parse_start(args.start, g)
     expected = document.value_at(g, doc, start.location, start.valuation)

@@ -178,9 +178,10 @@ def _segment_from_json(obj) -> CostFunction:
         raise SolutionFormatError(f"bad value segment {obj!r}: {exc}") from exc
 
 
-def load(path: str) -> Document:
+def load(path: str, data: Optional[bytes] = None) -> Document:
+    """The solution document at path; data, if given, is its bytes, read already."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads((Path(path).read_bytes() if data is None else data).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # as in model.parse_game
         raise SolutionFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -285,17 +286,20 @@ def _object(obj) -> dict:
     return obj
 
 
+def _interval(doc) -> tuple:
+    """A strategy row's interval: a list of exactly two literals."""
+    if not isinstance(doc, list) or len(doc) != 2:
+        raise ValueError(f"an interval must be a list of two literals, got {doc!r}")
+    return parse_value(doc[0]), parse_value(doc[1])
+
+
 def _fp_from_json(doc, transition_count: int) -> FPStrategy:
     rows = {}
     at_end = {}
     try:
         for name, entry in _object(doc).items():
             rows[name] = [
-                (
-                    parse_value(r["interval"][0]),
-                    parse_value(r["interval"][1]),
-                    _move_from_json(r["move"], transition_count),
-                )
+                (*_interval(r["interval"]), _move_from_json(r["move"], transition_count))
                 for r in entry["rows"]
             ]
             at_end[name] = _move_from_json(entry["at_end"], transition_count)

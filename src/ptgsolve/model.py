@@ -442,6 +442,8 @@ def parse_game(text: str) -> Game:
             weight = obj["weight"]
         except (KeyError, TypeError) as exc:
             raise GameSyntaxError(f"bad transition object: {obj!r}") from exc
+        if not isinstance(src, str) or not isinstance(tgt, str):
+            raise GameSyntaxError(f"transition from and to must be location names: {obj!r}")
         reset = _flag(obj, "reset", False, f"{src}->{tgt}")
         _integer(weight, f"{src}->{tgt}: weight")
         transitions.append(Transition(src, guard, reset, tgt, weight))

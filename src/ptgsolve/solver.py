@@ -3,61 +3,50 @@
 The value functions are computed by a right-to-left sweep.  Anchored at the
 right end r of the remaining interval, every location gets a final clone
 that prices "wait here until r, then bank the known value"; the resulting
-game is urgent everywhere and can be solved at single valuations.  The
-candidate cutpoints (`possible_cutpoints`) index where values may bend.
-Walking them downward, the sweep runs value iteration only where a
-witness line may change: after a run, every row's line and every move's
-line are known, and the candidates before the nearest crossing of a
-move's line with its row's are read off those lines (`sweep` proves
-it).  A chord-slope test per location decides how far the anchored
-picture stays truthful; where it breaks, the sweep restarts from the
-last confirmed point.  Each confirmed segment is exact, so the assembled
-functions are the values of the game.
+game is urgent everywhere and can be solved at single valuations.  Its
+values bend only at crossings of the final and clone lines shifted by
+integers (the candidate cutpoints), but the sweep lists none of them: at
+each accepted point it runs value iteration once, closer to it than any
+other candidate, which gives every row's line on the piece below, and the
+nearest point where a move's line meets its row's is the next accepted
+point (`sweep` proves it).  A chord-slope test per location decides how
+far the anchored picture stays truthful; where it breaks, the sweep
+restarts from the last confirmed point.  Each confirmed segment is exact,
+so the assembled functions are the values of the game.
 
-Two parts: `sweep` prunes the infinite locations and runs the windows, for
-the values, the trace and the record of its walk; `solve` adds
-`_synthesize`, which reads both players' strategies off that record and
-checks it against each cell's anchored solve, and Min's switching
-strategy.  `sweep` works on the
-compiled rows of `urgent.Rows`: `solve` compiles its game with
-`compile_game`, and the region pipeline's windows, which need values
-only, compile theirs straight from the region graph.  Pruning drops rows,
-and the synthesis and Min's fallback read the pruned rows as well, so no
-`Game` is built after parsing.
+`sweep` prunes the infinite locations and runs the windows, for the
+values, the trace and the record of its walk; `solve` adds `_synthesize`,
+which reads both players' strategies off that record and checks it
+against each cell's anchored solve, and Min's switching strategy.  Both
+work on the compiled rows of `urgent.Rows`: `solve` compiles its game
+with `compile_game`, the region pipeline's windows theirs straight from
+the region graph, and no `Game` is built after parsing.
 
-Every window, and every cell of the strategy synthesis after the sweep,
-plays the same game at single valuations; only the clones' final lines
-(-rate, r*rate + v) differ.  So one `WindowEvaluator` is built per sweep,
-straight from the pruned rows, and re-anchored in place from recorded
-integers: the core finals' integer lines are fixed once, and a re-anchor
-recomputes the clone lines, the common scale, the -inf cutoff and the
-round bound.  The sweep places
-the finals' lines once (`Rows.placed`) for pruning, the budget and the
-window evaluator alike.
+Every window, and every cell of the synthesis, plays the same game at
+single valuations; only the clones' final lines (-rate, r*rate + v)
+differ.  So one `WindowEvaluator` is built per sweep and re-anchored in
+place from recorded integers: the core finals' integer lines are fixed
+once, and a re-anchor recomputes, on integers, the clone lines, the
+common scale, the -inf cutoff and the round bound.
 
-The sweep stays on the integer scale of value iteration.  Values at b and
-at the candidate a are integers over their run's denominators, so every
-chord of one step is an integer over one positive common denominator; the
-slope test and the test for an unchanged chord are integer
-cross-multiplications.  The sweep keeps one record of its walk: every
-accepted point once, with every row's value as an integer on that point's
-denominator.  A location's breakpoints index into it and gain a point
-only where its chord changes (a candidate on the same line replaces the
-last index); Fractions are made once, for those points, when each
-function is built after the sweep.  The synthesis reads the same record:
-every row is affine on a cell, so the recorded integers at the cell's
-ends anchor it and check its midpoint, and no function is evaluated.
+The sweep stays on the integer scale of value iteration: every chord is
+an integer over one positive common denominator, and the slope test and
+the test for an unchanged chord are integer cross-multiplications.  Its
+record holds every accepted point once, with every row's value as an
+integer on that point's denominator.  A location's breakpoints index
+into it, gaining a point only where its chord changes, and each value
+function is built straight from those integers.  The synthesis anchors
+its cells and checks their midpoints from the same record.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import CostFunction, _scaled, as_fraction, format_value
+from .exactmath import Affine, CostFunction, as_fraction, format_value
 from .model import Game, InternalError, check_sptg
 from .strategy import FPStrategy, Move, SwitchingStrategy
 from .urgent import (
@@ -68,7 +57,6 @@ from .urgent import (
     attractor,
     compile_game,
     iteration_bound,
-    possible_cutpoints,
 )
 
 
@@ -187,13 +175,19 @@ class WindowEvaluator(InstantEvaluator):
         super().__init__(Rows(names, rows, core.timing, finals, core.bound), self._anchored(Fraction(1), vals, den))
 
     def _anchored(self, r: Fraction, vals: list, den: int) -> tuple:
-        """The lines placed for the window [0, r], as `Rows.placed` gives them."""
-        tops = [r * rate + Fraction(vals[j], den) for j, rate in self.waits]
-        scale = math.lcm(self._base, *(c.denominator for c in tops))
+        """The lines placed for the window [0, r], as `Rows.placed` gives
+        them; each clone's top r*rate + vals[j]/den is a reduced integer pair."""
+        rn, rd = r.numerator, r.denominator
+        clones = []  # (rate p/q, top/bottom) per clone
+        for j, rate in self.waits:
+            p, q = rate.numerator, rate.denominator
+            top, bottom = rn * p * den + vals[j] * rd * q, rd * q * den
+            k = math.gcd(top, bottom)
+            clones.append((p, q, top // k, bottom // k))
+        scale = math.lcm(self._base, *(bottom for _, _, _, bottom in clones))
         k = scale // self._base
         lines = [(s * k, c * k) for s, c in self._core_lines]
-        for (_, rate), c in zip(self.waits, tops):
-            lines.append((-_scaled(rate, scale), _scaled(c, scale)))
+        lines += [(-p * (scale // q), top * (scale // bottom)) for p, q, top, bottom in clones]
         return _with_cutoff(scale, lines, r)
 
     def reanchor(self, r, vals: list, den: int) -> None:
@@ -250,17 +244,26 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
     Whether the game is simple is the caller's check: `solve` raises
     NonSPTG before it compiles.
 
-    Each window [0, r] walks `possible_cutpoints` downward from r, and no
-    two lines of the family cross between neighbouring candidates, so the
-    values are affine between them.  A run at a candidate a thus fixes
-    every line of the window game on [a, b], b the point accepted before:
-    a row's is its chord, a final's (wait clones included) its cost line.
+    In a window [0, r] every finite value lies on a final or clone line
+    (s, c) on ev's scale L raised by the weights of a simple path, at most
+    (n-1)*pt (n the evaluator's locations), and a move's line by pt more;
+    so the values are affine between neighbouring candidates: 0, r and
+    the crossings (c_j - c_i + d*L)/(s_i - s_j), |d| <= (2n-1)*pt.  The
+    sweep lists none.
+    From an accepted point b = p/q, a candidate, it runs value iteration
+    once at a = b - 1/(q*M), M the larger of the final slopes' spread S
+    and r's denominator.  Every candidate but r has a denominator at most
+    S, and two distinct rationals p/q and p'/q' differ by at least
+    1/(q*q'), so no candidate lies in (a, b): the chord of the run at a is
+    each row's line on the whole piece below b, and a final's line (wait
+    clones included) is its cost line.
+
     Value iteration runs again only where a witness line may change.  For
     a row and one of its moves (w, t), the move's line w + line_t either
     is the row's line, and the move is tight all along, or meets it at
-    most once.  Let z be the nearest point left of a where such a line that
-    is not its row's meets it: z = a if one meets it at a, and z = 0 if
-    none does above 0.  The lines are the values on [z, b]:
+    most once.  Let z be the nearest point left of a where such a line
+    that is not its row's meets it: z = a if one meets it at a, and z = 0
+    if none does above 0.  The lines are the values on [z, b]:
 
     - On (z, a] every other move keeps the strict side it had at a, so
       each row's value there is attained by the moves whose lines are its
@@ -275,19 +278,13 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
       lines on (z, b).
     - Finite values are continuous, which covers z itself.
 
-    So the candidates strictly between z and a are skipped, and the first
-    candidate at or above z is accepted with its values read off the
-    lines: walking them would have run to points on the same lines, with
-    the same chords, no slope break and no rejection.  The candidate below
-    it gets the next run.  The gaps are integers on the run's denominator
-    and the slopes on one common one, so only the nearest closing gap makes
-    a Fraction.
-
-    Every accepted point goes into the record once, with its integers:
-    1 with pruning's values, each run point, and each point read off the
-    lines.  The value functions are built from the points where a chord
-    changes, and `solve`'s synthesis reads its cells' ends from the same
-    record.
+    Both lines meeting at z are shifted final lines with offsets in the
+    window, so z is a candidate (or 0): the next accepted point, its values
+    read off the lines.  The walk meets the chords, slope breaks and slope
+    tests of the walk over every candidate.  Where the slope test fails,
+    the trace names the largest candidate below b (`_below`) and the window
+    closes at b.  Every accepted point goes into the record once, with its
+    integers; the value functions and `solve`'s synthesis read it.
     """
     c, d = (as_fraction(v) for v in (onto or (0, 1)))
     length = d - c
@@ -329,80 +326,100 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
 
     trace = SweepTrace(boundaries=[Fraction(1)])
     r = Fraction(1)
-    while r > 0:
-        grid = possible_cutpoints(ev, r)
-        win = WindowTrace(start=r)
-        prev = None  # (numerators, denominator) of the last accepted chords
-        rejected = False
-        i = len(grid) - 1  # b is grid[i]
-        while i > 0:
-            i -= 1
-            a = grid[i]
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(f"sweep exceeded {budget} value-iteration runs")
-            x, _, _, da = ev.run(a)
-            x_a = [x[t] for t in at]
-            if any(isinstance(v, float) for v in x_a):
-                where = ", ".join(n for n, v in zip(names, x_a) if isinstance(v, float))
+    win = WindowTrace(start=r)
+    prev = None  # (numerators, denominator) of the last accepted chords
+    while b > 0:
+        spent += 1
+        if spent > budget:
+            raise BudgetExceeded(f"sweep exceeded {budget} value-iteration runs")
+        # a = b - 1/step lies closer to b than any other candidate
+        step = b.denominator * _spread(ev, r)
+        a = b - Fraction(1, step)
+        x, _, _, da = ev.run(a)
+        x_a = [x[t] for t in at]
+        if any(isinstance(v, float) for v in x_a):
+            where = ", ".join(n for n, v in zip(names, x_a) if isinstance(v, float))
+            raise InternalError(
+                "sweep", "window game produced an infinite value", where, c + a * length
+            )
+        # chord j is (f_b[j]/db - x_a[j]/da) / (b - a) = nums[j] / den
+        nums = [(fb * da - xa * db) * step for fb, xa in zip(f_b, x_a)]
+        den = db * da
+        bad = [names[j] for j, sq, sp in waits if nums[j] * sq < sp * den]
+        if bad:
+            below = _below(ev, b)
+            if b == r:
                 raise InternalError(
-                    "sweep", "window game produced an infinite value", where, c + a * length
+                    "sweep",
+                    f"first candidate of the window at {format_value(c + r * length)} "
+                    "failed the slope test",
+                    ", ".join(bad),
+                    c + below * length,
                 )
-            # chord j is (f_b[j]/db - x_a[j]/da) / (b - a) = nums[j] / den
-            w = b - a
-            nums = [(fb * da - xa * db) * w.denominator for fb, xa in zip(f_b, x_a)]
-            den = db * da * w.numerator
-            bad = [names[j] for j, sq, sp in waits if nums[j] * sq < sp * den]
-            if bad:
-                if b == r:
-                    raise InternalError(
-                        "sweep",
-                        f"first candidate of the window at {format_value(c + r * length)} "
-                        "failed the slope test",
-                        ", ".join(bad),
-                        c + a * length,
-                    )
-                win.rejection = (a, bad)
-                trace.windows.append(win)
-                trace.boundaries.append(b)
-                r = b
-                ev.reanchor(r, f_b, db)
-                rejected = True
-                break
-            same = None
-            if prev is not None:
-                pnums, pden = prev
-                same = [n * pden == pn * den for n, pn in zip(nums, pnums)]
-                moved = [names[j] for j, kept in enumerate(same) if not kept]
-                if moved:
-                    win.slope_breaks.append((b, moved))
-            record.append((a, x_a, da))
-            for j, ks in enumerate(breaks):
-                if same is not None and same[j]:
-                    ks[-1] = len(record) - 1
-                else:
-                    ks.append(len(record) - 1)
-            prev = (nums, den)
-            b, f_b, db = a, x_a, da
-            k = bisect_left(grid, _witness_reach(ev, a, x, da, nums, den), 0, i)
-            if k < i:
-                b, i = grid[k], k
-                f_b, db = _on_lines(f_b, db, nums, den, a - b)
-                record.append((b, f_b, db))
-                for ks in breaks:
-                    ks[-1] = len(record) - 1
-        if not rejected:
+            win.rejection = (below, bad)
             trace.windows.append(win)
-            trace.boundaries.append(Fraction(0))
-            r = Fraction(0)
+            trace.boundaries.append(b)
+            r = b
+            ev.reanchor(r, f_b, db)
+            win = WindowTrace(start=r)
+            prev = None
+            continue
+        same = None
+        if prev is not None:
+            pnums, pden = prev
+            same = [n * pden == pn * den for n, pn in zip(nums, pnums)]
+            moved = [names[j] for j, kept in enumerate(same) if not kept]
+            if moved:
+                win.slope_breaks.append((b, moved))
+        z = _witness_reach(ev, a, x, da, nums, den)
+        f_b, db = _on_lines(f_b, db, nums, den, b - z)
+        b = z
+        record.append((b, f_b, db))
+        for j, ks in enumerate(breaks):
+            if same is not None and same[j]:
+                ks[-1] = len(record) - 1
+            else:
+                ks.append(len(record) - 1)
+        prev = (nums, den)
+    trace.windows.append(win)
+    trace.boundaries.append(Fraction(0))
 
-    finite = {
-        n: CostFunction.from_points(
-            [(c + record[k][0] * length, Fraction(record[k][1][j], record[k][2])) for k in reversed(ks)]
-        )
-        for j, (n, ks) in enumerate(zip(names, breaks))
-    }
+    finite = {}
+    for j, (n, ks) in enumerate(zip(names, breaks)):
+        points = (record[k] for k in reversed(ks))
+        finite[n] = _from_record(n, [(x if onto is None else c + x * length, v[j], dv) for x, v, dv in points])
     return Sweep(pr, finite, trace, ev, record, breaks)
+
+
+def _spread(ev: WindowEvaluator, r: Fraction) -> int:
+    """M of the window [0, r]: ev's final slopes' spread or r's denominator."""
+    slopes = [s for _, s, _ in ev.finals]
+    return max(max(slopes) - min(slopes), r.denominator)
+
+
+def _below(ev: WindowEvaluator, b: Fraction) -> Fraction:
+    """The largest candidate cutpoint of ev's window below b > 0.
+
+    That is 0, or a crossing x = (dc + d*L)/ds of two final lines, ds > 0
+    the difference of their slopes, with |d| within the value window (see
+    `sweep`).  x grows with d, so per pair the largest x below b has the
+    largest d with (dc + d*L)*bd < bn*ds: one floor division.
+    """
+    bn, bd = b.numerator, b.denominator
+    scale = ev.scale
+    step = scale * bd
+    width = (2 * len(ev.names) - 1) * ev.max_weight
+    lines = [(s, c) for _, s, c in ev.finals]
+    best, best_ds = 0, 1  # the candidate best/best_ds, 0 to start
+    for si, ci in lines:
+        for sj, cj in lines:
+            if si > sj:
+                ds, dc = si - sj, cj - ci
+                k = min((bn * ds - dc * bd - 1) // step, width)
+                num = dc + k * scale
+                if k >= -width and num * best_ds > best * ds:
+                    best, best_ds = num, ds
+    return Fraction(best, best_ds)
 
 
 def _witness_reach(ev: WindowEvaluator, a: Fraction, x: list, da: int, nums: list, den: int) -> Fraction:
@@ -448,6 +465,24 @@ def _on_lines(f: list, df: int, nums: list, den: int, dw: Fraction) -> tuple:
     return [v // k for v in top], bottom // k
 
 
+def _from_record(name: str, points: list) -> CostFunction:
+    """name's value function through its breakpoints (x, v, d), left to
+    right, each worth v/d; every piece's slope and intercept come straight
+    from those integers."""
+    pieces = []
+    for (x0, v0, d0), (x1, v1, d1) in zip(points, points[1:]):
+        p0, q0, p1, q1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+        dx = p1 * q0 - p0 * q1
+        if dx <= 0:
+            raise InternalError("sweep", "breakpoints must be strictly increasing", name, x1)
+        # (v1/d1 - v0/d0) / (x1 - x0), and the line's value at 0
+        slope = Fraction((v1 * d0 - v0 * d1) * q0 * q1, d0 * d1 * dx)
+        sn, sd = slope.numerator, slope.denominator
+        pieces.append(Affine(slope, Fraction(v0 * sd * q0 - sn * p0 * d0, d0 * sd * q0)))
+    vals = tuple(Fraction(v, d) for _, v, d in points)
+    return CostFunction._trusted(tuple(x for x, _, _ in points), vals, tuple(pieces))
+
+
 def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     """Values and optimal strategies of a simple game on [0, 1]: `sweep`
     on its compiled rows, then `_synthesize` and Min's switching strategy,
@@ -482,7 +517,8 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
         for (i, _, _), ks, m in zip(core.rows, moves, attractor(core))
         if m is not None
     }
-    reach = (len(core.names) - 1) * core.max_weight() + placed[2]
+    scale, _, pf = placed
+    reach = (len(core.names) - 1) * core.max_weight() + Fraction(pf, scale)
     lowest = min(min(values[n].vals) for n in core.names)
     threshold = lowest - reach - max(abs(g.location(n).rate) for n in core.names)
     minstrat = SwitchingStrategy(min_fp, sigma2, as_fraction(threshold))

@@ -4,17 +4,16 @@ At a fixed valuation nu time cannot pass, so the game is a finite min/max
 reachability game over the locations, whatever their `urgent` flags say.
 Value iteration from +inf converges to the greatest fixpoint, which is the
 value; entries that sink below the finite range are snapped to -inf.
-Between two consecutive possible cutpoints (`possible_cutpoints`: the
-crossings of the integer shifts of the final costs) no two lines of that
-family cross, so each value is affine there.  The sweep walks them as
-the index of its candidate breakpoints, but runs value iteration only at
-those where a witness line may change and reads the others off the lines
-of its last run.  `attractor` gives the reachability choices Min
-falls back on, on the same rows.
+Each finite value lies on a final cost shifted by an integer of the value
+window; between two consecutive crossings of that family of lines (the
+candidate cutpoints) no two of them cross, so each value is affine there.
+The sweep (`solver.sweep`) steps from one such crossing to the next and
+lists none of them.  `attractor` gives the reachability choices Min falls
+back on, on the same rows.
 
-Both the iteration and the cutpoint grid work on integers: the final costs
-of a game are put once on one integer scale L (the least common denominator
-of every slope, intercept and the -inf cutoff), so a final's cost at p/q is
+The iteration works on integers: the final costs of a game are put once
+on one integer scale L (the least common denominator of every slope,
+intercept and the -inf cutoff), so a final's cost at p/q is
 (S*p + C*q) / (L*q) with integers S and C.  A run returns its values on
 that common denominator L*q; callers compare them as integers and make
 Fractions (`unscale`) only for values they keep.
@@ -26,8 +25,7 @@ and each row's rate and urgent flag, which only the sweep reads.
 components straight from the region graph, with no game built.  An
 evaluator's rows are fixed when it is built, but its final lines, scale,
 cutoff and round bound can be put in again (`InstantEvaluator._place`):
-the sweep's window evaluator re-anchors its wait clones that way, and
-`possible_cutpoints` reads the grid straight off an evaluator's lines.
+the sweep's window evaluator re-anchors its wait clones that way.
 """
 
 from __future__ import annotations
@@ -42,10 +40,11 @@ from .model import MAX, Game, InternalError
 WAIT_SUFFIX = "@wait"
 
 
-def _round_bound(n: int, nf: int, pt: int, pf: Fraction) -> int:
+def _round_bound(n: int, nf: int, pt: int, pf: int, scale: int) -> int:
     """The round cap of a game with n locations, nf of them final, largest
-    |weight| pt and largest |final cost| pf at 0 and at the clock bound."""
-    return nf * n * ((2 * n - 1) * pt + math.ceil(2 * pf) + 1) + n
+    |weight| pt and largest |final cost| pf/scale at 0 and at the clock
+    bound."""
+    return nf * n * ((2 * n - 1) * pt - (-2 * pf // scale) + 1) + n
 
 
 def _integer_lines(costs) -> tuple:
@@ -59,15 +58,17 @@ def _integer_lines(costs) -> tuple:
 def _with_cutoff(scale: int, lines: list, bound: Fraction) -> tuple:
     """(L, lines, pf): integer lines grown until pf is on their scale too.
 
-    pf is the largest |final cost| at 0 and at the clock bound; the grown
+    pf/L is the largest |final cost| at 0 and at the clock bound; the grown
     L is the least multiple of scale that is also a multiple of its
-    denominator, so the -inf cutoff -(n-1)*pt - pf is an integer on it.
+    denominator, so pf and the -inf cutoff -(n-1)*pt - pf/L are integers
+    on it.
     """
     bn, bd = bound.numerator, bound.denominator
     worst = max((abs(v) for s, c in lines for v in (c * bd, s * bn + c * bd)), default=0)
-    pf = Fraction(worst, scale * bd)
-    grow = pf.denominator // math.gcd(scale, pf.denominator)
-    return scale * grow, [(s * grow, c * grow) for s, c in lines], pf
+    k = math.gcd(worst, scale * bd)  # pf is worst/(scale*bd) = top/bottom
+    top, bottom = worst // k, scale * bd // k
+    grow = bottom // math.gcd(scale, bottom)
+    return scale * grow, [(s * grow, c * grow) for s, c in lines], top * (scale * grow // bottom)
 
 
 def unscale(x: list, denom: int) -> list:
@@ -103,8 +104,8 @@ class Rows:
 def iteration_bound(c: Rows, placed: tuple | None = None) -> int:
     """Hard cap on value-iteration rounds until the fixpoint; placed, if
     given, is `c.placed()` computed already."""
-    pf = (c.placed() if placed is None else placed)[2]
-    return _round_bound(len(c.names), len(c.finals), c.max_weight(), pf)
+    scale, _, pf = c.placed() if placed is None else placed
+    return _round_bound(len(c.names), len(c.finals), c.max_weight(), pf, scale)
 
 
 def compile_game(g: Game) -> Rows:
@@ -152,8 +153,8 @@ class InstantEvaluator:
         self.max_weight = c.max_weight()
         self._place(*(c.placed() if placed is None else placed))
 
-    def _place(self, scale: int, lines: list, pf: Fraction) -> None:
-        """Puts the final lines (S, C) on the scale L in, with their pf.
+    def _place(self, scale: int, lines: list, pf: int) -> None:
+        """Puts the final lines (S, C) on the scale L in, with their pf on L.
 
         The cutoff and the round bound follow from pf; lines are in the
         order of final_index.
@@ -161,9 +162,8 @@ class InstantEvaluator:
         n = len(self.names)
         self.scale = scale
         self.finals = [(i, s, c) for i, (s, c) in zip(self.final_index, lines)]
-        cutoff = -(n - 1) * self.max_weight - pf
-        self.cutoff = int(cutoff * scale)  # on the scale L
-        self.bound = _round_bound(n, len(lines), self.max_weight, pf)
+        self.cutoff = -(n - 1) * self.max_weight * scale - pf  # on the scale L
+        self.bound = _round_bound(n, len(lines), self.max_weight, pf, scale)
 
     def run(self, nu, history: list | None = None) -> tuple:
         """Returns (values list, ranks list, rounds, denom).
@@ -213,45 +213,6 @@ class InstantEvaluator:
             if not changed:
                 break
         return x, ranks, rounds, denom
-
-
-def possible_cutpoints(ev: InstantEvaluator, r) -> list:
-    """Candidate cutpoints in [0, r]: crossings of the line family, plus 0 and r.
-
-    The family is read off the evaluator's current final lines, so a
-    re-anchored evaluator needs no Game built.  Enumerating the full family
-    is wasteful; for each pair of base final functions only integer offsets
-    d = k1 - k2 within the value window can produce a crossing, and the
-    crossing abscissa determines d uniquely, so the pairs are walked
-    directly.
-    """
-    r = as_fraction(r)
-    rn, rd = r.numerator, r.denominator
-    scale, lines = ev.scale, [(s, c) for _, s, c in ev.finals]
-    width = (2 * len(ev.names) - 1) * ev.max_weight
-    step = scale * rd
-    found = {(0, 1), (rn, rd)}  # reduced (numerator, positive denominator)
-    for i, (si, ci) in enumerate(lines):
-        for sj, cj in lines[i + 1 :]:
-            ds = si - sj
-            if ds == 0:
-                continue
-            dc = cj - ci
-            # x = (dc + d*L)/ds lies in [0, r] exactly for d*L*rd between
-            # -dc*rd and rn*ds - dc*rd
-            lo_d, hi_d = sorted((-dc * rd, rn * ds - dc * rd))
-            lo_i = max(-(-lo_d // step), -width)
-            hi_i = min(hi_d // step, width)
-            for d in range(lo_i, hi_i + 1):
-                num = dc + d * scale
-                k = math.gcd(num, ds)
-                if ds < 0:
-                    k = -k
-                found.add((num // k, ds // k))
-    # sorted on one integer key: each a/b put on the common denominator D
-    big = math.lcm(*(b for _, b in found))
-    ordered = sorted(found, key=lambda ab: ab[0] * (big // ab[1]))
-    return [Fraction(a, b) for a, b in ordered]
 
 
 def attractor(c: Rows) -> list:

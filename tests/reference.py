@@ -23,10 +23,13 @@ check the package against, not part of it:
 - ``bellman_check`` and ``region_bellman_check``, one-shot wrappers
   around ``strategy.RegionBellmanOracle``;
 - ``instant_by_subgame`` and ``window_by_subgame``, a point component's
-  values and an open window's through a ``Game`` built for them, and
-  ``possible_cutpoints_by_fraction``, the candidate grid sorted as
-  Fractions: the package's former bodies of ``regions._instant``,
-  ``regions._solve_window`` and ``urgent.possible_cutpoints``;
+  values and an open window's through a ``Game`` built for them: the
+  package's former bodies of ``regions._instant`` and
+  ``regions._solve_window``;
+- ``possible_cutpoints``, the candidate grid of a window read off an
+  evaluator's lines, once ``urgent.possible_cutpoints``, and
+  ``possible_cutpoints_by_fraction``, its former body, sorted as
+  Fractions;
 - ``grid_sweep``, the sweep that runs value iteration at every candidate
   of the grid, the package's former walk of ``solver.sweep``;
 - ``core_game`` and ``attractor_strategy``, the pruned core as a ``Game``
@@ -87,12 +90,7 @@ from ptgsolve.strategy import (
     IllegalMove,
     RegionBellmanOracle,
 )
-from ptgsolve.urgent import (
-    InstantEvaluator,
-    compile_game,
-    possible_cutpoints,
-    unscale,
-)
+from ptgsolve.urgent import InstantEvaluator, compile_game, unscale
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +634,10 @@ def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:
 # `instant_by_subgame` builds a `Game` of each point component, with
 # `_SubGame`, and a fresh evaluator of it; `window_by_subgame` builds one
 # of each open window and sweeps it.  `regions._compile` compiles the same
-# rows straight from the region graph.  `possible_cutpoints_by_fraction`
-# sorts the candidates as Fractions; `urgent.possible_cutpoints` sorts the
-# integer pairs first.
+# rows straight from the region graph.  `possible_cutpoints` lists a
+# window's candidates, sorting the integer pairs first, and
+# `possible_cutpoints_by_fraction` sorts them as Fractions; `solver.sweep`
+# lists none.
 
 
 _FULL = Guard.closed(0, 1)
@@ -760,6 +759,45 @@ def window_by_subgame(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> d
     return {node: vals[node[0]] for node in comp}
 
 
+def possible_cutpoints(ev: InstantEvaluator, r) -> list:
+    """Candidate cutpoints in [0, r]: crossings of the line family, plus 0 and r.
+
+    The family is read off the evaluator's current final lines, so a
+    re-anchored evaluator needs no Game built.  Enumerating the full family
+    is wasteful; for each pair of base final functions only integer offsets
+    d = k1 - k2 within the value window can produce a crossing, and the
+    crossing abscissa determines d uniquely, so the pairs are walked
+    directly.
+    """
+    r = as_fraction(r)
+    rn, rd = r.numerator, r.denominator
+    scale, lines = ev.scale, [(s, c) for _, s, c in ev.finals]
+    width = (2 * len(ev.names) - 1) * ev.max_weight
+    step = scale * rd
+    found = {(0, 1), (rn, rd)}  # reduced (numerator, positive denominator)
+    for i, (si, ci) in enumerate(lines):
+        for sj, cj in lines[i + 1 :]:
+            ds = si - sj
+            if ds == 0:
+                continue
+            dc = cj - ci
+            # x = (dc + d*L)/ds lies in [0, r] exactly for d*L*rd between
+            # -dc*rd and rn*ds - dc*rd
+            lo_d, hi_d = sorted((-dc * rd, rn * ds - dc * rd))
+            lo_i = max(-(-lo_d // step), -width)
+            hi_i = min(hi_d // step, width)
+            for d in range(lo_i, hi_i + 1):
+                num = dc + d * scale
+                k = math.gcd(num, ds)
+                if ds < 0:
+                    k = -k
+                found.add((num // k, ds // k))
+    # sorted on one integer key: each a/b put on the common denominator D
+    big = math.lcm(*(b for _, b in found))
+    ordered = sorted(found, key=lambda ab: ab[0] * (big // ab[1]))
+    return [Fraction(a, b) for a, b in ordered]
+
+
 def possible_cutpoints_by_fraction(ev: InstantEvaluator, r) -> list:
     """Candidate cutpoints in [0, r]: crossings of the line family, plus 0 and r.
 
@@ -799,7 +837,8 @@ def possible_cutpoints_by_fraction(ev: InstantEvaluator, r) -> list:
 def grid_sweep(rows, max_steps: Optional[int] = None, onto: Optional[tuple] = None) -> Sweep:
     """`solver.sweep` walking every candidate: value iteration runs at each
     point of `possible_cutpoints`, and max_steps counts those candidates.
-    The witness-line sweep must give the same values and trace."""
+    The sweep from crossing to crossing must give the same values and
+    trace."""
     pr = prune_infinite(rows)
     core = pr.rows
     if not core.rows:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -332,6 +333,21 @@ def test_solve_unreadable_game_exits_2_without_traceback(tmp_path, text):
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("end", ["from", "to"])
+@pytest.mark.parametrize("raw", ["[]", '["l1"]', "{}", "null", "1", "true"])
+def test_solve_rejects_a_transition_end_that_is_not_a_name(tmp_path, capsys, end, raw):
+    # an array or object reached Game.__post_init__ unchecked and escaped
+    # main as TypeError: unhashable type
+    game = tmp_path / "ends.json"
+    game.write_text(_fig1_with(("transitions", 0, end), raw))
+    code, out, err = run_cli(capsys, "solve", str(game), "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "transition from and to must be location names" in err
     assert not (tmp_path / "x.json").exists()
 
 
@@ -851,6 +867,24 @@ def test_simulate_rejects_a_strategy_map_given_as_an_array(tmp_path, capsys, pat
     assert err.splitlines() == [f"error: {reason}: expected an object, got list"]
 
 
+@pytest.mark.parametrize("raw", [[], ["0"], ["0", "1/4", "1/2"], "0", {"lo": "0"}, None])
+def test_simulate_rejects_a_strategy_interval_that_is_not_a_pair(tmp_path, capsys, raw):
+    # [] raised IndexError out of main; three literals were read as the
+    # first two without complaint
+    doc = json.loads((FIXTURES / "fig1.values.json").read_text())
+    doc["strategies"]["max"]["l2"]["rows"][0]["interval"] = raw
+    bad = tmp_path / "interval.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "simulate", str(FIXTURES / "fig1.json"), str(bad), "--from", "l2:1/4"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: bad positional strategy: an interval must be a list of two literals, got {raw!r}"
+    ]
+
+
 def test_simulate_bad_start_strings(fig1_solution, capsys):
     for start in ("l1", "nosuch:0", "l1:2", "l1:x", "l1:1e-3", "l1:+inf"):
         code, _, err = run_cli(
@@ -1004,3 +1038,32 @@ def test_point_value_equal_to_its_left_limit_survives_the_document(tmp_path, cap
     code, out, _ = run_cli(capsys, "verify", str(game), str(values), "--grid", "8")
     assert code == 0
     assert "verdict: pass" in out
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "plot", "simulate"])
+def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch, command):
+    # the sha256 line and the parser each read the file: twice per solve,
+    # four times per verify
+    game, values = FIXTURES / "fig1.json", FIXTURES / "fig1.values.json"
+    argv = {
+        "solve": ["solve", str(game), "--out", str(tmp_path / "out.json")],
+        "verify": ["verify", str(game), str(values)],
+        "plot": ["plot", str(values), "--csv", str(tmp_path / "csv")],
+        "simulate": ["simulate", str(game), str(values), "--from", "l1:1/2"],
+    }[command]
+    reads = {}
+    opened = Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads[self.name] = reads.get(self.name, 0) + 1
+        return opened(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    inputs = {"solve": [game], "plot": [values]}.get(command, [game, values])
+    assert reads == {p.name: 1 for p in inputs}
+    # the digest printed is that of the bytes parsed
+    for p in inputs:
+        assert hashlib.sha256(p.read_bytes()).hexdigest() in out

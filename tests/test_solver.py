@@ -15,12 +15,17 @@ from reference import (
     core_game,
     fake_value_upper_bound,
     make_urgent,
+    max_final_cost,
+    max_transition_weight,
+    possible_cutpoints,
     possible_cutpoints_by_fraction,
     validate_nc,
     waiting,
 )
+from test_fan import fan_game
 from test_properties import random_sptg
-from ptgsolve.exactmath import Affine, evaluate
+from ptgsolve import solver
+from ptgsolve.exactmath import Affine, CostFunction, evaluate
 from ptgsolve.model import Config, Guard, InternalError, Location, Transition, make_game, parse_game
 from ptgsolve.solver import (
     BudgetExceeded,
@@ -33,7 +38,7 @@ from ptgsolve.solver import (
     sweep,
 )
 from ptgsolve.strategy import play_out
-from ptgsolve.urgent import InstantEvaluator, compile_game, possible_cutpoints
+from ptgsolve.urgent import InstantEvaluator, compile_game
 
 F = Fraction
 
@@ -248,6 +253,38 @@ def test_synthesis_checks_each_cell_midpoint_against_the_record(fig1, monkeypatc
     assert e.reason == "anchored value of the cell [9/10, 1) disagrees with the computed value function"
 
 
+def _fractional_finals(seed: int):
+    """random_sptg(seed) with every final cost's slope and intercept
+    divided by small integers."""
+    g = random_sptg(seed)
+    locs = [
+        dataclasses.replace(l, final_cost=Affine(phi.slope / (i % 3 + 2), phi.intercept / (i % 4 + 1)))
+        if (phi := l.final_cost) is not None else l
+        for i, l in enumerate(g.locations)
+    ]
+    return make_game(tuple(locs), g.transitions, 1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [fan_game(k, (1, -2, 3)) for k in range(2, 10)] + [_fractional_finals(seed) for seed in range(30)],
+)
+def test_switching_threshold_is_the_lowest_value_less_the_reach(g):
+    # The threshold reads pf, the largest |final cost|, off the placed
+    # lines; it is the lowest value of the pruned core less (n-1)*pt + pf
+    # and the largest |rate|.  Read as the integer pf*L it came out too low
+    # wherever the final costs have a denominator.
+    try:
+        sol = solve(g)
+    except EmptyGame:
+        return
+    core, _ = core_game(g, sol.infinite)
+    reach = (len(core.locations) - 1) * max_transition_weight(core) + max_final_cost(core)
+    lowest = min(min(sol.values[l.name].vals) for l in core.locations)
+    rate = max(abs(l.rate) for l in core.locations)
+    assert sol.min_strategy.threshold == lowest - reach - rate
+
+
 def test_budget_exhaustion_raises(fig1):
     with pytest.raises(BudgetExceeded):
         solve(fig1, max_steps=1)
@@ -366,3 +403,53 @@ def test_cutpoints_of_reanchored_evaluators_match_the_fraction_sort(case):
         for end in (r, nu):
             assert possible_cutpoints(ev, end) == possible_cutpoints_by_fraction(ev, end)
 
+
+def _window_checks(ev, r) -> None:
+    """On the window [0, r] of ev: `_below` finds each candidate's
+    predecessor in the grid, and no candidate lies within the sweep's
+    delta below another."""
+    grid = possible_cutpoints(ev, r)
+    spread = solver._spread(ev, r)
+    for lo, hi in zip(grid, grid[1:]):
+        assert solver._below(ev, hi) == lo
+        # the sweep runs at hi - 1/(q*M) for hi = p/q
+        assert hi - lo >= F(1, hi.denominator * spread)
+        # between two candidates the largest one below is the lower
+        assert solver._below(ev, (lo + hi) / 2) == lo
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(anchored_windows())
+def test_rejection_query_and_delta_on_random_windows(case):
+    g, first, windows = case
+    core = compile_game(g)
+    ev = WindowEvaluator(core, *_on_rows(core, first))
+    _window_checks(ev, F(1))
+    for r, anchor, _ in windows:
+        ev.reanchor(r, *_on_rows(core, anchor))
+        _window_checks(ev, r)
+
+
+@pytest.mark.parametrize("rates", [(1, -2, 3), (-1, 2, -3), (2, 2, -1)])
+def test_rejection_query_and_delta_on_reanchored_fan_windows(rates):
+    # every accepted point of the fan's sweep, as the window end it would
+    # be after a rejection there
+    for k in range(1, 9):
+        sw = sweep(compile_game(fan_game(k, rates)))
+        ev = sw.evaluator
+        for x, vals, den in sw.record:
+            if x > 0:
+                ev.reanchor(x, vals, den)
+                _window_checks(ev, x)
+
+
+def test_closing_build_refuses_breakpoints_out_of_order():
+    # the sweep's record must fall strictly from 1 to 0; a function built
+    # from it checks that with a raise, which python -O keeps
+    built = solver._from_record("l1", [(F(0), 1, 2), (F(1, 3), 3, 4), (F(1), 5, 6)])
+    assert built == CostFunction.from_points([(0, F(1, 2)), (F(1, 3), F(3, 4)), (1, F(5, 6))])
+    for points in ([(F(1, 2), 0, 1), (F(1, 2), 1, 1)], [(F(1), 0, 1), (F(0), 1, 1)]):
+        with pytest.raises(InternalError) as info:
+            solver._from_record("l1", points)
+        e = info.value
+        assert (e.phase, e.where, e.reason) == ("sweep", "l1", "breakpoints must be strictly increasing")

@@ -1,8 +1,8 @@
-"""The witness-line sweep against the walk over every candidate.
+"""The sweep from crossing to crossing against the walk over every candidate.
 
-`solver.sweep` runs value iteration only where a witness line may change
-and reads the skipped candidates off the lines; `reference.grid_sweep`
-runs it at every candidate of the same grid.  Both must give the same
+`solver.sweep` lists no candidates: it runs value iteration once just
+left of each accepted point and steps to the next witness crossing;
+`reference.grid_sweep` runs it at every candidate of the window's grid.  Both must give the same
 functions, the same trace (boundaries, slope breaks, rejections) and the
 same infinities, on the fan, on random simple games and, swapped in for
 the region pipeline's windows, on random reset-acyclic games.

@@ -13,7 +13,6 @@ from ptgsolve.urgent import (
     attractor,
     compile_game,
     iteration_bound,
-    possible_cutpoints,
     unscale,
 )
 
@@ -28,6 +27,7 @@ from reference import (
     max_final_cost,
     max_transition_weight,
     pairwise_intersections,
+    possible_cutpoints,
     possible_cutpoints_by_fraction,
     solve_all_urgent,
     solve_instant,
