@@ -136,6 +136,9 @@ def cmd_verify(args) -> RunReport:
     values = _read(report, "values", args.values)
     g = _read_game(args.game, game)
     doc = document.load(args.values, values)
+    if doc.strategies is not None:
+        # read as `simulate` reads them: a malformed object exits 2
+        document.read_strategies(g, doc)
     report.body.append(f"mode: {doc.mode}")
     lines, witness = document.verify(g, doc, args.grid)
     report.body.extend(lines)

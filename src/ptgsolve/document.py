@@ -12,6 +12,7 @@ rule (`region_values`) and checked by one oracle (`RegionBellmanOracle`).
 """
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,11 +24,13 @@ from .exactmath import (
     CostFunction,
     DomainError,
     Value,
+    _scaled,
+    as_fraction,
     evaluate,
     format_value,
     parse_value,
 )
-from .model import Game, InternalError, Region
+from .model import Game, Region
 from .regions import solving_regions
 from .solver import Solution, SweepTrace
 from .strategy import WAIT_UNTIL, FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
@@ -50,15 +53,10 @@ class Document:
     strategies: Optional[dict]
 
 
-def _segment_to_json(name: str, seg: CostFunction) -> dict:
+def _segment_to_json(seg: CostFunction) -> dict:
     head = {"from": format_value(seg.lo), "to": format_value(seg.hi)}
-    floats = [v for v in seg.vals if isinstance(v, float)]
-    if floats:
-        sign = floats[0]
-        if not (all(v == sign for v in seg.vals) and all(p == sign for p in seg.pieces)):
-            raise InternalError(
-                "document", "a segment mixes finite and infinite values", name, seg.lo
-            )
+    sign = uniform_infinity(seg)
+    if sign is not None:
         head["infinite"] = "inf" if sign > 0 else "-inf"
         return head
     head["points"] = [
@@ -72,7 +70,7 @@ def _values_to_json(values: dict) -> dict:
     for name in sorted(values):
         v = values[name]
         segs = (v,) if isinstance(v, CostFunction) else tuple(v)
-        out[name] = [_segment_to_json(name, s) for s in segs]
+        out[name] = [_segment_to_json(s) for s in segs]
     return out
 
 
@@ -162,17 +160,12 @@ def _segment_from_json(obj) -> CostFunction:
             marker = obj["infinite"]
             if marker not in ("inf", "-inf"):
                 raise ValueError(f"bad infinity marker {marker!r}")
-            v = INF if marker == "inf" else NEG_INF
-            if lo == hi:
-                return CostFunction.point(lo, v)
-            return CostFunction.constant(lo, hi, v)
+            return CostFunction.constant(lo, hi, INF if marker == "inf" else NEG_INF)
         pts = [(parse_value(p["x"]), parse_value(p["v"])) for p in obj["points"]]
         if any(isinstance(x, float) or isinstance(v, float) for x, v in pts):
             raise ValueError("breakpoints of a finite segment must be rational")
         if not pts or pts[0][0] != lo or pts[-1][0] != hi:
             raise ValueError("points do not span the declared interval")
-        if len(pts) == 1:
-            return CostFunction.point(pts[0][0], pts[0][1])
         return CostFunction.from_points(pts)
     except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise SolutionFormatError(f"bad value segment {obj!r}: {exc}") from exc
@@ -382,9 +375,9 @@ def _check_lipschitz(values: dict, cap: Fraction) -> Optional[str]:
         for seg in values[name]:
             if uniform_infinity(seg) is not None or seg.is_point:
                 continue
-            # a finite segment is read by from_points, whose pieces meet its breakpoints
-            for a, b, piece in zip(seg.xs, seg.xs[1:], seg.pieces):
-                slope = piece.slope
+            # each piece's line, derived here once and read again by the oracle
+            for a, b, line in zip(seg.xs, seg.xs[1:], seg.lines):
+                slope = line.slope
                 if abs(slope) > cap:
                     return (
                         f"lipschitz: {name} has slope {format_value(slope)} on "
@@ -394,26 +387,34 @@ def _check_lipschitz(values: dict, cap: Fraction) -> Optional[str]:
 
 
 def _sample_points(g: Game, values: dict, grid: int, borders: set) -> list:
-    pts = {Fraction(0), Fraction(g.clock_bound)}
-    pts.update(borders)
+    """The valuations the Bellman check samples, increasing, each as p/q in
+    lowest terms: 0, the bound, the borders, every breakpoint, the midpoint
+    of each gap between them and grid evenly spaced points, as integers on
+    the scale 2*(grid + 1)*X, X the least common denominator of the first
+    four."""
+    bound = as_fraction(g.clock_bound)
+    xs = {Fraction(0), bound, *borders}
     for segs in values.values():
         for seg in segs:
-            pts.update(seg.xs)
-    ordered = sorted(pts)
-    pts.update((a + b) / 2 for a, b in zip(ordered, ordered[1:]))
-    bound = Fraction(g.clock_bound)
-    for k in range(1, grid + 1):
-        pts.add(k * bound / (grid + 1))
-    return sorted(pts)
+            xs.update(seg.xs)
+    X = math.lcm(*(x.denominator for x in xs))
+    k = grid + 1
+    ordered = sorted(_scaled(x, X) for x in xs)
+    pts = {2 * k * a for a in ordered}
+    pts.update(k * (a + b) for a, b in zip(ordered, ordered[1:]))
+    pts.update(2 * i * _scaled(bound, X) for i in range(1, k))
+    scale = 2 * k * X
+    gcds = ((n, math.gcd(n, scale)) for n in sorted(pts))
+    return [(n // d, scale // d) for n, d in gcds]
 
 
 def _check_bellman(g: Game, regions, values: dict, pts: list) -> Optional[str]:
     region_vals = {name: region_values(regions, segs) for name, segs in values.items()}
     check = RegionBellmanOracle(g, regions, region_vals).check
-    for nu in pts:
-        bad = check(nu)
+    for p, q in pts:
+        bad = check(p, q)
         if bad:
-            return f"bellman: {bad[0]} not locally optimal at {format_value(nu)}"
+            return f"bellman: {bad[0]} not locally optimal at {format_value(Fraction(p, q))}"
     return None
 
 

@@ -3,6 +3,11 @@
 Everything downstream (value iteration, the sweep, region solving) works with
 values that are either exact rationals or one of the two infinities.  Floats
 appear only as the +inf/-inf sentinels; no rounding happens anywhere.
+
+The paper's values are continuous and piecewise affine on each region, so a
+`CostFunction` is its breakpoints and its values there, and each piece is
+the line through its two ends.  The lines are a view, derived once per
+function when a reader first asks for them; `ptg solve` asks for none.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -98,32 +104,43 @@ class Affine:
         return Affine(slope, v1 - slope * x1)
 
 
-def _check_piece(piece) -> None:
-    if isinstance(piece, Affine):
-        return
-    if isinstance(piece, float) and (piece == INF or piece == NEG_INF):
-        return
-    raise TypeError(f"piece must be Affine or an infinity sentinel, got {piece!r}")
+def _infinity(v: float) -> float:
+    if v == INF or v == NEG_INF:
+        return v
+    raise TypeError(f"a float value must be an infinity sentinel, got {v!r}")
+
+
+def _slope(x0: Fraction, v0: Fraction, x1: Fraction, v1: Fraction) -> tuple:
+    """The slope between two finite breakpoints, x0 < x1, as an unreduced
+    integer pair (numerator, denominator > 0)."""
+    p0, q0, p1, q1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+    a0, b0, a1, b1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
+    return (a1 * b0 - a0 * b1) * q0 * q1, b0 * b1 * (p1 * q0 - p0 * q1)
+
+
+def _straight(left: tuple, right: tuple) -> bool:
+    """Whether two slopes as `_slope` gives them are equal."""
+    return left[0] * right[1] == right[0] * left[1]
 
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Piecewise function on a closed rational interval [lo, hi].
+    """Continuous piecewise-affine function on a closed rational interval [lo, hi].
 
-    ``xs`` are the breakpoints (strictly increasing, first is lo, last is hi),
-    ``vals`` the exact values at the breakpoints, and ``pieces[i]`` describes
-    the open interval (xs[i], xs[i+1]): an Affine line or an infinity
-    sentinel.  Adjacent finite pieces share their breakpoint value, so the
-    function is continuous wherever it is finite.  A breakpoint value next to
-    an infinite piece records the finite neighbour's value when there is one.
+    ``xs`` are the breakpoints (strictly increasing, first is lo, last is
+    hi) and ``vals`` the exact values there; each piece is the line through
+    its two breakpoints (`lines`).  A function is finite everywhere or one
+    infinity everywhere: the paper's values are continuous on each region,
+    and a region's value is infinite throughout or nowhere.
 
-    Instances are canonical: collinear neighbours and same-sign infinite
-    neighbours are merged on construction, which makes equality structural.
+    Instances are canonical, which makes equality structural: no breakpoint
+    lies on the line through its neighbours, and an infinite function has
+    no inner breakpoint.  The constructor checks its arguments and drops
+    such breakpoints; the functions the package makes are canonical as made.
     """
 
     xs: tuple
     vals: tuple
-    pieces: tuple
 
     def __post_init__(self):
         xs = tuple(as_fraction(x) for x in self.xs)
@@ -131,37 +148,48 @@ class CostFunction:
             raise DomainError("a cost function needs at least one breakpoint")
         if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
             raise DomainError("breakpoints must be strictly increasing")
-        vals = tuple(v if isinstance(v, float) else as_fraction(v) for v in self.vals)
-        if len(vals) != len(xs):
+        if len(self.vals) != len(xs):
             raise DomainError("one value per breakpoint required")
-        pieces = tuple(self.pieces)
-        if len(pieces) != len(xs) - 1:
-            raise DomainError("one piece per consecutive breakpoint pair required")
-        for p in pieces:
-            _check_piece(p)
-        for i, p in enumerate(pieces):
-            if isinstance(p, Affine):
-                if p(xs[i]) != vals[i] or p(xs[i + 1]) != vals[i + 1]:
-                    raise DomainError(
-                        f"piece {i} does not meet its breakpoint values"
-                    )
-        self._store(xs, vals, pieces)
+        floats = [_infinity(v) for v in self.vals if isinstance(v, float)]
+        if floats:
+            if len(floats) != len(xs) or len(set(floats)) != 1:
+                raise DomainError("a cost function is finite everywhere or one infinity everywhere")
+            xs = xs[:1] + xs[1:][-1:]
+            self._store(xs, (floats[0],) * len(xs))
+            return
+        vals = tuple(as_fraction(v) for v in self.vals)
+        out_x, out_v = list(xs[:2]), list(vals[:2])
+        last = _slope(xs[0], vals[0], xs[1], vals[1]) if len(xs) > 1 else None
+        for x, v in zip(xs[2:], vals[2:]):
+            s = _slope(out_x[-1], out_v[-1], x, v)
+            if _straight(last, s):
+                out_x[-1], out_v[-1] = x, v
+            else:
+                out_x.append(x)
+                out_v.append(v)
+                last = s
+        self._store(tuple(out_x), tuple(out_v))
 
-    def _store(self, xs: tuple, vals: tuple, pieces: tuple) -> None:
-        """Canonicalises and keeps checked parts; every build ends here."""
-        xs, vals, pieces = _canonical(xs, vals, pieces)
+    def _store(self, xs: tuple, vals: tuple) -> None:
+        """Keeps checked, canonical parts; every build ends here."""
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vals", vals)
-        object.__setattr__(self, "pieces", pieces)
 
     @classmethod
-    def _trusted(cls, xs: tuple, vals: tuple, pieces: tuple) -> "CostFunction":
-        """A function from parts known to be valid: exact, with strictly
-        increasing breakpoints and each finite piece meeting its two
-        breakpoint values.  Only canonicalised, never re-evaluated."""
+    def _trusted(cls, xs: tuple, vals: tuple) -> "CostFunction":
+        """A function from parts known to be valid and canonical: exact,
+        with strictly increasing breakpoints and no breakpoint on the line
+        through its neighbours."""
         f = object.__new__(cls)
-        f._store(xs, vals, pieces)
+        f._store(xs, vals)
         return f
+
+    @cached_property
+    def lines(self) -> tuple:
+        """The line of each piece, left to right, through its two
+        breakpoints: derived on the first read, for a finite function."""
+        xs, vals = self.xs, self.vals
+        return tuple(Affine.through(xs[i], vals[i], xs[i + 1], vals[i + 1]) for i in range(len(xs) - 1))
 
     @property
     def lo(self) -> Fraction:
@@ -177,97 +205,47 @@ class CostFunction:
 
     @staticmethod
     def from_points(points: Sequence) -> "CostFunction":
-        """Interpolate finite breakpoint values: [(x0, v0), ..., (xn, vn)].
-
-        Each piece is built through its own two points, so only the order of
-        the breakpoints is checked; a document's slopes are read off them.
-        """
-        pts = [(as_fraction(x), as_fraction(v)) for x, v in points]
-        if not pts:
-            raise DomainError("a cost function needs at least one breakpoint")
-        xs = tuple(x for x, _ in pts)
-        vals = tuple(v for _, v in pts)
-        pieces = tuple(
-            Affine.through(xs[i], vals[i], xs[i + 1], vals[i + 1])
-            for i in range(len(xs) - 1)
-        )
-        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-            raise DomainError("breakpoints must be strictly increasing")
-        return CostFunction._trusted(xs, vals, pieces)
+        """Interpolate finite breakpoint values: [(x0, v0), ..., (xn, vn)]."""
+        return CostFunction(tuple(x for x, _ in points), tuple(v for _, v in points))
 
     @staticmethod
     def from_affine(lo, hi, line: Affine) -> "CostFunction":
-        """The line on [lo, hi], whose one piece meets its ends by construction."""
+        """The line on [lo, hi]."""
         lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
             raise DomainError("breakpoints must be strictly increasing")
         if lo == hi:
-            return CostFunction._trusted((lo,), (line(lo),), ())
-        return CostFunction._trusted((lo, hi), (line(lo), line(hi)), (line,))
+            return CostFunction._trusted((lo,), (line(lo),))
+        return CostFunction._trusted((lo, hi), (line(lo), line(hi)))
 
     @staticmethod
     def constant(lo, hi, v: Value) -> "CostFunction":
-        """v on [lo, hi]; valid by construction once lo <= hi and a float v
-        is an infinity sentinel."""
+        """v on [lo, hi]; a float v must be an infinity sentinel."""
         lo, hi = as_fraction(lo), as_fraction(hi)
-        if not isinstance(v, float):
-            return CostFunction.from_affine(lo, hi, Affine(Fraction(0), as_fraction(v)))
-        _check_piece(v)
+        v = _infinity(v) if isinstance(v, float) else as_fraction(v)
         if lo > hi:
             raise DomainError("breakpoints must be strictly increasing")
         if lo == hi:
-            return CostFunction._trusted((lo,), (v,), ())
-        return CostFunction._trusted((lo, hi), (v, v), (v,))
+            return CostFunction._trusted((lo,), (v,))
+        return CostFunction._trusted((lo, hi), (v, v))
 
     @staticmethod
     def point(x, v: Value) -> "CostFunction":
         """v at x alone; a float v must be an infinity sentinel."""
-        if isinstance(v, float):
-            _check_piece(v)
-        else:
-            v = as_fraction(v)
-        return CostFunction._trusted((as_fraction(x),), (v,), ())
-
-
-def _canonical(xs, vals, pieces):
-    """Merge collinear finite neighbours and same-sign infinite neighbours."""
-    if len(pieces) <= 1:
-        return xs, vals, pieces
-    out_x = [xs[0]]
-    out_v = [vals[0]]
-    out_p = []
-    for i, p in enumerate(pieces):
-        if out_p:
-            prev = out_p[-1]
-            mergeable = (
-                isinstance(prev, Affine) and isinstance(p, Affine) and prev == p
-            ) or (
-                isinstance(prev, float) and isinstance(p, float) and prev == p
-                and vals[i] == prev
-            )
-            if mergeable:
-                out_x[-1] = xs[i + 1]
-                out_v[-1] = vals[i + 1]
-                continue
-        out_p.append(p)
-        out_x.append(xs[i + 1])
-        out_v.append(vals[i + 1])
-    return tuple(out_x), tuple(out_v), tuple(out_p)
+        v = _infinity(v) if isinstance(v, float) else as_fraction(v)
+        return CostFunction._trusted((as_fraction(x),), (v,))
 
 
 def evaluate(f: CostFunction, nu) -> Value:
-    """Exact value of f at nu; at a breakpoint, the recorded shared value."""
+    """Exact value of f at nu: its recorded value at a breakpoint or where
+    f is infinite, else the value of nu's piece's line."""
     nu = as_fraction(nu)
     if nu < f.lo or nu > f.hi:
         raise DomainError(f"{nu} outside domain [{f.lo}, {f.hi}]")
     i = bisect_left(f.xs, nu)
-    # breakpoints carry their own value (matters next to infinite pieces)
-    if f.xs[i] == nu:
+    if f.xs[i] == nu or isinstance(f.vals[i], float):
         return f.vals[i]
-    piece = f.pieces[i - 1]
-    if isinstance(piece, Affine):
-        return piece(nu)
-    return piece
+    return f.lines[i - 1](nu)
 
 
 def concat(*parts: CostFunction) -> CostFunction:
@@ -275,7 +253,9 @@ def concat(*parts: CostFunction) -> CostFunction:
 
     Every seam must carry the same value on both sides.  Point parts add
     nothing beyond their seam, and a single part comes back unchanged.  The
-    parts are valid already, so only the seams are checked.
+    parts are valid and canonical already, so only the seams are checked,
+    and a seam stays a breakpoint unless the pieces on its two sides lie on
+    one line (or both are infinite).
     """
     for left, right in zip(parts, parts[1:]):
         if right.lo != left.hi:
@@ -289,8 +269,13 @@ def concat(*parts: CostFunction) -> CostFunction:
     spans = [p for p in parts if not p.is_point] or parts[:1]
     if len(spans) == 1:
         return spans[0]
-    xs = spans[0].xs + tuple(x for p in spans[1:] for x in p.xs[1:])
-    vals = spans[0].vals + tuple(v for p in spans[1:] for v in p.vals[1:])
-    pieces = tuple(piece for p in spans for piece in p.pieces)
-    return CostFunction._trusted(xs, vals, pieces)
-
+    xs, vals = list(spans[0].xs), list(spans[0].vals)
+    for p in spans[1:]:
+        # the seam value is shared, so both sides are finite or one infinity
+        if isinstance(vals[-1], float) or _straight(
+            _slope(xs[-2], vals[-2], xs[-1], vals[-1]), _slope(p.xs[0], p.vals[0], p.xs[1], p.vals[1])
+        ):
+            del xs[-1], vals[-1]
+        xs += p.xs[1:]
+        vals += p.vals[1:]
+    return CostFunction._trusted(tuple(xs), tuple(vals))

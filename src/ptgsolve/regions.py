@@ -457,14 +457,10 @@ def _stitch(regs, per) -> tuple:
     region starts is kept as a point segment of its own.  Regions are
     grouped into runs that agree at their seams; each run is one `concat`.
     """
-    pcfs = []
-    for reg, piece in zip(regs, per):
-        if not isinstance(piece, float):
-            pcfs.append(piece)
-        elif reg.is_point:
-            pcfs.append(CostFunction.point(reg.lo, piece))
-        else:
-            pcfs.append(CostFunction.constant(reg.lo, reg.hi, piece))
+    pcfs = [
+        CostFunction.constant(reg.lo, reg.hi, piece) if isinstance(piece, float) else piece
+        for reg, piece in zip(regs, per)
+    ]
     runs = []
     for pcf, nxt in zip(pcfs, pcfs[1:] + [None]):
         alone = pcf.is_point and nxt is not None and nxt.vals[0] != pcf.vals[0]

@@ -34,9 +34,10 @@ an integer over one positive common denominator, and the slope test and
 the test for an unchanged chord are integer cross-multiplications.  Its
 record holds every accepted point once, with every row's value as an
 integer on that point's denominator.  A location's breakpoints index
-into it, gaining a point only where its chord changes, and each value
-function is built straight from those integers.  The synthesis anchors
-its cells and checks their midpoints from the same record.
+into it, gaining a point only where its chord changes, across a window
+restart too, so each value function is canonical as built: its
+breakpoints and one Fraction per value, with no line.  The synthesis
+anchors its cells and checks their midpoints from the same record.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import Affine, CostFunction, as_fraction, format_value
+from .exactmath import CostFunction, as_fraction, format_value
 from .model import Game, InternalError, check_sptg
 from .strategy import FPStrategy, Move, SwitchingStrategy
 from .urgent import (
@@ -284,7 +285,10 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
     tests of the walk over every candidate.  Where the slope test fails,
     the trace names the largest candidate below b (`_below`) and the window
     closes at b.  Every accepted point goes into the record once, with its
-    integers; the value functions and `solve`'s synthesis read it.
+    integers; the value functions and `solve`'s synthesis read it.  A row
+    gains a breakpoint only where its chord differs from the accepted one
+    above, after a window restart too, so no breakpoint of a function lies
+    on the line through its neighbours.
     """
     c, d = (as_fraction(v) for v in (onto or (0, 1)))
     length = d - c
@@ -362,14 +366,14 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
             r = b
             ev.reanchor(r, f_b, db)
             win = WindowTrace(start=r)
-            prev = None
             continue
         same = None
         if prev is not None:
+            # kept across a window restart: an unchanged chord adds no breakpoint
             pnums, pden = prev
             same = [n * pden == pn * den for n, pn in zip(nums, pnums)]
             moved = [names[j] for j, kept in enumerate(same) if not kept]
-            if moved:
+            if moved and b != r:
                 win.slope_breaks.append((b, moved))
         z = _witness_reach(ev, a, x, da, nums, den)
         f_b, db = _on_lines(f_b, db, nums, den, b - z)
@@ -467,20 +471,13 @@ def _on_lines(f: list, df: int, nums: list, den: int, dw: Fraction) -> tuple:
 
 def _from_record(name: str, points: list) -> CostFunction:
     """name's value function through its breakpoints (x, v, d), left to
-    right, each worth v/d; every piece's slope and intercept come straight
-    from those integers."""
-    pieces = []
-    for (x0, v0, d0), (x1, v1, d1) in zip(points, points[1:]):
-        p0, q0, p1, q1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
-        dx = p1 * q0 - p0 * q1
-        if dx <= 0:
+    right, each worth v/d.  The sweep gives a location a breakpoint only
+    where its chord changes, so no breakpoint lies on the line through its
+    neighbours and the function is canonical as built."""
+    for (x0, _, _), (x1, _, _) in zip(points, points[1:]):
+        if x1 <= x0:
             raise InternalError("sweep", "breakpoints must be strictly increasing", name, x1)
-        # (v1/d1 - v0/d0) / (x1 - x0), and the line's value at 0
-        slope = Fraction((v1 * d0 - v0 * d1) * q0 * q1, d0 * d1 * dx)
-        sn, sd = slope.numerator, slope.denominator
-        pieces.append(Affine(slope, Fraction(v0 * sd * q0 - sn * p0 * d0, d0 * sd * q0)))
-    vals = tuple(Fraction(v, d) for _, v, d in points)
-    return CostFunction._trusted(tuple(x for x, _, _ in points), vals, tuple(pieces))
+    return CostFunction._trusted(tuple(x for x, _, _ in points), tuple(Fraction(v, d) for _, v, d in points))
 
 
 def solve(g: Game, max_steps: Optional[int] = None) -> Solution:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .exactmath import INF, Affine, Value, _scaled, as_fraction, format_value
+from .exactmath import INF, Value, _scaled, as_fraction, format_value
 from .model import MAX, Config, Game
 
 NOW = "now"
@@ -219,8 +219,10 @@ class RegionBellmanOracle:
       reset and the suffix optima.
 
     The inputs are put on the scales once, and the tables are built from
-    those integers.  At nu = p/q every candidate and the claim are then
-    numerators over the one positive denominator M*q:
+    those integers; a function's pieces are its `CostFunction.lines`,
+    derived on the first read and shared with `ptg verify`'s slope check.
+    At nu = p/q every candidate and the claim are then numerators over the
+    one positive denominator M*q:
 
     - a piece s*nu + c is s*D * p*X + c*M * q, a breakpoint value v*M * q;
     - a weight w is w*M * q;
@@ -245,10 +247,11 @@ class RegionBellmanOracle:
         vden = set()
         for f in funcs.values():
             xden.update(x.denominator for x in f.xs)
-            vden.update(v.denominator for v in f.vals if not isinstance(v, float))
-            for piece in f.pieces:
-                if isinstance(piece, Affine):
-                    vden.update((piece.slope.denominator, piece.intercept.denominator))
+            if isinstance(f.vals[0], float):
+                continue
+            vden.update(v.denominator for v in f.vals)
+            for line in () if f.is_point else f.lines:
+                vden.update((line.slope.denominator, line.intercept.denominator))
         for t in g.transitions:
             xden.add(t.guard.lo.denominator)
             if not isinstance(t.guard.hi, float):
@@ -306,10 +309,9 @@ class RegionBellmanOracle:
                 moves.append((w, reset, always, lo, hi, opened, ks, suffix, t.target))
             self.rows.append((l.name, pick, l.urgent, rate, moves))
 
-    def check(self, nu) -> list:
-        """Names of locations whose claimed value is not locally optimal at nu."""
-        nu = as_fraction(nu)
-        p, q = nu.numerator, nu.denominator
+    def check(self, p: int, q: int) -> list:
+        """Names of locations whose claimed value is not locally optimal at
+        the valuation p/q, in lowest terms with q > 0."""
         X, borders, entries = self.X, self.borders, self.entries
         exact = X % q == 0  # only then is nu*X an integer, and can equal an abscissa
         px = p * X
@@ -355,17 +357,13 @@ class RegionBellmanOracle:
 def _table(f, X: int, D: int, M: int) -> tuple:
     """A CostFunction on the scales, as the check reads it, and its
     breakpoints.  It reads a line (slope*D, intercept*M) where one line
-    gives every value on the closure (a point or one affine piece), else
-    (xs, vals, lines), an infinite piece being the line (0, inf)."""
+    gives every value on the closure (a point, an infinity as the line
+    (0, inf), or one piece), else (xs, vals, lines), with f's lines."""
     xs = [_scaled(x, X) for x in f.xs]
-    if f.is_point:
+    if f.is_point or isinstance(f.vals[0], float):
         return (0, _scaled(f.vals[0], M)), xs
-    lines = [
-        (_scaled(p.slope, D), _scaled(p.intercept, M)) if isinstance(p, Affine) else (0, p)
-        for p in f.pieces
-    ]
-    if len(lines) == 1 and isinstance(f.pieces[0], Affine):
-        # CostFunction checks on construction that the line meets both ends
+    lines = [(_scaled(line.slope, D), _scaled(line.intercept, M)) for line in f.lines]
+    if len(lines) == 1:
         return lines[0], xs
     return (xs, [_scaled(v, M) for v in f.vals], lines), xs
 

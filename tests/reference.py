@@ -102,20 +102,9 @@ def restrict(f: CostFunction, lo, hi) -> CostFunction:
     lo, hi = as_fraction(lo), as_fraction(hi)
     if lo < f.lo or hi > f.hi or lo > hi:
         raise DomainError(f"[{lo}, {hi}] not inside [{f.lo}, {f.hi}]")
-    if lo == hi:
-        return CostFunction.point(lo, evaluate(f, lo))
-    xs = [lo]
-    vals = [evaluate(f, lo)]
-    pieces = []
-    for i, p in enumerate(f.pieces):
-        a, b = f.xs[i], f.xs[i + 1]
-        if b <= lo or a >= hi:
-            continue
-        cut_b = min(b, hi)
-        pieces.append(p)
-        xs.append(cut_b)
-        vals.append(p(cut_b) if isinstance(p, Affine) else f.vals[i + 1] if cut_b == b else p)
-    return CostFunction(tuple(xs), tuple(vals), tuple(pieces))
+    inner = [(x, v) for x, v in zip(f.xs, f.vals) if lo < x < hi]
+    ends = [(hi, evaluate(f, hi))] if hi > lo else []
+    return CostFunction.from_points([(lo, evaluate(f, lo)), *inner, *ends])
 
 
 class InfinitePiece(ValueError):
@@ -613,7 +602,8 @@ def bellman_check(g: Game, vals: dict, nu) -> list:
         for l in g.locations
     }
     per_region = {name: (f,) * len(regions) for name, f in claims.items()}
-    return RegionBellmanOracle(g, regions, per_region).check(nu)
+    nu = as_fraction(nu)
+    return RegionBellmanOracle(g, regions, per_region).check(nu.numerator, nu.denominator)
 
 
 def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:
@@ -624,7 +614,8 @@ def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:
     of which RegionBellmanOracle reads from a suffix table.  To check many
     valuations, build the oracle once and call its check.
     """
-    return RegionBellmanOracle(g, regions, region_vals).check(nu)
+    nu = as_fraction(nu)
+    return RegionBellmanOracle(g, regions, region_vals).check(nu.numerator, nu.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def _assert_same(g: Game, vals: dict) -> int:
     for nu in _points(g, vals):
         got = bellman_check(g, vals, nu)
         assert got == reference_region_bellman_check(g, list(regions), split, nu), f"at {nu}"
-        assert whole.check(nu) == got, f"at {nu}"
+        assert whole.check(nu.numerator, nu.denominator) == got, f"at {nu}"
         if closed:
             assert got == reference_bellman_check(g, vals, nu), f"at {nu}"
         failed += len(got)
@@ -219,7 +219,8 @@ def _one_step(g: Game, vals: dict, name: str, nu):
     """The reference's right-hand side at (name, nu), read through a probe."""
     probe = _Probe()
     claim = SimpleNamespace(
-        lo=F(0), hi=g.clock_bound, xs=(F(0), g.clock_bound), vals=(probe, probe), pieces=(probe,)
+        lo=F(0), hi=g.clock_bound, xs=(F(0), g.clock_bound), vals=(probe, probe),
+        lines=(lambda _: probe,),
     )
     reference_bellman_check(g, {**vals, name: claim}, nu)
     return probe.seen
@@ -277,10 +278,7 @@ def solved_claims(draw):
         vals = {q: CostFunction.constant(0, 1, exc.infinite[q]) for q in names}
     moved = draw(st.sampled_from(names))
     f = vals[moved]
-    finite = all(isinstance(p, Affine) for p in f.pieces) and all(
-        not isinstance(v, float) for v in f.vals
-    )
-    if draw(st.booleans()) and finite:
+    if draw(st.booleans()) and not isinstance(f.vals[0], float):
         i = draw(st.integers(0, len(f.xs) - 1))
         shift = draw(st.sampled_from((F(-1), F(-1, 8), F(1, 8), F(1))))
         points = list(zip(f.xs, f.vals))
@@ -337,7 +335,7 @@ def test_open_guard_end_off_a_border_counts_its_right_limit():
     g = make_game(locs, [Transition("m", Guard(F(1, 4), 1, False, True), False, "f", 0)], 1)
     coarse = (Region(0, 0), Region(0, 1), Region(1, 1))
     claim = {"m": CostFunction.constant(0, 1, F(1, 4))}
-    assert RegionBellmanOracle(g, coarse, _split(g, coarse, claim)).check(F(1, 4)) == []
+    assert RegionBellmanOracle(g, coarse, _split(g, coarse, claim)).check(1, 4) == []
     assert bellman_check(g, claim, F(1, 4)) == []
     assert reference_bellman_check(g, claim, F(1, 4)) == ["m"]
 

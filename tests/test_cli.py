@@ -13,7 +13,9 @@ from test_fan import fan_game
 from test_regions import urgent_reset_game
 from test_solver import corrupting_sweep
 
+from ptgsolve import document
 from ptgsolve.cli import main
+from ptgsolve.exactmath import format_value
 from ptgsolve.model import serialize_game
 
 F = Fraction
@@ -537,8 +539,7 @@ def test_verify_unreadable_document_exits_2_without_traceback(tmp_path, text):
 
 @pytest.mark.parametrize("marker", ["inf", "-inf"])
 def test_verify_rejects_a_reversed_infinite_segment(fig1_solution, tmp_path, capsys, marker):
-    # an infinite segment is built without checking its pieces, but its
-    # ends must still be in order
+    # an infinite segment has only its two ends, which must be in order
     doc = json.loads(fig1_solution.read_text())
     doc["values"]["l1"] = [{"from": "1", "to": "0", "infinite": marker}]
     bad = tmp_path / "reversed.json"
@@ -883,6 +884,59 @@ def test_simulate_rejects_a_strategy_interval_that_is_not_a_pair(tmp_path, capsy
     assert err.splitlines() == [
         f"error: bad positional strategy: an interval must be a list of two literals, got {raw!r}"
     ]
+
+
+@pytest.mark.parametrize(
+    "path, raw, reason",
+    [
+        (("max", "l2", "rows", 0, "interval"), [], "bad positional strategy: an interval must be"),
+        (("min", "sigma2", "l1", "t_index"), 12, "bad switching strategy: move"),
+        (("min", "sigma1"), [], "bad switching strategy: bad positional strategy: expected an object"),
+    ],
+    ids=["empty-interval", "t-index-out-of-range", "map-as-array"],
+)
+def test_verify_reads_the_strategies_object(tmp_path, capsys, path, raw, reason):
+    # verify passed each of these, exit 0, without reading the strategies
+    # that simulate refuses
+    doc = json.loads((FIXTURES / "fig1.values.json").read_text())
+    obj = doc["strategies"]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = raw
+    bad = tmp_path / "strategies.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(FIXTURES / "fig1.json"), str(bad))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {reason}")
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in FIXTURES.glob("*.json") if p.name.endswith((".values.json", ".regions.json")))
+)
+def test_documents_are_their_breakpoints(tmp_path, capsys, name):
+    # A function is its breakpoints: each committed document reads back to
+    # the values it was written from, and a copy with one more breakpoint
+    # on a piece's line reads to the same functions and verifies the same.
+    raw = json.loads((FIXTURES / name).read_text())
+    doc = document.load(str(FIXTURES / name))
+    assert document._values_to_json(doc.values) == raw["values"]
+    seg = next(
+        seg for _, segs in sorted(raw["values"].items()) for seg in segs if len(seg.get("points", ())) > 1
+    )
+    (x0, v0), (x1, v1) = ((F(p["x"]), F(p["v"])) for p in seg["points"][:2])
+    x, v = x0 + (x1 - x0) / 3, v0 + (v1 - v0) / 3
+    seg["points"].insert(1, {"x": format_value(x), "v": format_value(v)})
+    extra = tmp_path / name
+    extra.write_text(json.dumps(raw))
+    assert document.load(str(extra)).values == doc.values
+    outputs = []
+    for path in (FIXTURES / name, extra):
+        code, out, _ = run_cli(capsys, "verify", str(FIXTURES / f"{name.split('.')[0]}.json"), str(path))
+        assert code == 0
+        outputs.append([line for line in out.splitlines() if not line.startswith("values: ")])
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_bad_start_strings(fig1_solution, capsys):

@@ -78,6 +78,30 @@ def test_fan_builds_each_value_function_once(monkeypatch):
     assert builds <= 2 * len(g.locations)
 
 
+@pytest.mark.parametrize("case", ["fan", "guarded_jump"])
+def test_solve_builds_no_line_it_never_reads(tmp_path, capsys, monkeypatch, case):
+    # A value function is its breakpoints, and the document writes points
+    # only, so `ptg solve` derives no line (lines come from Affine.through).
+    # The closing build made one Affine per piece: 48 on this fan.  Parsing
+    # builds the final costs, and the region pipeline's stubs the lines of
+    # their values.
+    game = tmp_path / "game.json"
+    game.write_text(serialize_game(fan_game(16, (1, -2, 3))) if case == "fan" else load_fixture(f"{case}.json"))
+    callers = []
+    post_init = Affine.__post_init__
+
+    def counting(self):
+        # this frame, the dataclass __init__, then whoever builds the line
+        callers.append(sys._getframe(2).f_code.co_name)
+        post_init(self)
+
+    monkeypatch.setattr(Affine, "__post_init__", counting)
+    assert main(["solve", str(game), "--out", str(tmp_path / "game.values.json")]) == 0
+    capsys.readouterr()
+    assert "_parse_affine" in callers
+    assert set(callers) <= {"_parse_affine", "stub"}
+
+
 def test_fan_value_iteration_stays_on_its_integer_scale(monkeypatch):
     # Each evaluator puts the final costs on one integer scale once: a run
     # evaluates no Affine.  Evaluating every final per run made one Affine
@@ -292,6 +316,30 @@ def test_guarded_fan_verify_builds_its_region_tables_once(tmp_path, capsys, monk
     assert counts["evaluate"] <= 750
 
 
+@pytest.mark.parametrize("case", ["fan", "guarded_fan"])
+def test_verify_derives_each_functions_lines_once(tmp_path, capsys, monkeypatch, case):
+    # The slope check, the oracle's tables and evaluate between breakpoints
+    # all read a function's lines; the first read derives them, and a point
+    # has none to derive.
+    g = fan_game(16, (1, -2, 3)) if case == "fan" else guarded_fan(16, (1, -2, 3))
+    game, values = tmp_path / "game.json", tmp_path / "game.values.json"
+    game.write_text(serialize_game(g))
+    assert main(["solve", str(game), "--out", str(values)]) == 0
+    derived = []
+    lines = CostFunction.__dict__["lines"]
+    derive = lines.func
+
+    def counting(f):
+        derived.append(f)
+        return derive(f)
+
+    monkeypatch.setattr(lines, "func", counting)
+    assert main(["verify", str(game), str(values), "--grid", "16"]) == 0
+    capsys.readouterr()
+    assert derived and not any(f.is_point for f in derived)
+    assert len({id(f) for f in derived}) == len(derived)
+
+
 @pytest.mark.parametrize("case", ["fan", "guarded_jump"])
 def test_bellman_checks_do_no_fraction_arithmetic(tmp_path, monkeypatch, case):
     # The oracle puts its tables on two integer scales when it is built, so
@@ -320,7 +368,7 @@ def test_bellman_checks_do_no_fraction_arithmetic(tmp_path, monkeypatch, case):
             return plain(*args)
 
         monkeypatch.setattr(F, op, counting)
-    verdicts = [oracle.check(nu) for nu in points]
+    verdicts = [oracle.check(p, q) for p, q in points]
     monkeypatch.undo()
     assert verdicts == [[]] * len(points)
     assert counts == {}

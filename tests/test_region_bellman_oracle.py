@@ -160,7 +160,7 @@ def _sampled(g: Game, regions, vals: dict) -> list:
     2**64."""
     segments = {name: [f for f in per if not isinstance(f, float)] for name, per in vals.items()}
     borders = {reg.lo for reg in regions if reg.is_point}
-    pts = _sample_points(g, segments, 16, borders)
+    pts = [F(p, q) for p, q in _sample_points(g, segments, 16, borders)]
     return pts + [a + (b - a) / (2**107 - 1) for a, b in zip(pts, pts[1:])]
 
 
@@ -171,7 +171,7 @@ def _assert_same(g: Game, vals: dict, points=_points) -> int:
     failed = 0
     for nu in points(g, regions, vals):
         want = reference_region_bellman_check(g, list(regions), vals, nu)
-        assert oracle.check(nu) == want, f"at {nu}"
+        assert oracle.check(nu.numerator, nu.denominator) == want, f"at {nu}"
         assert region_bellman_check(g, regions, vals, nu) == want, f"at {nu}"
         failed += len(want)
     return failed
@@ -303,7 +303,8 @@ def _one_step(g: Game, regions, vals: dict, name: str, nu):
     """The reference's right-hand side at (name, nu), read through a probe."""
     probe = _Probe()
     claim = SimpleNamespace(
-        lo=F(0), hi=g.clock_bound, xs=(F(0), g.clock_bound), vals=(probe, probe), pieces=(probe,)
+        lo=F(0), hi=g.clock_bound, xs=(F(0), g.clock_bound), vals=(probe, probe),
+        lines=(lambda _: probe,),
     )
     reference_region_bellman_check(g, list(regions), {**vals, name: [claim] * len(regions)}, nu)
     return probe.seen

@@ -258,7 +258,7 @@ def test_solve_all_urgent_infinite_column():
         {"f": Affine(0, 0)},
     )
     f = solve_all_urgent(g, 1)["l"]
-    assert f.pieces == (NEG_INF,)
+    assert f.vals == (NEG_INF, NEG_INF)
     assert evaluate(f, F(1, 3)) == NEG_INF
 
 
