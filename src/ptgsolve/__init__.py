@@ -3,7 +3,8 @@
 Values are piecewise-affine functions of the clock with exact rational
 breakpoints.  Simple games (all guards [0, 1], no resets) get optimal
 strategies for both players; guarded reset-acyclic games are solved per
-clock region through the pipeline in :mod:`ptgsolve.regions`.
+clock region through the pipeline in :mod:`ptgsolve.regions`.  Both
+return one :class:`Solution`.
 """
 
 from .exactmath import (
@@ -42,7 +43,6 @@ from .urgent import (
 )
 from .solver import (
     BudgetExceeded,
-    EmptyGame,
     NonSPTG,
     Solution,
     solve,
@@ -55,7 +55,6 @@ from .strategy import (
     play_out,
 )
 from .regions import (
-    RegionSolution,
     ResetCycle,
     build_region_game,
     check_reset_acyclic,
@@ -92,7 +91,6 @@ __all__ = [
     "compile_game",
     "iteration_bound",
     "BudgetExceeded",
-    "EmptyGame",
     "NonSPTG",
     "Solution",
     "solve",
@@ -101,7 +99,6 @@ __all__ = [
     "Play",
     "SwitchingStrategy",
     "play_out",
-    "RegionSolution",
     "ResetCycle",
     "build_region_game",
     "check_reset_acyclic",

@@ -1,12 +1,14 @@
 """Command line front end.
 
-Four subcommands: ``solve`` writes a solution JSON next to the input,
-``verify`` re-checks a solution against its game by local optimality and
-slope bounds, ``plot`` exports per-location CSV tables for plotting, and
-``simulate`` replays the stored strategies against each other and against
-seeded random opponents.  The solution JSON, its reader and verify's
-checks are in :mod:`ptgsolve.document`; this module parses the arguments,
-prints the reports and maps errors to exit codes.
+Four subcommands: ``solve`` writes a solution JSON next to the input from
+the one `Solution` that either pipeline returns (``strategies: none``
+when it has none), ``verify`` re-checks a solution against its game by
+local optimality and slope bounds, ``plot`` exports per-location CSV
+tables for plotting, and ``simulate`` replays the stored strategies
+against each other and against seeded random opponents.  The solution
+JSON, its reader and verify's checks are in :mod:`ptgsolve.document`;
+this module parses the arguments, prints the reports and maps errors to
+exit codes.
 
 Exit codes: 0 success, 2 unreadable or invalid input, 3 reset cycle,
 4 step budget exhausted, 5 verification or simulation failure, 6 internal
@@ -37,7 +39,7 @@ from .document import MODE_REGIONS, MODE_SPTG, SolutionFormatError
 from .exactmath import format_value, parse_value
 from .model import MAX, Config, Game, GameSyntaxError, InternalError, ValidationError, check_sptg, parse_game
 from .regions import ResetCycle, solve_reset_acyclic
-from .solver import BudgetExceeded, EmptyGame, NonSPTG, solve
+from .solver import BudgetExceeded, NonSPTG, solve
 from .strategy import FPStrategy, IllegalMove, Move, play_out
 
 EXIT_OK = 0
@@ -105,22 +107,14 @@ def cmd_solve(args) -> RunReport:
     if mode == "auto":
         is_simple = g.clock_bound == 1 and check_sptg(g, 1)
         mode = MODE_SPTG if is_simple else MODE_REGIONS
-    sol = None
-    if mode == MODE_SPTG:
-        try:
-            sol = solve(g, max_steps=args.max_steps)
-            values = sol.values
-        except EmptyGame as exc:
-            values = exc.values
-    else:
-        values = solve_reset_acyclic(g, max_steps=args.max_steps).values
+    sol = (solve if mode == MODE_SPTG else solve_reset_acyclic)(g, max_steps=args.max_steps)
     out = args.out if args.out else str(Path(args.input).with_suffix(".values.json"))
-    Path(out).write_text(document.dumps(g, mode, values, sol), encoding="utf-8")
+    Path(out).write_text(document.dumps(g, mode, sol), encoding="utf-8")
     report.body.append(f"mode: {mode}")
     report.body.append(
         f"game: {len(g.locations)} locations, {len(g.transitions)} transitions"
     )
-    if sol is None:
+    if sol.max_strategy is None:
         report.body.append("strategies: none")
     report.outputs.append(out)
     return report

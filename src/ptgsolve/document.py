@@ -1,8 +1,10 @@
 """The solution document: the JSON `ptg solve` writes and the other
 subcommands read, both directions of it, and the checks of `ptg verify`.
 
-A document holds the clock bound, the mode, the values and, for a solved
-``sptg`` game, both strategies and the sweep's trace.  Values are lists of
+A document is written from one `solver.Solution`, of either pipeline.  It
+holds the clock bound, the mode, the values and, for a solution with
+strategies, both of them and the sweep's trace; a game whose pruning
+leaves no non-final location has neither.  Values are lists of
 segments per location.  A segment is a maximal continuous piece of the
 value function; two consecutive segments share an endpoint and may
 disagree there, which is how one-sided limits at region borders are
@@ -30,8 +32,7 @@ from .exactmath import (
     format_value,
     parse_value,
 )
-from .model import Game, Region
-from .regions import solving_regions
+from .model import Game, Region, regions_of
 from .solver import Solution, SweepTrace
 from .strategy import WAIT_UNTIL, FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
 
@@ -136,18 +137,19 @@ def switching_to_json(g: Game, s: SwitchingStrategy) -> dict:
     }
 
 
-def dumps(g: Game, mode: str, values: dict, sol: Optional[Solution] = None) -> str:
-    """The document text of values solved in mode; sol, the `solve` result
-    of an sptg game, adds both strategies and the sweep's trace."""
+def dumps(g: Game, mode: str, sol: Solution) -> str:
+    """The document text of g solved in mode; a solution with strategies
+    adds both of them and the sweep's trace."""
+    solved = sol.max_strategy is not None
     doc = {
         "clock_bound": int(g.clock_bound),
         "mode": mode,
-        "values": _values_to_json(values),
-        "strategies": None if sol is None else {
+        "values": _values_to_json(sol.values),
+        "strategies": {
             "max": fp_to_json(g, sol.max_strategy),
             "min": switching_to_json(g, sol.min_strategy),
-        },
-        "trace": None if sol is None else _trace_to_json(sol.trace),
+        } if solved else None,
+        "trace": _trace_to_json(sol.trace) if solved else None,
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -254,7 +256,7 @@ def value_at(g: Game, doc: Document, name: str, x) -> Value:
     return v if isinstance(v, float) else evaluate(v, x)
 
 
-def _move_from_json(obj, transition_count: int) -> Move:
+def _move_from_json(obj, g: Game, name: str) -> Move:
     try:
         kind = obj["type"]
         idx = obj["t_index"]
@@ -262,8 +264,11 @@ def _move_from_json(obj, transition_count: int) -> Move:
         raise SolutionFormatError(f"bad move {obj!r}") from exc
     if isinstance(idx, bool) or not isinstance(idx, int):
         raise SolutionFormatError(f"move {obj!r}: transition index must be an integer")
-    if not 0 <= idx < transition_count:
+    if not 0 <= idx < len(g.transitions):
         raise SolutionFormatError(f"move {obj!r}: transition index out of range")
+    source = g.transitions[idx].source
+    if source != name:
+        raise SolutionFormatError(f"move {obj!r} of {name}: transition {idx} leaves {source}")
     if kind == "now":
         return Move.now(idx)
     if kind == "wait_until":
@@ -280,32 +285,35 @@ def _object(obj) -> dict:
 
 
 def _interval(doc) -> tuple:
-    """A strategy row's interval: a list of exactly two literals."""
+    """A strategy row's interval: a list of two literals, lo < hi."""
     if not isinstance(doc, list) or len(doc) != 2:
         raise ValueError(f"an interval must be a list of two literals, got {doc!r}")
-    return parse_value(doc[0]), parse_value(doc[1])
+    lo, hi = parse_value(doc[0]), parse_value(doc[1])
+    if not lo < hi:
+        raise ValueError(f"an interval must end above its start, got {doc!r}")
+    return lo, hi
 
 
-def _fp_from_json(doc, transition_count: int) -> FPStrategy:
+def _fp_from_json(doc, g: Game) -> FPStrategy:
     rows = {}
     at_end = {}
     try:
         for name, entry in _object(doc).items():
             rows[name] = [
-                (*_interval(r["interval"]), _move_from_json(r["move"], transition_count))
+                (*_interval(r["interval"]), _move_from_json(r["move"], g, name))
                 for r in entry["rows"]
             ]
-            at_end[name] = _move_from_json(entry["at_end"], transition_count)
+            at_end[name] = _move_from_json(entry["at_end"], g, name)
     except (KeyError, TypeError, ValueError) as exc:
         raise SolutionFormatError(f"bad positional strategy: {exc}") from exc
     return FPStrategy(rows, at_end)
 
 
-def _switching_from_json(doc, transition_count: int) -> SwitchingStrategy:
+def _switching_from_json(doc, g: Game) -> SwitchingStrategy:
     try:
-        sigma1 = _fp_from_json(doc["sigma1"], transition_count)
+        sigma1 = _fp_from_json(doc["sigma1"], g)
         sigma2 = {
-            name: _move_from_json(mv, transition_count).t_index
+            name: _move_from_json(mv, g, name).t_index
             for name, mv in _object(doc["sigma2"]).items()
         }
         threshold = parse_value(doc["threshold"])
@@ -317,12 +325,14 @@ def _switching_from_json(doc, transition_count: int) -> SwitchingStrategy:
 
 
 def read_strategies(g: Game, doc: Document) -> tuple:
-    """Max's positional and Min's switching strategy, as written for g."""
+    """Max's positional and Min's switching strategy, as written for g.
+
+    Every move must fire a transition of the location it is listed under,
+    and every row's interval must end above its start."""
     if doc.strategies is None:
         raise SolutionFormatError("solution carries no strategies to simulate")
-    n = len(g.transitions)
     try:
-        return _fp_from_json(doc.strategies["max"], n), _switching_from_json(doc.strategies["min"], n)
+        return _fp_from_json(doc.strategies["max"], g), _switching_from_json(doc.strategies["min"], g)
     except (KeyError, TypeError) as exc:
         raise SolutionFormatError(f"bad strategies object: {exc}") from exc
 
@@ -433,12 +443,12 @@ def verify(g: Game, doc: Document, grid: int) -> tuple:
     """The report lines of checking doc against g, and the first failure's
     witness (None when every check passes).
 
-    Both modes are read per region of `solving_regions`; an sptg document
+    Both modes are read per region of `regions_of`; an sptg document
     must have one segment per location, a reset-acyclic one may jump at
     region borders.  The Bellman check samples every border, breakpoint
     and midpoint between them, plus grid evenly spaced points.
     """
-    regions = solving_regions(g)
+    regions = regions_of(g)
     lines = []
     if doc.mode == MODE_REGIONS:
         borders = {reg.lo for reg in regions if reg.is_point}

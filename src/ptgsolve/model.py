@@ -247,7 +247,7 @@ class Region:
         return f"({format_value(self.lo)},{format_value(self.hi)})"
 
 
-def regions_of(g: Game) -> list:
+def regions_of(g: Game) -> tuple:
     """Alternating point and open regions spanning [0, clock bound].
 
     Cut points are the guard endpoints that fall inside the clock range,
@@ -265,7 +265,7 @@ def regions_of(g: Game) -> list:
         out.append(Region(p, p))
         if i + 1 < len(points):
             out.append(Region(p, points[i + 1]))
-    return out
+    return tuple(out)
 
 
 def _check_deadlock_free(g: Game) -> None:

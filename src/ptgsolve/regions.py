@@ -24,17 +24,17 @@ stub rule; no `Game` is built on this path.  A point component is one
 `InstantEvaluator` run of its rows.  Each window of an interval runs
 `solver.sweep` on its rows, for its values only, and leaves the
 infinities to the sweep's pruning: no member is decided by hand, and an
-infinite stub is a row the pruning drops.
+infinite stub is a row the pruning drops.  The result is a
+`solver.Solution` of stitched segments, as the solution document holds.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .exactmath import INF, NEG_INF, Affine, CostFunction, concat, evaluate
 from .model import MAX, Game, Guard, InternalError, Region, regions_of
-from .solver import sweep
+from .solver import Solution, sweep
 from .urgent import InstantEvaluator, Rows
 
 
@@ -99,15 +99,10 @@ def _enabled(gd: Guard, reg: Region) -> bool:
     return gd.lo < reg.hi and (isinstance(gd.hi, float) or gd.hi > reg.lo)
 
 
-def solving_regions(g: Game) -> tuple:
-    """The partition the pipeline works over: guard-endpoint regions."""
-    return tuple(regions_of(g))
-
-
 def build_region_game(g: Game) -> RegionGame:
     """Copy every location into every clock region and rewire the edges.
 
-    The regions are `solving_regions(g)`.  Copied edges keep their weight
+    The regions are `regions_of(g)`.  Copied edges keep their weight
     and are copied into the regions `_enabled` picks; a resetting edge
     always targets its location's copy in the {0} region, any other edge
     its target's copy in the same region.  Every non-final copy whose
@@ -117,7 +112,7 @@ def build_region_game(g: Game) -> RegionGame:
     way out of an open copy other than an edge fired inside it.  Urgent
     locations get no hops: crossing a border needs time to pass.
     """
-    regs = solving_regions(g)
+    regs = regions_of(g)
     nodes = tuple((l.name, i) for l in g.locations for i in range(len(regs)))
     edges = []
     for ti, t in enumerate(g.transitions):
@@ -261,40 +256,6 @@ def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
             raise InternalError("condensation", "components out of dependency order", where)
     resets = tuple(i for i, t in enumerate(rg.transitions) if t.reset)
     return ResetDAG(rg, tuple(comps), comp_of, resets)
-
-
-@dataclass(frozen=True)
-class RegionSolution:
-    """Exact values of a guarded game, organised by clock region.
-
-    values[name] gives each location's value as maximal continuous segments
-    over the full clock range; where two consecutive segments meet, the
-    later one carries the value the game actually attains at the shared
-    point.  A final location's is one segment, its cost line.  solved[name]
-    gives a non-final location's value per region, as `region_values` does.
-
-    No strategies are produced on this path.  Near an open region border,
-    optimal play may require moves ever closer to the border, which the
-    finite strategy tables of `strategy` cannot express.
-    """
-
-    game: Game
-    regions: tuple
-    values: dict
-    solved: dict
-
-    @cached_property
-    def region_values(self) -> dict:
-        """region_values[name][i] covers the closure of regions[i]: a
-        CostFunction with the region's one-sided limits at its borders, or a
-        bare float when the location's value is infinite throughout the
-        region.  Final locations' entries are their cost line on each
-        region, built on the first read."""
-        return {
-            l.name: tuple(CostFunction.from_affine(r.lo, r.hi, l.final_cost) for r in self.regions)
-            if l.is_final else self.solved[l.name]
-            for l in self.game.locations
-        }
 
 
 def _entry_value(nodeval: dict, rt: RegionTransition, x):
@@ -471,7 +432,7 @@ def _stitch(regs, per) -> tuple:
     return tuple(concat(*run) for run in runs)
 
 
-def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
+def solve_reset_acyclic(g: Game, max_steps=None) -> Solution:
     """Exact values of a guarded, reset-acyclic game over its whole clock range.
 
     Builds the region copy graph, refuses it when a cycle fires a reset,
@@ -482,6 +443,12 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
     Both are compiled straight from the region graph (`_compile`), with no
     game built.  Each window runs `sweep`, which builds no strategies;
     `max_steps` caps each one separately.
+
+    The `Solution` holds values only: per location its maximal continuous
+    segments (`_stitch`), a final location's one segment its cost line.
+    Near an open region border optimal play may need moves ever closer to
+    the border, which the finite strategy tables of `strategy` cannot
+    express.
     """
     rg = build_region_game(g)
     regs = rg.regions
@@ -503,13 +470,9 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> RegionSolution:
                 nodeval[node] = v if isinstance(v, float) else CostFunction.point(reg.lo, v)
         else:
             _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps)
-    solved = {}
-    values = {}
-    for l in g.locations:
-        if l.is_final:
-            values[l.name] = (CostFunction.from_affine(0, g.clock_bound, l.final_cost),)
-            continue
-        per = tuple(nodeval[(l.name, i)] for i in range(len(regs)))
-        solved[l.name] = per
-        values[l.name] = _stitch(regs, per)
-    return RegionSolution(g, regs, values, solved)
+    values = {
+        l.name: (CostFunction.from_affine(0, g.clock_bound, l.final_cost),) if l.is_final
+        else _stitch(regs, [nodeval[(l.name, i)] for i in range(len(regs))])
+        for l in g.locations
+    }
+    return Solution(values)

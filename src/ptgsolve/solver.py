@@ -20,7 +20,8 @@ which reads both players' strategies off that record and checks it
 against each cell's anchored solve, and Min's switching strategy.  Both
 work on the compiled rows of `urgent.Rows`: `solve` compiles its game
 with `compile_game`, the region pipeline's windows theirs straight from
-the region graph, and no `Game` is built after parsing.
+the region graph, and no `Game` is built after parsing.  Both pipelines
+return one `Solution`.
 
 Every window, and every cell of the synthesis, plays the same game at
 single valuations; only the clones' final lines (-rate, r*rate + v)
@@ -69,15 +70,6 @@ class BudgetExceeded(RuntimeError):
     """The sweep used more value-iteration runs than allowed."""
 
 
-class EmptyGame(ValueError):
-    """Pruning removed every non-final location; values are still given."""
-
-    def __init__(self, infinite: dict, values: dict):
-        super().__init__("every non-final location has infinite value")
-        self.infinite = infinite
-        self.values = values
-
-
 @dataclass
 class PruneResult:
     rows: Rows  # the finite part
@@ -123,12 +115,15 @@ class Sweep:
 
 @dataclass
 class Solution:
-    game: Game
+    """What `solve` and `regions.solve_reset_acyclic` return: every
+    location's value, one CostFunction from `solve`, stitched segments from
+    the region pipeline.  `solve` adds its trace, and the strategies where
+    pruning leaves a non-final location."""
+
     values: dict
-    max_strategy: FPStrategy
-    min_strategy: SwitchingStrategy
-    trace: SweepTrace
-    infinite: dict
+    max_strategy: Optional[FPStrategy] = None
+    min_strategy: Optional[SwitchingStrategy] = None
+    trace: Optional[SweepTrace] = None
 
 
 class WindowEvaluator(InstantEvaluator):
@@ -236,8 +231,8 @@ def sweep(rows: Rows, max_steps: Optional[int] = None, onto: Optional[tuple] = N
 
     rows is the game compiled on [0, 1]: by `compile_game` for a simple
     game, or straight from the region graph for a window.  A game left
-    with no non-final location after pruning gives an empty `finite` map,
-    not EmptyGame; `max_steps` caps the value-iteration runs of the walk,
+    with no non-final location after pruning gives an empty `finite` map
+    and trace; `max_steps` caps the value-iteration runs of the walk,
     pruning's not counted.  The finite functions are built on onto =
     (c, d), the clock x standing at c + x*(d-c) there; the region
     pipeline's windows use that to build each value once, on its own
@@ -483,15 +478,15 @@ def _from_record(name: str, points: list) -> CostFunction:
 def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     """Values and optimal strategies of a simple game on [0, 1]: `sweep`
     on its compiled rows, then `_synthesize` and Min's switching strategy,
-    both read off the pruned rows.  Raises EmptyGame, carrying the values,
-    when pruning leaves no non-final location."""
+    both read off the pruned rows.  Where pruning leaves no non-final
+    location, the solution has the values and the empty trace only."""
     if g.clock_bound != 1 or not check_sptg(g, 1):
         raise NonSPTG("expected guards [0, 1] everywhere and no resets")
     sw = sweep(compile_game(g), max_steps)
     pr = sw.pruned
     values = _values(g, pr, sw.finite)
     if sw.evaluator is None:
-        raise EmptyGame(pr.infinite, values)
+        return Solution(values, trace=sw.trace)
     core = pr.rows
     # each kept row's moves as g's transitions: compile_game keeps their
     # order, and pruning drops exactly the moves into infinite locations
@@ -519,7 +514,7 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     lowest = min(min(values[n].vals) for n in core.names)
     threshold = lowest - reach - max(abs(g.location(n).rate) for n in core.names)
     minstrat = SwitchingStrategy(min_fp, sigma2, as_fraction(threshold))
-    return Solution(g, values, max_fp, minstrat, sw.trace, pr.infinite)
+    return Solution(values, max_fp, minstrat, sw.trace)
 
 
 def _values(g: Game, pr: PruneResult, finite: dict) -> dict:

@@ -22,6 +22,9 @@ check the package against, not part of it:
   Max strategy;
 - ``bellman_check`` and ``region_bellman_check``, one-shot wrappers
   around ``strategy.RegionBellmanOracle``;
+- ``infinite`` and ``region_table``, read off a ``Solution``'s values:
+  the locations ``solve`` found infinite, and the region pipeline's
+  stitched segments per region, as the result once carried them;
 - ``instant_by_subgame`` and ``window_by_subgame``, a point component's
   values and an open window's through a ``Game`` built for them: the
   package's former bodies of ``regions._instant`` and
@@ -47,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ptgsolve.document import region_values
 from ptgsolve.exactmath import (
     INF,
     NEG_INF,
@@ -604,6 +608,27 @@ def bellman_check(g: Game, vals: dict, nu) -> list:
     per_region = {name: (f,) * len(regions) for name, f in claims.items()}
     nu = as_fraction(nu)
     return RegionBellmanOracle(g, regions, per_region).check(nu.numerator, nu.denominator)
+
+
+def infinite(values: dict) -> dict:
+    """The infinite constants among `solve`'s values, by name: the
+    locations pruning splits off."""
+    return {name: f.vals[0] for name, f in values.items() if isinstance(f.vals[0], float)}
+
+
+def region_table(g: Game, values: dict) -> dict:
+    """Each location's stitched segments per region of g: read as `ptg
+    verify` reads a document (`document.region_values`), every finite
+    entry restricted to its region's closure, a bare float where the
+    location is infinite throughout the region."""
+    regions = regions_of(g)
+    return {
+        name: tuple(
+            e if isinstance(e, float) else restrict(e, r.lo, r.hi)
+            for r, e in zip(regions, region_values(regions, segs))
+        )
+        for name, segs in values.items()
+    }
 
 
 def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:

@@ -430,6 +430,17 @@ def test_solve_explicit_sptg_mode_rejects_guarded_game(capsys, tmp_path):
     assert "error" in err
 
 
+def test_solve_all_infinite_matches_committed_fixture(tmp_path, capsys):
+    # pruning empties the core: Max's trap only loops, at weight 1, so it is
+    # +inf and no non-final location is left to sweep.  The document holds
+    # the values and neither strategies nor a trace.
+    out = tmp_path / "all_infinite.values.json"
+    code, stdout, _ = run_cli(capsys, "solve", str(FIXTURES / "all_infinite.json"), "--out", str(out))
+    assert code == 0
+    assert "strategies: none" in stdout.splitlines()
+    assert out.read_bytes() == (FIXTURES / "all_infinite.values.json").read_bytes()
+
+
 def test_solve_pruned_empty_game(tmp_path, capsys):
     guard = {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": True}
     doc = {
@@ -910,6 +921,42 @@ def test_verify_reads_the_strategies_object(tmp_path, capsys, path, raw, reason)
     assert out == ""
     (line,) = err.splitlines()
     assert line.startswith(f"error: {reason}")
+
+
+FOREIGN = "bad positional strategy: move"
+REVERSED = "bad positional strategy: an interval must end above its start, got"
+
+
+@pytest.mark.parametrize(
+    "path, raw, head, tail",
+    [
+        (("min", "sigma2", "l1", "t_index"), 4, "bad switching strategy: move", "of l1: transition 4 leaves l3"),
+        (("min", "sigma1", "l3", "rows", 0, "move", "t_index"), 0, f"bad switching strategy: {FOREIGN}", "of l3: transition 0 leaves l1"),
+        (("max", "l2", "at_end", "t_index"), 0, FOREIGN, "of l2: transition 0 leaves l1"),
+        (("max", "l2", "rows", 0, "interval"), ["1/4", "0"], REVERSED, "['1/4', '0']"),
+        (("max", "l4", "rows", 0, "interval"), ["1", "1"], REVERSED, "['1', '1']"),
+    ],
+    ids=["sigma2-of-l3", "sigma1-row-of-l1", "at-end-of-l1", "reversed-interval", "empty-interval"],
+)
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_strategy_reader_refuses_foreign_moves_and_reversed_rows(tmp_path, capsys, command, path, raw, head, tail):
+    # a move must fire a transition of the location it is listed under, and
+    # a row must cover an interval that ends above its start; verify passed
+    # both, exit 0, and simulate from l1:1/2 too
+    doc = json.loads((FIXTURES / "fig1.values.json").read_text())
+    obj = doc["strategies"]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = raw
+    bad = tmp_path / "strategies.json"
+    bad.write_text(json.dumps(doc))
+    extra = ["--from", "l1:1/2"] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, str(FIXTURES / "fig1.json"), str(bad), *extra)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {head}")
+    assert line.endswith(tail)
 
 
 @pytest.mark.parametrize(

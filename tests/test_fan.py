@@ -19,8 +19,7 @@ from conftest import FIXTURES, load_fixture
 from ptgsolve import document, solver
 from ptgsolve.cli import main
 from ptgsolve.exactmath import Affine, CostFunction, evaluate
-from ptgsolve.model import Game, Guard, Location, Transition, make_game, parse_game, serialize_game
-from ptgsolve.regions import solving_regions
+from ptgsolve.model import Game, Guard, Location, Transition, make_game, parse_game, regions_of, serialize_game
 from ptgsolve.solver import BudgetExceeded, solve
 from ptgsolve.strategy import RegionBellmanOracle
 from ptgsolve.urgent import InstantEvaluator, compile_game
@@ -355,7 +354,7 @@ def test_bellman_checks_do_no_fraction_arithmetic(tmp_path, monkeypatch, case):
         g = parse_game(load_fixture("guarded_jump.json"))
         values = FIXTURES / "guarded_jump.values.json"
     doc = document.load(str(values))
-    regions = solving_regions(g)
+    regions = regions_of(g)
     borders = {reg.lo for reg in regions if reg.is_point} if doc.mode == document.MODE_REGIONS else set()
     region_vals = {name: document.region_values(regions, segs) for name, segs in doc.values.items()}
     oracle = RegionBellmanOracle(g, regions, region_vals)

@@ -182,14 +182,14 @@ def test_check_sptg():
 
 def test_regions_single_guard():
     g = parse_game(load_fixture("fig1.json"))
-    assert regions_of(g) == [Region(0, 0), Region(0, 1), Region(1, 1)]
+    assert regions_of(g) == (Region(0, 0), Region(0, 1), Region(1, 1))
 
 
 def test_regions_mixed_guards():
     g = parse_game(load_fixture("reset_chain.json"))
-    assert regions_of(g) == [
+    assert regions_of(g) == (
         Region(0, 0), Region(0, 1), Region(1, 1), Region(1, 2), Region(2, 2),
-    ]
+    )
 
 
 def test_regions_partition_bound():

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from reference import (
     bellman_check,
     core_game,
+    infinite,
     line_family,
     make_urgent,
     max_transition_weight,
     region_bellman_check,
+    region_table,
     slope_between,
     waiting,
 )
@@ -33,10 +35,11 @@ from ptgsolve.model import (
     Transition,
     ValidationError,
     make_game,
+    regions_of,
     validate_game,
 )
 from ptgsolve.regions import ResetCycle, build_region_game, check_reset_acyclic, solve_reset_acyclic
-from ptgsolve.solver import EmptyGame, solve
+from ptgsolve.solver import solve
 from ptgsolve.strategy import play_out
 from ptgsolve.urgent import InstantEvaluator, compile_game, iteration_bound, unscale
 
@@ -151,21 +154,20 @@ def _breakpoint_grid(fns) -> list:
 
 def run_simple_checks(seed: int) -> None:
     g = random_sptg(seed)
-    try:
-        sol = solve(g)
-    except EmptyGame as exc:
+    sol = solve(g)
+    if sol.max_strategy is None:
         # nothing can reach a final location; the claim is still checkable
         flat = {
             l.name: CostFunction.from_affine(0, 1, l.final_cost)
             if l.is_final
-            else CostFunction.constant(0, 1, exc.infinite[l.name])
+            else CostFunction.constant(0, 1, infinite(sol.values)[l.name])
             for l in g.locations
         }
         for nu in PROBES:
             assert bellman_check(g, flat, nu) == []
         return
 
-    core, _ = core_game(g, sol.infinite)
+    core, _ = core_game(g, infinite(sol.values))
     core_names = [l.name for l in core.locations]
     finite = {n: sol.values[n] for n in core_names}
 
@@ -233,18 +235,18 @@ def test_random_simple_games(seed):
 
 def run_region_checks(seed: int) -> None:
     g = random_guarded(seed)
-    rsol = solve_reset_acyclic(g)
-    regions = list(rsol.regions)
+    per_region = region_table(g, solve_reset_acyclic(g).values)
+    regions = list(regions_of(g))
     pts = {reg.lo for reg in regions}
     pts.add(Fraction(g.clock_bound))
-    for per in rsol.region_values.values():
+    for per in per_region.values():
         for entry in per:
             if not isinstance(entry, float):
                 pts.update(entry.xs)
     pts = sorted(pts)
     pts += [(a + b) / 2 for a, b in zip(pts, pts[1:])]
     for nu in sorted(pts):
-        assert region_bellman_check(g, regions, rsol.region_values, nu) == [], f"at {nu}"
+        assert region_bellman_check(g, regions, per_region, nu) == [], f"at {nu}"
 
 
 @pytest.mark.parametrize("seed", GUARDED_SEEDS)
@@ -255,18 +257,17 @@ def test_random_reset_acyclic_games(seed):
 @pytest.mark.parametrize("seed", GUARDED_SEEDS[:8])
 def test_region_check_rejects_shifted_values(seed):
     g = random_guarded(seed)
-    rsol = solve_reset_acyclic(g)
+    per = region_table(g, solve_reset_acyclic(g).values)
     name = next(
         (
             l.name
             for l in g.nonfinal_locations
-            if any(not isinstance(e, float) for e in rsol.region_values[l.name])
+            if any(not isinstance(e, float) for e in per[l.name])
         ),
         None,
     )
     if name is None:
         pytest.skip("every location is infinite over the whole clock range")
-    per = dict(rsol.region_values)
     tweaked = []
     bumped = False
     for e in per[name]:
@@ -280,18 +281,18 @@ def test_region_check_rejects_shifted_values(seed):
     hits = set()
     for p in (F(0), F(1, 2), F(1), F(3, 2), F(2)):
         if p <= g.clock_bound:
-            hits.update(region_bellman_check(g, list(rsol.regions), per, p))
+            hits.update(region_bellman_check(g, list(regions_of(g)), per, p))
     assert name in hits
 
 
 def run_equality_check(seed: int) -> None:
     g = random_sptg(seed)
     rsol = solve_reset_acyclic(g)
-    try:
-        sol = solve(g)
-    except EmptyGame as exc:
-        for name, sign in exc.infinite.items():
-            for entry in rsol.region_values[name]:
+    sol = solve(g)
+    if sol.max_strategy is None:
+        per = region_table(g, rsol.values)
+        for name, sign in infinite(sol.values).items():
+            for entry in per[name]:
                 assert entry == sign
         return
     for l in g.locations:
@@ -366,12 +367,11 @@ def test_instant_values_solve_their_own_equations(g, nu):
 @settings(max_examples=60, deadline=None)
 @given(urgent_games(), st.fractions(min_value=0, max_value=1, max_denominator=50))
 def test_optimal_play_attains_value_on_urgent_games(g, nu):
-    try:
-        sol = solve(g)
-    except EmptyGame:
+    sol = solve(g)
+    if sol.max_strategy is None:
         return
     for l in g.nonfinal_locations:
-        if l.name in sol.infinite:
+        if l.name in infinite(sol.values):
             continue
         play = play_out(g, Config(l.name, nu), sol.min_strategy, sol.max_strategy)
         assert play.reached_final

@@ -19,13 +19,13 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import region_bellman_check
+from reference import region_bellman_check, region_table
 from test_properties import usable_guarded
 
 from ptgsolve.document import _sample_points
 from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate, format_value
-from ptgsolve.model import MAX, MIN, Game, Guard, Location, Transition, make_game
-from ptgsolve.regions import solve_reset_acyclic, solving_regions
+from ptgsolve.model import MAX, MIN, Game, Guard, Location, Transition, make_game, regions_of
+from ptgsolve.regions import solve_reset_acyclic
 from ptgsolve.strategy import RegionBellmanOracle
 
 F = Fraction
@@ -166,7 +166,7 @@ def _sampled(g: Game, regions, vals: dict) -> list:
 
 def _assert_same(g: Game, vals: dict, points=_points) -> int:
     """Checks both oracles at every point; returns how many locations failed."""
-    regions = solving_regions(g)
+    regions = regions_of(g)
     oracle = RegionBellmanOracle(g, regions, vals)
     failed = 0
     for nu in points(g, regions, vals):
@@ -179,7 +179,7 @@ def _assert_same(g: Game, vals: dict, points=_points) -> int:
 
 def _features(g: Game, vals: dict) -> set:
     """Which of the shapes the draws must cover this claim has."""
-    regions = solving_regions(g)
+    regions = regions_of(g)
     out = set()
     if any(l.urgent for l in g.nonfinal_locations):
         out.add("urgent")
@@ -277,7 +277,7 @@ def guarded_claims(draw):
         for target in draw(st.lists(st.sampled_from(names + finals), min_size=1, max_size=3))
     ]
     g = make_game(locs, trans, bound)
-    regions = solving_regions(g)
+    regions = regions_of(g)
     vals = _final_entries(g, regions)
     vals.update({q: draw(_claim(regions)) for q in names})
     return g, vals
@@ -343,7 +343,7 @@ def layered_claims(draw, numbers: Numbers = QUARTERS, rates=st.integers(-1, 1)):
         for target in draw(st.lists(st.sampled_from(below), min_size=1, max_size=3)):
             trans.append(Transition(q, draw(_guard(bound)), draw(st.booleans()), target, draw(numbers.weight)))
     g = make_game(locs, trans, bound)
-    regions = solving_regions(g)
+    regions = regions_of(g)
     split = draw(st.integers(1, max(1, len(names) - 1)))
     vals = _final_entries(g, regions)
     vals.update({q: draw(_claim(regions, numbers)) for q in names[split:]})
@@ -384,7 +384,7 @@ def solved_claims(draw):
     """Reset-acyclic games with their solved values, half with one moved."""
     g = usable_guarded(draw(st.integers(0, 10**6)))
     assume(g is not None)
-    vals = dict(solve_reset_acyclic(g).region_values)
+    vals = region_table(g, solve_reset_acyclic(g).values)
     if draw(st.booleans()):
         vals = _moved(draw, vals, [l.name for l in g.nonfinal_locations])
     return g, vals
@@ -407,7 +407,7 @@ def _border_spike():
     vals = {
         "q0": (NEG_INF, NEG_INF, NEG_INF, INF, INF),
         "q1": (INF, INF, NEG_INF, INF, INF),
-        **_final_entries(g, solving_regions(g)),
+        **_final_entries(g, regions_of(g)),
     }
     return g, vals
 
@@ -443,7 +443,7 @@ def _draw_verdicts(claims, points=_points, phases=settings.default.phases) -> tu
         g, vals = claim
         failed = _assert_same(g, vals, points)
         seen["failed"] += failed
-        checked = len(points(g, solving_regions(g), vals)) * len(g.nonfinal_locations)
+        checked = len(points(g, regions_of(g), vals)) * len(g.nonfinal_locations)
         seen["passed"] += checked - failed
         drawn.update(_features(g, vals))
 

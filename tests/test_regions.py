@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, load_fixture
 import reference
-from reference import instant_by_subgame, region_bellman_check, window_by_subgame
+from reference import instant_by_subgame, region_bellman_check, region_table, window_by_subgame
 from test_properties import GUARDED_SEEDS, usable_guarded
 from ptgsolve import regions as region_pipeline
 from ptgsolve import solver, urgent
@@ -37,7 +37,7 @@ from ptgsolve.regions import (
     check_reset_acyclic,
     solve_reset_acyclic,
 )
-from ptgsolve.solver import EmptyGame, solve
+from ptgsolve.solver import solve
 from ptgsolve.urgent import InstantEvaluator
 
 F = Fraction
@@ -137,9 +137,9 @@ def test_reset_chain_values(reset_chain):
 
 
 def test_reset_chain_satisfies_region_bellman(reset_chain):
-    sol = solve_reset_acyclic(reset_chain)
+    per = region_table(reset_chain, solve_reset_acyclic(reset_chain).values)
     for nu in (F(0), F(1, 2), F(1), F(7, 4), F(2)):
-        assert region_bellman_check(reset_chain, sol.regions, sol.region_values, nu) == []
+        assert region_bellman_check(reset_chain, regions_of(reset_chain), per, nu) == []
 
 
 def test_single_min_location_over_two_units():
@@ -206,10 +206,11 @@ def test_discontinuity_lands_on_the_later_segment():
     assert (right.lo, right.hi) == (F(1), F(2))
     assert evaluate(right, F(1)) == 10
     # the point region holds the attained value, the open one its limit
-    assert evaluate(sol.region_values["m"][2], F(1)) == 10
-    assert evaluate(sol.region_values["m"][1], F(1)) == 0
+    per = region_table(g, sol.values)
+    assert evaluate(per["m"][2], F(1)) == 10
+    assert evaluate(per["m"][1], F(1)) == 0
     for nu in (F(0), F(1, 3), F(1), F(3, 2), F(2)):
-        assert region_bellman_check(g, sol.regions, sol.region_values, nu) == []
+        assert region_bellman_check(g, regions_of(g), per, nu) == []
 
 
 def test_point_value_equal_to_its_left_limit_keeps_its_own_segment():
@@ -225,15 +226,17 @@ def test_point_value_equal_to_its_left_limit_keeps_its_own_segment():
         Transition("m", Guard.closed(0, 1), False, "f", 0),
         Transition("m", Guard(F(1), F(2), False, True), False, "e", 0),
     )
-    sol = solve_reset_acyclic(make_game(locs, trans, 2))
-    per = sol.region_values["m"]
+    g = make_game(locs, trans, 2)
+    sol = solve_reset_acyclic(g)
+    table = region_table(g, sol.values)
+    per = table["m"]
     assert [evaluate(per[1], F(1)), evaluate(per[2], F(1)), evaluate(per[3], F(1))] == [0, 0, -10]
     segs = sol.values["m"]
     assert [(s.lo, s.hi) for s in segs] == [(0, 1), (1, 1), (1, 2)]
-    back = region_values(sol.regions, segs)
+    back = region_values(regions_of(g), segs)
     assert evaluate(back[2], F(1)) == 0
-    read = {**sol.region_values, "m": back}
-    assert region_bellman_check(sol.game, sol.regions, read, F(1)) == []
+    read = {**table, "m": back}
+    assert region_bellman_check(g, regions_of(g), read, F(1)) == []
 
 
 def _value(entry, x):
@@ -247,10 +250,23 @@ def test_stitched_segments_read_back_the_region_values(seed):
     # and the value at every breakpoint in between.
     g = usable_guarded(seed)
     assume(g is not None)
-    sol = solve_reset_acyclic(g)
-    for l in g.locations:
-        back = region_values(sol.regions, sol.values[l.name])
-        for reg, want, got in zip(sol.regions, sol.region_values[l.name], back):
+    regions = regions_of(g)
+    # the solver's per-region values, as they enter `_stitch`; a final
+    # location's is its cost line on each region
+    solved = [tuple(CostFunction.from_affine(r.lo, r.hi, l.final_cost) for r in regions) for l in g.final_locations]
+    stitch = region_pipeline._stitch
+
+    def recording(regs, per):
+        solved.append(tuple(per))
+        return stitch(regs, per)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region_pipeline, "_stitch", recording)
+        sol = solve_reset_acyclic(g)
+    assert len(solved) == len(g.locations)
+    for l, per in zip([*g.final_locations, *g.nonfinal_locations], solved):
+        back = region_values(regions, sol.values[l.name])
+        for reg, want, got in zip(regions, per, back):
             xs = {reg.lo, reg.hi} | set(() if isinstance(want, float) else want.xs)
             for x in sorted(xs):
                 assert _value(got, x) == _value(want, x), (l.name, reg.describe(), x)
@@ -338,8 +354,8 @@ def test_document_reader_matches_the_scan_on_solved_documents(seed):
     sol = solve_reset_acyclic(g)
     for l in g.locations:
         segs = sol.values[l.name]
-        want = reference_region_values_from_segments(sol.regions, segs)
-        assert region_values(sol.regions, segs) == want
+        want = reference_region_values_from_segments(regions_of(g), segs)
+        assert region_values(regions_of(g), segs) == want
 
 
 class _CountingSegments(list):
@@ -389,9 +405,11 @@ def test_infinite_values_cover_whole_regions():
         Transition("drain", Guard.closed(0, 1), False, "f", 0),
         Transition("m", Guard.closed(0, 1), False, "f", 2),
     )
-    sol = solve_reset_acyclic(make_game(locs, trans, 1))
-    assert sol.region_values["trap"] == (float("inf"),) * 3
-    assert sol.region_values["drain"] == (float("-inf"),) * 3
+    g = make_game(locs, trans, 1)
+    sol = solve_reset_acyclic(g)
+    per = region_table(g, sol.values)
+    assert per["trap"] == (float("inf"),) * 3
+    assert per["drain"] == (float("-inf"),) * 3
     (seg,) = sol.values["trap"]
     assert evaluate(seg, F(1, 2)) == float("inf")
     (fm,) = sol.values["m"]
@@ -411,10 +429,12 @@ def test_stuck_point_copies_are_worth_plus_infinity():
         Transition("m", Guard(F(0), F(1), True, False), False, "f", 3),
         Transition("m", Guard.point(1), False, "s", 0),
     )
-    sol = solve_reset_acyclic(make_game(locs, trans, 1))
+    g = make_game(locs, trans, 1)
+    sol = solve_reset_acyclic(g)
+    per = region_table(g, sol.values)
     inf = float("inf")
-    assert sol.region_values["s"] == (inf, inf, inf)
-    assert sol.region_values["m"][2] == inf
+    assert per["s"] == (inf, inf, inf)
+    assert per["m"][2] == inf
     (fs,) = sol.values["s"]
     assert (fs.lo, fs.hi, fs.vals) == (0, 1, (inf, inf))
     fm, stuck = sol.values["m"]
@@ -439,9 +459,10 @@ def test_waiting_member_held_to_a_hurting_anchor_takes_it():
         Transition("n", Guard.closed(0, 1), False, "m", 3),
         Transition("n", Guard.closed(0, 1), False, "f", 5),
     )
-    sol = solve_reset_acyclic(make_game(locs, trans, 1))
-    assert sol.region_values["m"] == (float("-inf"),) * 3
-    assert sol.region_values["n"] == (float("-inf"),) * 3
+    g = make_game(locs, trans, 1)
+    per = region_table(g, solve_reset_acyclic(g).values)
+    assert per["m"] == (float("-inf"),) * 3
+    assert per["n"] == (float("-inf"),) * 3
 
 
 def test_urgent_member_without_interior_edges_is_stuck():
@@ -458,10 +479,11 @@ def test_urgent_member_without_interior_edges_is_stuck():
         Transition("w", Guard.closed(0, 1), False, "u", 0),
         Transition("w", Guard.closed(0, 1), False, "f", 4),
     )
-    sol = solve_reset_acyclic(make_game(locs, trans, 1))
+    g = make_game(locs, trans, 1)
+    per = region_table(g, solve_reset_acyclic(g).values)
     inf = float("inf")
     for name, at_one in (("u", 3), ("w", 7)):
-        *open_part, last = sol.region_values[name]
+        *open_part, last = per[name]
         assert open_part == [inf, inf]
         assert (last.xs, last.vals) == ((1,), (at_one,))
 
@@ -488,14 +510,15 @@ def test_urgent_member_cannot_fire_a_border_edge_from_inside_the_region():
     optimality cannot tell that cycle from a play that reaches F.  Hence
     this test pins the values.
     """
-    sol = solve_reset_acyclic(parse_game(load_fixture("urgent_border.json")))
-    assert [r.describe() for r in sol.regions] == ["{0}", "(0,1)", "{1}"]
-    assert [_table(v) for v in sol.region_values["m"]] == [
+    g = parse_game(load_fixture("urgent_border.json"))
+    per = region_table(g, solve_reset_acyclic(g).values)
+    assert [r.describe() for r in regions_of(g)] == ["{0}", "(0,1)", "{1}"]
+    assert [_table(v) for v in per["m"]] == [
         [(0, 5)],
         [(0, 5), (1, 5)],
         [(1, 5)],
     ]
-    assert [_table(v) for v in sol.region_values["u"]] == [
+    assert [_table(v) for v in per["u"]] == [
         [(0, 5)],
         [(0, 5), (1, 5)],
         [(1, 0)],
@@ -531,13 +554,14 @@ def test_unfireable_border_reset_closes_no_reset_cycle():
     x moves on to u for 3 on [0, 1) and takes g for 7 at 1.  u takes f for
     3 on [0, 1), and at 1 it resets into x for -1 + 3 = 2.
     """
-    sol = solve_reset_acyclic(urgent_reset_game())
-    assert [_table(v) for v in sol.region_values["x"]] == [
+    g = urgent_reset_game()
+    per = region_table(g, solve_reset_acyclic(g).values)
+    assert [_table(v) for v in per["x"]] == [
         [(0, 3)],
         [(0, 3), (1, 3)],
         [(1, 7)],
     ]
-    assert [_table(v) for v in sol.region_values["u"]] == [
+    assert [_table(v) for v in per["u"]] == [
         [(0, 3)],
         [(0, 3), (1, 3)],
         [(1, 2)],
@@ -645,8 +669,9 @@ def test_window_values_are_built_once(monkeypatch, reset_chain):
 @pytest.mark.parametrize("name", ["reset_chain", "guarded_jump"])
 def test_final_copies_build_no_cost_function(monkeypatch, tmp_path, capsys, name):
     """A final copy is its cost line: `ptg solve` builds one `from_affine`
-    per final location, for its one segment, and none per region copy;
-    the per-region view of the finals is built only when read."""
+    per final location, for its one segment, and none per region copy,
+    in-process too; read per region, that segment is the cost line on
+    each region."""
     g = parse_game(load_fixture(f"{name}.json"))
     calls = []
     from_affine = CostFunction.from_affine
@@ -660,13 +685,13 @@ def test_final_copies_build_no_cost_function(monkeypatch, tmp_path, capsys, name
     assert main(["solve", str(FIXTURES / f"{name}.json"), "--out", str(out)]) == 0
     bound = g.clock_bound
     assert calls == [(0, bound)] * len(g.final_locations)
-    sol = solve_reset_acyclic(g)
     del calls[:]
-    per = sol.region_values
-    assert len(calls) == len(g.final_locations) * len(sol.regions)
+    sol = solve_reset_acyclic(g)
+    assert calls == [(0, bound)] * len(g.final_locations)
+    per = region_table(g, sol.values)
     for l in g.final_locations:
         assert sol.values[l.name] == (from_affine(0, bound, l.final_cost),)
-        assert per[l.name] == tuple(from_affine(r.lo, r.hi, l.final_cost) for r in sol.regions)
+        assert per[l.name] == tuple(from_affine(r.lo, r.hi, l.final_cost) for r in regions_of(g))
 
 
 def _with_rounds(instant, *args):
@@ -930,19 +955,19 @@ def test_edge_collapsed_to_the_upper_border_lands_in_the_border_point():
     assert [r.describe() for r in rg.regions] == ["{0}", "(0,1)", "{1}", "(1,3)", "{3}"]
     loop = [(t.source[1], t.target[1]) for t in rg.transitions if t.origin == 1]
     assert loop == [(4, 4)]
-    sol = solve_reset_acyclic(g)
-    g1 = sol.region_values["g1"]
+    per = region_table(g, solve_reset_acyclic(g).values)
+    g1 = per["g1"]
     for x in (F(0), F(1, 2), F(1)):
         assert _value(g1[0 if x == 0 else 1 if x < 1 else 2], x) == 13 - 3 * x
     for x in (F(1), F(2), F(5, 2), F(3)):
         # the open region's closure carries the left limit at 3
         assert _value(g1[3], x) == 3 * x + 7
     assert g1[4] == float("inf")
-    g4 = sol.region_values["g4"]
+    g4 = per["g4"]
     assert [_value(g4[0], F(0)), _value(g4[1], F(1, 2)), _value(g4[2], F(1))] == [14, F(25, 2), 11]
     assert g4[3] == g4[4] == float("inf")
     assert all(
-        region_bellman_check(g, sol.regions, sol.region_values, x) == []
+        region_bellman_check(g, regions_of(g), per, x) == []
         for x in (F(0), F(1, 2), F(1), F(2), F(3))
     )
 
@@ -998,10 +1023,7 @@ def test_scaled_split_twin_has_scaled_values(pair):
     times the sweep's values of the original, read by the document reader's
     rule at 25 points per location; an empty game's infinities included."""
     g, twin = pair
-    try:
-        direct = solve(g).values
-    except EmptyGame as exc:
-        direct = exc.values
+    direct = solve(g).values
     scaled = solve_reset_acyclic(twin).values
     assert_scaled_values(direct, scaled, SCALE, [F(j, 24) for j in range(25)])
 

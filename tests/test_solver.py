@@ -14,6 +14,7 @@ from reference import (
     MissingTerminalValue,
     core_game,
     fake_value_upper_bound,
+    infinite,
     make_urgent,
     max_final_cost,
     max_transition_weight,
@@ -29,7 +30,6 @@ from ptgsolve.exactmath import Affine, CostFunction, evaluate
 from ptgsolve.model import Config, Guard, InternalError, Location, Transition, make_game, parse_game
 from ptgsolve.solver import (
     BudgetExceeded,
-    EmptyGame,
     NonSPTG,
     WindowEvaluator,
     default_max_steps,
@@ -80,7 +80,7 @@ def test_fig1_final_location_value(fig1, fig1_solution):
 
 
 def test_fig1_nothing_infinite(fig1_solution):
-    assert fig1_solution.infinite == {}
+    assert infinite(fig1_solution.values) == {}
 
 
 def test_fig1_trace_boundaries(fig1_solution):
@@ -194,7 +194,7 @@ def test_solve_keeps_infinite_locations_in_values():
     assert evaluate(sol.values["trap"], F(1, 2)) == float("inf")
     assert evaluate(sol.values["drain"], F(1, 2)) == float("-inf")
     assert evaluate(sol.values["m"], F(1, 2)) == 2
-    assert set(sol.infinite) == {"trap", "drain"}
+    assert set(infinite(sol.values)) == {"trap", "drain"}
 
 
 def test_empty_game_when_nothing_finite_remains():
@@ -203,24 +203,22 @@ def test_empty_game_when_nothing_finite_remains():
         Location("f", "final", 0, False, Affine(0, 0)),
     )
     trans = (Transition("trap", Guard.closed(0, 1), False, "trap", 1),)
-    with pytest.raises(EmptyGame) as exc:
-        solve(make_game(locs, trans, 1))
-    assert exc.value.infinite == {"trap": float("inf")}
+    sol = solve(make_game(locs, trans, 1))
+    assert (sol.max_strategy, sol.min_strategy) == (None, None)
+    assert infinite(sol.values) == {"trap": float("inf")}
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_sweep_is_solve_without_the_strategies(seed):
     """`sweep` reports the values and trace of `solve`, and where `solve`
-    raises EmptyGame it raises nothing and gives the same infinities."""
+    gives no strategies it has no window evaluator and nothing finite."""
     g = random_sptg(seed)
     sw = sweep(compile_game(g))
     assert set(sw.finite) | set(sw.infinite) == {l.name for l in g.nonfinal_locations}
-    try:
-        sol = solve(g)
-    except EmptyGame as exc:
-        assert (sw.finite, sw.infinite, sw.evaluator) == ({}, exc.infinite, None)
-        return
-    assert sw.infinite == sol.infinite
+    sol = solve(g)
+    if sol.max_strategy is None:
+        assert (sw.finite, sw.infinite, sw.evaluator) == ({}, infinite(sol.values), None)
+    assert sw.infinite == infinite(sol.values)
     assert sw.finite == {n: sol.values[n] for n in sw.finite}
     assert sw.trace == sol.trace
 
@@ -274,11 +272,10 @@ def test_switching_threshold_is_the_lowest_value_less_the_reach(g):
     # lines; it is the lowest value of the pruned core less (n-1)*pt + pf
     # and the largest |rate|.  Read as the integer pf*L it came out too low
     # wherever the final costs have a denominator.
-    try:
-        sol = solve(g)
-    except EmptyGame:
+    sol = solve(g)
+    if sol.max_strategy is None:
         return
-    core, _ = core_game(g, sol.infinite)
+    core, _ = core_game(g, infinite(sol.values))
     reach = (len(core.locations) - 1) * max_transition_weight(core) + max_final_cost(core)
     lowest = min(min(sol.values[l.name].vals) for l in core.locations)
     rate = max(abs(l.rate) for l in core.locations)

@@ -55,12 +55,12 @@ def test_random_simple_games_match_the_grid_walk():
 @pytest.mark.parametrize("seed", _usable_seeds(40, start=1000))
 def test_region_documents_match_the_grid_walk(seed):
     g = usable_guarded(seed)
-    want = document.dumps(g, document.MODE_REGIONS, _region_values(g, grid_sweep))
-    got = document.dumps(g, document.MODE_REGIONS, _region_values(g, solver.sweep))
+    want = document.dumps(g, document.MODE_REGIONS, _region_solution(g, grid_sweep))
+    got = document.dumps(g, document.MODE_REGIONS, _region_solution(g, solver.sweep))
     assert got == want
 
 
-def _region_values(g, sweep) -> dict:
+def _region_solution(g, sweep):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(region_pipeline, "sweep", sweep)
-        return solve_reset_acyclic(g).values
+        return solve_reset_acyclic(g)
