@@ -109,7 +109,8 @@ def cmd_solve(args) -> RunReport:
         mode = MODE_SPTG if is_simple else MODE_REGIONS
     sol = (solve if mode == MODE_SPTG else solve_reset_acyclic)(g, max_steps=args.max_steps)
     out = args.out if args.out else str(Path(args.input).with_suffix(".values.json"))
-    Path(out).write_text(document.dumps(g, mode, sol), encoding="utf-8")
+    # encoded before the file is opened: a failed encode truncates nothing
+    Path(out).write_bytes(document.dumps(g, mode, sol).encode("utf-8"))
     report.body.append(f"mode: {mode}")
     report.body.append(
         f"game: {len(g.locations)} locations, {len(g.transitions)} transitions"

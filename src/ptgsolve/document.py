@@ -11,6 +11,11 @@ disagree there, which is how one-sided limits at region borders are
 recorded.  Finite segments carry their breakpoints, an infinite segment
 carries only a sign marker.  Both modes are read per clock region by one
 rule (`region_values`) and checked by one oracle (`RegionBellmanOracle`).
+
+The text is byte for byte what `json.dumps(doc, sort_keys=True, indent=2,
+ensure_ascii=False)` writes, but `model.json_text` writes it: Python's C
+encoder is used only without indent, and the pure-Python one took about
+half as long as solving a game of the benchmark's fan.
 """
 
 import json
@@ -32,7 +37,7 @@ from .exactmath import (
     format_value,
     parse_value,
 )
-from .model import Game, Region, regions_of
+from .model import Game, Region, json_text, regions_of
 from .solver import Solution, SweepTrace
 from .strategy import WAIT_UNTIL, FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
 
@@ -151,7 +156,7 @@ def dumps(g: Game, mode: str, sol: Solution) -> str:
         } if solved else None,
         "trace": _trace_to_json(sol.trace) if solved else None,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json_text(doc) + "\n"
 
 
 def _segment_from_json(obj) -> CostFunction:
@@ -294,16 +299,32 @@ def _interval(doc) -> tuple:
     return lo, hi
 
 
+def _wait_within(m: Move, lo, hi) -> Move:
+    """m, if it fires now or waits until a clock value in [lo, hi]."""
+    if m.kind == WAIT_UNTIL and not lo <= m.target_x <= hi:
+        raise ValueError(
+            f"a wait must end in [{format_value(lo)}, {format_value(hi)}], "
+            f"got {format_value(m.target_x)}"
+        )
+    return m
+
+
+def _row(r, g: Game, name: str) -> tuple:
+    """A strategy row of name: its interval and a move that waits, if at
+    all, until a clock value between the row's end and the bound."""
+    lo, hi = _interval(r["interval"])
+    return lo, hi, _wait_within(_move_from_json(r["move"], g, name), hi, g.clock_bound)
+
+
 def _fp_from_json(doc, g: Game) -> FPStrategy:
+    bound = g.clock_bound
     rows = {}
     at_end = {}
     try:
         for name, entry in _object(doc).items():
-            rows[name] = [
-                (*_interval(r["interval"]), _move_from_json(r["move"], g, name))
-                for r in entry["rows"]
-            ]
-            at_end[name] = _move_from_json(entry["at_end"], g, name)
+            rows[name] = [_row(r, g, name) for r in entry["rows"]]
+            # played at the bound, a wait can only end there
+            at_end[name] = _wait_within(_move_from_json(entry["at_end"], g, name), bound, bound)
     except (KeyError, TypeError, ValueError) as exc:
         raise SolutionFormatError(f"bad positional strategy: {exc}") from exc
     return FPStrategy(rows, at_end)
@@ -328,7 +349,8 @@ def read_strategies(g: Game, doc: Document) -> tuple:
     """Max's positional and Min's switching strategy, as written for g.
 
     Every move must fire a transition of the location it is listed under,
-    and every row's interval must end above its start."""
+    every row's interval must end above its start, and a wait must end
+    between its row's end and the clock bound (at the bound in `at_end`)."""
     if doc.strategies is None:
         raise SolutionFormatError("solution carries no strategies to simulate")
     try:

@@ -27,8 +27,9 @@ Value = Union[Fraction, float]
 
 #: The finite literals parse_value reads: an integer, "p/q" or a plain
 #: decimal, each with an optional sign.  Exponents are left out on purpose:
-#: Fraction("1e10000000") builds a ten-million-digit integer.
-_LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+#: Fraction("1e10000000") builds a ten-million-digit integer.  The groups
+#: are an integer's or a fraction's signed numerator and the denominator.
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?|[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
 class DomainError(ValueError):
@@ -73,10 +74,15 @@ def parse_value(text: str) -> Value:
         return INF
     if text == "-inf":
         return NEG_INF
-    if not _LITERAL.fullmatch(text):
+    m = _LITERAL.fullmatch(text)
+    if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
+    num, den = m.groups()
     try:
-        return Fraction(text)
+        # int() raises ValueError past Python's digit limit, as Fraction() does
+        if num is None:
+            return Fraction(text)
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 

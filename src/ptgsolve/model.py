@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Iterable, Optional
 
 from .exactmath import (
@@ -422,6 +423,11 @@ def parse_game(text: str) -> Game:
             raise GameSyntaxError(f"location name must be a non-empty string: {obj!r}")
         if "@" in name:
             raise GameSyntaxError(f"location name {name!r} contains '@', reserved for the solver's locations")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            # a \ud800 escape reads as a lone surrogate, which no document can hold
+            raise GameSyntaxError(f"location name {name!r} is not UTF-8 encodable") from None
         _integer(rate, f"{name}: rate")
         urgent = _flag(obj, "urgent", False, name)
         final_cost = None
@@ -449,6 +455,61 @@ def parse_game(text: str) -> Game:
         transitions.append(Transition(src, guard, reset, tgt, weight))
 
     return validate_game(Game(tuple(locations), tuple(transitions), Fraction(bound)))
+
+
+def json_text(obj) -> str:
+    """obj as `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`
+    writes it, byte for byte.  That call runs the stdlib's pure-Python
+    encoder, since its C encoder is used only without indent; this one
+    appends to one list.  obj is a tree of dicts with string keys, lists,
+    strings, ints, booleans and None; anything else, floats included,
+    raises TypeError."""
+    out = []
+    _write_json(obj, out.append, "\n")
+    return "".join(out)
+
+
+def _write_json(obj, put, nl: str) -> None:
+    """Writes obj through put, its nested lines starting at nl."""
+    t = type(obj)
+    if t is str:
+        put(encode_basestring(obj))
+    elif t is dict:
+        if not obj:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            put(sep)
+            put(encode_basestring(key))
+            put(": ")
+            _write_json(obj[key], put, inner)
+            sep = comma
+        put(nl + "}")
+    elif t is list:
+        if not obj:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in obj:
+            put(sep)
+            _write_json(item, put, inner)
+            sep = comma
+        put(nl + "]")
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif t is int:
+        put(int.__repr__(obj))
+    else:
+        raise TypeError(f"cannot write {t.__name__} as JSON: {obj!r}")
 
 
 def serialize_game(g: Game) -> str:
@@ -489,7 +550,7 @@ def serialize_game(g: Game) -> str:
             for t in g.transitions
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json_text(doc) + "\n"
 
 
 def make_game(locations: Iterable[Location], transitions: Iterable[Transition], bound) -> Game:

@@ -10,14 +10,18 @@ which this script only imports.  Every game is solved twice through
 ``solver.sweep`` and ``regions.sweep`` replaced by
 ``reference.grid_sweep``, which runs value iteration at every candidate
 cutpoint.  The exit codes, stdout, stderr (bar the timing line) and
-documents must be equal.  Then the fan at k = 64 is solved and ``pick``
-checked against the lower envelope of its finals.  Exits 1, after
+documents must be equal, and every document must be, as UTF-8, what
+``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`` writes
+for its own JSON, so the package's writer is checked against the
+stdlib's encoder on every document.  Then the fan at k = 64 is solved
+and ``pick`` checked against the lower envelope of its finals.  Exits 1, after
 printing every difference, if anything fails.
 """
 
 import argparse
 import contextlib
 import io
+import json
 import random
 import sys
 import tempfile
@@ -58,8 +62,18 @@ def walking_every_candidate():
         solver.sweep, regions.sweep = swapped
 
 
+def stdlib_encoded(doc) -> bool:
+    """Whether doc, a document's bytes (None when none was written), is
+    the stdlib's indented encoding of its JSON."""
+    if doc is None:
+        return True
+    text = json.dumps(json.loads(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return text.encode("utf-8") == doc
+
+
 def compare(workload: str, seed: int, work: Path) -> list:
-    """The names of the games whose two solves differ."""
+    """The names of the games whose two solves differ, or whose document
+    is not the stdlib's encoding."""
     _, cases = gen.workload(workload, seed, BLOCKS[workload], ROOT / "fixtures")
     differ = []
     for case in cases:
@@ -70,6 +84,8 @@ def compare(workload: str, seed: int, work: Path) -> list:
             want = solve(game, out)
         if got != want:
             differ.append(case.name)
+        elif not stdlib_encoded(got[3]):
+            differ.append(f"{case.name} (not the stdlib's encoding)")
     print(f"{workload} seed {seed}: {len(cases)} games, {len(differ)} differ")
     return differ
 

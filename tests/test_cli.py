@@ -16,7 +16,7 @@ from test_solver import corrupting_sweep
 from ptgsolve import document
 from ptgsolve.cli import main
 from ptgsolve.exactmath import format_value
-from ptgsolve.model import serialize_game
+from ptgsolve.model import parse_game, serialize_game
 
 F = Fraction
 
@@ -394,6 +394,42 @@ def test_solve_refuses_names_the_solver_reserves(tmp_path, capsys, text):
     assert code == 2
     assert "contains '@', reserved for the solver's locations" in err
     assert "duplicate location" not in err
+
+
+def test_solve_refuses_a_name_that_is_not_utf8(tmp_path, capsys):
+    # "a\ud800" is valid JSON; writing its document raised
+    # UnicodeEncodeError out of main and left an empty output file
+    game = tmp_path / "game.json"
+    game.write_text(_exit_game({"a\ud800": "min"}, [("a\ud800", _FULL, 0)]))
+    out = tmp_path / "x.json"
+    code, stdout, err = run_cli(capsys, "solve", str(game), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == ["error: location name 'a\\ud800' is not UTF-8 encodable"]
+    assert not out.exists()
+
+
+def test_solve_writes_a_non_ascii_name_as_utf8(tmp_path, capsys):
+    game = tmp_path / "game.json"
+    game.write_text(_exit_game({"café": "min"}, [("café", _FULL, 0)]))
+    out = tmp_path / "x.json"
+    code, _, _ = run_cli(capsys, "solve", str(game), "--out", str(out))
+    assert code == 0
+    assert '\n  "values": {\n    "café": [\n'.encode("utf-8") in out.read_bytes()
+    assert set(document.load(str(out)).values) == {"café", "f"}
+    assert run_cli(capsys, "verify", str(game), str(out))[0] == 0
+    g = parse_game(game.read_text())
+    assert parse_game(serialize_game(g)) == g
+
+
+def test_solve_encodes_the_document_before_opening_its_file(tmp_path, capsys, monkeypatch):
+    # a document that cannot be encoded leaves the file it would replace as it was
+    out = tmp_path / "fig1.values.json"
+    out.write_bytes(b"kept")
+    monkeypatch.setattr(document, "dumps", lambda g, mode, sol: "\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        main(["solve", str(FIXTURES / "fig1.json"), "--out", str(out)])
+    assert out.read_bytes() == b"kept"
 
 
 def test_solve_missing_file(capsys):
@@ -925,6 +961,8 @@ def test_verify_reads_the_strategies_object(tmp_path, capsys, path, raw, reason)
 
 FOREIGN = "bad positional strategy: move"
 REVERSED = "bad positional strategy: an interval must end above its start, got"
+WAIT = "bad positional strategy: a wait must end in"
+L2_ROW = ("max", "l2", "rows", 0, "move", "target_x")
 
 
 @pytest.mark.parametrize(
@@ -935,14 +973,34 @@ REVERSED = "bad positional strategy: an interval must end above its start, got"
         (("max", "l2", "at_end", "t_index"), 0, FOREIGN, "of l2: transition 0 leaves l1"),
         (("max", "l2", "rows", 0, "interval"), ["1/4", "0"], REVERSED, "['1/4', '0']"),
         (("max", "l4", "rows", 0, "interval"), ["1", "1"], REVERSED, "['1', '1']"),
+        (L2_ROW, "-1", WAIT, "[1/4, 1], got -1"),
+        (L2_ROW, "5", WAIT, "[1/4, 1], got 5"),
+        (L2_ROW, "1/8", WAIT, "[1/4, 1], got 1/8"),
+        (
+            ("max", "l2", "at_end"),
+            {"type": "wait_until", "to": "l5", "t_index": 3, "target_x": "1/2"},
+            WAIT,
+            "[1, 1], got 1/2",
+        ),
+        (
+            ("min", "sigma1", "l1", "rows", 0, "move"),
+            {"type": "wait_until", "to": "l2", "t_index": 0, "target_x": "2"},
+            f"bad switching strategy: {WAIT}",
+            "[1/4, 1], got 2",
+        ),
     ],
-    ids=["sigma2-of-l3", "sigma1-row-of-l1", "at-end-of-l1", "reversed-interval", "empty-interval"],
+    ids=[
+        "sigma2-of-l3", "sigma1-row-of-l1", "at-end-of-l1", "reversed-interval", "empty-interval",
+        "wait-below-the-clock", "wait-past-the-bound", "wait-inside-the-row", "at-end-wait-before-the-bound",
+        "sigma1-wait-past-the-bound",
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_strategy_reader_refuses_foreign_moves_and_reversed_rows(tmp_path, capsys, command, path, raw, head, tail):
-    # a move must fire a transition of the location it is listed under, and
-    # a row must cover an interval that ends above its start; verify passed
-    # both, exit 0, and simulate from l1:1/2 too
+    # a move must fire a transition of the location it is listed under, a
+    # row must cover an interval that ends above its start, and a wait must
+    # end between its row's end and the clock bound (at the bound in
+    # at_end); verify passed each, exit 0, and simulate from l1:1/2 too
     doc = json.loads((FIXTURES / "fig1.values.json").read_text())
     obj = doc["strategies"]
     for key in path[:-1]:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -198,6 +199,59 @@ def test_parse_value_reads_the_documented_literals(text, value):
 def test_parse_value_rejects_other_literals(text):
     # an exponent would let a few bytes ask Fraction for a huge integer
     with pytest.raises(ValueError, match="not a rational literal"):
+        parse_value(text)
+
+
+_OLD_LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
+def _parse_by_fraction(text):
+    """parse_value's finite literals as they were read: the literal check,
+    then Fraction(text), which runs a regex of its own."""
+    if not isinstance(text, str):
+        raise TypeError(text)
+    if not _OLD_LITERAL.fullmatch(text):
+        raise ValueError(text)
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(text) from exc
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+_LITERALS = st.one_of(
+    st.builds("".join, st.lists(st.sampled_from(["+", "-", "/", ".", "0", "1", "7", "e", " ", "_", "١"]), max_size=10)),
+    st.builds(lambda s, n, d: f"{s}{n}/{d}", st.sampled_from(["", "+", "-"]), _DIGITS, _DIGITS),
+    st.builds(lambda s, n, d: f"{s}{n}.{d}", st.sampled_from(["", "+", "-"]), _DIGITS | st.just(""), _DIGITS),
+    st.builds(lambda s, n: s + n, st.sampled_from(["", "+", "-"]), _DIGITS),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_LITERALS)
+def test_parse_value_reads_literals_as_fraction_did(text):
+    want = _outcome(_parse_by_fraction, text)
+    got = _outcome(parse_value, text)
+    if isinstance(want, F):
+        assert got == want == F(text)
+    else:
+        assert got is want
+
+
+@pytest.mark.parametrize(
+    "text", [7, 0.5, None, True, b"1", "1" * 4301, "-" + "9" * 4301, "1/" + "3" * 4301, "1/0", "-0/0", "NaN", "1e3"]
+)
+def test_parse_value_refuses_as_fraction_did(text):
+    want = _outcome(_parse_by_fraction, text)
+    assert want in (TypeError, ValueError)
+    with pytest.raises(want):
         parse_value(text)
 
 

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
 from reference import max_final_cost, max_transition_weight
@@ -15,6 +17,7 @@ from ptgsolve.model import (
     Transition,
     ValidationError,
     check_sptg,
+    json_text,
     make_game,
     parse_game,
     regions_of,
@@ -206,6 +209,30 @@ def test_serialize_round_trip():
     for name in ("fig1.json", "fig3.json", "appc.json", "urgent_all.json", "reset_chain.json"):
         g = parse_game(load_fixture(name))
         assert parse_game(serialize_game(g)) == g
+
+
+_TEXT = st.text() | st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é€😀\u2028'), max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON)
+def test_json_text_is_the_stdlib_indented_encoding(obj):
+    want = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert json_text(obj) + "\n" == want
+
+
+@pytest.mark.parametrize(
+    "obj", [F(1, 2), 0.5, float("inf"), {"x": [1, F(3)]}, [{"a": 1.0}], {1: "a"}, (1, 2), b"1"]
+)
+def test_json_text_refuses_what_documents_do_not_hold(obj):
+    # the stdlib would write a float, "Infinity" included, or a tuple as a list
+    with pytest.raises(TypeError):
+        json_text(obj)
 
 
 def test_weight_bound_invariant():
