@@ -31,15 +31,16 @@ from .exactmath import (
     CostFunction,
     DomainError,
     Value,
+    _canonical,
     _scaled,
-    as_fraction,
+    _slope,
     evaluate,
     format_value,
     parse_value,
 )
 from .model import Game, Region, json_text, regions_of
 from .solver import Solution, SweepTrace
-from .strategy import WAIT_UNTIL, FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
+from .strategy import NOW, WAIT_UNTIL, FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
 
 MODE_SPTG = "sptg"
 MODE_REGIONS = "reset-acyclic"
@@ -72,37 +73,26 @@ def _segment_to_json(seg: CostFunction) -> dict:
 
 
 def _values_to_json(values: dict) -> dict:
-    out = {}
-    for name in sorted(values):
-        v = values[name]
-        segs = (v,) if isinstance(v, CostFunction) else tuple(v)
-        out[name] = [_segment_to_json(s) for s in segs]
-    return out
+    # one CostFunction from `solve`, stitched segments from the region pipeline
+    return {
+        name: [_segment_to_json(s) for s in ((v,) if isinstance(v, CostFunction) else v)]
+        for name, v in values.items()
+    }
 
 
 def _trace_to_json(trace: SweepTrace) -> dict:
-    windows = []
-    for w in trace.windows:
-        rej = None
-        if w.rejection is not None:
-            rej = {
-                "x": format_value(w.rejection[0]),
-                "locations": list(w.rejection[1]),
-            }
-        windows.append(
-            {
-                "start": format_value(w.start),
-                "slope_breaks": [
-                    {"x": format_value(x), "locations": list(names)}
-                    for x, names in w.slope_breaks
-                ],
-                "rejection": rej,
-            }
-        )
-    return {
-        "boundaries": [format_value(b) for b in trace.boundaries],
-        "windows": windows,
-    }
+    def at(x, names) -> dict:
+        return {"x": format_value(x), "locations": list(names)}
+
+    windows = [
+        {
+            "start": format_value(w.start),
+            "slope_breaks": [at(x, names) for x, names in w.slope_breaks],
+            "rejection": None if w.rejection is None else at(*w.rejection),
+        }
+        for w in trace.windows
+    ]
+    return {"boundaries": [format_value(b) for b in trace.boundaries], "windows": windows}
 
 
 def move_to_json(g: Game, m: Move) -> dict:
@@ -117,19 +107,16 @@ def move_to_json(g: Game, m: Move) -> dict:
 
 
 def fp_to_json(g: Game, fp: FPStrategy) -> dict:
-    out = {}
-    for name in sorted(fp.rows):
-        out[name] = {
+    return {
+        name: {
             "rows": [
-                {
-                    "interval": [format_value(lo), format_value(hi)],
-                    "move": move_to_json(g, mv),
-                }
-                for lo, hi, mv in fp.rows[name]
+                {"interval": [format_value(lo), format_value(hi)], "move": move_to_json(g, mv)}
+                for lo, hi, mv in rows
             ],
             "at_end": move_to_json(g, fp.at_end[name]),
         }
-    return out
+        for name, rows in fp.rows.items()
+    }
 
 
 def switching_to_json(g: Game, s: SwitchingStrategy) -> dict:
@@ -159,21 +146,29 @@ def dumps(g: Game, mode: str, sol: Solution) -> str:
     return json_text(doc) + "\n"
 
 
-def _segment_from_json(obj) -> CostFunction:
+def _literals():
+    """parse_value for one document, each distinct literal read once: a
+    document repeats its clock values, and many values, across locations.
+    A literal that is not a string is refused before it is hashed."""
+    seen = {}
+    return lambda text: seen[text] if type(text) is str and text in seen else seen.setdefault(text, parse_value(text))
+
+
+def _segment_from_json(obj, literal) -> CostFunction:
     try:
-        lo = parse_value(obj["from"])
-        hi = parse_value(obj["to"])
+        lo = literal(obj["from"])
+        hi = literal(obj["to"])
         if "infinite" in obj:
             marker = obj["infinite"]
             if marker not in ("inf", "-inf"):
                 raise ValueError(f"bad infinity marker {marker!r}")
             return CostFunction.constant(lo, hi, INF if marker == "inf" else NEG_INF)
-        pts = [(parse_value(p["x"]), parse_value(p["v"])) for p in obj["points"]]
+        pts = [(literal(p["x"]), literal(p["v"])) for p in obj["points"]]
         if any(isinstance(x, float) or isinstance(v, float) for x, v in pts):
             raise ValueError("breakpoints of a finite segment must be rational")
         if not pts or pts[0][0] != lo or pts[-1][0] != hi:
             raise ValueError("points do not span the declared interval")
-        return CostFunction.from_points(pts)
+        return CostFunction._trusted(*_canonical(*zip(*pts)))
     except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise SolutionFormatError(f"bad value segment {obj!r}: {exc}") from exc
 
@@ -196,10 +191,11 @@ def load(path: str, data: Optional[bytes] = None) -> Document:
     if not isinstance(raw_vals, dict):
         raise SolutionFormatError(f"{path}: values must be an object")
     values = {}
+    literal = _literals()
     for name, arr in raw_vals.items():
         if not isinstance(arr, list) or not arr:
             raise SolutionFormatError(f"{path}: {name}: expected a segment list")
-        values[name] = [_segment_from_json(o) for o in arr]
+        values[name] = [_segment_from_json(o, literal) for o in arr]
     return Document(mode, values, doc.get("strategies"))
 
 
@@ -208,7 +204,7 @@ def uniform_infinity(seg: CostFunction) -> Optional[float]:
     return v if isinstance(v, float) else None
 
 
-def region_values(regions, segments: list) -> list:
+def region_values(regions, segments: list, scaled: Optional[tuple] = None) -> list:
     """Per-region closure values, rebuilt from stitched segments.
 
     Open regions take the first segment that spans their closure; its
@@ -217,44 +213,55 @@ def region_values(regions, segments: list) -> list:
     value: of the segments covering the point, the last point segment, or
     else the last one.  Both lists are walked once, in ascending order, so
     the segments must be contiguous, each starting where the previous one
-    ends, as `_check_coverage` ensures.
+    ends, as `_check_coverage` ensures.  The walk compares integers:
+    scaled holds the regions' ends and the segments' breakpoints on one
+    scale, as `_on_scale` reads them, and is read here when not given.
     """
+    cuts, segxs = scaled or _on_scale(regions, [segments])[1:]
     out = []
     k, m = 0, len(segments)
-    for reg in regions:
+    for reg, (lo, hi) in zip(regions, cuts):
         # segments ending below the region cover neither it nor any later one
-        end = reg.lo if reg.is_point else reg.hi
-        while k < m and segments[k].hi < end:
+        while k < m and segxs[k][-1] < hi:
             k += 1
-        if reg.is_point:
+        if lo == hi:
             # from k on, every segment starting at or below the point covers it
             j = k
-            while j < m and segments[j].lo <= reg.lo:
+            while j < m and segxs[j][0] <= lo:
                 j += 1
-            cover = segments[k:j]
+            cover = [i for i in range(k, j) if len(segxs[i]) == 1] or range(k, j)
             if not cover:
                 raise SolutionFormatError(f"no segment covers {format_value(reg.lo)}")
-            points = [s for s in cover if s.is_point]
-            seg = points[-1] if points else cover[-1]
-            inf_v = uniform_infinity(seg)
-            out.append(inf_v if inf_v is not None else CostFunction.point(
-                reg.lo, evaluate(seg, reg.lo)
-            ))
+            seg, xs = segments[cover[-1]], segxs[cover[-1]]
+            v = seg.vals[0] if xs[0] == lo else seg.vals[-1] if xs[-1] == lo else evaluate(seg, reg.lo)
+            out.append(v if isinstance(v, float) else CostFunction._trusted((reg.lo,), (v,)))
             continue
-        seg = segments[k] if k < m else None
-        if seg is None or seg.lo > reg.lo:
+        if k == m or segxs[k][0] > lo:
             raise SolutionFormatError(
                 f"no segment spans ({format_value(reg.lo)}, {format_value(reg.hi)})"
             )
-        inf_v = uniform_infinity(seg)
-        out.append(inf_v if inf_v is not None else seg)
+        seg = segments[k]
+        out.append(seg if uniform_infinity(seg) is None else seg.vals[0])
     return out
+
+
+def _on_scale(regions, seglists) -> tuple:
+    """The document's abscissae on one integer scale: X, the least common
+    denominator of every region end and breakpoint, then on it each
+    region's ends as a pair (lo*X, hi*X) and, one list per segment list,
+    each segment's breakpoints times X."""
+    seglists = list(seglists)
+    X = math.lcm(*{x.denominator for r in regions for x in (r.lo, r.hi)},
+                 *{x.denominator for segs in seglists for s in segs for x in s.xs})
+    cuts = [(_scaled(r.lo, X), _scaled(r.hi, X)) for r in regions]
+    return (X, cuts, *([[x.numerator * (X // x.denominator) for x in s.xs] for s in segs] for segs in seglists))
 
 
 def value_at(g: Game, doc: Document, name: str, x) -> Value:
     """The value doc gives location name at clock x, read by `region_values`."""
     # the reader walks contiguous segments; judging jumps is verify's work
-    witness = _check_coverage(g, doc.values, None)
+    _, cuts, *scaled = _on_scale(regions_of(g), doc.values.values())
+    witness = _check_coverage(g, doc.values, dict(zip(doc.values, scaled)), cuts[-1][1], None)
     if witness:
         raise SolutionFormatError(witness)
     (v,) = region_values((Region(x, x),), doc.values[name])
@@ -265,15 +272,18 @@ def _move_from_json(obj, g: Game, name: str) -> Move:
     try:
         kind = obj["type"]
         idx = obj["t_index"]
+        to = obj["to"]
     except (KeyError, TypeError) as exc:
         raise SolutionFormatError(f"bad move {obj!r}") from exc
     if isinstance(idx, bool) or not isinstance(idx, int):
         raise SolutionFormatError(f"move {obj!r}: transition index must be an integer")
     if not 0 <= idx < len(g.transitions):
         raise SolutionFormatError(f"move {obj!r}: transition index out of range")
-    source = g.transitions[idx].source
-    if source != name:
-        raise SolutionFormatError(f"move {obj!r} of {name}: transition {idx} leaves {source}")
+    t = g.transitions[idx]
+    if t.source != name:
+        raise SolutionFormatError(f"move {obj!r} of {name}: transition {idx} leaves {t.source}")
+    if to != t.target:
+        raise SolutionFormatError(f"move {obj!r} of {name}: transition {idx} enters {t.target}")
     if kind == "now":
         return Move.now(idx)
     if kind == "wait_until":
@@ -333,10 +343,12 @@ def _fp_from_json(doc, g: Game) -> FPStrategy:
 def _switching_from_json(doc, g: Game) -> SwitchingStrategy:
     try:
         sigma1 = _fp_from_json(doc["sigma1"], g)
-        sigma2 = {
-            name: _move_from_json(mv, g, name).t_index
-            for name, mv in _object(doc["sigma2"]).items()
-        }
+        sigma2 = {}
+        for name, mv in _object(doc["sigma2"]).items():
+            # the fallback chases a final location: it never waits
+            if _move_from_json(mv, g, name).kind != NOW:
+                raise ValueError(f"move {mv!r} of {name}: the fallback fires now, it does not wait")
+            sigma2[name] = mv["t_index"]
         threshold = parse_value(doc["threshold"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SolutionFormatError(f"bad switching strategy: {exc}") from exc
@@ -348,9 +360,11 @@ def _switching_from_json(doc, g: Game) -> SwitchingStrategy:
 def read_strategies(g: Game, doc: Document) -> tuple:
     """Max's positional and Min's switching strategy, as written for g.
 
-    Every move must fire a transition of the location it is listed under,
-    every row's interval must end above its start, and a wait must end
-    between its row's end and the clock bound (at the bound in `at_end`)."""
+    Every move must fire a transition of the location it is listed under
+    and name that transition's target as its `to`, every row's interval
+    must end above its start, a wait must end between its row's end and
+    the clock bound (at the bound in `at_end`), and Min's fallback
+    (`sigma2`) fires now."""
     if doc.strategies is None:
         raise SolutionFormatError("solution carries no strategies to simulate")
     try:
@@ -359,34 +373,29 @@ def read_strategies(g: Game, doc: Document) -> tuple:
         raise SolutionFormatError(f"bad strategies object: {exc}") from exc
 
 
-def _slope_cap(g: Game) -> Fraction:
-    cap = g.max_rate()
-    for l in g.final_locations:
-        cap = max(cap, abs(l.final_cost.slope))
-    return cap
-
-
-def _check_coverage(g: Game, values: dict, borders: Optional[set]) -> Optional[str]:
+def _check_coverage(g: Game, values: dict, scaled: dict, bound: int, borders: Optional[set]) -> Optional[str]:
     """Witness that the document does not give each location of the game
     contiguous segments over [0, bound], or that one jumps off the borders;
-    with borders None, jumps are not checked."""
-    bound = g.clock_bound
+    with borders None, jumps are not checked.  The walk reads `_on_scale`'s
+    integers: scaled[name] holds the breakpoints of name's segments."""
     names = {l.name for l in g.locations}
     if set(values) != names:
         extra = sorted(set(values) - names)
         missing = sorted(names - set(values))
         return f"coverage: location sets differ (extra {extra}, missing {missing})"
     for name in sorted(values):
-        segs = values[name]
-        if segs[0].lo != 0 or segs[-1].hi != bound:
-            return f"coverage: {name} does not span [0, {format_value(bound)}]"
-        for a, b in zip(segs, segs[1:]):
-            if b.lo != a.hi:
+        segs, segxs = values[name], scaled[name]
+        if segxs[0][0] != 0 or segxs[-1][-1] != bound:
+            return f"coverage: {name} does not span [0, {format_value(g.clock_bound)}]"
+        for i in range(len(segs) - 1):
+            a, b = segs[i], segs[i + 1]
+            seam = segxs[i][-1]
+            if segxs[i + 1][0] != seam:
                 return (
                     f"coverage: {name} has a gap at "
                     f"{format_value(a.hi)}..{format_value(b.lo)}"
                 )
-            if borders is not None and a.hi not in borders and evaluate(a, a.hi) != evaluate(b, b.lo):
+            if borders is not None and seam not in borders and a.vals[-1] != b.vals[0]:
                 return f"continuity: {name} jumps inside a region at {format_value(a.hi)}"
     return None
 
@@ -396,8 +405,8 @@ def _check_finals(g: Game, values: dict) -> Optional[str]:
         for seg in values[l.name]:
             if uniform_infinity(seg) is not None:
                 return f"finals: {l.name} marked infinite"
-            for x in seg.xs:
-                if evaluate(seg, x) != l.final_cost(x):
+            for x, v in zip(seg.xs, seg.vals):
+                if v != l.final_cost(x):
                     return f"finals: {l.name} differs from its final cost at {format_value(x)}"
     return None
 
@@ -405,43 +414,38 @@ def _check_finals(g: Game, values: dict) -> Optional[str]:
 def _check_lipschitz(values: dict, cap: Fraction) -> Optional[str]:
     for name in sorted(values):
         for seg in values[name]:
-            if uniform_infinity(seg) is not None or seg.is_point:
+            if uniform_infinity(seg) is not None:
                 continue
-            # each piece's line, derived here once and read again by the oracle
-            for a, b, line in zip(seg.xs, seg.xs[1:], seg.lines):
-                slope = line.slope
-                if abs(slope) > cap:
+            xs, vals = seg.xs, seg.vals
+            for i in range(len(xs) - 1):
+                # the slope n/d, d > 0, exceeds the cap in size
+                n, d = _slope(xs[i], vals[i], xs[i + 1], vals[i + 1])
+                if abs(n) * cap.denominator > cap.numerator * d:
                     return (
-                        f"lipschitz: {name} has slope {format_value(slope)} on "
-                        f"[{format_value(a)}, {format_value(b)}], cap {format_value(cap)}"
+                        f"lipschitz: {name} has slope {format_value(Fraction(n, d))} on "
+                        f"[{format_value(xs[i])}, {format_value(xs[i + 1])}], cap {format_value(cap)}"
                     )
     return None
 
 
-def _sample_points(g: Game, values: dict, grid: int, borders: set) -> list:
+def _sample_points(X: int, bound: int, scaled: list, grid: int, borders: set) -> list:
     """The valuations the Bellman check samples, increasing, each as p/q in
     lowest terms: 0, the bound, the borders, every breakpoint, the midpoint
-    of each gap between them and grid evenly spaced points, as integers on
-    the scale 2*(grid + 1)*X, X the least common denominator of the first
-    four."""
-    bound = as_fraction(g.clock_bound)
-    xs = {Fraction(0), bound, *borders}
-    for segs in values.values():
-        for seg in segs:
-            xs.update(seg.xs)
-    X = math.lcm(*(x.denominator for x in xs))
+    of each gap between them and grid evenly spaced points.  The inputs are
+    `_on_scale`'s integers on X, the breakpoints one list per location, and
+    the points integers on the scale 2*(grid + 1)*X until reduced."""
     k = grid + 1
-    ordered = sorted(_scaled(x, X) for x in xs)
+    ordered = sorted({0, bound, *borders, *(x for segs in scaled for xs in segs for x in xs)})
     pts = {2 * k * a for a in ordered}
     pts.update(k * (a + b) for a, b in zip(ordered, ordered[1:]))
-    pts.update(2 * i * _scaled(bound, X) for i in range(1, k))
+    pts.update(2 * i * bound for i in range(1, k))
     scale = 2 * k * X
     gcds = ((n, math.gcd(n, scale)) for n in sorted(pts))
     return [(n // d, scale // d) for n, d in gcds]
 
 
-def _check_bellman(g: Game, regions, values: dict, pts: list) -> Optional[str]:
-    region_vals = {name: region_values(regions, segs) for name, segs in values.items()}
+def _check_bellman(g: Game, regions, values: dict, cuts: list, scaled: dict, pts: list) -> Optional[str]:
+    region_vals = {name: region_values(regions, segs, (cuts, scaled[name])) for name, segs in values.items()}
     check = RegionBellmanOracle(g, regions, region_vals).check
     for p, q in pts:
         bad = check(p, q)
@@ -453,12 +457,16 @@ def _check_bellman(g: Game, regions, values: dict, pts: list) -> Optional[str]:
 def _checks(g: Game, doc: Document, grid: int, regions, borders: set):
     """(witness or None, what passed) per check, each run only once the
     ones before it have passed."""
-    yield _check_coverage(g, doc.values, borders), "coverage ok"
+    X, cuts, *scaled = _on_scale(regions, doc.values.values())
+    by_name = dict(zip(doc.values, scaled))
+    jumps = {_scaled(b, X) for b in borders}
+    yield _check_coverage(g, doc.values, by_name, cuts[-1][1], jumps), "coverage ok"
     yield _check_finals(g, doc.values), "finals ok"
-    cap = _slope_cap(g)
+    # no value changes faster than a rate or a final cost's slope
+    cap = max([g.max_rate(), *(abs(l.final_cost.slope) for l in g.final_locations)])
     yield _check_lipschitz(doc.values, cap), f"lipschitz ok (cap {format_value(cap)})"
-    pts = _sample_points(g, doc.values, grid, borders)
-    yield _check_bellman(g, regions, doc.values, pts), f"bellman ok ({len(pts)} points)"
+    pts = _sample_points(X, cuts[-1][1], scaled, grid, jumps)
+    yield _check_bellman(g, regions, doc.values, cuts, by_name, pts), f"bellman ok ({len(pts)} points)"
 
 
 def verify(g: Game, doc: Document, grid: int) -> tuple:

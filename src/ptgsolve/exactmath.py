@@ -6,8 +6,10 @@ appear only as the +inf/-inf sentinels; no rounding happens anywhere.
 
 The paper's values are continuous and piecewise affine on each region, so a
 `CostFunction` is its breakpoints and its values there, and each piece is
-the line through its two ends.  The lines are a view, derived once per
-function when a reader first asks for them; `ptg solve` asks for none.
+the line through its two ends.  No line is ever built: `evaluate` reads a
+piece through its two breakpoints, and `ptg verify` reads each piece's
+slope as an integer pair (`_slope`) and puts the breakpoints on integer
+scales for its oracle.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -101,14 +102,6 @@ class Affine:
     def __call__(self, nu) -> Fraction:
         return self.slope * as_fraction(nu) + self.intercept
 
-    @staticmethod
-    def through(x1, v1, x2, v2) -> "Affine":
-        x1, v1, x2, v2 = map(as_fraction, (x1, v1, x2, v2))
-        if x1 == x2:
-            raise DomainError("two distinct abscissae required")
-        slope = (v2 - v1) / (x2 - x1)
-        return Affine(slope, v1 - slope * x1)
-
 
 def _infinity(v: float) -> float:
     if v == INF or v == NEG_INF:
@@ -117,8 +110,9 @@ def _infinity(v: float) -> float:
 
 
 def _slope(x0: Fraction, v0: Fraction, x1: Fraction, v1: Fraction) -> tuple:
-    """The slope between two finite breakpoints, x0 < x1, as an unreduced
-    integer pair (numerator, denominator > 0)."""
+    """The slope between two finite breakpoints as an unreduced integer
+    pair (numerator, denominator), whose denominator is positive exactly
+    when x0 < x1."""
     p0, q0, p1, q1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
     a0, b0, a1, b1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
     return (a1 * b0 - a0 * b1) * q0 * q1, b0 * b1 * (p1 * q0 - p0 * q1)
@@ -129,13 +123,32 @@ def _straight(left: tuple, right: tuple) -> bool:
     return left[0] * right[1] == right[0] * left[1]
 
 
+def _canonical(xs: tuple, vals: tuple) -> tuple:
+    """The canonical breakpoints and values of the finite function through
+    the exact points (xs[i], vals[i]), from `_slope`'s integer pairs alone:
+    DomainError unless xs strictly increase, and every breakpoint on the
+    line through its neighbours dropped."""
+    out_x, out_v, last = [xs[0]], [vals[0]], None
+    for x, v in zip(xs[1:], vals[1:]):
+        s = _slope(out_x[-1], out_v[-1], x, v)
+        if s[1] <= 0:
+            raise DomainError("breakpoints must be strictly increasing")
+        if last is not None and _straight(last, s):
+            out_x[-1], out_v[-1] = x, v
+        else:
+            out_x.append(x)
+            out_v.append(v)
+            last = s
+    return tuple(out_x), tuple(out_v)
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Continuous piecewise-affine function on a closed rational interval [lo, hi].
 
     ``xs`` are the breakpoints (strictly increasing, first is lo, last is
     hi) and ``vals`` the exact values there; each piece is the line through
-    its two breakpoints (`lines`).  A function is finite everywhere or one
+    its two breakpoints.  A function is finite everywhere or one
     infinity everywhere: the paper's values are continuous on each region,
     and a region's value is infinite throughout or nowhere.
 
@@ -152,29 +165,18 @@ class CostFunction:
         xs = tuple(as_fraction(x) for x in self.xs)
         if not xs:
             raise DomainError("a cost function needs at least one breakpoint")
-        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-            raise DomainError("breakpoints must be strictly increasing")
         if len(self.vals) != len(xs):
             raise DomainError("one value per breakpoint required")
         floats = [_infinity(v) for v in self.vals if isinstance(v, float)]
-        if floats:
-            if len(floats) != len(xs) or len(set(floats)) != 1:
-                raise DomainError("a cost function is finite everywhere or one infinity everywhere")
-            xs = xs[:1] + xs[1:][-1:]
-            self._store(xs, (floats[0],) * len(xs))
+        if not floats:
+            self._store(*_canonical(xs, tuple(as_fraction(v) for v in self.vals)))
             return
-        vals = tuple(as_fraction(v) for v in self.vals)
-        out_x, out_v = list(xs[:2]), list(vals[:2])
-        last = _slope(xs[0], vals[0], xs[1], vals[1]) if len(xs) > 1 else None
-        for x, v in zip(xs[2:], vals[2:]):
-            s = _slope(out_x[-1], out_v[-1], x, v)
-            if _straight(last, s):
-                out_x[-1], out_v[-1] = x, v
-            else:
-                out_x.append(x)
-                out_v.append(v)
-                last = s
-        self._store(tuple(out_x), tuple(out_v))
+        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
+            raise DomainError("breakpoints must be strictly increasing")
+        if len(floats) != len(xs) or len(set(floats)) != 1:
+            raise DomainError("a cost function is finite everywhere or one infinity everywhere")
+        xs = xs[:1] + xs[1:][-1:]
+        self._store(xs, (floats[0],) * len(xs))
 
     def _store(self, xs: tuple, vals: tuple) -> None:
         """Keeps checked, canonical parts; every build ends here."""
@@ -190,13 +192,6 @@ class CostFunction:
         f._store(xs, vals)
         return f
 
-    @cached_property
-    def lines(self) -> tuple:
-        """The line of each piece, left to right, through its two
-        breakpoints: derived on the first read, for a finite function."""
-        xs, vals = self.xs, self.vals
-        return tuple(Affine.through(xs[i], vals[i], xs[i + 1], vals[i + 1]) for i in range(len(xs) - 1))
-
     @property
     def lo(self) -> Fraction:
         return self.xs[0]
@@ -208,11 +203,6 @@ class CostFunction:
     @property
     def is_point(self) -> bool:
         return len(self.xs) == 1
-
-    @staticmethod
-    def from_points(points: Sequence) -> "CostFunction":
-        """Interpolate finite breakpoint values: [(x0, v0), ..., (xn, vn)]."""
-        return CostFunction(tuple(x for x, _ in points), tuple(v for _, v in points))
 
     @staticmethod
     def from_affine(lo, hi, line: Affine) -> "CostFunction":
@@ -244,14 +234,15 @@ class CostFunction:
 
 def evaluate(f: CostFunction, nu) -> Value:
     """Exact value of f at nu: its recorded value at a breakpoint or where
-    f is infinite, else the value of nu's piece's line."""
+    f is infinite, else read off the two breakpoints of nu's piece."""
     nu = as_fraction(nu)
     if nu < f.lo or nu > f.hi:
         raise DomainError(f"{nu} outside domain [{f.lo}, {f.hi}]")
     i = bisect_left(f.xs, nu)
     if f.xs[i] == nu or isinstance(f.vals[i], float):
         return f.vals[i]
-    return f.lines[i - 1](nu)
+    x0, x1, v0, v1 = f.xs[i - 1], f.xs[i], f.vals[i - 1], f.vals[i]
+    return v0 + (v1 - v0) * (nu - x0) / (x1 - x0)
 
 
 def concat(*parts: CostFunction) -> CostFunction:

@@ -94,10 +94,6 @@ class Guard:
     def closed(lo, hi) -> "Guard":
         return Guard(as_fraction(lo), as_fraction(hi), True, True)
 
-    @staticmethod
-    def point(x) -> "Guard":
-        return Guard.closed(x, x)
-
     def contains(self, nu) -> bool:
         nu = as_fraction(nu)
         if nu < self.lo or (nu == self.lo and not self.lo_closed):
@@ -174,6 +170,7 @@ class Game:
 
     _by_name: dict = field(default_factory=dict, compare=False, repr=False)
     _outgoing: dict = field(default_factory=dict, compare=False, repr=False)
+    _regions: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "clock_bound", as_fraction(self.clock_bound))
@@ -252,21 +249,24 @@ def regions_of(g: Game) -> tuple:
     """Alternating point and open regions spanning [0, clock bound].
 
     Cut points are the guard endpoints that fall inside the clock range,
-    plus both ends of the range itself.
+    plus both ends of the range itself.  The tuple is built once per game,
+    on the first call, and shared: regions are immutable.
     """
-    ends = {Fraction(0), g.clock_bound}
-    for t in g.transitions:
-        if t.guard.lo <= g.clock_bound:
-            ends.add(t.guard.lo)
-        if not isinstance(t.guard.hi, float) and t.guard.hi <= g.clock_bound:
-            ends.add(t.guard.hi)
-    points = sorted(ends)
-    out = []
-    for i, p in enumerate(points):
-        out.append(Region(p, p))
-        if i + 1 < len(points):
-            out.append(Region(p, points[i + 1]))
-    return tuple(out)
+    if not g._regions:
+        ends = {Fraction(0), g.clock_bound}
+        for t in g.transitions:
+            if t.guard.lo <= g.clock_bound:
+                ends.add(t.guard.lo)
+            if not isinstance(t.guard.hi, float) and t.guard.hi <= g.clock_bound:
+                ends.add(t.guard.hi)
+        points = sorted(ends)
+        out = []
+        for i, p in enumerate(points):
+            out.append(Region(p, p))
+            if i + 1 < len(points):
+                out.append(Region(p, points[i + 1]))
+        object.__setattr__(g, "_regions", tuple(out))
+    return g._regions
 
 
 def _check_deadlock_free(g: Game) -> None:
@@ -284,11 +284,8 @@ def _check_deadlock_free(g: Game) -> None:
             raise ValidationError("deadlock", f"{loc.name} has no outgoing transition")
         for reg in regions:
             if loc.urgent:
-                if reg.is_point:
-                    ok = any(gd.contains(reg.lo) for gd in guards)
-                else:
-                    probe = (reg.lo + reg.hi) / 2
-                    ok = any(gd.contains(probe) for gd in guards)
+                probe = reg.lo if reg.is_point else (reg.lo + reg.hi) / 2
+                ok = any(gd.contains(probe) for gd in guards)
             else:
                 if reg.is_point:
                     ok = any(gd.meets_above(reg.lo) for gd in guards)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .exactmath import INF, Value, _scaled, as_fraction, format_value
+from .exactmath import INF, Value, _scaled, _slope, as_fraction, format_value
 from .model import MAX, Config, Game
 
 NOW = "now"
@@ -211,16 +211,17 @@ class RegionBellmanOracle:
       breakpoints, guard ends and the clock bound, which covers the
       critical points and window ends too.  An abscissa a is the integer
       a*X.
-    - M = X*D, where D is the least common denominator of the game's and
-      the claims' values, slopes and rates.  A value v is the integer v*M,
-      a slope or rate s the integer s*D, its change per step 1/X of the
-      clock on the scale M.  So a line's value s*k + c at a critical point
-      k is an integer on the scale M too, and with it the values after a
-      reset and the suffix optima.
+    - M = X*D, where D is the least common denominator of the claims'
+      values, the weights, the rates and each piece's slope, in lowest
+      terms d / gcd(n, d) of `_slope`'s pair (n, d).  A value v is the
+      integer v*M, a slope or rate s the integer s*D, its change per step
+      1/X of the clock on the scale M.  So a line's value s*k + c at a
+      critical point k is an integer on the scale M too, and with it the
+      values after a reset and the suffix optima.
 
     The inputs are put on the scales once, and the tables are built from
-    those integers; a function's pieces are its `CostFunction.lines`,
-    derived on the first read and shared with `ptg verify`'s slope check.
+    those integers alone: the piece from (A0, V0) to (A1, V1) is the line
+    of slope (V1 - V0)/(A1 - A0), an exact division, through (A0, V0).
     At nu = p/q every candidate and the claim are then numerators over the
     one positive denominator M*q:
 
@@ -250,8 +251,9 @@ class RegionBellmanOracle:
             if isinstance(f.vals[0], float):
                 continue
             vden.update(v.denominator for v in f.vals)
-            for line in () if f.is_point else f.lines:
-                vden.update((line.slope.denominator, line.intercept.denominator))
+            for i in range(len(f.xs) - 1):
+                n, d = _slope(f.xs[i], f.vals[i], f.xs[i + 1], f.vals[i + 1])
+                vden.add(d // math.gcd(n, d))
         for t in g.transitions:
             xden.add(t.guard.lo.denominator)
             if not isinstance(t.guard.hi, float):
@@ -262,7 +264,7 @@ class RegionBellmanOracle:
         D = math.lcm(*vden)
         M = X * D
         self.borders = borders = [_scaled(b, X) for b in borders]
-        tables = {key: _table(f, X, D, M) for key, f in funcs.items()}
+        tables = {key: _table(f, X, M) for key, f in funcs.items()}
         self.entries, breaks = {}, {}
         for name, per in region_vals.items():
             # an infinity is the line (0, inf): 0*p + inf*q is inf for q > 0
@@ -354,18 +356,20 @@ class RegionBellmanOracle:
         return bad
 
 
-def _table(f, X: int, D: int, M: int) -> tuple:
+def _table(f, X: int, M: int) -> tuple:
     """A CostFunction on the scales, as the check reads it, and its
     breakpoints.  It reads a line (slope*D, intercept*M) where one line
     gives every value on the closure (a point, an infinity as the line
-    (0, inf), or one piece), else (xs, vals, lines), with f's lines."""
+    (0, inf), or one piece), else (xs, vals, lines), one line per piece."""
     xs = [_scaled(x, X) for x in f.xs]
     if f.is_point or isinstance(f.vals[0], float):
         return (0, _scaled(f.vals[0], M)), xs
-    lines = [(_scaled(line.slope, D), _scaled(line.intercept, M)) for line in f.lines]
-    if len(lines) == 1:
-        return lines[0], xs
-    return (xs, [_scaled(v, M) for v in f.vals], lines), xs
+    vals = [_scaled(v, M) for v in f.vals]
+    lines = []
+    for a0, a1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
+        s = (v1 - v0) // (a1 - a0)  # exact: the slope's denominator divides D
+        lines.append((s, v0 - s * a0))
+    return (lines[0] if len(lines) == 1 else (xs, vals, lines)), xs
 
 
 def _at(entry: tuple, a: int, b: int, fl: int, exact: bool):

@@ -3,8 +3,9 @@
 Each is a second implementation built from the paper's proofs, kept to
 check the package against, not part of it:
 
-- ``restrict``, ``slope_between`` and ``pairwise_intersections`` on
-  cost functions and lines;
+- ``from_points``, ``restrict``, ``slope_between``, ``through`` and
+  ``pairwise_intersections`` on cost functions and lines, and
+  ``point_guard``, the guard that holds at one clock value only;
 - ``max_transition_weight`` and ``max_final_cost``, the bounds of a
   ``Game`` that the solver now reads off its compiled rows;
 - ``make_urgent`` and ``waiting``, the game copies the sweep's evaluators
@@ -101,6 +102,16 @@ from ptgsolve.urgent import InstantEvaluator, compile_game, unscale
 # cost functions and lines
 
 
+def from_points(points) -> CostFunction:
+    """The function through finite breakpoint values [(x0, v0), ..., (xn,
+    vn)], built by the validating constructor."""
+    return CostFunction(tuple(x for x, _ in points), tuple(v for _, v in points))
+
+
+def point_guard(x) -> Guard:
+    return Guard.closed(x, x)
+
+
 def restrict(f: CostFunction, lo, hi) -> CostFunction:
     """The same function on the subdomain [lo, hi]."""
     lo, hi = as_fraction(lo), as_fraction(hi)
@@ -108,7 +119,7 @@ def restrict(f: CostFunction, lo, hi) -> CostFunction:
         raise DomainError(f"[{lo}, {hi}] not inside [{f.lo}, {f.hi}]")
     inner = [(x, v) for x, v in zip(f.xs, f.vals) if lo < x < hi]
     ends = [(hi, evaluate(f, hi))] if hi > lo else []
-    return CostFunction.from_points([(lo, evaluate(f, lo)), *inner, *ends])
+    return from_points([(lo, evaluate(f, lo)), *inner, *ends])
 
 
 class InfinitePiece(ValueError):
@@ -128,6 +139,16 @@ def slope_between(f: CostFunction, nu1, nu2) -> Fraction:
     if not (is_finite(v1) and is_finite(v2)):
         raise InfinitePiece(f"chord over ({nu1}, {nu2}) hits an infinite value")
     return (v2 - v1) / (nu2 - nu1)
+
+
+def through(x1, v1, x2, v2) -> Affine:
+    """The line through (x1, v1) and (x2, v2), x1 != x2: once
+    ``Affine.through``, which the package no longer reads."""
+    x1, v1, x2, v2 = map(as_fraction, (x1, v1, x2, v2))
+    if x1 == x2:
+        raise DomainError("two distinct abscissae required")
+    slope = (v2 - v1) / (x2 - x1)
+    return Affine(slope, v1 - slope * x1)
 
 
 def pairwise_intersections(fs: Iterable[Affine], lo, hi) -> list:
@@ -294,7 +315,7 @@ def solve_all_urgent(g: Game, r) -> dict:
         elif len(pts) == 1:
             out[name] = CostFunction.point(pts[0], column[0])
         else:
-            out[name] = CostFunction.from_points(list(zip(pts, column)))
+            out[name] = from_points(list(zip(pts, column)))
     return out
 
 
@@ -937,7 +958,7 @@ def grid_sweep(rows, max_steps: Optional[int] = None, onto: Optional[tuple] = No
             r = Fraction(0)
 
     finite = {
-        n: CostFunction.from_points(
+        n: from_points(
             [(c + record[k][0] * length, Fraction(record[k][1][j], record[k][2])) for k in reversed(ks)]
         )
         for j, (n, ks) in enumerate(zip(names, breaks))

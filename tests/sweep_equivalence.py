@@ -13,9 +13,11 @@ cutpoint.  The exit codes, stdout, stderr (bar the timing line) and
 documents must be equal, and every document must be, as UTF-8, what
 ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`` writes
 for its own JSON, so the package's writer is checked against the
-stdlib's encoder on every document.  Then the fan at k = 64 is solved
-and ``pick`` checked against the lower envelope of its finals.  Exits 1, after
-printing every difference, if anything fails.
+stdlib's encoder on every document.  Every written document must then
+pass ``ptg verify --grid 16`` (exit 0, ``verdict: pass``), in either
+mode.  Then the fan at k = 64 is solved and ``pick`` checked against the
+lower envelope of its finals.  Exits 1, after printing every difference,
+if anything fails.
 """
 
 import argparse
@@ -71,11 +73,23 @@ def stdlib_encoded(doc) -> bool:
     return text.encode("utf-8") == doc
 
 
+def verify(game: Path, out: Path) -> str:
+    """'' if `ptg verify --grid 16` passes the document at out, else its
+    exit code and output."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(game), str(out), "--grid", "16"])
+    if code == 0 and "verdict: pass" in stdout.getvalue().splitlines():
+        return ""
+    return f"exit {code}: {stdout.getvalue().splitlines()[-2:]}"
+
+
 def compare(workload: str, seed: int, work: Path) -> list:
-    """The names of the games whose two solves differ, or whose document
-    is not the stdlib's encoding."""
+    """The names of the games whose two solves differ, whose document is
+    not the stdlib's encoding, or whose document `ptg verify` fails."""
     _, cases = gen.workload(workload, seed, BLOCKS[workload], ROOT / "fixtures")
     differ = []
+    verified = 0
     for case in cases:
         game, out = work / f"{case.name}.json", work / f"{case.name}.values.json"
         game.write_text(case.text, encoding="utf-8")
@@ -86,7 +100,13 @@ def compare(workload: str, seed: int, work: Path) -> list:
             differ.append(case.name)
         elif not stdlib_encoded(got[3]):
             differ.append(f"{case.name} (not the stdlib's encoding)")
-    print(f"{workload} seed {seed}: {len(cases)} games, {len(differ)} differ")
+        elif got[3] is not None:
+            # both solves wrote these bytes, so one verify covers both
+            failed = verify(game, out)
+            verified += 1
+            if failed:
+                differ.append(f"{case.name} (verify {failed})")
+    print(f"{workload} seed {seed}: {len(cases)} games, {verified} documents verified, {len(differ)} differ")
     return differ
 
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import bellman_check, restrict
+from reference import bellman_check, from_points, restrict
 from test_region_bellman_oracle import reference_region_bellman_check
 
 from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate
@@ -162,7 +162,7 @@ def _claim(draw, bound, finite=False):
         return CostFunction.constant(0, bound, INF if kind == "inf" else NEG_INF)
     inner = draw(st.sets(st.sampled_from([bound * i / 8 for i in range(1, 8)]), max_size=3))
     xs = [F(0), *sorted(inner), bound]
-    return CostFunction.from_points([(x, draw(SMALL)) for x in xs])
+    return from_points([(x, draw(SMALL)) for x in xs])
 
 
 @st.composite
@@ -202,7 +202,8 @@ class _Probe:
     """A claimed value that records the one-step optimum it is compared with.
 
     The reference compares it once, as `rhs != lhs`; `==` raises, so any
-    other use would show.
+    other use would show.  Arithmetic gives the probe back, so `evaluate`
+    reads it anywhere on the claim's one piece.
     """
 
     seen = None
@@ -211,7 +212,11 @@ class _Probe:
         self.seen = other
         return False
 
+    def _itself(self, _):
+        return self
+
     __eq__ = None
+    __add__ = __radd__ = __sub__ = __mul__ = __truediv__ = _itself
 
 
 def _one_step(g: Game, vals: dict, name: str, nu):
@@ -219,7 +224,6 @@ def _one_step(g: Game, vals: dict, name: str, nu):
     probe = _Probe()
     claim = SimpleNamespace(
         lo=F(0), hi=g.clock_bound, xs=(F(0), g.clock_bound), vals=(probe, probe),
-        lines=(lambda _: probe,),
     )
     reference_bellman_check(g, {**vals, name: claim}, nu)
     return probe.seen
@@ -257,7 +261,7 @@ def layered_claims(draw):
         if any(isinstance(v, float) for v in rhs):
             vals[names[j]] = draw(_claim(bound))
         else:
-            vals[names[j]] = CostFunction.from_points(sorted(zip(pts, rhs)))
+            vals[names[j]] = from_points(sorted(zip(pts, rhs)))
     return make_game(locs, trans, bound), vals
 
 
@@ -280,7 +284,7 @@ def solved_claims(draw):
         shift = draw(st.sampled_from((F(-1), F(-1, 8), F(1, 8), F(1))))
         points = list(zip(f.xs, f.vals))
         points[i] = (points[i][0], points[i][1] + shift)
-        vals[moved] = CostFunction.from_points(points)
+        vals[moved] = from_points(points)
     return g, vals
 
 

@@ -696,6 +696,63 @@ def test_verify_rejects_a_split_location_in_sptg_mode(fig1_solution, tmp_path, c
     assert "verdict: fail" in out
 
 
+def _points(*pairs) -> list:
+    return [{"x": x, "v": v} for x, v in pairs]
+
+
+@pytest.mark.parametrize(
+    "fixture, name, segments, witness",
+    [
+        (
+            "fig1.values.json",
+            "l4",
+            [{"from": "0", "to": "1", "points": _points(("0", "-4"), ("2/3", "25/3"), ("1", "-7"))}],
+            "FAIL lipschitz: l4 has slope 37/2 on [0, 2/3], cap 16",
+        ),
+        (
+            "fig1.values.json",
+            "lf",
+            [{"from": "0", "to": "1", "points": _points(("0", "0"), ("1/2", "1"), ("1", "0"))}],
+            "FAIL finals: lf differs from its final cost at 1/2",
+        ),
+        (
+            "fig1.regions.json",
+            "l4",
+            [
+                {"from": "0", "to": "1/2", "points": _points(("0", "-4"), ("1/2", "-11/2"))},
+                {"from": "1/2", "to": "1", "points": _points(("1/2", "-5"), ("1", "-7"))},
+            ],
+            "FAIL continuity: l4 jumps inside a region at 1/2",
+        ),
+    ],
+    ids=["lipschitz", "finals-inner-breakpoint", "continuity-inside-a-region"],
+)
+def test_verify_witness_texts(tmp_path, capsys, fixture, name, segments, witness):
+    # each check's witness, in full: the slope as a reduced fraction, a
+    # final's inner breakpoint, a jump off the borders of a region document
+    doc = json.loads((FIXTURES / fixture).read_text())
+    doc["values"][name] = segments
+    bad = tmp_path / "witness.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(FIXTURES / "fig1.json"), str(bad))
+    assert code == 5
+    assert [line for line in out.splitlines() if line.startswith(("check:", "FAIL", "verdict"))][-2:] == [
+        witness,
+        "verdict: fail",
+    ]
+
+
+def test_verify_refuses_breakpoints_that_do_not_increase(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "fig1.values.json").read_text())
+    segment = {"from": "0", "to": "1", "points": _points(("0", "-4"), ("1/2", "-5"), ("1/4", "-6"), ("1", "-7"))}
+    doc["values"]["l4"] = [segment]
+    bad = tmp_path / "backwards.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(FIXTURES / "fig1.json"), str(bad))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: bad value segment {segment!r}: breakpoints must be strictly increasing"]
+
+
 def test_simulate_starts_from_the_point_segment_value(fig1_solution, tmp_path, capsys):
     # a point segment between two others carries the value at its point
     doc = json.loads(fig1_solution.read_text())
@@ -1006,6 +1063,62 @@ def test_strategy_reader_refuses_foreign_moves_and_reversed_rows(tmp_path, capsy
     for key in path[:-1]:
         obj = obj[key]
     obj[path[-1]] = raw
+    bad = tmp_path / "strategies.json"
+    bad.write_text(json.dumps(doc))
+    extra = ["--from", "l1:1/2"] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, str(FIXTURES / "fig1.json"), str(bad), *extra)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {head}")
+    assert line.endswith(tail)
+
+
+MISSING = object()
+L2_TO = ("max", "l2", "rows", 0, "move", "to")
+
+
+@pytest.mark.parametrize(
+    "path, raw, head, tail",
+    [
+        (L2_TO, "nowhere", FOREIGN, "of l2: transition 2 enters l3"),
+        (L2_TO, "l5", FOREIGN, "of l2: transition 2 enters l3"),
+        (L2_TO, MISSING, "bad positional strategy: bad move", "'type': 'wait_until'}"),
+        (("max", "l4", "at_end", "to"), ["lf"], FOREIGN, "of l4: transition 7 enters lf"),
+        (("min", "sigma1", "l1", "at_end", "to"), "l2", f"bad switching strategy: {FOREIGN}", "of l1: transition 1 enters lf"),
+        (("min", "sigma2", "l1", "to"), "l2", "bad switching strategy: move", "of l1: transition 1 enters lf"),
+        (
+            ("min", "sigma2", "l1"),
+            {"type": "wait_until", "to": "lf", "t_index": 1, "target_x": "5"},
+            "bad switching strategy: move",
+            "of l1: the fallback fires now, it does not wait",
+        ),
+        (
+            ("min", "sigma2", "l1"),
+            {"type": "wait_until", "to": "lf", "t_index": 1, "target_x": "1"},
+            "bad switching strategy: move",
+            "of l1: the fallback fires now, it does not wait",
+        ),
+    ],
+    ids=[
+        "to-nowhere", "to-another-location", "to-missing", "at-end-to-a-list", "sigma1-at-end-to",
+        "sigma2-to", "sigma2-waits-past-the-bound", "sigma2-waits-to-the-bound",
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_strategy_reader_refuses_a_wrong_target_and_a_waiting_fallback(tmp_path, capsys, command, path, raw, head, tail):
+    # a move names its transition's target as its `to`, and Min's fallback
+    # (sigma2) fires now: the reader once kept only a move's t_index, so
+    # verify passed each of these, exit 0, and simulate from l1:1/2 too,
+    # playing a sigma2 wait as a move that fires now
+    doc = json.loads((FIXTURES / "fig1.values.json").read_text())
+    obj = doc["strategies"]
+    for key in path[:-1]:
+        obj = obj[key]
+    if raw is MISSING:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = raw
     bad = tmp_path / "strategies.json"
     bad.write_text(json.dumps(doc))
     extra = ["--from", "l1:1/2"] if command == "simulate" else []

@@ -18,7 +18,7 @@ from ptgsolve.exactmath import (
     parse_value,
 )
 
-from reference import InfinitePiece, pairwise_intersections, restrict, slope_between
+from reference import InfinitePiece, from_points, pairwise_intersections, restrict, slope_between
 
 
 def test_evaluate_affine_endpoint():
@@ -32,7 +32,7 @@ def test_evaluate_constant():
 
 
 def test_evaluate_interpolates_between_breakpoints():
-    f = CostFunction.from_points([(0, F(-19, 2)), (F(1, 4), -6), (F(1, 2), F(-11, 2))])
+    f = from_points([(0, F(-19, 2)), (F(1, 4), -6), (F(1, 2), F(-11, 2))])
     assert evaluate(f, F(1, 8)) == F(-31, 4)
 
 
@@ -45,7 +45,7 @@ def test_evaluate_outside_domain():
 def test_evaluate_every_breakpoint_and_midpoint():
     # a convex parabola sampled at ninths: nine pieces, none collinear
     pts = [(F(i, 9), F(i * i, 81) - F(i, 3)) for i in range(10)]
-    f = CostFunction.from_points(pts)
+    f = from_points(pts)
     assert len(f.xs) - 1 == 9
     for x, v in pts:
         assert evaluate(f, x) == v
@@ -57,8 +57,8 @@ def test_evaluate_every_breakpoint_and_midpoint():
 
 
 def test_concat_two_segments():
-    right = CostFunction.from_points([(F(1, 2), F(1, 2)), (1, 1)])
-    left = CostFunction.from_points([(0, F(-1, 2)), (F(1, 2), F(1, 2))])
+    right = from_points([(F(1, 2), F(1, 2)), (1, 1)])
+    left = from_points([(0, F(-1, 2)), (F(1, 2), F(1, 2))])
     glued = concat(left, right)
     assert glued.xs == (F(0), F(1, 2), F(1))
     assert evaluate(glued, F(1, 2)) == F(1, 2)
@@ -68,15 +68,15 @@ def test_concat_two_segments():
 
 
 def test_concat_point_domain_is_identity():
-    f = CostFunction.from_points([(F(1, 4), 2), (1, 5)])
+    f = from_points([(F(1, 4), 2), (1, 5)])
     point = restrict(f, F(1, 4), F(1, 4))
     assert concat(point, f) == f
 
 
 def test_concat_prepends_fig_segments():
     # the last two pieces of the first location's value function
-    right = CostFunction.from_points([(F(9, 10), F(-1, 5)), (1, 0)])
-    left = CostFunction.from_points([(F(3, 4), -2), (F(9, 10), F(-1, 5))])
+    right = from_points([(F(9, 10), F(-1, 5)), (1, 0)])
+    left = from_points([(F(3, 4), -2), (F(9, 10), F(-1, 5))])
     glued = concat(left, right)
     assert glued.xs == (F(3, 4), F(9, 10), F(1))
     assert evaluate(glued, F(9, 10)) == F(-1, 5)
@@ -97,8 +97,8 @@ def test_concat_needs_single_point_overlap():
 
 
 def test_concat_agreement_invariant():
-    right = CostFunction.from_points([(F(1, 2), 1), (1, 3)])
-    left = CostFunction.from_points([(0, 0), (F(1, 2), 1)])
+    right = from_points([(F(1, 2), 1), (1, 3)])
+    left = from_points([(0, 0), (F(1, 2), 1)])
     glued = concat(left, right)
     for x in (0, F(1, 4), F(1, 2), F(3, 4), 1):
         want = evaluate(right, x) if x >= F(1, 2) else evaluate(left, x)
@@ -116,14 +116,14 @@ def test_slope_between_constant():
 
 
 def test_slope_between_chord_over_kink():
-    f = CostFunction.from_points([(F(3, 4), -2), (F(9, 10), F(-1, 5)), (1, 0)])
+    f = from_points([(F(3, 4), -2), (F(9, 10), F(-1, 5)), (1, 0)])
     assert slope_between(f, F(3, 4), F(9, 10)) == 12
 
 
 def test_slope_between_translation_invariant():
     pts = [(0, F(-19, 2)), (F(1, 4), -6), (F(1, 2), F(-11, 2))]
-    f = CostFunction.from_points(pts)
-    g = CostFunction.from_points([(x, v + 17) for x, v in pts])
+    f = from_points(pts)
+    g = from_points([(x, v + 17) for x, v in pts])
     for a, b in [(0, F(1, 4)), (F(1, 8), F(3, 8)), (0, F(1, 2))]:
         assert slope_between(f, a, b) == slope_between(g, a, b)
 
@@ -155,14 +155,14 @@ def test_pairwise_intersections_size_bound():
 
 
 def test_canonical_merges_collinear_pieces():
-    f = CostFunction.from_points([(0, 0), (F(1, 2), F(1, 2)), (1, 1)])
+    f = from_points([(0, 0), (F(1, 2), F(1, 2)), (1, 1)])
     assert f.xs == (F(0), F(1))
     assert f == CostFunction.from_affine(0, 1, Affine(1, 0))
 
 
 def test_breakpoints_strictly_increasing():
     with pytest.raises(DomainError):
-        CostFunction.from_points([(0, 0), (0, 1)])
+        from_points([(0, 0), (0, 1)])
 
 
 def test_infinite_constant_function():
@@ -172,7 +172,7 @@ def test_infinite_constant_function():
 
 
 def test_restrict_mid_piece():
-    f = CostFunction.from_points([(0, 0), (1, 4)])
+    f = from_points([(0, 0), (1, 4)])
     g = restrict(f, F(1, 4), F(3, 4))
     assert g.lo == F(1, 4) and g.hi == F(3, 4)
     assert evaluate(g, F(1, 2)) == 2
@@ -283,7 +283,7 @@ def _interpolated(pts, nu):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(point_lists())
 def test_constructor_drops_every_breakpoint_on_its_neighbours_line(pts):
-    f = CostFunction.from_points(pts)
+    f = from_points(pts)
     kept = list(zip(f.xs, f.vals))
     assert set(kept) <= set(pts) and kept[0] == pts[0] and kept[-1] == pts[-1]
     assert not any(_on_line(*kept[i : i + 3]) for i in range(len(kept) - 2))
@@ -294,19 +294,19 @@ def test_constructor_drops_every_breakpoint_on_its_neighbours_line(pts):
 @given(point_lists(min_size=2), st.data())
 def test_extra_collinear_breakpoints_compare_equal(pts, data):
     # put a breakpoint strictly inside one piece, on its line
-    f = CostFunction.from_points(pts)
+    f = from_points(pts)
     i = data.draw(st.integers(0, len(pts) - 2))
     (x0, v0), (x1, v1) = pts[i], pts[i + 1]
     t = data.draw(st.sampled_from((F(1, 3), F(1, 2), F(5, 7))))
     extra = (x0 + t * (x1 - x0), v0 + t * (v1 - v0))
-    assert CostFunction.from_points(pts[: i + 1] + [extra] + pts[i + 1 :]) == f
+    assert from_points(pts[: i + 1] + [extra] + pts[i + 1 :]) == f
     assert concat(restrict(f, f.lo, extra[0]), restrict(f, extra[0], f.hi)) == f
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(point_lists())
 def test_evaluate_interpolates_at_breakpoints_and_midpoints(pts):
-    f = CostFunction.from_points(pts)
+    f = from_points(pts)
     xs = [x for x, _ in pts]
     for nu in xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]:
         assert evaluate(f, nu) == _interpolated(pts, nu)

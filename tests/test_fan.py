@@ -17,6 +17,7 @@ import pytest
 from conftest import FIXTURES, load_fixture
 
 from ptgsolve import document, solver
+from ptgsolve.document import uniform_infinity
 from ptgsolve.cli import main
 from ptgsolve.exactmath import Affine, CostFunction, evaluate
 from ptgsolve.model import Game, Guard, Location, Transition, make_game, parse_game, regions_of, serialize_game
@@ -80,8 +81,8 @@ def test_fan_builds_each_value_function_once(monkeypatch):
 @pytest.mark.parametrize("case", ["fan", "guarded_jump"])
 def test_solve_builds_no_line_it_never_reads(tmp_path, capsys, monkeypatch, case):
     # A value function is its breakpoints, and the document writes points
-    # only, so `ptg solve` derives no line (lines come from Affine.through).
-    # The closing build made one Affine per piece: 48 on this fan.  Parsing
+    # only, so `ptg solve` derives no line.  The closing build made one
+    # Affine per piece: 48 on this fan.  Parsing
     # builds the final costs, and the region pipeline's stubs the lines of
     # their values.
     game = tmp_path / "game.json"
@@ -316,27 +317,38 @@ def test_guarded_fan_verify_builds_its_region_tables_once(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize("case", ["fan", "guarded_fan"])
-def test_verify_derives_each_functions_lines_once(tmp_path, capsys, monkeypatch, case):
-    # The slope check, the oracle's tables and evaluate between breakpoints
-    # all read a function's lines; the first read derives them, and a point
-    # has none to derive.
+def test_verify_divides_no_fraction(tmp_path, capsys, case):
+    # The reader, the slope check and the oracle's tables read each piece
+    # through its two breakpoints, on integers; deriving every piece's line
+    # as a Fraction (slope, intercept) pair took one division per piece.
+    # What is left is a border's value strictly inside a piece.
     g = fan_game(16, (1, -2, 3)) if case == "fan" else guarded_fan(16, (1, -2, 3))
-    game, values = tmp_path / "game.json", tmp_path / "game.values.json"
+    values = tmp_path / "game.values.json"
+    game = tmp_path / "game.json"
     game.write_text(serialize_game(g))
     assert main(["solve", str(game), "--out", str(values)]) == 0
-    derived = []
-    lines = CostFunction.__dict__["lines"]
-    derive = lines.func
-
-    def counting(f):
-        derived.append(f)
-        return derive(f)
-
-    monkeypatch.setattr(lines, "func", counting)
-    assert main(["verify", str(game), str(values), "--grid", "16"]) == 0
     capsys.readouterr()
-    assert derived and not any(f.is_point for f in derived)
-    assert len({id(f) for f in derived}) == len(derived)
+    borders = [reg.lo for reg in regions_of(g) if reg.is_point]
+    divisions = []
+
+    def counting(*args, plain=F.__truediv__):
+        divisions.append(args)
+        return plain(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "__truediv__", counting)
+        doc = document.load(str(values))
+        report, witness = document.verify(g, doc, 16)
+    assert witness is None and "check: bellman ok (51 points)" in report
+    inside = [
+        (name, b)
+        for name, segs in doc.values.items()
+        for s in segs
+        for b in borders
+        if s.lo < b < s.hi and b not in s.xs and uniform_infinity(s) is None
+    ]
+    assert len(divisions) == len(inside)
+    assert (case == "fan") == (inside == [])
 
 
 @pytest.mark.parametrize("case", ["fan", "guarded_jump"])
@@ -355,10 +367,11 @@ def test_bellman_checks_do_no_fraction_arithmetic(tmp_path, monkeypatch, case):
         values = FIXTURES / "guarded_jump.values.json"
     doc = document.load(str(values))
     regions = regions_of(g)
-    borders = {reg.lo for reg in regions if reg.is_point} if doc.mode == document.MODE_REGIONS else set()
     region_vals = {name: document.region_values(regions, segs) for name, segs in doc.values.items()}
     oracle = RegionBellmanOracle(g, regions, region_vals)
-    points = document._sample_points(g, doc.values, 16, borders)
+    X, cuts, *scaled = document._on_scale(regions, doc.values.values())
+    borders = {lo for lo, hi in cuts if lo == hi} if doc.mode == document.MODE_REGIONS else set()
+    points = document._sample_points(X, cuts[-1][1], scaled, 16, borders)
     counts = {}
     for op in ("__add__", "__sub__", "__mul__", "__truediv__", "_richcmp", "__eq__"):
 

@@ -2,11 +2,12 @@
 
 Each example mutates one node of ``fixtures/fig1.values.json``'s
 strategies: a type swap, a deleted key or list item, a move's
-``t_index`` pointed at a transition of another location, or an interval
+``t_index`` pointed at a transition of another location, a move's ``to``
+naming another location than its transition's target, or an interval
 with its ends swapped.  ``ptg verify`` and ``ptg simulate`` then read the
 copy through ``cli.main``: no exception may escape, every exit is 0, 2 or
-5, exit 2 prints one line on stderr, and a foreign ``t_index`` or a
-swapped interval exits 2.
+5, exit 2 prints one line on stderr, and a foreign ``t_index``, a wrong
+``to`` or a swapped interval exits 2.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from ptgsolve.cli import main
 GAME = json.loads((FIXTURES / "fig1.json").read_text())
 DOC = json.loads((FIXTURES / "fig1.values.json").read_text())
 SOURCES = [t["from"] for t in GAME["transitions"]]
+NAMES = [l["name"] for l in GAME["locations"]] + ["nowhere"]
 
 SWAPS = (None, [], {}, "", "x", "0", "1/2", "-1", "+inf", "1/0", "NaN", True, False, 0, 4, -1, 2**64, 10**30)
 
@@ -42,6 +44,7 @@ def _paths(obj, path=()):
 
 PATHS = list(_paths(DOC["strategies"]))
 T_INDEX = [p for p in PATHS if p and p[-1] == "t_index"]
+TO = [p for p in PATHS if p and p[-1] == "to"]
 INTERVALS = [p for p in PATHS if p and p[-1] == "interval"]
 
 
@@ -53,11 +56,18 @@ def _listed_at(path) -> str:
 @st.composite
 def mutated_documents(draw):
     strategies = copy.deepcopy(DOC["strategies"])
-    kind = draw(st.sampled_from(("swap", "delete", "t_index", "reverse")))
+    kind = draw(st.sampled_from(("swap", "delete", "t_index", "to", "reverse")))
     if kind == "t_index":
         path = draw(st.sampled_from(T_INDEX))
         loc = _listed_at(path)
         new = draw(st.sampled_from([i for i, s in enumerate(SOURCES) if s != loc]))
+    elif kind == "to":
+        path = draw(st.sampled_from(TO))
+        move = strategies
+        for key in path[:-1]:
+            move = move[key]
+        target = GAME["transitions"][move["t_index"]]["to"]
+        new = draw(st.sampled_from([n for n in NAMES if n != target]))
     elif kind == "reverse":
         path = draw(st.sampled_from(INTERVALS))
     else:
@@ -95,7 +105,8 @@ def test_mutated_strategies_exit_cleanly(case):
             assert code in (0, 2, 5), (where, argv[0], code)
             if code == 2:
                 assert len(err.splitlines()) == 1, (where, argv[0], err)
-            if where[0] in ("t_index", "reverse"):
-                # the reader refuses both: no move leaves another location,
-                # and no row's interval is empty or reversed
+            if where[0] in ("t_index", "to", "reverse"):
+                # the reader refuses all three: no move leaves another
+                # location or names another target, and no row's interval
+                # is empty or reversed
                 assert code == 2, (where, argv[0], code)

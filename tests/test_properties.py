@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from reference import (
     bellman_check,
     core_game,
+    from_points,
     infinite,
     line_family,
     make_urgent,
     max_transition_weight,
+    point_guard,
     region_bellman_check,
     region_table,
     slope_between,
@@ -109,7 +111,7 @@ def random_guarded(seed: int):
             lo = rng.randint(0, bound)
             hi = rng.randint(lo, bound)
             if lo == hi:
-                guard = Guard.point(lo)
+                guard = point_guard(lo)
             else:
                 guard = Guard(F(lo), F(hi), rng.random() < 0.8, rng.random() < 0.8)
             trans.append(
@@ -273,7 +275,7 @@ def test_region_check_rejects_shifted_values(seed):
     for e in per[name]:
         if not bumped and not isinstance(e, float):
             shifted = [(x, v + 1) for x, v in zip(e.xs, e.vals)]
-            tweaked.append(CostFunction.from_points(shifted))
+            tweaked.append(from_points(shifted))
             bumped = True
         else:
             tweaked.append(e)

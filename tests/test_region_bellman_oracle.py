@@ -19,10 +19,10 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import region_bellman_check, region_table
+from reference import from_points, region_bellman_check, region_table, through
 from test_properties import usable_guarded
 
-from ptgsolve.document import _sample_points
+from ptgsolve.document import _on_scale, _sample_points
 from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate, format_value
 from ptgsolve.model import MAX, MIN, Game, Guard, Location, Transition, make_game, regions_of
 from ptgsolve.regions import solve_reset_acyclic
@@ -158,9 +158,10 @@ def _sampled(g: Game, regions, vals: dict) -> list:
     """The valuations `ptg verify --grid 16` samples on these claims, and
     one off-grid point in each gap between them, over a second prime above
     2**64."""
-    segments = {name: [f for f in per if not isinstance(f, float)] for name, per in vals.items()}
-    borders = {reg.lo for reg in regions if reg.is_point}
-    pts = [F(p, q) for p, q in _sample_points(g, segments, 16, borders)]
+    segments = [[f for f in per if not isinstance(f, float)] for per in vals.values()]
+    X, cuts, *scaled = _on_scale(regions, segments)
+    borders = {lo for lo, hi in cuts if lo == hi}
+    pts = [F(p, q) for p, q in _sample_points(X, cuts[-1][1], scaled, 16, borders)]
     return pts + [a + (b - a) / (2**107 - 1) for a, b in zip(pts, pts[1:])]
 
 
@@ -240,7 +241,7 @@ def _entry(draw, reg, numbers: Numbers = QUARTERS):
     span = reg.hi - reg.lo
     inner = draw(st.sets(numbers.inner.map(lambda r: reg.lo + span * r), max_size=2))
     xs = [reg.lo, *sorted(inner), reg.hi]
-    return CostFunction.from_points([(x, draw(numbers.value)) for x in xs])
+    return from_points([(x, draw(numbers.value)) for x in xs])
 
 
 @st.composite
@@ -287,7 +288,8 @@ class _Probe:
     """A claimed value that records the one-step optimum it is compared with.
 
     The reference compares it once, as `rhs != lhs`; `==` raises, so any
-    other use would show.
+    other use would show.  Arithmetic gives the probe back, so `evaluate`
+    reads it anywhere on the claim's one piece.
     """
 
     seen = None
@@ -296,7 +298,11 @@ class _Probe:
         self.seen = other
         return False
 
+    def _itself(self, _):
+        return self
+
     __eq__ = None
+    __add__ = __radd__ = __sub__ = __mul__ = __truediv__ = _itself
 
 
 def _one_step(g: Game, regions, vals: dict, name: str, nu):
@@ -304,7 +310,6 @@ def _one_step(g: Game, regions, vals: dict, name: str, nu):
     probe = _Probe()
     claim = SimpleNamespace(
         lo=F(0), hi=g.clock_bound, xs=(F(0), g.clock_bound), vals=(probe, probe),
-        lines=(lambda _: probe,),
     )
     reference_region_bellman_check(g, list(regions), {**vals, name: [claim] * len(regions)}, nu)
     return probe.seen
@@ -319,10 +324,10 @@ def _meeting_entry(reg, pts: list, rhs: list):
         return CostFunction.point(reg.lo, rhs[0])
     if len(pts) == 1:
         return CostFunction.constant(reg.lo, reg.hi, rhs[0])
-    first = Affine.through(pts[0], rhs[0], pts[1], rhs[1])
-    last = Affine.through(pts[-2], rhs[-2], pts[-1], rhs[-1])
+    first = through(pts[0], rhs[0], pts[1], rhs[1])
+    last = through(pts[-2], rhs[-2], pts[-1], rhs[-1])
     ends = [(reg.lo, first(reg.lo)), *zip(pts, rhs), (reg.hi, last(reg.hi))]
-    return CostFunction.from_points(ends)
+    return from_points(ends)
 
 
 @st.composite
@@ -375,7 +380,7 @@ def _moved(draw, vals: dict, names: list) -> dict:
     k = draw(st.integers(0, len(f.xs) - 1))
     shift = draw(st.sampled_from((F(-1), F(-1, 8), F(1, 8), F(1))))
     points = [(x, v + shift if n == k else v) for n, (x, v) in enumerate(zip(f.xs, f.vals))]
-    per[i] = CostFunction.from_points(points)
+    per[i] = from_points(points)
     return {**vals, name: tuple(per)}
 
 

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, load_fixture
 import reference
-from reference import instant_by_subgame, region_bellman_check, region_table, window_by_subgame
+from reference import (
+    from_points,
+    instant_by_subgame,
+    point_guard,
+    region_bellman_check,
+    region_table,
+    window_by_subgame,
+)
 from test_properties import GUARDED_SEEDS, usable_guarded
 from ptgsolve import regions as region_pipeline
 from ptgsolve import solver, urgent
@@ -98,7 +105,7 @@ def test_region_game_lower_border_guard_is_dropped():
         Location("e", "final", 0, False, Affine(0, 1)),
     )
     trans = (
-        Transition("m", Guard.point(1), False, "f", 0),
+        Transition("m", point_guard(1), False, "f", 0),
         Transition("m", Guard.closed(0, 2), False, "e", 0),
     )
     rg = build_region_game(make_game(locs, trans, 2))
@@ -319,7 +326,7 @@ def segmented_documents(draw):
             return CostFunction.point(lo, v) if lo == hi else CostFunction.constant(lo, hi, v)
         if lo == hi:
             return CostFunction.point(lo, F(v))
-        return CostFunction.from_points([(F(lo), F(v)), (F(hi), F(draw(st.integers(-5, 5))))])
+        return from_points([(F(lo), F(v)), (F(hi), F(draw(st.integers(-5, 5))))])
 
     for i, x in enumerate(cuts):
         if draw(st.booleans()):
@@ -386,7 +393,7 @@ def test_document_reader_visits_each_segment_a_few_times():
     for a in range(n):
         if a % 2:
             segs.append(CostFunction.point(a, F(a)))
-        segs.append(CostFunction.from_points([(F(a), F(a)), (F(a + 1), F(-a))]))
+        segs.append(from_points([(F(a), F(a)), (F(a + 1), F(-a))]))
     want = reference_region_values_from_segments(regions, list(segs))
     assert region_values(regions, segs) == want
     assert segs.visits <= 3 * (len(regions) + len(segs))
@@ -427,7 +434,7 @@ def test_stuck_point_copies_are_worth_plus_infinity():
     )
     trans = (
         Transition("m", Guard(F(0), F(1), True, False), False, "f", 3),
-        Transition("m", Guard.point(1), False, "s", 0),
+        Transition("m", point_guard(1), False, "s", 0),
     )
     g = make_game(locs, trans, 1)
     sol = solve_reset_acyclic(g)
@@ -453,7 +460,7 @@ def test_waiting_member_held_to_a_hurting_anchor_takes_it():
         Location("f", "final", 0, False, Affine(0, 0)),
     )
     trans = (
-        Transition("m", Guard.point(1), False, "d", 0),
+        Transition("m", point_guard(1), False, "d", 0),
         Transition("d", Guard.closed(0, 1), False, "d", -1),
         Transition("d", Guard.closed(0, 1), False, "f", 0),
         Transition("n", Guard.closed(0, 1), False, "m", 3),
@@ -475,7 +482,7 @@ def test_urgent_member_without_interior_edges_is_stuck():
         Location("f", "final", 0, False, Affine(1, 2)),
     )
     trans = (
-        Transition("u", Guard.point(1), False, "f", 0),
+        Transition("u", point_guard(1), False, "f", 0),
         Transition("w", Guard.closed(0, 1), False, "u", 0),
         Transition("w", Guard.closed(0, 1), False, "f", 4),
     )
@@ -540,7 +547,7 @@ def urgent_reset_game():
         Transition("x", Guard(F(0), F(1), True, False), False, "u", 0),
         Transition("x", Guard.closed(0, 1), False, "g", 0),
         Transition("u", Guard.closed(0, 1), False, "f", 3),
-        Transition("u", Guard.point(1), True, "x", -1),
+        Transition("u", point_guard(1), True, "x", -1),
     )
     return make_game(locs, trans, 1)
 
@@ -942,9 +949,9 @@ def _border_exit_core():
     )
     trans = (
         Transition("g1", Guard(F(1), F(3), True, False), False, "g5", 4),
-        Transition("g1", Guard.point(3), False, "g1", -4),
-        Transition("g4", Guard.point(3), False, "g1", 4),
-        Transition("g4", Guard.point(1), False, "g1", 1),
+        Transition("g1", point_guard(3), False, "g1", -4),
+        Transition("g4", point_guard(3), False, "g1", 4),
+        Transition("g4", point_guard(1), False, "g1", 1),
     )
     return make_game(locs, trans, 3)
 

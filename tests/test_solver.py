@@ -14,6 +14,7 @@ from reference import (
     MissingTerminalValue,
     core_game,
     fake_value_upper_bound,
+    from_points,
     infinite,
     make_urgent,
     max_final_cost,
@@ -444,7 +445,7 @@ def test_closing_build_refuses_breakpoints_out_of_order():
     # the sweep's record must fall strictly from 1 to 0; a function built
     # from it checks that with a raise, which python -O keeps
     built = solver._from_record("l1", [(F(0), 1, 2), (F(1, 3), 3, 4), (F(1), 5, 6)])
-    assert built == CostFunction.from_points([(0, F(1, 2)), (F(1, 3), F(3, 4)), (1, F(5, 6))])
+    assert built == from_points([(0, F(1, 2)), (F(1, 3), F(3, 4)), (1, F(5, 6))])
     for points in ([(F(1, 2), 0, 1), (F(1, 2), 1, 1)], [(F(1), 0, 1), (F(0), 1, 1)]):
         with pytest.raises(InternalError) as info:
             solver._from_record("l1", points)

@@ -7,6 +7,7 @@ from reference import (
     Unresolved,
     bellman_check,
     fake_value_upper_bound,
+    from_points,
     region_bellman_check,
     validate_nc,
 )
@@ -197,7 +198,7 @@ def test_fake_value_waits_when_cheaper():
 def test_bellman_accepts_true_values():
     g = parse_game(load_fixture("urgent_all.json"))
     vals = {
-        "l3": CostFunction.from_points(
+        "l3": from_points(
             [(F(0), F(-10)), (F(6, 19), F(-94, 19)), (F(1), F(-7))]
         ),
         "l4": CostFunction.from_affine(0, 1, Affine(-3, -4)),
@@ -238,16 +239,16 @@ def region_values_reset_chain(g):
     regs = regions_of(g)
     a = [
         CostFunction.point(F(0), F(2)),
-        CostFunction.from_points([(F(0), F(2)), (F(1), F(3))]),
+        from_points([(F(0), F(2)), (F(1), F(3))]),
         CostFunction.point(F(1), F(3)),
         CostFunction.constant(1, 2, F(3)),
         CostFunction.point(F(2), F(3)),
     ]
     ident = [
         CostFunction.point(F(0), F(0)),
-        CostFunction.from_points([(F(0), F(0)), (F(1), F(1))]),
+        from_points([(F(0), F(0)), (F(1), F(1))]),
         CostFunction.point(F(1), F(1)),
-        CostFunction.from_points([(F(1), F(1)), (F(2), F(2))]),
+        from_points([(F(1), F(1)), (F(2), F(2))]),
         CostFunction.point(F(2), F(2)),
     ]
     return regs, {"a": a, "b": ident, "bf": ident}
@@ -281,7 +282,7 @@ def test_region_bellman_takes_left_limits():
     # from the left is worth 1, arriving exactly at 1 is worth 0
     f_vals = [
         CostFunction.point(F(0), F(0)),
-        CostFunction.from_points([(F(0), F(0)), (F(1), F(1))]),
+        from_points([(F(0), F(0)), (F(1), F(1))]),
         CostFunction.point(F(1), F(0)),
     ]
     m_vals = [
