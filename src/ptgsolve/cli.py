@@ -88,21 +88,13 @@ def _read(report: RunReport, label: str, path: str) -> bytes:
     return data
 
 
-def _read_game(path: str, data: bytes) -> Game:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GameSyntaxError(f"{path}: not UTF-8 text: {exc}") from exc
-    return parse_game(text)
-
-
 # ---------------------------------------------------------------------------
 # solve
 
 
 def cmd_solve(args) -> RunReport:
     report = RunReport("solve")
-    g = _read_game(args.input, _read(report, "input", args.input))
+    g = parse_game(_read(report, "input", args.input))
     mode = args.mode
     if mode == "auto":
         is_simple = g.clock_bound == 1 and check_sptg(g, 1)
@@ -129,11 +121,10 @@ def cmd_verify(args) -> RunReport:
     report = RunReport("verify")
     game = _read(report, "game", args.game)
     values = _read(report, "values", args.values)
-    g = _read_game(args.game, game)
-    doc = document.load(args.values, values)
-    if doc.strategies is not None:
-        # read as `simulate` reads them: a malformed object exits 2
-        document.read_strategies(g, doc)
+    g = parse_game(game)
+    doc = document.load(args.values, values, g)
+    # read as `simulate` reads them: a malformed object exits 2
+    document.read_strategies(g, doc)
     report.body.append(f"mode: {doc.mode}")
     lines, witness = document.verify(g, doc, args.grid)
     report.body.extend(lines)
@@ -261,9 +252,12 @@ def cmd_simulate(args) -> RunReport:
     report = RunReport("simulate")
     game = _read(report, "game", args.game)
     values = _read(report, "values", args.values)
-    g = _read_game(args.game, game)
-    doc = document.load(args.values, values)
-    max_fp, min_sw = document.read_strategies(g, doc)
+    g = parse_game(game)
+    doc = document.load(args.values, values, g)
+    strategies = document.read_strategies(g, doc)
+    if strategies is None:
+        raise SolutionFormatError("solution carries no strategies to simulate")
+    max_fp, min_sw = strategies
     start = _parse_start(args.start, g)
     expected = document.value_at(g, doc, start.location, start.valuation)
     report.body.append(

@@ -12,13 +12,17 @@ recorded.  Finite segments carry their breakpoints, an infinite segment
 carries only a sign marker.  Both modes are read per clock region by one
 rule (`region_values`) and checked by one oracle (`RegionBellmanOracle`).
 
+`load` reads a document by the table `model.VALUES` and, given the game,
+checks that the document's clock bound is the game's; `read_strategies`
+reads its strategies against the game by `model.STRATEGIES`.  Both
+refuse malformed input with `SolutionFormatError`, exit 2 of `ptg`.
+
 The text is byte for byte what `json.dumps(doc, sort_keys=True, indent=2,
 ensure_ascii=False)` writes, but `model.json_text` writes it: Python's C
 encoder is used only without indent, and the pure-Python one took about
 half as long as solving a game of the benchmark's fan.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,24 +30,18 @@ from pathlib import Path
 from typing import Optional
 
 from .exactmath import (
-    INF,
-    NEG_INF,
     CostFunction,
-    DomainError,
     Value,
-    _canonical,
     _scaled,
     _slope,
     evaluate,
     format_value,
-    parse_value,
 )
-from .model import Game, Region, json_text, regions_of
+from .model import (
+    MODE_REGIONS, MODE_SPTG, NOW, STRATEGIES, VALUES, WAIT_UNTIL, Game, Region, json_text, loads, read, regions_of,
+)
 from .solver import Solution, SweepTrace
-from .strategy import NOW, WAIT_UNTIL, FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
-
-MODE_SPTG = "sptg"
-MODE_REGIONS = "reset-acyclic"
+from .strategy import FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
 
 
 class SolutionFormatError(ValueError):
@@ -146,57 +144,12 @@ def dumps(g: Game, mode: str, sol: Solution) -> str:
     return json_text(doc) + "\n"
 
 
-def _literals():
-    """parse_value for one document, each distinct literal read once: a
-    document repeats its clock values, and many values, across locations.
-    A literal that is not a string is refused before it is hashed."""
-    seen = {}
-    return lambda text: seen[text] if type(text) is str and text in seen else seen.setdefault(text, parse_value(text))
-
-
-def _segment_from_json(obj, literal) -> CostFunction:
-    try:
-        lo = literal(obj["from"])
-        hi = literal(obj["to"])
-        if "infinite" in obj:
-            marker = obj["infinite"]
-            if marker not in ("inf", "-inf"):
-                raise ValueError(f"bad infinity marker {marker!r}")
-            return CostFunction.constant(lo, hi, INF if marker == "inf" else NEG_INF)
-        pts = [(literal(p["x"]), literal(p["v"])) for p in obj["points"]]
-        if any(isinstance(x, float) or isinstance(v, float) for x, v in pts):
-            raise ValueError("breakpoints of a finite segment must be rational")
-        if not pts or pts[0][0] != lo or pts[-1][0] != hi:
-            raise ValueError("points do not span the declared interval")
-        return CostFunction._trusted(*_canonical(*zip(*pts)))
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise SolutionFormatError(f"bad value segment {obj!r}: {exc}") from exc
-
-
-def load(path: str, data: Optional[bytes] = None) -> Document:
-    """The solution document at path; data, if given, is its bytes, read already."""
-    try:
-        doc = json.loads((Path(path).read_bytes() if data is None else data).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # as in model.parse_game
-        raise SolutionFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SolutionFormatError(f"{path}: top level must be an object")
-    try:
-        mode = doc["mode"]
-        raw_vals = doc["values"]
-    except KeyError as exc:
-        raise SolutionFormatError(f"{path}: missing field {exc}") from exc
-    if mode not in (MODE_SPTG, MODE_REGIONS):
-        raise SolutionFormatError(f"{path}: unknown mode {mode!r}")
-    if not isinstance(raw_vals, dict):
-        raise SolutionFormatError(f"{path}: values must be an object")
-    values = {}
-    literal = _literals()
-    for name, arr in raw_vals.items():
-        if not isinstance(arr, list) or not arr:
-            raise SolutionFormatError(f"{path}: {name}: expected a segment list")
-        values[name] = [_segment_from_json(o, literal) for o in arr]
-    return Document(mode, values, doc.get("strategies"))
+def load(path: str, data: Optional[bytes] = None, g: Optional[Game] = None) -> Document:
+    """The solution document at path, read by `model.VALUES`; data, if
+    given, is its bytes, read already, and g, if given, its game."""
+    raw = loads(Path(path).read_bytes() if data is None else data, SolutionFormatError)
+    doc = read(VALUES, raw, SolutionFormatError, g)
+    return Document(doc["mode"], doc["values"], doc["strategies"])
 
 
 def uniform_infinity(seg: CostFunction) -> Optional[float]:
@@ -268,109 +221,25 @@ def value_at(g: Game, doc: Document, name: str, x) -> Value:
     return v if isinstance(v, float) else evaluate(v, x)
 
 
-def _move_from_json(obj, g: Game, name: str) -> Move:
-    try:
-        kind = obj["type"]
-        idx = obj["t_index"]
-        to = obj["to"]
-    except (KeyError, TypeError) as exc:
-        raise SolutionFormatError(f"bad move {obj!r}") from exc
-    if isinstance(idx, bool) or not isinstance(idx, int):
-        raise SolutionFormatError(f"move {obj!r}: transition index must be an integer")
-    if not 0 <= idx < len(g.transitions):
-        raise SolutionFormatError(f"move {obj!r}: transition index out of range")
-    t = g.transitions[idx]
-    if t.source != name:
-        raise SolutionFormatError(f"move {obj!r} of {name}: transition {idx} leaves {t.source}")
-    if to != t.target:
-        raise SolutionFormatError(f"move {obj!r} of {name}: transition {idx} enters {t.target}")
-    if kind == "now":
-        return Move.now(idx)
-    if kind == "wait_until":
-        target = parse_value(obj["target_x"])
-        return Move.wait_until(target, idx)
-    raise SolutionFormatError(f"move {obj!r}: unknown type")
+def _positional(tables: dict) -> FPStrategy:
+    def move(m: dict) -> Move:
+        return Move.now(m["t_index"]) if m["type"] == NOW else Move.wait_until(m["target_x"], m["t_index"])
+
+    rows = {name: [(*r["interval"], move(r["move"])) for r in t["rows"]] for name, t in tables.items()}
+    return FPStrategy(rows, {name: move(t["at_end"]) for name, t in tables.items()})
 
 
-def _object(obj) -> dict:
-    """obj, if it is a JSON object; a TypeError the readers report otherwise."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"expected an object, got {type(obj).__name__}")
-    return obj
-
-
-def _interval(doc) -> tuple:
-    """A strategy row's interval: a list of two literals, lo < hi."""
-    if not isinstance(doc, list) or len(doc) != 2:
-        raise ValueError(f"an interval must be a list of two literals, got {doc!r}")
-    lo, hi = parse_value(doc[0]), parse_value(doc[1])
-    if not lo < hi:
-        raise ValueError(f"an interval must end above its start, got {doc!r}")
-    return lo, hi
-
-
-def _wait_within(m: Move, lo, hi) -> Move:
-    """m, if it fires now or waits until a clock value in [lo, hi]."""
-    if m.kind == WAIT_UNTIL and not lo <= m.target_x <= hi:
-        raise ValueError(
-            f"a wait must end in [{format_value(lo)}, {format_value(hi)}], "
-            f"got {format_value(m.target_x)}"
-        )
-    return m
-
-
-def _row(r, g: Game, name: str) -> tuple:
-    """A strategy row of name: its interval and a move that waits, if at
-    all, until a clock value between the row's end and the bound."""
-    lo, hi = _interval(r["interval"])
-    return lo, hi, _wait_within(_move_from_json(r["move"], g, name), hi, g.clock_bound)
-
-
-def _fp_from_json(doc, g: Game) -> FPStrategy:
-    bound = g.clock_bound
-    rows = {}
-    at_end = {}
-    try:
-        for name, entry in _object(doc).items():
-            rows[name] = [_row(r, g, name) for r in entry["rows"]]
-            # played at the bound, a wait can only end there
-            at_end[name] = _wait_within(_move_from_json(entry["at_end"], g, name), bound, bound)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SolutionFormatError(f"bad positional strategy: {exc}") from exc
-    return FPStrategy(rows, at_end)
-
-
-def _switching_from_json(doc, g: Game) -> SwitchingStrategy:
-    try:
-        sigma1 = _fp_from_json(doc["sigma1"], g)
-        sigma2 = {}
-        for name, mv in _object(doc["sigma2"]).items():
-            # the fallback chases a final location: it never waits
-            if _move_from_json(mv, g, name).kind != NOW:
-                raise ValueError(f"move {mv!r} of {name}: the fallback fires now, it does not wait")
-            sigma2[name] = mv["t_index"]
-        threshold = parse_value(doc["threshold"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SolutionFormatError(f"bad switching strategy: {exc}") from exc
-    if isinstance(threshold, float):
-        raise SolutionFormatError("switching threshold must be rational")
-    return SwitchingStrategy(sigma1, sigma2, threshold)
-
-
-def read_strategies(g: Game, doc: Document) -> tuple:
-    """Max's positional and Min's switching strategy, as written for g.
-
-    Every move must fire a transition of the location it is listed under
-    and name that transition's target as its `to`, every row's interval
-    must end above its start, a wait must end between its row's end and
-    the clock bound (at the bound in `at_end`), and Min's fallback
-    (`sigma2`) fires now."""
+def read_strategies(g: Game, doc: Document) -> Optional[tuple]:
+    """Max's positional and Min's switching strategy as written for g, read
+    by `model.STRATEGIES`, whose rules say what a table must be; None for
+    a document that carries none."""
     if doc.strategies is None:
-        raise SolutionFormatError("solution carries no strategies to simulate")
-    try:
-        return _fp_from_json(doc.strategies["max"], g), _switching_from_json(doc.strategies["min"], g)
-    except (KeyError, TypeError) as exc:
-        raise SolutionFormatError(f"bad strategies object: {exc}") from exc
+        return None
+    infinite = {name for name, segs in doc.values.items() if any(uniform_infinity(s) is not None for s in segs)}
+    s = read(STRATEGIES, doc.strategies, SolutionFormatError, (g, infinite))
+    sigma1 = _positional(s["min"]["sigma1"])
+    sigma2 = {name: m["t_index"] for name, m in s["min"]["sigma2"].items()}
+    return _positional(s["max"]), SwitchingStrategy(sigma1, sigma2, s["min"]["threshold"])
 
 
 def _check_coverage(g: Game, values: dict, scaled: dict, bound: int, borders: Optional[set]) -> Optional[str]:

@@ -1,4 +1,4 @@
-"""Game model, validation, derived constants, and the JSON file format.
+"""Game model, validation, derived constants, and the three JSON formats.
 
 A game file is one JSON document:
 
@@ -21,19 +21,35 @@ region borders).  `make_game` builds a game in code without that
 file-level validation, so its guards may have rational endpoints.  The
 solver builds no game: it compiles the parsed one (`urgent.compile_game`)
 or its region graph into rows.
+
+The game file, the solution document and the document's strategies are
+each a table of `Field` rows, `GAME`, `VALUES` and `STRATEGIES`: one row
+per field, with its path, JSON type, kind, rules and default.  One
+function, `read`, reads all three, and `parse_game`, `document.load`
+and `document.read_strategies` go through it.  A field of the wrong JSON
+type, outside its kind or breaking a rule is refused with one message
+that names it; so is a missing field that has no default.  The rules
+that span the fields of a game are `validate_game`'s, which games built
+in code meet as well.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Iterable, Optional
 
 from .exactmath import (
+    INF,
+    NEG_INF,
     Affine,
+    CostFunction,
+    DomainError,
     Value,
+    _canonical,
     as_fraction,
     format_value,
     parse_value,
@@ -110,16 +126,6 @@ class Guard:
         if self.lo < self.hi:
             return False
         return not (self.lo == self.hi and self.lo_closed and self.hi_closed)
-
-    def meets_above(self, nu) -> bool:
-        """Does the guard contain some point >= nu?"""
-        if self.is_empty():
-            return False
-        if isinstance(self.hi, float):
-            return True
-        if self.hi > as_fraction(nu):
-            return True
-        return self.hi == as_fraction(nu) and self.hi_closed
 
     def describe(self) -> str:
         left = "[" if self.lo_closed else "("
@@ -245,6 +251,22 @@ class Region:
         return f"({format_value(self.lo)},{format_value(self.hi)})"
 
 
+def _enabled(gd: Guard, reg: Region) -> bool:
+    """Does an edge with guard gd get a copy in the region reg?
+
+    A point region copies the guards that hold at its point.  An open
+    region copies only the guards that overlap it.  A guard touching only
+    one of its borders is dropped: the lower border lies in the past once
+    the region has been entered, and the upper border is reached by the
+    hop into its point region, whose copy carries the edge.  The regions
+    are cut at every guard end, so a guard that overlaps an open region
+    spans its whole closure: the copy needs no guard of its own.
+    """
+    if reg.is_point:
+        return gd.contains(reg.lo)
+    return gd.lo < reg.hi and (isinstance(gd.hi, float) or gd.hi > reg.lo)
+
+
 def regions_of(g: Game) -> tuple:
     """Alternating point and open regions spanning [0, clock bound].
 
@@ -270,39 +292,33 @@ def regions_of(g: Game) -> tuple:
 
 
 def _check_deadlock_free(g: Game) -> None:
-    """Waiting-aware deadlock check, region by region.
+    """Every non-final location can always move, read region by region.
 
-    A non-urgent location only needs some guard reachable by letting time
-    elapse from each region; an urgent location must have a transition
-    enabled at once everywhere in each region it may occupy.
+    An urgent location needs an edge enabled (`_enabled`) in every region.
+    A location that may wait reaches every later region, so the regions
+    above the last one where it has an enabled edge fail: it needs one
+    enabled at {bound}.  A failure names the first region that fails.
     """
     regions = regions_of(g)
-    bound = g.clock_bound
     for loc in g.nonfinal_locations:
         guards = [g.transitions[i].guard for i in g.outgoing(loc.name)]
         if not guards:
             raise ValidationError("deadlock", f"{loc.name} has no outgoing transition")
-        for reg in regions:
-            if loc.urgent:
-                probe = reg.lo if reg.is_point else (reg.lo + reg.hi) / 2
-                ok = any(gd.contains(probe) for gd in guards)
-            else:
-                if reg.is_point:
-                    ok = any(gd.meets_above(reg.lo) for gd in guards)
-                else:
-                    # waiting from anywhere inside (a,b) can reach any point
-                    # up to the bound, so a guard whose supremum is at least b
-                    # (or open-touching b) suffices
-                    ok = any(
-                        not gd.is_empty()
-                        and (isinstance(gd.hi, float) or gd.hi >= reg.hi)
-                        for gd in guards
-                    )
-            if not ok:
-                raise ValidationError(
-                    "deadlock",
-                    f"{loc.name} has no usable transition from region {reg.describe()} (bound {format_value(bound)})",
-                )
+
+        def enabled(reg: Region) -> bool:
+            return any(_enabled(gd, reg) for gd in guards)
+
+        if loc.urgent:
+            bad = next((reg for reg in regions if not enabled(reg)), None)
+        else:
+            last = next((i for i in reversed(range(len(regions))) if enabled(regions[i])), -1)
+            bad = regions[last + 1] if last + 1 < len(regions) else None
+        if bad is not None:
+            raise ValidationError(
+                "deadlock",
+                f"{loc.name} has no usable transition from region {bad.describe()} "
+                f"(bound {format_value(g.clock_bound)})",
+            )
 
 
 def validate_game(g: Game) -> Game:
@@ -350,108 +366,407 @@ def validate_game(g: Game) -> Game:
     return g
 
 
-def _flag(obj: dict, key: str, default: bool, where: str) -> bool:
-    """A JSON boolean field; strings and numbers are not coerced."""
-    v = obj.get(key, default)
-    if not isinstance(v, bool):
-        raise GameSyntaxError(f"{where}: {key} must be true or false, got {v!r}")
+# ---------------------------------------------------------------------------
+# The three JSON formats: one table of field rules, read by `read`
+
+REQUIRED = object()  # the default of a field that must be present
+NOW, WAIT_UNTIL = "now", "wait_until"
+MODE_SPTG, MODE_REGIONS = "sptg", "reset-acyclic"
+# a JSON value in a message: an object's or array's own items, not what they hold
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 1
+# each JSON type: the Python type json.loads gives it (None: any) and its name in messages
+_JSON = {
+    "object": (dict, "an object"),  # fixed keys, each a field with its own row
+    "map": (dict, "an object"),  # names to entries, all read by the row `{}`
+    "array": (list, "an array"),  # items, all read by the row `[]`
+    "pair": (list, "a list of two literals"),
+    "literal": (str, "a string literal"),  # parse_value's: rational, "+inf" or "-inf"
+    "string": (str, "a string"),
+    "integer": (int, "an integer"),
+    "boolean": (bool, "true or false"),
+    "any": (None, None),
+}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One row of a format's table: the field at `path`, its keys joined
+    by dots, `[]` and `{}` standing for an array's items and a map's
+    entries.  `json` is a JSON type, or a table whose rows read an object,
+    with paths relative to this one.  `kind` turns the value read into
+    what the field holds, an object's fields given as keywords, or raises
+    `_Refusal`.  Each `rule` of an object, map or array takes the value,
+    its key and what `read` was given, and says what is wrong, if
+    anything; a field of one value has only its kind.  Messages call the
+    field by its path or `label` and say it must be `what` (by default its
+    JSON type); inside it they begin with `context`, `{}` there standing
+    for its JSON value.
+    """
+
+    path: str
+    json: object
+    kind: object = None
+    rule: object = ()
+    default: object = REQUIRED
+    label: Optional[str] = None
+    what: Optional[str] = None
+    context: Optional[str] = None
+
+
+class _Refusal(Exception):
+    """A problem with a value, raised where it is found and worded by
+    `read`, which knows the path to it by then; `sep`, if not None, joins
+    the field's name to the problem."""
+
+    def __init__(self, problem: str, sep: Optional[str] = " ", keys=(), label=None):
+        super().__init__(problem)
+        self.problem, self.sep = problem, sep
+        self.keys = list(keys)  # from the field up, as read() unwinds
+        self.label = label
+        self.contexts = []
+
+
+def natural(v: int) -> int:
+    if v < 0:
+        raise _Refusal(f"must be a natural, got {v}")
     return v
 
 
-def _integer(v, what: str) -> None:
-    """Rejects anything but a JSON integer; true and false are not integers here."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise GameSyntaxError(f"{what} must be an integer, got {v!r}")
+def rational(v: Value) -> Fraction:
+    if type(v) is float:
+        raise _Refusal(f"must be rational, got {format_value(v)}")
+    return v
 
 
-def _parse_guard(obj) -> Guard:
+def one_of(*words: str):
+    def kind(v: str) -> str:
+        if v not in words:
+            raise _Refusal(f"must be one of {', '.join(map(repr, words))}, got {v!r}")
+        return v
+
+    return kind
+
+
+def location_name(v: str) -> str:
+    """A location's name: '@' names the locations the solver makes."""
+    if not v:
+        raise _Refusal("must be a non-empty string, got ''")
+    if "@" in v:
+        raise _Refusal(f"{v!r} contains '@', reserved for the solver's locations")
     try:
-        lo = parse_value(obj["lo"])
-        hi = parse_value(obj["hi"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GameSyntaxError(f"bad guard object {obj!r}: {exc}") from exc
-    lo_closed = _flag(obj, "lo_closed", True, "guard")
-    hi_closed = _flag(obj, "hi_closed", True, "guard")
-    if isinstance(lo, float):
-        raise GameSyntaxError("guard lo cannot be infinite")
-    return Guard(lo, hi, lo_closed, hi_closed)
+        v.encode("utf-8")
+    except UnicodeEncodeError:
+        # a \ud800 escape reads as a lone surrogate, which no document can hold
+        raise _Refusal(f"{v!r} is not UTF-8 encodable") from None
+    return v
 
 
-def _parse_affine(obj) -> Affine:
+def _transition(**t) -> Transition:
+    return Transition(t["from"], t["guard"], t["reset"], t["to"], t["weight"])
+
+
+def interval(pair: tuple) -> tuple:
+    lo, hi = map(rational, pair)
+    if not lo < hi:
+        raise _Refusal(f"must end above its start, got {[*map(format_value, pair)]}")
+    return lo, hi
+
+
+def segment(**seg) -> CostFunction:
+    """A value segment, which is infinite or has points that increase from
+    its `from` to its `to`."""
+    lo, hi, marker, points = seg["from"], seg["to"], seg["infinite"], seg["points"]
     try:
-        slope = parse_value(obj["slope"])
-        intercept = parse_value(obj["intercept"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GameSyntaxError(f"bad affine object {obj!r}: {exc}") from exc
-    if isinstance(slope, float) or isinstance(intercept, float):
-        raise ValidationError("non-affine final cost", f"infinite coefficient in {obj!r}")
-    return Affine(slope, intercept)
+        if marker:
+            return CostFunction.constant(lo, hi, INF if marker == "inf" else NEG_INF)
+        if not points or (points[0]["x"], points[-1]["x"]) != (lo, hi):
+            raise _Refusal(f"points do not span [{format_value(lo)}, {format_value(hi)}]", None)
+        return CostFunction._trusted(*_canonical(*zip(*((p["x"], p["v"]) for p in points))))
+    except DomainError as exc:
+        raise _Refusal(str(exc), None) from None
 
 
-def parse_game(text: str) -> Game:
-    """Parse and fully validate a game document."""
+# The rules across fields.  A game's are `validate_game`'s, which games
+# built in code meet too, and `Game`'s: unique names, edges between them.
+
+
+def _has_segments(segments: list, name: str, given) -> Optional[str]:
+    return None if segments else f"{name} has no segments"
+
+
+def _finite_tables(tables: dict, key: str, given) -> Optional[str]:
+    """`max` lists exactly the Max locations with finite values, `sigma1`
+    the Min ones, given the game and the names of the infinite locations."""
+    g, infinite = given
+    owner = MAX if key == "max" else MIN
+    want = {l.name for l in g.locations if l.owner == owner and l.name not in infinite}
+    n = min(want ^ set(tables), default=None)
+    if n is None:
+        return None
+    what = f"a {owner.capitalize()} location with a finite value"
+    return f"{key} has no table for {n}, {what}" if n in want else f"{key} lists {n}, which is not {what}"
+
+
+def _move_fits(move: dict, name: str, g: Game) -> Optional[str]:
+    """move, listed under name, fires a transition that leaves name and
+    enters the move's `to`, and has a `target_x` exactly if it waits."""
+    i = move["t_index"]
+    if i >= len(g.transitions):
+        return f"move of {name}: transition {i} does not exist"
+    t = g.transitions[i]
+    if t.source != name:
+        return f"move of {name}: transition {i} leaves {t.source}"
+    if move["to"] != t.target:
+        return f"move of {name}: transition {i} enters {t.target}"
+    waits, target = move["type"] == WAIT_UNTIL, move["target_x"] is not None
+    if waits != target:
+        return f"move of {name}: {move['type']} {'with' if target else 'without'} a target_x"
+    return None
+
+
+def _moves_fit(table: dict, name: str, given) -> Optional[str]:
+    moves = [r["move"] for r in table["rows"]] + [table["at_end"]]
+    return next(filter(None, (_move_fits(m, name, given[0]) for m in moves)), None)
+
+
+def _rows_tile(table: dict, name: str, given) -> Optional[str]:
+    """name's rows cover [0, bound], each starting where the one before ends."""
+    bound, at = given[0].clock_bound, 0
+    for lo, hi in (r["interval"] for r in table["rows"]):
+        if lo != at:
+            cut = "a gap" if lo > at else "an overlap"
+            where = f"{format_value(min(lo, at))}..{format_value(max(lo, at))}"
+            return f"rows of {name} do not tile [0, {format_value(bound)}]: {cut} at {where}"
+        at = hi
+    return None if at == bound else f"rows of {name} end at {format_value(at)}, not at {format_value(bound)}"
+
+
+def _waits_within(table: dict, name: str, given) -> Optional[str]:
+    """A wait ends between its row's end and the bound; at the bound, there."""
+    bound = given[0].clock_bound
+    for end, m in [(r["interval"][1], r["move"]) for r in table["rows"]] + [(bound, table["at_end"])]:
+        x = m["target_x"]
+        if x is not None and not end <= x <= bound:
+            return f"a wait must end in [{format_value(end)}, {format_value(bound)}], got {format_value(x)}"
+    return None
+
+
+def _fallbacks_fire_now(sigma2: dict, key, given) -> Optional[str]:
+    """Min's fallback chases a final location: its moves fit and fire now."""
+    for n, m in sigma2.items():
+        problem = _move_fits(m, n, given[0])
+        if problem or m["type"] != NOW:
+            return problem or f"move of {n}: the fallback fires now, it does not wait"
+    return None
+
+
+def _bound_of_the_game(doc: dict, key, g) -> Optional[str]:
+    """Read against a game, a document has the game's clock bound."""
+    if g is None or doc["clock_bound"] == g.clock_bound:
+        return None
+    return f"clock_bound {doc['clock_bound']} is not the game's {g.clock_bound}"
+
+
+GAME = (
+    Field("", "object", Game, label="top level"),
+    Field("clock_bound", "integer", natural),
+    Field("locations", "array"),
+    Field("locations[]", "object", Location),
+    Field("locations[].name", "string", location_name, label="location name"),
+    Field("locations[].owner", "string", one_of(MIN, MAX, FINAL)),
+    Field("locations[].rate", "integer", default=0),
+    Field("locations[].urgent", "boolean", default=False),
+    Field("locations[].final_cost", "object", Affine, default=None),
+    Field("locations[].final_cost.slope", "literal", rational),
+    Field("locations[].final_cost.intercept", "literal", rational),
+    Field("transitions", "array"),
+    Field("transitions[]", "object", _transition),
+    Field("transitions[].from", "string", label="transition from and to", what="location names"),
+    Field("transitions[].to", "string", label="transition from and to", what="location names"),
+    Field("transitions[].guard", "object", Guard),
+    Field("transitions[].guard.lo", "literal", rational),
+    Field("transitions[].guard.hi", "literal"),
+    Field("transitions[].guard.lo_closed", "boolean", default=True),
+    Field("transitions[].guard.hi_closed", "boolean", default=True),
+    Field("transitions[].reset", "boolean", default=False),
+    Field("transitions[].weight", "integer"),
+)
+VALUES = (  # the solution document, read against its game if given one
+    Field("", "object", rule=_bound_of_the_game, label="top level"),
+    Field("clock_bound", "integer", natural),
+    Field("mode", "string", one_of(MODE_SPTG, MODE_REGIONS)),
+    Field("values", "map"),
+    Field("values{}", "array", rule=_has_segments),
+    Field("values{}[]", "object", segment, context="bad value segment {}"),
+    Field("values{}[].from", "literal", rational),
+    Field("values{}[].to", "literal", rational),
+    Field("values{}[].infinite", "string", one_of("inf", "-inf"), default=None),
+    Field("values{}[].points", "array", default=None),
+    Field("values{}[].points[]", "object"),
+    Field("values{}[].points[].x", "literal", rational),
+    Field("values{}[].points[].v", "literal", rational),
+    Field("strategies", "any", default=None),  # read by STRATEGIES
+    Field("trace", "any", default=None),  # the sweep's record, for people to read
+)
+MOVE = (
+    Field("type", "string", one_of(NOW, WAIT_UNTIL)),
+    Field("to", "any"),  # its transition's target, by `_move_fits`
+    Field("t_index", "integer", natural, label="transition index"),
+    Field("target_x", "literal", rational, default=None),
+)
+TABLE = (  # one location's rows of a finitely positional strategy
+    Field("rows", "array"),
+    Field("rows[]", "object"),
+    Field("rows[].interval", "pair", interval, label="an interval"),
+    Field("rows[].move", MOVE, context="bad move"),
+    Field("at_end", MOVE, context="bad move"),
+)
+STRATEGIES = (  # read against the game and the names of its infinite locations
+    Field("", "object", label="strategies"),
+    Field("max", "map", rule=_finite_tables, context="bad positional strategy"),
+    Field("max{}", TABLE, rule=(_moves_fit, _rows_tile, _waits_within)),
+    Field("min", "object", context="bad switching strategy"),
+    Field("min.sigma1", "map", rule=_finite_tables, context="bad positional strategy"),
+    Field("min.sigma1{}", TABLE, rule=(_moves_fit, _rows_tile, _waits_within)),
+    Field("min.sigma2", "map", rule=_fallbacks_fire_now),
+    Field("min.sigma2{}", MOVE, context="bad move"),
+    Field("min.threshold", "literal", rational),
+)
+
+
+def rows_of(table: tuple, prefix: str = ""):
+    """table's rows with full paths, a nested table's rows after its own."""
+    for f in table:
+        path = f"{prefix}.{f.path}" if prefix and f.path[0] not in "[{" else prefix + f.path
+        if isinstance(f.json, tuple):
+            yield replace(f, path=path, json="object")
+            yield from rows_of(f.json, path)
+        else:
+            yield replace(f, path=path)
+
+
+class _Node:
+    """A row ready to read: its fields' nodes by key, or its items' node."""
+
+    __slots__ = ("f", "fields", "item", "want", "what", "rules", "leaf", "pair", "literal", "kind")
+
+    def __init__(self, f: Field):
+        self.f, self.kind = f, f.kind
+        self.fields, self.item = [], None
+        self.want, self.what = _JSON[f.json]
+        self.rules = f.rule if isinstance(f.rule, tuple) else (f.rule,)
+        self.leaf = f.json in ("pair", "literal", "string", "integer", "boolean", "any")
+        self.pair, self.literal = f.json == "pair", f.json == "literal"
+
+
+def _compile(table: tuple) -> _Node:
+    nodes = {}
+    for f in rows_of(table):
+        node = nodes[f.path] = _Node(f)
+        if f.path.endswith(("[]", "{}")):
+            nodes[f.path[:-2]].item = node
+        elif f.path:
+            parent, _, key = f.path.rpartition(".")
+            nodes[parent].fields.append((key, node))
+    return nodes[""]
+
+
+# the formats' tables, compiled once, by identity: a table hashes slowly
+_ROOTS = {id(table): _compile(table) for table in (GAME, VALUES, STRATEGIES)}
+
+
+def loads(data, error):
+    """The JSON value of data, a str or UTF-8 bytes; error says why there is none."""
     try:
-        doc = json.loads(text)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:
         # besides JSONDecodeError: integers past Python's digit limit raise a
         # plain ValueError, nesting past the recursion limit a RecursionError
-        raise GameSyntaxError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GameSyntaxError("top level must be an object")
+        raise error(f"not valid JSON: {exc}") from exc
+
+
+def _literals():
+    """parse_value for one document, each distinct literal read once: a
+    document repeats its clock values, and many values, across locations.
+    A literal that is not a string is refused before it is hashed."""
+    seen = {}
+    return lambda text: seen[text] if type(text) is str and text in seen else seen.setdefault(text, parse_value(text))
+
+
+def read(table: tuple, raw, error, given=None):
+    """raw, a JSON value, read by table, one of `GAME`, `VALUES` and
+    `STRATEGIES`: literals parsed, defaults filled in, kinds made and rules
+    met; or else error, saying what is wrong."""
     try:
-        bound = doc["clock_bound"]
-        raw_locs = doc["locations"]
-        raw_trans = doc["transitions"]
-    except KeyError as exc:
-        raise GameSyntaxError(f"missing top-level field {exc}") from exc
-    _integer(bound, "clock_bound")
-    if not isinstance(raw_locs, list) or not isinstance(raw_trans, list):
-        raise GameSyntaxError("locations and transitions must be arrays")
+        return _read(_ROOTS[id(table)], raw, "", given, _literals())
+    except _Refusal as exc:
+        path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(exc.keys)).lstrip(".")
+        # a context names its field, and whatever in it has a wrong JSON type
+        unnamed = exc.sep is None or exc.sep == ": " and exc.contexts
+        text = exc.problem if unnamed else f"{exc.label or path}{exc.sep}{exc.problem}"
+        raise error(": ".join([*reversed(exc.contexts), text])) from None
 
-    locations = []
-    for obj in raw_locs:
-        try:
-            name = obj["name"]
-            owner = obj["owner"]
-            rate = obj.get("rate", 0)
-        except (KeyError, TypeError) as exc:
-            raise GameSyntaxError(f"bad location object: {obj!r}") from exc
-        if not isinstance(name, str) or not name:
-            raise GameSyntaxError(f"location name must be a non-empty string: {obj!r}")
-        if "@" in name:
-            raise GameSyntaxError(f"location name {name!r} contains '@', reserved for the solver's locations")
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError:
-            # a \ud800 escape reads as a lone surrogate, which no document can hold
-            raise GameSyntaxError(f"location name {name!r} is not UTF-8 encodable") from None
-        _integer(rate, f"{name}: rate")
-        urgent = _flag(obj, "urgent", False, name)
-        final_cost = None
-        if owner == FINAL:
-            if "final_cost" not in obj:
-                raise ValidationError("non-affine final cost", f"{name} missing final_cost")
-            final_cost = _parse_affine(obj["final_cost"])
-        elif "final_cost" in obj:
-            raise ValidationError("final cost on non-final", name)
-        locations.append(Location(name, owner, Fraction(rate), urgent, final_cost))
 
-    transitions = []
-    for obj in raw_trans:
-        try:
-            src = obj["from"]
-            tgt = obj["to"]
-            guard = _parse_guard(obj["guard"])
-            weight = obj["weight"]
-        except (KeyError, TypeError) as exc:
-            raise GameSyntaxError(f"bad transition object: {obj!r}") from exc
-        if not isinstance(src, str) or not isinstance(tgt, str):
-            raise GameSyntaxError(f"transition from and to must be location names: {obj!r}")
-        reset = _flag(obj, "reset", False, f"{src}->{tgt}")
-        _integer(weight, f"{src}->{tgt}: weight")
-        transitions.append(Transition(src, guard, reset, tgt, weight))
+def _read(node: _Node, raw, key, given, literal):
+    """raw read by node, an object, map or array, and all it holds."""
+    f = node.f
+    try:
+        if type(raw) is not node.want:
+            raise _Refusal(f"expected {node.what}, got {type(raw).__name__}", ": ")
+        if f.json == "map":
+            out = {k: _read(node.item, v, k, given, literal) for k, v in raw.items()}
+        elif f.json == "array":
+            out = [_read(node.item, v, i, given, literal) for i, v in enumerate(raw)]
+        else:
+            out = {}
+            for k, child in node.fields:
+                if k in raw:
+                    v = raw[k]
+                    out[k] = _leaf(child, v, k, literal) if child.leaf else _read(child, v, k, given, literal)
+                elif child.f.default is REQUIRED:
+                    raise _Refusal(f"is missing from {_SHORT.repr(raw)}", keys=[k], label=child.f.label)
+                else:
+                    out[k] = child.f.default
+            out = out if node.kind is None else node.kind(**out)
+        for rule in node.rules:
+            problem = rule(out, key, given)
+            if problem:
+                raise _Refusal(problem, None)
+        return out
+    except _Refusal as exc:
+        if not exc.keys and exc.label is None:
+            exc.label = f.label
+        exc.keys.append(key)
+        if f.context:
+            exc.contexts.append(f.context.format(repr(raw)))
+        raise
 
-    return validate_game(Game(tuple(locations), tuple(transitions), Fraction(bound)))
+
+def _leaf(node: _Node, v, key, literal):
+    """v read by node, a field of one JSON value or a pair of literals."""
+    try:
+        if type(v) is not node.want and node.want is not None or node.pair and (
+            len(v) != 2 or type(v[0]) is not str or type(v[1]) is not str
+        ):
+            raise _Refusal(f"must be {node.f.what or node.what}, got {_SHORT.repr(v)}")
+        try:
+            if node.pair:
+                v = literal(v[0]), literal(v[1])
+            elif node.literal:
+                v = literal(v)
+        except ValueError:
+            raise _Refusal(f"is not a rational literal: {_SHORT.repr(v)}") from None
+        return v if node.kind is None else node.kind(v)
+    except _Refusal as exc:
+        exc.keys.append(key)
+        exc.label = node.f.label
+        raise
+
+
+def parse_game(data) -> Game:
+    """Read and fully validate a game document, given as a str or UTF-8 bytes."""
+    return validate_game(read(GAME, loads(data, GameSyntaxError), GameSyntaxError))
 
 
 def json_text(obj) -> str:
@@ -510,44 +825,26 @@ def _write_json(obj, put, nl: str) -> None:
 
 
 def serialize_game(g: Game) -> str:
-    doc = {
-        "clock_bound": int(g.clock_bound),
-        "locations": [
-            {
-                "name": l.name,
-                "owner": l.owner,
-                "rate": int(l.rate),
-                "urgent": l.urgent,
-                **(
-                    {
-                        "final_cost": {
-                            "slope": format_value(l.final_cost.slope),
-                            "intercept": format_value(l.final_cost.intercept),
-                        }
-                    }
-                    if l.final_cost is not None
-                    else {}
-                ),
-            }
-            for l in g.locations
-        ],
-        "transitions": [
-            {
-                "from": t.source,
-                "to": t.target,
-                "guard": {
-                    "lo": format_value(t.guard.lo),
-                    "hi": format_value(t.guard.hi),
-                    "lo_closed": t.guard.lo_closed,
-                    "hi_closed": t.guard.hi_closed,
-                },
-                "reset": t.reset,
-                "weight": t.weight,
-            }
-            for t in g.transitions
-        ],
-    }
-    return json_text(doc) + "\n"
+    """The game file of g, written through the table `GAME`."""
+    return json_text(_write(_ROOTS[id(GAME)], g)) + "\n"
+
+
+def _write(node: _Node, v):
+    """The JSON value `_read` reads by node as v, an object of the game
+    model: literals formatted, rates made integers, and a field that may
+    be left out left out when it is None."""
+    if node.fields:
+        out = {}
+        for k, child in node.fields:
+            x = getattr(v, {"from": "source", "to": "target"}.get(k, k))
+            if x is not None or child.f.default is REQUIRED:
+                out[k] = _write(child, x)
+        return out
+    if node.item:
+        return [_write(node.item, x) for x in v]
+    if node.literal:
+        return format_value(v)
+    return int(v) if node.f.json == "integer" else v
 
 
 def make_game(locations: Iterable[Location], transitions: Iterable[Transition], bound) -> Game:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactmath import INF, NEG_INF, Affine, CostFunction, concat, evaluate
-from .model import MAX, Game, Guard, InternalError, Region, regions_of
+from .model import MAX, Game, InternalError, _enabled, regions_of
 from .solver import Solution, sweep
 from .urgent import InstantEvaluator, Rows
 
@@ -81,22 +81,6 @@ class RegionGame:
         for i, t in enumerate(self.transitions):
             out[t.source].append(i)
         return out
-
-
-def _enabled(gd: Guard, reg: Region) -> bool:
-    """Does an edge with guard gd get a copy in the region reg?
-
-    A point region copies the guards that hold at its point.  An open
-    region copies only the guards that overlap it.  A guard touching only
-    one of its borders is dropped: the lower border lies in the past once
-    the region has been entered, and the upper border is reached by the
-    hop into its point region, whose copy carries the edge.  The regions
-    are cut at every guard end, so a guard that overlaps an open region
-    spans its whole closure: the copy needs no guard of its own.
-    """
-    if reg.is_point:
-        return gd.contains(reg.lo)
-    return gd.lo < reg.hi and (isinstance(gd.hi, float) or gd.hi > reg.lo)
 
 
 def build_region_game(g: Game) -> RegionGame:

@@ -27,10 +27,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .exactmath import INF, Value, _scaled, _slope, as_fraction, format_value
-from .model import MAX, Config, Game
-
-NOW = "now"
-WAIT_UNTIL = "wait_until"
+from .model import MAX, NOW, WAIT_UNTIL, Config, Game
 
 
 class IllegalMove(ValueError):

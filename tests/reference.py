@@ -73,6 +73,7 @@ from ptgsolve.model import (
     InternalError,
     Location,
     Transition,
+    ValidationError,
     make_game,
     regions_of,
 )
@@ -96,6 +97,59 @@ from ptgsolve.strategy import (
     RegionBellmanOracle,
 )
 from ptgsolve.urgent import InstantEvaluator, compile_game, unscale
+
+
+# ---------------------------------------------------------------------------
+# the deadlock check by probes
+
+
+def _meets_above(gd: Guard, nu) -> bool:
+    """Does the guard contain some point >= nu?"""
+    if gd.is_empty():
+        return False
+    if isinstance(gd.hi, float):
+        return True
+    if gd.hi > as_fraction(nu):
+        return True
+    return gd.hi == as_fraction(nu) and gd.hi_closed
+
+
+def check_deadlock_free_by_probes(g: Game) -> None:
+    """The deadlock check `model._check_deadlock_free` replaced, which
+    reads guards against regions by `_enabled`.
+
+    A non-urgent location only needs some guard reachable by letting time
+    elapse from each region; an urgent location must have a transition
+    enabled at once everywhere in each region it may occupy, probed at a
+    point region's point and an open region's midpoint.
+    """
+    regions = regions_of(g)
+    bound = g.clock_bound
+    for loc in g.nonfinal_locations:
+        guards = [g.transitions[i].guard for i in g.outgoing(loc.name)]
+        if not guards:
+            raise ValidationError("deadlock", f"{loc.name} has no outgoing transition")
+        for reg in regions:
+            if loc.urgent:
+                probe = reg.lo if reg.is_point else (reg.lo + reg.hi) / 2
+                ok = any(gd.contains(probe) for gd in guards)
+            else:
+                if reg.is_point:
+                    ok = any(_meets_above(gd, reg.lo) for gd in guards)
+                else:
+                    # waiting from anywhere inside (a,b) can reach any point
+                    # up to the bound, so a guard whose supremum is at least b
+                    # (or open-touching b) suffices
+                    ok = any(
+                        not gd.is_empty()
+                        and (isinstance(gd.hi, float) or gd.hi >= reg.hi)
+                        for gd in guards
+                    )
+            if not ok:
+                raise ValidationError(
+                    "deadlock",
+                    f"{loc.name} has no usable transition from region {reg.describe()} (bound {format_value(bound)})",
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -1130,6 +1130,71 @@ def test_strategy_reader_refuses_a_wrong_target_and_a_waiting_fallback(tmp_path,
     assert line.endswith(tail)
 
 
+def _l2_rows(rows: list) -> None:
+    # fig1's Max l2 has rows on [0, 1/4), [1/4, 1/2), [1/2, 3/4) and [3/4, 1)
+    assert [r["interval"] for r in rows] == [["0", "1/4"], ["1/4", "1/2"], ["1/2", "3/4"], ["3/4", "1"]]
+
+
+def _gap(doc):
+    rows = doc["strategies"]["max"]["l2"]["rows"]
+    _l2_rows(rows)
+    del rows[1]
+
+
+def _overlap(doc):
+    rows = doc["strategies"]["max"]["l2"]["rows"]
+    _l2_rows(rows)
+    rows[2]["interval"] = ["1/3", "3/4"]
+
+
+def _min_table_under_max(doc):
+    doc["strategies"]["max"]["l1"] = doc["strategies"]["min"]["sigma1"]["l1"]
+
+
+def _max_table_under_sigma1(doc):
+    doc["strategies"]["min"]["sigma1"]["l2"] = doc["strategies"]["max"]["l2"]
+
+
+def _no_table(doc):
+    del doc["strategies"]["max"]["l4"]
+
+
+def _clock_bound(doc):
+    doc["clock_bound"] = 7
+
+
+@pytest.mark.parametrize(
+    "mutate, line",
+    [
+        (_gap, "bad positional strategy: rows of l2 do not tile [0, 1]: a gap at 1/4..1/2"),
+        (_overlap, "bad positional strategy: rows of l2 do not tile [0, 1]: an overlap at 1/3..1/2"),
+        (_min_table_under_max, "bad positional strategy: max lists l1, which is not a Max location with a finite value"),
+        (
+            _max_table_under_sigma1,
+            "bad switching strategy: bad positional strategy: sigma1 lists l2, which is not a Min location with a finite value",
+        ),
+        (_no_table, "bad positional strategy: max has no table for l4, a Max location with a finite value"),
+        (_clock_bound, "clock_bound 7 is not the game's 1"),
+    ],
+    ids=["gap", "overlap", "min-table-under-max", "max-table-under-sigma1", "no-table", "clock-bound"],
+)
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_strategy_tables_tile_the_clock_and_list_the_finite_locations(tmp_path, capsys, command, mutate, line):
+    # A positional strategy splits [0, bound] into rows, one table per
+    # location of its owner with a finite value, and the document is of the
+    # game it is read with.  verify passed each of these documents, exit 0,
+    # and simulate read them too, finding a gap or a missing table only when
+    # a play reached it.
+    doc = json.loads((FIXTURES / "fig1.values.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "tables.json"
+    bad.write_text(json.dumps(doc))
+    extra = ["--from", "l1:1/2"] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, str(FIXTURES / "fig1.json"), str(bad), *extra)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {line}"]
+
+
 @pytest.mark.parametrize(
     "name", sorted(p.name for p in FIXTURES.glob("*.json") if p.name.endswith((".values.json", ".regions.json")))
 )

@@ -98,8 +98,8 @@ def test_solve_builds_no_line_it_never_reads(tmp_path, capsys, monkeypatch, case
     monkeypatch.setattr(Affine, "__post_init__", counting)
     assert main(["solve", str(game), "--out", str(tmp_path / "game.values.json")]) == 0
     capsys.readouterr()
-    assert "_parse_affine" in callers
-    assert set(callers) <= {"_parse_affine", "stub"}
+    assert "_read" in callers
+    assert set(callers) <= {"_read", "stub"}
 
 
 def test_fan_value_iteration_stays_on_its_integer_scale(monkeypatch):

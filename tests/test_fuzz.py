@@ -1,19 +1,30 @@
-"""Structural fuzzing of the solution document's strategies object.
+"""Structural fuzzing of the three JSON formats, through ``cli.main``.
 
-Each example mutates one node of ``fixtures/fig1.values.json``'s
+The first suite mutates one node of ``fixtures/fig1.values.json``'s
 strategies: a type swap, a deleted key or list item, a move's
 ``t_index`` pointed at a transition of another location, a move's ``to``
 naming another location than its transition's target, or an interval
 with its ends swapped.  ``ptg verify`` and ``ptg simulate`` then read the
-copy through ``cli.main``: no exception may escape, every exit is 0, 2 or
-5, exit 2 prints one line on stderr, and a foreign ``t_index``, a wrong
-``to`` or a swapped interval exits 2.
+copy: no exception may escape, every exit is 0, 2 or 5, exit 2 prints one
+line on stderr, and a foreign ``t_index``, a wrong ``to`` or a swapped
+interval exits 2.
+
+The other two draw their mutations from the formats' tables
+(``model.GAME``, ``model.VALUES`` and ``model.STRATEGIES``): a row, one
+of the fields in a committed file that it reads, then a value of another
+JSON type or out of the field's range, a deleted key or a truncated
+array.  A mutated game goes through ``ptg verify`` against its committed
+document, which runs ``parse_game`` and the Bellman oracle but not the
+solver, so huge weights stay cheap; a mutated document goes through
+``verify``, ``simulate`` and ``plot``.  The same exits are allowed.  The
+``fuzz`` profile of ``conftest.py`` runs more examples.
 """
 
 import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -21,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from ptgsolve import model
 from ptgsolve.cli import main
 
 GAME = json.loads((FIXTURES / "fig1.json").read_text())
@@ -92,7 +104,7 @@ def _run(*argv) -> tuple:
     return code, err.getvalue()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None, derandomize=True)
 @given(mutated_documents())
 def test_mutated_strategies_exit_cleanly(case):
     doc, where = case
@@ -110,3 +122,130 @@ def test_mutated_strategies_exit_cleanly(case):
                 # location or names another target, and no row's interval
                 # is empty or reversed
                 assert code == 2, (where, argv[0], code)
+
+
+# (game, committed document, simulate start)
+CASES = [
+    ("fig1", "fig1.values.json", "l1:1/2"),
+    ("appc", "appc.values.json", "l2:1/2"),
+    ("urgent_all", "urgent_all.values.json", "l3:1/2"),
+    ("guarded_jump", "guarded_jump.values.json", "g0:0"),
+    ("fig1", "fig1.regions.json", "l2:1/4"),
+    ("reset_chain", "reset_chain.values.json", "a:0"),
+]
+# every JSON type, and values at and past the ends of each field's range
+VALUES_TO_TRY = (
+    None, True, False, 0, 1, -1, 10**40, -(10**40), 0.5, "", "x", "0", "1", "1/2", "-1", "7/3", "+inf", "-inf",
+    "1/0", "1e5", str(10**40), "a@b", "a\ud800", "now", "wait_until", "inf", "min", "max", "final", "sptg",
+    "reset-acyclic", [], ["0"], ["1", "0"], ["0", "0"], ["0", "1"], ["-1", "5"], ["0", "1/2", "1"], {}, {"x": "0", "v": "0"},
+)
+
+
+def _concrete(doc, tokens, at=()):
+    """The paths in doc of the nodes a row's path names, keys and indices;
+    a key its object lacks is named too, to be set."""
+    if not tokens:
+        yield at
+    elif tokens[0] in ("[]", "{}"):
+        if isinstance(doc, list) and tokens[0] == "[]" or isinstance(doc, dict) and tokens[0] == "{}":
+            for k in range(len(doc)) if isinstance(doc, list) else list(doc):
+                yield from _concrete(doc[k], tokens[1:], at + (k,))
+    elif isinstance(doc, dict):
+        if tokens[0] in doc:
+            yield from _concrete(doc[tokens[0]], tokens[1:], at + (tokens[0],))
+        elif len(tokens) == 1:
+            yield at + (tokens[0],)
+
+
+def _targets(table, doc, prefix=()) -> list:
+    """Each row of table with the paths in doc of the nodes it reads, the
+    table's top level being at prefix; a row that reads none is left out,
+    and so is the top level itself."""
+    base = doc
+    for key in prefix:
+        base = base[key]
+    out = []
+    for row in model.rows_of(table):
+        paths = [prefix + p for p in _concrete(base, re.findall(r"\[\]|\{\}|[^.\[\]{}]+", row.path))]
+        if paths and row.path:
+            out.append((row, paths))
+    return out
+
+
+def _load(name: str):
+    return json.loads((FIXTURES / name).read_text())
+
+
+GAME_TARGETS = [_targets(model.GAME, _load(f"{game}.json")) for game, _, _ in CASES]
+DOC_TARGETS = [
+    _targets(model.VALUES, doc) + (_targets(model.STRATEGIES, doc, ("strategies",)) if doc["strategies"] else [])
+    for doc in (_load(name) for _, name, _ in CASES)
+]
+
+
+@st.composite
+def table_mutations(draw, targets):
+    """(case, path, operation, value): one field of one case's file, drawn
+    row first, and what to do to it."""
+    case = draw(st.sampled_from(range(len(CASES))))
+    row, paths = draw(st.sampled_from(targets[case]))
+    path = draw(st.sampled_from(paths))
+    ops = ["set"] * 3 + ["delete"] + (["truncate"] if row.json == "array" else [])
+    op = draw(st.sampled_from(ops))
+    value = draw(st.sampled_from(VALUES_TO_TRY)) if op == "set" else draw(st.sampled_from((0, 1, 2)))
+    return case, path, op, value
+
+
+def _mutated(doc, path, op, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "set":
+        parent[key] = copy.deepcopy(value)
+    elif isinstance(parent, list) or key in parent:
+        if op == "delete":
+            del parent[key]
+        elif isinstance(parent[key], list):
+            # drop the last item, keep only the first, or empty the array
+            parent[key] = [parent[key][:-1], parent[key][:1], []][value]
+    return doc
+
+
+def _clean_exit(argv, where) -> None:
+    code, err = _run(*argv)
+    assert code in (0, 2, 5), (where, argv[0], code, err)
+    if code == 2:
+        assert len(err.splitlines()) == 1, (where, argv[0], err)
+
+
+EXAMPLES = max(200, settings.default.max_examples)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(table_mutations(GAME_TARGETS))
+def test_mutated_games_exit_cleanly(mutation):
+    case, path, op, value = mutation
+    game, values, _ = CASES[case]
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / f"{game}.json"
+        mutated.write_text(json.dumps(_mutated(_load(f"{game}.json"), path, op, value)))
+        _clean_exit(("verify", str(mutated), str(FIXTURES / values)), mutation)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(table_mutations(DOC_TARGETS))
+def test_mutated_documents_exit_cleanly(mutation):
+    case, path, op, value = mutation
+    game, values, start = CASES[case]
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / values
+        mutated.write_text(json.dumps(_mutated(_load(values), path, op, value)))
+        game = str(FIXTURES / f"{game}.json")
+        for argv in (
+            ("verify", game, str(mutated)),
+            ("simulate", game, str(mutated), "--from", start, "--opponents", "1"),
+            ("plot", str(mutated), "--csv", str(Path(tmp) / "csv")),
+        ):
+            _clean_exit(argv, mutation)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture
-from reference import max_final_cost, max_transition_weight
+from reference import check_deadlock_free_by_probes, max_final_cost, max_transition_weight
 from ptgsolve.exactmath import Affine
 from ptgsolve.model import (
     Game,
@@ -16,6 +16,7 @@ from ptgsolve.model import (
     Region,
     Transition,
     ValidationError,
+    _check_deadlock_free,
     check_sptg,
     json_text,
     make_game,
@@ -253,3 +254,38 @@ def test_internal_games_allow_rational_guards():
     t = Transition("a", Guard.closed(0, F(3, 4)), False, "f", 0)
     g = make_game([loc, fin], [t], 1)
     assert g.transitions[0].guard.hi == F(3, 4)
+
+
+@st.composite
+def rational_guard_games(draw):
+    """Small games built in code, their guard ends rationals in [0, bound]
+    on a grid of quarters, so that ends fall on and between each other."""
+    bound = draw(st.integers(1, 3))
+    ends = st.integers(0, 4 * bound).map(lambda n: F(n, 4))
+    names = [f"l{i}" for i in range(draw(st.integers(1, 3)))]
+    locs = [Location(n, draw(st.sampled_from(("min", "max"))), 0, draw(st.booleans())) for n in names]
+    locs.append(Location("f", "final", 0, False, Affine(0, 0)))
+    edges = []
+    for n in names:
+        for _ in range(draw(st.integers(0, 4))):
+            lo, hi = sorted((draw(ends), draw(ends)))
+            guard = Guard(lo, hi, draw(st.booleans()), draw(st.booleans()))
+            edges.append(Transition(n, guard, False, draw(st.sampled_from(names + ["f"])), 0))
+    return make_game(locs, edges, bound)
+
+
+def _verdict(check, g):
+    try:
+        check(g)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(rational_guard_games())
+def test_deadlock_check_reads_regions_as_the_probes_did(g):
+    # the reference probes a region's point or midpoint, and asks whether a
+    # guard reaches above a point; the same verdict, and the same first
+    # failing region named
+    assert _verdict(_check_deadlock_free, g) == _verdict(check_deadlock_free_by_probes, g)
