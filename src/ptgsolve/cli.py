@@ -97,8 +97,7 @@ def cmd_solve(args) -> RunReport:
     g = parse_game(_read(report, "input", args.input))
     mode = args.mode
     if mode == "auto":
-        is_simple = g.clock_bound == 1 and check_sptg(g, 1)
-        mode = MODE_SPTG if is_simple else MODE_REGIONS
+        mode = MODE_SPTG if check_sptg(g) else MODE_REGIONS
     sol = (solve if mode == MODE_SPTG else solve_reset_acyclic)(g, max_steps=args.max_steps)
     out = args.out if args.out else str(Path(args.input).with_suffix(".values.json"))
     # encoded before the file is opened: a failed encode truncates nothing
@@ -123,8 +122,6 @@ def cmd_verify(args) -> RunReport:
     values = _read(report, "values", args.values)
     g = parse_game(game)
     doc = document.load(args.values, values, g)
-    # read as `simulate` reads them: a malformed object exits 2
-    document.read_strategies(g, doc)
     report.body.append(f"mode: {doc.mode}")
     lines, witness = document.verify(g, doc, args.grid)
     report.body.extend(lines)
@@ -254,10 +251,9 @@ def cmd_simulate(args) -> RunReport:
     values = _read(report, "values", args.values)
     g = parse_game(game)
     doc = document.load(args.values, values, g)
-    strategies = document.read_strategies(g, doc)
-    if strategies is None:
+    if doc.strategies is None:
         raise SolutionFormatError("solution carries no strategies to simulate")
-    max_fp, min_sw = strategies
+    max_fp, min_sw = doc.strategies
     start = _parse_start(args.start, g)
     expected = document.value_at(g, doc, start.location, start.valuation)
     report.body.append(

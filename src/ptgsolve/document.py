@@ -12,10 +12,10 @@ recorded.  Finite segments carry their breakpoints, an infinite segment
 carries only a sign marker.  Both modes are read per clock region by one
 rule (`region_values`) and checked by one oracle (`RegionBellmanOracle`).
 
-`load` reads a document by the table `model.VALUES` and, given the game,
-checks that the document's clock bound is the game's; `read_strategies`
-reads its strategies against the game by `model.STRATEGIES`.  Both
-refuse malformed input with `SolutionFormatError`, exit 2 of `ptg`.
+`load` reads a document in one pass by the table `model.VALUES`, its
+strategies included, and, given the game, checks that they fit it.  It
+refuses malformed input with `SolutionFormatError`, exit 2 of `ptg`,
+naming the field at fault by its JSON path.
 
 The text is byte for byte what `json.dumps(doc, sort_keys=True, indent=2,
 ensure_ascii=False)` writes, but `model.json_text` writes it: Python's C
@@ -38,7 +38,7 @@ from .exactmath import (
     format_value,
 )
 from .model import (
-    MODE_REGIONS, MODE_SPTG, NOW, STRATEGIES, VALUES, WAIT_UNTIL, Game, Region, json_text, loads, read, regions_of,
+    MODE_REGIONS, MODE_SPTG, VALUES, WAIT_UNTIL, Game, Region, json_text, loads, read, regions_of,
 )
 from .solver import Solution, SweepTrace
 from .strategy import FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
@@ -50,8 +50,8 @@ class SolutionFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Document:
-    """A read document: its mode, segments per location, and the
-    strategies object as written (None when it carries none)."""
+    """A read document: its mode, segments per location, and Max's
+    positional and Min's switching strategy (None when it carries none)."""
 
     mode: str
     values: dict
@@ -144,12 +144,25 @@ def dumps(g: Game, mode: str, sol: Solution) -> str:
     return json_text(doc) + "\n"
 
 
+def _positional(tables: dict) -> FPStrategy:
+    def move(m: dict) -> Move:
+        return Move(m["type"], m["t_index"], m["target_x"])
+
+    rows = {name: [(*r["interval"], move(r["move"])) for r in t["rows"]] for name, t in tables.items()}
+    return FPStrategy(rows, {name: move(t["at_end"]) for name, t in tables.items()})
+
+
 def load(path: str, data: Optional[bytes] = None, g: Optional[Game] = None) -> Document:
     """The solution document at path, read by `model.VALUES`; data, if
-    given, is its bytes, read already, and g, if given, its game."""
+    given, is its bytes, read already, and g, if given, its game, which
+    the rules that need one read the document against."""
     raw = loads(Path(path).read_bytes() if data is None else data, SolutionFormatError)
     doc = read(VALUES, raw, SolutionFormatError, g)
-    return Document(doc["mode"], doc["values"], doc["strategies"])
+    s = doc["strategies"]
+    if s is not None:
+        sigma2 = {name: m["t_index"] for name, m in s["min"]["sigma2"].items()}
+        s = _positional(s["max"]), SwitchingStrategy(_positional(s["min"]["sigma1"]), sigma2, s["min"]["threshold"])
+    return Document(doc["mode"], doc["values"], s)
 
 
 def uniform_infinity(seg: CostFunction) -> Optional[float]:
@@ -219,27 +232,6 @@ def value_at(g: Game, doc: Document, name: str, x) -> Value:
         raise SolutionFormatError(witness)
     (v,) = region_values((Region(x, x),), doc.values[name])
     return v if isinstance(v, float) else evaluate(v, x)
-
-
-def _positional(tables: dict) -> FPStrategy:
-    def move(m: dict) -> Move:
-        return Move.now(m["t_index"]) if m["type"] == NOW else Move.wait_until(m["target_x"], m["t_index"])
-
-    rows = {name: [(*r["interval"], move(r["move"])) for r in t["rows"]] for name, t in tables.items()}
-    return FPStrategy(rows, {name: move(t["at_end"]) for name, t in tables.items()})
-
-
-def read_strategies(g: Game, doc: Document) -> Optional[tuple]:
-    """Max's positional and Min's switching strategy as written for g, read
-    by `model.STRATEGIES`, whose rules say what a table must be; None for
-    a document that carries none."""
-    if doc.strategies is None:
-        return None
-    infinite = {name for name, segs in doc.values.items() if any(uniform_infinity(s) is not None for s in segs)}
-    s = read(STRATEGIES, doc.strategies, SolutionFormatError, (g, infinite))
-    sigma1 = _positional(s["min"]["sigma1"])
-    sigma2 = {name: m["t_index"] for name, m in s["min"]["sigma2"].items()}
-    return _positional(s["max"]), SwitchingStrategy(sigma1, sigma2, s["min"]["threshold"])
 
 
 def _check_coverage(g: Game, values: dict, scaled: dict, bound: int, borders: Optional[set]) -> Optional[str]:

@@ -22,15 +22,16 @@ file-level validation, so its guards may have rational endpoints.  The
 solver builds no game: it compiles the parsed one (`urgent.compile_game`)
 or its region graph into rows.
 
-The game file, the solution document and the document's strategies are
-each a table of `Field` rows, `GAME`, `VALUES` and `STRATEGIES`: one row
-per field, with its path, JSON type, kind, rules and default.  One
-function, `read`, reads all three, and `parse_game`, `document.load`
-and `document.read_strategies` go through it.  A field of the wrong JSON
-type, outside its kind or breaking a rule is refused with one message
-that names it; so is a missing field that has no default.  The rules
-that span the fields of a game are `validate_game`'s, which games built
-in code meet as well.
+The game file and the solution document are each a table of `Field`
+rows, `GAME` and `VALUES`: one row per field, with its path, JSON type,
+kind, rule and default; the document's strategies are a nested table,
+`STRATEGIES`.  One function, `read`, reads both in one pass, and
+`parse_game` and `document.load` go through it.  A field of the wrong
+JSON type, outside its kind or breaking a rule is refused with one
+message that starts with its JSON path, as in `locations[0].urgent: must
+be true or false, got 'no'`; so is a missing field that has no default.
+The rules that span the fields of a game are `validate_game`'s, which
+games built in code meet as well.
 """
 
 from __future__ import annotations
@@ -216,16 +217,18 @@ class Game:
         return max((abs(l.rate) for l in self.locations), default=Fraction(0))
 
 
-def check_sptg(g: Game, r) -> bool:
-    """True iff every guard is exactly [0, r] and nothing resets."""
-    r = as_fraction(r)
+def check_sptg(g: Game) -> bool:
+    """True iff g is simple: its clock bound is 1, every guard is exactly
+    [0, 1] and nothing resets."""
+    if g.clock_bound != 1:
+        return False
     for t in g.transitions:
         if t.reset:
             return False
         gd = t.guard
         if isinstance(gd.hi, float):
             return False
-        if not (gd.lo == 0 and gd.lo_closed and gd.hi == r and gd.hi_closed):
+        if not (gd.lo == 0 and gd.lo_closed and gd.hi == 1 and gd.hi_closed):
             return False
     return True
 
@@ -367,7 +370,7 @@ def validate_game(g: Game) -> Game:
 
 
 # ---------------------------------------------------------------------------
-# The three JSON formats: one table of field rules, read by `read`
+# The JSON formats: one table of field rules each, read by `read`
 
 REQUIRED = object()  # the default of a field that must be present
 NOW, WAIT_UNTIL = "now", "wait_until"
@@ -378,6 +381,7 @@ _SHORT.maxlevel = 1
 # each JSON type: the Python type json.loads gives it (None: any) and its name in messages
 _JSON = {
     "object": (dict, "an object"),  # fixed keys, each a field with its own row
+    "table": (dict, "an object"),  # an object read by a nested table; null too if its default is None
     "map": (dict, "an object"),  # names to entries, all read by the row `{}`
     "array": (list, "an array"),  # items, all read by the row `[]`
     "pair": (list, "a list of two literals"),
@@ -396,35 +400,27 @@ class Field:
     entries.  `json` is a JSON type, or a table whose rows read an object,
     with paths relative to this one.  `kind` turns the value read into
     what the field holds, an object's fields given as keywords, or raises
-    `_Refusal`.  Each `rule` of an object, map or array takes the value,
-    its key and what `read` was given, and says what is wrong, if
-    anything; a field of one value has only its kind.  Messages call the
-    field by its path or `label` and say it must be `what` (by default its
-    JSON type); inside it they begin with `context`, `{}` there standing
-    for its JSON value.
+    `_Refusal`.  A `rule` takes what the kind made, the field's key and the
+    game `read` was given, if any, and raises `_Refusal` at what is wrong.
+    Every refusal names the field at fault by its path.
     """
 
     path: str
     json: object
     kind: object = None
-    rule: object = ()
+    rule: object = None
     default: object = REQUIRED
-    label: Optional[str] = None
-    what: Optional[str] = None
-    context: Optional[str] = None
 
 
 class _Refusal(Exception):
-    """A problem with a value, raised where it is found and worded by
-    `read`, which knows the path to it by then; `sep`, if not None, joins
-    the field's name to the problem."""
+    """A problem with a value, raised where it is found; keys, outermost
+    first, lead from there to the field at fault, and `read` prefixes the
+    path it took to get there."""
 
-    def __init__(self, problem: str, sep: Optional[str] = " ", keys=(), label=None):
+    def __init__(self, problem: str, *keys):
         super().__init__(problem)
-        self.problem, self.sep = problem, sep
-        self.keys = list(keys)  # from the field up, as read() unwinds
-        self.label = label
-        self.contexts = []
+        self.problem = problem
+        self.keys = list(reversed(keys))  # from the field up, as read() unwinds
 
 
 def natural(v: int) -> int:
@@ -481,99 +477,100 @@ def segment(**seg) -> CostFunction:
         if marker:
             return CostFunction.constant(lo, hi, INF if marker == "inf" else NEG_INF)
         if not points or (points[0]["x"], points[-1]["x"]) != (lo, hi):
-            raise _Refusal(f"points do not span [{format_value(lo)}, {format_value(hi)}]", None)
+            raise _Refusal(f"points do not span [{format_value(lo)}, {format_value(hi)}]")
         return CostFunction._trusted(*_canonical(*zip(*((p["x"], p["v"]) for p in points))))
     except DomainError as exc:
-        raise _Refusal(str(exc), None) from None
+        raise _Refusal(str(exc)) from None
 
 
 # The rules across fields.  A game's are `validate_game`'s, which games
 # built in code meet too, and `Game`'s: unique names, edges between them.
+# A document's that need its game are skipped when read without one.
 
 
-def _has_segments(segments: list, name: str, given) -> Optional[str]:
-    return None if segments else f"{name} has no segments"
+def _has_segments(segments: list, name: str, g) -> None:
+    if not segments:
+        raise _Refusal("has no segments")
 
 
-def _finite_tables(tables: dict, key: str, given) -> Optional[str]:
+def _bound_of_the_game(bound: int, key, g) -> None:
+    if g is not None and bound != g.clock_bound:
+        raise _Refusal(f"{bound} is not the game's {g.clock_bound}")
+
+
+def _finite_tables(doc: dict, key, g) -> None:
     """`max` lists exactly the Max locations with finite values, `sigma1`
-    the Min ones, given the game and the names of the infinite locations."""
-    g, infinite = given
-    owner = MAX if key == "max" else MIN
-    want = {l.name for l in g.locations if l.owner == owner and l.name not in infinite}
-    n = min(want ^ set(tables), default=None)
-    if n is None:
-        return None
-    what = f"a {owner.capitalize()} location with a finite value"
-    return f"{key} has no table for {n}, {what}" if n in want else f"{key} lists {n}, which is not {what}"
+    the Min ones: the values are read by then."""
+    s = doc["strategies"]
+    if g is None or s is None:
+        return
+    infinite = {n for n, segs in doc["values"].items() if any(type(seg.vals[0]) is float for seg in segs)}
+    for owner, keys, tables in ((MAX, ("max",), s["max"]), (MIN, ("min", "sigma1"), s["min"]["sigma1"])):
+        want = {l.name for l in g.locations if l.owner == owner and l.name not in infinite}
+        n = min(want ^ set(tables), default=None)
+        if n is not None:
+            what = f"a {owner.capitalize()} location with a finite value"
+            problem = f"has no table for {n}, {what}" if n in want else f"lists {n}, which is not {what}"
+            raise _Refusal(problem, "strategies", *keys)
 
 
-def _move_fits(move: dict, name: str, g: Game) -> Optional[str]:
-    """move, listed under name, fires a transition that leaves name and
-    enters the move's `to`, and has a `target_x` exactly if it waits."""
-    i = move["t_index"]
+def _move_fits(move: dict, name: str, g: Game, end, *keys) -> None:
+    """move, at keys in name's table, fires a transition that leaves name
+    and enters the move's `to`, and has a `target_x` exactly if it waits,
+    which lies in [end, bound]."""
+    i, x = move["t_index"], move["target_x"]
     if i >= len(g.transitions):
-        return f"move of {name}: transition {i} does not exist"
+        raise _Refusal(f"transition {i} does not exist", *keys, "t_index")
     t = g.transitions[i]
     if t.source != name:
-        return f"move of {name}: transition {i} leaves {t.source}"
+        raise _Refusal(f"transition {i} leaves {t.source}", *keys, "t_index")
     if move["to"] != t.target:
-        return f"move of {name}: transition {i} enters {t.target}"
-    waits, target = move["type"] == WAIT_UNTIL, move["target_x"] is not None
-    if waits != target:
-        return f"move of {name}: {move['type']} {'with' if target else 'without'} a target_x"
-    return None
+        raise _Refusal(f"transition {i} enters {t.target}", *keys, "to")
+    if (move["type"] == WAIT_UNTIL) != (x is not None):
+        raise _Refusal(f"{move['type']} {'without' if x is None else 'with'} a target_x", *keys)
+    if x is not None and not end <= x <= g.clock_bound:
+        bounds = f"[{format_value(end)}, {format_value(g.clock_bound)}]"
+        raise _Refusal(f"a wait must end in {bounds}, got {format_value(x)}", *keys, "target_x")
 
 
-def _moves_fit(table: dict, name: str, given) -> Optional[str]:
-    moves = [r["move"] for r in table["rows"]] + [table["at_end"]]
-    return next(filter(None, (_move_fits(m, name, given[0]) for m in moves)), None)
-
-
-def _rows_tile(table: dict, name: str, given) -> Optional[str]:
-    """name's rows cover [0, bound], each starting where the one before ends."""
-    bound, at = given[0].clock_bound, 0
-    for lo, hi in (r["interval"] for r in table["rows"]):
+def _table_fits(table: dict, name: str, g) -> None:
+    """name's rows tile [0, bound], each starting where the one before
+    ends, and their moves and `at_end`'s fit (`_move_fits`), a wait ending
+    no earlier than its row and, in `at_end`, at the bound."""
+    if g is None:
+        return
+    bound, at = g.clock_bound, 0
+    for i, row in enumerate(table["rows"]):
+        lo, hi = row["interval"]
         if lo != at:
             cut = "a gap" if lo > at else "an overlap"
             where = f"{format_value(min(lo, at))}..{format_value(max(lo, at))}"
-            return f"rows of {name} do not tile [0, {format_value(bound)}]: {cut} at {where}"
+            raise _Refusal(f"do not tile [0, {format_value(bound)}]: {cut} at {where}", "rows")
         at = hi
-    return None if at == bound else f"rows of {name} end at {format_value(at)}, not at {format_value(bound)}"
+        if at > bound:
+            break
+        _move_fits(row["move"], name, g, hi, "rows", i, "move")
+    if at != bound:
+        raise _Refusal(f"end at {format_value(at)}, not at {format_value(bound)}", "rows")
+    _move_fits(table["at_end"], name, g, bound, "at_end")
 
 
-def _waits_within(table: dict, name: str, given) -> Optional[str]:
-    """A wait ends between its row's end and the bound; at the bound, there."""
-    bound = given[0].clock_bound
-    for end, m in [(r["interval"][1], r["move"]) for r in table["rows"]] + [(bound, table["at_end"])]:
-        x = m["target_x"]
-        if x is not None and not end <= x <= bound:
-            return f"a wait must end in [{format_value(end)}, {format_value(bound)}], got {format_value(x)}"
-    return None
-
-
-def _fallbacks_fire_now(sigma2: dict, key, given) -> Optional[str]:
-    """Min's fallback chases a final location: its moves fit and fire now."""
+def _fallbacks_fire_now(sigma2: dict, key, g) -> None:
+    """Min's fallback chases a final location: its moves fire now, and fit."""
+    if g is None:
+        return
     for n, m in sigma2.items():
-        problem = _move_fits(m, n, given[0])
-        if problem or m["type"] != NOW:
-            return problem or f"move of {n}: the fallback fires now, it does not wait"
-    return None
-
-
-def _bound_of_the_game(doc: dict, key, g) -> Optional[str]:
-    """Read against a game, a document has the game's clock bound."""
-    if g is None or doc["clock_bound"] == g.clock_bound:
-        return None
-    return f"clock_bound {doc['clock_bound']} is not the game's {g.clock_bound}"
+        if m["type"] != NOW:
+            raise _Refusal("the fallback fires now, it does not wait", n, "type")
+        _move_fits(m, n, g, 0, n)
 
 
 GAME = (
-    Field("", "object", Game, label="top level"),
+    Field("", "object", Game),
     Field("clock_bound", "integer", natural),
     Field("locations", "array"),
     Field("locations[]", "object", Location),
-    Field("locations[].name", "string", location_name, label="location name"),
+    Field("locations[].name", "string", location_name),
     Field("locations[].owner", "string", one_of(MIN, MAX, FINAL)),
     Field("locations[].rate", "integer", default=0),
     Field("locations[].urgent", "boolean", default=False),
@@ -582,8 +579,8 @@ GAME = (
     Field("locations[].final_cost.intercept", "literal", rational),
     Field("transitions", "array"),
     Field("transitions[]", "object", _transition),
-    Field("transitions[].from", "string", label="transition from and to", what="location names"),
-    Field("transitions[].to", "string", label="transition from and to", what="location names"),
+    Field("transitions[].from", "string"),
+    Field("transitions[].to", "string"),
     Field("transitions[].guard", "object", Guard),
     Field("transitions[].guard.lo", "literal", rational),
     Field("transitions[].guard.hi", "literal"),
@@ -592,13 +589,36 @@ GAME = (
     Field("transitions[].reset", "boolean", default=False),
     Field("transitions[].weight", "integer"),
 )
+MOVE = (
+    Field("type", "string", one_of(NOW, WAIT_UNTIL)),
+    Field("to", "any"),  # its transition's target, by `_move_fits`
+    Field("t_index", "integer", natural),
+    Field("target_x", "literal", rational, default=None),
+)
+TABLE = (  # one location's rows of a finitely positional strategy
+    Field("rows", "array"),
+    Field("rows[]", "object"),
+    Field("rows[].interval", "pair", interval),
+    Field("rows[].move", MOVE),
+    Field("at_end", MOVE),
+)
+STRATEGIES = (  # Max's positional strategy and Min's switching one
+    Field("max", "map"),
+    Field("max{}", TABLE, rule=_table_fits),
+    Field("min", "object"),
+    Field("min.sigma1", "map"),
+    Field("min.sigma1{}", TABLE, rule=_table_fits),
+    Field("min.sigma2", "map", rule=_fallbacks_fire_now),
+    Field("min.sigma2{}", MOVE),
+    Field("min.threshold", "literal", rational),
+)
 VALUES = (  # the solution document, read against its game if given one
-    Field("", "object", rule=_bound_of_the_game, label="top level"),
-    Field("clock_bound", "integer", natural),
+    Field("", "object", rule=_finite_tables),
+    Field("clock_bound", "integer", natural, _bound_of_the_game),
     Field("mode", "string", one_of(MODE_SPTG, MODE_REGIONS)),
     Field("values", "map"),
     Field("values{}", "array", rule=_has_segments),
-    Field("values{}[]", "object", segment, context="bad value segment {}"),
+    Field("values{}[]", "object", segment),
     Field("values{}[].from", "literal", rational),
     Field("values{}[].to", "literal", rational),
     Field("values{}[].infinite", "string", one_of("inf", "-inf"), default=None),
@@ -606,32 +626,8 @@ VALUES = (  # the solution document, read against its game if given one
     Field("values{}[].points[]", "object"),
     Field("values{}[].points[].x", "literal", rational),
     Field("values{}[].points[].v", "literal", rational),
-    Field("strategies", "any", default=None),  # read by STRATEGIES
+    Field("strategies", STRATEGIES, default=None),  # null when the document has none
     Field("trace", "any", default=None),  # the sweep's record, for people to read
-)
-MOVE = (
-    Field("type", "string", one_of(NOW, WAIT_UNTIL)),
-    Field("to", "any"),  # its transition's target, by `_move_fits`
-    Field("t_index", "integer", natural, label="transition index"),
-    Field("target_x", "literal", rational, default=None),
-)
-TABLE = (  # one location's rows of a finitely positional strategy
-    Field("rows", "array"),
-    Field("rows[]", "object"),
-    Field("rows[].interval", "pair", interval, label="an interval"),
-    Field("rows[].move", MOVE, context="bad move"),
-    Field("at_end", MOVE, context="bad move"),
-)
-STRATEGIES = (  # read against the game and the names of its infinite locations
-    Field("", "object", label="strategies"),
-    Field("max", "map", rule=_finite_tables, context="bad positional strategy"),
-    Field("max{}", TABLE, rule=(_moves_fit, _rows_tile, _waits_within)),
-    Field("min", "object", context="bad switching strategy"),
-    Field("min.sigma1", "map", rule=_finite_tables, context="bad positional strategy"),
-    Field("min.sigma1{}", TABLE, rule=(_moves_fit, _rows_tile, _waits_within)),
-    Field("min.sigma2", "map", rule=_fallbacks_fire_now),
-    Field("min.sigma2{}", MOVE, context="bad move"),
-    Field("min.threshold", "literal", rational),
 )
 
 
@@ -640,7 +636,7 @@ def rows_of(table: tuple, prefix: str = ""):
     for f in table:
         path = f"{prefix}.{f.path}" if prefix and f.path[0] not in "[{" else prefix + f.path
         if isinstance(f.json, tuple):
-            yield replace(f, path=path, json="object")
+            yield replace(f, path=path, json="table")
             yield from rows_of(f.json, path)
         else:
             yield replace(f, path=path)
@@ -649,15 +645,15 @@ def rows_of(table: tuple, prefix: str = ""):
 class _Node:
     """A row ready to read: its fields' nodes by key, or its items' node."""
 
-    __slots__ = ("f", "fields", "item", "want", "what", "rules", "leaf", "pair", "literal", "kind")
+    __slots__ = ("f", "fields", "item", "want", "what", "rule", "leaf", "pair", "literal", "kind", "nullable")
 
     def __init__(self, f: Field):
-        self.f, self.kind = f, f.kind
+        self.f, self.kind, self.rule = f, f.kind, f.rule
         self.fields, self.item = [], None
         self.want, self.what = _JSON[f.json]
-        self.rules = f.rule if isinstance(f.rule, tuple) else (f.rule,)
         self.leaf = f.json in ("pair", "literal", "string", "integer", "boolean", "any")
         self.pair, self.literal = f.json == "pair", f.json == "literal"
+        self.nullable = f.json == "table" and f.default is None
 
 
 def _compile(table: tuple) -> _Node:
@@ -673,7 +669,7 @@ def _compile(table: tuple) -> _Node:
 
 
 # the formats' tables, compiled once, by identity: a table hashes slowly
-_ROOTS = {id(table): _compile(table) for table in (GAME, VALUES, STRATEGIES)}
+_ROOTS = {id(table): _compile(table) for table in (GAME, VALUES)}
 
 
 def loads(data, error):
@@ -686,81 +682,72 @@ def loads(data, error):
         raise error(f"not valid JSON: {exc}") from exc
 
 
-def _literals():
-    """parse_value for one document, each distinct literal read once: a
-    document repeats its clock values, and many values, across locations.
-    A literal that is not a string is refused before it is hashed."""
+def read(table: tuple, raw, error, g: Optional[Game] = None):
+    """raw, a JSON value, read by table, `GAME` or `VALUES`, against the
+    game g if given: literals parsed, each distinct one once, defaults
+    filled in, kinds made and rules met; or else error, whose message
+    starts with the path of the field at fault (`top level` for raw)."""
     seen = {}
-    return lambda text: seen[text] if type(text) is str and text in seen else seen.setdefault(text, parse_value(text))
-
-
-def read(table: tuple, raw, error, given=None):
-    """raw, a JSON value, read by table, one of `GAME`, `VALUES` and
-    `STRATEGIES`: literals parsed, defaults filled in, kinds made and rules
-    met; or else error, saying what is wrong."""
+    # a literal that is not a string is refused before it is hashed
+    literal = lambda text: seen[text] if type(text) is str and text in seen else seen.setdefault(text, parse_value(text))
     try:
-        return _read(_ROOTS[id(table)], raw, "", given, _literals())
+        return _read(_ROOTS[id(table)], raw, "", g, literal)
     except _Refusal as exc:
         path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(exc.keys)).lstrip(".")
-        # a context names its field, and whatever in it has a wrong JSON type
-        unnamed = exc.sep is None or exc.sep == ": " and exc.contexts
-        text = exc.problem if unnamed else f"{exc.label or path}{exc.sep}{exc.problem}"
-        raise error(": ".join([*reversed(exc.contexts), text])) from None
+        raise error(f"{path or 'top level'}: {exc.problem}") from None
 
 
-def _read(node: _Node, raw, key, given, literal):
+def _read(node: _Node, raw, key, g, literal):
     """raw read by node, an object, map or array, and all it holds."""
     f = node.f
     try:
         if type(raw) is not node.want:
-            raise _Refusal(f"expected {node.what}, got {type(raw).__name__}", ": ")
+            if raw is None and node.nullable:
+                return None
+            raise _Refusal(f"expected {node.what}, got {type(raw).__name__}")
         if f.json == "map":
-            out = {k: _read(node.item, v, k, given, literal) for k, v in raw.items()}
+            out = {k: _read(node.item, v, k, g, literal) for k, v in raw.items()}
         elif f.json == "array":
-            out = [_read(node.item, v, i, given, literal) for i, v in enumerate(raw)]
+            out = [_read(node.item, v, i, g, literal) for i, v in enumerate(raw)]
         else:
             out = {}
             for k, child in node.fields:
                 if k in raw:
                     v = raw[k]
-                    out[k] = _leaf(child, v, k, literal) if child.leaf else _read(child, v, k, given, literal)
+                    out[k] = _leaf(child, v, k, g, literal) if child.leaf else _read(child, v, k, g, literal)
                 elif child.f.default is REQUIRED:
-                    raise _Refusal(f"is missing from {_SHORT.repr(raw)}", keys=[k], label=child.f.label)
+                    raise _Refusal("missing", k)
                 else:
                     out[k] = child.f.default
             out = out if node.kind is None else node.kind(**out)
-        for rule in node.rules:
-            problem = rule(out, key, given)
-            if problem:
-                raise _Refusal(problem, None)
+        if node.rule is not None:
+            node.rule(out, key, g)
         return out
     except _Refusal as exc:
-        if not exc.keys and exc.label is None:
-            exc.label = f.label
         exc.keys.append(key)
-        if f.context:
-            exc.contexts.append(f.context.format(repr(raw)))
         raise
 
 
-def _leaf(node: _Node, v, key, literal):
+def _leaf(node: _Node, v, key, g, literal):
     """v read by node, a field of one JSON value or a pair of literals."""
     try:
         if type(v) is not node.want and node.want is not None or node.pair and (
             len(v) != 2 or type(v[0]) is not str or type(v[1]) is not str
         ):
-            raise _Refusal(f"must be {node.f.what or node.what}, got {_SHORT.repr(v)}")
+            raise _Refusal(f"must be {node.what}, got {_SHORT.repr(v)}")
         try:
             if node.pair:
                 v = literal(v[0]), literal(v[1])
             elif node.literal:
                 v = literal(v)
         except ValueError:
-            raise _Refusal(f"is not a rational literal: {_SHORT.repr(v)}") from None
-        return v if node.kind is None else node.kind(v)
+            raise _Refusal(f"not a rational literal: {_SHORT.repr(v)}") from None
+        v = v if node.kind is None else node.kind(v)
+        if node.rule is not None:
+            node.rule(v, key, g)
+        return v
     except _Refusal as exc:
         exc.keys.append(key)
-        exc.label = node.f.label
         raise
 
 

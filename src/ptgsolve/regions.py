@@ -118,14 +118,11 @@ class ResetDAG:
 
     `components` lists the strongly connected components so that every edge
     leads into the same or an earlier component; solving them left to right
-    therefore meets all dependencies.  `reset_edges` indexes the resetting
-    transitions, all of which cross components once the check has passed.
+    therefore meets all dependencies.
     """
 
     rgame: RegionGame
     components: tuple
-    node_component: dict
-    reset_edges: tuple
 
 
 def _tarjan(nodes, adj):
@@ -238,8 +235,7 @@ def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
         if comp_of[t.target] > comp_of[t.source]:
             where = f"{_node(rg, t.source)} -> {_node(rg, t.target)}"
             raise InternalError("condensation", "components out of dependency order", where)
-    resets = tuple(i for i, t in enumerate(rg.transitions) if t.reset)
-    return ResetDAG(rg, tuple(comps), comp_of, resets)
+    return ResetDAG(rg, tuple(comps))
 
 
 def _entry_value(nodeval: dict, rt: RegionTransition, x):

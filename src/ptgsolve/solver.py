@@ -480,7 +480,7 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     on its compiled rows, then `_synthesize` and Min's switching strategy,
     both read off the pruned rows.  Where pruning leaves no non-final
     location, the solution has the values and the empty trace only."""
-    if g.clock_bound != 1 or not check_sptg(g, 1):
+    if not check_sptg(g):
         raise NonSPTG("expected guards [0, 1] everywhere and no resets")
     sw = sweep(compile_game(g), max_steps)
     pr = sw.pruned

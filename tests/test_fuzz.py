@@ -10,14 +10,18 @@ line on stderr, and a foreign ``t_index``, a wrong ``to`` or a swapped
 interval exits 2.
 
 The other two draw their mutations from the formats' tables
-(``model.GAME``, ``model.VALUES`` and ``model.STRATEGIES``): a row, one
-of the fields in a committed file that it reads, then a value of another
-JSON type or out of the field's range, a deleted key or a truncated
-array.  A mutated game goes through ``ptg verify`` against its committed
-document, which runs ``parse_game`` and the Bellman oracle but not the
-solver, so huge weights stay cheap; a mutated document goes through
-``verify``, ``simulate`` and ``plot``.  The same exits are allowed.  The
-``fuzz`` profile of ``conftest.py`` runs more examples.
+(``model.GAME`` and ``model.VALUES``, whose strategies are the nested
+table ``model.STRATEGIES``): a row, one of the fields in a committed file
+that it reads, then a value of another JSON type or out of the field's
+range, a deleted key or a truncated array.  A mutated game goes through
+``ptg verify`` against its committed document, which runs ``parse_game``
+and the Bellman oracle but not the solver, so huge weights stay cheap; a
+mutated document goes through ``verify``, ``simulate`` and ``plot``.  The
+same exits are allowed.  A value of another JSON type, a value its row's
+kind refuses or a deleted key the row requires must exit 2 with one line
+that starts with the field's path: the reader refuses such a field
+before any rule across fields can judge it.  The ``fuzz`` profile of
+``conftest.py`` runs more examples.
 """
 
 import contextlib
@@ -33,6 +37,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from ptgsolve import model
+from ptgsolve.exactmath import parse_value
 from ptgsolve.cli import main
 
 GAME = json.loads((FIXTURES / "fig1.json").read_text())
@@ -177,23 +182,20 @@ def _load(name: str):
 
 
 GAME_TARGETS = [_targets(model.GAME, _load(f"{game}.json")) for game, _, _ in CASES]
-DOC_TARGETS = [
-    _targets(model.VALUES, doc) + (_targets(model.STRATEGIES, doc, ("strategies",)) if doc["strategies"] else [])
-    for doc in (_load(name) for _, name, _ in CASES)
-]
+DOC_TARGETS = [_targets(model.VALUES, _load(name)) for _, name, _ in CASES]
 
 
 @st.composite
 def table_mutations(draw, targets):
-    """(case, path, operation, value): one field of one case's file, drawn
-    row first, and what to do to it."""
+    """(case, row, path, operation, value): one field of one case's file,
+    drawn row first, and what to do to it."""
     case = draw(st.sampled_from(range(len(CASES))))
     row, paths = draw(st.sampled_from(targets[case]))
     path = draw(st.sampled_from(paths))
     ops = ["set"] * 3 + ["delete"] + (["truncate"] if row.json == "array" else [])
     op = draw(st.sampled_from(ops))
     value = draw(st.sampled_from(VALUES_TO_TRY)) if op == "set" else draw(st.sampled_from((0, 1, 2)))
-    return case, path, op, value
+    return case, row, path, op, value
 
 
 def _mutated(doc, path, op, value):
@@ -213,11 +215,55 @@ def _mutated(doc, path, op, value):
     return doc
 
 
-def _clean_exit(argv, where) -> None:
+# the Python type json.loads gives each JSON type of a row
+PYTHON_TYPE = {
+    "object": dict, "table": dict, "map": dict, "array": list, "pair": list,
+    "literal": str, "string": str, "integer": int, "boolean": bool,
+}
+
+
+def _refused_at_the_field(row, path, op, value) -> bool:
+    """Is the mutation one the reader refuses at the field itself: a value
+    of another JSON type, one outside the kind of a field of one value, or
+    a deleted key that has no default?"""
+    if op == "delete":
+        return type(path[-1]) is str and row.default is model.REQUIRED and not row.path.endswith("{}")
+    if op != "set" or row.json == "any":
+        return False
+    if type(value) is not PYTHON_TYPE[row.json]:
+        # a table with no default may be null: a document without strategies
+        return not (value is None and row.json == "table" and row.default is None)
+    if row.json == "pair" and (len(value) != 2 or not all(type(v) is str for v in value)):
+        return True
+    if row.json not in ("pair", "literal", "string", "integer", "boolean"):
+        return False
+    try:
+        if row.json == "pair":
+            value = tuple(map(parse_value, value))
+        elif row.json == "literal":
+            value = parse_value(value)
+        if row.kind is not None:
+            row.kind(value)
+    except (ValueError, model._Refusal):
+        return True
+    return False
+
+
+def _name(path) -> str:
+    """A path of keys and indices as the reader's messages write it."""
+    return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path).lstrip(".")
+
+
+def _clean_exit(argv, where, at=None) -> None:
+    """argv exits 0, 2 or 5, exit 2 with one line; with at, the path of a
+    field refused by its own row, exit 2 with a line naming that field."""
     code, err = _run(*argv)
     assert code in (0, 2, 5), (where, argv[0], code, err)
     if code == 2:
         assert len(err.splitlines()) == 1, (where, argv[0], err)
+    if at is not None:
+        assert code == 2, (where, argv[0], code)
+        assert re.match(rf"error: {re.escape(_name(at))}[:.\[]", err), (where, argv[0], err)
 
 
 EXAMPLES = max(200, settings.default.max_examples)
@@ -226,19 +272,21 @@ EXAMPLES = max(200, settings.default.max_examples)
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
 @given(table_mutations(GAME_TARGETS))
 def test_mutated_games_exit_cleanly(mutation):
-    case, path, op, value = mutation
+    case, row, path, op, value = mutation
     game, values, _ = CASES[case]
+    at = path if _refused_at_the_field(row, path, op, value) else None
     with tempfile.TemporaryDirectory() as tmp:
         mutated = Path(tmp) / f"{game}.json"
         mutated.write_text(json.dumps(_mutated(_load(f"{game}.json"), path, op, value)))
-        _clean_exit(("verify", str(mutated), str(FIXTURES / values)), mutation)
+        _clean_exit(("verify", str(mutated), str(FIXTURES / values)), mutation, at)
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
 @given(table_mutations(DOC_TARGETS))
 def test_mutated_documents_exit_cleanly(mutation):
-    case, path, op, value = mutation
+    case, row, path, op, value = mutation
     game, values, start = CASES[case]
+    at = path if _refused_at_the_field(row, path, op, value) else None
     with tempfile.TemporaryDirectory() as tmp:
         mutated = Path(tmp) / values
         mutated.write_text(json.dumps(_mutated(_load(values), path, op, value)))
@@ -248,4 +296,4 @@ def test_mutated_documents_exit_cleanly(mutation):
             ("simulate", game, str(mutated), "--from", start, "--opponents", "1"),
             ("plot", str(mutated), "--csv", str(Path(tmp) / "csv")),
         ):
-            _clean_exit(argv, mutation)
+            _clean_exit(argv, mutation, at)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -154,34 +155,39 @@ def _fig1_with(path, value) -> str:
 # Each of these once parsed: bool() made every non-empty string true, and
 # bool is a subclass of int.
 STRICT_TYPE_CASES = {
-    "urgent": (("locations", 0, "urgent"), "false", "urgent must be true or false"),
-    "reset": (("transitions", 0, "reset"), "no", "reset must be true or false"),
-    "lo_closed": (("transitions", 0, "guard", "lo_closed"), "no", "lo_closed must be true or false"),
-    "hi_closed": (("transitions", 0, "guard", "hi_closed"), 1, "hi_closed must be true or false"),
-    "clock_bound": (("clock_bound",), True, "clock_bound must be an integer"),
-    "rate": (("locations", 0, "rate"), True, "rate must be an integer"),
-    "weight": (("transitions", 0, "weight"), True, "weight must be an integer"),
+    "urgent": (("locations", 0, "urgent"), "false", "locations[0].urgent: must be true or false"),
+    "reset": (("transitions", 0, "reset"), "no", "transitions[0].reset: must be true or false"),
+    "lo_closed": (("transitions", 0, "guard", "lo_closed"), "no", "transitions[0].guard.lo_closed: must be true or false"),
+    "hi_closed": (("transitions", 0, "guard", "hi_closed"), 1, "transitions[0].guard.hi_closed: must be true or false"),
+    "clock_bound": (("clock_bound",), True, "clock_bound: must be an integer"),
+    "rate": (("locations", 0, "rate"), True, "locations[0].rate: must be an integer"),
+    "weight": (("transitions", 0, "weight"), True, "transitions[0].weight: must be an integer"),
     # rational fields once took JSON numbers and booleans: Fraction(True) is 1
-    "lo": (("transitions", 0, "guard", "lo"), 0.0, "must be a string literal"),
-    "hi": (("transitions", 0, "guard", "hi"), True, "must be a string literal"),
-    "slope": (("locations", 7, "final_cost", "slope"), 0, "must be a string literal"),
-    "intercept": (("locations", 7, "final_cost", "intercept"), False, "must be a string literal"),
+    "lo": (("transitions", 0, "guard", "lo"), 0.0, "transitions[0].guard.lo: must be a string literal"),
+    "hi": (("transitions", 0, "guard", "hi"), True, "transitions[0].guard.hi: must be a string literal"),
+    "slope": (("locations", 7, "final_cost", "slope"), 0, "locations[7].final_cost.slope: must be a string literal"),
+    "intercept": (
+        ("locations", 7, "final_cost", "intercept"),
+        False,
+        "locations[7].final_cost.intercept: must be a string literal",
+    ),
 }
 
 
 @pytest.mark.parametrize("field", sorted(STRICT_TYPE_CASES))
 def test_parse_rejects_wrong_json_types(field):
     path, value, reason = STRICT_TYPE_CASES[field]
-    with pytest.raises(GameSyntaxError, match=reason):
+    with pytest.raises(GameSyntaxError, match=re.escape(reason)):
         parse_game(_fig1_with(path, value))
 
 
 def test_check_sptg():
     fig1 = parse_game(load_fixture("fig1.json"))
     fig3 = parse_game(load_fixture("fig3.json"))
-    assert check_sptg(fig1, 1)
-    assert not check_sptg(fig3, 1)
-    assert not check_sptg(fig1, F(1, 2))
+    assert check_sptg(fig1)
+    assert not check_sptg(fig3)
+    # guards [0, 1] and no reset, but on [0, 2]
+    assert not check_sptg(make_game(fig1.locations, fig1.transitions, 2))
 
 
 def test_regions_single_guard():

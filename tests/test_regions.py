@@ -124,13 +124,13 @@ def test_fig3_reset_cycle_witness(fig3):
 
 def test_check_reset_acyclic_orders_dependencies_first(reset_chain):
     rg = build_region_game(reset_chain)
-    dag = check_reset_acyclic(rg)
+    comp_of = {n: ci for ci, comp in enumerate(check_reset_acyclic(rg).components) for n in comp}
+    assert set(comp_of) == set(rg.locations)
     for t in rg.transitions:
-        assert dag.node_component[t.target] <= dag.node_component[t.source]
-    for i in dag.reset_edges:
-        t = rg.transitions[i]
-        assert t.reset
-        assert dag.node_component[t.target] < dag.node_component[t.source]
+        assert comp_of[t.target] <= comp_of[t.source]
+        # a reset never stays inside its component
+        assert not t.reset or comp_of[t.target] < comp_of[t.source]
+    assert any(t.reset for t in rg.transitions)
 
 
 def test_reset_chain_values(reset_chain):
@@ -922,8 +922,8 @@ def test_two_games_linked_by_a_reset():
     )
     g = make_game(locs, trans, 1)
     rg = build_region_game(g)
-    dag = check_reset_acyclic(rg)
-    assert len(dag.reset_edges) == 3
+    check_reset_acyclic(rg)
+    assert sum(t.reset for t in rg.transitions) == 3
     sol = solve_reset_acyclic(g)
     # b exits at once for phi(nu) = nu; a resets immediately, paying 5
     (fb,) = sol.values["b"]
