@@ -51,7 +51,8 @@ class SolutionFormatError(ValueError):
 @dataclass(frozen=True)
 class Document:
     """A read document: its mode, segments per location, and Max's
-    positional and Min's switching strategy (None when it carries none)."""
+    positional and Min's switching strategy (None when it carries none;
+    read without a game, the strategies object as `model.VALUES` reads it)."""
 
     mode: str
     values: dict
@@ -155,11 +156,12 @@ def _positional(tables: dict) -> FPStrategy:
 def load(path: str, data: Optional[bytes] = None, g: Optional[Game] = None) -> Document:
     """The solution document at path, read by `model.VALUES`; data, if
     given, is its bytes, read already, and g, if given, its game, which
-    the rules that need one read the document against."""
+    the rules that need one read the document against and without which
+    no strategy object is built: nothing could play it."""
     raw = loads(Path(path).read_bytes() if data is None else data, SolutionFormatError)
     doc = read(VALUES, raw, SolutionFormatError, g)
     s = doc["strategies"]
-    if s is not None:
+    if s is not None and g is not None:
         sigma2 = {name: m["t_index"] for name, m in s["min"]["sigma2"].items()}
         s = _positional(s["max"]), SwitchingStrategy(_positional(s["min"]["sigma1"]), sigma2, s["min"]["threshold"])
     return Document(doc["mode"], doc["values"], s)

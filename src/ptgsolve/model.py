@@ -37,6 +37,7 @@ games built in code meet as well.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -51,6 +52,7 @@ from .exactmath import (
     DomainError,
     Value,
     _canonical,
+    _scaled,
     as_fraction,
     format_value,
     parse_value,
@@ -177,7 +179,7 @@ class Game:
 
     _by_name: dict = field(default_factory=dict, compare=False, repr=False)
     _outgoing: dict = field(default_factory=dict, compare=False, repr=False)
-    _regions: tuple = field(default=(), init=False, compare=False, repr=False)
+    _regions: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "clock_bound", as_fraction(self.clock_bound))
@@ -254,72 +256,73 @@ class Region:
         return f"({format_value(self.lo)},{format_value(self.hi)})"
 
 
-def _enabled(gd: Guard, reg: Region) -> bool:
-    """Does an edge with guard gd get a copy in the region reg?
-
-    A point region copies the guards that hold at its point.  An open
-    region copies only the guards that overlap it.  A guard touching only
-    one of its borders is dropped: the lower border lies in the past once
-    the region has been entered, and the upper border is reached by the
-    hop into its point region, whose copy carries the edge.  The regions
-    are cut at every guard end, so a guard that overlaps an open region
-    spans its whole closure: the copy needs no guard of its own.
+def region_table(g: Game) -> tuple:
+    """(regions, enabled), built once per game and shared: g's regions,
+    and per transition the run of indices of the regions it is copied
+    into.  The regions alternate between a point region at each cut point
+    (a guard end inside the clock range, or an end of the range) and the
+    open region up to the next.  A point region copies the guards that
+    hold at its point, an open region those that overlap it: a guard only
+    touching its lower border lies in the past, and one only touching its
+    upper border is reached by the hop into that border's region.  The
+    table is built on integers: the cut points times G, the least common
+    denominator of the bound and the guard ends (1 in a game file).
     """
-    if reg.is_point:
-        return gd.contains(reg.lo)
-    return gd.lo < reg.hi and (isinstance(gd.hi, float) or gd.hi > reg.lo)
-
-
-def regions_of(g: Game) -> tuple:
-    """Alternating point and open regions spanning [0, clock bound].
-
-    Cut points are the guard endpoints that fall inside the clock range,
-    plus both ends of the range itself.  The tuple is built once per game,
-    on the first call, and shared: regions are immutable.
-    """
-    if not g._regions:
-        ends = {Fraction(0), g.clock_bound}
-        for t in g.transitions:
-            if t.guard.lo <= g.clock_bound:
-                ends.add(t.guard.lo)
-            if not isinstance(t.guard.hi, float) and t.guard.hi <= g.clock_bound:
-                ends.add(t.guard.hi)
-        points = sorted(ends)
-        out = []
-        for i, p in enumerate(points):
-            out.append(Region(p, p))
-            if i + 1 < len(points):
-                out.append(Region(p, points[i + 1]))
-        object.__setattr__(g, "_regions", tuple(out))
+    if g._regions is None:
+        guards = [t.guard for t in g.transitions]
+        G = math.lcm(g.clock_bound.denominator, *(
+            v.denominator for gd in guards for v in (gd.lo, gd.hi) if not isinstance(v, float)
+        ))
+        bound = _scaled(g.clock_bound, G)
+        ends = [(_scaled(gd.lo, G), _scaled(gd.hi, G)) for gd in guards]
+        cuts = sorted({0, bound, *(v for pair in ends for v in pair if v <= bound)})
+        at, last = {v: 2 * k for k, v in enumerate(cuts)}, 2 * len(cuts) - 2
+        # from a list: tuple(<generator>) resizes, and the tuples it frees
+        # fill free lists that little else draws from
+        enabled = tuple([
+            range(
+                at[lo] + (not gd.lo_closed) if lo <= bound else last + 1,
+                (at[hi] - (not gd.hi_closed) if hi <= bound else last) + 1,
+            )
+            for gd, (lo, hi) in zip(guards, ends)
+        ])
+        points = [Fraction(v, G) for v in cuts]
+        regions = [Region(points[0], points[0])]
+        for p, q in zip(points, points[1:]):
+            regions += (Region(p, q), Region(q, q))
+        object.__setattr__(g, "_regions", (tuple(regions), enabled))
     return g._regions
 
 
+def regions_of(g: Game) -> tuple:
+    """Alternating point and open regions spanning [0, clock bound], as
+    `region_table` cuts them."""
+    return region_table(g)[0]
+
+
 def _check_deadlock_free(g: Game) -> None:
-    """Every non-final location can always move, read region by region.
+    """Every non-final location can always move, read off `region_table`.
 
-    An urgent location needs an edge enabled (`_enabled`) in every region.
-    A location that may wait reaches every later region, so the regions
-    above the last one where it has an enabled edge fail: it needs one
-    enabled at {bound}.  A failure names the first region that fails.
+    An urgent location needs an edge enabled in every region.  A location
+    that may wait reaches every later region, so the regions above the
+    last one where it has an enabled edge fail: it needs one enabled at
+    {bound}.  A failure names the first region that fails.
     """
-    regions = regions_of(g)
+    regions, runs = region_table(g)
+    count = len(regions)
     for loc in g.nonfinal_locations:
-        guards = [g.transitions[i].guard for i in g.outgoing(loc.name)]
-        if not guards:
+        spans = [runs[i] for i in g.outgoing(loc.name)]
+        if not spans:
             raise ValidationError("deadlock", f"{loc.name} has no outgoing transition")
-
-        def enabled(reg: Region) -> bool:
-            return any(_enabled(gd, reg) for gd in guards)
-
+        enabled = set().union(*spans)
         if loc.urgent:
-            bad = next((reg for reg in regions if not enabled(reg)), None)
+            bad = min(set(range(count)) - enabled, default=count)
         else:
-            last = next((i for i in reversed(range(len(regions))) if enabled(regions[i])), -1)
-            bad = regions[last + 1] if last + 1 < len(regions) else None
-        if bad is not None:
+            bad = max(enabled, default=-1) + 1
+        if bad < count:
             raise ValidationError(
                 "deadlock",
-                f"{loc.name} has no usable transition from region {bad.describe()} "
+                f"{loc.name} has no usable transition from region {regions[bad].describe()} "
                 f"(bound {format_value(g.clock_bound)})",
             )
 

@@ -8,15 +8,16 @@ rewire the edges so plays of the original game correspond to plays through
 the copies.  Strict guards disappear in the process (firing at a border of
 a copy stands for firing arbitrarily close to it in the original game).
 
-The copies form a directed graph.  As long as no cycle of that graph fires
-a reset, its strongly connected components can be solved one at a time,
-dependencies first: a final copy is its cost line, read wherever it is
-entered; point copies are single-valuation games with no time passage;
-interval copies become unit-interval closed-guard games after an affine
-change of clock variable; and values already computed downstream enter as
-terminal stubs.  An interval copy is left only by an edge fired inside it
-or by the hop into its upper border's point copy, so that point copy's
-value, entered by the hop, anchors the interval at its upper border.
+The copies form a directed graph, built from `model.region_table`, which
+`parse_game` fills once per game on integers.  As long as no cycle of the
+graph fires a reset, its strongly connected components can be solved one
+at a time, dependencies first.  A final copy has no move, so it is in no
+component: it enters as its cost line.  Point copies are single-valuation
+games with no time passage; interval copies become unit-interval
+closed-guard games after an affine change of clock variable; and values
+already computed downstream enter as terminal stubs.  An interval copy is
+left only by an edge fired inside it or by the hop into its upper border's
+point copy, whose value, entered by the hop, anchors it at that border.
 
 Both kinds of component are compiled by one function, `_compile`, straight
 from the region graph into value-iteration rows (`urgent.Rows`), with one
@@ -30,10 +31,11 @@ infinite stub is a row the pruning drops.  The result is a
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import groupby
+from typing import NamedTuple, Optional
 
-from .exactmath import INF, NEG_INF, Affine, CostFunction, concat, evaluate
-from .model import MAX, Game, InternalError, _enabled, regions_of
+from .exactmath import INF, Affine, CostFunction, concat, evaluate
+from .model import MAX, Game, InternalError, region_table
 from .solver import Solution, sweep
 from .urgent import InstantEvaluator, Rows
 
@@ -51,15 +53,14 @@ class ResetCycle(Exception):
         super().__init__(" -> ".join(self.witness))
 
 
-@dataclass(frozen=True)
-class RegionTransition:
+class RegionTransition(NamedTuple):
     """One edge between region copies.
 
     `source` and `target` are (location name, region index) pairs.  A
     copy carries no guard: it fires anywhere in its source region's
-    closure (`_enabled`).  `origin` indexes the copied transition in the
-    base game; border hops, which carry a location from one region into
-    the next at zero cost at the border, have origin None.
+    closure.  `origin` indexes the copied transition in the base game;
+    border hops, which carry a location from one region into the next at
+    zero cost at the border, have origin None.
     """
 
     source: tuple
@@ -71,6 +72,11 @@ class RegionTransition:
 
 @dataclass(frozen=True)
 class RegionGame:
+    """The copies of a game's locations in its regions, and their edges.
+
+    `regions` alternate as `region_table` cuts them: regions[i] is a point
+    region exactly when i is even."""
+
     base: Game
     regions: tuple
     locations: tuple
@@ -86,24 +92,23 @@ class RegionGame:
 def build_region_game(g: Game) -> RegionGame:
     """Copy every location into every clock region and rewire the edges.
 
-    The regions are `regions_of(g)`.  Copied edges keep their weight
-    and are copied into the regions `_enabled` picks; a resetting edge
-    always targets its location's copy in the {0} region, any other edge
-    its target's copy in the same region.  Every non-final copy whose
-    location may wait additionally gets a zero-weight hop into the
-    neighbouring region above, available exactly at the border, so letting
-    time cross a border is an explicit move of the copy graph, and the only
-    way out of an open copy other than an edge fired inside it.  Urgent
-    locations get no hops: crossing a border needs time to pass.
+    `region_table(g)` gives the regions and each edge's.  Copied edges
+    keep their weight; a resetting edge always targets its location's
+    copy in the {0} region, any other edge its target's copy in the same
+    region.  Every non-final copy whose location may wait also gets a
+    zero-weight hop into the neighbouring region above, available exactly
+    at the border, so letting time cross a border is an explicit move of
+    the copy graph, and the only way out of an open copy other than an
+    edge fired inside it.  Urgent locations get no hops: crossing a
+    border needs time to pass.
     """
-    regs = regions_of(g)
+    regs, enabled = region_table(g)
     nodes = tuple((l.name, i) for l in g.locations for i in range(len(regs)))
-    edges = []
-    for ti, t in enumerate(g.transitions):
-        for i, reg in enumerate(regs):
-            if _enabled(t.guard, reg):
-                target = (t.target, 0 if t.reset else i)
-                edges.append(RegionTransition((t.source, i), t.reset, target, t.weight, ti))
+    edges = [
+        RegionTransition((t.source, i), t.reset, (t.target, 0 if t.reset else i), t.weight, ti)
+        for ti, t in enumerate(g.transitions)
+        for i in enabled[ti]
+    ]
     for l in g.locations:
         if l.is_final or l.urgent:
             continue
@@ -114,25 +119,28 @@ def build_region_game(g: Game) -> RegionGame:
 
 @dataclass(frozen=True)
 class ResetDAG:
-    """Condensation of a region game into reset-free components.
+    """Condensation of a region game's non-final copies into reset-free
+    components.
 
     `components` lists the strongly connected components so that every edge
-    leads into the same or an earlier component; solving them left to right
-    therefore meets all dependencies.
+    leads into the same or an earlier component, or into a final copy, so
+    solving them left to right meets all dependencies.
     """
 
     rgame: RegionGame
     components: tuple
 
 
-def _tarjan(nodes, adj):
+def _tarjan(adj: dict) -> list:
+    """The strongly connected components of adj, each after those it has
+    an edge into."""
     index = {}
     low = {}
     on_stack = set()
     stack = []
     comps = []
     counter = 0
-    for root in nodes:
+    for root in adj:
         if root in index:
             continue
         index[root] = low[root] = counter
@@ -195,11 +203,7 @@ def _witness(rg: RegionGame, comp, bad: RegionTransition) -> list:
         path.append(cur)
         cur = prev.get(cur)
     path.reverse()
-    names = [bad.source[0]] + [n[0] for n in path]
-    collapsed = [names[0]]
-    for nm in names[1:]:
-        if nm != collapsed[-1]:
-            collapsed.append(nm)
+    collapsed = [name for name, _ in groupby([bad.source[0]] + [n[0] for n in path])]
     if len(collapsed) == 1:
         return collapsed + collapsed
     # drop the closing repeat, rotate to the smallest name, close again
@@ -219,20 +223,21 @@ def _nodes(rg: RegionGame, comp) -> str:
 
 
 def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
-    """Condense the region graph, refusing it when a cycle fires a reset."""
-    adj = {n: [] for n in rg.locations}
+    """Condense the non-final copies of the region graph, refusing it when
+    a cycle fires a reset; a final copy with a move is a broken invariant."""
+    final = {l.name for l in rg.base.locations if l.is_final}
+    adj = {n: [] for n in rg.locations if n[0] not in final}
     for t in rg.transitions:
-        adj[t.source].append(t.target)
-    comps = _tarjan(rg.locations, adj)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = ci
+        if t.source[0] in final:
+            raise InternalError("condensation", "a final location has moves", _node(rg, t.source))
+        if t.target[0] not in final:
+            adj[t.source].append(t.target)
+    comps = _tarjan(adj)
+    comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
     for t in rg.transitions:
-        if t.reset and comp_of[t.source] == comp_of[t.target]:
+        if t.reset and comp_of[t.source] == comp_of.get(t.target):
             raise ResetCycle(_witness(rg, comps[comp_of[t.source]], t))
-    for t in rg.transitions:
-        if comp_of[t.target] > comp_of[t.source]:
+        if comp_of.get(t.target, -1) > comp_of[t.source]:
             where = f"{_node(rg, t.source)} -> {_node(rg, t.target)}"
             raise InternalError("condensation", "components out of dependency order", where)
     return ResetDAG(rg, tuple(comps))
@@ -241,20 +246,26 @@ def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
 def _entry_value(nodeval: dict, rt: RegionTransition, x):
     """Value collected on entering rt's target at firing valuation x.
 
-    A final copy's entry is its cost line, read at x itself.
+    A final copy's entry is its cost line, read at x, or at 0 after a
+    reset.  Any other edge but one inside an open region enters a point
+    copy, or hops into the open region above at its lower end: it
+    collects the target's first value.
     """
     tv = nodeval[rt.target]
     if isinstance(tv, float):
         return tv
-    x = Fraction(0) if rt.reset else x
-    return tv(x) if isinstance(tv, Affine) else evaluate(tv, x)
+    if isinstance(tv, Affine):
+        return tv(0 if rt.reset else x)
+    i = rt.target[1]
+    return evaluate(tv, x) if i % 2 and i == rt.source[1] else tv.vals[0]
 
 
-def _compile(rg, comp, edges, nodeval, c, d, anchor=None) -> Rows:
+def _compile(rg, comp, edges, nodeval, c, d=None, anchor=None) -> Rows:
     """The rows of one component on its window [c, d], from the region graph.
 
     The change of variable x = c + t*(d-c) scales waiting rates by the
     window length and turns neighbour values into lines over t in [0, 1].
+    Without d the window is the point c, where no time passes.
     The members come first, in component order.  edges[node] indexes the
     edges a member fires in the window; each leads into another member or
     into a stub worth the target's value entered at c (t = 0) and at d
@@ -270,26 +281,27 @@ def _compile(rg, comp, edges, nodeval, c, d, anchor=None) -> Rows:
     use.
     """
     base = rg.base
-    length = d - c
+    length = 0 if d is None else d - c
     names = [node[0] for node in comp]
     index = {node: i for i, node in enumerate(comp)}
     stubs, stub_rows, finals = {}, [], []
 
     def stub(key, v0, v1) -> int:
-        if isinstance(v0, float):
+        infinite = isinstance(v0, float)
+        if infinite:
             key = v0
         i = stubs.get(key)
         if i is None:
             i = stubs[key] = len(names)
             names.append(f"@s{len(stubs) - 1}")
-            if v0 == INF:
+            if not infinite:
+                finals.append((i, Affine(v1 - v0 if length else 0, v0)))
+            elif v0 == INF:
                 stub_rows.append((i, True, []))
-            elif v0 == NEG_INF:
+            else:
                 names.append(names[i] + ".out")
                 stub_rows.append((i, False, [(-1, i), (0, i + 1)]))
                 finals.append((i + 1, Affine(0, 0)))
-            else:
-                finals.append((i, Affine(v1 - v0, v0)))
         return i
 
     rows, timing = [], []
@@ -301,10 +313,10 @@ def _compile(rg, comp, edges, nodeval, c, d, anchor=None) -> Rows:
             t = index.get(rt.target)
             if t is None:
                 vc = _entry_value(nodeval, rt, c)
-                vd = vc if length == 0 else _entry_value(nodeval, rt, d)
+                vd = _entry_value(nodeval, rt, d) if length else vc
                 t = stub((rt.target, rt.reset), vc, vd)
             moves.append((rt.weight, t))
-        rate = loc.rate * length
+        rate = loc.rate * length if length else 0
         if anchor is not None and not loc.urgent:
             moves.append((0, stub((node, "wait"), rate + anchor[node], anchor[node])))
         rows.append((index[node], loc.owner == MAX, moves))
@@ -317,12 +329,12 @@ def _instant(rg, comp, out_edges, nodeval, x) -> dict:
     """Values of a point component's members at its valuation x.
 
     No time passes at a point, so every member plays urgently, on the
-    window [x, x]: every edge of a point copy holds at x, and where the
+    point window x: every edge of a point copy holds at x, and where the
     member may wait, its edges include the hop into the region above.
     Every stub is constant there, so one `InstantEvaluator` run of the
     component's rows at x itself gives the values.
     """
-    ev = InstantEvaluator(_compile(rg, comp, out_edges, nodeval, x, x))
+    ev = InstantEvaluator(_compile(rg, comp, out_edges, nodeval, x))
     vals, _, _, denom = ev.run(x)
     return {node: v if isinstance(v, float) else Fraction(v, denom) for node, v in zip(comp, vals)}
 
@@ -344,17 +356,23 @@ def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
     return {node: vals[node[0]] for node in comp}
 
 
-def _combine(parts, where: str):
-    """Join the right-to-left window results of one region closure."""
+def _combine(parts, rg: RegionGame, node):
+    """Join the right-to-left window results of node, a copy in an open
+    region, into one value spanning the region's closure: a copy entered
+    at its region's lower end collects the value's first point."""
     if all(isinstance(p, float) for p in parts):
-        if len(set(parts)) != 1:
-            raise InternalError("region solve", "infinite value must cover its whole region", where)
-        return parts[0]
-    if any(isinstance(p, float) for p in parts):
-        raise InternalError(
-            "region solve", "value switches between finite and infinite inside one region", where
-        )
-    return concat(*reversed(parts))
+        if len(set(parts)) == 1:
+            return parts[0]
+        reason = "infinite value must cover its whole region"
+    elif any(isinstance(p, float) for p in parts):
+        reason = "value switches between finite and infinite inside one region"
+    else:
+        f = concat(*reversed(parts))
+        reg = rg.regions[node[1]]
+        if f.xs[0] == reg.lo and f.xs[-1] == reg.hi:
+            return f
+        reason = "value does not span its region's closure"
+    raise InternalError("region solve", reason, _node(rg, node))
 
 
 def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
@@ -364,7 +382,8 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
     # the first window's wait stubs bank what the hop enters at b: each
     # waiting member's own point copy there
     anchor = {}
-    cuts = {a, b}
+    # a finite target in the region spans [a, b]; its inner breakpoints are seams
+    inner = set()
     for node in comp:
         full = []
         for j in out_edges[node]:
@@ -375,19 +394,16 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
             full.append(j)
             tv = None if rt.target in members or rt.reset else nodeval[rt.target]
             if isinstance(tv, CostFunction):
-                cuts.update(x for x in tv.xs if a < x < b)
+                inner.update(tv.xs[1:-1])
         interior[node] = full
-    seams = sorted(cuts)
-    pieces = {n: [] for n in comp}
-    for k in range(len(seams) - 1, 0, -1):
-        c, d = seams[k - 1], seams[k]
-        wvals = _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps)
-        anchor = {}
-        for n in comp:
-            pieces[n].append(wvals[n])
-            anchor[n] = wvals[n] if isinstance(wvals[n], float) else evaluate(wvals[n], c)
+    seams = [a, *sorted(inner), b]
+    windows = []
+    for c, d in reversed(list(zip(seams, seams[1:]))):
+        windows.append(_solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps))
+        # each member's value on [c, d] anchors the window on its left at c
+        anchor = {n: v if isinstance(v, float) else v.vals[0] for n, v in windows[-1].items()}
     for n in comp:
-        nodeval[n] = _combine(pieces[n], _node(rg, n))
+        nodeval[n] = _combine([w[n] for w in windows], rg, n)
 
 
 def _stitch(regs, per) -> tuple:
@@ -417,12 +433,13 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> Solution:
 
     Builds the region copy graph, refuses it when a cycle fires a reset,
     then solves the strongly connected components in dependency order: a
-    final copy is its cost line, read wherever it is entered; point copies
-    are single-valuation games (`_instant`); interval copies are rescaled
-    unit-interval games whose outside references enter as terminal stubs.
-    Both are compiled straight from the region graph (`_compile`), with no
-    game built.  Each window runs `sweep`, which builds no strategies;
-    `max_steps` caps each one separately.
+    final copy is in none, and enters as its cost line wherever it is
+    entered; point copies are single-valuation games (`_instant`);
+    interval copies are rescaled unit-interval games whose outside
+    references enter as terminal stubs.  Both are compiled straight from
+    the region graph (`_compile`), with no game built.  Each window runs
+    `sweep`, which builds no strategies; `max_steps` caps each one
+    separately.
 
     The `Solution` holds values only: per location its maximal continuous
     segments (`_stitch`), a final location's one segment its cost line.
@@ -434,22 +451,17 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> Solution:
     regs = rg.regions
     dag = check_reset_acyclic(rg)
     out_edges = rg.outgoing_map()
-    nodeval = {}
+    nodeval = {(l.name, i): l.final_cost for l in g.final_locations for i in range(len(regs))}
     for comp in dag.components:
-        ridx = {n[1] for n in comp}
-        if len(ridx) != 1:
+        i = comp[0][1]
+        if any(n[1] != i for n in comp):
             raise InternalError("region solve", "a reset-free component spans regions", _nodes(rg, comp))
-        reg = regs[ridx.pop()]
-        loc = g.location(comp[0][0])
-        if loc.is_final:
-            if len(comp) != 1:
-                raise InternalError("region solve", "a final location has moves", _nodes(rg, comp))
-            nodeval[comp[0]] = loc.final_cost
-        elif reg.is_point:
-            for node, v in _instant(rg, comp, out_edges, nodeval, reg.lo).items():
-                nodeval[node] = v if isinstance(v, float) else CostFunction.point(reg.lo, v)
-        else:
+        reg = regs[i]
+        if i % 2:
             _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps)
+            continue
+        for node, v in _instant(rg, comp, out_edges, nodeval, reg.lo).items():
+            nodeval[node] = v if isinstance(v, float) else CostFunction.point(reg.lo, v)
     values = {
         l.name: (CostFunction.from_affine(0, g.clock_bound, l.final_cost),) if l.is_final
         else _stitch(regs, [nodeval[(l.name, i)] for i in range(len(regs))])

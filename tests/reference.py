@@ -72,6 +72,7 @@ from ptgsolve.model import (
     Guard,
     InternalError,
     Location,
+    Region,
     Transition,
     ValidationError,
     make_game,
@@ -114,9 +115,32 @@ def _meets_above(gd: Guard, nu) -> bool:
     return gd.hi == as_fraction(nu) and gd.hi_closed
 
 
+def regions_by_fraction(g: Game) -> tuple:
+    """The regions `model.region_table` cuts, read off the guards' Fraction
+    ends as `regions_of` once did: a point region at 0, at the bound and at
+    each guard end up to the bound, and an open region between each two."""
+    ends = {Fraction(0), g.clock_bound}
+    for t in g.transitions:
+        ends.update(e for e in (t.guard.lo, t.guard.hi) if not isinstance(e, float) and e <= g.clock_bound)
+    points = sorted(ends)
+    return tuple(r for p, q in zip(points, points[1:]) for r in (Region(p, p), Region(p, q))) + (
+        Region(points[-1], points[-1]),
+    )
+
+
+def copied_into(gd: Guard, reg: Region) -> bool:
+    """Does an edge with guard gd get a copy in the region reg?  The rule
+    `model.region_table` runs on integers, read off Fractions as the
+    former `model._enabled` did: a point region copies the guards that hold
+    at its point, an open region those that overlap it."""
+    if reg.is_point:
+        return gd.contains(reg.lo)
+    return gd.lo < reg.hi and (isinstance(gd.hi, float) or gd.hi > reg.lo)
+
+
 def check_deadlock_free_by_probes(g: Game) -> None:
     """The deadlock check `model._check_deadlock_free` replaced, which
-    reads guards against regions by `_enabled`.
+    reads each transition's run of regions off `model.region_table`.
 
     A non-urgent location only needs some guard reachable by letting time
     elapse from each region; an urgent location must have a transition

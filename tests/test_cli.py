@@ -13,7 +13,7 @@ from test_fan import fan_game
 from test_regions import urgent_reset_game
 from test_solver import corrupting_sweep
 
-from ptgsolve import document, model
+from ptgsolve import document, model, strategy
 from ptgsolve.cli import main
 from ptgsolve.exactmath import format_value
 from ptgsolve.model import parse_game, serialize_game
@@ -1022,6 +1022,30 @@ def test_plot_reads_the_strategies_object(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: strategies.max.l2.rows[0].interval: must be a list of two literals, got []"]
     assert not (tmp_path / "csv").exists()
+
+
+def test_plot_builds_no_strategy_objects(tmp_path, capsys, monkeypatch):
+    # Without its game a document's strategies cannot be played, so plot
+    # checks their structure and builds nothing from them: building them
+    # made 23 Moves and three strategy objects per plot of fig1's document,
+    # which a read against the game still makes.
+    built = []
+    for cls in (strategy.Move, strategy.FPStrategy, strategy.SwitchingStrategy):
+
+        def counting(self, *args, init=cls.__init__):
+            built.append(type(self).__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    values = str(FIXTURES / "fig1.values.json")
+    code, _, _ = run_cli(capsys, "plot", values, "--csv", str(tmp_path))
+    assert code == 0 and (tmp_path / "l1.csv").exists()
+    assert built == []
+    s = document.load(values).strategies
+    assert set(s) == {"max", "min"} and s["min"]["threshold"] == -81
+    document.load(values, None, parse_game((FIXTURES / "fig1.json").read_text()))
+    assert sorted(set(built)) == ["FPStrategy", "Move", "SwitchingStrategy"]
+    assert (built.count("Move"), len(built)) == (23, 26)
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture
-from reference import check_deadlock_free_by_probes, max_final_cost, max_transition_weight
+from reference import check_deadlock_free_by_probes, copied_into, max_final_cost, max_transition_weight, regions_by_fraction
 from ptgsolve.exactmath import Affine
 from ptgsolve.model import (
     Game,
@@ -22,6 +22,7 @@ from ptgsolve.model import (
     json_text,
     make_game,
     parse_game,
+    region_table,
     regions_of,
     serialize_game,
 )
@@ -295,3 +296,32 @@ def test_deadlock_check_reads_regions_as_the_probes_did(g):
     # guard reaches above a point; the same verdict, and the same first
     # failing region named
     assert _verdict(_check_deadlock_free, g) == _verdict(check_deadlock_free_by_probes, g)
+
+
+@st.composite
+def loose_guard_games(draw):
+    """Games built in code whose guard ends may lie off the grid of the
+    bound, below 0, above the bound or at +inf, with a rational bound."""
+    bound = F(draw(st.integers(0, 12)), 4)
+    end = st.integers(-2, 14).map(lambda n: F(n, 4)) | st.integers(-3, 9).map(lambda n: F(n, 3))
+    locs = [Location("m", "min", 0, False), Location("f", "final", 0, False, Affine(0, 0))]
+    edges = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo, hi = draw(end), draw(end | st.just(float("inf")))
+        edges.append(Transition("m", Guard(lo, hi, draw(st.booleans()), draw(st.booleans())), False, "f", 0))
+    return make_game(locs, edges, bound)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(loose_guard_games())
+def test_region_table_reads_guards_as_the_fraction_ends_do(g):
+    # the table runs on the integers of one scale G; reading each guard
+    # against each region by their Fraction ends gives the same regions,
+    # exact Fractions, and the same copies, one run of regions per guard
+    regions, enabled = region_table(g)
+    assert regions == regions_by_fraction(g)
+    # a point region exactly at each even index, as the region pipeline reads them
+    assert [reg.is_point for reg in regions] == [i % 2 == 0 for i in range(len(regions))]
+    assert all(type(x) is F for reg in regions for x in (reg.lo, reg.hi))
+    for t, run in zip(g.transitions, enabled):
+        assert list(run) == [i for i, reg in enumerate(regions) if copied_into(t.guard, reg)]

@@ -36,9 +36,11 @@ from ptgsolve.model import (
     make_game,
     parse_game,
     regions_of,
+    serialize_game,
 )
 from ptgsolve.regions import (
     RegionGame,
+    RegionTransition,
     ResetCycle,
     build_region_game,
     check_reset_acyclic,
@@ -123,14 +125,66 @@ def test_fig3_reset_cycle_witness(fig3):
 
 
 def test_check_reset_acyclic_orders_dependencies_first(reset_chain):
+    """The components cover exactly the non-final copies, each once: a
+    final copy has no move and enters as its cost line.  Every other
+    edge goes to the same or an earlier component."""
     rg = build_region_game(reset_chain)
-    comp_of = {n: ci for ci, comp in enumerate(check_reset_acyclic(rg).components) for n in comp}
-    assert set(comp_of) == set(rg.locations)
+    comps = check_reset_acyclic(rg).components
+    comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
+    final = {l.name for l in reset_chain.final_locations}
+    assert sum(map(len, comps)) == len(comp_of)
+    assert set(comp_of) == {n for n in rg.locations if n[0] not in final}
+    into_finals = 0
     for t in rg.transitions:
+        if t.target[0] in final:
+            into_finals += 1
+            continue
         assert comp_of[t.target] <= comp_of[t.source]
         # a reset never stays inside its component
         assert not t.reset or comp_of[t.target] < comp_of[t.source]
     assert any(t.reset for t in rg.transitions)
+    assert into_finals > 0
+
+
+def test_region_graph_is_built_and_condensed_without_fractions():
+    """`parse_game` puts the region borders and each transition's regions
+    on integers once, so building and condensing the region graph of a
+    parsed game compares no Fraction: reading each guard against each
+    region by its Fraction ends made 38 comparisons on reset_chain and
+    156 on fig1.  A solve names a region copy only in a failure."""
+    names = ["reset_chain.json", "guarded_jump.json", "fig1.json"]
+    games = [parse_game(load_fixture(n)) for n in names]
+    games += [parse_game(serialize_game(usable_guarded(s))) for s in GUARDED_SEEDS[:20]]
+    counts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for op in ("_richcmp", "__eq__"):
+
+            def counting(*args, op=op, plain=getattr(F, op)):
+                counts[op] = counts.get(op, 0) + 1
+                return plain(*args)
+
+            mp.setattr(F, op, counting)
+        condensed = [check_reset_acyclic(build_region_game(g)) for g in games]
+    assert counts == {}
+    assert all(dag.components for dag in condensed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region_pipeline, "_node", lambda *args: counts.setdefault("node", []).append(args))
+        for g in games:
+            solve_reset_acyclic(g)
+    assert counts == {}
+
+
+def test_a_final_copy_with_a_move_is_an_internal_error(reset_chain):
+    """A final copy is left out of the condensation because it has no
+    move; one that has a move breaks that invariant, and condensing the
+    graph names the phase and the copy."""
+    rg = build_region_game(reset_chain)
+    move = RegionTransition(("bf", 2), False, ("a", 2), 0, None)
+    broken = dataclasses.replace(rg, transitions=rg.transitions + (move,))
+    with pytest.raises(InternalError) as caught:
+        check_reset_acyclic(broken)
+    assert str(caught.value) == "condensation at bf in {1}: a final location has moves"
+    assert (caught.value.phase, caught.value.where) == ("condensation", "bf in {1}")
 
 
 def test_reset_chain_values(reset_chain):
@@ -1140,12 +1194,25 @@ def test_a_dominated_parallel_edge_keeps_the_values(pair):
     assert_same_values(*pair)
 
 
-def test_broken_region_invariant_names_phase_and_copy():
+def test_broken_region_invariant_names_phase_and_copy(reset_chain):
     """A window result that is +inf on one side of a region and -inf on the
     other cannot come from the pipeline; joining it raises InternalError,
     which names the phase and the region copy."""
     inf = float("inf")
+    rg = build_region_game(reset_chain)
     with pytest.raises(InternalError) as caught:
-        region_pipeline._combine([inf, -inf], "m in (0,1)")
-    assert str(caught.value) == "region solve at m in (0,1): infinite value must cover its whole region"
-    assert (caught.value.phase, caught.value.where, caught.value.nu) == ("region solve", "m in (0,1)", None)
+        region_pipeline._combine([inf, -inf], rg, ("a", 1))
+    assert str(caught.value) == "region solve at a in (0,1): infinite value must cover its whole region"
+    assert (caught.value.phase, caught.value.where, caught.value.nu) == ("region solve", "a in (0,1)", None)
+
+
+def test_a_value_short_of_its_region_is_an_internal_error(reset_chain):
+    """Solving reads an open copy's value as spanning its region's closure:
+    a hop from the point below enters it at its first value.  Joined
+    window results that start inside the region raise InternalError,
+    which names the phase and the copy."""
+    rg = build_region_game(reset_chain)
+    half = CostFunction.from_affine(Fraction(1, 2), 1, Affine(1, 0))
+    with pytest.raises(InternalError) as caught:
+        region_pipeline._combine([half], rg, ("a", 1))
+    assert str(caught.value) == "region solve at a in (0,1): value does not span its region's closure"
