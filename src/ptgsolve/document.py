@@ -9,8 +9,12 @@ segments per location.  A segment is a maximal continuous piece of the
 value function; two consecutive segments share an endpoint and may
 disagree there, which is how one-sided limits at region borders are
 recorded.  Finite segments carry their breakpoints, an infinite segment
-carries only a sign marker.  Both modes are read per clock region by one
-rule (`region_values`) and checked by one oracle (`RegionBellmanOracle`).
+carries only a sign marker.  `verify` puts a document on two integer
+scales once (`strategy.on_scale`), and every check reads that one form:
+coverage, the finals, the slope bound, the sample points and the Bellman
+check.  Both modes are read per clock region by one rule
+(`strategy.cover`) and checked by one oracle (`RegionBellmanOracle`), so
+no check does `Fraction` arithmetic.
 
 `load` reads a document in one pass by the table `model.VALUES`, its
 strategies included, and, given the game, checks that they fit it.  It
@@ -29,23 +33,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .exactmath import (
-    CostFunction,
-    Value,
-    _scaled,
-    _slope,
-    evaluate,
-    format_value,
-)
+from .exactmath import CostFunction, Value, _scaled, evaluate, format_value
 from .model import (
     MODE_REGIONS, MODE_SPTG, VALUES, WAIT_UNTIL, Game, Region, json_text, loads, read, regions_of,
 )
 from .solver import Solution, SweepTrace
-from .strategy import FPStrategy, Move, RegionBellmanOracle, SwitchingStrategy
-
-
-class SolutionFormatError(ValueError):
-    """A values file does not follow the solution JSON shape."""
+from .strategy import (
+    FPStrategy, Move, RegionBellmanOracle, SolutionFormatError, SwitchingStrategy, cover, on_scale,
+)
 
 
 @dataclass(frozen=True)
@@ -172,133 +167,80 @@ def uniform_infinity(seg: CostFunction) -> Optional[float]:
     return v if isinstance(v, float) else None
 
 
-def region_values(regions, segments: list, scaled: Optional[tuple] = None) -> list:
-    """Per-region closure values, rebuilt from stitched segments.
-
-    Open regions take the first segment that spans their closure; its
-    values at the borders are the one-sided limits because segments end
-    exactly where the function jumps.  Point regions take the attained
-    value: of the segments covering the point, the last point segment, or
-    else the last one.  Both lists are walked once, in ascending order, so
-    the segments must be contiguous, each starting where the previous one
-    ends, as `_check_coverage` ensures.  The walk compares integers:
-    scaled holds the regions' ends and the segments' breakpoints on one
-    scale, as `_on_scale` reads them, and is read here when not given.
-    """
-    cuts, segxs = scaled or _on_scale(regions, [segments])[1:]
-    out = []
-    k, m = 0, len(segments)
-    for reg, (lo, hi) in zip(regions, cuts):
-        # segments ending below the region cover neither it nor any later one
-        while k < m and segxs[k][-1] < hi:
-            k += 1
-        if lo == hi:
-            # from k on, every segment starting at or below the point covers it
-            j = k
-            while j < m and segxs[j][0] <= lo:
-                j += 1
-            cover = [i for i in range(k, j) if len(segxs[i]) == 1] or range(k, j)
-            if not cover:
-                raise SolutionFormatError(f"no segment covers {format_value(reg.lo)}")
-            seg, xs = segments[cover[-1]], segxs[cover[-1]]
-            v = seg.vals[0] if xs[0] == lo else seg.vals[-1] if xs[-1] == lo else evaluate(seg, reg.lo)
-            out.append(v if isinstance(v, float) else CostFunction._trusted((reg.lo,), (v,)))
-            continue
-        if k == m or segxs[k][0] > lo:
-            raise SolutionFormatError(
-                f"no segment spans ({format_value(reg.lo)}, {format_value(reg.hi)})"
-            )
-        seg = segments[k]
-        out.append(seg if uniform_infinity(seg) is None else seg.vals[0])
-    return out
-
-
-def _on_scale(regions, seglists) -> tuple:
-    """The document's abscissae on one integer scale: X, the least common
-    denominator of every region end and breakpoint, then on it each
-    region's ends as a pair (lo*X, hi*X) and, one list per segment list,
-    each segment's breakpoints times X."""
-    seglists = list(seglists)
-    X = math.lcm(*{x.denominator for r in regions for x in (r.lo, r.hi)},
-                 *{x.denominator for segs in seglists for s in segs for x in s.xs})
-    cuts = [(_scaled(r.lo, X), _scaled(r.hi, X)) for r in regions]
-    return (X, cuts, *([[x.numerator * (X // x.denominator) for x in s.xs] for s in segs] for segs in seglists))
-
-
 def value_at(g: Game, doc: Document, name: str, x) -> Value:
-    """The value doc gives location name at clock x, read by `region_values`."""
+    """The value doc gives location name at clock x, read by `cover`."""
     # the reader walks contiguous segments; judging jumps is verify's work
-    _, cuts, *scaled = _on_scale(regions_of(g), doc.values.values())
-    witness = _check_coverage(g, doc.values, dict(zip(doc.values, scaled)), cuts[-1][1], None)
+    point = (Region(x, x),)
+    scaled = on_scale(g, point, doc.values)
+    witness = _check_coverage(g, doc.values, scaled, None)
     if witness:
         raise SolutionFormatError(witness)
-    (v,) = region_values((Region(x, x),), doc.values[name])
-    return v if isinstance(v, float) else evaluate(v, x)
+    (i,) = cover(point, scaled[3], [xs for xs, _, _ in scaled[4][name]])
+    return evaluate(doc.values[name][i], x)
 
 
-def _check_coverage(g: Game, values: dict, scaled: dict, bound: int, borders: Optional[set]) -> Optional[str]:
+def _check_coverage(g: Game, values: dict, scaled: tuple, borders: Optional[set]) -> Optional[str]:
     """Witness that the document does not give each location of the game
     contiguous segments over [0, bound], or that one jumps off the borders;
-    with borders None, jumps are not checked.  The walk reads `_on_scale`'s
-    integers: scaled[name] holds the breakpoints of name's segments."""
+    with borders None, jumps are not checked.  The walk reads `on_scale`'s
+    integers, and so do the checks below."""
     names = {l.name for l in g.locations}
     if set(values) != names:
         extra = sorted(set(values) - names)
         missing = sorted(names - set(values))
         return f"coverage: location sets differ (extra {extra}, missing {missing})"
+    _, _, bound, _, tables = scaled
     for name in sorted(values):
-        segs, segxs = values[name], scaled[name]
-        if segxs[0][0] != 0 or segxs[-1][-1] != bound:
+        segs, ts = values[name], tables[name]
+        if ts[0][0][0] != 0 or ts[-1][0][-1] != bound:
             return f"coverage: {name} does not span [0, {format_value(g.clock_bound)}]"
         for i in range(len(segs) - 1):
-            a, b = segs[i], segs[i + 1]
-            seam = segxs[i][-1]
-            if segxs[i + 1][0] != seam:
+            (axs, avals, _), (bxs, bvals, _) = ts[i], ts[i + 1]
+            if bxs[0] != axs[-1]:
                 return (
                     f"coverage: {name} has a gap at "
-                    f"{format_value(a.hi)}..{format_value(b.lo)}"
+                    f"{format_value(segs[i].hi)}..{format_value(segs[i + 1].lo)}"
                 )
-            if borders is not None and seam not in borders and a.vals[-1] != b.vals[0]:
-                return f"continuity: {name} jumps inside a region at {format_value(a.hi)}"
+            if borders is not None and axs[-1] not in borders and avals[-1] != bvals[0]:
+                return f"continuity: {name} jumps inside a region at {format_value(segs[i].hi)}"
     return None
 
 
-def _check_finals(g: Game, values: dict) -> Optional[str]:
+def _check_finals(g: Game, values: dict, scaled: tuple) -> Optional[str]:
+    X, D, _, _, tables = scaled
     for l in g.final_locations:
-        for seg in values[l.name]:
-            if uniform_infinity(seg) is not None:
+        slope, intercept = _scaled(l.final_cost.slope, D), _scaled(l.final_cost.intercept, X * D)
+        for seg, (xs, vals, _) in zip(values[l.name], tables[l.name]):
+            if isinstance(vals[0], float):
                 return f"finals: {l.name} marked infinite"
-            for x, v in zip(seg.xs, seg.vals):
-                if v != l.final_cost(x):
+            for x, a, v in zip(seg.xs, xs, vals):
+                if v != slope * a + intercept:
                     return f"finals: {l.name} differs from its final cost at {format_value(x)}"
     return None
 
 
-def _check_lipschitz(values: dict, cap: Fraction) -> Optional[str]:
+def _check_lipschitz(values: dict, scaled: tuple, cap: Fraction) -> Optional[str]:
+    _, D, _, _, tables = scaled
+    top = _scaled(cap, D)
     for name in sorted(values):
-        for seg in values[name]:
-            if uniform_infinity(seg) is not None:
-                continue
-            xs, vals = seg.xs, seg.vals
-            for i in range(len(xs) - 1):
-                # the slope n/d, d > 0, exceeds the cap in size
-                n, d = _slope(xs[i], vals[i], xs[i + 1], vals[i + 1])
-                if abs(n) * cap.denominator > cap.numerator * d:
+        for seg, (_, _, lines) in zip(values[name], tables[name]):
+            for x0, x1, (s, _) in zip(seg.xs, seg.xs[1:], lines):
+                if abs(s) > top:
                     return (
-                        f"lipschitz: {name} has slope {format_value(Fraction(n, d))} on "
-                        f"[{format_value(xs[i])}, {format_value(xs[i + 1])}], cap {format_value(cap)}"
+                        f"lipschitz: {name} has slope {format_value(Fraction(s, D))} on "
+                        f"[{format_value(x0)}, {format_value(x1)}], cap {format_value(cap)}"
                     )
     return None
 
 
-def _sample_points(X: int, bound: int, scaled: list, grid: int, borders: set) -> list:
+def _sample_points(X: int, bound: int, tables, grid: int, borders: set) -> list:
     """The valuations the Bellman check samples, increasing, each as p/q in
     lowest terms: 0, the bound, the borders, every breakpoint, the midpoint
     of each gap between them and grid evenly spaced points.  The inputs are
-    `_on_scale`'s integers on X, the breakpoints one list per location, and
+    on X, the breakpoints as `on_scale`'s tables, one list per location, and
     the points integers on the scale 2*(grid + 1)*X until reduced."""
     k = grid + 1
-    ordered = sorted({0, bound, *borders, *(x for segs in scaled for xs in segs for x in xs)})
+    ordered = sorted({0, bound, *borders, *(x for segs in tables for xs, _, _ in segs for x in xs)})
     pts = {2 * k * a for a in ordered}
     pts.update(k * (a + b) for a, b in zip(ordered, ordered[1:]))
     pts.update(2 * i * bound for i in range(1, k))
@@ -307,9 +249,8 @@ def _sample_points(X: int, bound: int, scaled: list, grid: int, borders: set) ->
     return [(n // d, scale // d) for n, d in gcds]
 
 
-def _check_bellman(g: Game, regions, values: dict, cuts: list, scaled: dict, pts: list) -> Optional[str]:
-    region_vals = {name: region_values(regions, segs, (cuts, scaled[name])) for name, segs in values.items()}
-    check = RegionBellmanOracle(g, regions, region_vals).check
+def _check_bellman(g: Game, regions, values: dict, scaled: tuple, pts: list) -> Optional[str]:
+    check = RegionBellmanOracle(g, regions, values, scaled).check
     for p, q in pts:
         bad = check(p, q)
         if bad:
@@ -317,19 +258,20 @@ def _check_bellman(g: Game, regions, values: dict, cuts: list, scaled: dict, pts
     return None
 
 
-def _checks(g: Game, doc: Document, grid: int, regions, borders: set):
+def _checks(g: Game, doc: Document, grid: int, regions):
     """(witness or None, what passed) per check, each run only once the
     ones before it have passed."""
-    X, cuts, *scaled = _on_scale(regions, doc.values.values())
-    by_name = dict(zip(doc.values, scaled))
-    jumps = {_scaled(b, X) for b in borders}
-    yield _check_coverage(g, doc.values, by_name, cuts[-1][1], jumps), "coverage ok"
-    yield _check_finals(g, doc.values), "finals ok"
+    scaled = on_scale(g, regions, doc.values)
+    X, _, bound, borders, tables = scaled
+    # values may jump at the borders of a reset-acyclic document only
+    jumps = set(borders) if doc.mode == MODE_REGIONS else set()
+    yield _check_coverage(g, doc.values, scaled, jumps), "coverage ok"
+    yield _check_finals(g, doc.values, scaled), "finals ok"
     # no value changes faster than a rate or a final cost's slope
     cap = max([g.max_rate(), *(abs(l.final_cost.slope) for l in g.final_locations)])
-    yield _check_lipschitz(doc.values, cap), f"lipschitz ok (cap {format_value(cap)})"
-    pts = _sample_points(X, cuts[-1][1], scaled, grid, jumps)
-    yield _check_bellman(g, regions, doc.values, cuts, by_name, pts), f"bellman ok ({len(pts)} points)"
+    yield _check_lipschitz(doc.values, scaled, cap), f"lipschitz ok (cap {format_value(cap)})"
+    pts = _sample_points(X, bound, tables.values(), grid, jumps)
+    yield _check_bellman(g, regions, doc.values, scaled, pts), f"bellman ok ({len(pts)} points)"
 
 
 def verify(g: Game, doc: Document, grid: int) -> tuple:
@@ -344,14 +286,12 @@ def verify(g: Game, doc: Document, grid: int) -> tuple:
     regions = regions_of(g)
     lines = []
     if doc.mode == MODE_REGIONS:
-        borders = {reg.lo for reg in regions if reg.is_point}
         lines.append(f"regions: {len(regions)}")
     else:
-        borders = set()
         bad = sorted(n for n, segs in doc.values.items() if len(segs) != 1)
         if bad:
             return lines, f"coverage: {bad[0]} split into segments in {MODE_SPTG} mode"
-    for witness, passed in _checks(g, doc, grid, regions, borders):
+    for witness, passed in _checks(g, doc, grid, regions):
         if witness:
             return lines, witness
         lines.append(f"check: {passed}")

@@ -103,7 +103,7 @@ def build_region_game(g: Game) -> RegionGame:
     border needs time to pass.
     """
     regs, enabled = region_table(g)
-    nodes = tuple((l.name, i) for l in g.locations for i in range(len(regs)))
+    nodes = tuple([(l.name, i) for l in g.locations for i in range(len(regs))])
     edges = [
         RegionTransition((t.source, i), t.reset, (t.target, 0 if t.reset else i), t.weight, ti)
         for ti, t in enumerate(g.transitions)
@@ -425,7 +425,7 @@ def _stitch(regs, per) -> tuple:
             runs[-1].append(pcf)
         else:
             runs.append([pcf])
-    return tuple(concat(*run) for run in runs)
+    return tuple([concat(*run) for run in runs])
 
 
 def solve_reset_acyclic(g: Game, max_steps=None) -> Solution:

@@ -472,7 +472,9 @@ def _from_record(name: str, points: list) -> CostFunction:
     for (x0, _, _), (x1, _, _) in zip(points, points[1:]):
         if x1 <= x0:
             raise InternalError("sweep", "breakpoints must be strictly increasing", name, x1)
-    return CostFunction._trusted(tuple(x for x, _, _ in points), tuple(Fraction(v, d) for _, v, d in points))
+    # from lists, as `model.region_table` builds `enabled`: no resized tuples
+    xs = tuple([x for x, _, _ in points])
+    return CostFunction._trusted(xs, tuple([Fraction(v, d) for _, v, d in points]))
 
 
 def solve(g: Game, max_steps: Optional[int] = None) -> Solution:

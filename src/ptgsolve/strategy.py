@@ -9,12 +9,13 @@ real one instead of a limit.
 
 RegionBellmanOracle does not trust the solver: it recomputes local
 optimality of a claimed value function from the game alone.  It is one
-oracle for both pipelines: it reads values per clock region, jumps at
-region borders included, builds per-transition suffix tables once per
-document and then takes one bisection per transition at each valuation.
-Its tables hold integers on two scales, one for clock values and one for
-costs, so a check at a valuation does integer arithmetic only and is still
-exact.  `ptg verify` asks it about every document it checks.
+oracle for both pipelines: it reads a document's segments per clock
+region (`cover`), jumps at region borders included, builds per-transition
+suffix tables once per document and then takes one bisection per
+transition at each valuation.  `on_scale` puts the segments on two
+integer scales once, one for clock values and one for costs, and every
+check of `ptg verify` reads that one form, so a check at a valuation does
+integer arithmetic only and is still exact.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ from .model import MAX, NOW, WAIT_UNTIL, Config, Game
 
 class IllegalMove(ValueError):
     """A strategy proposed a move the game does not allow."""
+
+
+class SolutionFormatError(ValueError):
+    """A values file does not follow the solution JSON shape, or its
+    segments leave a region without values (`cover`)."""
 
 
 @dataclass(frozen=True)
@@ -174,13 +180,15 @@ def play_out(
 
 
 class RegionBellmanOracle:
-    """Local optimality of per-region values: built once, asked per valuation.
+    """Local optimality of a document's values: built once, asked per valuation.
 
-    region_vals[name][i] covers the closure of regions[i]; entries may be a
-    CostFunction or a bare float infinity.  Regions alternate between
-    border points and the open intervals between them, so border b_i is
-    region 2i and the open regions on its left and right are 2i-1 and 2i+1;
-    a bisection of the borders finds the region of any valuation.
+    values[name] is a location's contiguous segments over [0, bound], as a
+    document holds them (one `solve` value f is `(f,)`); scaled, if given,
+    is `on_scale(g, regions, values)`, computed already.  Each region reads
+    the segment `cover` picks for it.  Regions alternate between border
+    points and the open intervals between them, so border b_i is region 2i
+    and the open regions on its left and right are 2i-1 and 2i+1; a
+    bisection of the borders finds the region of any valuation.
 
     The value of a location is an infimum or supremum over plays, so at an
     open guard end or a jump of the target it is approached, not attained:
@@ -201,24 +209,21 @@ class RegionBellmanOracle:
     point at every valuation, in the same exact arithmetic.  An urgent
     location only fires now.
 
-    The tables live on two integer scales, fixed once per document, so
-    that a check does integer arithmetic only:
+    The tables live on two integer scales, which `on_scale` fixes once
+    per document from the game and the segments, so that a check does
+    integer arithmetic only:
 
     - X, the least common denominator of every abscissa: borders,
       breakpoints, guard ends and the clock bound, which covers the
       critical points and window ends too.  An abscissa a is the integer
       a*X.
-    - M = X*D, where D is the least common denominator of the claims'
-      values, the weights, the rates and each piece's slope, in lowest
-      terms d / gcd(n, d) of `_slope`'s pair (n, d).  A value v is the
-      integer v*M, a slope or rate s the integer s*D, its change per step
-      1/X of the clock on the scale M.  So a line's value s*k + c at a
-      critical point k is an integer on the scale M too, and with it the
-      values after a reset and the suffix optima.
+    - M = X*D, where D is the least common denominator of the values,
+      each piece's slope, the weights, the rates and the final costs.  A
+      value v is the integer v*M, a slope or rate s the integer s*D, its
+      change per step 1/X of the clock on the scale M.  So a line's value
+      s*k + c at a critical point k is an integer on the scale M too, and
+      with it the values after a reset and the suffix optima.
 
-    The inputs are put on the scales once, and the tables are built from
-    those integers alone: the piece from (A0, V0) to (A1, V1) is the line
-    of slope (V1 - V0)/(A1 - A0), an exact division, through (A0, V0).
     At nu = p/q every candidate and the claim are then numerators over the
     one positive denominator M*q:
 
@@ -237,38 +242,14 @@ class RegionBellmanOracle:
     inf for q > 0.
     """
 
-    def __init__(self, g: Game, regions, region_vals: dict):
-        bound = as_fraction(g.clock_bound)
-        borders = [reg.lo for reg in regions if reg.is_point]
-        funcs = {id(f): f for per in region_vals.values() for f in per if not isinstance(f, float)}
-        xden = {bound.denominator, *(b.denominator for b in borders)}
-        vden = set()
-        for f in funcs.values():
-            xden.update(x.denominator for x in f.xs)
-            if isinstance(f.vals[0], float):
-                continue
-            vden.update(v.denominator for v in f.vals)
-            for i in range(len(f.xs) - 1):
-                n, d = _slope(f.xs[i], f.vals[i], f.xs[i + 1], f.vals[i + 1])
-                vden.add(d // math.gcd(n, d))
-        for t in g.transitions:
-            xden.add(t.guard.lo.denominator)
-            if not isinstance(t.guard.hi, float):
-                xden.add(t.guard.hi.denominator)
-            vden.add(t.weight.denominator)
-        vden.update(l.rate.denominator for l in g.nonfinal_locations)
-        self.X = X = math.lcm(*xden)
-        D = math.lcm(*vden)
+    def __init__(self, g: Game, regions, values: dict, scaled: Optional[tuple] = None):
+        X, D, B, borders, tables = on_scale(g, regions, values) if scaled is None else scaled
         M = X * D
-        self.borders = borders = [_scaled(b, X) for b in borders]
-        tables = {key: _table(f, X, M) for key, f in funcs.items()}
+        self.X, self.borders = X, borders
         self.entries, breaks = {}, {}
-        for name, per in region_vals.items():
-            # an infinity is the line (0, inf): 0*p + inf*q is inf for q > 0
-            self.entries[name] = [(0, f) if isinstance(f, float) else tables[id(f)][0] for f in per]
-            finite = [tables[id(f)] for f in per if not isinstance(f, float)]
-            breaks[name] = sorted({x for _, xs in finite for x in xs})
-        B = _scaled(bound, X)
+        for name, segs in tables.items():
+            self.entries[name] = [segs[i] for i in cover(regions, borders, [xs for xs, _, _ in segs])]
+            breaks[name] = sorted({x for xs, vals, _ in segs if not isinstance(vals[0], float) for x in xs})
         zero = _around(borders, 0)[0]
         readings = {}
         self.rows = []
@@ -353,30 +334,100 @@ class RegionBellmanOracle:
         return bad
 
 
+def on_scale(g: Game, regions, values: dict) -> tuple:
+    """A document's segments on `RegionBellmanOracle`'s two integer scales,
+    put there once for every check of `ptg verify`: (X, D, bound, borders,
+    tables), the scales as the oracle names them, the bound and the borders
+    on X, and tables[name] a `_table` per segment of values[name].  A
+    piece's slope enters D in lowest terms d / gcd(n, d) of `_slope`'s pair
+    (n, d), the one time it is taken.  The regions alternate as
+    `regions_of` cuts them: border i is region 2i.
+    """
+    xden = {g.clock_bound.denominator}
+    xden.update(r.lo.denominator for r in regions[::2])
+    vden = set()
+    for segs in values.values():
+        for f in segs:
+            xden.update(x.denominator for x in f.xs)
+            if isinstance(f.vals[0], float):
+                continue
+            vden.update(v.denominator for v in f.vals)
+            for i in range(len(f.xs) - 1):
+                n, d = _slope(f.xs[i], f.vals[i], f.xs[i + 1], f.vals[i + 1])
+                vden.add(d // math.gcd(n, d))
+    for t in g.transitions:
+        xden.update(v.denominator for v in (t.guard.lo, t.guard.hi) if not isinstance(v, float))
+        vden.add(t.weight.denominator)
+    for l in g.locations:
+        vden.add(l.rate.denominator)
+        if l.is_final:
+            vden.update((l.final_cost.slope.denominator, l.final_cost.intercept.denominator))
+    X, D = math.lcm(*xden), math.lcm(*vden)
+    borders = [_scaled(r.lo, X) for r in regions[::2]]
+    tables = {name: [_table(f, X, X * D) for f in segs] for name, segs in values.items()}
+    return X, D, _scaled(g.clock_bound, X), borders, tables
+
+
 def _table(f, X: int, M: int) -> tuple:
-    """A CostFunction on the scales, as the check reads it, and its
-    breakpoints.  It reads a line (slope*D, intercept*M) where one line
-    gives every value on the closure (a point, an infinity as the line
-    (0, inf), or one piece), else (xs, vals, lines), one line per piece."""
+    """A segment on the scales: (xs, vals, lines), its breakpoints on X,
+    its values on M and per piece its line (slope*D, intercept*M), none
+    for an infinite segment.  The piece from (A0, V0) to (A1, V1) is the
+    line of slope (V1 - V0)/(A1 - A0), an exact division, through (A0, V0)."""
     xs = [_scaled(x, X) for x in f.xs]
-    if f.is_point or isinstance(f.vals[0], float):
-        return (0, _scaled(f.vals[0], M)), xs
     vals = [_scaled(v, M) for v in f.vals]
     lines = []
-    for a0, a1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
-        s = (v1 - v0) // (a1 - a0)  # exact: the slope's denominator divides D
-        lines.append((s, v0 - s * a0))
-    return (lines[0] if len(lines) == 1 else (xs, vals, lines)), xs
+    if not isinstance(vals[0], float):
+        for a0, a1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
+            s = (v1 - v0) // (a1 - a0)  # exact: the slope's denominator divides D
+            lines.append((s, v0 - s * a0))
+    return xs, vals, lines
 
 
-def _at(entry: tuple, a: int, b: int, fl: int, exact: bool):
-    """The value of a `_table` entry at the abscissa a/(X*b), as a
-    numerator over M*b; fl is floor(a/b) and exact tells whether b
-    divides a."""
-    if len(entry) == 2:
-        s, c = entry
-        return s * a + c * b
-    xs, vals, lines = entry
+def cover(regions, borders: list, segxs: list) -> list:
+    """The index of the segment each region reads its closure's values
+    from, given the borders and the segments' breakpoints (segxs) as
+    integers on one scale; region i spans borders i // 2 to (i + 1) // 2.
+
+    Open regions take the first segment that spans their closure; its
+    values at the borders are the one-sided limits because segments end
+    exactly where the function jumps.  Point regions take the attained
+    value: of the segments covering the point, the last point segment, or
+    else the last one.  Both lists are walked once, in ascending order, so
+    the segments must be contiguous, each starting where the previous one
+    ends, as `ptg verify`'s coverage check ensures.
+    """
+    out = []
+    k, m = 0, len(segxs)
+    for i, reg in enumerate(regions):
+        lo, hi = borders[i // 2], borders[(i + 1) // 2]
+        # segments ending below the region cover neither it nor any later one
+        while k < m and segxs[k][-1] < hi:
+            k += 1
+        if lo == hi:
+            # from k on, every segment starting at or below the point covers it
+            j = k
+            while j < m and segxs[j][0] <= lo:
+                j += 1
+            if j == k:
+                raise SolutionFormatError(f"no segment covers {format_value(reg.lo)}")
+            out.append(max((s for s in range(k, j) if len(segxs[s]) == 1), default=j - 1))
+            continue
+        if k == m or segxs[k][0] > lo:
+            raise SolutionFormatError(
+                f"no segment spans ({format_value(reg.lo)}, {format_value(reg.hi)})"
+            )
+        out.append(k)
+    return out
+
+
+def _at(table: tuple, a: int, b: int, fl: int, exact: bool):
+    """The value of a `_table` at the abscissa a/(X*b), as a numerator
+    over M*b; fl is floor(a/b) and exact tells whether b divides a.  With
+    no line (a point, or an infinity: inf*b is inf for b > 0) it has one
+    value."""
+    xs, vals, lines = table
+    if not lines:
+        return vals[0] * b
     j = bisect_left(xs, fl if exact else fl + 1)
     if exact and xs[j] == fl:
         return vals[j] * b

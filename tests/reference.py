@@ -22,7 +22,10 @@ check the package against, not part of it:
 - ``fake_value_upper_bound``, the best cost Min can force against a fixed
   Max strategy;
 - ``bellman_check`` and ``region_bellman_check``, one-shot wrappers
-  around ``strategy.RegionBellmanOracle``;
+  around ``strategy.RegionBellmanOracle``, and ``as_segments``, which
+  hands it values given per region as the segments it reads;
+- ``region_values``, the per-region values a document's segments give
+  by ``strategy.cover``'s rule, the package's former document reader;
 - ``infinite`` and ``region_table``, read off a ``Solution``'s values:
   the locations ``solve`` found infinite, and the region pipeline's
   stitched segments per region, as the result once carried them;
@@ -51,7 +54,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from ptgsolve.document import region_values
 from ptgsolve.exactmath import (
     INF,
     NEG_INF,
@@ -59,6 +61,7 @@ from ptgsolve.exactmath import (
     CostFunction,
     DomainError,
     Value,
+    _scaled,
     as_fraction,
     evaluate,
     format_value,
@@ -96,6 +99,7 @@ from ptgsolve.strategy import (
     FPStrategy,
     IllegalMove,
     RegionBellmanOracle,
+    cover,
 )
 from ptgsolve.urgent import InstantEvaluator, compile_game, unscale
 
@@ -695,18 +699,48 @@ def bellman_check(g: Game, vals: dict, nu) -> list:
     optimal at nu.
 
     vals[name] is one CostFunction on [0, bound] per non-final location;
-    final locations are worth their final cost.  Each claim stands for
-    every region of the game, so this is RegionBellmanOracle on values
+    final locations are worth their final cost.  Each claim is one segment
+    over every region of the game, so this is RegionBellmanOracle on values
     without jumps, and at an open guard end a one-sided limit counts.
     """
-    regions = regions_of(g)
     claims = {
-        l.name: CostFunction.from_affine(0, g.clock_bound, l.final_cost) if l.is_final else vals[l.name]
+        l.name: (CostFunction.from_affine(0, g.clock_bound, l.final_cost) if l.is_final else vals[l.name],)
         for l in g.locations
     }
-    per_region = {name: (f,) * len(regions) for name, f in claims.items()}
     nu = as_fraction(nu)
-    return RegionBellmanOracle(g, regions, per_region).check(nu.numerator, nu.denominator)
+    return RegionBellmanOracle(g, regions_of(g), claims).check(nu.numerator, nu.denominator)
+
+
+def as_segments(regions, per_region: dict) -> dict:
+    """Values given per region as the contiguous segments a document holds:
+    per_region[name][i] covers the closure of regions[i], a CostFunction
+    restricted to it or a bare float infinity, which becomes a constant."""
+
+    def segment(r, e):
+        if isinstance(e, float):
+            return CostFunction.constant(r.lo, r.hi, e)
+        return e if (e.lo, e.hi) == (r.lo, r.hi) else restrict(e, r.lo, r.hi)
+
+    return {name: [segment(r, e) for r, e in zip(regions, per)] for name, per in per_region.items()}
+
+
+def region_values(regions, segments: list) -> list:
+    """Per-region closure values of a location's contiguous segments, as
+    the document reader gave them before the oracle read segments: the
+    segment `strategy.cover` picks for each region, an open region's a
+    bare float where it is infinite, a point region's its value there."""
+    X = math.lcm(*{x.denominator for r in regions for x in (r.lo, r.hi)},
+                 *{x.denominator for s in segments for x in s.xs})
+    borders = [_scaled(r.lo, X) for r in regions[::2]]
+    out = []
+    for r, i in zip(regions, cover(regions, borders, [[_scaled(x, X) for x in s.xs] for s in segments])):
+        seg = segments[i]
+        if r.is_point:
+            v = evaluate(seg, r.lo)
+            out.append(v if isinstance(v, float) else CostFunction.point(r.lo, v))
+        else:
+            out.append(seg.vals[0] if isinstance(seg.vals[0], float) else seg)
+    return out
 
 
 def infinite(values: dict) -> dict:
@@ -717,7 +751,7 @@ def infinite(values: dict) -> dict:
 
 def region_table(g: Game, values: dict) -> dict:
     """Each location's stitched segments per region of g: read as `ptg
-    verify` reads a document (`document.region_values`), every finite
+    verify` once read a document (`region_values`), every finite
     entry restricted to its region's closure, a bare float where the
     location is infinite throughout the region."""
     regions = regions_of(g)
@@ -736,10 +770,11 @@ def region_bellman_check(g: Game, regions: list, region_vals: dict, nu) -> list:
     Per transition it tries the value and the one-sided limits of the
     target at every critical point of the guard window from nu on, the best
     of which RegionBellmanOracle reads from a suffix table.  To check many
-    valuations, build the oracle once and call its check.
+    valuations, build the oracle once, on `as_segments`, and call its
+    check.
     """
     nu = as_fraction(nu)
-    return RegionBellmanOracle(g, regions, region_vals).check(nu.numerator, nu.denominator)
+    return RegionBellmanOracle(g, regions, as_segments(regions, region_vals)).check(nu.numerator, nu.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import bellman_check, from_points, restrict
+from reference import as_segments, bellman_check, from_points, restrict
 from test_region_bellman_oracle import reference_region_bellman_check
 
 from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate
@@ -129,7 +129,7 @@ def _assert_same(g: Game, vals: dict) -> int:
     split = _split(g, regions, vals)
     bound = g.clock_bound
     coarse = (Region(0, 0), Region(0, bound), Region(bound, bound))
-    whole = RegionBellmanOracle(g, coarse, _split(g, coarse, vals))
+    whole = RegionBellmanOracle(g, coarse, as_segments(coarse, _split(g, coarse, vals)))
     closed = _closed_in_range(g)
     failed = 0
     for nu in _points(g, vals):
@@ -336,7 +336,7 @@ def test_open_guard_end_off_a_border_counts_its_right_limit():
     g = make_game(locs, [Transition("m", Guard(F(1, 4), 1, False, True), False, "f", 0)], 1)
     coarse = (Region(0, 0), Region(0, 1), Region(1, 1))
     claim = {"m": CostFunction.constant(0, 1, F(1, 4))}
-    assert RegionBellmanOracle(g, coarse, _split(g, coarse, claim)).check(1, 4) == []
+    assert RegionBellmanOracle(g, coarse, as_segments(coarse, _split(g, coarse, claim))).check(1, 4) == []
     assert bellman_check(g, claim, F(1, 4)) == []
     assert reference_bellman_check(g, claim, F(1, 4)) == ["m"]
 

@@ -724,12 +724,56 @@ def _points(*pairs) -> list:
             ],
             "FAIL continuity: l4 jumps inside a region at 1/2",
         ),
+        (
+            "fig1.values.json",
+            "lf",
+            [{"from": "0", "to": "1", "infinite": "inf"}],
+            "FAIL finals: lf marked infinite",
+        ),
+        (
+            "fig1.regions.json",
+            "lf",
+            [
+                {"from": "0", "to": "1", "points": _points(("0", "0"), ("1", "0"))},
+                {"from": "1", "to": "1", "points": _points(("1", "1"))},
+            ],
+            "FAIL finals: lf differs from its final cost at 1",
+        ),
+        (
+            "fig1.values.json",
+            "ghost",
+            [{"from": "0", "to": "1", "points": _points(("0", "0"), ("1", "0"))}],
+            "FAIL coverage: location sets differ (extra ['ghost'], missing [])",
+        ),
+        (
+            "fig1.values.json",
+            "l4",
+            [{"from": "0", "to": "1/2", "points": _points(("0", "-4"), ("1/2", "-11/2"))}],
+            "FAIL coverage: l4 does not span [0, 1]",
+        ),
+        (
+            "fig1.regions.json",
+            "l4",
+            [{"from": "0", "to": "1", "points": _points(("0", "-4"), ("1/3", "-4"), ("2/3", "3"), ("1", "-7"))}],
+            "FAIL lipschitz: l4 has slope 21 on [1/3, 2/3], cap 16",
+        ),
     ],
-    ids=["lipschitz", "finals-inner-breakpoint", "continuity-inside-a-region"],
+    ids=[
+        "lipschitz",
+        "finals-inner-breakpoint",
+        "continuity-inside-a-region",
+        "finals-infinite",
+        "finals-point-segment",
+        "coverage-location-sets",
+        "coverage-span",
+        "lipschitz-region-document",
+    ],
 )
 def test_verify_witness_texts(tmp_path, capsys, fixture, name, segments, witness):
     # each check's witness, in full: the slope as a reduced fraction, a
-    # final's inner breakpoint, a jump off the borders of a region document
+    # final's inner breakpoint or point segment, a jump off the borders of
+    # a region document, an infinite final, a foreign location and a
+    # location that stops short of the bound
     doc = json.loads((FIXTURES / fixture).read_text())
     doc["values"][name] = segments
     bad = tmp_path / "witness.json"

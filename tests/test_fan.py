@@ -16,13 +16,12 @@ import pytest
 
 from conftest import FIXTURES, load_fixture
 
-from ptgsolve import document, solver
+from ptgsolve import document, exactmath, solver, strategy
 from ptgsolve.document import uniform_infinity
 from ptgsolve.cli import main
 from ptgsolve.exactmath import Affine, CostFunction, evaluate
 from ptgsolve.model import Game, Guard, Location, Transition, make_game, parse_game, regions_of, serialize_game
 from ptgsolve.solver import BudgetExceeded, solve
-from ptgsolve.strategy import RegionBellmanOracle
 from ptgsolve.urgent import InstantEvaluator, compile_game
 
 
@@ -321,7 +320,9 @@ def test_verify_divides_no_fraction(tmp_path, capsys, case):
     # The reader, the slope check and the oracle's tables read each piece
     # through its two breakpoints, on integers; deriving every piece's line
     # as a Fraction (slope, intercept) pair took one division per piece.
-    # What is left is a border's value strictly inside a piece.
+    # Reading a border's value strictly inside a piece as a Fraction took
+    # one more per such border, 20 on the guarded fan; the oracle now reads
+    # the segment's line there.
     g = fan_game(16, (1, -2, 3)) if case == "fan" else guarded_fan(16, (1, -2, 3))
     values = tmp_path / "game.values.json"
     game = tmp_path / "game.json"
@@ -347,39 +348,68 @@ def test_verify_divides_no_fraction(tmp_path, capsys, case):
         for b in borders
         if s.lo < b < s.hi and b not in s.xs and uniform_infinity(s) is None
     ]
-    assert len(divisions) == len(inside)
+    assert divisions == []
     assert (case == "fan") == (inside == [])
 
 
-@pytest.mark.parametrize("case", ["fan", "guarded_jump"])
-def test_bellman_checks_do_no_fraction_arithmetic(tmp_path, monkeypatch, case):
-    # The oracle puts its tables on two integer scales when it is built, so
-    # a check at p/q compares integer numerators over one denominator.  In
-    # Fractions the fan's 35 checks made 1,985 comparisons, 513
-    # multiplications and 411 additions.
-    if case == "fan":
-        g = fan_game(9, (1, -2, 3))
-        game, values = tmp_path / "fan.json", tmp_path / "fan.values.json"
-        game.write_text(serialize_game(g))
-        assert main(["solve", str(game), "--out", str(values)]) == 0
-    else:
-        g = parse_game(load_fixture("guarded_jump.json"))
-        values = FIXTURES / "guarded_jump.values.json"
-    doc = document.load(str(values))
-    regions = regions_of(g)
-    region_vals = {name: document.region_values(regions, segs) for name, segs in doc.values.items()}
-    oracle = RegionBellmanOracle(g, regions, region_vals)
-    X, cuts, *scaled = document._on_scale(regions, doc.values.values())
-    borders = {lo for lo, hi in cuts if lo == hi} if doc.mode == document.MODE_REGIONS else set()
-    points = document._sample_points(X, cuts[-1][1], scaled, 16, borders)
-    counts = {}
-    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "_richcmp", "__eq__"):
+def _counting(monkeypatch, counts: dict, ops) -> None:
+    """Counts every call of the Fraction operators ops into counts."""
+    for op in ops:
 
         def counting(*args, op=op, plain=getattr(F, op)):
             counts[op] = counts.get(op, 0) + 1
             return plain(*args)
 
         monkeypatch.setattr(F, op, counting)
+
+
+ARITHMETIC = [f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv") for r in ("", "r")]
+
+
+@pytest.mark.parametrize("case", ["fan", "guarded_jump", "fan16", "guarded_fan"])
+def test_bellman_checks_do_no_fraction_arithmetic(tmp_path, monkeypatch, case):
+    # The oracle puts its tables on two integer scales when it is built, so
+    # a check at p/q compares integer numerators over one denominator.  In
+    # Fractions the fan's 35 checks made 1,985 comparisons, 513
+    # multiplications and 411 additions.  `on_scale` puts the document on
+    # those scales once for every check of `verify`: reading the finals' cost
+    # lines and the borders inside pieces as Fractions took 32 additions and
+    # 32 multiplications on fan16, and 52 / 60 / 52 / 20 additions,
+    # subtractions, multiplications and divisions on the guarded fan.
+    if case == "guarded_jump":
+        g = parse_game(load_fixture("guarded_jump.json"))
+        values = FIXTURES / "guarded_jump.values.json"
+    else:
+        k = 9 if case == "fan" else 16
+        g = fan_game(k, (1, -2, 3)) if case != "guarded_fan" else guarded_fan(k, (1, -2, 3))
+        game, values = tmp_path / "fan.json", tmp_path / "fan.values.json"
+        game.write_text(serialize_game(g))
+        assert main(["solve", str(game), "--out", str(values)]) == 0
+    doc = document.load(str(values))
+    counts, slopes = {}, []
+
+    def counting_slope(*args, plain=strategy._slope):
+        slopes.append(args)
+        return plain(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (strategy, exactmath):
+            mp.setattr(module, "_slope", counting_slope)
+        _counting(mp, counts, ARITHMETIC)
+        report, witness = document.verify(g, doc, 16)
+    assert witness is None
+    assert counts == {}
+    # each finite piece's slope is taken once, for the scales and the
+    # Lipschitz check alike
+    pieces = [len(s.xs) - 1 for segs in doc.values.values() for s in segs if uniform_infinity(s) is None]
+    assert len(slopes) == sum(pieces)
+    regions = regions_of(g)
+    scaled = strategy.on_scale(g, regions, doc.values)
+    oracle = strategy.RegionBellmanOracle(g, regions, doc.values, scaled)
+    X, _, bound, borders, tables = scaled
+    jumps = set(borders) if doc.mode == document.MODE_REGIONS else set()
+    points = document._sample_points(X, bound, tables.values(), 16, jumps)
+    _counting(monkeypatch, counts, ("__add__", "__sub__", "__mul__", "__truediv__", "_richcmp", "__eq__"))
     verdicts = [oracle.check(p, q) for p, q in points]
     monkeypatch.undo()
     assert verdicts == [[]] * len(points)

@@ -19,14 +19,14 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import from_points, region_bellman_check, region_table, through
+from reference import as_segments, from_points, region_bellman_check, region_table, through
 from test_properties import usable_guarded
 
-from ptgsolve.document import _on_scale, _sample_points
+from ptgsolve.document import _sample_points
 from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate, format_value
 from ptgsolve.model import MAX, MIN, Game, Guard, Location, Transition, make_game, regions_of
 from ptgsolve.regions import solve_reset_acyclic
-from ptgsolve.strategy import RegionBellmanOracle
+from ptgsolve.strategy import RegionBellmanOracle, on_scale
 
 F = Fraction
 
@@ -158,17 +158,15 @@ def _sampled(g: Game, regions, vals: dict) -> list:
     """The valuations `ptg verify --grid 16` samples on these claims, and
     one off-grid point in each gap between them, over a second prime above
     2**64."""
-    segments = [[f for f in per if not isinstance(f, float)] for per in vals.values()]
-    X, cuts, *scaled = _on_scale(regions, segments)
-    borders = {lo for lo, hi in cuts if lo == hi}
-    pts = [F(p, q) for p, q in _sample_points(X, cuts[-1][1], scaled, 16, borders)]
+    X, _, bound, borders, tables = on_scale(g, regions, as_segments(regions, vals))
+    pts = [F(p, q) for p, q in _sample_points(X, bound, tables.values(), 16, borders)]
     return pts + [a + (b - a) / (2**107 - 1) for a, b in zip(pts, pts[1:])]
 
 
 def _assert_same(g: Game, vals: dict, points=_points) -> int:
     """Checks both oracles at every point; returns how many locations failed."""
     regions = regions_of(g)
-    oracle = RegionBellmanOracle(g, regions, vals)
+    oracle = RegionBellmanOracle(g, regions, as_segments(regions, vals))
     failed = 0
     for nu in points(g, regions, vals):
         want = reference_region_bellman_check(g, list(regions), vals, nu)

@@ -16,13 +16,14 @@ from reference import (
     point_guard,
     region_bellman_check,
     region_table,
+    region_values,
     window_by_subgame,
 )
 from test_properties import GUARDED_SEEDS, usable_guarded
 from ptgsolve import regions as region_pipeline
 from ptgsolve import solver, urgent
 from ptgsolve.cli import main
-from ptgsolve.document import SolutionFormatError, region_values, uniform_infinity
+from ptgsolve.document import SolutionFormatError, uniform_infinity
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
 from ptgsolve.model import (
     MAX,
