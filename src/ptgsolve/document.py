@@ -175,7 +175,7 @@ def value_at(g: Game, doc: Document, name: str, x) -> Value:
     witness = _check_coverage(g, doc.values, scaled, None)
     if witness:
         raise SolutionFormatError(witness)
-    (i,) = cover(point, scaled[3], [xs for xs, _, _ in scaled[4][name]])
+    (i,) = cover(point, scaled[3], [xs for xs, _, _ in scaled[4][name]], scaled[0], name)
     return evaluate(doc.values[name][i], x)
 
 

@@ -19,12 +19,13 @@ already computed downstream enter as terminal stubs.  An interval copy is
 left only by an edge fired inside it or by the hop into its upper border's
 point copy, whose value, entered by the hop, anchors it at that border.
 
-Both kinds of component are compiled by one function, `_compile`, straight
-from the region graph into value-iteration rows (`urgent.Rows`), with one
-stub rule; no `Game` is built on this path.  A point component is one
-`InstantEvaluator` run of its rows.  Each window of an interval runs
-`solver.sweep` on its rows, for its values only, and leaves the
-infinities to the sweep's pruning: no member is decided by hand, and an
+Most components are one copy with no edge into itself, which `_acyclic`
+solves in one step: with no cycle there is no fixpoint to find.  The
+others are compiled by one function, `_compile`, straight from the region
+graph into value-iteration rows (`urgent.Rows`), with one stub rule; no
+`Game` is built.  A point component is one `InstantEvaluator` run of its
+rows.  Each window of an interval runs `solver.sweep` on its rows, for its
+values only, and leaves the infinities to the sweep's pruning: an
 infinite stub is a row the pruning drops.  The result is a
 `solver.Solution` of stitched segments, as the solution document holds.
 """
@@ -34,7 +35,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import NamedTuple, Optional
 
-from .exactmath import INF, Affine, CostFunction, concat, evaluate
+from .exactmath import INF, Affine, CostFunction, _canonical, concat, evaluate
 from .model import MAX, Game, InternalError, region_table
 from .solver import Solution, sweep
 from .urgent import InstantEvaluator, Rows
@@ -261,7 +262,7 @@ def _entry_value(nodeval: dict, rt: RegionTransition, x):
 
 
 def _compile(rg, comp, edges, nodeval, c, d=None, anchor=None) -> Rows:
-    """The rows of one component on its window [c, d], from the region graph.
+    """The rows of a component with a cycle on its window [c, d].
 
     The change of variable x = c + t*(d-c) scales waiting rates by the
     window length and turns neighbour values into lines over t in [0, 1].
@@ -325,8 +326,48 @@ def _compile(rg, comp, edges, nodeval, c, d=None, anchor=None) -> Rows:
     return Rows(names, rows + stub_rows, timing, finals, Fraction(1))
 
 
+def _acyclic(rg, comp, edges, nodeval, c, d=None, anchor=None) -> dict:
+    """The value of one copy with no edge into itself on the point c or a
+    seam-free window [c, d]: its targets are solved, so it needs no rows.
+
+    Each option is a line through its values at c and d: firing an edge
+    now, and for a copy that may wait in a window, waiting to d and then
+    firing it or taking anchor[node] (firing after a wait to y costs an
+    amount affine in y, so y = x or y = d is optimal).  Min takes -inf and
+    Max +inf from any option; the other infinity drops out unless it is
+    all there is, and a copy with no option is stuck at +inf.  The owner's
+    envelope of the finite lines bends only where two cross, so it is read
+    at c, d and each crossing between, canonically: as `sweep` builds it.
+    """
+    (node,) = comp
+    loc = rg.base.location(node[0])
+    waits = d is not None and not loc.urgent
+    wait = loc.rate * (d - c) if waits else 0
+    lines = [(wait + anchor[node], anchor[node])] if waits else []
+    for j in edges[node]:
+        rt = rg.transitions[j]
+        vc = rt.weight + _entry_value(nodeval, rt, c)
+        vd = vc if d is None else rt.weight + _entry_value(nodeval, rt, d)
+        lines += [(vc, vd), (wait + vd, vd)] if waits else [(vc, vd)]
+    pick = max if loc.owner == MAX else min
+    # an infinity wins at c exactly when it wins everywhere
+    v = pick([vc for vc, _ in lines], default=INF)
+    if d is None or isinstance(v, float):
+        return {node: v}
+    finite = [line for line in lines if not isinstance(line[0], float)]
+    ts = set()
+    for i, (pc, pd) in enumerate(finite):
+        for qc, qd in finite[i + 1 :]:
+            if (pc - qc) * (pd - qd) < 0:
+                ts.add((pc - qc) / (pc - qc - pd + qd))
+    ts = sorted(ts)
+    xs = (c, *[c + t * (d - c) for t in ts], d)
+    inner = [pick(vc + t * (vd - vc) for vc, vd in finite) for t in ts]
+    return {node: CostFunction._trusted(*_canonical(xs, (v, *inner, pick(vd for _, vd in finite))))}
+
+
 def _instant(rg, comp, out_edges, nodeval, x) -> dict:
-    """Values of a point component's members at its valuation x.
+    """Values of a point component with a cycle at its valuation x.
 
     No time passes at a point, so every member plays urgently, on the
     point window x: every edge of a point copy holds at x, and where the
@@ -340,7 +381,7 @@ def _instant(rg, comp, out_edges, nodeval, x) -> dict:
 
 
 def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
-    """One seam-free window [c, d] of an open region, as a unit-interval game.
+    """A seam-free window [c, d] of an open component with a cycle, as a game.
 
     Its rows are `_compile`'s: waiting past d is priced by a per-member
     stub whose cost line starts at the member's already-known value at d
@@ -375,7 +416,7 @@ def _combine(parts, rg: RegionGame, node):
     raise InternalError("region solve", reason, _node(rg, node))
 
 
-def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
+def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps, acyclic):
     a, b = reg.lo, reg.hi
     members = set(comp)
     interior = {}
@@ -399,7 +440,10 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps):
     seams = [a, *sorted(inner), b]
     windows = []
     for c, d in reversed(list(zip(seams, seams[1:]))):
-        windows.append(_solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps))
+        if acyclic:
+            windows.append(_acyclic(rg, comp, interior, nodeval, c, d, anchor))
+        else:
+            windows.append(_solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps))
         # each member's value on [c, d] anchors the window on its left at c
         anchor = {n: v if isinstance(v, float) else v.vals[0] for n, v in windows[-1].items()}
     for n in comp:
@@ -434,12 +478,13 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> Solution:
     Builds the region copy graph, refuses it when a cycle fires a reset,
     then solves the strongly connected components in dependency order: a
     final copy is in none, and enters as its cost line wherever it is
-    entered; point copies are single-valuation games (`_instant`);
-    interval copies are rescaled unit-interval games whose outside
-    references enter as terminal stubs.  Both are compiled straight from
-    the region graph (`_compile`), with no game built.  Each window runs
-    `sweep`, which builds no strategies; `max_steps` caps each one
-    separately.
+    entered; one copy with no edge into itself takes one step (`_acyclic`)
+    and no value-iteration run, so `max_steps` charges it nothing.  With a
+    cycle, point copies are single-valuation games (`_instant`), interval
+    copies rescaled unit-interval games whose outside references enter as
+    terminal stubs, both compiled from the region graph (`_compile`), with
+    no game built.  Each of their windows runs `sweep`, which builds no
+    strategies; `max_steps` caps each one separately.
 
     The `Solution` holds values only: per location its maximal continuous
     segments (`_stitch`), a final location's one segment its cost line.
@@ -457,10 +502,12 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> Solution:
         if any(n[1] != i for n in comp):
             raise InternalError("region solve", "a reset-free component spans regions", _nodes(rg, comp))
         reg = regs[i]
+        # one copy with no edge into itself: no cycle, no fixpoint to find
+        acyclic = len(comp) == 1 and all(rg.transitions[j].target != comp[0] for j in out_edges[comp[0]])
         if i % 2:
-            _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps)
+            _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps, acyclic)
             continue
-        for node, v in _instant(rg, comp, out_edges, nodeval, reg.lo).items():
+        for node, v in (_acyclic if acyclic else _instant)(rg, comp, out_edges, nodeval, reg.lo).items():
             nodeval[node] = v if isinstance(v, float) else CostFunction.point(reg.lo, v)
     values = {
         l.name: (CostFunction.from_affine(0, g.clock_bound, l.final_cost),) if l.is_final

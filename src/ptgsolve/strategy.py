@@ -248,7 +248,7 @@ class RegionBellmanOracle:
         self.X, self.borders = X, borders
         self.entries, breaks = {}, {}
         for name, segs in tables.items():
-            self.entries[name] = [segs[i] for i in cover(regions, borders, [xs for xs, _, _ in segs])]
+            self.entries[name] = [segs[i] for i in cover(regions, borders, [t[0] for t in segs], X, name)]
             breaks[name] = sorted({x for xs, vals, _ in segs if not isinstance(vals[0], float) for x in xs})
         zero = _around(borders, 0)[0]
         readings = {}
@@ -383,18 +383,19 @@ def _table(f, X: int, M: int) -> tuple:
     return xs, vals, lines
 
 
-def cover(regions, borders: list, segxs: list) -> list:
+def cover(regions, borders: list, segxs: list, X: int, name: str) -> list:
     """The index of the segment each region reads its closure's values
-    from, given the borders and the segments' breakpoints (segxs) as
-    integers on one scale; region i spans borders i // 2 to (i + 1) // 2.
+    from, given the borders and location name's segment breakpoints
+    (segxs) as integers on the scale X; region i spans borders i // 2 to
+    (i + 1) // 2.
 
     Open regions take the first segment that spans their closure; its
     values at the borders are the one-sided limits because segments end
-    exactly where the function jumps.  Point regions take the attained
-    value: of the segments covering the point, the last point segment, or
-    else the last one.  Both lists are walked once, in ascending order, so
-    the segments must be contiguous, each starting where the previous one
-    ends, as `ptg verify`'s coverage check ensures.
+    exactly where the function jumps, and meet only at borders.  Point
+    regions take the attained value: of the segments covering the point,
+    the last point segment, or else the last one.  Both lists are walked
+    once, in ascending order, so the segments must be contiguous, each
+    starting where the previous one ends, as `ptg verify` ensures.
     """
     out = []
     k, m = 0, len(segxs)
@@ -409,13 +410,15 @@ def cover(regions, borders: list, segxs: list) -> list:
             while j < m and segxs[j][0] <= lo:
                 j += 1
             if j == k:
-                raise SolutionFormatError(f"no segment covers {format_value(reg.lo)}")
+                raise SolutionFormatError(f"values.{name}: no segment covers {format_value(reg.lo)}")
             out.append(max((s for s in range(k, j) if len(segxs[s]) == 1), default=j - 1))
             continue
         if k == m or segxs[k][0] > lo:
-            raise SolutionFormatError(
-                f"no segment spans ({format_value(reg.lo)}, {format_value(reg.hi)})"
-            )
+            where = f"the open region ({format_value(reg.lo)}, {format_value(reg.hi)})"
+            if k == m:
+                raise SolutionFormatError(f"values.{name}: no segment spans {where}")
+            at = format_value(Fraction(segxs[k][0], X))
+            raise SolutionFormatError(f"values.{name}: segments meet at {at} inside {where}")
         out.append(k)
     return out
 

@@ -724,8 +724,8 @@ def as_segments(regions, per_region: dict) -> dict:
     return {name: [segment(r, e) for r, e in zip(regions, per)] for name, per in per_region.items()}
 
 
-def region_values(regions, segments: list) -> list:
-    """Per-region closure values of a location's contiguous segments, as
+def region_values(regions, segments: list, name: str = "l") -> list:
+    """Per-region closure values of location name's contiguous segments, as
     the document reader gave them before the oracle read segments: the
     segment `strategy.cover` picks for each region, an open region's a
     bare float where it is infinite, a point region's its value there."""
@@ -733,7 +733,7 @@ def region_values(regions, segments: list) -> list:
                  *{x.denominator for s in segments for x in s.xs})
     borders = [_scaled(r.lo, X) for r in regions[::2]]
     out = []
-    for r, i in zip(regions, cover(regions, borders, [[_scaled(x, X) for x in s.xs] for s in segments])):
+    for r, i in zip(regions, cover(regions, borders, [[_scaled(x, X) for x in s.xs] for s in segments], X, name)):
         seg = segments[i]
         if r.is_point:
             v = evaluate(seg, r.lo)

@@ -9,7 +9,9 @@ which this script only imports.  Every game is solved twice through
 ``ptgsolve.cli.main``: once as the package is, and once with
 ``solver.sweep`` and ``regions.sweep`` replaced by
 ``reference.grid_sweep``, which runs value iteration at every candidate
-cutpoint.  The exit codes, stdout, stderr (bar the timing line) and
+cutpoint.  A window of a region copy with no edge into itself reaches
+neither sweep: ``regions._acyclic`` solves it in one step, so the swap
+compares the windows of components with a cycle.  The exit codes, stdout, stderr (bar the timing line) and
 documents must be equal, and every document must be, as UTF-8, what
 ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`` writes
 for its own JSON, so the package's writer is checked against the

@@ -144,29 +144,48 @@ def test_solve_byte_identical_across_runs(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("name, x", [("fig1", 1), ("reset_chain", 2)])
-def test_internal_error_exits_6_with_one_line(monkeypatch, tmp_path, capsys, name, x):
+@pytest.mark.parametrize(
+    "name, mode, x", [("fig1", "sptg", 1), ("fig1", "reset-acyclic", 1)], ids=["fig1-1", "fig1-reset-acyclic-1"]
+)
+def test_internal_error_exits_6_with_one_line(monkeypatch, tmp_path, capsys, name, mode, x):
     """A broken invariant is a fault of ptgsolve, not of the input: exit 6
     and one line on stderr naming its phase and valuation.  A round bound
     of 0 breaks the first value-iteration run of either pipeline: fig1's
-    pruning at its clock bound 1, and reset_chain's first point component,
-    at its clock bound 2."""
+    pruning at its clock bound 1, and in the region pipeline its first
+    component with a cycle, the point component of l1, l2, l3, l5 and l6
+    at 1.  reset_chain, at its clock bound 2, served the region pipeline
+    until its components, none with a cycle, stopped running value
+    iteration."""
     from ptgsolve import urgent
 
     monkeypatch.setattr(urgent, "_round_bound", lambda *args: 0)
     out = tmp_path / "x.json"
-    code, stdout, err = run_cli(capsys, "solve", str(FIXTURES / f"{name}.json"), "--out", str(out))
+    code, stdout, err = run_cli(capsys, "solve", str(FIXTURES / f"{name}.json"), "--mode", mode, "--out", str(out))
     assert code == 6
     assert stdout == ""
     assert err.splitlines() == [f"internal error: value iteration, x = {x}: exceeded its round bound 0"]
     assert not out.exists()
 
 
+def _stretched_urgent_border(tmp_path) -> Path:
+    """fixtures/urgent_border.json with its clock bound and every guard
+    end at 1 moved to 2: its open component {m, u} in (0, 2) has a cycle."""
+    game = json.loads((FIXTURES / "urgent_border.json").read_text())
+    game["clock_bound"] = 2
+    for t in game["transitions"]:
+        t["guard"] = {k: "2" if v == "1" else v for k, v in t["guard"].items()}
+    path = tmp_path / "urgent_border2.json"
+    path.write_text(json.dumps(game))
+    return path
+
+
 def test_pruning_error_in_a_window_names_the_window_and_the_clock(monkeypatch, tmp_path, capsys):
     """A region window's sweep prunes on the window's own variable; a
     failure there is reported at the clock, with the window named.  With
-    only pruning's round bound at 0, reset_chain's window [1, 2] of b
-    fails at its right end, which it reported as x = 1."""
+    only pruning's round bound at 0, the window [0, 2] of {m, u} in
+    urgent_border stretched to clock bound 2 fails at its right end,
+    which the window's own variable puts at 1.  reset_chain's window
+    [1, 2] of b showed this until b, with no cycle, stopped being swept."""
     from ptgsolve import solver, urgent
 
     class Unbounded(urgent.InstantEvaluator):
@@ -176,11 +195,11 @@ def test_pruning_error_in_a_window_names_the_window_and_the_clock(monkeypatch, t
 
     monkeypatch.setattr(solver, "InstantEvaluator", Unbounded)
     out = tmp_path / "x.json"
-    code, stdout, err = run_cli(capsys, "solve", str(FIXTURES / "reset_chain.json"), "--out", str(out))
+    code, stdout, err = run_cli(capsys, "solve", str(_stretched_urgent_border(tmp_path)), "--out", str(out))
     assert code == 6
     assert stdout == ""
     assert err.splitlines() == [
-        "internal error: value iteration at window [1, 2], x = 2: exceeded its round bound 0"
+        "internal error: value iteration at window [0, 2], x = 2: exceeded its round bound 0"
     ]
 
 
@@ -450,6 +469,23 @@ def test_solve_budget_exit_code(capsys, tmp_path):
     )
     assert code == 4
     assert "budget" in err
+
+
+def test_budget_charges_components_without_a_cycle_nothing(capsys, tmp_path):
+    """`--max-steps` counts value-iteration runs, and a copy with no edge
+    into itself is solved without one: every component of reset_chain is
+    such a copy, so it solves under a budget of 0 (it exited 4), and its
+    document is the committed one.  fig1 in the region pipeline still
+    sweeps its cycles, and runs out."""
+    out = tmp_path / "x.json"
+    code, _, err = run_cli(capsys, "solve", str(FIXTURES / "reset_chain.json"), "--out", str(out), "--max-steps", "0")
+    assert code == 0, err
+    assert out.read_bytes() == (FIXTURES / "reset_chain.values.json").read_bytes()
+    code, _, err = run_cli(
+        capsys, "solve", str(FIXTURES / "fig1.json"), "--mode", "reset-acyclic", "--out", str(out), "--max-steps", "0"
+    )
+    assert code == 4
+    assert err.splitlines() == ["budget exceeded: sweep exceeded 0 value-iteration runs"]
 
 
 def test_solve_explicit_sptg_mode_rejects_guarded_game(capsys, tmp_path):
@@ -784,6 +820,24 @@ def test_verify_witness_texts(tmp_path, capsys, fixture, name, segments, witness
         witness,
         "verdict: fail",
     ]
+
+
+def test_verify_refuses_segments_meeting_inside_a_region_by_path(tmp_path, capsys):
+    """Segments end only where the function jumps, so they meet only at
+    region borders.  fig1.regions.json with l4's one segment cut at 1/2,
+    equal on both sides, passes the coverage and continuity checks; the
+    reader's refusal names the field and the cut.  It said `no segment
+    spans (0, 1)`, which names neither."""
+    doc = json.loads((FIXTURES / "fig1.regions.json").read_text())
+    doc["values"]["l4"] = [
+        {"from": "0", "to": "1/2", "points": _points(("0", "-4"), ("1/2", "-11/2"))},
+        {"from": "1/2", "to": "1", "points": _points(("1/2", "-11/2"), ("1", "-7"))},
+    ]
+    bad = tmp_path / "split.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(FIXTURES / "fig1.json"), str(bad))
+    assert code == 2
+    assert err.splitlines() == ["error: values.l4: segments meet at 1/2 inside the open region (0, 1)"]
 
 
 def test_verify_refuses_breakpoints_that_do_not_increase(tmp_path, capsys):

@@ -335,13 +335,15 @@ def test_stitched_segments_read_back_the_region_values(seed):
 
 
 def reference_region_values_from_segments(regions, segments: list) -> list:
-    """The regions x segments scan the document reader used to be."""
+    """The regions x segments scan the document reader used to be, with
+    the reader's refusals of location l: an open region that no segment
+    spans names where the first segment reaching its upper end starts."""
     out = []
     for reg in regions:
         if reg.is_point:
             cover = [s for s in segments if s.lo <= reg.lo <= s.hi]
             if not cover:
-                raise SolutionFormatError(f"no segment covers {format_value(reg.lo)}")
+                raise SolutionFormatError(f"values.l: no segment covers {format_value(reg.lo)}")
             points = [s for s in cover if s.is_point]
             seg = points[-1] if points else cover[-1]
             inf_v = uniform_infinity(seg)
@@ -351,9 +353,11 @@ def reference_region_values_from_segments(regions, segments: list) -> list:
             continue
         cover = [s for s in segments if s.lo <= reg.lo and reg.hi <= s.hi]
         if not cover:
-            raise SolutionFormatError(
-                f"no segment spans ({format_value(reg.lo)}, {format_value(reg.hi)})"
-            )
+            where = f"the open region ({format_value(reg.lo)}, {format_value(reg.hi)})"
+            reaching = [s for s in segments if reg.hi <= s.hi]
+            if not reaching:
+                raise SolutionFormatError(f"values.l: no segment spans {where}")
+            raise SolutionFormatError(f"values.l: segments meet at {format_value(reaching[0].lo)} inside {where}")
         inf_v = uniform_infinity(cover[0])
         out.append(inf_v if inf_v is not None else cover[0])
     return out
@@ -631,23 +635,29 @@ def test_unfireable_border_reset_closes_no_reset_cycle():
 
 
 def test_point_components_are_the_only_instant_solves(monkeypatch, reset_chain):
-    """An open component's first window banks the value its hop enters at
-    the upper border, and its sweep settles the moves there, so only the
-    six point components of reset_chain (a and b at 0, 1 and 2) solve a
-    single-valuation game.  Solving one more per open component to anchor
-    its windows took 10 such solves and 18 evaluators.  Each point
-    component compiles its rows straight from the region graph into one
-    evaluator, and each of the four windows two: pruning's and the
-    sweep's.  No Game is built: a Game per window and one more for its
-    pruning made 8, a Game per point component 14, and urgent and waiting
-    copies for the evaluators 26."""
-    counts = {"instant": 0, "evaluators": 0, "games": 0}
+    """Every component of reset_chain is one copy with no edge into
+    itself, so `_acyclic` solves each in one step: its six point
+    components (a and b at 0, 1 and 2) and its four windows, with no
+    single-valuation game and no evaluator.  Each point component used to
+    compile its rows into one evaluator, and each window into two
+    (pruning's and the sweep's): 6 instant solves and 14 evaluators.  An
+    open component's first window banks the value its hop enters at the
+    upper border, so no instant solve anchors it; that took 10 such
+    solves and 18 evaluators.  No Game is built: a Game per window and
+    one more for its pruning made 8, a Game per point component 14, and
+    urgent and waiting copies for the evaluators 26."""
+    counts = {"instant": 0, "acyclic": 0, "evaluators": 0, "games": 0}
     instant, init = region_pipeline._instant, InstantEvaluator.__init__
+    acyclic = region_pipeline._acyclic
     post_init = Game.__post_init__
 
     def counting_instant(*args):
         counts["instant"] += 1
         return instant(*args)
+
+    def counting_acyclic(*args):
+        counts["acyclic"] += 1
+        return acyclic(*args)
 
     def counting_init(self, *args):
         counts["evaluators"] += 1
@@ -658,17 +668,22 @@ def test_point_components_are_the_only_instant_solves(monkeypatch, reset_chain):
         post_init(self)
 
     monkeypatch.setattr(region_pipeline, "_instant", counting_instant)
+    monkeypatch.setattr(region_pipeline, "_acyclic", counting_acyclic)
     monkeypatch.setattr(InstantEvaluator, "__init__", counting_init)
     monkeypatch.setattr(Game, "__post_init__", counting_post_init)
     solve_reset_acyclic(reset_chain)
-    assert counts == {"instant": 6, "evaluators": 14, "games": 0}
+    assert counts == {"instant": 0, "acyclic": 6 + 4, "evaluators": 0, "games": 0}
 
 
 def test_each_solve_places_its_final_lines_once(monkeypatch, reset_chain):
     """Finals are never pruned, so a window's sweep puts them on their
     integer scale once, for pruning, the budget and its window evaluator;
-    each of the six point components places its own.  Placing them again
-    in each of those (and twice in the window evaluator) made 22 here."""
+    a point component with a cycle places its own.  Placing them again in
+    each of those (and twice in the window evaluator) made 22 in
+    reset_chain, and a sweep per window and a run per point component 10.
+    Its components are all acyclic now and place none.  In urgent_border,
+    the window of {m, u} in (0, 1) places them once and the point
+    component {m, u} at 0 once."""
     calls = 0
     integer_lines = urgent._integer_lines
 
@@ -679,7 +694,30 @@ def test_each_solve_places_its_final_lines_once(monkeypatch, reset_chain):
 
     monkeypatch.setattr(urgent, "_integer_lines", counting)
     solve_reset_acyclic(reset_chain)
-    assert calls == 4 + 6
+    assert calls == 0
+    solve_reset_acyclic(parse_game(load_fixture("urgent_border.json")))
+    assert calls == 1 + 1
+
+
+@pytest.mark.parametrize("name, builds", [("guarded_jump.json", 1), ("urgent_border.json", 3)])
+def test_only_components_with_a_cycle_build_evaluators(monkeypatch, name, builds):
+    """A copy with no edge into itself is solved by `_acyclic` with no
+    evaluator; a point component with a cycle builds one, and a window
+    of one two (pruning's and the sweep's).  guarded_jump's one such
+    component is a point; urgent_border has the window of {m, u} in
+    (0, 1) and the point component {m, u} at 0.  When every component
+    built its own, they took 6 and 5."""
+    builds_seen = 0
+    init = InstantEvaluator.__init__
+
+    def counting(self, *args):
+        nonlocal builds_seen
+        builds_seen += 1
+        init(self, *args)
+
+    monkeypatch.setattr(InstantEvaluator, "__init__", counting)
+    solve_reset_acyclic(parse_game(load_fixture(name)))
+    assert builds_seen == builds
 
 
 @pytest.mark.parametrize("name", ["reset_chain.json", "guarded_jump.json", "fig1.json"])
@@ -772,11 +810,49 @@ def _with_rounds(instant, *args):
     return vals, rounds
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def _check_acyclic(rg, comp, edges, nodeval, c, d=None, anchor=None, acyclic=region_pipeline._acyclic):
+    """`_acyclic`'s value of a copy with no edge into itself, on the point
+    c or the window [c, d], which runs no value iteration: the values,
+    infinities included, that a Game built for it gives."""
+    got, rounds = _with_rounds(acyclic, rg, comp, edges, nodeval, c, d, anchor)
+    assert rounds == []
+    (node,) = comp
+    assert all(rg.transitions[j].target != node for j in edges[node])
+    if d is None:
+        want = instant_by_subgame(rg, comp, edges, nodeval, c)
+    else:
+        interior = {node: [rg.transitions[j] for j in edges[node]]}
+        want = window_by_subgame(rg, comp, interior, nodeval, anchor, c, d, None)
+    assert got == want, (node, c, d)
+    return got
+
+
+def _acyclic_checked(solve, g):
+    """solve(g) with every `_acyclic` step checked by `_check_acyclic`;
+    the steps, as (point, window) counts."""
+    steps = [0, 0]
+
+    def checked(*args):
+        steps[len(args) > 5] += 1
+        return _check_acyclic(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region_pipeline, "_acyclic", checked)
+        solve(g)
+    return tuple(steps)
+
+
+# the drawn reference suites below take the profile's draws, at least 60:
+# 100 by default, 3000 in CI's fuzz job (--hypothesis-profile=fuzz)
+REFERENCE_EXAMPLES = max(60, settings.default.max_examples)
+
+
+@settings(max_examples=REFERENCE_EXAMPLES, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_point_solves_match_the_subgame_reference(seed):
-    """Every point component of a drawn game gets the values and the
-    rounds it got from a Game built for it."""
+    """Every point component of a drawn game gets the values it got from
+    a Game built for it: with a cycle, also the rounds; with none, from
+    `_acyclic`, which runs no value iteration."""
     g = usable_guarded(seed)
     assume(g is not None)
     instant = region_pipeline._instant
@@ -788,7 +864,7 @@ def test_point_solves_match_the_subgame_reference(seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(region_pipeline, "_instant", checked)
-        solve_reset_acyclic(g)
+        _acyclic_checked(solve_reset_acyclic, g)
 
 
 def _hand_component_game():
@@ -830,23 +906,31 @@ _PALETTE = (float("inf"), float("-inf"), F(5, 2), F(-7, 3))
 def test_point_solves_match_the_subgame_reference_on_hand_components(region):
     """Components of several members whose outside targets are set by hand
     to +inf, -inf or finite values, in every combination: the compiled
-    rows give the reference's values and rounds.  In {0} the hops into
-    (0, 1) enter too; in {1} there are none."""
+    rows give the reference's values and rounds.  Each member alone, its
+    moves or none of them, is a copy with no edge into itself: `_acyclic`
+    gives the reference's values, with Min and Max owners and infinite
+    options of either sign.  In {0} the hops into (0, 1) enter too; in {1}
+    there are none."""
     g = _hand_component_game()
     rg = build_region_game(g)
     out_edges = rg.outgoing_map()
     x = rg.regions[region].lo
     hops = {("a", 1): CostFunction.from_affine(0, 1, Affine(1, F(1, 3))), ("b", 1): float("inf")}
     hops[("c", 1)] = CostFunction.from_affine(0, 1, Affine(-2, 4))
-    for members in ((("a", region), ("b", region), ("c", region)), (("c", region), ("a", region))):
+    components = ((("a", region), ("b", region), ("c", region)), (("c", region), ("a", region)))
+    for members in components + tuple((m,) for m in components[0]):
         inside = set(members)
         outside = sorted({rg.transitions[j].target for m in members for j in out_edges[m]} - inside)
-        free = [n for n in outside if n[0] in "pqrb" and n[1] == region]
+        free = [n for n in outside if n[0] in "pqrabc" and n[1] == region]
         for combo in itertools.product(_PALETTE, repeat=len(free)):
             nodeval = {("f", region): g.location("f").final_cost, ("r", 0): float("-inf")}
             nodeval.update(hops)
             for n, v in zip(free, combo):
                 nodeval[n] = v if isinstance(v, float) else CostFunction.point(x, v)
+            if len(members) == 1:
+                for edges in (out_edges, {members[0]: []}):
+                    _check_acyclic(rg, members, edges, nodeval, x)
+                continue
             args = (rg, members, out_edges, nodeval, x)
             got = _with_rounds(region_pipeline._instant, *args)
             assert got == _with_rounds(instant_by_subgame, *args), (members, combo)
@@ -885,8 +969,9 @@ def _check_window(rg, comp, interior, *rest, solve_window=region_pipeline._solve
     return got[0]
 
 
-def _windows_checked(g) -> int:
-    """Solves g with every window checked by `_check_window`; the windows."""
+def _windows_checked(g) -> tuple:
+    """Solves g with every window checked: by `_check_window` with a
+    cycle, by `_check_acyclic` without; the two counts of windows."""
     windows = []
 
     def checked(*args):
@@ -895,16 +980,17 @@ def _windows_checked(g) -> int:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(region_pipeline, "_solve_window", checked)
-        solve_reset_acyclic(g)
-    return len(windows)
+        _, acyclic = _acyclic_checked(solve_reset_acyclic, g)
+    return len(windows), acyclic
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=REFERENCE_EXAMPLES, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_windows_match_the_subgame_reference(seed):
-    """Every window of a drawn game gets the values, the sweep trace, the
-    candidates and the rounds per run it got from a Game built for it, so
-    a `--max-steps` budget runs out where it did."""
+    """Every window of a drawn game gets the values it got from a Game
+    built for it.  With a cycle it gets the sweep trace, the candidates
+    and the rounds per run too, so a `--max-steps` budget runs out where
+    it did; with none, `_acyclic` runs no value iteration."""
     g = usable_guarded(seed)
     assume(g is not None)
     _windows_checked(g)
@@ -923,7 +1009,10 @@ def test_windows_match_the_subgame_reference_on_hand_components(urgent):
     """Windows of (0, 1) whose outside targets are set by hand to +inf,
     -inf or finite values, in every combination, with finite and infinite
     first-window anchors and urgent members: the compiled rows give the
-    reference's values, trace, candidates and rounds."""
+    reference's values, trace, candidates and rounds.  Each member alone,
+    with its moves or none, the other members' values set by hand too and
+    each of the three anchors, is a copy with no edge into itself:
+    `_acyclic` gives the reference's values."""
     base = _hand_component_game()
     locs = [dataclasses.replace(l, urgent=l.name in urgent) for l in base.locations]
     g = make_game(locs, base.transitions, 1)
@@ -940,6 +1029,51 @@ def test_windows_match_the_subgame_reference_on_hand_components(urgent):
         for anchor in anchors:
             for c, d in ((0, 1), (F(1, 3), F(1, 2))):
                 _check_window(rg, members, interior, nodeval, anchor, c, d, None)
+        nodeval.update(zip(members, combo[1:] + combo[:1]))
+        for m in members:
+            alone = [None] if m[0] in urgent else [F(1, 2), float("inf"), float("-inf")]
+            for v, edges in itertools.product(alone, (interior, {m: []})):
+                for c, d in ((0, 1), (F(1, 3), F(1, 2))):
+                    _check_acyclic(rg, (m,), edges, nodeval, c, d, {m: v})
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "node, urgent, origins, targets, anchor, want",
+    [
+        # Min fires into f now, until the line waiting for its anchor 3 crosses it at 8/15
+        ("a", False, [8], {}, F(3), CostFunction((0, F(8, 15), 1), (F(8, 3), F(52, 15), 3))),
+        # p falls faster than a's rate 1 rises: waiting to fire at 1 beats firing now
+        ("a", False, [4], {"p": Affine(-3, F(5, 2))}, _INF, CostFunction((0, 1), (F(5, 2), F(3, 2)))),
+        ("a", False, [4], {"p": -_INF}, F(3), -_INF),
+        ("a", False, [4], {"p": _INF}, _INF, _INF),
+        ("a", True, [], {}, None, _INF),
+        # Max takes +inf from any option, and drops -inf ones for r, fired now
+        ("b", False, [5, 9], {"q": _INF, "r": Affine(0, F(-7, 3))}, F(0), _INF),
+        ("b", False, [5, 9], {"q": -_INF, "r": Affine(0, F(-7, 3))}, -_INF, CostFunction((0, 1), (F(-4, 3),) * 2)),
+        ("b", False, [5], {"q": -_INF}, -_INF, -_INF),
+        ("b", True, [5, 9], {"q": -_INF, "r": _INF}, None, _INF),
+    ],
+)
+def test_acyclic_window_values_by_hand(node, urgent, origins, targets, anchor, want):
+    """One copy of the hand game in the window [0, 1] of (0, 1), with the
+    named base edges as its moves and the targets' values set by hand:
+    Min a has rate 1 and Max b rate -1; f is 3/2 x - 1/3, a -> f has
+    weight 3, a -> p 2, b -> q 0 and b -> r 1.  Each value is worked out
+    by hand, and is the reference's."""
+    base = _hand_component_game()
+    locs = [dataclasses.replace(l, urgent=urgent and l.name == node) for l in base.locations]
+    g = make_game(locs, base.transitions, 1)
+    rg = build_region_game(g)
+    m = (node, 1)
+    edges = {m: [j for j in rg.outgoing_map()[m] if rg.transitions[j].origin in origins]}
+    nodeval = {("f", 1): g.location("f").final_cost}
+    for name, v in targets.items():
+        nodeval[(name, 1)] = v if isinstance(v, float) else CostFunction.from_affine(0, 1, v)
+    got = _check_acyclic(rg, (m,), edges, nodeval, F(0), F(1), {m: anchor})
+    assert got == {m: want}
 
 
 def test_region_pipeline_builds_no_strategies(monkeypatch, reset_chain):
@@ -1107,10 +1241,11 @@ def _fig1_scaled(fig1, factor, k):
 
 @pytest.mark.parametrize("factor, k", [(2, F(1, 3)), (5, F(7, 3))])
 def test_fig1_scaled_windows_match_the_subgame_reference(fig1, factor, k):
-    """The six windows of the scaled and split fig1 below wait at rational
-    rates and re-anchor after rejections; each matches the Game-built
-    reference."""
-    assert _windows_checked(_fig1_scaled(fig1, factor, k)) == 6
+    """In each open region of the scaled and split fig1 below, one window
+    holds the cycle through l1, l2, l3, l5 and l6; they wait at rational
+    rates and re-anchor after rejections.  l4 and l7 have no cycle.  Each
+    of the six windows matches the Game-built reference."""
+    assert _windows_checked(_fig1_scaled(fig1, factor, k)) == (2, 4)
 
 
 @pytest.mark.parametrize("factor, k", [(2, F(1, 3)), (5, F(7, 3))])
