@@ -159,17 +159,10 @@ def cmd_plot(args) -> RunReport:
     for name in sorted(doc.values):
         rows = []
         for seg in doc.values[name]:
-            inf_v = document.uniform_infinity(seg)
-            if inf_v is not None:
-                marker = "inf" if inf_v > 0 else "-inf"
-                rows.append((format_value(seg.lo), marker, _decimal12(seg.lo), marker))
-                if seg.hi != seg.lo:
-                    rows.append((format_value(seg.hi), marker, _decimal12(seg.hi), marker))
-            else:
-                for x, v in zip(seg.xs, seg.vals):
-                    rows.append(
-                        (format_value(x), format_value(v), _decimal12(x), _decimal12(v))
-                    )
+            # an infinite segment holds its sign at its one or two breakpoints
+            for x, v in zip(seg.xs, seg.vals):
+                text = ("inf" if v > 0 else "-inf") if isinstance(v, float) else None
+                rows.append((format_value(x), text or format_value(v), _decimal12(x), text or _decimal12(v)))
         path = outdir / f"{name}.csv"
         lines = ["x,v,x_dec,v_dec"] + [",".join(r) for r in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

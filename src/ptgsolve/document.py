@@ -9,7 +9,9 @@ segments per location.  A segment is a maximal continuous piece of the
 value function; two consecutive segments share an endpoint and may
 disagree there, which is how one-sided limits at region borders are
 recorded.  Finite segments carry their breakpoints, an infinite segment
-carries only a sign marker.  `verify` puts a document on two integer
+carries only a sign marker.  The writer formats each coordinate from a
+`CostFunction`'s integer numerator and scale, one gcd per number, and the
+reader builds each segment once.  `verify` puts a document on two integer
 scales once (`strategy.on_scale`), and every check reads that one form:
 coverage, the finals, the slope bound, the sample points and the Bellman
 check.  Both modes are read per clock region by one rule
@@ -33,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .exactmath import CostFunction, Value, _scaled, evaluate, format_value
+from .exactmath import CostFunction, Value, _scaled, evaluate, format_ratio, format_value
 from .model import (
     MODE_REGIONS, MODE_SPTG, VALUES, WAIT_UNTIL, Game, Region, json_text, loads, read, regions_of,
 )
@@ -55,14 +57,12 @@ class Document:
 
 
 def _segment_to_json(seg: CostFunction) -> dict:
-    head = {"from": format_value(seg.lo), "to": format_value(seg.hi)}
-    sign = uniform_infinity(seg)
-    if sign is not None:
-        head["infinite"] = "inf" if sign > 0 else "-inf"
+    xn, xd, vn, vd = seg.xn, seg.xd, seg.vn, seg.vd
+    head = {"from": format_ratio(xn[0], xd), "to": format_ratio(xn[-1], xd)}
+    if isinstance(vn[0], float):
+        head["infinite"] = "inf" if vn[0] > 0 else "-inf"
         return head
-    head["points"] = [
-        {"x": format_value(x), "v": format_value(v)} for x, v in zip(seg.xs, seg.vals)
-    ]
+    head["points"] = [{"x": format_ratio(x, xd), "v": format_ratio(v, vd)} for x, v in zip(xn, vn)]
     return head
 
 
@@ -128,7 +128,7 @@ def dumps(g: Game, mode: str, sol: Solution) -> str:
     adds both of them and the sweep's trace."""
     solved = sol.max_strategy is not None
     doc = {
-        "clock_bound": int(g.clock_bound),
+        "clock_bound": g.clock_bound.numerator // g.clock_bound.denominator,
         "mode": mode,
         "values": _values_to_json(sol.values),
         "strategies": {
@@ -160,11 +160,6 @@ def load(path: str, data: Optional[bytes] = None, g: Optional[Game] = None) -> D
         sigma2 = {name: m["t_index"] for name, m in s["min"]["sigma2"].items()}
         s = _positional(s["max"]), SwitchingStrategy(_positional(s["min"]["sigma1"]), sigma2, s["min"]["threshold"])
     return Document(doc["mode"], doc["values"], s)
-
-
-def uniform_infinity(seg: CostFunction) -> Optional[float]:
-    v = seg.vals[0]
-    return v if isinstance(v, float) else None
 
 
 def value_at(g: Game, doc: Document, name: str, x) -> Value:
@@ -206,29 +201,29 @@ def _check_coverage(g: Game, values: dict, scaled: tuple, borders: Optional[set]
     return None
 
 
-def _check_finals(g: Game, values: dict, scaled: tuple) -> Optional[str]:
+def _check_finals(g: Game, scaled: tuple) -> Optional[str]:
     X, D, _, _, tables = scaled
     for l in g.final_locations:
         slope, intercept = _scaled(l.final_cost.slope, D), _scaled(l.final_cost.intercept, X * D)
-        for seg, (xs, vals, _) in zip(values[l.name], tables[l.name]):
+        for xs, vals, _ in tables[l.name]:
             if isinstance(vals[0], float):
                 return f"finals: {l.name} marked infinite"
-            for x, a, v in zip(seg.xs, xs, vals):
+            for a, v in zip(xs, vals):
                 if v != slope * a + intercept:
-                    return f"finals: {l.name} differs from its final cost at {format_value(x)}"
+                    return f"finals: {l.name} differs from its final cost at {format_ratio(a, X)}"
     return None
 
 
 def _check_lipschitz(values: dict, scaled: tuple, cap: Fraction) -> Optional[str]:
-    _, D, _, _, tables = scaled
+    X, D, _, _, tables = scaled
     top = _scaled(cap, D)
     for name in sorted(values):
-        for seg, (_, _, lines) in zip(values[name], tables[name]):
-            for x0, x1, (s, _) in zip(seg.xs, seg.xs[1:], lines):
+        for xs, _, lines in tables[name]:
+            for a0, a1, (s, _) in zip(xs, xs[1:], lines):
                 if abs(s) > top:
                     return (
-                        f"lipschitz: {name} has slope {format_value(Fraction(s, D))} on "
-                        f"[{format_value(x0)}, {format_value(x1)}], cap {format_value(cap)}"
+                        f"lipschitz: {name} has slope {format_ratio(s, D)} on "
+                        f"[{format_ratio(a0, X)}, {format_ratio(a1, X)}], cap {format_value(cap)}"
                     )
     return None
 
@@ -266,7 +261,7 @@ def _checks(g: Game, doc: Document, grid: int, regions):
     # values may jump at the borders of a reset-acyclic document only
     jumps = set(borders) if doc.mode == MODE_REGIONS else set()
     yield _check_coverage(g, doc.values, scaled, jumps), "coverage ok"
-    yield _check_finals(g, doc.values, scaled), "finals ok"
+    yield _check_finals(g, scaled), "finals ok"
     # no value changes faster than a rate or a final cost's slope
     cap = max([g.max_rate(), *(abs(l.final_cost.slope) for l in g.final_locations)])
     yield _check_lipschitz(doc.values, scaled, cap), f"lipschitz ok (cap {format_value(cap)})"

@@ -5,15 +5,17 @@ values that are either exact rationals or one of the two infinities.  Floats
 appear only as the +inf/-inf sentinels; no rounding happens anywhere.
 
 The paper's values are continuous and piecewise affine on each region, so a
-`CostFunction` is its breakpoints and its values there, and each piece is
-the line through its two ends.  No line is ever built: `evaluate` reads a
-piece through its two breakpoints, and `ptg verify` reads each piece's
-slope as an integer pair (`_slope`) and puts the breakpoints on integer
-scales for its oracle.
+`CostFunction` is its breakpoints and its values there, each piece the line
+through its two ends, kept as integers over two minimal denominators, one
+per axis.  The solver builds, glues (`concat`) and reads (`CostFunction.at`)
+them on those integers, the writer formats them with one gcd per number,
+and `ptg verify` puts their scales on its oracle's once; `xs` and `vals`
+are Fraction views for in-process callers.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -41,12 +43,15 @@ class SeamMismatch(ValueError):
     """Concatenation seam values disagree."""
 
 
-def as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
+def _rational(v):
+    """v itself, an int or a Fraction: both have a numerator and a denominator."""
+    if isinstance(v, (int, Fraction)):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
     raise TypeError(f"expected an exact rational, got {type(v).__name__}: {v!r}")
+
+
+def as_fraction(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(_rational(v))
 
 
 def _scaled(v, scale: int):
@@ -59,10 +64,13 @@ def format_value(v: Value) -> str:
     """Render a value as "p/q" ("p" when integral), or "+inf"/"-inf"."""
     if isinstance(v, float):
         return "+inf" if v > 0 else "-inf"
-    f = as_fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return format_ratio(_rational(v).numerator, v.denominator)
+
+
+def format_ratio(n: int, d: int) -> str:
+    """The value n/d, d > 0, as `format_value` renders it: one gcd."""
+    k = d if d == 1 else math.gcd(n, d)
+    return str(n // k) if k == d else f"{n // k}/{d // k}"
 
 
 def parse_value(text: str) -> Value:
@@ -109,170 +117,185 @@ def _infinity(v: float) -> float:
     raise TypeError(f"a float value must be an infinity sentinel, got {v!r}")
 
 
-def _slope(x0: Fraction, v0: Fraction, x1: Fraction, v1: Fraction) -> tuple:
-    """The slope between two finite breakpoints as an unreduced integer
-    pair (numerator, denominator), whose denominator is positive exactly
-    when x0 < x1."""
-    p0, q0, p1, q1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
-    a0, b0, a1, b1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
-    return (a1 * b0 - a0 * b1) * q0 * q1, b0 * b1 * (p1 * q0 - p0 * q1)
+def _common_scale(vs) -> tuple:
+    """(numerators, denominator): exact rationals, ints or Fractions, on
+    their least common denominator, which is minimal, since a Fraction is
+    in lowest terms."""
+    try:
+        ds = [v.denominator for v in vs]
+    except AttributeError:
+        raise TypeError(f"expected exact rationals, got {vs!r}") from None
+    d = math.lcm(*ds)
+    return [v.numerator * (d // k) for v, k in zip(vs, ds)], d
 
 
-def _straight(left: tuple, right: tuple) -> bool:
-    """Whether two slopes as `_slope` gives them are equal."""
-    return left[0] * right[1] == right[0] * left[1]
+def _slope(x0: int, v0: int, x1: int, v1: int, xd: int, vd: int) -> tuple:
+    """The slope between two finite breakpoints of a function on its scales
+    xd and vd, as an unreduced integer pair (numerator, denominator) whose
+    denominator is positive exactly when x0 < x1."""
+    return (v1 - v0) * xd, vd * (x1 - x0)
 
 
-def _canonical(xs: tuple, vals: tuple) -> tuple:
+def _canonical(xs: list, vals: list) -> tuple:
     """The canonical breakpoints and values of the finite function through
-    the exact points (xs[i], vals[i]), from `_slope`'s integer pairs alone:
-    DomainError unless xs strictly increase, and every breakpoint on the
-    line through its neighbours dropped."""
+    the points (xs[i], vals[i]), each list on one scale: DomainError unless
+    xs strictly increase, and every breakpoint on the line through its
+    neighbours dropped."""
     out_x, out_v, last = [xs[0]], [vals[0]], None
     for x, v in zip(xs[1:], vals[1:]):
-        s = _slope(out_x[-1], out_v[-1], x, v)
-        if s[1] <= 0:
+        dx, dv = x - out_x[-1], v - out_v[-1]
+        if dx <= 0:
             raise DomainError("breakpoints must be strictly increasing")
-        if last is not None and _straight(last, s):
+        if last is not None and last[0] * dx == dv * last[1]:
             out_x[-1], out_v[-1] = x, v
         else:
             out_x.append(x)
             out_v.append(v)
-            last = s
-    return tuple(out_x), tuple(out_v)
+            last = (dv, dx)
+    return out_x, out_v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CostFunction:
     """Continuous piecewise-affine function on a closed rational interval [lo, hi].
 
-    ``xs`` are the breakpoints (strictly increasing, first is lo, last is
-    hi) and ``vals`` the exact values there; each piece is the line through
-    its two breakpoints.  A function is finite everywhere or one
-    infinity everywhere: the paper's values are continuous on each region,
-    and a region's value is infinite throughout or nowhere.
-
-    Instances are canonical, which makes equality structural: no breakpoint
-    lies on the line through its neighbours, and an infinite function has
-    no inner breakpoint.  The constructor checks its arguments and drops
-    such breakpoints; the functions the package makes are canonical as made.
+    Breakpoint i is xn[i]/xd, strictly increasing from lo to hi, and its
+    value vn[i]/vd; each piece is the line through its two breakpoints,
+    and each denominator the least positive one.  A function is finite
+    everywhere or one infinity everywhere, an infinite one holding its
+    float sentinel at each breakpoint over vd = 1.  Instances are
+    canonical, so equality is structural: no breakpoint lies on the line
+    through its neighbours, and an infinite function has no inner one.
+    The constructor checks exact rationals xs and vals; the package builds
+    on integers (`_make`).  `xs`, `vals`, `lo` and `hi` are Fraction views.
     """
 
-    xs: tuple
-    vals: tuple
+    xn: tuple
+    xd: int
+    vn: tuple
+    vd: int
 
-    def __post_init__(self):
-        xs = tuple(as_fraction(x) for x in self.xs)
-        if not xs:
-            raise DomainError("a cost function needs at least one breakpoint")
-        if len(self.vals) != len(xs):
-            raise DomainError("one value per breakpoint required")
-        floats = [_infinity(v) for v in self.vals if isinstance(v, float)]
-        if not floats:
-            self._store(*_canonical(xs, tuple(as_fraction(v) for v in self.vals)))
-            return
-        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-            raise DomainError("breakpoints must be strictly increasing")
-        if len(floats) != len(xs) or len(set(floats)) != 1:
+    def __init__(self, xs, vals):
+        if not xs or len(vals) != len(xs):
+            raise DomainError("a cost function needs one value per breakpoint, and a breakpoint")
+        xn, xd = _common_scale(xs)
+        floats = [_infinity(v) for v in vals if isinstance(v, float)]
+        if floats and (len(floats) != len(xs) or len(set(floats)) != 1):
             raise DomainError("a cost function is finite everywhere or one infinity everywhere")
-        xs = xs[:1] + xs[1:][-1:]
-        self._store(xs, (floats[0],) * len(xs))
+        # read on the identity line, an infinite function keeps only its ends
+        vn, vd = (xn, 1) if floats else _common_scale(vals)
+        xn, vn = _canonical(xn, vn)
+        self._store(xn, xd, floats[: len(xn)] or vn, vd)
 
-    def _store(self, xs: tuple, vals: tuple) -> None:
-        """Keeps checked, canonical parts; every build ends here."""
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "vals", vals)
+    def _store(self, xn, xd: int, vn, vd: int) -> None:
+        """Keeps canonical parts on their least scales, one gcd per axis;
+        every build ends here."""
+        k = math.gcd(xd, *xn)
+        if k != 1:
+            xn, xd = [x // k for x in xn], xd // k
+        k = 1 if isinstance(vn[0], float) else math.gcd(vd, *vn)
+        if k != 1:
+            vn, vd = [v // k for v in vn], vd // k
+        f = self.__dict__
+        f["xn"], f["xd"], f["vn"], f["vd"] = tuple(xn), xd, tuple(vn), vd
 
     @classmethod
-    def _trusted(cls, xs: tuple, vals: tuple) -> "CostFunction":
-        """A function from parts known to be valid and canonical: exact,
-        with strictly increasing breakpoints and no breakpoint on the line
-        through its neighbours."""
+    def _make(cls, xn, xd: int, vn, vd: int) -> "CostFunction":
+        """A function from canonical parts on any positive scales: strictly
+        increasing breakpoints, none on the line through its neighbours,
+        and an infinity at every breakpoint, over vd = 1, or at none."""
         f = object.__new__(cls)
-        f._store(xs, vals)
+        f._store(xn, xd, vn, vd)
         return f
 
-    @property
-    def lo(self) -> Fraction:
-        return self.xs[0]
+    xs = property(lambda f: tuple([Fraction(x, f.xd) for x in f.xn]))
+    vals = property(lambda f: f.vn if isinstance(f.vn[0], float) else tuple([Fraction(v, f.vd) for v in f.vn]))
+    lo = property(lambda f: Fraction(f.xn[0], f.xd))
+    hi = property(lambda f: Fraction(f.xn[-1], f.xd))
+    is_point = property(lambda f: len(f.xn) == 1)
 
-    @property
-    def hi(self) -> Fraction:
-        return self.xs[-1]
-
-    @property
-    def is_point(self) -> bool:
-        return len(self.xs) == 1
+    def at(self, p: int, q: int):
+        """The value at p/q, q > 0, as a pair (numerator, positive
+        denominator), or the infinity; DomainError outside [lo, hi]."""
+        xn, vn = self.xn, self.vn
+        a = p * self.xd  # p/q on the scale xd*q
+        i = bisect_left(xn, -(-a // q))
+        if i == len(xn) or i == 0 and xn[0] * q != a:
+            raise DomainError(f"{format_ratio(p, q)} outside domain [{self.lo}, {self.hi}]")
+        if isinstance(vn[i], float) or xn[i] * q == a:
+            return vn[i] if isinstance(vn[i], float) else (vn[i], self.vd)
+        x0, x1 = xn[i - 1] * q, xn[i] * q
+        return vn[i - 1] * (x1 - x0) + (vn[i] - vn[i - 1]) * (a - x0), self.vd * (x1 - x0)
 
     @staticmethod
     def from_affine(lo, hi, line: Affine) -> "CostFunction":
         """The line on [lo, hi]."""
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        if lo > hi:
-            raise DomainError("breakpoints must be strictly increasing")
-        if lo == hi:
-            return CostFunction._trusted((lo,), (line(lo),))
-        return CostFunction._trusted((lo, hi), (line(lo), line(hi)))
+        xn, xd = _span(lo, hi)
+        s, c = line.slope, line.intercept
+        sn, sd, cn, cd = s.numerator, s.denominator, c.numerator, c.denominator
+        return CostFunction._make(xn, xd, [sn * cd * x + cn * sd * xd for x in xn], sd * cd * xd)
 
     @staticmethod
     def constant(lo, hi, v: Value) -> "CostFunction":
         """v on [lo, hi]; a float v must be an infinity sentinel."""
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        v = _infinity(v) if isinstance(v, float) else as_fraction(v)
-        if lo > hi:
-            raise DomainError("breakpoints must be strictly increasing")
-        if lo == hi:
-            return CostFunction._trusted((lo,), (v,))
-        return CostFunction._trusted((lo, hi), (v, v))
+        xn, xd = _span(lo, hi)
+        n, d = (_infinity(v), 1) if isinstance(v, float) else (_rational(v).numerator, v.denominator)
+        return CostFunction._make(xn, xd, [n] * len(xn), d)
 
     @staticmethod
     def point(x, v: Value) -> "CostFunction":
         """v at x alone; a float v must be an infinity sentinel."""
-        v = _infinity(v) if isinstance(v, float) else as_fraction(v)
-        return CostFunction._trusted((as_fraction(x),), (v,))
+        return CostFunction.constant(x, x, v)
+
+
+def _span(lo, hi) -> tuple:
+    """(breakpoints, scale) of [lo, hi]: its two ends, or one if lo == hi."""
+    xn, xd = _common_scale([lo, hi])
+    if xn[0] > xn[1]:
+        raise DomainError("breakpoints must be strictly increasing")
+    return xn[:1] if xn[0] == xn[1] else xn, xd
+
+
+def _same(left, right) -> bool:
+    """Whether left ends at the value right starts with, each a function
+    or a bare infinity; an infinity times a positive scale stays itself."""
+    if isinstance(left, float) or isinstance(right, float):
+        return left == right
+    return left.vn[-1] * right.vd == right.vn[0] * left.vd
 
 
 def evaluate(f: CostFunction, nu) -> Value:
     """Exact value of f at nu: its recorded value at a breakpoint or where
     f is infinite, else read off the two breakpoints of nu's piece."""
     nu = as_fraction(nu)
-    if nu < f.lo or nu > f.hi:
-        raise DomainError(f"{nu} outside domain [{f.lo}, {f.hi}]")
-    i = bisect_left(f.xs, nu)
-    if f.xs[i] == nu or isinstance(f.vals[i], float):
-        return f.vals[i]
-    x0, x1, v0, v1 = f.xs[i - 1], f.xs[i], f.vals[i - 1], f.vals[i]
-    return v0 + (v1 - v0) * (nu - x0) / (x1 - x0)
+    v = f.at(nu.numerator, nu.denominator)
+    return v if isinstance(v, float) else Fraction(*v)
 
 
 def concat(*parts: CostFunction) -> CostFunction:
     """Glue cost functions left to right; each starts where the one before ends.
 
     Every seam must carry the same value on both sides.  Point parts add
-    nothing beyond their seam, and a single part comes back unchanged.  The
-    parts are valid and canonical already, so only the seams are checked,
-    and a seam stays a breakpoint unless the pieces on its two sides lie on
-    one line (or both are infinite).
-    """
+    nothing, and a single part comes back unchanged.  The parts meet on
+    the least common multiples of their scales, where a seam stays a
+    breakpoint unless the pieces on its sides lie on one line."""
     for left, right in zip(parts, parts[1:]):
-        if right.lo != left.hi:
+        if right.xn[0] * left.xd != left.xn[-1] * right.xd:
             raise DomainError(
                 f"domains must overlap in exactly one point, got [{left.lo},{left.hi}] then [{right.lo},{right.hi}]"
             )
-        if right.vals[0] != left.vals[-1]:
-            raise SeamMismatch(
-                f"seam at {right.lo}: {format_value(left.vals[-1])} vs {format_value(right.vals[0])}"
-            )
-    spans = [p for p in parts if not p.is_point] or parts[:1]
+        if not _same(left, right):
+            raise SeamMismatch(f"seam at {right.lo}: {format_value(left.vals[-1])} vs {format_value(right.vals[0])}")
+    spans = [p for p in parts if len(p.xn) > 1] or parts[:1]
     if len(spans) == 1:
         return spans[0]
-    xs, vals = list(spans[0].xs), list(spans[0].vals)
-    for p in spans[1:]:
-        # the seam value is shared, so both sides are finite or one infinity
-        if isinstance(vals[-1], float) or _straight(
-            _slope(xs[-2], vals[-2], xs[-1], vals[-1]), _slope(p.xs[0], p.vals[0], p.xs[1], p.vals[1])
-        ):
-            del xs[-1], vals[-1]
-        xs += p.xs[1:]
-        vals += p.vals[1:]
-    return CostFunction._trusted(tuple(xs), tuple(vals))
+    xd, vd = math.lcm(*[p.xd for p in spans]), math.lcm(*[p.vd for p in spans])
+    xs, vals = [], []
+    for p in spans:
+        xs += [x * (xd // p.xd) for x in p.xn[bool(xs) :]]
+        vals += [v * (vd // p.vd) for v in p.vn[bool(vals) :]]
+    # the seam values are shared, so the parts are all finite or one infinity
+    if isinstance(vals[0], float):
+        return CostFunction._make(xs[:1] + xs[-1:], xd, vals[:2], 1)
+    xs, vals = _canonical(xs, vals)
+    return CostFunction._make(xs, xd, vals, vd)

@@ -51,7 +51,6 @@ from .exactmath import (
     CostFunction,
     DomainError,
     Value,
-    _canonical,
     _scaled,
     as_fraction,
     format_value,
@@ -126,9 +125,8 @@ class Guard:
     def is_empty(self) -> bool:
         if isinstance(self.hi, float):
             return False
-        if self.lo < self.hi:
-            return False
-        return not (self.lo == self.hi and self.lo_closed and self.hi_closed)
+        lo, hi = self.lo.numerator * self.hi.denominator, self.hi.numerator * self.lo.denominator
+        return lo > hi or lo == hi and not (self.lo_closed and self.hi_closed)
 
     def describe(self) -> str:
         left = "[" if self.lo_closed else "("
@@ -329,7 +327,8 @@ def _check_deadlock_free(g: Game) -> None:
 
 def validate_game(g: Game) -> Game:
     """Check model invariants beyond the structural ones; returns g."""
-    if g.clock_bound < 0 or g.clock_bound.denominator != 1:
+    # past each denominator-1 check, numerators compare as the values do
+    if g.clock_bound.denominator != 1 or g.clock_bound.numerator < 0:
         raise ValidationError("clock bound", f"must be a natural, got {format_value(g.clock_bound)}")
     for loc in g.locations:
         if loc.owner not in (MIN, MAX, FINAL):
@@ -350,7 +349,7 @@ def validate_game(g: Game) -> Game:
         if g.location(t.source).is_final:
             raise ValidationError("final with outgoing edge", t.source)
         gd = t.guard
-        if gd.lo.denominator != 1 or gd.lo < 0:
+        if gd.lo.denominator != 1 or gd.lo.numerator < 0:
             raise ValidationError("guard out of bounds", f"{t.source}->{t.target}: lo {format_value(gd.lo)}")
         if isinstance(gd.hi, float):
             raise ValidationError(
@@ -359,7 +358,7 @@ def validate_game(g: Game) -> Game:
             )
         if gd.hi.denominator != 1:
             raise ValidationError("guard out of bounds", f"{t.source}->{t.target}: hi {format_value(gd.hi)}")
-        if gd.hi > g.clock_bound:
+        if gd.hi.numerator > g.clock_bound.numerator:
             raise ValidationError(
                 "guard out of bounds",
                 f"{t.source}->{t.target}: {gd.describe()} exceeds clock bound {format_value(g.clock_bound)}",
@@ -481,7 +480,7 @@ def segment(**seg) -> CostFunction:
             return CostFunction.constant(lo, hi, INF if marker == "inf" else NEG_INF)
         if not points or (points[0]["x"], points[-1]["x"]) != (lo, hi):
             raise _Refusal(f"points do not span [{format_value(lo)}, {format_value(hi)}]")
-        return CostFunction._trusted(*_canonical(*zip(*((p["x"], p["v"]) for p in points))))
+        return CostFunction(*zip(*((p["x"], p["v"]) for p in points)))
     except DomainError as exc:
         raise _Refusal(str(exc)) from None
 
@@ -507,7 +506,7 @@ def _finite_tables(doc: dict, key, g) -> None:
     s = doc["strategies"]
     if g is None or s is None:
         return
-    infinite = {n for n, segs in doc["values"].items() if any(type(seg.vals[0]) is float for seg in segs)}
+    infinite = {n for n, segs in doc["values"].items() if any(type(seg.vn[0]) is float for seg in segs)}
     for owner, keys, tables in ((MAX, ("max",), s["max"]), (MIN, ("min", "sigma1"), s["min"]["sigma1"])):
         want = {l.name for l in g.locations if l.owner == owner and l.name not in infinite}
         n = min(want ^ set(tables), default=None)

@@ -25,20 +25,23 @@ others are compiled by one function, `_compile`, straight from the region
 graph into value-iteration rows (`urgent.Rows`), with one stub rule; no
 `Game` is built.  A point component is one `InstantEvaluator` run of its
 rows.  Each window of an interval runs `solver.sweep` on its rows, for its
-values only, and leaves the infinities to the sweep's pruning: an
-infinite stub is a row the pruning drops.  The result is a
-`solver.Solution` of stitched segments, as the solution document holds.
+values only, and leaves the infinities to the sweep's pruning.  Clock
+points and values pass between components as integer pairs (numerator,
+denominator), every value is a `CostFunction` on its own integer scales,
+and only the rows of a component with a cycle are built on Fractions.
+The result is a `solver.Solution` of stitched segments.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import NamedTuple, Optional
 
-from .exactmath import INF, Affine, CostFunction, _canonical, concat, evaluate
+from .exactmath import INF, Affine, CostFunction, _canonical, _same, concat
 from .model import MAX, Game, InternalError, region_table
 from .solver import Solution, sweep
-from .urgent import InstantEvaluator, Rows
+from .urgent import InstantEvaluator, Rows, _integer_lines
 
 
 class ResetCycle(Exception):
@@ -132,53 +135,41 @@ class ResetDAG:
     components: tuple
 
 
-def _tarjan(adj: dict) -> list:
-    """The strongly connected components of adj, each after those it has
-    an edge into."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = 0
+def _tarjan(adj: dict) -> tuple:
+    """(comps, comp_of): the strongly connected components of adj, each
+    after those it has an edge into, and comp_of[node] = len(adj) + the
+    index of its component.  While a node is on the stack, its low link is
+    the least stack position it reaches, its own if it is a component's
+    first node; a closed component's nodes get numbers past every stack
+    position, so they lower no other node's."""
+    low, stack, comps, done = {}, [], [], len(adj)
     for root in adj:
-        if root in index:
+        if root in low:
             continue
-        index[root] = low[root] = counter
-        counter += 1
+        low[root] = 0
         stack.append(root)
-        on_stack.add(root)
         work = [(root, iter(adj[root]))]
         while work:
             node, it = work[-1]
-            pushed = False
             for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter
-                    counter += 1
+                if succ not in low:
+                    low[succ] = len(stack)
                     stack.append(succ)
-                    on_stack.add(succ)
                     work.append((succ, iter(adj[succ])))
-                    pushed = True
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    m = stack.pop()
-                    on_stack.discard(m)
-                    comp.append(m)
-                    if m == node:
-                        break
-                comps.append(tuple(comp))
-    return comps
+                if low[succ] < low[node]:
+                    low[node] = low[succ]
+            else:
+                work.pop()
+                at = low[node]
+                if stack[at] == node:
+                    comps.append(tuple(reversed(stack[at:])))
+                    del stack[at:]
+                    for m in comps[-1]:
+                        low[m] = done + len(comps) - 1
+                elif at < low[work[-1][0]]:
+                    low[work[-1][0]] = at
+    return comps, low
 
 
 def _witness(rg: RegionGame, comp, bad: RegionTransition) -> list:
@@ -233,11 +224,10 @@ def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
             raise InternalError("condensation", "a final location has moves", _node(rg, t.source))
         if t.target[0] not in final:
             adj[t.source].append(t.target)
-    comps = _tarjan(adj)
-    comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
+    comps, comp_of = _tarjan(adj)
     for t in rg.transitions:
         if t.reset and comp_of[t.source] == comp_of.get(t.target):
-            raise ResetCycle(_witness(rg, comps[comp_of[t.source]], t))
+            raise ResetCycle(_witness(rg, comps[comp_of[t.source] - len(adj)], t))
         if comp_of.get(t.target, -1) > comp_of[t.source]:
             where = f"{_node(rg, t.source)} -> {_node(rg, t.target)}"
             raise InternalError("condensation", "components out of dependency order", where)
@@ -245,20 +235,21 @@ def check_reset_acyclic(rg: RegionGame) -> ResetDAG:
 
 
 def _entry_value(nodeval: dict, rt: RegionTransition, x):
-    """Value collected on entering rt's target at firing valuation x.
+    """Value collected on entering rt's target at firing valuation x, as a
+    pair (numerator, positive denominator) like x itself, or an infinity.
 
-    A final copy's entry is its cost line, read at x, or at 0 after a
-    reset.  Any other edge but one inside an open region enters a point
-    copy, or hops into the open region above at its lower end: it
-    collects the target's first value.
-    """
+    A final copy's entry is its cost line (S, C, L), worth (S*x + C)/L, at
+    x, or at 0 after a reset.  Any other edge but one inside an open region
+    enters a point copy, or hops into the open region above at its lower
+    end: it collects the target's first value."""
     tv = nodeval[rt.target]
     if isinstance(tv, float):
         return tv
-    if isinstance(tv, Affine):
-        return tv(0 if rt.reset else x)
+    if isinstance(tv, tuple):
+        s, c, scale = tv
+        return (c, scale) if rt.reset else (s * x[0] + c * x[1], scale * x[1])
     i = rt.target[1]
-    return evaluate(tv, x) if i % 2 and i == rt.source[1] else tv.vals[0]
+    return tv.at(*x) if i % 2 and i == rt.source[1] else (tv.vn[0], tv.vd)
 
 
 def _compile(rg, comp, edges, nodeval, c, d=None, anchor=None) -> Rows:
@@ -273,16 +264,16 @@ def _compile(rg, comp, edges, nodeval, c, d=None, anchor=None) -> Rows:
     (t = 1).  Where anchor is given, a member that may wait also moves at
     weight 0 into a stub worth anchor[node] at d, plus its rate for each
     unit of time before: waiting until d.  A member without moves is
-    stuck, worth +inf.
+    stuck, worth +inf.  The window ends and values come as pairs.
 
     One stub rule: a finite stub is the final line between its two values,
     one per key; +inf is a row without moves, which never reaches a
     final, and -inf a free loop of weight -1 next to an exit worth 0, one
-    of each at most.  Stub names start with "@", which game files may not
-    use.
+    of each at most.  Stub names start with "@", which no game file uses.
     """
     base = rg.base
-    length = 0 if d is None else d - c
+    fraction = lambda v: v if isinstance(v, float) else Fraction(*v)
+    length = 0 if d is None else fraction(d) - fraction(c)
     names = [node[0] for node in comp]
     index = {node: i for i, node in enumerate(comp)}
     stubs, stub_rows, finals = {}, [], []
@@ -313,13 +304,14 @@ def _compile(rg, comp, edges, nodeval, c, d=None, anchor=None) -> Rows:
             rt = rg.transitions[j]
             t = index.get(rt.target)
             if t is None:
-                vc = _entry_value(nodeval, rt, c)
-                vd = _entry_value(nodeval, rt, d) if length else vc
+                vc = fraction(_entry_value(nodeval, rt, c))
+                vd = fraction(_entry_value(nodeval, rt, d)) if length else vc
                 t = stub((rt.target, rt.reset), vc, vd)
             moves.append((rt.weight, t))
         rate = loc.rate * length if length else 0
         if anchor is not None and not loc.urgent:
-            moves.append((0, stub((node, "wait"), rate + anchor[node], anchor[node])))
+            a = fraction(anchor[node])
+            moves.append((0, stub((node, "wait"), rate + a, a)))
         rows.append((index[node], loc.owner == MAX, moves))
         timing.append((rate, loc.urgent))
     timing += [(0, True)] * len(stub_rows)
@@ -335,64 +327,87 @@ def _acyclic(rg, comp, edges, nodeval, c, d=None, anchor=None) -> dict:
     firing it or taking anchor[node] (firing after a wait to y costs an
     amount affine in y, so y = x or y = d is optimal).  Min takes -inf and
     Max +inf from any option; the other infinity drops out unless it is
-    all there is, and a copy with no option is stuck at +inf.  The owner's
-    envelope of the finite lines bends only where two cross, so it is read
-    at c, d and each crossing between, canonically: as `sweep` builds it.
+    all there is, and a copy with no option is stuck at +inf.  The ends
+    go on one scale L, every option's values, pairs, on one scale V.
     """
     (node,) = comp
     loc = rg.base.location(node[0])
     waits = d is not None and not loc.urgent
-    wait = loc.rate * (d - c) if waits else 0
-    lines = [(wait + anchor[node], anchor[node])] if waits else []
+    e = c if d is None else d
+    L = math.lcm(c[1], e[1])
+    cn, dn = c[0] * (L // c[1]), e[0] * (L // e[1])
+    opts, dens = [], []  # (weight, entry at c, entry at d) per edge; the scales of the values
     for j in edges[node]:
         rt = rg.transitions[j]
-        vc = rt.weight + _entry_value(nodeval, rt, c)
-        vd = vc if d is None else rt.weight + _entry_value(nodeval, rt, d)
+        ec = _entry_value(nodeval, rt, c)
+        ed = ec if d is None else _entry_value(nodeval, rt, d)
+        opts.append((rt.weight, ec, ed))
+        if not isinstance(ec, float):
+            dens += ec[1], ed[1]
+    if waits:
+        # waiting through the window costs rate*(dn - cn)/L, a value on RL
+        a, rate = anchor[node], loc.rate
+        RL = rate.denominator * L
+        dens += [RL] if isinstance(a, float) else [RL, a[1]]
+    V = math.lcm(*dens)
+    lines = []
+    if waits:
+        wait = rate.numerator * (dn - cn) * (V // RL)
+        a = a if isinstance(a, float) else a[0] * (V // a[1])
+        lines.append((wait + a, a))
+    for w, ec, ed in opts:
+        if isinstance(ec, float):
+            lines.append((ec, ec))
+            continue
+        vc, vd = (w * ec[1] + ec[0]) * (V // ec[1]), (w * ed[1] + ed[0]) * (V // ed[1])
         lines += [(vc, vd), (wait + vd, vd)] if waits else [(vc, vd)]
     pick = max if loc.owner == MAX else min
     # an infinity wins at c exactly when it wins everywhere
     v = pick([vc for vc, _ in lines], default=INF)
-    if d is None or isinstance(v, float):
-        return {node: v}
-    finite = [line for line in lines if not isinstance(line[0], float)]
-    ts = set()
-    for i, (pc, pd) in enumerate(finite):
-        for qc, qd in finite[i + 1 :]:
-            if (pc - qc) * (pd - qd) < 0:
-                ts.add((pc - qc) / (pc - qc - pd + qd))
-    ts = sorted(ts)
-    xs = (c, *[c + t * (d - c) for t in ts], d)
-    inner = [pick(vc + t * (vd - vc) for vc, vd in finite) for t in ts]
-    return {node: CostFunction._trusted(*_canonical(xs, (v, *inner, pick(vd for _, vd in finite))))}
+    if isinstance(v, float) or d is None:
+        return {node: v if isinstance(v, float) else CostFunction._make((c[0],), c[1], (v,), V)}
+    return {node: _envelope([line for line in lines if not isinstance(line[0], float)], pick, cn, dn, L, V)}
+
+
+def _envelope(lines: list, pick, c: int, d: int, L: int, V: int) -> CostFunction:
+    """The owner's envelope (pick) over [c/L, d/L] of finite lines, each
+    its values at c and d on the scale V.  It bends only where two lines
+    cross, t = a/b of the way, so it is read at c, d and each crossing, all
+    on the scale T of every b, canonically: as `sweep` builds it."""
+    cuts = set()
+    for i, (pc, pd) in enumerate(lines):
+        for qc, qd in lines[i + 1 :]:
+            a, e = pc - qc, pd - qd
+            if a * e < 0:
+                cuts.add((a, a - e) if a > 0 else (-a, e - a))
+    T = math.lcm(*[b for _, b in cuts])
+    ts = sorted({a * (T // b) for a, b in cuts})
+    xs = [c * T, *[c * T + t * (d - c) for t in ts], d * T]
+    inner = [pick([vc * T + t * (vd - vc) for vc, vd in lines]) for t in ts]
+    xs, vals = _canonical(xs, [pick([vc for vc, _ in lines]) * T, *inner, pick([vd for _, vd in lines]) * T])
+    return CostFunction._make(xs, L * T, vals, V * T)
 
 
 def _instant(rg, comp, out_edges, nodeval, x) -> dict:
-    """Values of a point component with a cycle at its valuation x.
+    """Values of a point component with a cycle at its valuation x, a pair.
 
-    No time passes at a point, so every member plays urgently, on the
-    point window x: every edge of a point copy holds at x, and where the
-    member may wait, its edges include the hop into the region above.
-    Every stub is constant there, so one `InstantEvaluator` run of the
-    component's rows at x itself gives the values.
-    """
+    No time passes at a point, so every member plays urgently: every edge
+    of a point copy holds at x, the hop into the region above included,
+    and every stub is constant, so one `InstantEvaluator` run of the
+    component's rows at x gives the values."""
     ev = InstantEvaluator(_compile(rg, comp, out_edges, nodeval, x))
-    vals, _, _, denom = ev.run(x)
-    return {node: v if isinstance(v, float) else Fraction(v, denom) for node, v in zip(comp, vals)}
+    vals, _, _, denom = ev.run(Fraction(*x))
+    return {
+        node: v if isinstance(v, float) else CostFunction._make((x[0],), x[1], (v,), denom)
+        for node, v in zip(comp, vals)
+    }
 
 
 def _solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
-    """A seam-free window [c, d] of an open component with a cycle, as a game.
-
-    Its rows are `_compile`'s: waiting past d is priced by a per-member
-    stub whose cost line starts at the member's already-known value at d
-    and grows leftwards at the member's own rate, exactly what waiting
-    would cost.  At the region's upper border that known value is the one
-    its hop enters; `sweep` then settles the members' moves at d among
-    themselves.  Every member enters the rows, and infinities are left to
-    `sweep`'s pruning: an infinite anchor or target becomes a stub of its
-    sign, and a member with no move is stuck, worth +inf.
-    """
-    sw = sweep(_compile(rg, comp, interior, nodeval, c, d, anchor), max_steps, onto=(c, d))
+    """A seam-free window [c, d] of an open component with a cycle: `sweep`
+    on `_compile`'s rows, whose wait stubs price waiting past d, with the
+    infinities left to its pruning."""
+    sw = sweep(_compile(rg, comp, interior, nodeval, c, d, anchor), max_steps, onto=(Fraction(*c), Fraction(*d)))
     vals = {**sw.finite, **sw.infinite}
     return {node: vals[node[0]] for node in comp}
 
@@ -401,30 +416,32 @@ def _combine(parts, rg: RegionGame, node):
     """Join the right-to-left window results of node, a copy in an open
     region, into one value spanning the region's closure: a copy entered
     at its region's lower end collects the value's first point."""
-    if all(isinstance(p, float) for p in parts):
-        if len(set(parts)) == 1:
-            return parts[0]
-        reason = "infinite value must cover its whole region"
-    elif any(isinstance(p, float) for p in parts):
-        reason = "value switches between finite and infinite inside one region"
-    else:
+    infinite = [p for p in parts if isinstance(p, float)]
+    if not infinite:
         f = concat(*reversed(parts))
-        reg = rg.regions[node[1]]
-        if f.xs[0] == reg.lo and f.xs[-1] == reg.hi:
+        lo, hi = rg.regions[node[1]].lo, rg.regions[node[1]].hi
+        if f.xn[0] * lo.denominator == lo.numerator * f.xd and f.xn[-1] * hi.denominator == hi.numerator * f.xd:
             return f
         reason = "value does not span its region's closure"
+    elif len(infinite) < len(parts):
+        reason = "value switches between finite and infinite inside one region"
+    elif len(set(infinite)) == 1:
+        return parts[0]
+    else:
+        reason = "infinite value must cover its whole region"
     raise InternalError("region solve", reason, _node(rg, node))
 
 
-def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps, acyclic):
-    a, b = reg.lo, reg.hi
+def _solve_open_component(rg, comp, out_edges, nodeval, a, b, max_steps, acyclic):
+    """Solve the component comp of an open region (a, b), its ends pairs,
+    window by window from the right."""
     members = set(comp)
     interior = {}
     # the first window's wait stubs bank what the hop enters at b: each
     # waiting member's own point copy there
     anchor = {}
     # a finite target in the region spans [a, b]; its inner breakpoints are seams
-    inner = set()
+    inner = []
     for node in comp:
         full = []
         for j in out_edges[node]:
@@ -434,18 +451,21 @@ def _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps, acyclic)
                 continue
             full.append(j)
             tv = None if rt.target in members or rt.reset else nodeval[rt.target]
-            if isinstance(tv, CostFunction):
-                inner.update(tv.xs[1:-1])
+            if isinstance(tv, CostFunction) and len(tv.xn) > 2:
+                inner.append(tv)
         interior[node] = full
-    seams = [a, *sorted(inner), b]
+    L = math.lcm(a[1], b[1], *[f.xd for f in inner])
+    seams = sorted({a[0] * (L // a[1]), b[0] * (L // b[1]), *[x * (L // f.xd) for f in inner for x in f.xn[1:-1]]})
     windows = []
-    for c, d in reversed(list(zip(seams, seams[1:]))):
+    for cn, dn in reversed(list(zip(seams, seams[1:]))):
+        c, d = (cn, L), (dn, L)
+        if windows:
+            # each member's value on the window to the right anchors this one at d
+            anchor = {n: v if isinstance(v, float) else (v.vn[0], v.vd) for n, v in windows[-1].items()}
         if acyclic:
             windows.append(_acyclic(rg, comp, interior, nodeval, c, d, anchor))
         else:
             windows.append(_solve_window(rg, comp, interior, nodeval, anchor, c, d, max_steps))
-        # each member's value on [c, d] anchors the window on its left at c
-        anchor = {n: v if isinstance(v, float) else v.vals[0] for n, v in windows[-1].items()}
     for n in comp:
         nodeval[n] = _combine([w[n] for w in windows], rg, n)
 
@@ -456,20 +476,22 @@ def _stitch(regs, per) -> tuple:
     A reader takes a point segment first at a shared endpoint and the later
     segment otherwise, so a point whose value differs from where the next
     region starts is kept as a point segment of its own.  Regions are
-    grouped into runs that agree at their seams; each run is one `concat`.
+    grouped into runs that agree at their seams; each run is one `concat`,
+    or one constant where it is infinite.
     """
-    pcfs = [
-        CostFunction.constant(reg.lo, reg.hi, piece) if isinstance(piece, float) else piece
-        for reg, piece in zip(regs, per)
-    ]
-    runs = []
-    for pcf, nxt in zip(pcfs, pcfs[1:] + [None]):
-        alone = pcf.is_point and nxt is not None and nxt.vals[0] != pcf.vals[0]
-        if runs and runs[-1][-1].vals[-1] == pcf.vals[0] and not alone:
-            runs[-1].append(pcf)
+    starts, runs = [], []
+    for i, piece in enumerate(per):
+        # point regions are the even ones
+        alone = i % 2 == 0 and i + 1 < len(per) and not _same(piece, per[i + 1])
+        if runs and _same(runs[-1][-1], piece) and not alone:
+            runs[-1].append(piece)
         else:
-            runs.append([pcf])
-    return tuple([concat(*run) for run in runs])
+            starts.append(i)
+            runs.append([piece])
+    return tuple([
+        CostFunction.constant(regs[i].lo, regs[i + len(run) - 1].hi, run[0]) if isinstance(run[0], float) else concat(*run)
+        for i, run in zip(starts, runs)
+    ])
 
 
 def solve_reset_acyclic(g: Game, max_steps=None) -> Solution:
@@ -480,11 +502,8 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> Solution:
     final copy is in none, and enters as its cost line wherever it is
     entered; one copy with no edge into itself takes one step (`_acyclic`)
     and no value-iteration run, so `max_steps` charges it nothing.  With a
-    cycle, point copies are single-valuation games (`_instant`), interval
-    copies rescaled unit-interval games whose outside references enter as
-    terminal stubs, both compiled from the region graph (`_compile`), with
-    no game built.  Each of their windows runs `sweep`, which builds no
-    strategies; `max_steps` caps each one separately.
+    cycle, point copies run `_instant` and each window of an interval copy
+    `sweep`, which builds no strategies; `max_steps` caps each sweep.
 
     The `Solution` holds values only: per location its maximal continuous
     segments (`_stitch`), a final location's one segment its cost line.
@@ -496,22 +515,31 @@ def solve_reset_acyclic(g: Game, max_steps=None) -> Solution:
     regs = rg.regions
     dag = check_reset_acyclic(rg)
     out_edges = rg.outgoing_map()
-    nodeval = {(l.name, i): l.final_cost for l in g.final_locations for i in range(len(regs))}
+    borders = [(r.lo.numerator, r.lo.denominator) for r in regs[::2]]
+    # the copies with an edge into themselves; one copy without such an
+    # edge is a component with no cycle, with no fixpoint to find
+    loops = {t.source for t in rg.transitions if t.source == t.target}
+    # the finals' cost lines (S, C, L), worth (S*x + C)/L: on integers once per solve
+    scale, lines = _integer_lines([l.final_cost for l in g.final_locations])
+    nodeval = {(l.name, i): (*line, scale) for l, line in zip(g.final_locations, lines) for i in range(len(regs))}
     for comp in dag.components:
-        i = comp[0][1]
-        if any(n[1] != i for n in comp):
+        node = comp[0]
+        i = node[1]
+        if len(comp) > 1 and any(n[1] != i for n in comp):
             raise InternalError("region solve", "a reset-free component spans regions", _nodes(rg, comp))
-        reg = regs[i]
-        # one copy with no edge into itself: no cycle, no fixpoint to find
-        acyclic = len(comp) == 1 and all(rg.transitions[j].target != comp[0] for j in out_edges[comp[0]])
+        acyclic = len(comp) == 1 and node not in loops
         if i % 2:
-            _solve_open_component(rg, comp, out_edges, nodeval, reg, max_steps, acyclic)
-            continue
-        for node, v in (_acyclic if acyclic else _instant)(rg, comp, out_edges, nodeval, reg.lo).items():
-            nodeval[node] = v if isinstance(v, float) else CostFunction.point(reg.lo, v)
-    values = {
-        l.name: (CostFunction.from_affine(0, g.clock_bound, l.final_cost),) if l.is_final
-        else _stitch(regs, [nodeval[(l.name, i)] for i in range(len(regs))])
-        for l in g.locations
-    }
+            _solve_open_component(rg, comp, out_edges, nodeval, *borders[i // 2 : i // 2 + 2], max_steps, acyclic)
+        else:
+            nodeval.update((_acyclic if acyclic else _instant)(rg, comp, out_edges, nodeval, borders[i // 2]))
+    # a final location's one segment is its cost line on [0, bound]
+    bn, bd = g.clock_bound.numerator, g.clock_bound.denominator
+    ends = (0, bn) if bn else (0,)
+    values = {}
+    for l in g.locations:
+        if l.is_final:
+            s, c, scale = nodeval[(l.name, 0)]
+            values[l.name] = (CostFunction._make(ends, bd, [s * x + c * bd for x in ends], scale * bd),)
+        else:
+            values[l.name] = _stitch(regs, [nodeval[(l.name, i)] for i in range(len(regs))])
     return Solution(values)

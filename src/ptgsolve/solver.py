@@ -37,7 +37,7 @@ record holds every accepted point once, with every row's value as an
 integer on that point's denominator.  A location's breakpoints index
 into it, gaining a point only where its chord changes, across a window
 restart too, so each value function is canonical as built: its
-breakpoints and one Fraction per value, with no line.  The synthesis
+breakpoints and values on two integer scales, with no line.  The synthesis
 anchors its cells and checks their midpoints from the same record.
 """
 
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import CostFunction, as_fraction, format_value
+from .exactmath import CostFunction, _common_scale, as_fraction, format_value
 from .model import Game, InternalError, check_sptg
 from .strategy import FPStrategy, Move, SwitchingStrategy
 from .urgent import (
@@ -466,15 +466,15 @@ def _on_lines(f: list, df: int, nums: list, den: int, dw: Fraction) -> tuple:
 
 def _from_record(name: str, points: list) -> CostFunction:
     """name's value function through its breakpoints (x, v, d), left to
-    right, each worth v/d.  The sweep gives a location a breakpoint only
-    where its chord changes, so no breakpoint lies on the line through its
-    neighbours and the function is canonical as built."""
-    for (x0, _, _), (x1, _, _) in zip(points, points[1:]):
+    right, each worth v/d, on the least common denominators.  The sweep
+    gives a location a breakpoint only where its chord changes, so no
+    breakpoint lies on the line through its neighbours: it is canonical."""
+    xn, xd = _common_scale([x for x, _, _ in points])
+    for x0, x1 in zip(xn, xn[1:]):
         if x1 <= x0:
-            raise InternalError("sweep", "breakpoints must be strictly increasing", name, x1)
-    # from lists, as `model.region_table` builds `enabled`: no resized tuples
-    xs = tuple([x for x, _, _ in points])
-    return CostFunction._trusted(xs, tuple([Fraction(v, d) for _, v, d in points]))
+            raise InternalError("sweep", "breakpoints must be strictly increasing", name, Fraction(x1, xd))
+    vd = math.lcm(*[d for _, _, d in points])
+    return CostFunction._make(xn, xd, [v * (vd // d) for _, v, d in points], vd)
 
 
 def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
@@ -513,7 +513,7 @@ def solve(g: Game, max_steps: Optional[int] = None) -> Solution:
     }
     scale, _, pf = placed
     reach = (len(core.names) - 1) * core.max_weight() + Fraction(pf, scale)
-    lowest = min(min(values[n].vals) for n in core.names)
+    lowest = min(Fraction(min(f.vn), f.vd) for f in (values[n] for n in core.names))
     threshold = lowest - reach - max(abs(g.location(n).rate) for n in core.names)
     minstrat = SwitchingStrategy(min_fp, sigma2, as_fraction(threshold))
     return Solution(values, max_fp, minstrat, sw.trace)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .exactmath import INF, Value, _scaled, _slope, as_fraction, format_value
+from .exactmath import INF, Value, _scaled, _slope, as_fraction, format_ratio, format_value
 from .model import MAX, NOW, WAIT_UNTIL, Config, Game
 
 
@@ -338,22 +338,22 @@ def on_scale(g: Game, regions, values: dict) -> tuple:
     """A document's segments on `RegionBellmanOracle`'s two integer scales,
     put there once for every check of `ptg verify`: (X, D, bound, borders,
     tables), the scales as the oracle names them, the bound and the borders
-    on X, and tables[name] a `_table` per segment of values[name].  A
-    piece's slope enters D in lowest terms d / gcd(n, d) of `_slope`'s pair
-    (n, d), the one time it is taken.  The regions alternate as
-    `regions_of` cuts them: border i is region 2i.
+    on X, and tables[name] a `_table` per segment of values[name], read off
+    its two scales.  A piece's slope enters D in lowest terms d / gcd(n, d)
+    of `_slope`'s pair (n, d), the one time it is taken.  The regions
+    alternate as `regions_of` cuts them: border i is region 2i.
     """
     xden = {g.clock_bound.denominator}
     xden.update(r.lo.denominator for r in regions[::2])
     vden = set()
     for segs in values.values():
         for f in segs:
-            xden.update(x.denominator for x in f.xs)
-            if isinstance(f.vals[0], float):
+            xden.add(f.xd)
+            if isinstance(f.vn[0], float):
                 continue
-            vden.update(v.denominator for v in f.vals)
-            for i in range(len(f.xs) - 1):
-                n, d = _slope(f.xs[i], f.vals[i], f.xs[i + 1], f.vals[i + 1])
+            vden.add(f.vd)
+            for i in range(len(f.xn) - 1):
+                n, d = _slope(f.xn[i], f.vn[i], f.xn[i + 1], f.vn[i + 1], f.xd, f.vd)
                 vden.add(d // math.gcd(n, d))
     for t in g.transitions:
         xden.update(v.denominator for v in (t.guard.lo, t.guard.hi) if not isinstance(v, float))
@@ -373,8 +373,8 @@ def _table(f, X: int, M: int) -> tuple:
     its values on M and per piece its line (slope*D, intercept*M), none
     for an infinite segment.  The piece from (A0, V0) to (A1, V1) is the
     line of slope (V1 - V0)/(A1 - A0), an exact division, through (A0, V0)."""
-    xs = [_scaled(x, X) for x in f.xs]
-    vals = [_scaled(v, M) for v in f.vals]
+    kx, kv = X // f.xd, M // f.vd
+    xs, vals = [x * kx for x in f.xn], [v * kv for v in f.vn]  # inf*kv is inf
     lines = []
     if not isinstance(vals[0], float):
         for a0, a1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
@@ -417,7 +417,7 @@ def cover(regions, borders: list, segxs: list, X: int, name: str) -> list:
             where = f"the open region ({format_value(reg.lo)}, {format_value(reg.hi)})"
             if k == m:
                 raise SolutionFormatError(f"values.{name}: no segment spans {where}")
-            at = format_value(Fraction(segxs[k][0], X))
+            at = format_ratio(segxs[k][0], X)
             raise SolutionFormatError(f"values.{name}: segments meet at {at} inside {where}")
         out.append(k)
     return out

@@ -17,3 +17,29 @@ def fixtures_dir() -> Path:
 def load_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
+
+def fraction_calls(run) -> dict:
+    """The calls of Fraction's own methods while run() runs, by name:
+    construction, comparisons, arithmetic and the rest; reading a
+    numerator or a denominator is no call."""
+    from fractions import Fraction
+
+    counts = {}
+    originals = {name: v for name, v in vars(Fraction).items() if callable(getattr(v, "__func__", v))}
+
+    def counting(name, plain):
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return plain(*args, **kwargs)
+
+        return call
+
+    try:
+        for name, v in originals.items():
+            wrapped = counting(name, getattr(v, "__func__", v))
+            setattr(Fraction, name, type(v)(wrapped) if isinstance(v, (staticmethod, classmethod)) else wrapped)
+        run()
+    finally:
+        for name, v in originals.items():
+            setattr(Fraction, name, v)
+    return counts

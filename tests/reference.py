@@ -6,6 +6,11 @@ check the package against, not part of it:
 - ``from_points``, ``restrict``, ``slope_between``, ``through`` and
   ``pairwise_intersections`` on cost functions and lines, and
   ``point_guard``, the guard that holds at one clock value only;
+- ``canonical_by_fraction``, ``evaluate_by_fraction``,
+  ``concat_by_fraction``, ``envelope_by_fraction`` and
+  ``entry_by_fraction``, with ``slope_by_fraction`` and ``straight``:
+  the package's cost-function arithmetic in Fractions, before each
+  function was kept on two integer scales;
 - ``max_transition_weight`` and ``max_final_cost``, the bounds of a
   ``Game`` that the solver now reads off its compiled rows;
 - ``make_urgent`` and ``waiting``, the game copies the sweep's evaluators
@@ -26,6 +31,8 @@ check the package against, not part of it:
   hands it values given per region as the segments it reads;
 - ``region_values``, the per-region values a document's segments give
   by ``strategy.cover``'s rule, the package's former document reader;
+- ``uniform_infinity``, the infinity a segment holds, once
+  ``document.uniform_infinity``;
 - ``infinite`` and ``region_table``, read off a ``Solution``'s values:
   the locations ``solve`` found infinite, and the region pipeline's
   stitched segments per region, as the result once carried them;
@@ -50,6 +57,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -60,6 +68,7 @@ from ptgsolve.exactmath import (
     Affine,
     CostFunction,
     DomainError,
+    SeamMismatch,
     Value,
     _scaled,
     as_fraction,
@@ -81,7 +90,6 @@ from ptgsolve.model import (
     make_game,
     regions_of,
 )
-from ptgsolve.regions import _entry_value
 from ptgsolve.solver import (
     WAIT_SUFFIX,
     BudgetExceeded,
@@ -188,6 +196,133 @@ def from_points(points) -> CostFunction:
     """The function through finite breakpoint values [(x0, v0), ..., (xn,
     vn)], built by the validating constructor."""
     return CostFunction(tuple(x for x, _ in points), tuple(v for _, v in points))
+
+
+# ---------------------------------------------------------------------------
+# cost functions in Fractions: the package's functions before it kept each
+# function on two integer scales, kept to check the integer ones against
+#
+# `slope_by_fraction`, `straight`, `canonical_by_fraction`,
+# `evaluate_by_fraction` and `concat_by_fraction` were `exactmath`'s
+# `_slope`, `_straight`, `_canonical`, `evaluate` and `concat`;
+# `envelope_by_fraction` was the envelope of `regions._acyclic` and
+# `entry_by_fraction` its `_entry_value`, which read a final copy's
+# `Affine` cost line.  They read a function through its Fraction views.
+
+
+def slope_by_fraction(x0: Fraction, v0: Fraction, x1: Fraction, v1: Fraction) -> tuple:
+    """The slope between two finite breakpoints as an unreduced integer
+    pair (numerator, denominator), whose denominator is positive exactly
+    when x0 < x1."""
+    p0, q0, p1, q1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+    a0, b0, a1, b1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
+    return (a1 * b0 - a0 * b1) * q0 * q1, b0 * b1 * (p1 * q0 - p0 * q1)
+
+
+def straight(left: tuple, right: tuple) -> bool:
+    """Whether two slopes as `slope_by_fraction` gives them are equal."""
+    return left[0] * right[1] == right[0] * left[1]
+
+
+def canonical_by_fraction(xs: tuple, vals: tuple) -> tuple:
+    """The canonical breakpoints and values of the finite function through
+    the exact points (xs[i], vals[i]), from `slope_by_fraction`'s integer
+    pairs alone: DomainError unless xs strictly increase, and every
+    breakpoint on the line through its neighbours dropped."""
+    out_x, out_v, last = [xs[0]], [vals[0]], None
+    for x, v in zip(xs[1:], vals[1:]):
+        s = slope_by_fraction(out_x[-1], out_v[-1], x, v)
+        if s[1] <= 0:
+            raise DomainError("breakpoints must be strictly increasing")
+        if last is not None and straight(last, s):
+            out_x[-1], out_v[-1] = x, v
+        else:
+            out_x.append(x)
+            out_v.append(v)
+            last = s
+    return tuple(out_x), tuple(out_v)
+
+
+def evaluate_by_fraction(f, nu) -> Value:
+    """Exact value of f at nu: its recorded value at a breakpoint or where
+    f is infinite, else read off the two breakpoints of nu's piece."""
+    nu = as_fraction(nu)
+    xs, vals = f.xs, f.vals
+    if nu < f.lo or nu > f.hi:
+        raise DomainError(f"{nu} outside domain [{f.lo}, {f.hi}]")
+    i = bisect_left(xs, nu)
+    if xs[i] == nu or isinstance(vals[i], float):
+        return vals[i]
+    x0, x1, v0, v1 = xs[i - 1], xs[i], vals[i - 1], vals[i]
+    return v0 + (v1 - v0) * (nu - x0) / (x1 - x0)
+
+
+def concat_by_fraction(*parts: CostFunction) -> CostFunction:
+    """Glue cost functions left to right; each starts where the one before
+    ends, and every seam carries the same value on both sides.  A seam
+    stays a breakpoint unless the pieces on its two sides lie on one line
+    (or both are infinite)."""
+    for left, right in zip(parts, parts[1:]):
+        if right.lo != left.hi:
+            raise DomainError(
+                f"domains must overlap in exactly one point, got [{left.lo},{left.hi}] then [{right.lo},{right.hi}]"
+            )
+        if right.vals[0] != left.vals[-1]:
+            raise SeamMismatch(
+                f"seam at {right.lo}: {format_value(left.vals[-1])} vs {format_value(right.vals[0])}"
+            )
+    spans = [p for p in parts if not p.is_point] or parts[:1]
+    if len(spans) == 1:
+        return spans[0]
+    xs, vals = list(spans[0].xs), list(spans[0].vals)
+    for p in spans[1:]:
+        pxs, pvals = p.xs, p.vals
+        # the seam value is shared, so both sides are finite or one infinity
+        if isinstance(vals[-1], float) or straight(
+            slope_by_fraction(xs[-2], vals[-2], xs[-1], vals[-1]),
+            slope_by_fraction(pxs[0], pvals[0], pxs[1], pvals[1]),
+        ):
+            del xs[-1], vals[-1]
+        xs += pxs[1:]
+        vals += pvals[1:]
+    return CostFunction(tuple(xs), tuple(vals))
+
+
+def envelope_by_fraction(lines: list, pick, c, d) -> CostFunction:
+    """The owner's envelope (pick) over [c, d] of finite lines, each given
+    by its values (at c, at d): read at c, d and at each pairwise crossing
+    between, canonically."""
+    v = pick(vc for vc, _ in lines)
+    ts = set()
+    for i, (pc, pd) in enumerate(lines):
+        for qc, qd in lines[i + 1 :]:
+            if (pc - qc) * (pd - qd) < 0:
+                ts.add((pc - qc) / (pc - qc - pd + qd))
+    ts = sorted(ts)
+    xs = (c, *[c + t * (d - c) for t in ts], d)
+    inner = [pick(vc + t * (vd - vc) for vc, vd in lines) for t in ts]
+    return CostFunction(*canonical_by_fraction(xs, (v, *inner, pick(vd for _, vd in lines))))
+
+
+def entry_by_fraction(nodeval: dict, rt, x):
+    """`regions._entry_value` at the Fraction x, as a Fraction: a final
+    copy's cost line (S, C, L) read at x, or at 0 after a reset; an open
+    copy's value at x inside its own region; any other copy's first."""
+    tv = nodeval[rt.target]
+    if isinstance(tv, float):
+        return tv
+    if isinstance(tv, tuple):
+        s, c, scale = tv
+        return (c if rt.reset else s * x + c) / Fraction(scale)
+    i = rt.target[1]
+    return evaluate_by_fraction(tv, x) if i % 2 and i == rt.source[1] else tv.vals[0]
+
+
+def uniform_infinity(seg: CostFunction) -> Optional[float]:
+    """The infinity a segment holds throughout, or None where it is finite:
+    once ``document.uniform_infinity``."""
+    v = seg.vals[0]
+    return v if isinstance(v, float) else None
 
 
 def point_guard(x) -> Guard:
@@ -848,10 +983,12 @@ def instant_by_subgame(rg, comp, out_edges, nodeval, x) -> dict:
     wait, that includes the hop into the region above.  A member without
     moves is stuck, worth +inf.  Every stub is constant, so one
     `InstantEvaluator` run of the members' game, at 1, gives the values,
-    read off its names here.
+    read off its names here.  x is the pair (p, q) of p/q, and each value
+    comes back as the pipeline keeps it: an infinity or a point function.
     """
     base = rg.base
     members = set(comp)
+    x = Fraction(*x)
     sub = _SubGame()
     for node in comp:
         sub.add(Location(node[0], base.location(node[0]).owner, 0, True, None))
@@ -861,13 +998,16 @@ def instant_by_subgame(rg, comp, out_edges, nodeval, x) -> dict:
             if rt.target in members:
                 tgt = rt.target[0]
             else:
-                v = _entry_value(nodeval, rt, x)
+                v = entry_by_fraction(nodeval, rt, x)
                 tgt = sub.stub((rt.target, rt.reset), v, v)
             sub.edge(node[0], tgt, rt.weight)
     ev = InstantEvaluator(compile_game(sub.game()))
-    x, _, _, denom = ev.run(1)
-    vals = dict(zip(ev.names, unscale(x, denom)))
-    return {node: vals[node[0]] for node in comp}
+    run, _, _, denom = ev.run(1)
+    vals = dict(zip(ev.names, unscale(run, denom)))
+    return {
+        node: vals[node[0]] if isinstance(vals[node[0]], float) else CostFunction.point(x, vals[node[0]])
+        for node in comp
+    }
 
 
 def window_by_subgame(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> dict:
@@ -883,10 +1023,12 @@ def window_by_subgame(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> d
     Every member enters the game, and infinities are left to `sweep`'s
     pruning: an infinite anchor or target becomes a stub of its sign, and
     a member with no move is stuck, worth +inf.  interior[node] lists the
-    member's edges as `RegionTransition`s.
+    member's edges as `RegionTransition`s; the window ends and the anchors
+    are pairs (numerator, denominator), as the pipeline passes them.
     """
     base = rg.base
     members = set(comp)
+    c, d = Fraction(*c), Fraction(*d)
     length = d - c
     sub = _SubGame()
     for node in comp:
@@ -898,12 +1040,13 @@ def window_by_subgame(rg, comp, interior, nodeval, anchor, c, d, max_steps) -> d
             if rt.target in members:
                 tgt = rt.target[0]
             else:
-                vc, vd = _entry_value(nodeval, rt, c), _entry_value(nodeval, rt, d)
+                vc, vd = entry_by_fraction(nodeval, rt, c), entry_by_fraction(nodeval, rt, d)
                 tgt = sub.stub((rt.target, rt.reset), vc, vd)
             sub.edge(loc.name, tgt, rt.weight)
         if not loc.urgent:
             rate = loc.rate * length
-            sub.edge(loc.name, sub.stub((node, "wait"), rate + anchor[node], anchor[node]), 0)
+            a = anchor[node] if isinstance(anchor[node], float) else Fraction(*anchor[node])
+            sub.edge(loc.name, sub.stub((node, "wait"), rate + a, a), 0)
     sw = sweep(compile_game(sub.game()), max_steps, onto=(c, d))
     vals = {**sw.finite, **sw.infinite}
     return {node: vals[node[0]] for node in comp}

@@ -22,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import as_segments, bellman_check, from_points, restrict
+from reference import as_segments, bellman_check, evaluate_by_fraction, from_points, restrict
 from test_region_bellman_oracle import reference_region_bellman_check
 
-from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate
+from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction
 from ptgsolve.model import MAX, MIN, Game, Guard, Location, Region, Transition, make_game, regions_of
 from ptgsolve.solver import solve
 from ptgsolve.strategy import RegionBellmanOracle
@@ -45,7 +45,7 @@ def reference_bellman_check(g: Game, vals: dict, nu) -> list:
     bound = as_fraction(g.clock_bound)
     bad = []
     for l in g.nonfinal_locations:
-        lhs = evaluate(vals[l.name], nu)
+        lhs = evaluate_by_fraction(vals[l.name], nu)
         cands = []
         for i in g.outgoing(l.name):
             t = g.transitions[i]
@@ -55,7 +55,7 @@ def reference_bellman_check(g: Game, vals: dict, nu) -> list:
                 tgt_breaks = ()
             else:
                 tgt_fn = vals[t.target]
-                tgt_at = lambda x, f=tgt_fn: evaluate(f, x)
+                tgt_at = lambda x, f=tgt_fn: evaluate_by_fraction(f, x)
                 tgt_breaks = tgt_fn.xs
             if l.urgent:
                 delays = [Fraction(0)]
@@ -202,8 +202,8 @@ class _Probe:
     """A claimed value that records the one-step optimum it is compared with.
 
     The reference compares it once, as `rhs != lhs`; `==` raises, so any
-    other use would show.  Arithmetic gives the probe back, so `evaluate`
-    reads it anywhere on the claim's one piece.
+    other use would show.  Arithmetic gives the probe back, so
+    `evaluate_by_fraction` reads it anywhere on the claim's one piece.
     """
 
     seen = None

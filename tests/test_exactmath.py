@@ -1,8 +1,9 @@
+import math
 import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptgsolve.exactmath import (
@@ -18,7 +19,18 @@ from ptgsolve.exactmath import (
     parse_value,
 )
 
-from reference import InfinitePiece, from_points, pairwise_intersections, restrict, slope_between
+from ptgsolve import regions
+from reference import (
+    InfinitePiece,
+    canonical_by_fraction,
+    concat_by_fraction,
+    envelope_by_fraction,
+    evaluate_by_fraction,
+    from_points,
+    pairwise_intersections,
+    restrict,
+    slope_between,
+)
 
 
 def test_evaluate_affine_endpoint():
@@ -323,3 +335,124 @@ def test_mixed_or_two_infinities_are_refused(pts, data):
     for bad in (mixed, infinities):
         with pytest.raises(DomainError):
             CostFunction(tuple(x for x, _ in pts), tuple(bad))
+
+
+# ---------------------------------------------------------------------------
+# the integer scales against the Fraction versions they replaced
+#
+# A `CostFunction` keeps its breakpoints and values as integers over two
+# minimal denominators.  The constructor's canonical form, `evaluate`,
+# `concat` and `regions._envelope` compute on those integers; the Fraction
+# versions they replaced live in `reference`.  The draws mix small
+# denominators, where collinear runs and merging seams are common, with
+# large primes, where every scale is a product of distinct primes.
+
+_PRIMES = (2**61 - 1, 2**31 - 1, 1_000_003)
+_BIG = st.builds(lambda n, d: F(n, d), st.integers(-(2**64), 2**64), st.sampled_from(_PRIMES + (1,)))
+_RATIONALS = st.one_of(_VALUES, _BIG)
+
+
+@st.composite
+def mixed_point_lists(draw, min_size=1):
+    """Points with strictly increasing abscissae, each coordinate small or
+    over a large prime."""
+    n = draw(st.integers(min_size, 6))
+    xs = sorted(set(draw(st.lists(_RATIONALS, min_size=n, max_size=n + 3))))
+    assume(len(xs) >= min_size)
+    return list(zip(xs, draw(st.lists(_RATIONALS, min_size=len(xs), max_size=len(xs)))))
+
+
+def _same_function(f, xs, vals) -> None:
+    assert (f.xs, f.vals) == (tuple(xs), tuple(vals))
+    # minimal scales: each denominator is the least that holds its numbers
+    if not isinstance(f.vn[0], float):
+        assert f.vd == math.lcm(*(v.denominator for v in f.vals))
+    assert f.xd == math.lcm(*(x.denominator for x in f.xs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(point_lists(), mixed_point_lists()))
+def test_canonical_form_matches_the_fraction_reference(pts):
+    xs, vals = zip(*pts)
+    _same_function(CostFunction(xs, vals), *canonical_by_fraction(xs, vals))
+    if len(xs) > 1:
+        backwards = (xs[1], xs[0], *xs[2:])
+        for build in (CostFunction, canonical_by_fraction):
+            with pytest.raises(DomainError):
+                build(backwards, vals)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(point_lists(), mixed_point_lists()), st.sampled_from((None, INF, NEG_INF)), st.data())
+def test_evaluate_matches_the_fraction_reference(pts, infinity, data):
+    xs = [x for x, _ in pts]
+    f = from_points(pts) if infinity is None else CostFunction.constant(xs[0], xs[-1], infinity)
+    inner = [data.draw(_RATIONALS) for _ in range(3)]
+    probes = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + inner
+    for nu in probes:
+        if f.lo <= nu <= f.hi:
+            got = evaluate(f, nu)
+            assert got == evaluate_by_fraction(f, nu)
+            assert type(got) is type(evaluate_by_fraction(f, nu))
+        else:
+            for read in (evaluate, evaluate_by_fraction):
+                with pytest.raises(DomainError):
+                    read(f, nu)
+
+
+@st.composite
+def glued_parts(draw):
+    """A function cut into parts at some of its breakpoints and at points
+    inside its pieces, with point parts at some seams: the seams where two
+    pieces lie on one line merge, the others stay breakpoints."""
+    pts = draw(st.one_of(point_lists(min_size=2), mixed_point_lists(min_size=2)))
+    infinity = draw(st.sampled_from((None, None, INF, NEG_INF)))
+    f = from_points(pts) if infinity is None else CostFunction.constant(pts[0][0], pts[-1][0], infinity)
+    cuts = set(draw(st.lists(st.sampled_from(f.xs), max_size=4)))
+    for i in draw(st.lists(st.integers(0, len(pts) - 2), max_size=3)):
+        (x0, _), (x1, _) = pts[i], pts[i + 1]
+        cuts.add(x0 + draw(st.sampled_from((F(1, 3), F(1, 2), F(1, 2**61 - 1)))) * (x1 - x0))
+    ends = [f.lo, *sorted(c for c in cuts if f.lo < c < f.hi), f.hi]
+    parts = []
+    for a, b in zip(ends, ends[1:]):
+        parts.append(restrict(f, a, b))
+        if draw(st.booleans()):
+            parts.append(restrict(f, b, b))
+    return f, parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(glued_parts(), st.data())
+def test_concat_matches_the_fraction_reference(case, data):
+    f, parts = case
+    glued = concat(*parts)
+    assert glued == concat_by_fraction(*parts) == f
+    _same_function(glued, f.xs, f.vals)
+    if len(parts) > 1 and not isinstance(f.vals[0], float):
+        # a seam whose right side is lifted no longer matches
+        k = data.draw(st.integers(1, len(parts) - 1))
+        right = parts[k]
+        lifted = CostFunction(right.xs, tuple(v + F(1, 2**61 - 1) for v in right.vals))
+        bad = parts[:k] + [lifted] + parts[k + 1 :]
+        for glue in (concat, concat_by_fraction):
+            with pytest.raises(SeamMismatch):
+                glue(*bad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=6),
+    st.sampled_from((1, 2, 6, 2**61 - 1)),
+    st.sampled_from((1, 3, 2**31 - 1)),
+    st.integers(-5, 5),
+    st.integers(1, 7),
+    st.sampled_from((min, max)),
+)
+def test_envelope_matches_the_fraction_reference(lines, V, L, c, width, pick):
+    """`regions._envelope` of lines given by their values at c and d on the
+    scale V, over [c/L, d/L], equals the Fraction envelope."""
+    d = c + width
+    got = regions._envelope(lines, pick, c, d, L, V)
+    want = envelope_by_fraction([(F(a, V), F(b, V)) for a, b in lines], pick, F(c, L), F(d, L))
+    assert got == want
+    _same_function(got, want.xs, want.vals)

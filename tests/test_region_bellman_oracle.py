@@ -19,11 +19,18 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import as_segments, from_points, region_bellman_check, region_table, through
+from reference import (
+    as_segments,
+    evaluate_by_fraction,
+    from_points,
+    region_bellman_check,
+    region_table,
+    through,
+)
 from test_properties import usable_guarded
 
 from ptgsolve.document import _sample_points
-from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, evaluate, format_value
+from ptgsolve.exactmath import INF, NEG_INF, Affine, CostFunction, as_fraction, format_value
 from ptgsolve.model import MAX, MIN, Game, Guard, Location, Transition, make_game, regions_of
 from ptgsolve.regions import solve_reset_acyclic
 from ptgsolve.strategy import RegionBellmanOracle, on_scale
@@ -72,7 +79,7 @@ def reference_region_bellman_check(
         f = region_vals[name][region_index(x, side)]
         if isinstance(f, float):
             return f
-        return evaluate(f, x)
+        return evaluate_by_fraction(f, x)
 
     bad = []
     borders = {reg.lo for reg in regions if reg.is_point}
@@ -199,7 +206,7 @@ def _features(g: Game, vals: dict) -> set:
             out.add("inf")
         for i in range(2, len(regions) - 1, 2):
             b = regions[i].lo
-            sides = [f if isinstance(f, float) else evaluate(f, b) for f in per[i - 1 : i + 2]]
+            sides = [f if isinstance(f, float) else evaluate_by_fraction(f, b) for f in per[i - 1 : i + 2]]
             if len(set(sides)) == 3:
                 out.add("jump")
     return out
@@ -286,8 +293,8 @@ class _Probe:
     """A claimed value that records the one-step optimum it is compared with.
 
     The reference compares it once, as `rhs != lhs`; `==` raises, so any
-    other use would show.  Arithmetic gives the probe back, so `evaluate`
-    reads it anywhere on the claim's one piece.
+    other use would show.  Arithmetic gives the probe back, so
+    `evaluate_by_fraction` reads it anywhere on the claim's one piece.
     """
 
     seen = None

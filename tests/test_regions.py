@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, fraction_calls, load_fixture
 import reference
 from reference import (
     from_points,
@@ -17,17 +17,19 @@ from reference import (
     region_bellman_check,
     region_table,
     region_values,
+    uniform_infinity,
     window_by_subgame,
 )
 from test_properties import GUARDED_SEEDS, usable_guarded
 from ptgsolve import regions as region_pipeline
 from ptgsolve import solver, urgent
 from ptgsolve.cli import main
-from ptgsolve.document import SolutionFormatError, uniform_infinity
+from ptgsolve.document import SolutionFormatError, dumps
 from ptgsolve.exactmath import Affine, CostFunction, evaluate, format_value
 from ptgsolve.model import (
     MAX,
     MIN,
+    MODE_REGIONS,
     Game,
     Guard,
     InternalError,
@@ -173,6 +175,20 @@ def test_region_graph_is_built_and_condensed_without_fractions():
         for g in games:
             solve_reset_acyclic(g)
     assert counts == {}
+
+
+def test_reset_chain_is_solved_and_written_without_fractions(reset_chain):
+    """Every component of reset_chain is one copy with no edge into
+    itself, and every value the pipeline makes and the writer reads is a
+    `CostFunction` on integer scales, so solving the game and writing its
+    document call no Fraction method.  Computing `_acyclic`'s lines and
+    envelope, the entries, the seams and the text in Fractions made 213
+    calls: 76 constructions, 37 equality tests, 25 comparisons, 22
+    multiplications, 22 subtractions and 31 additions."""
+    texts = []
+    calls = fraction_calls(lambda: texts.append(dumps(reset_chain, MODE_REGIONS, solve_reset_acyclic(reset_chain))))
+    assert calls == {}
+    assert texts == [load_fixture("reset_chain.values.json")]
 
 
 def test_a_final_copy_with_a_move_is_an_internal_error(reset_chain):
@@ -676,14 +692,15 @@ def test_point_components_are_the_only_instant_solves(monkeypatch, reset_chain):
 
 
 def test_each_solve_places_its_final_lines_once(monkeypatch, reset_chain):
-    """Finals are never pruned, so a window's sweep puts them on their
-    integer scale once, for pruning, the budget and its window evaluator;
-    a point component with a cycle places its own.  Placing them again in
-    each of those (and twice in the window evaluator) made 22 in
-    reset_chain, and a sweep per window and a run per point component 10.
-    Its components are all acyclic now and place none.  In urgent_border,
-    the window of {m, u} in (0, 1) places them once and the point
-    component {m, u} at 0 once."""
+    """Each solve puts the game's final cost lines on integers once, for
+    every entry into a final copy.  Finals are never pruned, so a window's
+    sweep puts its rows' lines on their integer scale once, for pruning,
+    the budget and its window evaluator; a point component with a cycle
+    places its own.  Placing them again in each of those (and twice in the
+    window evaluator) made 22 in reset_chain, and a sweep per window and a
+    run per point component 10; its components are all acyclic now and
+    place none.  In urgent_border, the window of {m, u} in (0, 1) places
+    them once and the point component {m, u} at 0 once."""
     calls = 0
     integer_lines = urgent._integer_lines
 
@@ -693,10 +710,11 @@ def test_each_solve_places_its_final_lines_once(monkeypatch, reset_chain):
         return integer_lines(*args)
 
     monkeypatch.setattr(urgent, "_integer_lines", counting)
+    monkeypatch.setattr(region_pipeline, "_integer_lines", counting)
     solve_reset_acyclic(reset_chain)
-    assert calls == 0
+    assert calls == 1
     solve_reset_acyclic(parse_game(load_fixture("urgent_border.json")))
-    assert calls == 1 + 1
+    assert calls == 1 + (1 + 1 + 1)
 
 
 @pytest.mark.parametrize("name, builds", [("guarded_jump.json", 1), ("urgent_border.json", 3)])
@@ -743,7 +761,7 @@ def test_region_pipeline_builds_no_game(monkeypatch, name):
     counting("games", Game, "__post_init__")
     counting("locations", Location, "__post_init__")
     counting("transitions", Transition, "__init__")
-    counting("validated", CostFunction, "__post_init__")
+    counting("validated", CostFunction, "__init__")
     solve_reset_acyclic(g)
     assert counts == {"games": 0, "locations": 0, "transitions": 0, "validated": 0}
 
@@ -768,10 +786,12 @@ def test_window_values_are_built_once(monkeypatch, reset_chain):
 
 @pytest.mark.parametrize("name", ["reset_chain", "guarded_jump"])
 def test_final_copies_build_no_cost_function(monkeypatch, tmp_path, capsys, name):
-    """A final copy is its cost line: `ptg solve` builds one `from_affine`
-    per final location, for its one segment, and none per region copy,
-    in-process too; read per region, that segment is the cost line on
-    each region."""
+    """A final copy is its cost line, put on integers once per solve for
+    every entry into it: `ptg solve` builds a final location's one segment
+    from that integer line, with no `from_affine` and none per region copy,
+    in-process too; the segment is the `from_affine` line on [0, bound],
+    and read per region, it is the cost line on each region.  Building
+    each segment by `from_affine` made one call per final location."""
     g = parse_game(load_fixture(f"{name}.json"))
     calls = []
     from_affine = CostFunction.from_affine
@@ -784,10 +804,9 @@ def test_final_copies_build_no_cost_function(monkeypatch, tmp_path, capsys, name
     out = tmp_path / "out.json"
     assert main(["solve", str(FIXTURES / f"{name}.json"), "--out", str(out)]) == 0
     bound = g.clock_bound
-    assert calls == [(0, bound)] * len(g.final_locations)
-    del calls[:]
+    assert calls == []
     sol = solve_reset_acyclic(g)
-    assert calls == [(0, bound)] * len(g.final_locations)
+    assert calls == []
     per = region_table(g, sol.values)
     for l in g.final_locations:
         assert sol.values[l.name] == (from_affine(0, bound, l.final_cost),)
@@ -902,6 +921,19 @@ def _hand_component_game():
 _PALETTE = (float("inf"), float("-inf"), F(5, 2), F(-7, 3))
 
 
+def _line(cost: Affine) -> tuple:
+    """A final copy's value as the pipeline holds it: its cost line (S, C,
+    L), worth (S*x + C)/L."""
+    scale, [(s, c)] = urgent._integer_lines([cost])
+    return s, c, scale
+
+
+def _pair(v):
+    """A rational as the pipeline passes values and clock points: the pair
+    (numerator, denominator); None and the infinities stay themselves."""
+    return v if v is None or isinstance(v, float) else (v.numerator, v.denominator)
+
+
 @pytest.mark.parametrize("region", [0, 2])
 def test_point_solves_match_the_subgame_reference_on_hand_components(region):
     """Components of several members whose outside targets are set by hand
@@ -923,15 +955,15 @@ def test_point_solves_match_the_subgame_reference_on_hand_components(region):
         outside = sorted({rg.transitions[j].target for m in members for j in out_edges[m]} - inside)
         free = [n for n in outside if n[0] in "pqrabc" and n[1] == region]
         for combo in itertools.product(_PALETTE, repeat=len(free)):
-            nodeval = {("f", region): g.location("f").final_cost, ("r", 0): float("-inf")}
+            nodeval = {("f", region): _line(g.location("f").final_cost), ("r", 0): float("-inf")}
             nodeval.update(hops)
             for n, v in zip(free, combo):
                 nodeval[n] = v if isinstance(v, float) else CostFunction.point(x, v)
             if len(members) == 1:
                 for edges in (out_edges, {members[0]: []}):
-                    _check_acyclic(rg, members, edges, nodeval, x)
+                    _check_acyclic(rg, members, edges, nodeval, _pair(x))
                 continue
-            args = (rg, members, out_edges, nodeval, x)
+            args = (rg, members, out_edges, nodeval, _pair(x))
             got = _with_rounds(region_pipeline._instant, *args)
             assert got == _with_rounds(instant_by_subgame, *args), (members, combo)
 
@@ -996,6 +1028,8 @@ def test_windows_match_the_subgame_reference(seed):
     _windows_checked(g)
 
 
+# the windows [0, 1] and [1/3, 1/2] of (0, 1), their ends as pairs
+_HAND_WINDOWS = (((0, 1), (1, 1)), ((1, 3), (1, 2)))
 _WINDOW_PALETTE = (
     float("inf"),
     float("-inf"),
@@ -1021,19 +1055,19 @@ def test_windows_match_the_subgame_reference_on_hand_components(urgent):
     members = (("a", 1), ("b", 1), ("c", 1))
     interior = {m: [j for j in out_edges[m] if rg.transitions[j].origin is not None] for m in members}
     waiting = [m for m in members if m[0] not in urgent]
-    anchors = [{m: F(1, 2) for m in waiting}]
+    anchors = [{m: (1, 2) for m in waiting}]
     anchors += [{**anchors[0], waiting[0]: v} for v in (float("inf"), float("-inf"))]
     for combo in itertools.product(_WINDOW_PALETTE, repeat=3):
-        nodeval = {("f", 1): g.location("f").final_cost, ("r", 0): CostFunction.point(0, F(1, 4))}
+        nodeval = {("f", 1): _line(g.location("f").final_cost), ("r", 0): CostFunction.point(0, F(1, 4))}
         nodeval.update(zip((("p", 1), ("q", 1), ("r", 1)), combo))
         for anchor in anchors:
-            for c, d in ((0, 1), (F(1, 3), F(1, 2))):
+            for c, d in _HAND_WINDOWS:
                 _check_window(rg, members, interior, nodeval, anchor, c, d, None)
         nodeval.update(zip(members, combo[1:] + combo[:1]))
         for m in members:
-            alone = [None] if m[0] in urgent else [F(1, 2), float("inf"), float("-inf")]
+            alone = [None] if m[0] in urgent else [(1, 2), float("inf"), float("-inf")]
             for v, edges in itertools.product(alone, (interior, {m: []})):
-                for c, d in ((0, 1), (F(1, 3), F(1, 2))):
+                for c, d in _HAND_WINDOWS:
                     _check_acyclic(rg, (m,), edges, nodeval, c, d, {m: v})
 
 
@@ -1069,10 +1103,10 @@ def test_acyclic_window_values_by_hand(node, urgent, origins, targets, anchor, w
     rg = build_region_game(g)
     m = (node, 1)
     edges = {m: [j for j in rg.outgoing_map()[m] if rg.transitions[j].origin in origins]}
-    nodeval = {("f", 1): g.location("f").final_cost}
+    nodeval = {("f", 1): _line(g.location("f").final_cost)}
     for name, v in targets.items():
         nodeval[(name, 1)] = v if isinstance(v, float) else CostFunction.from_affine(0, 1, v)
-    got = _check_acyclic(rg, (m,), edges, nodeval, F(0), F(1), {m: anchor})
+    got = _check_acyclic(rg, (m,), edges, nodeval, (0, 1), (1, 1), {m: _pair(anchor)})
     assert got == {m: want}
 
 
@@ -1328,6 +1362,42 @@ def test_a_dominated_parallel_edge_keeps_the_values(pair):
     """An edge whose owner always does at least as well on its twin with
     the same guard, reset and target changes no value."""
     assert_same_values(*pair)
+
+
+@st.composite
+def cost_scaled_twins(draw):
+    """A usable guarded game, its twin with every weight, rate and final
+    cost multiplied by c, and c, 3 or 7."""
+    g = usable_guarded(draw(st.integers(0, 10**6)))
+    assume(g is not None)
+    c = draw(st.sampled_from((3, 7)))
+    locs = [
+        dataclasses.replace(l, rate=c * l.rate, final_cost=l.final_cost and Affine(
+            c * l.final_cost.slope, c * l.final_cost.intercept
+        ))
+        for l in g.locations
+    ]
+    trans = [dataclasses.replace(t, weight=c * t.weight) for t in g.transitions]
+    return g, make_game(locs, trans, g.clock_bound), c
+
+
+# at least 120 draws: 3000 in CI's fuzz job (--hypothesis-profile=fuzz)
+@settings(max_examples=max(120, settings.default.max_examples), deadline=None, derandomize=True)
+@given(cost_scaled_twins())
+def test_scaling_every_cost_scales_the_values(case):
+    """A play's cost is linear in the weights, rates and final costs, so
+    multiplying them all by c > 0 keeps the optimal plays and multiplies
+    every value by c: read per region by the document reader's rule, each
+    of the twin's values is c times the game's, breakpoint for breakpoint,
+    and an infinity stays itself."""
+    g, twin, c = case
+    regs = regions_of(g)
+    want, got = solve_reset_acyclic(g).values, solve_reset_acyclic(twin).values
+    for name in want:
+        pairs = zip(regs, region_values(regs, list(want[name])), region_values(regs, list(got[name])))
+        for reg, u, v in pairs:
+            scaled = u if isinstance(u, float) else CostFunction(u.xs, tuple(c * y for y in u.vals))
+            assert v == scaled, (name, reg.describe())
 
 
 def test_broken_region_invariant_names_phase_and_copy(reset_chain):
